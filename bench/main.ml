@@ -986,8 +986,8 @@ let elide_bench () =
     let snap = Jt_metrics.Metrics.Counters.snapshot () in
     let cnt k = Option.value ~default:0 (List.assoc_opt k snap) in
     let trace =
-      cnt "san_trace_elide_dom" + cnt "san_trace_elide_canary"
-      + cnt "san_trace_elide_streak" + cnt "san_trace_elide_ind"
+      cnt "san_trace_elide_dom" + cnt "san_trace_elide_streak"
+      + cnt "san_trace_elide_ind"
     in
     (o.o_result, cnt "san_checks", cnt "san_elide_frame", cnt "san_elide_dom",
      trace)
@@ -1068,16 +1068,19 @@ let elide_bench () =
    removes *on top of* the per-block static passes (the per-block vs
    per-trace row of EXPERIMENTS.md).  Differential gate as for `elide`:
    status, output, icount and the (kind, addr) violation set must be
-   bit-identical. *)
+   bit-identical.  A third, dyn-only run (no static rules) records the
+   trace-dom and trace-streak elisions, which the hybrid runs leave no
+   room for; each must sum to more than 0 over the subset. *)
 
 type trace_elide_row = {
   te_name : string;
   te_checks_off : int;  (* trace elision off (static passes still on) *)
   te_checks_on : int;
   te_dom : int;
-  te_canary : int;
   te_streak : int;
   te_ind : int;  (* hoisted to the streak-onset induction guard *)
+  te_dyn_dom : int;  (* dyn-only run, trace elision on *)
+  te_dyn_streak : int;
   te_identical : bool;
 }
 
@@ -1093,15 +1096,16 @@ let trace_elide_bench () =
          (fun (v : Jt_vm.Vm.violation) -> (v.v_kind, v.v_addr))
          r.r_violations)
   in
-  let run_once ~trace_elide registry main =
+  let run_once ?hybrid ~trace_elide registry main =
     let tool, _ = Jt_jasan.Jasan.create () in
-    let o = Janitizer.Driver.run ~trace_elide ~tool ~registry ~main () in
+    let o =
+      Janitizer.Driver.run ?hybrid ~trace_elide ~tool ~registry ~main ()
+    in
     let snap = Jt_metrics.Metrics.Counters.snapshot () in
     let cnt k = Option.value ~default:0 (List.assoc_opt k snap) in
     ( o.o_result,
       cnt "san_checks",
       cnt "san_trace_elide_dom",
-      cnt "san_trace_elide_canary",
       cnt "san_trace_elide_streak",
       cnt "san_trace_elide_ind" )
   in
@@ -1111,18 +1115,22 @@ let trace_elide_bench () =
         Printf.eprintf "  trace-elide: %s...\n%!" name;
         let w = Specgen.build (Sheet.find name) in
         let reg = w.Specgen.w_registry in
-        let r_off, c_off, _, _, _, _ = run_once ~trace_elide:false reg name in
-        let r_on, c_on, dom, canary, streak, ind =
+        let r_off, c_off, _, _, _ = run_once ~trace_elide:false reg name in
+        let r_on, c_on, dom, streak, ind =
           run_once ~trace_elide:true reg name
+        in
+        let _, _, dyn_dom, dyn_streak, _ =
+          run_once ~hybrid:false ~trace_elide:true reg name
         in
         {
           te_name = name;
           te_checks_off = c_off;
           te_checks_on = c_on;
           te_dom = dom;
-          te_canary = canary;
           te_streak = streak;
           te_ind = ind;
+          te_dyn_dom = dyn_dom;
+          te_dyn_streak = dyn_streak;
           te_identical =
             observable r_off = observable r_on && vset r_off = vset r_on;
         })
@@ -1130,8 +1138,8 @@ let trace_elide_bench () =
   in
   open_table "JASan trace-level elision: off vs on (static passes on in both)"
     "executed shadow checks / elided executions by reason"
-    [ "checks off"; "checks on"; "reduction %"; "dom"; "canary"; "streak";
-      "ind" ]
+    [ "checks off"; "checks on"; "reduction %"; "dom"; "streak"; "ind";
+      "dyn dom"; "dyn streak" ]
     (List.map
        (fun r ->
          ( r.te_name,
@@ -1144,9 +1152,10 @@ let trace_elide_bench () =
                   -. float_of_int r.te_checks_on
                      /. float_of_int (max r.te_checks_off 1)));
              Jt_metrics.Metrics.Value (float_of_int r.te_dom);
-             Jt_metrics.Metrics.Value (float_of_int r.te_canary);
              Jt_metrics.Metrics.Value (float_of_int r.te_streak);
              Jt_metrics.Metrics.Value (float_of_int r.te_ind);
+             Jt_metrics.Metrics.Value (float_of_int r.te_dyn_dom);
+             Jt_metrics.Metrics.Value (float_of_int r.te_dyn_streak);
            ] ))
        rows);
   let diverged = List.filter (fun r -> not r.te_identical) rows in
@@ -1158,10 +1167,10 @@ let trace_elide_bench () =
   let row_json r =
     Printf.sprintf
       "    {\"name\": \"%s\", \"checks_off\": %d, \"checks_on\": %d, \
-       \"trace_dom\": %d, \"trace_canary\": %d, \"trace_streak\": %d, \
-       \"trace_ind\": %d, \"identical\": %b}"
-      r.te_name r.te_checks_off r.te_checks_on r.te_dom r.te_canary
-      r.te_streak r.te_ind r.te_identical
+       \"trace_dom\": %d, \"trace_streak\": %d, \"trace_ind\": %d, \
+       \"dyn_trace_dom\": %d, \"dyn_trace_streak\": %d, \"identical\": %b}"
+      r.te_name r.te_checks_off r.te_checks_on r.te_dom r.te_streak r.te_ind
+      r.te_dyn_dom r.te_dyn_streak r.te_identical
   in
   let json =
     Printf.sprintf
@@ -1172,7 +1181,17 @@ let trace_elide_bench () =
   output_string oc json;
   close_out oc;
   print_string json;
-  if diverged <> [] then exit 1
+  let total f = List.fold_left (fun acc r -> acc + f r) 0 rows in
+  let idle =
+    List.filter
+      (fun (_, f) -> total f = 0)
+      [ ("dyn_trace_dom", fun r -> r.te_dyn_dom);
+        ("dyn_trace_streak", fun r -> r.te_dyn_streak) ]
+  in
+  List.iter
+    (fun (k, _) -> Printf.eprintf "!! trace-elide: %s never fired\n%!" k)
+    idle;
+  if diverged <> [] || idle <> [] then exit 1
 
 
 (* ---- warmstart: cold vs warm static analysis through the IR store ----
@@ -1871,10 +1890,10 @@ let () =
   | [] ->
     Printf.printf "janitizer benchmark harness: regenerating all figures\n%!";
     List.iter (fun (n, f) -> Printf.printf "\n---- %s ----\n%!" n; f ()) targets
-  | names ->
-    List.iter
-      (fun n ->
-        match List.assoc_opt n targets with
-        | Some f -> f ()
-        | None -> Printf.eprintf "unknown target %s (try 'list')\n" n)
-      names
+  | names -> (
+    (* reject a bad name before running anything, with --jobs's status *)
+    match List.filter (fun n -> not (List.mem_assoc n targets)) names with
+    | [] -> List.iter (fun n -> List.assoc n targets ()) names
+    | bad ->
+      List.iter (Printf.eprintf "unknown target %s (try 'list')\n") bad;
+      exit 2)

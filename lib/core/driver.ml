@@ -181,27 +181,9 @@ let run ?fuel ?(hybrid = true) ?profile ?ibl ?trace ?trace_elide
       (fun acc (_, (f : Jt_rules.Rules.file)) -> acc + List.length f.rf_rules)
       0 rule_files
   in
-  (* When a store is attached, hand the engine a reader for the stored
-     IR of any statically analyzed module (keyed by runtime module name,
-     resolved through the content digest) so it can consult aux tables —
-     claims partitions and the like — at load time. *)
-  let ir_for =
-    Option.map
-      (fun st ->
-        let digest_of = Hashtbl.create 16 in
-        List.iter
-          (fun (m : Jt_obj.Objfile.t) ->
-            Hashtbl.replace digest_of m.name (Jt_obj.Objfile.digest m))
-          modules;
-        fun name ->
-          match Hashtbl.find_opt digest_of name with
-          | None -> None
-          | Some d -> Jt_ir.Store.peek st ~digest:d)
-      store
-  in
   let vm = Jt_vm.Vm.make ~registry in
   let engine =
-    Jt_dbt.Dbt.create ~vm ?profile ?ibl ?trace ?trace_elide ?ir_for
+    Jt_dbt.Dbt.create ~vm ?profile ?ibl ?trace ?trace_elide
       ~client:tool.Tool.t_client
       ~rules_for:(fun name -> List.assoc_opt name rule_files)
       ()

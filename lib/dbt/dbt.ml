@@ -3,12 +3,15 @@ open Jt_isa
 type block = { bb_addr : int; insns : (int * Insn.t * int) array }
 
 (* What a piece of instrumentation does to shadow state, as far as the
-   trace-spine elision pass is concerned.  [M_check]/[M_unpoison] carry
-   the syntactic address key of the access they guard; [M_shadow_write]
-   marks a poisoning write (a barrier: no earlier check survives it);
-   [M_opaque] is anything the pass cannot reason about — an opaque meta
-   with an action is treated as a conservative barrier, one without an
-   action (pure cost) is transparent.
+   trace-spine elision pass is concerned.  [M_check] carries the
+   syntactic address key of the access it guards; [M_unpoison] only
+   widens what is addressable, so it is transparent to check
+   availability, but it does change shadow state (which disqualifies
+   the induction guard); [M_shadow_write] marks a poisoning write (a
+   barrier: no earlier check survives it); [M_opaque] is anything the
+   pass cannot reason about — an opaque meta with an action is treated
+   as a conservative barrier, one without an action (pure cost) is
+   transparent.
 
    Contract for [M_check]: the meta's action must be a pure, read-only
    shadow check of the keyed address range (reporting aside, no state
@@ -20,7 +23,7 @@ type block = { bb_addr : int; insns : (int * Insn.t * int) array }
 type meta_kind =
   | M_opaque
   | M_check of Jt_analysis.Avail.Key.t
-  | M_unpoison of Jt_analysis.Avail.Key.t
+  | M_unpoison
   | M_shadow_write
 
 type meta = {
@@ -77,8 +80,6 @@ type stats = {
   mutable st_blocks_static : int;
   mutable st_blocks_dynamic : int;
   mutable st_block_execs : int;
-  mutable st_indirects : int;
-  mutable st_rules_applied : int;
   mutable st_chain_hits : int;
   mutable st_dispatch_entries : int;
   mutable st_ibl_hits : int;
@@ -87,7 +88,6 @@ type stats = {
   mutable st_trace_execs : int;
   mutable st_trace_interior : int;
   mutable st_decode_faults : int;
-  mutable st_claim_checked_drops : int;
 }
 
 (* The trace-level induction guard (dynamic SCEV).  When a trace is the
@@ -129,9 +129,7 @@ type overlay = {
       (* endpoint guard justifying the streak plans' "trace-ind" drops;
          executed once when a streak begins *)
   ov_dom : int array;  (* base-plan drops: dominated within the trace *)
-  ov_canary : int array;  (* base-plan drops: redundant canary unpoison *)
   ov_s_dom : int array;  (* streak-plan drops with a same-trip witness *)
-  ov_s_canary : int array;
   ov_s_streak : int array;  (* streak-only drops (previous-trip witness) *)
   ov_s_ind : int array;  (* streak-only drops hoisted to the onset guard *)
   ov_decisions : (int * string * int) list;
@@ -208,12 +206,6 @@ type t = {
          recount it must always agree with (asserted after every run) *)
   mutable recording : (int * cached list) option;
       (* trace being recorded: head address, constituents in reverse *)
-  (* Static claim partition read from the stored IR's aux tables at
-     module load, keyed by *runtime* instruction address (load-base
-     adjusted like the rule tables).  Consulted by the trace overlay
-     planner purely for accounting: a drop at a [Claims.checked] address
-     is redundancy the static elision passes could not prove. *)
-  claims : (int, int) Hashtbl.t;
   stats : stats;
 }
 
@@ -327,15 +319,8 @@ let flush_blocks t start len =
     done
   end
 
-let claims_prefix = "claims/v1:"
-
-let is_claims_key k =
-  String.length k >= String.length claims_prefix
-  && String.sub k 0 (String.length claims_prefix) = claims_prefix
-
 let create ~vm ?(profile = dynamorio) ?client ?(chain = true) ?(ibl = true)
-    ?(trace = true) ?(trace_elide = true) ?(rules_for = fun _ -> None)
-    ?(ir_for = fun _ -> None) () =
+    ?(trace = true) ?(trace_elide = true) ?(rules_for = fun _ -> None) () =
   let t =
     {
       vm;
@@ -351,14 +336,11 @@ let create ~vm ?(profile = dynamorio) ?client ?(chain = true) ?(ibl = true)
       traces = Hashtbl.create 64;
       n_traces_live = 0;
       recording = None;
-      claims = Hashtbl.create 256;
       stats =
         {
           st_blocks_static = 0;
           st_blocks_dynamic = 0;
           st_block_execs = 0;
-          st_indirects = 0;
-          st_rules_applied = 0;
           st_chain_hits = 0;
           st_dispatch_entries = 0;
           st_ibl_hits = 0;
@@ -367,14 +349,13 @@ let create ~vm ?(profile = dynamorio) ?client ?(chain = true) ?(ibl = true)
           st_trace_execs = 0;
           st_trace_interior = 0;
           st_decode_faults = 0;
-          st_claim_checked_drops = 0;
         };
     }
   in
   (* (1) in Figure 4: when a module is loaded, read its rewrite rules into
      a fresh hash table, adjusting addresses by the load base for PIC. *)
   Jt_loader.Loader.on_load vm.Jt_vm.Vm.loader (fun l ->
-      (match rules_for l.Jt_loader.Loader.lmod.Jt_obj.Objfile.name with
+      match rules_for l.Jt_loader.Loader.lmod.Jt_obj.Objfile.name with
       | None -> ()
       | Some file ->
         let table =
@@ -382,35 +363,6 @@ let create ~vm ?(profile = dynamorio) ?client ?(chain = true) ?(ibl = true)
             ~pic:(Jt_obj.Objfile.is_pic l.Jt_loader.Loader.lmod)
         in
         Hashtbl.replace t.tables l.Jt_loader.Loader.load_order table);
-      (* The overlay planner's view of the static claim partition, from
-         the module's stored IR.  A malformed aux table is dropped with a
-         warning — claims only feed accounting, never behavior. *)
-      match ir_for l.Jt_loader.Loader.lmod.Jt_obj.Objfile.name with
-      | None -> ()
-      | Some ir ->
-        let base = l.Jt_loader.Loader.base in
-        let pic = Jt_obj.Objfile.is_pic l.Jt_loader.Loader.lmod in
-        let adjust a = if pic then a + base else a in
-        List.iter
-          (fun (key, payload) ->
-            if is_claims_key key then
-              match Jt_ir.Ir.Claims.decode payload with
-              | fns ->
-                List.iter
-                  (fun (fc : Jt_ir.Ir.Claims.fn_claims) ->
-                    List.iter
-                      (fun (addr, code, _witness) ->
-                        Hashtbl.replace t.claims (adjust addr) code)
-                      fc.fc_claims)
-                  fns
-              | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
-              | exception e ->
-                Printf.eprintf
-                  "janitizer: warning: ignoring malformed claims table %s \
-                   for %s (%s)\n%!"
-                  key l.Jt_loader.Loader.lmod.Jt_obj.Objfile.name
-                  (Printexc.to_string e))
-          ir.Jt_ir.Ir.ir_aux);
   (* Cache-flush syscalls (JIT regeneration) invalidate affected blocks. *)
   Jt_vm.Vm.on_cache_flush vm (fun start len -> flush_blocks t start len);
   t
@@ -491,11 +443,7 @@ let translate t addr =
     | Some cl ->
       let rules_at =
         match (static_hit, table) with
-        | true, Some tbl ->
-          fun a ->
-            let rs = Jt_rules.Rules.Table.at_insn tbl a in
-            t.stats.st_rules_applied <- t.stats.st_rules_applied + List.length rs;
-            rs
+        | true, Some tbl -> Jt_rules.Rules.Table.at_insn tbl
         | _ -> fun _ -> []
       in
       cl.cl_on_block t.vm b
@@ -617,10 +565,8 @@ let exec_block t ~budget (c : cached) =
   end;
   if t.profile.p_per_block > 0 then Jt_vm.Vm.charge vm t.profile.p_per_block;
   exec_insns t ~budget ~plan:c.cb_plan c;
-  if c.cb_indirect_end && vm.Jt_vm.Vm.status = Jt_vm.Vm.Running then begin
-    t.stats.st_indirects <- t.stats.st_indirects + 1;
-    if not t.ibl then Jt_vm.Vm.charge vm t.profile.p_indirect
-  end
+  if c.cb_indirect_end && vm.Jt_vm.Vm.status = Jt_vm.Vm.Running && not t.ibl
+  then Jt_vm.Vm.charge vm t.profile.p_indirect
 
 (* Eager teardown maintains the invariant "[tr_valid] implies every
    constituent is valid", so liveness is a field read on the dispatch
@@ -699,7 +645,6 @@ let exec_trace t ~budget ~streak ~streak_onset (tr : trace) =
   let s = t.stats in
   s.st_trace_execs <- s.st_trace_execs + 1;
   let m = Jt_metrics.Metrics.Counters.current () in
-  m.c_trace_execs <- m.c_trace_execs + 1;
   (if streak && streak_onset then
      match tr.tr_overlay with
      | Some { ov_ind = Some ig; _ } -> run_ind_guard vm ig
@@ -724,8 +669,6 @@ let exec_trace t ~budget ~streak ~streak_onset (tr : trace) =
       | Some ov ->
         if streak then begin
           m.c_san_trace_elide_dom <- m.c_san_trace_elide_dom + ov.ov_s_dom.(!i);
-          m.c_san_trace_elide_canary <-
-            m.c_san_trace_elide_canary + ov.ov_s_canary.(!i);
           m.c_san_trace_elide_streak <-
             m.c_san_trace_elide_streak + ov.ov_s_streak.(!i);
           m.c_san_trace_elide_ind <- m.c_san_trace_elide_ind + ov.ov_s_ind.(!i);
@@ -733,14 +676,11 @@ let exec_trace t ~budget ~streak ~streak_onset (tr : trace) =
         end
         else begin
           m.c_san_trace_elide_dom <- m.c_san_trace_elide_dom + ov.ov_dom.(!i);
-          m.c_san_trace_elide_canary <-
-            m.c_san_trace_elide_canary + ov.ov_canary.(!i);
           ov.ov_plans.(!i)
         end
     in
     exec_insns t ~budget ~plan c;
     let running = vm.Jt_vm.Vm.status = Jt_vm.Vm.Running in
-    if c.cb_indirect_end && running then s.st_indirects <- s.st_indirects + 1;
     if (not running) || !i = n - 1 then begin
       (if c.cb_indirect_end && running && not t.ibl then
          Jt_vm.Vm.charge vm t.profile.p_indirect);
@@ -784,18 +724,7 @@ let exec_trace t ~budget ~streak ~streak_onset (tr : trace) =
    never a mutation of the constituents' own [cb_plan]s. *)
 
 module KS = Jt_analysis.Avail.Set
-
-(* Pair lattice: (keys with an available check, keys with an available
-   unpoison).  Both are must-sets; join is pointwise intersection. *)
-module Avail2 = struct
-  type t = KS.t * KS.t
-
-  let equal (c1, u1) (c2, u2) = KS.equal c1 c2 && KS.equal u1 u2
-  let join (c1, u1) (c2, u2) = (KS.inter c1 c2, KS.inter u1 u2)
-  let widen = join
-end
-
-module Spine_solver = Jt_analysis.Dataflow.Make (Avail2)
+module Spine_solver = Jt_analysis.Dataflow.Make (Jt_analysis.Avail.Lattice)
 
 type spine_el = {
   se_bi : int;  (* constituent position within the trace *)
@@ -805,72 +734,44 @@ type spine_el = {
   se_metas : meta list;
 }
 
-(* A check gens check-availability; an unpoison gens unpoison-
-   availability (it only widens what is addressable, so it is not a
-   barrier for checks); a poisoning shadow write clears both, as does
-   any opaque action the pass cannot see through. *)
-let meta_transfer m ((chk, unp) as st) =
+(* A check gens availability of its key; a poisoning shadow write clears
+   the set, as does any opaque action the pass cannot see through.  An
+   unpoison only widens what is addressable, so it is not a barrier. *)
+let meta_transfer m st =
   match m.m_kind with
-  | M_check k -> (KS.add k chk, unp)
-  | M_unpoison k -> (chk, KS.add k unp)
-  | M_shadow_write -> (KS.empty, KS.empty)
-  | M_opaque -> (
-    match m.m_action with Some _ -> (KS.empty, KS.empty) | None -> st)
+  | M_check k -> KS.add k st
+  | M_shadow_write -> KS.empty
+  | M_opaque -> ( match m.m_action with Some _ -> KS.empty | None -> st)
+  | M_unpoison -> st
 
 let spine_transfer el st =
-  let chk, unp =
-    List.fold_left (fun st m -> meta_transfer m st) st el.se_metas
-  in
-  ( Jt_analysis.Avail.insn_transfer el.se_insn chk,
-    Jt_analysis.Avail.insn_transfer el.se_insn unp )
+  Jt_analysis.Avail.insn_transfer el.se_insn
+    (List.fold_left (fun st m -> meta_transfer m st) st el.se_metas)
 
-(* One decision walk from a given entry state: which metas may be
+(* One decision walk from a given entry state: which checks may be
    dropped, each with the earlier site that witnesses it.  The witness
-   tables map an available key to the address of the meta that made it
-   available; passing a walk's final tables into the next walk carries
+   table maps an available key to the address of the check that made it
+   available; passing a walk's final table into the next walk carries
    witnesses across the back-edge for the streak variant. *)
-let decide_spine ~entry ~wit_chk ~wit_unp spine =
+let decide_spine ~entry ~wit spine =
   let drops = Hashtbl.create 16 in
   let st = ref entry in
   Array.iter
     (fun el ->
-      let chk = ref (fst !st) and unp = ref (snd !st) in
       List.iteri
         (fun j (m : meta) ->
           match m.m_kind with
+          | M_check k when KS.mem k !st ->
+            Hashtbl.replace drops (el.se_bi, el.se_k, j)
+              ( "trace-dom",
+                Option.value ~default:0 (Hashtbl.find_opt wit k),
+                el.se_addr )
           | M_check k ->
-            if KS.mem k !chk then
-              Hashtbl.replace drops (el.se_bi, el.se_k, j)
-                ( "trace-dom",
-                  Option.value ~default:0 (Hashtbl.find_opt wit_chk k),
-                  el.se_addr )
-            else begin
-              Hashtbl.replace wit_chk k el.se_addr;
-              chk := KS.add k !chk
-            end
-          | M_unpoison k ->
-            if KS.mem k !unp then
-              Hashtbl.replace drops (el.se_bi, el.se_k, j)
-                ( "trace-canary",
-                  Option.value ~default:0 (Hashtbl.find_opt wit_unp k),
-                  el.se_addr )
-            else begin
-              Hashtbl.replace wit_unp k el.se_addr;
-              unp := KS.add k !unp
-            end
-          | M_shadow_write ->
-            chk := KS.empty;
-            unp := KS.empty
-          | M_opaque -> (
-            match m.m_action with
-            | Some _ ->
-              chk := KS.empty;
-              unp := KS.empty
-            | None -> ()))
+            Hashtbl.replace wit k el.se_addr;
+            st := KS.add k !st
+          | M_shadow_write | M_opaque | M_unpoison -> st := meta_transfer m !st)
         el.se_metas;
-      st :=
-        ( Jt_analysis.Avail.insn_transfer el.se_insn !chk,
-          Jt_analysis.Avail.insn_transfer el.se_insn !unp ))
+      st := Jt_analysis.Avail.insn_transfer el.se_insn !st)
     spine;
   drops
 
@@ -957,7 +858,7 @@ let detect_induction ~drops_streak (spine : spine_el array) =
                || List.exists
                     (fun (m : meta) ->
                       match (m.m_kind, m.m_action) with
-                      | (M_shadow_write | M_unpoison _), _ -> true
+                      | (M_shadow_write | M_unpoison), _ -> true
                       | M_opaque, Some _ -> true
                       | (M_opaque | M_check _), _ -> false)
                     el.se_metas)
@@ -1004,8 +905,8 @@ let build_overlay (blocks : cached array) =
         Array.exists
           (List.exists (fun (m : meta) ->
                match m.m_kind with
-               | M_check _ | M_unpoison _ -> true
-               | M_opaque | M_shadow_write -> false))
+               | M_check _ -> true
+               | M_opaque | M_unpoison | M_shadow_write -> false))
           c.cb_plan)
       blocks
   in
@@ -1028,19 +929,18 @@ let build_overlay (blocks : cached array) =
                   c.cb.insns)
               blocks))
     in
-    let empty2 = (KS.empty, KS.empty) in
     (* One forward pass is the fixpoint on a spine; the out-state seeds
        the steady-state (streak) walk: for a straight line,
        out(out(bot)) = out(bot), so this is also the back-edge fixpoint. *)
     let _pre, out =
-      Spine_solver.solve_spine ~entry:empty2 ~transfer:spine_transfer spine
+      Spine_solver.solve_spine ~entry:KS.empty ~transfer:spine_transfer spine
     in
-    let wit_chk = Hashtbl.create 16 and wit_unp = Hashtbl.create 16 in
-    let drops_base = decide_spine ~entry:empty2 ~wit_chk ~wit_unp spine in
-    (* the base walk's final witness tables describe exactly the keys in
+    let wit = Hashtbl.create 16 in
+    let drops_base = decide_spine ~entry:KS.empty ~wit spine in
+    (* the base walk's final witness table describes exactly the keys in
        [out] — the availability a streak entry inherits from the
        previous trip around the trace *)
-    let drops_streak = decide_spine ~entry:out ~wit_chk ~wit_unp spine in
+    let drops_streak = decide_spine ~entry:out ~wit spine in
     (* a streak drop the base walk also made keeps its reason; one only
        the carried-over availability justifies is a loop-invariant
        (streak) elision *)
@@ -1097,9 +997,7 @@ let build_overlay (blocks : cached array) =
           ov_plans_streak = filter_plans drops_streak;
           ov_ind = Option.map (fun (g, _, _) -> g) ind;
           ov_dom = counts drops_base "trace-dom";
-          ov_canary = counts drops_base "trace-canary";
           ov_s_dom = counts drops_streak "trace-dom";
-          ov_s_canary = counts drops_streak "trace-canary";
           ov_s_streak = counts drops_streak "trace-streak";
           ov_s_ind = counts drops_streak "trace-ind";
           ov_decisions = decisions;
@@ -1140,22 +1038,6 @@ let finalize_recording t =
             c.cb_traces <- tr :: c.cb_traces)
         arr;
       t.stats.st_traces_built <- t.stats.st_traces_built + 1;
-      (let m = Jt_metrics.Metrics.Counters.current () in
-       m.c_traces_built <- m.c_traces_built + 1);
-      (* Accounting against the static claim partition: an overlay drop
-         at an address the static pass kept ([Claims.checked]) is
-         redundancy only visible at trace granularity. *)
-      (match overlay with
-      | Some ov ->
-        List.iter
-          (fun (insn, _, _) ->
-            match Hashtbl.find_opt t.claims insn with
-            | Some code when code = Jt_ir.Ir.Claims.checked ->
-              t.stats.st_claim_checked_drops <-
-                t.stats.st_claim_checked_drops + 1
-            | Some _ | None -> ())
-          ov.ov_decisions
-      | None -> ());
       if Jt_trace.Trace.is_enabled () then begin
         Jt_trace.Trace.emit
           (Jt_trace.Trace.Trace_build { head; blocks = Array.length arr });
@@ -1212,7 +1094,6 @@ let note_entry t (c : cached) pc =
 let run ?(fuel = 200_000_000) t =
   let vm = t.vm in
   let budget = vm.Jt_vm.Vm.icount + fuel in
-  let m = Jt_metrics.Metrics.Counters.current () in
   let prev : cached option ref = ref None in
   (* The streak: the trace that completed head-to-tail on the immediately
      preceding dispatch.  If the very next dispatch re-enters that same
@@ -1282,7 +1163,6 @@ let run ?(fuel = 200_000_000) t =
              | Some c ->
                Jt_vm.Vm.charge vm t.profile.p_ibl_hit;
                t.stats.st_ibl_hits <- t.stats.st_ibl_hits + 1;
-               m.c_ibl_hits <- m.c_ibl_hits + 1;
                if Jt_trace.Trace.is_enabled () then
                  Jt_trace.Trace.emit
                    (Jt_trace.Trace.Ibl_hit { site = p.cb.bb_addr; target = pc });
@@ -1290,7 +1170,6 @@ let run ?(fuel = 200_000_000) t =
              | None ->
                Jt_vm.Vm.charge vm t.profile.p_indirect;
                t.stats.st_ibl_misses <- t.stats.st_ibl_misses + 1;
-               m.c_ibl_misses <- m.c_ibl_misses + 1;
                if Jt_trace.Trace.is_enabled () then
                  Jt_trace.Trace.emit
                    (Jt_trace.Trace.Ibl_miss { site = p.cb.bb_addr; target = pc });
@@ -1301,12 +1180,10 @@ let run ?(fuel = 200_000_000) t =
            match (linked, via_ibl) with
            | Some c, _ ->
              t.stats.st_chain_hits <- t.stats.st_chain_hits + 1;
-             m.c_chain_hits <- m.c_chain_hits + 1;
              c
            | None, Some c -> c
            | None, None ->
              t.stats.st_dispatch_entries <- t.stats.st_dispatch_entries + 1;
-             m.c_dispatch_entries <- m.c_dispatch_entries + 1;
              let c =
                match Hashtbl.find_opt t.cache pc with
                | Some c -> c
@@ -1406,8 +1283,6 @@ let reset_stats t =
   s.st_blocks_static <- 0;
   s.st_blocks_dynamic <- 0;
   s.st_block_execs <- 0;
-  s.st_indirects <- 0;
-  s.st_rules_applied <- 0;
   s.st_chain_hits <- 0;
   s.st_dispatch_entries <- 0;
   s.st_ibl_hits <- 0;
@@ -1415,13 +1290,12 @@ let reset_stats t =
   s.st_traces_built <- 0;
   s.st_trace_execs <- 0;
   s.st_trace_interior <- 0;
-  s.st_decode_faults <- 0;
-  s.st_claim_checked_drops <- 0
+  s.st_decode_faults <- 0
 
 (* Elision decisions of the live traces, sorted by head address:
    [(head, [(insn, reason, witness)])].  Diagnostics for the CLI's
-   [analyze --facts] dump; reasons are ["trace-dom"], ["trace-canary"],
-   ["trace-streak"] and ["trace-ind"]. *)
+   [analyze --facts] dump; reasons are ["trace-dom"], ["trace-streak"]
+   and ["trace-ind"]. *)
 let trace_elisions t =
   Hashtbl.fold
     (fun head tr acc ->

@@ -22,15 +22,18 @@ type block = {
 
 (** What a piece of instrumentation does to shadow state, as far as the
     trace-spine elision pass can tell.  Tools that want their checks
-    considered for trace-level elision tag them [M_check]/[M_unpoison]
-    with the access's {!Jt_analysis.Avail.Key.t}; everything else stays
-    [M_opaque] (an opaque meta with an action is treated as a
-    conservative barrier) or [M_shadow_write] (a poisoning write —
-    always a barrier). *)
+    considered for trace-level elision tag them [M_check] with the
+    access's {!Jt_analysis.Avail.Key.t}.  [M_unpoison] marks a write
+    that only makes memory addressable: it is transparent to check
+    availability (an earlier check still dominates a later one across
+    it), but it changes shadow state, so a spine holding one never gets
+    the induction guard.  Everything else stays [M_opaque] (an opaque
+    meta with an action is treated as a conservative barrier) or
+    [M_shadow_write] (a poisoning write — always a barrier). *)
 type meta_kind =
   | M_opaque
   | M_check of Jt_analysis.Avail.Key.t
-  | M_unpoison of Jt_analysis.Avail.Key.t
+  | M_unpoison
   | M_shadow_write
 
 (** One piece of inserted instrumentation, executed immediately before
@@ -78,12 +81,12 @@ type profile = {
 val dynamorio : profile
 val lightweight : profile
 
+(** The engine's dispatch counters.  Each dispatch event is counted here
+    and nowhere else ([Jt_metrics.Metrics.Counters] holds no copy). *)
 type stats = {
   mutable st_blocks_static : int;  (** unique blocks found in rule tables *)
   mutable st_blocks_dynamic : int;  (** unique blocks that missed *)
   mutable st_block_execs : int;
-  mutable st_indirects : int;
-  mutable st_rules_applied : int;
   mutable st_chain_hits : int;
       (** block transfers that followed a direct chain link, skipping the
           dispatcher entirely *)
@@ -100,11 +103,6 @@ type stats = {
   mutable st_decode_faults : int;
       (** entries that resolved to an empty (undecodable) block, which
           faults without executing *)
-  mutable st_claim_checked_drops : int;
-      (** trace-overlay drops at instructions whose stored static claim
-          partition says the check was kept ([Jt_ir.Ir.Claims.checked]) —
-          redundancy visible only at trace granularity; 0 without
-          [ir_for] *)
 }
 
 type t
@@ -118,7 +116,6 @@ val create :
   ?trace:bool ->
   ?trace_elide:bool ->
   ?rules_for:(string -> Jt_rules.Rules.file option) ->
-  ?ir_for:(string -> Jt_ir.Ir.t option) ->
   unit ->
   t
 (** Create an engine bound to [vm].  Must be called before [Vm.boot] so
@@ -126,19 +123,12 @@ val create :
     loader and to cache-flush events).  [rules_for] supplies each module's
     statically generated rule file, if one exists.
 
-    [ir_for] supplies each module's stored IR ([Jt_ir]), if one exists;
-    the engine reads the tool-contributed claim partitions from its aux
-    tables at load time (addresses adjusted by the load base for PIC,
-    like the rule tables) and uses them for overlay accounting
-    ([st_claim_checked_drops]).  Execution, cycles, output and
-    violations are identical with or without it.
-
     [chain] (default true) enables direct block chaining: blocks ending
     in a direct [Jmp]/[Jcc]/[Call] are linked to their translated
     successors, so chains of hot blocks execute without re-entering the
     dispatcher or re-probing the code-cache hash table.  Links are
     severed on invalidation.  Chaining changes only host-level dispatch
-    work ({!stats} and [Jt_metrics] counters); simulated cycles, outputs
+    work ({!stats}); simulated cycles, outputs
     and violations are bit-identical with it off.
 
     [ibl] (default true) enables per-site indirect-branch inline caches:
@@ -161,8 +151,8 @@ val create :
     [trace_elide] (default true) runs the JASan availability
     must-analysis along each newly recorded trace spine and builds an
     overlay of thinned instrumentation plans: checks dominated within
-    the trace by an earlier check of the same address key are elided, as
-    are redundant canary unpoisons, and a steady-state plan variant
+    the trace by an earlier check of the same address key are elided,
+    and a steady-state plan variant
     additionally elides loop-invariant checks when the trace re-enters
     its own head immediately after a completed trip.  The constituents'
     own plans are never modified, so side exits, teardown and ordinary
@@ -203,7 +193,7 @@ val traces_live_scan : t -> int
 val trace_elisions : t -> (int * (int * string * int) list) list
 (** Elision decisions of the live traces, sorted by head address:
     [(head, [(insn, reason, witness)])] with reasons ["trace-dom"],
-    ["trace-canary"] and ["trace-streak"].  Diagnostics (the CLI's
+    ["trace-streak"] and ["trace-ind"].  Diagnostics (the CLI's
     [analyze --facts] dump). *)
 
 val dynamic_block_fraction : t -> float

@@ -1,5 +1,4 @@
 module Trace = Jt_trace.Trace
-module Counters = Jt_metrics.Metrics.Counters
 
 type entry = { e_ir : Ir.t; mutable e_tick : int }
 
@@ -85,8 +84,6 @@ let load_disk t ~digest ~name =
       Printf.eprintf
         "janitizer: warning: rejecting IR store entry %s (%s), re-analyzing\n%!"
         path why;
-      (Counters.current ()).c_ir_store_corrupt <-
-        (Counters.current ()).c_ir_store_corrupt + 1;
       if Trace.is_enabled () then Trace.emit (Trace.Store_corrupt { name; why });
       Mutex.lock t.mu;
       t.s_corrupt <- t.s_corrupt + 1;
@@ -132,8 +129,6 @@ let lru_insert t digest ir ~name =
       | Some (d, _) ->
         Hashtbl.remove t.mem d;
         t.s_evictions <- t.s_evictions + 1;
-        (Counters.current ()).c_ir_store_evicts <-
-          (Counters.current ()).c_ir_store_evicts + 1;
         if Trace.is_enabled () then Trace.emit (Trace.Store_evict { name })
       | None -> ()
     end;
@@ -164,8 +159,6 @@ let find_or_compute t ~digest ~name compute =
   match probe () with
   | Some ir ->
     Mutex.unlock t.mu;
-    (Counters.current ()).c_ir_store_hits <-
-      (Counters.current ()).c_ir_store_hits + 1;
     if Trace.is_enabled () then
       Trace.emit (Trace.Store_hit { name; source = "mem" });
     ir
@@ -185,14 +178,10 @@ let find_or_compute t ~digest ~name compute =
           t.s_disk_hits <- t.s_disk_hits + 1;
           lru_insert t digest ir ~name;
           Mutex.unlock t.mu;
-          (Counters.current ()).c_ir_store_hits <-
-            (Counters.current ()).c_ir_store_hits + 1;
           if Trace.is_enabled () then
             Trace.emit (Trace.Store_hit { name; source = "disk" });
           ir
         | None ->
-          (Counters.current ()).c_ir_store_misses <-
-            (Counters.current ()).c_ir_store_misses + 1;
           if Trace.is_enabled () then Trace.emit (Trace.Store_miss { name });
           let ir = compute () in
           save_disk t ir;

@@ -32,8 +32,7 @@ val find_or_compute :
 
 val peek : t -> digest:string -> Ir.t option
 (** Memory-then-disk probe without computing, without single-flight and
-    without touching hit/miss statistics (used by the DBT's aux-table
-    reader). *)
+    without touching hit/miss statistics. *)
 
 val update_aux : t -> digest:string -> (string * string) list -> unit
 (** Merge aux tables ({!Ir.with_aux}) into the stored entry, rewriting

@@ -5,10 +5,13 @@ val geomean : float list -> float
     poison the mean through [log], so they are skipped (with a warning on
     stderr); 0 if nothing positive remains. *)
 
-(** Hot-path instrumentation counters, incremented by the loader's
-    address-range index, the DBT dispatcher and the cache-invalidation
-    paths.  They measure *host-level* work (probes, visits), not simulated
-    cycles, so resetting or reading them never perturbs an experiment.
+(** Hot-path instrumentation counters for events no engine record
+    already counts: the loader's address-range index, the
+    cache-invalidation paths and the JASan check and elision counts.  Dispatch
+    work is counted once, in [Jt_dbt.Dbt.stats]; IR-store traffic once,
+    in [Jt_ir.Store.stats].  They measure *host-level* work (probes,
+    visits), not simulated cycles, so resetting or reading them never
+    perturbs an experiment.
 
     The counters are {e domain-local} ([Domain.DLS]): every domain counts
     into its own instance, so concurrent driver runs on a [Jt_pool] never
@@ -17,17 +20,6 @@ val geomean : float list -> float
     the snapshot; the harness aggregates with {!Counters.merge}. *)
 module Counters : sig
   type t = {
-    mutable c_chain_hits : int;
-        (** block-to-block transfers that followed a chain link without
-            re-entering the dispatcher *)
-    mutable c_dispatch_entries : int;
-        (** dispatcher entries (code-cache hash probes) *)
-    mutable c_ibl_hits : int;
-        (** indirect transfers resolved by a per-site inline cache *)
-    mutable c_ibl_misses : int;
-        (** indirect transfers that probed an inline cache and missed *)
-    mutable c_traces_built : int;  (** superblock traces stitched *)
-    mutable c_trace_execs : int;  (** head-to-tail trace executions *)
     mutable c_module_lookups : int;  (** [Loader.module_at] calls *)
     mutable c_lookup_probes : int;
         (** binary-search steps across all module lookups *)
@@ -45,8 +37,9 @@ module Counters : sig
         (** dynamic check instances elided by the trace-spine
             dominating-check pass *)
     mutable c_san_trace_elide_canary : int;
-        (** dynamic canary-unpoison instances deduplicated along a
-            trace spine *)
+        (** always 0: nothing writes it (the trace layer never drops a
+            canary unpoison); kept for readers that sum every trace
+            reason *)
     mutable c_san_trace_elide_streak : int;
         (** dynamic check instances elided by the steady-state (streak)
             trace plans: availability carried across the trace's own
@@ -55,15 +48,6 @@ module Counters : sig
         (** dynamic check instances elided by the trace induction-range
             guard: affine accesses covered by the endpoint check run
             once at streak onset *)
-    mutable c_ir_store_hits : int;
-        (** IR-store lookups served from memory or disk *)
-    mutable c_ir_store_misses : int;
-        (** IR-store lookups that had to run the static analyzer *)
-    mutable c_ir_store_evicts : int;
-        (** in-memory LRU entries evicted by capacity pressure *)
-    mutable c_ir_store_corrupt : int;
-        (** on-disk entries rejected (truncated / bad magic / wrong
-            schema version / stale digest) and transparently re-analyzed *)
   }
 
   val current : unit -> t

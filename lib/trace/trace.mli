@@ -47,9 +47,9 @@ type event =
       insn : int;  (** address of the access whose check the trace elides *)
       reason : string;
           (** ["trace-dom"] (dominated within the trace by an identical
-              check), ["trace-canary"] (redundant canary unpoison) or
-              ["trace-streak"] (loop-invariant, justified by the trace's
-              own back-edge) *)
+              check), ["trace-streak"] (loop-invariant, justified by the
+              trace's own back-edge) or ["trace-ind"] (hoisted to the
+              induction guard's endpoint checks) *)
       witness : int;
           (** address of the earlier access whose check subsumes this
               one; [0] if unknown *)

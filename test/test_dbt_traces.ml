@@ -354,9 +354,7 @@ let test_mid_trace_flush_elision () =
     (Jt_dbt.Dbt.traces_live e_on < s_on.st_traces_built);
   let field k snap = List.assoc k snap in
   let elided snap =
-    field "san_trace_elide_dom" snap
-    + field "san_trace_elide_canary" snap
-    + field "san_trace_elide_streak" snap
+    field "san_trace_elide_dom" snap + field "san_trace_elide_streak" snap
   in
   Alcotest.(check int) "baseline elides nothing at trace level" 0
     (elided snap_off);
@@ -501,6 +499,85 @@ let test_induction_guard () =
     "guard endpoint checks are the only surplus" true
     (surplus >= 2 && surplus mod 2 = 0)
 
+(* A client that puts a canary unpoison between two checks of the same
+   access, [check k; unpoison; check k], on every load and store.  With
+   [~unpoison:false] the middle meta is left out: the control spine.
+   Each executed check bumps [checks]. *)
+let recheck_client ~unpoison checks =
+  let check k =
+    {
+      Jt_dbt.Dbt.m_cost = 10;
+      m_action = Some (fun _ -> incr checks);
+      m_kind = Jt_dbt.Dbt.M_check k;
+    }
+  in
+  let unp =
+    { Jt_dbt.Dbt.m_cost = 5; m_action = Some ignore; m_kind = Jt_dbt.Dbt.M_unpoison }
+  in
+  {
+    Jt_dbt.Dbt.cl_name = "recheck";
+    cl_on_block =
+      (fun _ b _ ~rules_at:_ ->
+        Array.map
+          (fun (_, i, _) ->
+            let key =
+              match i with
+              | Insn.Load (_, _, m) | Insn.Store (_, m, _) ->
+                Jt_analysis.Avail.key_of m 4
+              | _ -> None
+            in
+            match key with
+            | Some k when unpoison -> [ check k; unp; check k ]
+            | Some k -> [ check k; check k ]
+            | None -> [])
+          b.Jt_dbt.Dbt.insns);
+  }
+
+let run_recheck ~unpoison ~trace_elide m =
+  Jt_metrics.Metrics.Counters.reset ();
+  let checks = ref 0 in
+  let vm = Jt_vm.Vm.make ~registry:(Progs.registry_for m) in
+  let engine =
+    Jt_dbt.Dbt.create ~vm ~trace_elide
+      ~client:(recheck_client ~unpoison checks) ()
+  in
+  Jt_vm.Vm.boot vm ~main:m.Jt_obj.Objfile.name;
+  Jt_dbt.Dbt.run engine;
+  let reasons =
+    List.concat_map
+      (fun (_, ds) -> List.map (fun (_, r, _) -> r) ds)
+      (Jt_dbt.Dbt.trace_elisions engine)
+  in
+  (Jt_vm.Vm.result vm, !checks, Jt_metrics.Metrics.Counters.snapshot (), reasons)
+
+(* An unpoison on a trace spine keeps both of its behaviours: it is
+   transparent to check availability (the re-check after it is still a
+   "trace-dom" drop) and it disqualifies the induction guard (the same
+   counted loop without it does get the guard). *)
+let test_unpoison_on_spine () =
+  let m = reg_bound_loop_prog () in
+  let r_off, c_off, _, _ = run_recheck ~unpoison:true ~trace_elide:false m in
+  let r_on, c_on, snap, reasons = run_recheck ~unpoison:true ~trace_elide:true m in
+  Alcotest.(check string) "output" "32640\n" r_on.r_output;
+  Alcotest.(check bool) "observables identical" true
+    (observable r_off = observable r_on);
+  let field k = List.assoc k snap in
+  Alcotest.(check bool) "re-check after the unpoison dropped as trace-dom" true
+    (List.mem "trace-dom" reasons && field "san_trace_elide_dom" > 0);
+  Alcotest.(check bool) "no induction guard on the spine" false
+    (List.mem "trace-ind" reasons);
+  Alcotest.(check int) "no guard elisions" 0 (field "san_trace_elide_ind");
+  (* without a guard there are no endpoint checks: executed plus elided
+     checks equal the unelided run's executed checks exactly *)
+  Alcotest.(check int) "check executions balance" c_off
+    (c_on + field "san_trace_elide_dom" + field "san_trace_elide_streak");
+  let _, _, snap_ctl, reasons_ctl =
+    run_recheck ~unpoison:false ~trace_elide:true m
+  in
+  Alcotest.(check bool) "control spine gets the induction guard" true
+    (List.mem "trace-ind" reasons_ctl
+    && List.assoc "san_trace_elide_ind" snap_ctl > 0)
+
 let test_trace_elision_decisions () =
   let m = dup_load_prog () in
   let registry = Progs.registry_for m in
@@ -523,7 +600,7 @@ let test_trace_elision_decisions () =
             ("known reason: " ^ reason)
             true
             (List.mem reason
-               [ "trace-dom"; "trace-canary"; "trace-streak"; "trace-ind" ]))
+               [ "trace-dom"; "trace-streak"; "trace-ind" ]))
         ds)
     o.o_trace_elisions;
   let snap = Jt_metrics.Metrics.Counters.(snapshot_of (current ())) in
@@ -551,6 +628,7 @@ let () =
           Alcotest.test_case "flush storm live count" `Quick
             test_flush_storm_live_count;
           Alcotest.test_case "induction guard" `Quick test_induction_guard;
+          Alcotest.test_case "unpoison on spine" `Quick test_unpoison_on_spine;
           Alcotest.test_case "elision decisions" `Quick
             test_trace_elision_decisions;
         ] );
