@@ -22,12 +22,56 @@ open Jt_workloads
 
 let jobs = ref 1
 
-(* ---- per-benchmark measurement cache ---- *)
+module Json = Jt_metrics.Json
+
+(* ---- the one bench report ----
+
+   Every gated target ends in one [report], and [write_report] is the
+   only code that writes a BENCH_<target>.json (dashes in the target
+   become underscores), prints it, names each failure on stderr as
+   `!! <target>: <failure>` and exits 1 when there is any.  The document
+   starts with "target", "gate" and "failures" ([] exactly when the gate
+   passes), then the target's own [fields]. *)
+
+type report = {
+  target : string;
+  gate : string;  (** one line: what must hold for the target to pass *)
+  fields : (string * Json.t) list;
+  failures : string list;
+}
+
+let write_report r =
+  let text =
+    Json.(
+      to_string
+        (Obj
+           (("target", String r.target) :: ("gate", String r.gate)
+           :: ("failures", List (List.map (fun f -> String f) r.failures))
+           :: r.fields)))
+    ^ "\n"
+  in
+  let file =
+    "BENCH_" ^ String.map (function '-' -> '_' | c -> c) r.target ^ ".json"
+  in
+  Out_channel.with_open_text file (fun oc -> output_string oc text);
+  print_string text;
+  List.iter (Printf.eprintf "!! %s: %s\n%!" r.target) r.failures;
+  if r.failures <> [] then exit 1
+
+(* Status, output and the (kind, addr) violation set: what the
+   differential gates compare between runs that may legitimately differ
+   in instruction count, cycles or the pc a violation is reported at. *)
+let same_behaviour (a : Jt_vm.Vm.result) (b : Jt_vm.Vm.result) =
+  let vset (r : Jt_vm.Vm.result) =
+    List.sort_uniq compare
+      (List.map (fun (v : Jt_vm.Vm.violation) -> (v.v_kind, v.v_addr)) r.r_violations)
+  in
+  a.r_status = b.r_status && a.r_output = b.r_output && vset a = vset b
+
+(* ---- the figure sweep: every workload under ~12 configurations ---- *)
 
 type bench_runs = {
   b_sheet : Sheet.t;
-  b_native_cycles : int;
-  b_native_output : string;
   b_null : float;
   b_jasan_h : float;
   b_jasan_b : float;
@@ -46,170 +90,162 @@ type bench_runs = {
   b_lk_w_air : Jt_metrics.Metrics.cell;
   b_sair_jcfi : float;
   b_sair_bincfi : Jt_metrics.Metrics.cell;
-  mutable b_sound : bool;
 }
 
-let cache : (string, bench_runs) Hashtbl.t = Hashtbl.create 32
-
 let ratio c n = float_of_int c /. float_of_int n
+let value x = Jt_metrics.Metrics.Value x
+let count n = value (float_of_int n)
 
-(* The full ~12-configuration measurement of one workload, cache-free:
-   safe to run as a pool job (everything it touches is job-local). *)
-let measure_fresh (s : Sheet.t) =
-    let w = Specgen.build s in
-    let registry = w.w_registry in
-    let main = s.s_name in
-    let native = Specgen.run_native w in
-    let n = native.r_cycles in
-    let sound = ref true in
-    let check_out (r : Jt_vm.Vm.result) =
-      if r.r_output <> native.r_output || r.r_status <> native.r_status then
-        sound := false
-    in
-    let run_tool ?(hybrid = true) mk =
-      let tool = mk () in
-      let o = Janitizer.Driver.run ~hybrid ~tool ~registry ~main () in
-      check_out o.o_result;
-      o
-    in
-    let null = Janitizer.Driver.run_null ~registry ~main () in
-    check_out null.o_result;
-    let jasan_h = run_tool (fun () -> fst (Jt_jasan.Jasan.create ())) in
-    let jasan_b =
-      run_tool (fun () ->
-          fst (Jt_jasan.Jasan.create ~liveness:Jt_jasan.Jasan.Live_none ()))
-    in
-    let jasan_d = run_tool ~hybrid:false (fun () -> fst (Jt_jasan.Jasan.create ())) in
-    let valgrind = Jt_baselines.Valgrind_like.run ~registry ~main () in
-    check_out valgrind;
-    (* RetroWrite gets the PIC build it requires (the original paper's
-       setup); its slowdown is measured against the PIC native run. *)
-    let retrowrite =
-      let wp = Specgen.build ~kind:Jt_obj.Objfile.Exec_pic s in
-      match
-        Jt_baselines.Retrowrite_like.run ~registry:wp.w_registry ~main ()
-      with
-      | Ok r ->
-        let np = Specgen.run_native wp in
-        if r.r_output <> np.r_output then sound := false;
-        Jt_metrics.Metrics.Value (ratio r.r_cycles np.r_cycles)
-      | Error (Jt_baselines.Retrowrite_like.Needs_pic m) ->
-        Jt_metrics.Metrics.Fail ("non-PIC: " ^ m)
-      | Error (Jt_baselines.Retrowrite_like.Unsupported_feature (m, f)) ->
-        Jt_metrics.Metrics.Fail (m ^ ": " ^ f)
-      | Error Jt_baselines.Retrowrite_like.Applicable -> assert false
-    in
-    let run_jcfi ?(hybrid = true) ?config () =
-      let tool, rt = Jt_jcfi.Jcfi.create ?config () in
-      let o = Janitizer.Driver.run ~hybrid ~tool ~registry ~main () in
-      check_out o.o_result;
-      (o, rt)
-    in
-    let jcfi_h, rt_h = run_jcfi () in
-    let jcfi_d, rt_d = run_jcfi ~hybrid:false () in
-    let jcfi_fwd, _ =
-      run_jcfi ~config:{ Jt_jcfi.Jcfi.cf_forward = true; cf_backward = false } ()
-    in
-    let lockdown, lk_s_air, lk_w_air =
-      if s.s_fails_lockdown then
-        ( Jt_metrics.Metrics.Fail "crash (as in the original paper)",
-          Jt_metrics.Metrics.Fail "-",
-          Jt_metrics.Metrics.Fail "-" )
-      else begin
-        let lk = Jt_baselines.Lockdown.run ~registry ~main () in
-        let lkw =
-          Jt_baselines.Lockdown.run ~policy:Jt_baselines.Lockdown.Weak ~registry
-            ~main ()
-        in
-        if lk.lk_result.r_output <> native.r_output then sound := false;
-        ( Jt_metrics.Metrics.Value (ratio lk.lk_result.r_cycles n),
-          Jt_metrics.Metrics.Value lk.lk_dynamic_air,
-          Jt_metrics.Metrics.Value lkw.lk_dynamic_air )
-      end
-    in
-    let bincfi =
-      match Jt_baselines.Bincfi.run ~registry ~main () with
-      | Ok r ->
-        check_out r;
-        Jt_metrics.Metrics.Value (ratio r.r_cycles n)
-      | Error (Jt_baselines.Bincfi.Broken_rewrite m) ->
-        Jt_metrics.Metrics.Fail ("broken rewrite: " ^ m)
-      | Error Jt_baselines.Bincfi.Applicable -> assert false
-    in
-    let closure = Janitizer.Driver.static_closure ~registry ~main in
-    let sair_jcfi = Jt_jcfi.Air.static_jcfi closure in
-    let sair_bincfi =
-      match Jt_baselines.Bincfi.applicability ~registry ~main with
-      | Jt_baselines.Bincfi.Applicable ->
-        Jt_metrics.Metrics.Value (Jt_baselines.Bincfi.static_air closure)
-      | Jt_baselines.Bincfi.Broken_rewrite m ->
-        Jt_metrics.Metrics.Fail ("broken rewrite: " ^ m)
-    in
-    let r =
-      {
-        b_sheet = s;
-        b_native_cycles = n;
-        b_native_output = native.r_output;
-        b_null = ratio null.o_result.r_cycles n;
-        b_jasan_h = ratio jasan_h.o_result.r_cycles n;
-        b_jasan_b = ratio jasan_b.o_result.r_cycles n;
-        b_jasan_d = ratio jasan_d.o_result.r_cycles n;
-        b_valgrind = ratio valgrind.r_cycles n;
-        b_retrowrite = retrowrite;
-        b_jcfi_h = ratio jcfi_h.o_result.r_cycles n;
-        b_jcfi_d = ratio jcfi_d.o_result.r_cycles n;
-        b_jcfi_fwd = ratio jcfi_fwd.o_result.r_cycles n;
-        b_lockdown = lockdown;
-        b_bincfi = bincfi;
-        b_dynfrac = jasan_h.o_dynamic_fraction;
-        b_dair_h = Jt_jcfi.Air.dynamic rt_h;
-        b_dair_d = Jt_jcfi.Air.dynamic rt_d;
-        b_lk_s_air = lk_s_air;
-        b_lk_w_air = lk_w_air;
-        b_sair_jcfi = sair_jcfi;
-        b_sair_bincfi = sair_bincfi;
-        b_sound = !sound;
-      }
-    in
-    if not !sound then
-      Printf.printf "!! soundness warning: %s produced divergent output\n%!"
-        s.s_name;
-    r
-
+(* The full measurement of one workload, safe to run as a pool job
+   (everything it touches is job-local).  Also returns the schemes whose
+   output or exit status diverged from native. *)
 let measure (s : Sheet.t) =
-  match Hashtbl.find_opt cache s.s_name with
-  | Some r -> r
-  | None ->
-    let r = measure_fresh s in
-    Hashtbl.replace cache s.s_name r;
-    r
+  Printf.eprintf "  measuring %s...\n%!" s.s_name;
+  let w = Specgen.build s in
+  let registry = w.w_registry in
+  let main = s.s_name in
+  let native = Specgen.run_native w in
+  let n = native.r_cycles in
+  let diverged = ref [] in
+  let check_out ?(base = native) scheme (r : Jt_vm.Vm.result) =
+    if r.r_output <> base.r_output || r.r_status <> base.r_status then
+      diverged := scheme :: !diverged
+  in
+  let run_tool ?(hybrid = true) scheme mk =
+    let tool = mk () in
+    let o = Janitizer.Driver.run ~hybrid ~tool ~registry ~main () in
+    check_out scheme o.o_result;
+    o
+  in
+  let null = Janitizer.Driver.run_null ~registry ~main () in
+  check_out "null" null.o_result;
+  let jasan_h = run_tool "jasan-hybrid" (fun () -> fst (Jt_jasan.Jasan.create ())) in
+  let jasan_b =
+    run_tool "jasan-base" (fun () ->
+        fst (Jt_jasan.Jasan.create ~liveness:Jt_jasan.Jasan.Live_none ()))
+  in
+  let jasan_d =
+    run_tool ~hybrid:false "jasan-dyn" (fun () -> fst (Jt_jasan.Jasan.create ()))
+  in
+  let valgrind = Jt_baselines.Valgrind_like.run ~registry ~main () in
+  check_out "valgrind" valgrind;
+  (* RetroWrite gets the PIC build it requires (the original paper's
+     setup); its slowdown is measured against the PIC native run. *)
+  let retrowrite =
+    let wp = Specgen.build ~kind:Jt_obj.Objfile.Exec_pic s in
+    match
+      Jt_baselines.Retrowrite_like.run ~registry:wp.w_registry ~main ()
+    with
+    | Ok r ->
+      let np = Specgen.run_native wp in
+      check_out ~base:np "retrowrite" r;
+      value (ratio r.r_cycles np.r_cycles)
+    | Error (Jt_baselines.Retrowrite_like.Needs_pic m) ->
+      Jt_metrics.Metrics.Fail ("non-PIC: " ^ m)
+    | Error (Jt_baselines.Retrowrite_like.Unsupported_feature (m, f)) ->
+      Jt_metrics.Metrics.Fail (m ^ ": " ^ f)
+    | Error Jt_baselines.Retrowrite_like.Applicable -> assert false
+  in
+  let run_jcfi ?(hybrid = true) ?config scheme =
+    let tool, rt = Jt_jcfi.Jcfi.create ?config () in
+    let o = Janitizer.Driver.run ~hybrid ~tool ~registry ~main () in
+    check_out scheme o.o_result;
+    (o, rt)
+  in
+  let jcfi_h, rt_h = run_jcfi "jcfi-hybrid" in
+  let jcfi_d, rt_d = run_jcfi ~hybrid:false "jcfi-dyn" in
+  let jcfi_fwd, _ =
+    run_jcfi ~config:{ Jt_jcfi.Jcfi.cf_forward = true; cf_backward = false }
+      "jcfi-forward"
+  in
+  let lockdown, lk_s_air, lk_w_air =
+    if s.s_fails_lockdown then
+      ( Jt_metrics.Metrics.Fail "crash (as in the original paper)",
+        Jt_metrics.Metrics.Fail "-",
+        Jt_metrics.Metrics.Fail "-" )
+    else begin
+      let lk = Jt_baselines.Lockdown.run ~registry ~main () in
+      let lkw =
+        Jt_baselines.Lockdown.run ~policy:Jt_baselines.Lockdown.Weak ~registry
+          ~main ()
+      in
+      check_out "lockdown" lk.lk_result;
+      ( value (ratio lk.lk_result.r_cycles n),
+        value lk.lk_dynamic_air,
+        value lkw.lk_dynamic_air )
+    end
+  in
+  let bincfi =
+    match Jt_baselines.Bincfi.run ~registry ~main () with
+    | Ok r ->
+      check_out "bincfi" r;
+      value (ratio r.r_cycles n)
+    | Error (Jt_baselines.Bincfi.Broken_rewrite m) ->
+      Jt_metrics.Metrics.Fail ("broken rewrite: " ^ m)
+    | Error Jt_baselines.Bincfi.Applicable -> assert false
+  in
+  let closure = Janitizer.Driver.static_closure ~registry ~main in
+  let sair_jcfi = Jt_jcfi.Air.static_jcfi closure in
+  let sair_bincfi =
+    match Jt_baselines.Bincfi.applicability ~registry ~main with
+    | Jt_baselines.Bincfi.Applicable ->
+      value (Jt_baselines.Bincfi.static_air closure)
+    | Jt_baselines.Bincfi.Broken_rewrite m ->
+      Jt_metrics.Metrics.Fail ("broken rewrite: " ^ m)
+  in
+  ( {
+      b_sheet = s;
+      b_null = ratio null.o_result.r_cycles n;
+      b_jasan_h = ratio jasan_h.o_result.r_cycles n;
+      b_jasan_b = ratio jasan_b.o_result.r_cycles n;
+      b_jasan_d = ratio jasan_d.o_result.r_cycles n;
+      b_valgrind = ratio valgrind.r_cycles n;
+      b_retrowrite = retrowrite;
+      b_jcfi_h = ratio jcfi_h.o_result.r_cycles n;
+      b_jcfi_d = ratio jcfi_d.o_result.r_cycles n;
+      b_jcfi_fwd = ratio jcfi_fwd.o_result.r_cycles n;
+      b_lockdown = lockdown;
+      b_bincfi = bincfi;
+      b_dynfrac = jasan_h.o_dynamic_fraction;
+      b_dair_h = Jt_jcfi.Air.dynamic rt_h;
+      b_dair_d = Jt_jcfi.Air.dynamic rt_d;
+      b_lk_s_air = lk_s_air;
+      b_lk_w_air = lk_w_air;
+      b_sair_jcfi = sair_jcfi;
+      b_sair_bincfi = sair_bincfi;
+    },
+    List.rev !diverged )
 
-(* With [--jobs N], the workloads missing from the cache are measured as
-   pool jobs; the shared cache is only written back here, sequentially,
-   after every job has completed. *)
-let all_runs () =
-  (if !jobs > 1 then
-     let missing =
-       List.filter (fun s -> not (Hashtbl.mem cache s.Sheet.s_name)) Sheet.all
+(* The sweep runs once per process, on first use: with [--jobs N] the
+   workloads are measured as pool jobs.  Its soundness gate is the
+   "sweep" report, written before the first figure prints. *)
+let sweep =
+  lazy
+    (let runs =
+       if !jobs > 1 then Jt_pool.Pool.run ~jobs:!jobs measure Sheet.all
+       else List.map measure Sheet.all
      in
-     if missing <> [] then
-       Jt_pool.Pool.with_pool ~jobs:!jobs (fun p ->
-           let rs =
-             Jt_pool.Pool.map p
-               (fun s ->
-                 Printf.eprintf "  measuring %s...\n%!" s.Sheet.s_name;
-                 measure_fresh s)
-               missing
-           in
-           List.iter2
-             (fun s r -> Hashtbl.replace cache s.Sheet.s_name r)
-             missing rs));
-  List.map
-    (fun s ->
-      if not (Hashtbl.mem cache s.Sheet.s_name) then
-        Printf.eprintf "  measuring %s...\n%!" s.Sheet.s_name;
-      measure s)
-    Sheet.all
+     let name r = r.b_sheet.Sheet.s_name in
+     write_report
+       {
+         target = "sweep";
+         gate = "every scheme's output and exit status match native on every workload";
+         fields =
+           [ ( "workloads",
+               Json.(
+                 List
+                   (List.map
+                      (fun (r, d) ->
+                        Obj
+                          [ ("name", String (name r));
+                            ("diverged", List (List.map (fun x -> String x) d)) ])
+                      runs)) ) ];
+         failures =
+           List.concat_map
+             (fun (r, d) -> List.map (Printf.sprintf "%s: %s diverged from native" (name r)) d)
+             runs;
+       };
+     List.map fst runs)
 
 (* ---- figures ---- *)
 
@@ -217,58 +253,27 @@ let open_table title unit cols rows =
   Jt_metrics.Metrics.print
     { Jt_metrics.Metrics.t_title = title; t_unit = unit; t_cols = cols; t_rows = rows }
 
+(* One row per workload of the sweep, [cells] picking the figure's columns. *)
+let sweep_table title unit cols cells =
+  open_table title unit cols
+    (List.map (fun r -> (r.b_sheet.Sheet.s_name, cells r)) (Lazy.force sweep))
+
 let fig7 () =
-  let rows =
-    List.map
-      (fun r ->
-        ( r.b_sheet.Sheet.s_name,
-          [
-            Jt_metrics.Metrics.Value r.b_valgrind;
-            Jt_metrics.Metrics.Value r.b_jasan_d;
-            r.b_retrowrite;
-            Jt_metrics.Metrics.Value r.b_jasan_h;
-          ] ))
-      (all_runs ())
-  in
-  open_table "Figure 7: JASan overhead on SPEC CPU2006-like workloads"
+  sweep_table "Figure 7: JASan overhead on SPEC CPU2006-like workloads"
     "slowdown vs native"
     [ "Valgrind"; "JASan-dyn"; "Retrowrite"; "JASan-hybrid" ]
-    rows
+    (fun r -> [ value r.b_valgrind; value r.b_jasan_d; r.b_retrowrite; value r.b_jasan_h ])
 
 let fig8 () =
-  let rows =
-    List.map
-      (fun r ->
-        ( r.b_sheet.Sheet.s_name,
-          [
-            Jt_metrics.Metrics.Value r.b_null;
-            Jt_metrics.Metrics.Value r.b_jasan_h;
-            Jt_metrics.Metrics.Value r.b_jasan_b;
-            Jt_metrics.Metrics.Value r.b_jasan_d;
-          ] ))
-      (all_runs ())
-  in
-  open_table "Figure 8: JASan overhead breakdown" "slowdown vs native"
+  sweep_table "Figure 8: JASan overhead breakdown" "slowdown vs native"
     [ "Null client"; "hybrid(full)"; "hybrid(base)"; "JASan-dyn" ]
-    rows
+    (fun r -> [ value r.b_null; value r.b_jasan_h; value r.b_jasan_b; value r.b_jasan_d ])
 
 let fig9 () =
-  let rows =
-    List.map
-      (fun r ->
-        ( r.b_sheet.Sheet.s_name,
-          [
-            r.b_lockdown;
-            Jt_metrics.Metrics.Value r.b_jcfi_d;
-            Jt_metrics.Metrics.Value r.b_jcfi_h;
-            r.b_bincfi;
-          ] ))
-      (all_runs ())
-  in
-  open_table "Figure 9: JCFI overhead vs Lockdown and BinCFI"
+  sweep_table "Figure 9: JCFI overhead vs Lockdown and BinCFI"
     "slowdown vs native"
     [ "Lockdown"; "JCFI-dyn"; "JCFI-hybrid"; "BinCFI" ]
-    rows
+    (fun r -> [ r.b_lockdown; value r.b_jcfi_d; value r.b_jcfi_h; r.b_bincfi ])
 
 let fig10 () =
   Printf.printf "\n  running 624 Juliet CWE-122 cases x 2 variants x 2 tools...\n%!";
@@ -310,63 +315,27 @@ let fig10 () =
     (("", "Valgrind   JASan") :: fam_rows)
 
 let fig11 () =
-  let rows =
-    List.map
-      (fun r ->
-        ( r.b_sheet.Sheet.s_name,
-          [
-            Jt_metrics.Metrics.Value r.b_null;
-            Jt_metrics.Metrics.Value r.b_jcfi_fwd;
-            Jt_metrics.Metrics.Value r.b_jcfi_h;
-          ] ))
-      (all_runs ())
-  in
-  open_table "Figure 11: forward/backward CFI contribution to JCFI overhead"
+  sweep_table "Figure 11: forward/backward CFI contribution to JCFI overhead"
     "slowdown vs native"
     [ "Null client"; "+Forward CFI"; "+Backward CFI" ]
-    rows
+    (fun r -> [ value r.b_null; value r.b_jcfi_fwd; value r.b_jcfi_h ])
 
 let fig12 () =
-  let rows =
-    List.map
-      (fun r ->
-        ( r.b_sheet.Sheet.s_name,
-          [
-            r.b_lk_s_air;
-            Jt_metrics.Metrics.Value r.b_dair_d;
-            Jt_metrics.Metrics.Value r.b_dair_h;
-            r.b_lk_w_air;
-          ] ))
-      (all_runs ())
-  in
-  open_table "Figure 12: dynamic average indirect-target reduction (DAIR)"
+  sweep_table "Figure 12: dynamic average indirect-target reduction (DAIR)"
     "% (higher is better)"
     [ "Lockdown(S)"; "JCFI-dyn"; "JCFI-hybrid"; "Lockdown(W)" ]
-    rows
+    (fun r -> [ r.b_lk_s_air; value r.b_dair_d; value r.b_dair_h; r.b_lk_w_air ])
 
 let fig13 () =
-  let rows =
-    List.map
-      (fun r ->
-        ( r.b_sheet.Sheet.s_name,
-          [ Jt_metrics.Metrics.Value r.b_sair_jcfi; r.b_sair_bincfi ] ))
-      (all_runs ())
-  in
-  open_table "Figure 13: static average indirect-target reduction (AIR)"
-    "% (higher is better)" [ "JCFI"; "BinCFI" ] rows
+  sweep_table "Figure 13: static average indirect-target reduction (AIR)"
+    "% (higher is better)" [ "JCFI"; "BinCFI" ]
+    (fun r -> [ value r.b_sair_jcfi; r.b_sair_bincfi ])
 
 let fig14 () =
-  let runs = all_runs () in
-  let rows =
-    List.map
-      (fun r ->
-        ( r.b_sheet.Sheet.s_name,
-          [ Jt_metrics.Metrics.Value (100.0 *. r.b_dynfrac) ] ))
-      runs
-  in
-  open_table
-    "Figure 14: basic blocks only discovered by the dynamic modifier"
-    "% of executed unique blocks" [ "dynamic code" ] rows;
+  sweep_table "Figure 14: basic blocks only discovered by the dynamic modifier"
+    "% of executed unique blocks" [ "dynamic code" ]
+    (fun r -> [ value (100.0 *. r.b_dynfrac) ]);
+  let runs = Lazy.force sweep in
   let mean =
     List.fold_left (fun acc r -> acc +. r.b_dynfrac) 0.0 runs
     /. float_of_int (List.length runs)
@@ -402,7 +371,7 @@ let ablation () =
                 Janitizer.Driver.run ~tool:(mk ()) ~registry:w.w_registry
                   ~main:name ()
               in
-              Jt_metrics.Metrics.Value (ratio o.o_result.r_cycles native.r_cycles))
+              value (ratio o.o_result.r_cycles native.r_cycles))
             configs ))
       subset
   in
@@ -469,9 +438,7 @@ let dispatch_rows () =
     let dt = Sys.time () -. t0 in
     (Jt_vm.Vm.result vm, Jt_dbt.Dbt.stats engine, dt)
   in
-  let observable (r : Jt_vm.Vm.result) =
-    (r.r_status, r.r_output, r.r_icount, r.r_violations)
-  in
+  let observable (r : Jt_vm.Vm.result) = { r with r_cycles = 0 } in
   let rate num den =
     if den = 0 then 0.0 else float_of_int num /. float_of_int den
   in
@@ -521,41 +488,8 @@ let dispatch_rows () =
       })
     loopy
 
-let dispatch_json rows =
-  let row_json r =
-    Printf.sprintf
-      "    {\"name\": \"%s\", \"block_execs\": %d, \"chain_hits\": %d, \
-       \"ibl_hits\": %d, \"ibl_misses\": %d, \"traces_built\": %d, \
-       \"trace_execs\": %d, \"dispatcher_entries\": %d, \
-       \"dispatcher_entries_chain_only\": %d, \
-       \"dispatcher_entries_unchained\": %d, \"chain_hit_rate\": %.4f, \
-       \"ibl_hit_rate\": %.4f, \"chain_ibl_hit_rate\": %.4f, \
-       \"blocks_per_sec\": %.0f, \"bit_identical\": %b}"
-      r.d_name r.d_block_execs r.d_chain_hits r.d_ibl_hits r.d_ibl_misses
-      r.d_traces_built r.d_trace_execs r.d_entries_full r.d_entries_chain_only
-      r.d_entries_unchained r.d_chain_hit_rate r.d_ibl_hit_rate
-      r.d_chain_ibl_hit_rate r.d_blocks_per_sec r.d_bit_identical
-  in
-  Printf.sprintf "{\n  \"target\": \"dispatch\",\n  \"workloads\": [\n%s\n  ]\n}\n"
-    (String.concat ",\n" (List.map row_json rows))
-
 let dispatch () =
   let rows = dispatch_rows () in
-  let tbl_rows =
-    List.map
-      (fun r ->
-        ( r.d_name,
-          [
-            Jt_metrics.Metrics.Value (float_of_int r.d_entries_unchained);
-            Jt_metrics.Metrics.Value (float_of_int r.d_entries_chain_only);
-            Jt_metrics.Metrics.Value (float_of_int r.d_entries_full);
-            Jt_metrics.Metrics.Value (100.0 *. r.d_chain_ibl_hit_rate);
-            Jt_metrics.Metrics.Value (100.0 *. r.d_ibl_hit_rate);
-            Jt_metrics.Metrics.Value (float_of_int r.d_traces_built);
-            Jt_metrics.Metrics.Value r.d_blocks_per_sec;
-          ] ))
-      rows
-  in
   open_table
     "Dispatch microbenchmark: chaining + IBL + traces vs dispatcher entries"
     "counts / % / blocks-per-sec"
@@ -563,18 +497,44 @@ let dispatch () =
       "entries(off)"; "entries(chain)"; "entries(full)"; "chain+ibl %";
       "ibl-hit %"; "traces"; "blocks/sec";
     ]
-    tbl_rows;
-  List.iter
-    (fun r ->
-      if not r.d_bit_identical then
-        Printf.printf "!! dispatch: %s diverged across fast-path configs\n"
-          r.d_name)
-    rows;
-  let json = dispatch_json rows in
-  let oc = open_out "BENCH_dispatch.json" in
-  output_string oc json;
-  close_out oc;
-  print_string json
+    (List.map
+       (fun r ->
+         ( r.d_name,
+           [ count r.d_entries_unchained; count r.d_entries_chain_only;
+             count r.d_entries_full; value (100.0 *. r.d_chain_ibl_hit_rate);
+             value (100.0 *. r.d_ibl_hit_rate); count r.d_traces_built;
+             value r.d_blocks_per_sec ] ))
+       rows);
+  let row_json r =
+    Json.(
+      Obj
+        [ ("name", String r.d_name); ("block_execs", Int r.d_block_execs);
+          ("chain_hits", Int r.d_chain_hits); ("ibl_hits", Int r.d_ibl_hits);
+          ("ibl_misses", Int r.d_ibl_misses); ("traces_built", Int r.d_traces_built);
+          ("trace_execs", Int r.d_trace_execs);
+          ("dispatcher_entries", Int r.d_entries_full);
+          ("dispatcher_entries_chain_only", Int r.d_entries_chain_only);
+          ("dispatcher_entries_unchained", Int r.d_entries_unchained);
+          ("chain_hit_rate", Float (4, r.d_chain_hit_rate));
+          ("ibl_hit_rate", Float (4, r.d_ibl_hit_rate));
+          ("chain_ibl_hit_rate", Float (4, r.d_chain_ibl_hit_rate));
+          ("blocks_per_sec", Float (0, r.d_blocks_per_sec));
+          ("bit_identical", Bool r.d_bit_identical) ])
+  in
+  write_report
+    {
+      target = "dispatch";
+      gate =
+        "status, output, icount and violations bit-identical across full, \
+         chain-only and unchained fast paths";
+      fields = [ ("workloads", Json.List (List.map row_json rows)) ];
+      failures =
+        List.filter_map
+          (fun r ->
+            if r.d_bit_identical then None
+            else Some (r.d_name ^ " diverged across fast-path configs"))
+          rows;
+    }
 
 (* ---- shadow microbenchmark: per-byte loop vs page-at-a-time bulk ----
 
@@ -678,9 +638,6 @@ type trace_ov_row = {
 
 let trace_overhead () =
   let subset = [ "bzip2"; "hmmer"; "mcf"; "sjeng" ] in
-  let observable (r : Jt_vm.Vm.result) =
-    (r.r_status, r.r_output, r.r_icount, r.r_cycles, r.r_violations)
-  in
   let run_once registry main =
     let tool, _ = Jt_jasan.Jasan.create () in
     let t0 = Sys.time () in
@@ -713,7 +670,7 @@ let trace_overhead () =
             100.0
             *. float_of_int (r_on.Jt_vm.Vm.r_icount - r_off.Jt_vm.Vm.r_icount)
             /. float_of_int (max r_off.Jt_vm.Vm.r_icount 1);
-          tov_identical = observable r_off = observable r_on;
+          tov_identical = r_off = r_on;
           tov_events = events;
           tov_dropped = dropped;
           tov_host_off_s = dt_off;
@@ -729,45 +686,38 @@ let trace_overhead () =
     (List.map
        (fun r ->
          ( r.tov_name,
-           [
-             Jt_metrics.Metrics.Value r.tov_icount_overhead_pct;
-             Jt_metrics.Metrics.Value (float_of_int r.tov_events);
-             Jt_metrics.Metrics.Value (float_of_int r.tov_dropped);
-             Jt_metrics.Metrics.Value r.tov_host_ratio;
-           ] ))
+           [ value r.tov_icount_overhead_pct; count r.tov_events;
+             count r.tov_dropped; value r.tov_host_ratio ] ))
        rows);
-  let bad =
-    List.filter
-      (fun r -> (not r.tov_identical) || r.tov_icount_overhead_pct > 5.0)
-      rows
-  in
-  List.iter
-    (fun r ->
-      Printf.eprintf
-        "!! trace-overhead: %s %s (icount overhead %.2f%%)\n%!" r.tov_name
-        (if r.tov_identical then "over budget" else "diverged with tracing on")
-        r.tov_icount_overhead_pct)
-    bad;
   let row_json r =
-    Printf.sprintf
-      "    {\"name\": \"%s\", \"icount\": %d, \"icount_overhead_pct\": %.4f, \
-       \"identical\": %b, \"events\": %d, \"dropped\": %d, \
-       \"host_off_s\": %.6f, \"host_on_s\": %.6f, \"host_ratio\": %.3f}"
-      r.tov_name r.tov_icount r.tov_icount_overhead_pct r.tov_identical
-      r.tov_events r.tov_dropped r.tov_host_off_s r.tov_host_on_s
-      r.tov_host_ratio
+    Json.(
+      Obj
+        [ ("name", String r.tov_name); ("icount", Int r.tov_icount);
+          ("icount_overhead_pct", Float (4, r.tov_icount_overhead_pct));
+          ("identical", Bool r.tov_identical); ("events", Int r.tov_events);
+          ("dropped", Int r.tov_dropped); ("host_off_s", Float (6, r.tov_host_off_s));
+          ("host_on_s", Float (6, r.tov_host_on_s));
+          ("host_ratio", Float (3, r.tov_host_ratio)) ])
   in
-  let json =
-    Printf.sprintf
-      "{\n  \"target\": \"trace-overhead\",\n  \"budget_icount_pct\": 5.0,\n\
-      \  \"workloads\": [\n%s\n  ]\n}\n"
-      (String.concat ",\n" (List.map row_json rows))
-  in
-  let oc = open_out "BENCH_trace_overhead.json" in
-  output_string oc json;
-  close_out oc;
-  print_string json;
-  if bad <> [] then exit 1
+  write_report
+    {
+      target = "trace-overhead";
+      gate = "simulated results bit-identical with tracing on, icount overhead <= 5%";
+      fields =
+        [ ("budget_icount_pct", Json.Float (1, 5.0));
+          ("workloads", Json.List (List.map row_json rows)) ];
+      failures =
+        List.filter_map
+          (fun r ->
+            if r.tov_identical && r.tov_icount_overhead_pct <= 5.0 then None
+            else
+              Some
+                (Printf.sprintf "%s %s (icount overhead %.2f%%)" r.tov_name
+                   (if r.tov_identical then "over budget"
+                    else "diverged with tracing on")
+                   r.tov_icount_overhead_pct))
+          rows;
+    }
 
 (* ---- parallel: sequential-vs-pool wall clock over the full sweep ----
 
@@ -840,54 +790,36 @@ let parallel_bench () =
       (fun (a, b) -> if a = b then None else Some a.pr_name)
       (List.combine seq par)
   in
-  List.iter
-    (fun n -> Printf.printf "!! parallel: %s diverged between sweeps\n" n)
-    mismatches;
-  Jt_metrics.Metrics.print_kv "Parallel sweep: sequential vs domain pool"
-    [
-      ("workloads", string_of_int (List.length seq));
-      ("jobs", string_of_int n_jobs);
-      ("host cores", string_of_int cores);
-      ("sequential wall", Printf.sprintf "%.2f s" seq_s);
-      ("parallel wall", Printf.sprintf "%.2f s" par_s);
-      ( "speedup",
-        match speedup with
-        | Some s -> Printf.sprintf "%.2fx" s
-        | None -> "n/a (single-core host)" );
-      ( "bit-identical",
-        if mismatches = [] then "yes" else "NO (" ^ String.concat "," mismatches ^ ")" );
-    ];
   let row_json r =
-    Printf.sprintf
-      "    {\"name\": \"%s\", \"status\": \"%s\", \"icount\": %d, \
-       \"cycles\": %d, \"violations\": %d, \"rules\": %d}"
-      r.pr_name (String.escaped r.pr_status) r.pr_icount r.pr_cycles
-      r.pr_violations r.pr_rules
+    Json.(
+      Obj
+        [ ("name", String r.pr_name); ("status", String r.pr_status);
+          ("icount", Int r.pr_icount); ("cycles", Int r.pr_cycles);
+          ("violations", Int r.pr_violations); ("rules", Int r.pr_rules) ])
   in
-  let speedup_json =
-    match speedup with
-    | Some s -> Printf.sprintf "%.3f" s
-    | None -> "null,\n  \"speedup_reason\": \"single-core host\""
-  in
-  let json =
-    Printf.sprintf
-      "{\n  \"target\": \"parallel\",\n  \"jobs\": %d,\n  \"host_cores\": %d,\n\
-      \  \"sequential_wall_s\": %.3f,\n  \"parallel_wall_s\": %.3f,\n\
-      \  \"speedup\": %s,\n  \"bit_identical\": %b,\n\
-      \  \"workloads\": [\n%s\n  ]\n}\n"
-      n_jobs cores seq_s par_s speedup_json (mismatches = [])
-      (String.concat ",\n" (List.map row_json seq))
-  in
-  let oc = open_out "BENCH_parallel.json" in
-  output_string oc json;
-  close_out oc;
-  print_string json;
   (* the bit-identical contract always gates; the wall-clock ratio gates
      only where the host could actually parallelize *)
   let slow = match speedup with Some s -> s < 1.0 | None -> false in
-  if slow then
-    Printf.printf "!! parallel: pool sweep slower than sequential\n";
-  if mismatches <> [] || slow then exit 1
+  write_report
+    {
+      target = "parallel";
+      gate =
+        "per-workload observables bit-identical between the sequential and \
+         pool sweeps; the pool no slower on a multi-core host";
+      fields =
+        Json.(
+          [ ("jobs", Int n_jobs); ("host_cores", Int cores);
+            ("sequential_wall_s", Float (3, seq_s));
+            ("parallel_wall_s", Float (3, par_s)) ]
+          @ (match speedup with
+            | Some s -> [ ("speedup", Float (3, s)) ]
+            | None -> [ ("speedup", Null); ("speedup_reason", String "single-core host") ])
+          @ [ ("bit_identical", Bool (mismatches = []));
+              ("workloads", List (List.map row_json seq)) ]);
+      failures =
+        List.map (fun n -> n ^ " diverged between sweeps") mismatches
+        @ if slow then [ "pool sweep slower than sequential" ] else [];
+    }
 
 (* ---- bechamel microbenchmarks of the framework's own primitives ---- *)
 
@@ -968,29 +900,20 @@ type elide_row = {
   el_identical : bool;
 }
 
+(* The mem-op-heavy subset both elision benches run. *)
+let elide_subset =
+  [ "bzip2"; "hmmer"; "libquantum"; "milc"; "lbm"; "sphinx3"; "perlbench"; "h264ref" ]
+
+let same_elided a b =
+  same_behaviour a b && a.Jt_vm.Vm.r_icount = b.Jt_vm.Vm.r_icount
+
 let elide_bench () =
-  let subset =
-    [ "bzip2"; "hmmer"; "libquantum"; "milc"; "lbm"; "sphinx3"; "perlbench";
-      "h264ref" ]
-  in
-  let observable (r : Jt_vm.Vm.result) = (r.r_status, r.r_output, r.r_icount) in
-  let vset (r : Jt_vm.Vm.result) =
-    List.sort_uniq compare
-      (List.map
-         (fun (v : Jt_vm.Vm.violation) -> (v.v_kind, v.v_addr))
-         r.r_violations)
-  in
   let run_once ~elide registry main =
     let tool, _ = Jt_jasan.Jasan.create ~elide () in
     let o = Janitizer.Driver.run ~tool ~registry ~main () in
-    let snap = Jt_metrics.Metrics.Counters.snapshot () in
-    let cnt k = Option.value ~default:0 (List.assoc_opt k snap) in
-    let trace =
-      cnt "san_trace_elide_dom" + cnt "san_trace_elide_streak"
-      + cnt "san_trace_elide_ind"
-    in
-    (o.o_result, cnt "san_checks", cnt "san_elide_frame", cnt "san_elide_dom",
-     trace)
+    let c = Jt_metrics.Metrics.Counters.current () in
+    ( o.o_result, c.c_san_checks, c.c_san_elide_frame, c.c_san_elide_dom,
+      c.c_san_trace_elide_dom + c.c_san_trace_elide_streak + c.c_san_trace_elide_ind )
   in
   let rows =
     List.map
@@ -1009,10 +932,9 @@ let elide_bench () =
           el_dom = dom;
           el_trace = trace;
           el_icount = r_on.Jt_vm.Vm.r_icount;
-          el_identical =
-            observable r_off = observable r_on && vset r_off = vset r_on;
+          el_identical = same_elided r_off r_on;
         })
-      subset
+      elide_subset
   in
   open_table "JASan dynamic checks: elision off vs on"
     "executed shadow checks / static elisions / trace-layer elisions"
@@ -1020,45 +942,43 @@ let elide_bench () =
     (List.map
        (fun r ->
          ( r.el_name,
-           [
-             Jt_metrics.Metrics.Value (float_of_int r.el_checks_off);
-             Jt_metrics.Metrics.Value (float_of_int r.el_checks_on);
-             Jt_metrics.Metrics.Value (100.0 *. (1.0 -. r.el_ratio));
-             Jt_metrics.Metrics.Value (float_of_int r.el_frame);
-             Jt_metrics.Metrics.Value (float_of_int r.el_dom);
-             Jt_metrics.Metrics.Value (float_of_int r.el_trace);
-           ] ))
+           [ count r.el_checks_off; count r.el_checks_on;
+             value (100.0 *. (1.0 -. r.el_ratio)); count r.el_frame;
+             count r.el_dom; count r.el_trace ] ))
        rows);
   let geo_ratio = Jt_metrics.Metrics.geomean (List.map (fun r -> r.el_ratio) rows) in
   let geo_reduction = 100.0 *. (1.0 -. geo_ratio) in
-  Printf.printf "\ngeomean check reduction: %.1f%% (gate: >= 45%%)\n"
-    geo_reduction;
-  let diverged = List.filter (fun r -> not r.el_identical) rows in
-  List.iter
-    (fun r ->
-      Printf.eprintf "!! elide: %s diverged with elision on\n%!" r.el_name)
-    diverged;
   let row_json r =
-    Printf.sprintf
-      "    {\"name\": \"%s\", \"checks_off\": %d, \"checks_on\": %d, \
-       \"reduction_pct\": %.4f, \"elide_frame\": %d, \"elide_dom\": %d, \
-       \"elide_trace\": %d, \"icount\": %d, \"identical\": %b}"
-      r.el_name r.el_checks_off r.el_checks_on
-      (100.0 *. (1.0 -. r.el_ratio))
-      r.el_frame r.el_dom r.el_trace r.el_icount r.el_identical
+    Json.(
+      Obj
+        [ ("name", String r.el_name); ("checks_off", Int r.el_checks_off);
+          ("checks_on", Int r.el_checks_on);
+          ("reduction_pct", Float (4, 100.0 *. (1.0 -. r.el_ratio)));
+          ("elide_frame", Int r.el_frame); ("elide_dom", Int r.el_dom);
+          ("elide_trace", Int r.el_trace); ("icount", Int r.el_icount);
+          ("identical", Bool r.el_identical) ])
   in
-  let json =
-    Printf.sprintf
-      "{\n  \"target\": \"elide\",\n  \"gate_reduction_pct\": 45.0,\n\
-      \  \"geomean_reduction_pct\": %.4f,\n  \"workloads\": [\n%s\n  ]\n}\n"
-      geo_reduction
-      (String.concat ",\n" (List.map row_json rows))
-  in
-  let oc = open_out "BENCH_elide.json" in
-  output_string oc json;
-  close_out oc;
-  print_string json;
-  if diverged <> [] || geo_reduction < 45.0 then exit 1
+  write_report
+    {
+      target = "elide";
+      gate =
+        "elision on observably identical to elision off; geomean check \
+         reduction >= 45%";
+      fields =
+        [ ("gate_reduction_pct", Json.Float (1, 45.0));
+          ("geomean_reduction_pct", Json.Float (4, geo_reduction));
+          ("workloads", Json.List (List.map row_json rows)) ];
+      failures =
+        List.filter_map
+          (fun r ->
+            if r.el_identical then None
+            else Some (r.el_name ^ " diverged with elision on"))
+          rows
+        @
+        if geo_reduction < 45.0 then
+          [ Printf.sprintf "geomean check reduction %.1f%% below 45%%" geo_reduction ]
+        else [];
+    }
 
 (* ---- trace-elide: the trace layer's own contribution ----
 
@@ -1085,29 +1005,14 @@ type trace_elide_row = {
 }
 
 let trace_elide_bench () =
-  let subset =
-    [ "bzip2"; "hmmer"; "libquantum"; "milc"; "lbm"; "sphinx3"; "perlbench";
-      "h264ref" ]
-  in
-  let observable (r : Jt_vm.Vm.result) = (r.r_status, r.r_output, r.r_icount) in
-  let vset (r : Jt_vm.Vm.result) =
-    List.sort_uniq compare
-      (List.map
-         (fun (v : Jt_vm.Vm.violation) -> (v.v_kind, v.v_addr))
-         r.r_violations)
-  in
   let run_once ?hybrid ~trace_elide registry main =
     let tool, _ = Jt_jasan.Jasan.create () in
     let o =
       Janitizer.Driver.run ?hybrid ~trace_elide ~tool ~registry ~main ()
     in
-    let snap = Jt_metrics.Metrics.Counters.snapshot () in
-    let cnt k = Option.value ~default:0 (List.assoc_opt k snap) in
-    ( o.o_result,
-      cnt "san_checks",
-      cnt "san_trace_elide_dom",
-      cnt "san_trace_elide_streak",
-      cnt "san_trace_elide_ind" )
+    let c = Jt_metrics.Metrics.Counters.current () in
+    ( o.o_result, c.c_san_checks, c.c_san_trace_elide_dom,
+      c.c_san_trace_elide_streak, c.c_san_trace_elide_ind )
   in
   let rows =
     List.map
@@ -1131,10 +1036,9 @@ let trace_elide_bench () =
           te_ind = ind;
           te_dyn_dom = dyn_dom;
           te_dyn_streak = dyn_streak;
-          te_identical =
-            observable r_off = observable r_on && vset r_off = vset r_on;
+          te_identical = same_elided r_off r_on;
         })
-      subset
+      elide_subset
   in
   open_table "JASan trace-level elision: off vs on (static passes on in both)"
     "executed shadow checks / elided executions by reason"
@@ -1143,56 +1047,40 @@ let trace_elide_bench () =
     (List.map
        (fun r ->
          ( r.te_name,
-           [
-             Jt_metrics.Metrics.Value (float_of_int r.te_checks_off);
-             Jt_metrics.Metrics.Value (float_of_int r.te_checks_on);
-             Jt_metrics.Metrics.Value
-               (100.0
-               *. (1.0
-                  -. float_of_int r.te_checks_on
-                     /. float_of_int (max r.te_checks_off 1)));
-             Jt_metrics.Metrics.Value (float_of_int r.te_dom);
-             Jt_metrics.Metrics.Value (float_of_int r.te_streak);
-             Jt_metrics.Metrics.Value (float_of_int r.te_ind);
-             Jt_metrics.Metrics.Value (float_of_int r.te_dyn_dom);
-             Jt_metrics.Metrics.Value (float_of_int r.te_dyn_streak);
-           ] ))
+           [ count r.te_checks_off; count r.te_checks_on;
+             value (100.0 *. (1.0 -. ratio r.te_checks_on (max r.te_checks_off 1)));
+             count r.te_dom; count r.te_streak; count r.te_ind;
+             count r.te_dyn_dom; count r.te_dyn_streak ] ))
        rows);
-  let diverged = List.filter (fun r -> not r.te_identical) rows in
-  List.iter
-    (fun r ->
-      Printf.eprintf "!! trace-elide: %s diverged with trace elision on\n%!"
-        r.te_name)
-    diverged;
   let row_json r =
-    Printf.sprintf
-      "    {\"name\": \"%s\", \"checks_off\": %d, \"checks_on\": %d, \
-       \"trace_dom\": %d, \"trace_streak\": %d, \"trace_ind\": %d, \
-       \"dyn_trace_dom\": %d, \"dyn_trace_streak\": %d, \"identical\": %b}"
-      r.te_name r.te_checks_off r.te_checks_on r.te_dom r.te_streak r.te_ind
-      r.te_dyn_dom r.te_dyn_streak r.te_identical
+    Json.(
+      Obj
+        [ ("name", String r.te_name); ("checks_off", Int r.te_checks_off);
+          ("checks_on", Int r.te_checks_on); ("trace_dom", Int r.te_dom);
+          ("trace_streak", Int r.te_streak); ("trace_ind", Int r.te_ind);
+          ("dyn_trace_dom", Int r.te_dyn_dom);
+          ("dyn_trace_streak", Int r.te_dyn_streak);
+          ("identical", Bool r.te_identical) ])
   in
-  let json =
-    Printf.sprintf
-      "{\n  \"target\": \"trace-elide\",\n  \"workloads\": [\n%s\n  ]\n}\n"
-      (String.concat ",\n" (List.map row_json rows))
-  in
-  let oc = open_out "BENCH_trace_elide.json" in
-  output_string oc json;
-  close_out oc;
-  print_string json;
   let total f = List.fold_left (fun acc r -> acc + f r) 0 rows in
-  let idle =
-    List.filter
-      (fun (_, f) -> total f = 0)
-      [ ("dyn_trace_dom", fun r -> r.te_dyn_dom);
-        ("dyn_trace_streak", fun r -> r.te_dyn_streak) ]
-  in
-  List.iter
-    (fun (k, _) -> Printf.eprintf "!! trace-elide: %s never fired\n%!" k)
-    idle;
-  if diverged <> [] || idle <> [] then exit 1
-
+  write_report
+    {
+      target = "trace-elide";
+      gate =
+        "trace elision on observably identical to off; dyn-only trace_dom \
+         and trace_streak each fire";
+      fields = [ ("workloads", Json.List (List.map row_json rows)) ];
+      failures =
+        List.filter_map
+          (fun r ->
+            if r.te_identical then None
+            else Some (r.te_name ^ " diverged with trace elision on"))
+          rows
+        @ List.filter_map
+            (fun (k, f) -> if total f = 0 then Some (k ^ " never fired") else None)
+            [ ("dyn_trace_dom", fun r -> r.te_dyn_dom);
+              ("dyn_trace_streak", fun r -> r.te_dyn_streak) ];
+    }
 
 (* ---- warmstart: cold vs warm static analysis through the IR store ----
 
@@ -1295,79 +1183,54 @@ let warmstart () =
       pairs
   in
   let warm_rate = Jt_ir.Store.hit_rate warm_stats in
-  let arm_kv label (st : Jt_ir.Store.stats) analyses a_wall wall =
-    [
-      (label ^ " compute runs", string_of_int analyses);
-      (label ^ " analysis wall", Printf.sprintf "%.3f s" a_wall);
-      (label ^ " total wall", Printf.sprintf "%.3f s" wall);
-      ( label ^ " store",
-        Printf.sprintf "%d mem + %d disk hits, %d misses (hit rate %.1f%%)"
-          st.Jt_ir.Store.st_mem_hits st.st_disk_hits st.st_misses
-          (100.0 *. Jt_ir.Store.hit_rate st) );
-    ]
-  in
-  Jt_metrics.Metrics.print_kv
-    "Warm start: cold vs warm static analysis through the IR store"
-    (arm_kv "cold" cold_stats cold_analyses cold_analysis_s cold_wall
-    @ arm_kv "warm" warm_stats warm_analyses warm_analysis_s warm_wall
-    @ [
-        ( "analysis speedup",
-          Printf.sprintf "%.2fx" (cold_analysis_s /. max warm_analysis_s 1e-9) );
-        ( "rules byte-identical",
-          if rule_mismatches = [] then "yes"
-          else "NO (" ^ String.concat "," rule_mismatches ^ ")" );
-        ( "observables bit-identical",
-          if obs_mismatches = [] then "yes"
-          else "NO (" ^ String.concat "," obs_mismatches ^ ")" );
-      ]);
   let arm_json (st : Jt_ir.Store.stats) analyses a_wall wall =
-    Printf.sprintf
-      "{\"compute_runs\": %d, \"analysis_wall_s\": %.6f, \"wall_s\": %.6f, \
-       \"mem_hits\": %d, \"disk_hits\": %d, \"misses\": %d, \
-       \"corrupt\": %d, \"hit_rate\": %.4f}"
-      analyses a_wall wall st.Jt_ir.Store.st_mem_hits st.st_disk_hits
-      st.st_misses st.st_corrupt
-      (Jt_ir.Store.hit_rate st)
+    Json.(
+      Obj
+        [ ("compute_runs", Int analyses); ("analysis_wall_s", Float (6, a_wall));
+          ("wall_s", Float (6, wall)); ("mem_hits", Int st.st_mem_hits);
+          ("disk_hits", Int st.st_disk_hits); ("misses", Int st.st_misses);
+          ("corrupt", Int st.st_corrupt);
+          ("hit_rate", Float (4, Jt_ir.Store.hit_rate st)) ])
   in
   let row_json (c, w) =
-    Printf.sprintf
-      "    {\"name\": \"%s\", \"cold_analysis_s\": %.6f, \
-       \"warm_analysis_s\": %.6f, \"rules_identical\": %b, \
-       \"observables_identical\": %b}"
-      c.we_name c.we_analysis_s w.we_analysis_s (c.we_rules = w.we_rules)
-      (observable c = observable w)
+    Json.(
+      Obj
+        [ ("name", String c.we_name); ("cold_analysis_s", Float (6, c.we_analysis_s));
+          ("warm_analysis_s", Float (6, w.we_analysis_s));
+          ("rules_identical", Bool (c.we_rules = w.we_rules));
+          ("observables_identical", Bool (observable c = observable w)) ])
   in
-  let json =
-    Printf.sprintf
-      "{\n  \"target\": \"warmstart\",\n  \"jobs\": %d,\n\
-      \  \"workloads\": %d,\n  \"cold\": %s,\n  \"warm\": %s,\n\
-      \  \"warm_compute_runs\": %d,\n  \"warm_hit_rate\": %.4f,\n\
-      \  \"rules_identical\": %b,\n  \"observables_identical\": %b,\n\
-      \  \"analysis_speedup\": %.3f,\n  \"per_workload\": [\n%s\n  ]\n}\n"
-      n_jobs (List.length cold)
-      (arm_json cold_stats cold_analyses cold_analysis_s cold_wall)
-      (arm_json warm_stats warm_analyses warm_analysis_s warm_wall)
-      warm_analyses warm_rate (rule_mismatches = []) (obs_mismatches = [])
-      (cold_analysis_s /. max warm_analysis_s 1e-9)
-      (String.concat ",\n" (List.map row_json pairs))
-  in
-  let oc = open_out "BENCH_warmstart.json" in
-  output_string oc json;
-  close_out oc;
-  print_string json;
   (* best-effort cleanup of the temp store *)
   ignore (Jt_ir.Store.clear (Jt_ir.Store.create ~dir ()));
   (try Sys.rmdir dir with Sys_error _ -> ());
-  let failed =
-    warm_analyses <> 0 || warm_stats.Jt_ir.Store.st_misses <> 0
-    || warm_rate < 1.0 || rule_mismatches <> [] || obs_mismatches <> []
-  in
-  if warm_analyses <> 0 then
-    Printf.eprintf "!! warmstart: warm arm performed %d analyses (want 0)\n%!"
-      warm_analyses;
-  if warm_stats.Jt_ir.Store.st_misses <> 0 || warm_rate < 1.0 then
-    Printf.eprintf "!! warmstart: warm hit rate %.4f (want 1.0)\n%!" warm_rate;
-  if failed then exit 1
+  write_report
+    {
+      target = "warmstart";
+      gate =
+        "warm arm: zero analyses, 100% store hit rate, rules byte-identical \
+         and observables bit-identical to the cold arm";
+      fields =
+        Json.
+          [ ("jobs", Int n_jobs); ("workloads", Int (List.length cold));
+            ("cold", arm_json cold_stats cold_analyses cold_analysis_s cold_wall);
+            ("warm", arm_json warm_stats warm_analyses warm_analysis_s warm_wall);
+            ("warm_compute_runs", Int warm_analyses);
+            ("warm_hit_rate", Float (4, warm_rate));
+            ("rules_identical", Bool (rule_mismatches = []));
+            ("observables_identical", Bool (obs_mismatches = []));
+            ( "analysis_speedup",
+              Float (3, cold_analysis_s /. max warm_analysis_s 1e-9) );
+            ("per_workload", List (List.map row_json pairs)) ];
+      failures =
+        (if warm_analyses <> 0 then
+           [ Printf.sprintf "warm arm performed %d analyses (want 0)" warm_analyses ]
+         else [])
+        @ (if warm_stats.st_misses <> 0 || warm_rate < 1.0 then
+             [ Printf.sprintf "warm hit rate %.4f (want 1.0)" warm_rate ]
+           else [])
+        @ List.map (fun n -> n ^ ": rules differ between arms") rule_mismatches
+        @ List.map (fun n -> n ^ ": observables differ between arms") obs_mismatches;
+    }
 
 (* ---- emit: the AOT rewriter's differential gate ----
 
@@ -1395,59 +1258,58 @@ type emit_row = {
   eb_cycles_ok : bool;
 }
 
+(* Emit a program and run it, next to the hybrid DBT run it must match. *)
+let emit_and_hybrid ~registry ~main =
+  Result.map
+    (fun p ->
+      let e = Jt_emit.Emit.run p in
+      let tool, _ = Jt_jasan.Jasan.create ~elide:true () in
+      (e, Janitizer.Driver.run ~tool ~registry ~main ()))
+    (Jt_emit.Emit.emit_program ~tool:(Jt_emit.Emit.Asan { elide = true }) ~registry
+       ~main ())
+
+(* Detection parity over both variants of every case of a Juliet suite
+   (all C, so every case must emit): (runs, mismatches). *)
+let juliet_parity build cases =
+  List.fold_left
+    (fun (runs, bad_runs) c ->
+      List.fold_left
+        (fun (runs, bad_runs) bad ->
+          let m = build c ~bad in
+          let ok =
+            match
+              emit_and_hybrid ~registry:(Juliet.registry_for m)
+                ~main:m.Jt_obj.Objfile.name
+            with
+            | Error _ -> false
+            | Ok (e, h) ->
+              same_behaviour e.Jt_emit.Emit.ro_outcome.o_result h.o_result
+          in
+          (runs + 1, if ok then bad_runs else bad_runs + 1))
+        (runs, bad_runs) [ false; true ])
+    (0, 0) cases
+
 let emit_bench () =
-  let observable (r : Jt_vm.Vm.result) = (r.r_status, r.r_output) in
-  let vset (r : Jt_vm.Vm.result) =
-    List.sort_uniq compare
-      (List.map
-         (fun (v : Jt_vm.Vm.violation) -> (v.v_kind, v.v_addr))
-         r.r_violations)
-  in
-  let lang_name = function
-    | Sheet.C -> "C"
-    | Sheet.Cxx -> "C++"
-    | Sheet.Fortran -> "Fortran"
-    | Sheet.Mixed_cf -> "C/Fortran"
-  in
-  let emit_tool = Jt_emit.Emit.Asan { elide = true } in
   let rows = ref [] in
   let refusals = ref [] in
   let failures = ref [] in
+  let fail fmt = Printf.ksprintf (fun f -> failures := f :: !failures) fmt in
   List.iter
     (fun (s : Sheet.t) ->
       Printf.eprintf "  emit: %s...\n%!" s.s_name;
       let w = Specgen.build s in
       let registry = w.Specgen.w_registry in
-      match
-        Jt_emit.Emit.emit_program ~tool:emit_tool ~registry ~main:s.s_name ()
-      with
+      match emit_and_hybrid ~registry ~main:s.s_name with
       | Error (m, r) ->
+        let why = Jt_emit.Emit.refusal_to_string r in
         (match (s.s_lang, r) with
-        | Sheet.C, _ ->
-          failures :=
-            Printf.sprintf "%s: refused (%s)" s.s_name
-              (Jt_emit.Emit.refusal_to_string r)
-            :: !failures
+        | Sheet.C, _ -> fail "%s: refused (%s)" s.s_name why
         | _, Jt_emit.Emit.Unsupported_feature _ -> ()
-        | _, _ ->
-          failures :=
-            Printf.sprintf "%s: wrong refusal kind (%s)" s.s_name
-              (Jt_emit.Emit.refusal_to_string r)
-            :: !failures);
-        refusals :=
-          (s.s_name, lang_name s.s_lang, m, Jt_emit.Emit.refusal_to_string r)
-          :: !refusals
-      | Ok p ->
-        (match s.s_lang with
-        | Sheet.C -> ()
-        | _ ->
-          failures :=
-            Printf.sprintf "%s: expected a feature refusal" s.s_name
-            :: !failures);
-        let e = Jt_emit.Emit.run p in
-        let er = e.Jt_emit.Emit.ro_outcome.Janitizer.Driver.o_result in
-        let tool, _ = Jt_jasan.Jasan.create ~elide:true () in
-        let h = Janitizer.Driver.run ~tool ~registry ~main:s.s_name () in
+        | _, _ -> fail "%s: wrong refusal kind (%s)" s.s_name why);
+        refusals := (s.s_name, Sheet.lang_name s.s_lang, m, why) :: !refusals
+      | Ok (e, h) ->
+        if s.s_lang <> Sheet.C then fail "%s: expected a feature refusal" s.s_name;
+        let er = e.Jt_emit.Emit.ro_outcome.o_result in
         (* Same allocator policy, no checks: the honest cost floor the
            zero-overhead identity is measured against. *)
         let b =
@@ -1457,9 +1319,7 @@ let emit_bench () =
             ~registry ~main:s.s_name ()
         in
         let native = Specgen.run_native w in
-        let identical =
-          observable er = observable h.o_result && vset er = vset h.o_result
-        in
+        let identical = same_behaviour er h.o_result in
         let icount_ok =
           er.r_icount - e.ro_sites - e.ro_pins = h.o_result.r_icount
         in
@@ -1467,15 +1327,12 @@ let emit_bench () =
           er.r_cycles = b.o_result.r_cycles + e.ro_check_cost + e.ro_pins
         in
         if not (identical && icount_ok && cycles_ok) then
-          failures :=
-            Printf.sprintf
-              "%s: differential broken (identical=%b icount=%b cycles=%b)"
-              s.s_name identical icount_ok cycles_ok
-            :: !failures;
+          fail "%s: differential broken (identical=%b icount=%b cycles=%b)"
+            s.s_name identical icount_ok cycles_ok;
         rows :=
           {
             eb_name = s.s_name;
-            eb_lang = lang_name s.s_lang;
+            eb_lang = Sheet.lang_name s.s_lang;
             eb_sites = e.ro_sites;
             eb_pins = e.ro_pins;
             eb_check_cost = e.ro_check_cost;
@@ -1488,140 +1345,60 @@ let emit_bench () =
           :: !rows)
     Sheet.all;
   let rows = List.rev !rows and refusals = List.rev !refusals in
-  (* Juliet CWE-122: all C, so the whole suite must emit; gate on
-     detection parity with the hybrid for every bad/patched pair. *)
-  Printf.eprintf "  emit: juliet CWE-122 sweep...\n%!";
-  let juliet_cases = ref 0 and juliet_mismatches = ref 0 in
-  List.iter
-    (fun (c : Juliet.case) ->
-      List.iter
-        (fun bad ->
-          let m = Juliet.build_case c ~bad in
-          let registry = Juliet.registry_for m in
-          let main = m.Jt_obj.Objfile.name in
-          incr juliet_cases;
-          match
-            Jt_emit.Emit.emit_program ~tool:emit_tool ~registry ~main ()
-          with
-          | Error _ -> incr juliet_mismatches
-          | Ok p ->
-            let e = Jt_emit.Emit.run p in
-            let er = e.Jt_emit.Emit.ro_outcome.Janitizer.Driver.o_result in
-            let tool, _ = Jt_jasan.Jasan.create ~elide:true () in
-            let h = Janitizer.Driver.run ~tool ~registry ~main () in
-            if
-              not
-                (observable er = observable h.o_result
-                && vset er = vset h.o_result)
-            then incr juliet_mismatches)
-        [ false; true ])
-    Juliet.cases;
-  if !juliet_mismatches > 0 then
-    failures :=
-      Printf.sprintf "juliet: %d/%d emitted-vs-hybrid mismatches"
-        !juliet_mismatches !juliet_cases
-      :: !failures;
-  (* Sibling families (CWE-124/415/416/121): same parity gate. *)
-  Printf.eprintf "  emit: juliet sibling-family sweep...\n%!";
-  let family_cases_n = ref 0 and family_mismatches = ref 0 in
-  List.iter
-    (fun (c : Juliet.fcase) ->
-      List.iter
-        (fun bad ->
-          let m = Juliet.build_family_case c ~bad in
-          let registry = Juliet.registry_for m in
-          let main = m.Jt_obj.Objfile.name in
-          incr family_cases_n;
-          match
-            Jt_emit.Emit.emit_program ~tool:emit_tool ~registry ~main ()
-          with
-          | Error _ -> incr family_mismatches
-          | Ok p ->
-            let e = Jt_emit.Emit.run p in
-            let er = e.Jt_emit.Emit.ro_outcome.Janitizer.Driver.o_result in
-            let tool, _ = Jt_jasan.Jasan.create ~elide:true () in
-            let h = Janitizer.Driver.run ~tool ~registry ~main () in
-            if
-              not
-                (observable er = observable h.o_result
-                && vset er = vset h.o_result)
-            then incr family_mismatches)
-        [ false; true ])
-    Juliet.all_family_cases;
-  if !family_mismatches > 0 then
-    failures :=
-      Printf.sprintf "juliet families: %d/%d emitted-vs-hybrid mismatches"
-        !family_mismatches !family_cases_n
-      :: !failures;
+  let suite key label (runs, mismatches) =
+    if mismatches > 0 then
+      fail "%s: %d/%d emitted-vs-hybrid mismatches" label mismatches runs;
+    (key, Json.(Obj [ ("runs", Int runs); ("mismatches", Int mismatches) ]))
+  in
+  Printf.eprintf "  emit: juliet sweeps...\n%!";
+  let juliet =
+    suite "juliet" "juliet CWE-122" (juliet_parity Juliet.build_case Juliet.cases)
+  in
+  let families =
+    suite "juliet_families" "juliet families (124/415/416/121)"
+      (juliet_parity Juliet.build_family_case Juliet.all_family_cases)
+  in
   open_table "AOT emit vs hybrid DBT (JASan, elision on)"
     "slowdown vs native / materialized sites / pin hops"
     [ "emit x"; "hybrid x"; "sites"; "pins"; "check cyc" ]
     (List.map
        (fun r ->
          ( r.eb_name,
-           [
-             Jt_metrics.Metrics.Value r.eb_slow_emit;
-             Jt_metrics.Metrics.Value r.eb_slow_hybrid;
-             Jt_metrics.Metrics.Value (float_of_int r.eb_sites);
-             Jt_metrics.Metrics.Value (float_of_int r.eb_pins);
-             Jt_metrics.Metrics.Value (float_of_int r.eb_check_cost);
-           ] ))
+           [ value r.eb_slow_emit; value r.eb_slow_hybrid; count r.eb_sites;
+             count r.eb_pins; count r.eb_check_cost ] ))
        rows);
-  List.iter
-    (fun (n, lang, m, r) ->
-      Printf.printf "refused  %-12s %-10s (%s: %s)\n" n lang m r)
-    refusals;
   let geo sel = Jt_metrics.Metrics.geomean (List.map sel rows) in
-  Printf.printf
-    "\ngeomean slowdown: emitted %.3fx, hybrid %.3fx (static floor, zero \
-     translation overhead)\n"
-    (geo (fun r -> r.eb_slow_emit))
-    (geo (fun r -> r.eb_slow_hybrid));
-  Printf.printf "juliet CWE-122: %d runs, %d mismatches\n" !juliet_cases
-    !juliet_mismatches;
-  Printf.printf "juliet families (124/415/416/121): %d runs, %d mismatches\n"
-    !family_cases_n !family_mismatches;
-  List.iter (fun f -> Printf.eprintf "!! emit: %s\n%!" f) !failures;
   let row_json r =
-    Printf.sprintf
-      "    {\"name\": \"%s\", \"lang\": \"%s\", \"sites\": %d, \"pins\": %d, \
-       \"check_cycles\": %d, \"slowdown_emit\": %.4f, \"slowdown_hybrid\": \
-       %.4f, \"identical\": %b, \"icount_exact\": %b, \"cycles_exact\": %b}"
-      r.eb_name r.eb_lang r.eb_sites r.eb_pins r.eb_check_cost r.eb_slow_emit
-      r.eb_slow_hybrid r.eb_identical r.eb_icount_ok r.eb_cycles_ok
+    Json.(
+      Obj
+        [ ("name", String r.eb_name); ("lang", String r.eb_lang);
+          ("sites", Int r.eb_sites); ("pins", Int r.eb_pins);
+          ("check_cycles", Int r.eb_check_cost);
+          ("slowdown_emit", Float (4, r.eb_slow_emit));
+          ("slowdown_hybrid", Float (4, r.eb_slow_hybrid));
+          ("identical", Bool r.eb_identical); ("icount_exact", Bool r.eb_icount_ok);
+          ("cycles_exact", Bool r.eb_cycles_ok) ])
   in
   let refusal_json (n, lang, m, r) =
-    Printf.sprintf
-      "    {\"name\": \"%s\", \"lang\": \"%s\", \"module\": \"%s\", \
-       \"refusal\": \"%s\"}"
-      n lang m r
+    Json.(
+      Obj
+        [ ("name", String n); ("lang", String lang); ("module", String m);
+          ("refusal", String r) ])
   in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"target\": \"emit\",\n\
-      \  \"gate\": \"bit-identical differential on emittable workloads, \
-       typed refusals elsewhere, exact icount/cycle accounting\",\n\
-      \  \"geomean_slowdown_emit\": %.4f,\n\
-      \  \"geomean_slowdown_hybrid\": %.4f,\n\
-      \  \"juliet\": {\"runs\": %d, \"mismatches\": %d},\n\
-      \  \"juliet_families\": {\"runs\": %d, \"mismatches\": %d},\n\
-      \  \"failures\": %d,\n\
-      \  \"workloads\": [\n%s\n  ],\n\
-      \  \"refusals\": [\n%s\n  ]\n\
-       }\n"
-      (geo (fun r -> r.eb_slow_emit))
-      (geo (fun r -> r.eb_slow_hybrid))
-      !juliet_cases !juliet_mismatches !family_cases_n !family_mismatches
-      (List.length !failures)
-      (String.concat ",\n" (List.map row_json rows))
-      (String.concat ",\n" (List.map refusal_json refusals))
-  in
-  let oc = open_out "BENCH_emit.json" in
-  output_string oc json;
-  close_out oc;
-  print_string json;
-  if !failures <> [] then exit 1
+  write_report
+    {
+      target = "emit";
+      gate =
+        "bit-identical differential on emittable workloads, typed refusals \
+         elsewhere, exact icount/cycle accounting";
+      fields =
+        Json.
+          [ ("geomean_slowdown_emit", Float (4, geo (fun r -> r.eb_slow_emit)));
+            ("geomean_slowdown_hybrid", Float (4, geo (fun r -> r.eb_slow_hybrid)));
+            juliet; families; ("workloads", List (List.map row_json rows));
+            ("refusals", List (List.map refusal_json refusals)) ];
+      failures = List.rev !failures;
+    }
 
 (* ---- differential soundness fuzzer ---- *)
 
@@ -1638,54 +1415,32 @@ let fuzz_bench () =
     (List.map
        (fun (x : Jt_fuzz.Fuzz.matrix_row) ->
          ( x.mx_scheme,
-           [
-             Jt_metrics.Metrics.Value (float_of_int x.mx_tp);
-             Jt_metrics.Metrics.Value (float_of_int x.mx_fn);
-             Jt_metrics.Metrics.Value (float_of_int x.mx_tn);
-             Jt_metrics.Metrics.Value (float_of_int x.mx_fp);
-             Jt_metrics.Metrics.Value (float_of_int x.mx_refused);
-           ] ))
+           [ count x.mx_tp; count x.mx_fn; count x.mx_tn; count x.mx_fp;
+             count x.mx_refused ] ))
        r.rp_matrix);
-  Printf.printf "\n%d cases, %d scheme runs, %d soundness mismatches\n"
-    r.rp_cases r.rp_runs
-    (List.length r.rp_mismatches);
-  List.iter
-    (fun (m : Jt_fuzz.Fuzz.mismatch) ->
-      Printf.eprintf "!! fuzz: %s %s: %s\n%!" m.mm_case m.mm_scheme m.mm_what)
-    r.rp_mismatches;
   let row_json (x : Jt_fuzz.Fuzz.matrix_row) =
-    Printf.sprintf
-      "    {\"scheme\": \"%s\", \"tp\": %d, \"fn\": %d, \"tn\": %d, \"fp\": \
-       %d, \"refused\": %d}"
-      x.mx_scheme x.mx_tp x.mx_fn x.mx_tn x.mx_fp x.mx_refused
+    Json.(
+      Obj
+        [ ("scheme", String x.mx_scheme); ("tp", Int x.mx_tp); ("fn", Int x.mx_fn);
+          ("tn", Int x.mx_tn); ("fp", Int x.mx_fp); ("refused", Int x.mx_refused) ])
   in
-  let mismatch_json (m : Jt_fuzz.Fuzz.mismatch) =
-    Printf.sprintf "    {\"case\": \"%s\", \"scheme\": \"%s\", \"what\": \"%s\"}"
-      m.mm_case m.mm_scheme m.mm_what
-  in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"target\": \"fuzz\",\n\
-      \  \"gate\": \"expected detection matrix, bit-identical observables, \
-       exact icount accounting, hybrid=emitted violation sets\",\n\
-      \  \"base_seed\": %d,\n\
-      \  \"cases\": %d,\n\
-      \  \"runs\": %d,\n\
-      \  \"mismatches\": %d,\n\
-      \  \"matrix\": [\n%s\n  ],\n\
-      \  \"mismatch_list\": [\n%s\n  ]\n\
-       }\n"
-      base_seed r.rp_cases r.rp_runs
-      (List.length r.rp_mismatches)
-      (String.concat ",\n" (List.map row_json r.rp_matrix))
-      (String.concat ",\n" (List.map mismatch_json r.rp_mismatches))
-  in
-  let oc = open_out "BENCH_fuzz.json" in
-  output_string oc json;
-  close_out oc;
-  print_string json;
-  if r.rp_mismatches <> [] then exit 1
+  write_report
+    {
+      target = "fuzz";
+      gate =
+        "expected detection matrix, bit-identical observables, exact icount \
+         accounting, hybrid=emitted violation sets";
+      fields =
+        Json.
+          [ ("base_seed", Int base_seed); ("cases", Int r.rp_cases);
+            ("runs", Int r.rp_runs); ("mismatches", Int (List.length r.rp_mismatches));
+            ("matrix", List (List.map row_json r.rp_matrix)) ];
+      failures =
+        List.map
+          (fun (m : Jt_fuzz.Fuzz.mismatch) ->
+            Printf.sprintf "%s %s: %s" m.mm_case m.mm_scheme m.mm_what)
+          r.rp_mismatches;
+    }
 
 (* ---- air: per-site CPA policy vs any-entry ----
 
@@ -1706,7 +1461,7 @@ type air_row = {
   ar_d_any : float;
   ar_d_cpa : float;
   ar_observed : int;  (* executed (site, target) pairs *)
-  ar_violations : int;  (* of which outside the site's resolved set *)
+  ar_violations : (int * int) list;  (* of which outside the site's set *)
 }
 
 let air_eval (s : Sheet.t) =
@@ -1737,11 +1492,6 @@ let air_eval (s : Sheet.t) =
           tables)
       observed
   in
-  List.iter
-    (fun (site, target) ->
-      Printf.eprintf "!! air: %s observed icall %d -> %d outside its set\n%!"
-        main site target)
-    violations;
   {
     ar_sheet = s;
     ar_s_any = s_any;
@@ -1749,7 +1499,7 @@ let air_eval (s : Sheet.t) =
     ar_d_any = d_any;
     ar_d_cpa = d_cpa;
     ar_observed = List.length observed;
-    ar_violations = List.length violations;
+    ar_violations = violations;
   }
 
 let air_bench () =
@@ -1760,15 +1510,9 @@ let air_bench () =
     (List.map
        (fun r ->
          ( r.ar_sheet.Sheet.s_name,
-           [
-             Jt_metrics.Metrics.Value r.ar_s_any.Jt_jcfi.Air.sr_fwd;
-             Jt_metrics.Metrics.Value r.ar_s_cpa.Jt_jcfi.Air.sr_fwd;
-             Jt_metrics.Metrics.Value
-               (float_of_int r.ar_s_cpa.Jt_jcfi.Air.sr_resolved);
-             Jt_metrics.Metrics.Value r.ar_d_any;
-             Jt_metrics.Metrics.Value r.ar_d_cpa;
-             Jt_metrics.Metrics.Value (float_of_int r.ar_violations);
-           ] ))
+           [ value r.ar_s_any.Jt_jcfi.Air.sr_fwd; value r.ar_s_cpa.sr_fwd;
+             count r.ar_s_cpa.sr_resolved; value r.ar_d_any; value r.ar_d_cpa;
+             count (List.length r.ar_violations) ] ))
        rows);
   let c_names = List.map (fun s -> s.Sheet.s_name) Sheet.c_benchmarks in
   let c_rows =
@@ -1779,59 +1523,58 @@ let air_bench () =
   in
   let c_any = mean (fun r -> r.ar_s_any.Jt_jcfi.Air.sr_fwd) c_rows in
   let c_cpa = mean (fun r -> r.ar_s_cpa.Jt_jcfi.Air.sr_fwd) c_rows in
-  let total_violations =
-    List.fold_left (fun a r -> a + r.ar_violations) 0 rows
-  in
-  Printf.printf
-    "\nC-sweep static forward AIR: any-entry %.4f%%, per-site %.4f%% \
-     (gate: strict improvement)\n\
-     soundness-oracle violations: %d (gate: 0)\n"
-    c_any c_cpa total_violations;
-  let lang_name = function
-    | Sheet.C -> "C"
-    | Sheet.Cxx -> "C++"
-    | Sheet.Fortran -> "Fortran"
-    | Sheet.Mixed_cf -> "mixed C/Fortran"
+  let violations =
+    List.concat_map
+      (fun r ->
+        List.map
+          (fun (site, target) ->
+            Printf.sprintf "%s observed icall %d -> %d outside its set"
+              r.ar_sheet.Sheet.s_name site target)
+          r.ar_violations)
+      rows
   in
   let report_json (sr : Jt_jcfi.Air.static_report) =
-    Printf.sprintf
-      "{\"air\": %.6f, \"fwd\": %.6f, \"bwd\": %.6f, \"icalls\": %d, \
-       \"resolved\": %d, \"hist\": [%s]}"
-      sr.Jt_jcfi.Air.sr_air sr.sr_fwd sr.sr_bwd sr.sr_icalls sr.sr_resolved
-      (String.concat ", "
-         (List.map
-            (fun (size, n) ->
-              Printf.sprintf "{\"size\": %d, \"sites\": %d}" size n)
-            sr.sr_hist))
+    Json.(
+      Obj
+        [ ("air", Float (6, sr.sr_air)); ("fwd", Float (6, sr.sr_fwd));
+          ("bwd", Float (6, sr.sr_bwd)); ("icalls", Int sr.sr_icalls);
+          ("resolved", Int sr.sr_resolved);
+          ( "hist",
+            List
+              (List.map
+                 (fun (size, n) -> Obj [ ("size", Int size); ("sites", Int n) ])
+                 sr.sr_hist) ) ])
   in
   let row_json r =
-    Printf.sprintf
-      "    {\"name\": \"%s\", \"lang\": \"%s\",\n\
-      \     \"static_any\": %s,\n\
-      \     \"static_cpa\": %s,\n\
-      \     \"dynamic_any\": %.6f, \"dynamic_cpa\": %.6f,\n\
-      \     \"observed_icalls\": %d, \"violations\": %d}"
-      r.ar_sheet.Sheet.s_name
-      (lang_name r.ar_sheet.Sheet.s_lang)
-      (report_json r.ar_s_any) (report_json r.ar_s_cpa) r.ar_d_any r.ar_d_cpa
-      r.ar_observed r.ar_violations
+    Json.(
+      Obj
+        [ ("name", String r.ar_sheet.Sheet.s_name);
+          ("lang", String (Sheet.lang_name r.ar_sheet.Sheet.s_lang));
+          ("static_any", report_json r.ar_s_any); ("static_cpa", report_json r.ar_s_cpa);
+          ("dynamic_any", Float (6, r.ar_d_any)); ("dynamic_cpa", Float (6, r.ar_d_cpa));
+          ("observed_icalls", Int r.ar_observed);
+          ("violations", Int (List.length r.ar_violations)) ])
   in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"target\": \"air\",\n\
-      \  \"c_sweep_static_fwd_any\": %.6f,\n\
-      \  \"c_sweep_static_fwd_cpa\": %.6f,\n\
-      \  \"oracle_violations\": %d,\n\
-      \  \"workloads\": [\n%s\n  ]\n}\n"
-      c_any c_cpa total_violations
-      (String.concat ",\n" (List.map row_json rows))
-  in
-  let oc = open_out "BENCH_air.json" in
-  output_string oc json;
-  close_out oc;
-  print_string json;
-  if total_violations > 0 || c_cpa <= c_any then exit 1
+  write_report
+    {
+      target = "air";
+      gate =
+        "zero soundness-oracle violations; per-site forward static AIR \
+         strictly above any-entry on the C subset";
+      fields =
+        Json.
+          [ ("c_sweep_static_fwd_any", Float (6, c_any));
+            ("c_sweep_static_fwd_cpa", Float (6, c_cpa));
+            ("oracle_violations", Int (List.length violations));
+            ("workloads", List (List.map row_json rows)) ];
+      failures =
+        violations
+        @
+        if c_cpa <= c_any then
+          [ Printf.sprintf "C-sweep per-site forward AIR %.4f%% not above any-entry %.4f%%"
+              c_cpa c_any ]
+        else [];
+    }
 
 (* ---- driver ---- *)
 
@@ -1871,15 +1614,8 @@ let rec parse_args = function
     | _ ->
       Printf.eprintf "bad --jobs value %S\n" n;
       exit 2)
-  | arg :: rest when String.length arg > 7 && String.sub arg 0 7 = "--jobs=" -> (
-    let n = String.sub arg 7 (String.length arg - 7) in
-    match int_of_string_opt n with
-    | Some v when v >= 1 ->
-      jobs := v;
-      parse_args rest
-    | _ ->
-      Printf.eprintf "bad --jobs value %S\n" n;
-      exit 2)
+  | arg :: rest when String.starts_with ~prefix:"--jobs=" arg ->
+    parse_args ("--jobs" :: String.sub arg 7 (String.length arg - 7) :: rest)
   | arg :: rest -> arg :: parse_args rest
 
 let () =

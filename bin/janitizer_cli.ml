@@ -22,12 +22,7 @@ let list_cmd =
   let run () =
     List.iter
       (fun (s : Sheet.t) ->
-        Printf.printf "%-12s %s\n" s.s_name
-          (match s.s_lang with
-          | Sheet.C -> "C"
-          | Sheet.Cxx -> "C++"
-          | Sheet.Fortran -> "Fortran"
-          | Sheet.Mixed_cf -> "C/Fortran"))
+        Printf.printf "%-12s %s\n" s.s_name (Sheet.lang_name s.s_lang))
       Sheet.all
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
@@ -196,113 +191,88 @@ let disasm_cmd =
    (reasons "trace-dom", "trace-streak", "trace-ind"),
    collected from one instrumented run. *)
 let dump_facts oc ?(traces = []) (closure : Jt_obj.Objfile.t list) =
-  let jstr s = "\"" ^ String.concat "\\\"" (String.split_on_char '"' s) ^ "\"" in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"modules\": [\n";
-  List.iteri
-    (fun mi (m : Jt_obj.Objfile.t) ->
-      let sa = Janitizer.Static_analyzer.analyze m in
-      let reports = Jt_jasan.Jasan.elision_report sa in
-      Buffer.add_string buf
-        (Printf.sprintf "    {\"module\": %s, \"functions\": [\n" (jstr m.name));
-      List.iteri
-        (fun fi ((fa : Janitizer.Static_analyzer.fn_analysis),
-                 (r : Jt_jasan.Jasan.fn_report)) ->
-          let vsa = Lazy.force fa.fa_vsa in
-          Buffer.add_string buf
-            (Printf.sprintf
-               "      {\"entry\": %d, \"vsa_bailed\": %b, \
-                \"vsa_iterations\": %d,\n"
-               r.er_fn r.er_vsa_bailed (Jt_analysis.Vsa.iterations vsa));
-          Buffer.add_string buf "       \"blocks\": [";
-          List.iteri
-            (fun bi (b : Jt_cfg.Cfg.block) ->
-              if bi > 0 then Buffer.add_string buf ", ";
-              let regs =
-                match Jt_analysis.Vsa.block_in vsa b.b_addr with
-                | None -> []
-                | Some rs ->
-                  (* Top rows carry no information; keep the dump small *)
-                  List.filter
-                    (fun (_, v) -> v <> Jt_analysis.Vsa.Top)
-                    rs
-              in
-              Buffer.add_string buf
-                (Printf.sprintf "{\"addr\": %d, \"regs\": {%s}}" b.b_addr
-                   (String.concat ", "
-                      (List.map
-                         (fun (reg, v) ->
-                           Printf.sprintf "%s: %s"
-                             (jstr (Format.asprintf "%a" Jt_isa.Reg.pp reg))
-                             (jstr (Jt_analysis.Vsa.value_to_string v)))
-                         regs))))
-            (Jt_cfg.Cfg.fn_blocks fa.fa_fn);
-          Buffer.add_string buf "],\n       \"accesses\": [";
-          List.iteri
-            (fun ai (addr, claim) ->
-              if ai > 0 then Buffer.add_string buf ", ";
-              let witness =
-                match claim with
-                | Jt_jasan.Jasan.Dom_elided w ->
-                  Printf.sprintf ", \"witness\": %d" w
-                | _ -> ""
-              in
-              Buffer.add_string buf
-                (Printf.sprintf "{\"insn\": %d, \"claim\": %s%s}" addr
-                   (jstr (Jt_jasan.Jasan.claim_name claim))
-                   witness))
-            r.er_claims;
-          Buffer.add_string buf "]}";
-          if fi < List.length reports - 1 then Buffer.add_string buf ",";
-          Buffer.add_char buf '\n')
-        (List.combine sa.sa_fns reports);
-      Buffer.add_string buf "    ],\n     \"cpa_sites\": [";
-      List.iteri
-        (fun si (s : Jt_analysis.Cpa.site) ->
-          if si > 0 then Buffer.add_string buf ", ";
-          let targets =
+  let open Jt_metrics.Json in
+  let module_facts (m : Jt_obj.Objfile.t) =
+    let sa = Janitizer.Static_analyzer.analyze m in
+    let fn_facts ((fa : Janitizer.Static_analyzer.fn_analysis),
+                  (r : Jt_jasan.Jasan.fn_report)) =
+      let vsa = Lazy.force fa.fa_vsa in
+      let block (b : Jt_cfg.Cfg.block) =
+        let regs =
+          match Jt_analysis.Vsa.block_in vsa b.b_addr with
+          | None -> []
+          | Some rs ->
+            (* Top rows carry no information; keep the dump small *)
+            List.filter (fun (_, v) -> v <> Jt_analysis.Vsa.Top) rs
+        in
+        Obj
+          [ ("addr", Int b.b_addr);
+            ( "regs",
+              Obj
+                (List.map
+                   (fun (reg, v) ->
+                     ( Format.asprintf "%a" Jt_isa.Reg.pp reg,
+                       String (Jt_analysis.Vsa.value_to_string v) ))
+                   regs) ) ]
+      in
+      let access (addr, claim) =
+        Obj
+          (("insn", Int addr)
+           :: ("claim", String (Jt_jasan.Jasan.claim_name claim))
+           ::
+           (match claim with
+           | Jt_jasan.Jasan.Dom_elided w -> [ ("witness", Int w) ]
+           | _ -> []))
+      in
+      Obj
+        [ ("entry", Int r.er_fn); ("vsa_bailed", Bool r.er_vsa_bailed);
+          ("vsa_iterations", Int (Jt_analysis.Vsa.iterations vsa));
+          ("blocks", List (List.map block (Jt_cfg.Cfg.fn_blocks fa.fa_fn)));
+          ("accesses", List (List.map access r.er_claims)) ]
+    in
+    let site (s : Jt_analysis.Cpa.site) =
+      Obj
+        [ ("entry", Int s.cs_fn); ("site", Int s.cs_site);
+          ( "targets",
             match s.cs_targets with
-            | None -> "\"Top\""
-            | Some ts ->
-              "[" ^ String.concat ", " (List.map string_of_int ts) ^ "]"
-          in
-          Buffer.add_string buf
-            (Printf.sprintf
-               "{\"entry\": %d, \"site\": %d, \"targets\": %s, \
-                \"witness\": %d}"
-               s.cs_fn s.cs_site targets s.cs_witness))
-        (Jt_analysis.Cpa.sites (Lazy.force sa.sa_cpa));
-      Buffer.add_string buf "],\n     \"callgraph\": [";
-      List.iteri
-        (fun ei (e : Jt_cfg.Callgraph.edge) ->
-          if ei > 0 then Buffer.add_string buf ", ";
-          Buffer.add_string buf
-            (Printf.sprintf
-               "{\"caller\": %d, \"site\": %d, \"callee\": %d, \"kind\": %s}"
-               e.e_caller e.e_site e.e_callee
-               (jstr (Jt_cfg.Callgraph.kind_name e.e_kind))))
-        (Jt_cfg.Callgraph.edges (Lazy.force sa.sa_callgraph));
-      Buffer.add_string buf "]}";
-      if mi < List.length closure - 1 then Buffer.add_string buf ",";
-      Buffer.add_char buf '\n')
-    closure;
-  Buffer.add_string buf "  ],\n  \"traces\": [\n";
-  List.iteri
-    (fun ti (head, decisions) ->
-      Buffer.add_string buf
-        (Printf.sprintf "    {\"head\": %d, \"decisions\": [%s]}" head
-           (String.concat ", "
-              (List.map
-                 (fun (insn, reason, witness) ->
-                   Printf.sprintf
-                     "{\"insn\": %d, \"reason\": %s, \"witness\": %d}" insn
-                     (jstr reason) witness)
-                 decisions)));
-      if ti < List.length traces - 1 then Buffer.add_string buf ",";
-      Buffer.add_char buf '\n')
-    traces;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.output_buffer oc buf
+            | None -> String "Top"
+            | Some ts -> List (List.map (fun t -> Int t) ts) );
+          ("witness", Int s.cs_witness) ]
+    in
+    let edge (e : Jt_cfg.Callgraph.edge) =
+      Obj
+        [ ("caller", Int e.e_caller); ("site", Int e.e_site);
+          ("callee", Int e.e_callee);
+          ("kind", String (Jt_cfg.Callgraph.kind_name e.e_kind)) ]
+    in
+    Obj
+      [ ("module", String m.name);
+        ( "functions",
+          List
+            (List.map fn_facts
+               (List.combine sa.sa_fns (Jt_jasan.Jasan.elision_report sa))) );
+        ("cpa_sites", List (List.map site (Jt_analysis.Cpa.sites (Lazy.force sa.sa_cpa))));
+        ( "callgraph",
+          List (List.map edge (Jt_cfg.Callgraph.edges (Lazy.force sa.sa_callgraph))) ) ]
+  in
+  let trace (head, decisions) =
+    Obj
+      [ ("head", Int head);
+        ( "decisions",
+          List
+            (List.map
+               (fun (insn, reason, witness) ->
+                 Obj
+                   [ ("insn", Int insn); ("reason", String reason);
+                     ("witness", Int witness) ])
+               decisions) ) ]
+  in
+  output_string oc
+    (to_string
+       (Obj
+          [ ("modules", List (List.map module_facts closure));
+            ("traces", List (List.map trace traces)) ])
+    ^ "\n")
 
 let analyze_cmd =
   let doc =
@@ -530,32 +500,35 @@ let batch_cmd =
       if jobs > 1 then Jt_pool.Pool.run ~jobs eval matrix else List.map eval matrix
     in
     let wall = Unix.gettimeofday () -. t0 in
-    let oc = open_out out in
-    Printf.fprintf oc "{\n  \"jobs\": %d,\n  \"wall_s\": %.3f,\n" jobs wall;
-    (match store with
-    | None -> ()
-    | Some st ->
-      let s = Jt_ir.Store.stats st in
-      Printf.fprintf oc
-        "  \"store\": {\"mem_hits\": %d, \"disk_hits\": %d, \"misses\": %d, \
-         \"evictions\": %d, \"corrupt\": %d, \"hit_rate\": %.4f},\n"
-        s.st_mem_hits s.st_disk_hits s.st_misses s.st_evictions s.st_corrupt
-        (Jt_ir.Store.hit_rate s));
-    output_string oc "  \"runs\": [\n";
-    List.iteri
-      (fun i (name, tool, (o : Janitizer.Driver.outcome)) ->
-        Printf.fprintf oc
-          "    {\"workload\": %S, \"tool\": %S, \"status\": %S, \"icount\": %d, \
-           \"cycles\": %d, \"violations\": %d, \"rules\": %d}%s\n"
-          name (tool_name tool)
-          (Format.asprintf "%a" Jt_vm.Vm.pp_status o.o_result.r_status)
-          o.o_result.r_icount o.o_result.r_cycles
-          (List.length o.o_result.r_violations)
-          o.o_rule_count
-          (if i = List.length results - 1 then "" else ","))
-      results;
-    output_string oc "  ]\n}\n";
-    close_out oc;
+    let report =
+      Jt_metrics.Json.(
+        [ ("jobs", Int jobs); ("wall_s", Float (3, wall)) ]
+        @ (match store with
+          | None -> []
+          | Some st ->
+            let s = Jt_ir.Store.stats st in
+            [ ( "store",
+                Obj
+                  [ ("mem_hits", Int s.st_mem_hits); ("disk_hits", Int s.st_disk_hits);
+                    ("misses", Int s.st_misses); ("evictions", Int s.st_evictions);
+                    ("corrupt", Int s.st_corrupt);
+                    ("hit_rate", Float (4, Jt_ir.Store.hit_rate s)) ] ) ])
+        @ [ ( "runs",
+              List
+                (List.map
+                   (fun (name, tool, (o : Janitizer.Driver.outcome)) ->
+                     Obj
+                       [ ("workload", String name); ("tool", String (tool_name tool));
+                         ( "status",
+                           String (Format.asprintf "%a" Jt_vm.Vm.pp_status o.o_result.r_status) );
+                         ("icount", Int o.o_result.r_icount);
+                         ("cycles", Int o.o_result.r_cycles);
+                         ("violations", Int (List.length o.o_result.r_violations));
+                         ("rules", Int o.o_rule_count) ])
+                   results) ) ])
+    in
+    Out_channel.with_open_text out (fun oc ->
+        output_string oc (Jt_metrics.Json.(to_string (Obj report)) ^ "\n"));
     Printf.printf "%d runs (%d workloads x %d tools), %d jobs, %.3fs -> %s\n"
       (List.length results) (List.length names) (List.length tools) jobs wall out
   in

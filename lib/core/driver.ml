@@ -6,27 +6,16 @@ type outcome = {
   o_trace_elisions : (int * (int * string * int) list) list;
 }
 
-(* Per-module static analysis is independent work, so with a pool it
-   fans out across domains.  The tool's static pass itself stays on the
-   calling domain, applied in registry order: tools may carry internal
-   state, and sequential application keeps rule generation deterministic
-   regardless of which worker finished first.  The expensive part —
-   disassembly, CFG recovery, the helper analyses — is what parallelizes.
-
-   The result list always matches the input registry order, with
+(* The result list always matches the input registry order, with
    [precomputed] entries spliced in at their module's position — callers
    zip it against the registry. *)
-let analyze_all ?pool ?store ?(precomputed = []) ~tool registry =
+let analyze_all ?store ?(precomputed = []) ~tool registry =
   let todo =
     List.filter
       (fun (m : Jt_obj.Objfile.t) -> not (List.mem_assoc m.name precomputed))
       registry
   in
-  let analyses =
-    match pool with
-    | None -> List.map (Static_analyzer.analyze ?store) todo
-    | Some p -> Jt_pool.Pool.map p (Static_analyzer.analyze ?store) todo
-  in
+  let analyses = List.map (Static_analyzer.analyze ?store) todo in
   let generated =
     List.map2
       (fun (m : Jt_obj.Objfile.t) sa ->
@@ -165,7 +154,7 @@ let static_closure ~registry ~main =
   List.rev !order
 
 let run ?fuel ?(hybrid = true) ?profile ?ibl ?trace ?trace_elide
-    ?(precomputed = []) ?pool ?store ~tool ~registry ~main () =
+    ?(precomputed = []) ?store ~tool ~registry ~main () =
   (* Each driver run reports its own (domain-local) counters; without
      this, numbers from a previous run on the same domain leak into the
      next one's snapshot. *)
@@ -173,7 +162,7 @@ let run ?fuel ?(hybrid = true) ?profile ?ibl ?trace ?trace_elide
   let modules = static_closure ~registry ~main in
   let rule_files =
     Jt_trace.Trace.in_phase Jt_trace.Trace.Analyze (fun () ->
-        if hybrid then analyze_all ?pool ?store ~precomputed ~tool modules
+        if hybrid then analyze_all ?store ~precomputed ~tool modules
         else [])
   in
   let rule_count =

@@ -641,7 +641,7 @@ let driver_tool = function
 
 exception Stop of string * refusal
 
-let emit_program ?pool ?store ~tool ~registry ~main () =
+let emit_program ?store ~tool ~registry ~main () =
   let closure = Janitizer.Driver.static_closure ~registry ~main in
   let in_closure n =
     List.exists (fun (c : Jt_obj.Objfile.t) -> String.equal c.name n) closure
@@ -653,7 +653,7 @@ let emit_program ?pool ?store ~tool ~registry ~main () =
      emitted body — even though the hybrid driver would only reach it
      through the dynamic fallback. *)
   let rule_files =
-    Janitizer.Driver.analyze_all ?pool ?store ~tool:(driver_tool tool)
+    Janitizer.Driver.analyze_all ?store ~tool:(driver_tool tool)
       (closure @ extras)
   in
   let emit1 (m : Jt_obj.Objfile.t) =

@@ -143,7 +143,6 @@ type program = {
 (** An emitted program, ready to {!run}. *)
 
 val emit_program :
-  ?pool:Jt_pool.Pool.t ->
   ?store:Jt_ir.Store.t ->
   tool:tool ->
   registry:Jt_obj.Objfile.t list ->

@@ -1,5 +1,11 @@
 type lang = C | Cxx | Fortran | Mixed_cf
 
+let lang_name = function
+  | C -> "C"
+  | Cxx -> "C++"
+  | Fortran -> "Fortran"
+  | Mixed_cf -> "C/Fortran"
+
 type t = {
   s_name : string;
   s_lang : lang;

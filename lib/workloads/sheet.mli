@@ -12,6 +12,10 @@
 
 type lang = C | Cxx | Fortran | Mixed_cf
 
+val lang_name : lang -> string
+(** ["C"], ["C++"], ["Fortran"] or ["C/Fortran"]: the one label the CLI
+    and the bench reports print for a workload's language. *)
+
 type t = {
   s_name : string;
   s_lang : lang;

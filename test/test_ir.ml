@@ -431,12 +431,6 @@ let test_analyze_all_registry_order () =
   (* plain: one result per registry entry, same order *)
   let files = Janitizer.Driver.analyze_all ~tool registry in
   Alcotest.(check (list string)) "registry order" expect (names files);
-  (* pooled analysis must not reorder *)
-  let pooled =
-    Jt_pool.Pool.with_pool ~jobs:2 (fun pool ->
-        Janitizer.Driver.analyze_all ~pool ~tool registry)
-  in
-  Alcotest.(check (list string)) "pooled keeps order" expect (names pooled);
   (* precomputed entries splice in at their registry position... *)
   let libc_file = List.assoc "libc.so" files in
   let spliced =

@@ -58,6 +58,52 @@ let test_counters_instrument_dispatch () =
     (c.c_lookup_probes >= c.c_module_lookups);
   reset ()
 
+(* ---- the JSON printer every bench report goes through ---- *)
+
+let json = Jt_metrics.Json.to_string
+
+let test_json_string_escaping () =
+  Alcotest.(check string) "quote, backslash, newline, control byte"
+    {|"a\"b\\c\nd\u0001"|}
+    (json (Jt_metrics.Json.String "a\"b\\c\nd\x01"));
+  Alcotest.(check string) "object keys are escaped too" "{\n  \"k\\\"\": 1\n}"
+    (json (Jt_metrics.Json.Obj [ ("k\"", Jt_metrics.Json.Int 1) ]))
+
+let test_json_fixed_floats () =
+  let open Jt_metrics.Json in
+  Alcotest.(check string) "1 digit" "45.0" (json (Float (1, 45.0)));
+  Alcotest.(check string) "4 digits" "0.9600" (json (Float (4, 0.96)));
+  Alcotest.(check string) "3 digits" "1.000" (json (Float (3, 1.0)));
+  Alcotest.(check string) "non-finite is null" "null" (json (Float (2, nan)))
+
+let test_json_null_and_empty () =
+  let open Jt_metrics.Json in
+  Alcotest.(check string) "null" "null" (json Null);
+  Alcotest.(check string) "empty list" "[]" (json (List []));
+  Alcotest.(check string) "empty row list stays inline"
+    "{\n  \"failures\": [],\n  \"ok\": true\n}"
+    (json (Obj [ ("failures", List []); ("ok", Bool true) ]))
+
+let test_json_row_layout () =
+  let open Jt_metrics.Json in
+  let row name n =
+    Obj [ ("name", String name); ("stats", Obj [ ("n", Int n); ("hist", List [ Int n ]) ]) ]
+  in
+  Alcotest.(check string) "one row per line, nested values inline"
+    "{\n\
+    \  \"target\": \"t\",\n\
+    \  \"pair\": {\"a\": 1, \"b\": [2, 3]},\n\
+    \  \"workloads\": [\n\
+    \    {\"name\": \"x\", \"stats\": {\"n\": 1, \"hist\": [1]}},\n\
+    \    {\"name\": \"y\", \"stats\": {\"n\": 2, \"hist\": [2]}}\n\
+    \  ]\n\
+     }"
+    (json
+       (Obj
+          [ ("target", String "t");
+            ("pair", Obj [ ("a", Int 1); ("b", List [ Int 2; Int 3 ]) ]);
+            ("workloads", List [ row "x" 1; row "y" 2 ]) ]))
+
 let () =
   Alcotest.run "metrics"
     [
@@ -73,5 +119,12 @@ let () =
           Alcotest.test_case "reset/snapshot" `Quick test_counters_reset_snapshot;
           Alcotest.test_case "dispatch instrumentation" `Quick
             test_counters_instrument_dispatch;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "string escaping" `Quick test_json_string_escaping;
+          Alcotest.test_case "fixed-digit floats" `Quick test_json_fixed_floats;
+          Alcotest.test_case "null and empty list" `Quick test_json_null_and_empty;
+          Alcotest.test_case "row layout" `Quick test_json_row_layout;
         ] );
     ]
