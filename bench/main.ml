@@ -1090,14 +1090,17 @@ let trace_elide_bench () =
    (every module reconstructed from disk).  The deterministic contract
    gates, not wall clock: the warm arm must perform *zero*
    [Static_analyzer.compute] runs (counter-verified across pool
-   domains), its rule files must be byte-identical to the cold arm's,
-   its run observables (status, output, icount, violations) must be
-   bit-identical, and its store hit rate must be 100%.  Wall times are
+   domains), its JASan and JCFI rule files must be byte-identical to the
+   cold arm's, its run observables (status, output, icount, violations)
+   must be bit-identical, and its store hit rate must be 100%.  JCFI's
+   per-site policy reads the CPA sets, which the warm arm imports from
+   the IR, so its rules catch a broken CPA round-trip.  Wall times are
    recorded in BENCH_warmstart.json for trajectory only. *)
 
 type warm_eval = {
   we_name : string;
-  we_rules : (string * string) list;  (* module -> encoded rule bytes *)
+  we_rules : (string * string) list;  (* module -> encoded JASan rule bytes *)
+  we_jcfi_rules : (string * string) list;
   we_status : string;
   we_output : string;
   we_icount : int;
@@ -1110,23 +1113,33 @@ let warmstart_eval ~store (s : Sheet.t) =
   let w = Specgen.build s in
   let registry = w.Specgen.w_registry in
   let closure = Janitizer.Driver.static_closure ~registry ~main:name in
-  let tool, _ = Jt_jasan.Jasan.create () in
+  let jasan, _ = Jt_jasan.Jasan.create () in
+  let jcfi, _ = Jt_jcfi.Jcfi.create () in
   let t0 = Unix.gettimeofday () in
-  let files = Janitizer.Driver.analyze_all ~store ~tool closure in
+  (* One analysis per module feeds both tools: in the cold arm JCFI sees
+     the CPA sets just computed, in the warm arm the imported ones. *)
+  let analyses = List.map (Janitizer.Static_analyzer.analyze ~store) closure in
+  let files (tool : Janitizer.Tool.t) =
+    List.map2
+      (fun (m : Jt_obj.Objfile.t) sa -> (m.name, tool.t_static sa))
+      closure analyses
+  in
+  let jasan_files = files jasan in
   let analysis_s = Unix.gettimeofday () -. t0 in
+  let encode = List.map (fun (n, f) -> (n, Jt_rules.Rules.encode_file f)) in
   (* The simulated run consumes the rules just generated ([precomputed]
      covers the whole closure, so the run itself analyzes nothing); its
      observables depend only on those rule bytes. *)
   let run_tool, _ = Jt_jasan.Jasan.create () in
   let o =
-    Janitizer.Driver.run ~store ~precomputed:files ~tool:run_tool ~registry
-      ~main:name ()
+    Janitizer.Driver.run ~store ~precomputed:jasan_files ~tool:run_tool
+      ~registry ~main:name ()
   in
   let r = o.Janitizer.Driver.o_result in
   {
     we_name = name;
-    we_rules =
-      List.map (fun (n, f) -> (n, Jt_rules.Rules.encode_file f)) files;
+    we_rules = encode jasan_files;
+    we_jcfi_rules = encode (files jcfi);
     we_status = Format.asprintf "%a" Jt_vm.Vm.pp_status r.r_status;
     we_output = r.r_output;
     we_icount = r.r_icount;
@@ -1171,17 +1184,14 @@ let warmstart () =
   let cold_analysis_s = analysis_wall cold and warm_analysis_s = analysis_wall warm in
   let observable e = (e.we_status, e.we_output, e.we_icount, e.we_violations) in
   let pairs = List.combine cold warm in
-  let rule_mismatches =
+  let mismatches rules =
     List.filter_map
-      (fun (c, w) -> if c.we_rules = w.we_rules then None else Some c.we_name)
+      (fun (c, w) -> if rules c = rules w then None else Some c.we_name)
       pairs
   in
-  let obs_mismatches =
-    List.filter_map
-      (fun (c, w) ->
-        if observable c = observable w then None else Some c.we_name)
-      pairs
-  in
+  let rule_mismatches = mismatches (fun e -> e.we_rules) in
+  let jcfi_mismatches = mismatches (fun e -> e.we_jcfi_rules) in
+  let obs_mismatches = mismatches observable in
   let warm_rate = Jt_ir.Store.hit_rate warm_stats in
   let arm_json (st : Jt_ir.Store.stats) analyses a_wall wall =
     Json.(
@@ -1198,6 +1208,7 @@ let warmstart () =
         [ ("name", String c.we_name); ("cold_analysis_s", Float (6, c.we_analysis_s));
           ("warm_analysis_s", Float (6, w.we_analysis_s));
           ("rules_identical", Bool (c.we_rules = w.we_rules));
+          ("jcfi_rules_identical", Bool (c.we_jcfi_rules = w.we_jcfi_rules));
           ("observables_identical", Bool (observable c = observable w)) ])
   in
   (* best-effort cleanup of the temp store *)
@@ -1207,8 +1218,8 @@ let warmstart () =
     {
       target = "warmstart";
       gate =
-        "warm arm: zero analyses, 100% store hit rate, rules byte-identical \
-         and observables bit-identical to the cold arm";
+        "warm arm: zero analyses, 100% store hit rate, JASan and JCFI rules \
+         byte-identical and observables bit-identical to the cold arm";
       fields =
         Json.
           [ ("jobs", Int n_jobs); ("workloads", Int (List.length cold));
@@ -1217,6 +1228,7 @@ let warmstart () =
             ("warm_compute_runs", Int warm_analyses);
             ("warm_hit_rate", Float (4, warm_rate));
             ("rules_identical", Bool (rule_mismatches = []));
+            ("jcfi_rules_identical", Bool (jcfi_mismatches = []));
             ("observables_identical", Bool (obs_mismatches = []));
             ( "analysis_speedup",
               Float (3, cold_analysis_s /. max warm_analysis_s 1e-9) );
@@ -1228,7 +1240,8 @@ let warmstart () =
         @ (if warm_stats.st_misses <> 0 || warm_rate < 1.0 then
              [ Printf.sprintf "warm hit rate %.4f (want 1.0)" warm_rate ]
            else [])
-        @ List.map (fun n -> n ^ ": rules differ between arms") rule_mismatches
+        @ List.map (fun n -> n ^ ": JASan rules differ between arms") rule_mismatches
+        @ List.map (fun n -> n ^ ": JCFI rules differ between arms") jcfi_mismatches
         @ List.map (fun n -> n ^ ": observables differ between arms") obs_mismatches;
     }
 

@@ -68,5 +68,5 @@ val site_targets : t -> int -> (int list * int) option
 
 val export : t -> site list
 val import : site list -> t
-(** Round-trip through the serialized form ({!Jt_ir.Ir.Cpa}); queries on
-    the import answer identically to the original. *)
+(** Round-trip through the serialized form (the IR's [ir_cpa] field);
+    queries on the import answer identically to the original. *)

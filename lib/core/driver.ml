@@ -18,19 +18,7 @@ let analyze_all ?store ?(precomputed = []) ~tool registry =
   let analyses = List.map (Static_analyzer.analyze ?store) todo in
   let generated =
     List.map2
-      (fun (m : Jt_obj.Objfile.t) sa ->
-        let file = tool.Tool.t_static sa in
-        (* Tool-contributed aux tables (e.g. the JASan claim partition)
-           ride along in the module's stored IR, so warm runs and the
-           DBT's overlay planner can read them back without re-running
-           the static pass. *)
-        Option.iter
-          (fun st ->
-            Jt_ir.Store.update_aux st
-              ~digest:(Jt_obj.Objfile.digest m)
-              (tool.Tool.t_aux sa))
-          store;
-        (m.name, file))
+      (fun (m : Jt_obj.Objfile.t) sa -> (m.name, tool.Tool.t_static sa))
       todo analyses
   in
   let in_registry_order =

@@ -240,7 +240,7 @@ let build_ir (sa : t) : Ir.t =
     ir_code_ptrs = Lazy.force sa.sa_raw_code_ptrs;
     ir_blocks = blocks;
     ir_fns = List.map fn_to_ir sa.sa_fns;
-    ir_aux = [];
+    ir_cpa = Jt_analysis.Cpa.export (Lazy.force sa.sa_cpa);
   }
 
 (* ---- full analysis (the expensive path) ---- *)
@@ -265,10 +265,9 @@ let addr_fn_of fns =
 
 (* The interprocedural fact base shared by JCFI and JASan: code-pointer
    provenance, the indirect-edge-resolved call graph over it, and
-   CPA-refined call summaries.  All three are deterministic functions of
-   facts already pinned by the module digest, so forcing them on a
-   warm-started analysis (when the [cpa/v1] aux is absent) does not
-   count as a re-analysis. *)
+   CPA-refined call summaries.  CPA itself is persisted in the IR
+   ([ir_cpa]); the call graph and summaries are cheap deterministic
+   functions of it and of the CFG, rebuilt on demand. *)
 let compute_cpa sa =
   Jt_analysis.Cpa.analyze ~m:sa.sa_mod
     ~entries:sa.sa_disasm.Jt_disasm.Disasm.func_entries
@@ -459,18 +458,7 @@ let of_ir (m : Jt_obj.Objfile.t) (ir : Ir.t) =
       sa_addr_fn = addr_fn_of fns;
       sa_reliable_conventions = ir.Ir.ir_reliable;
       sa_raw_code_ptrs = lazy ir.Ir.ir_code_ptrs;
-      (* Prefer the persisted sites over re-running the pass; a corrupt
-         aux degrades to the (deterministic) recompute, like any other
-         store damage. *)
-      sa_cpa =
-        lazy
-          (match Ir.find_aux ir Ir.Cpa.key with
-          | Some payload -> (
-            match Ir.Cpa.decode payload with
-            | sites -> Jt_analysis.Cpa.import sites
-            | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
-            | exception _ -> compute_cpa sa)
-          | None -> compute_cpa sa);
+      sa_cpa = lazy (Jt_analysis.Cpa.import ir.Ir.ir_cpa);
       sa_callgraph =
         lazy (Jt_cfg.Callgraph.build ~resolve:(cpa_resolver sa) sa.sa_cfg);
       sa_summaries =

@@ -36,9 +36,9 @@ type t = {
       (** unfiltered sliding-window pointer-scan results; carried in the
           IR so warm loads skip the scan *)
   sa_cpa : Jt_analysis.Cpa.t Lazy.t;
-      (** per-indirect-call-site code-pointer provenance; forcing it
-          forces VSA for every function.  Warm-started analyses restore
-          it from the [cpa/v1] aux table when present *)
+      (** per-indirect-call-site code-pointer provenance; forcing it on
+          a computed analysis forces VSA for every function.  Analyses
+          rebuilt by {!of_ir} import it from [ir_cpa] instead *)
   sa_callgraph : Jt_cfg.Callgraph.t Lazy.t;
       (** call graph with indirect edges resolved through [sa_cpa] *)
   sa_summaries : (int, Jt_analysis.Interproc.summary) Hashtbl.t Lazy.t;
@@ -47,8 +47,8 @@ type t = {
           JCFI per-site sets and JASan cross-call elision *)
   sa_ir : Jt_ir.Ir.t Lazy.t;
       (** the serializable form of this analysis.  Forcing it forces the
-          lazy per-function analyses (VSA, dominators, def-use) — only
-          store-backed paths pay that *)
+          lazy per-function analyses (VSA, dominators, def-use) and
+          [sa_cpa] — only store-backed paths pay that *)
 }
 
 val analyze : ?store:Jt_ir.Store.t -> Jt_obj.Objfile.t -> t

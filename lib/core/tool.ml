@@ -8,11 +8,9 @@ type t = {
     Jt_loader.Loader.loaded ->
     Jt_rules.Rules.file option ->
     unit;
-  t_aux : Static_analyzer.t -> (string * string) list;
 }
 
 let no_on_load _ _ _ = ()
-let no_aux _ = []
 
 let noop_marks (sa : Static_analyzer.t) rules =
   let marked = Hashtbl.create 256 in

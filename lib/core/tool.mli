@@ -5,7 +5,12 @@
     its decisions into rewrite rules, and a dynamic fallback pass that
     works one basic block at a time on code the static analyzer never saw.
     [t_setup] runs once per process, before execution (shadow-state
-    initialization, allocator interposition, loader subscriptions). *)
+    initialization, allocator interposition, loader subscriptions).
+
+    A tool reads analysis facts from the {!Static_analyzer.t} it is
+    given and persists nothing of its own: the IR store holds only what
+    the analyzer computed, so a warm run re-derives the tool's results
+    (claims, per-site sets) from the same facts. *)
 
 type t = {
   t_name : string;
@@ -22,19 +27,10 @@ type t = {
           per-module runtime structures (e.g. CFI target tables) populate
           them here, falling back to load-time analysis when no static
           hints exist (section 4.2.2). *)
-  t_aux : Static_analyzer.t -> (string * string) list;
-      (** Tool-contributed auxiliary IR tables, merged into the module's
-          stored IR after the static pass ([Jt_ir.Store.update_aux]) —
-          e.g. JASan's per-access claim partition under
-          [Jt_ir.Ir.Claims.key].  Return [[]] when the tool has nothing
-          to persist. *)
 }
 
 val no_on_load :
   Jt_vm.Vm.t -> Jt_loader.Loader.loaded -> Jt_rules.Rules.file option -> unit
-
-val no_aux : Static_analyzer.t -> (string * string) list
-(** [no_aux _ = []]. *)
 
 val noop_marks : Static_analyzer.t -> Jt_rules.Rules.t list -> Jt_rules.Rules.t list
 (** [noop_marks sa rules] appends a no-op rule for every basic block of

@@ -181,10 +181,10 @@ let rules_by_insn (rules : Jt_rules.Rules.file) =
     rules.rf_rules;
   fun addr -> List.rev (Option.value ~default:[] (Hashtbl.find_opt tbl addr))
 
-let emit_module_exn ?store ~tool ~(rules : Jt_rules.Rules.file)
-    (m : Jt_obj.Objfile.t) =
+let emit_module_exn ~tool ~(rules : Jt_rules.Rules.file)
+    (sa : Janitizer.Static_analyzer.t) =
+  let m = sa.Janitizer.Static_analyzer.sa_mod in
   let name = m.name in
-  let sa = Janitizer.Static_analyzer.analyze ?store m in
   let dis = sa.Janitizer.Static_analyzer.sa_disasm in
   let recovered = dis.Jt_disasm.Disasm.insns in
   let insns =
@@ -427,7 +427,8 @@ let emit_module_exn ?store ~tool ~(rules : Jt_rules.Rules.file)
   in
   { m with Jt_obj.Objfile.sections = patched @ [ text_sec; map_sec ] }
 
-let emit_module ?store ~tool ~rules (m : Jt_obj.Objfile.t) =
+let emit_module ~tool ~rules (sa : Janitizer.Static_analyzer.t) =
+  let m = sa.Janitizer.Static_analyzer.sa_mod in
   if
     rules.Jt_rules.Rules.rf_digest <> ""
     && not (String.equal rules.rf_digest (Jt_obj.Objfile.digest m))
@@ -437,7 +438,7 @@ let emit_module ?store ~tool ~rules (m : Jt_obj.Objfile.t) =
   else if Jt_obj.Objfile.has_feature m Jt_obj.Objfile.Fortran_runtime then
     Error (Unsupported_feature (m.name, "Fortran runtime"))
   else
-    match emit_module_exn ?store ~tool ~rules m with
+    match emit_module_exn ~tool ~rules sa with
     | m' -> Ok m'
     | exception Refused r -> Error r
 
@@ -649,15 +650,17 @@ let emit_program ?store ~tool ~registry ~main () =
   let extras =
     List.filter (fun (m : Jt_obj.Objfile.t) -> not (in_closure m.name)) registry
   in
-  (* Analyze extras too: a dlopen-only plugin gets static rules — and an
-     emitted body — even though the hybrid driver would only reach it
-     through the dynamic fallback. *)
-  let rule_files =
-    Janitizer.Driver.analyze_all ?store ~tool:(driver_tool tool)
-      (closure @ extras)
-  in
+  (* Extras are analyzed too: a dlopen-only plugin gets static rules —
+     and an emitted body — even though the hybrid driver would only reach
+     it through the dynamic fallback.  Each module is analyzed once; the
+     one analysis feeds both the tool's static pass and the rewriter. *)
+  let static = (driver_tool tool).Janitizer.Tool.t_static in
+  let rule_files = ref [] in
   let emit1 (m : Jt_obj.Objfile.t) =
-    emit_module ?store ~tool ~rules:(List.assoc m.name rule_files) m
+    let sa = Janitizer.Static_analyzer.analyze ?store m in
+    let rules = static sa in
+    rule_files := (m.name, rules) :: !rule_files;
+    emit_module ~tool ~rules sa
   in
   match
     let emitted = Hashtbl.create 8 in
@@ -704,7 +707,7 @@ let emit_program ?store ~tool ~registry ~main () =
         p_tool = tool;
         p_main = main;
         p_registry = registry';
-        p_rules = rule_files;
+        p_rules = List.rev !rule_files;
         p_emitted =
           Hashtbl.fold (fun k _ acc -> k :: acc) emitted []
           |> List.sort compare;

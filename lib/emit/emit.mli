@@ -110,14 +110,14 @@ val read_map : Jt_obj.Objfile.t -> emap option
 (** {1 Emission} *)
 
 val emit_module :
-  ?store:Jt_ir.Store.t ->
   tool:tool ->
   rules:Jt_rules.Rules.file ->
-  Jt_obj.Objfile.t ->
+  Janitizer.Static_analyzer.t ->
   (Jt_obj.Objfile.t, refusal) result
-(** Rewrite one module.  [rules] must be the static pass's rule file for
-    this exact build of the module ({!Jt_rules.Rules.file.rf_digest} is
-    checked when present).  The result keeps the module's name, kind,
+(** Rewrite the analyzed module ([sa_mod]) using its analysis, which
+    this function does not recompute.  [rules] must be the static
+    pass's rule file for this exact build of the module
+    ({!Jt_rules.Rules.file.rf_digest} is checked when present).  The result keeps the module's name, kind,
     symbols, relocations, imports, exports, entry point and dependencies
     unchanged — only section contents differ (pin patches) and two
     sections are appended ([.emit.text], [.emit.map]) — so it substitutes
@@ -151,7 +151,10 @@ val emit_program :
   (program, string * refusal) result
 (** Emit a whole program: the main executable's static closure must emit
     (any refusal fails the program, naming the module); registry modules
-    reachable only via [dlopen] are emitted opportunistically. *)
+    reachable only via [dlopen] are emitted opportunistically.  Each
+    module is analyzed once ({!Janitizer.Static_analyzer.analyze}
+    through [store] when given), and that analysis feeds both the tool's
+    static pass and {!emit_module}. *)
 
 (** {1 Link-map lifecycle}
 

@@ -82,19 +82,22 @@ type t = {
   ir_code_ptrs : int list;
   ir_blocks : block list;
   ir_fns : fn list;
-  ir_aux : (string * string) list;
+  ir_cpa : Jt_analysis.Cpa.site list;
 }
 
 let magic = "JTIR"
 
-let schema_version = 1
+let schema_version = 2
 
 (* ---- encoding ----
 
    Little-endian, rules.ml's "JTR3" idiom: fixed-width integers written
    through a Buffer, length-prefixed strings and lists.  Every count is
    validated against the remaining bytes on decode, so a corrupt header
-   cannot demand a gigabyte allocation. *)
+   cannot demand a gigabyte allocation.  The last 16 bytes are a
+   [Digest] of everything before them: a flipped byte that still parses
+   (a liveness mask, a VSA bound) would otherwise reconstruct into
+   silently different facts. *)
 
 let u8 b v = Buffer.add_char b (Char.chr (v land 0xFF))
 
@@ -118,10 +121,6 @@ let str8 b s =
 let str16 b s =
   if String.length s > 0xFFFF then invalid_arg "Ir.encode: string over 64K";
   u16 b (String.length s);
-  Buffer.add_string b s
-
-let str32 b s =
-  u32 b (String.length s);
   Buffer.add_string b s
 
 let list16 b f l =
@@ -273,6 +272,22 @@ let enc_fn b (f : fn) =
         env)
     f.if_defuse
 
+(* An unresolved (Top) site has no witness; its slot is written as 0. *)
+let enc_cpa b (c : Jt_analysis.Cpa.site) =
+  u32 b c.cs_fn;
+  u32 b c.cs_site;
+  match c.cs_targets with
+  | None ->
+    u8 b 0;
+    u32 b 0;
+    enc_ints32 b []
+  | Some ts ->
+    u8 b 1;
+    u32 b c.cs_witness;
+    enc_ints32 b ts
+
+let digest_len = 16
+
 let encode (t : t) =
   let b = Buffer.create 4096 in
   Buffer.add_string b magic;
@@ -296,21 +311,19 @@ let encode (t : t) =
   enc_ints32 b t.ir_code_ptrs;
   list32 b enc_block t.ir_blocks;
   list32 b enc_fn t.ir_fns;
-  list16 b
-    (fun b (k, v) ->
-      str16 b k;
-      str32 b v)
-    t.ir_aux;
+  list32 b enc_cpa t.ir_cpa;
+  Buffer.add_string b (Digest.string (Buffer.contents b));
   Buffer.contents b
 
 (* ---- decoding ---- *)
 
-type reader = { s : string; mutable pos : int }
+(* [lim] excludes the trailing checksum from every bounds check. *)
+type reader = { s : string; lim : int; mutable pos : int }
 
 let fail why = failwith ("Ir.decode: " ^ why)
 
 let byte r =
-  if r.pos >= String.length r.s then fail "truncated";
+  if r.pos >= r.lim then fail "truncated";
   let v = Char.code r.s.[r.pos] in
   r.pos <- r.pos + 1;
   v
@@ -328,21 +341,20 @@ let ri32 r =
   if v land 0x80000000 <> 0 then v - 0x1_0000_0000 else v
 
 let rstr r n =
-  if n < 0 || r.pos + n > String.length r.s then fail "truncated string";
+  if n < 0 || r.pos + n > r.lim then fail "truncated string";
   let v = String.sub r.s r.pos n in
   r.pos <- r.pos + n;
   v
 
 let rstr8 r = rstr r (byte r)
 let rstr16 r = rstr r (r16 r)
-let rstr32 r = rstr r (r32 r)
 
 (* A list header's count must leave room for at least [min] bytes per
    element — the up-front cheapness check that keeps corrupt counts from
    driving huge allocations or long loops. *)
 let rlist r ~min ~count f =
   let n = count r in
-  if n * min > String.length r.s - r.pos then fail "bad count";
+  if n * min > r.lim - r.pos then fail "bad count";
   List.init n (fun _ -> f r)
 
 let rlist16 r ~min f = rlist r ~min ~count:r16 f
@@ -367,9 +379,12 @@ let rterm r =
   | 7 -> Tfall (r32 r)
   | _ -> fail "bad terminator tag"
 
-let rblock r =
+(* [of_ir] allocates [ib_ninsns] slots per block, so a count beyond the
+   entry's own instruction total is rejected here. *)
+let rblock ~max_insns r =
   let ib_addr = r32 r in
   let ib_ninsns = r32 r in
+  if ib_ninsns > max_insns then fail "block insn count";
   let ib_term = rterm r in
   let ib_succs = rints16 r in
   let ib_preds = rints16 r in
@@ -501,8 +516,18 @@ let rfn r =
     if_defuse;
   }
 
+let rcpa r =
+  let cs_fn = r32 r in
+  let cs_site = r32 r in
+  let resolved = byte r <> 0 in
+  let cs_witness = r32 r in
+  let targets = rints32 r in
+  if resolved then
+    { Jt_analysis.Cpa.cs_fn; cs_site; cs_targets = Some targets; cs_witness }
+  else { Jt_analysis.Cpa.cs_fn; cs_site; cs_targets = None; cs_witness = 0 }
+
 let check_header r =
-  if String.length r.s < 6 then fail "truncated";
+  if r.lim < 6 then fail "truncated";
   if String.sub r.s 0 4 <> magic then fail "bad magic";
   r.pos <- 4;
   let v = r16 r in
@@ -510,13 +535,16 @@ let check_header r =
     fail (Printf.sprintf "schema version %d, expected %d" v schema_version)
 
 let decode s =
-  let r = { s; pos = 0 } in
+  let n = String.length s - digest_len in
+  let r = { s; lim = n; pos = 0 } in
   check_header r;
+  if not (String.equal (Digest.substring s 0 n) (String.sub s n digest_len))
+  then fail "checksum mismatch";
   let ir_digest = rstr8 r in
   let ir_module = rstr16 r in
   let ir_reliable = byte r <> 0 in
   let n_insns = r32 r in
-  if n_insns * 5 > String.length s - r.pos then fail "bad insn count";
+  if n_insns * 5 > n - r.pos then fail "bad insn count";
   let ir_insns =
     Array.init n_insns (fun _ ->
         let addr = r32 r in
@@ -531,14 +559,10 @@ let decode s =
         (addr, rints16 r))
   in
   let ir_code_ptrs = rints32 r in
-  let ir_blocks = rlist32 r ~min:17 rblock in
+  let ir_blocks = rlist32 r ~min:17 (rblock ~max_insns:n_insns) in
   let ir_fns = rlist32 r ~min:40 rfn in
-  let ir_aux =
-    rlist16 r ~min:6 (fun r ->
-        let k = rstr16 r in
-        (k, rstr32 r))
-  in
-  if r.pos <> String.length s then fail "trailing bytes";
+  let ir_cpa = rlist32 r ~min:17 rcpa in
+  if r.pos <> n then fail "trailing bytes";
   {
     ir_module;
     ir_digest;
@@ -550,103 +574,10 @@ let decode s =
     ir_code_ptrs;
     ir_blocks;
     ir_fns;
-    ir_aux;
+    ir_cpa;
   }
 
 let peek_digest s =
-  let r = { s; pos = 0 } in
+  let r = { s; lim = String.length s; pos = 0 } in
   check_header r;
   rstr8 r
-
-let find_aux t k = List.assoc_opt k t.ir_aux
-
-let with_aux t kvs =
-  let keys = List.map fst kvs in
-  let kept = List.filter (fun (k, _) -> not (List.mem k keys)) t.ir_aux in
-  {
-    t with
-    ir_aux = List.sort (fun (a, _) (b, _) -> compare a b) (kept @ kvs);
-  }
-
-module Claims = struct
-  type fn_claims = {
-    fc_fn : int;
-    fc_vsa_bailed : bool;
-    fc_claims : (int * int * int) list;
-  }
-
-  let checked = 0
-
-  let key ~config = "claims/v1:" ^ config
-
-  let encode fns =
-    let b = Buffer.create 256 in
-    list32 b
-      (fun b f ->
-        u32 b f.fc_fn;
-        u8 b (if f.fc_vsa_bailed then 1 else 0);
-        list32 b
-          (fun b (addr, code, wit) ->
-            u32 b addr;
-            u8 b code;
-            u32 b wit)
-          f.fc_claims)
-      fns;
-    Buffer.contents b
-
-  let decode s =
-    let r = { s; pos = 0 } in
-    let fns =
-      rlist32 r ~min:9 (fun r ->
-          let fc_fn = r32 r in
-          let fc_vsa_bailed = byte r <> 0 in
-          let fc_claims =
-            rlist32 r ~min:9 (fun r ->
-                let addr = r32 r in
-                let code = byte r in
-                let wit = r32 r in
-                (addr, code, wit))
-          in
-          { fc_fn; fc_vsa_bailed; fc_claims })
-    in
-    if r.pos <> String.length s then failwith "Ir.Claims.decode: trailing bytes";
-    fns
-end
-
-module Cpa = struct
-  let key = "cpa/v1"
-
-  let encode (sites : Jt_analysis.Cpa.site list) =
-    let b = Buffer.create 256 in
-    list32 b
-      (fun b (s : Jt_analysis.Cpa.site) ->
-        u32 b s.cs_fn;
-        u32 b s.cs_site;
-        (match s.cs_targets with
-        | None ->
-          u8 b 0;
-          u32 b 0;
-          list32 b (fun _ _ -> ()) []
-        | Some ts ->
-          u8 b 1;
-          u32 b s.cs_witness;
-          list32 b u32 ts))
-      sites;
-    Buffer.contents b
-
-  let decode s : Jt_analysis.Cpa.site list =
-    let r = { s; pos = 0 } in
-    let sites =
-      rlist32 r ~min:17 (fun r ->
-          let cs_fn = r32 r in
-          let cs_site = r32 r in
-          let resolved = byte r <> 0 in
-          let cs_witness = r32 r in
-          let targets = rlist32 r ~min:4 (fun r -> r32 r) in
-          let cs_targets = if resolved then Some targets else None in
-          let cs_witness = if resolved then cs_witness else 0 in
-          { Jt_analysis.Cpa.cs_fn; cs_site; cs_targets; cs_witness })
-    in
-    if r.pos <> String.length s then failwith "Ir.Cpa.decode: trailing bytes";
-    sites
-end

@@ -3,10 +3,10 @@
 
     One GTIRB-shaped value per module: interval-keyed byte blocks (the
     instruction spans of the recovered disassembly), CFG nodes and edges,
-    and auxiliary tables carrying the analysis facts the elision passes
-    need — per-block VSA register states, frame spans, dominator sets,
-    def-use summaries, liveness, SCEV loop bounds, canary sites, and
-    tool-contributed tables such as the JASan claim partition.
+    and typed fields carrying the analysis facts the tools need —
+    per-block VSA register states, frame spans, dominator sets, def-use
+    summaries, liveness, SCEV loop bounds, canary sites and the
+    per-indirect-call-site code-pointer provenance sets.
 
     The representation is deliberately *pure data*: no closures, no
     lazies, no hashtables — so structural equality is meaningful (the
@@ -110,10 +110,9 @@ type t = {
   ir_code_ptrs : int list;  (** raw sliding-window pointer-scan results *)
   ir_blocks : block list;
   ir_fns : fn list;
-  ir_aux : (string * string) list;
-      (** open-ended auxiliary tables, sorted by key: tool-contributed
-          facts (e.g. the JASan claim partition) serialized under
-          versioned keys *)
+  ir_cpa : Jt_analysis.Cpa.site list;
+      (** code-pointer provenance, one entry per indirect call site
+          ({!Jt_analysis.Cpa.export} order) *)
 }
 
 val magic : string
@@ -124,54 +123,15 @@ val schema_version : int
 
 val encode : t -> string
 (** Versioned little-endian binary encoding, magic + schema version
-    first, digest in the header. *)
+    first, module digest in the header, and a [Digest] of everything
+    before it as the last 16 bytes. *)
 
 val decode : string -> t
 (** Inverse of {!encode}.  @raise Failure on truncation, bad magic, a
-    schema-version mismatch, or any malformed payload. *)
+    schema-version mismatch, a checksum mismatch, a block claiming more
+    instructions than the entry records, or any other malformed
+    payload. *)
 
 val peek_digest : string -> string
 (** The digest recorded in an encoding's header, without a full decode.
     @raise Failure on truncation or bad magic/version. *)
-
-val find_aux : t -> string -> string option
-
-val with_aux : t -> (string * string) list -> t
-(** Functional update: replace or insert the given aux tables, keeping
-    [ir_aux] sorted by key. *)
-
-(** The per-access claim-partition aux table (PR 5's disjoint claims),
-    serialized under a versioned, tool-configuration-fingerprinted key so
-    the DBT overlay planner and fact dumps can read it back without
-    knowing the producing tool's types. *)
-module Claims : sig
-  type fn_claims = {
-    fc_fn : int;  (** function entry *)
-    fc_vsa_bailed : bool;
-    fc_claims : (int * int * int) list;
-        (** (access address, claim code, witness address or 0) *)
-  }
-
-  val checked : int
-  (** Claim code 0: the access kept its check — the one code readers
-      other than the producing tool may interpret. *)
-
-  val key : config:string -> string
-  (** Aux-table key, e.g. [claims/v1:jasan/1111]. *)
-
-  val encode : fn_claims list -> string
-  val decode : string -> fn_claims list  (** @raise Failure *)
-end
-
-(** Per-indirect-call-site code-pointer provenance results
-    ({!Jt_analysis.Cpa}), serialized so warm-start runs reuse the
-    interprocedural pass.  Unlike {!Claims} the key carries no
-    configuration fingerprint: the pass has none — its inputs are
-    exactly the facts already pinned by the module digest. *)
-module Cpa : sig
-  val key : string
-  (** ["cpa/v1"]. *)
-
-  val encode : Jt_analysis.Cpa.site list -> string
-  val decode : string -> Jt_analysis.Cpa.site list  (** @raise Failure *)
-end

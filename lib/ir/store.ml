@@ -191,30 +191,6 @@ let find_or_compute t ~digest ~name compute =
           Mutex.unlock t.mu;
           ir)
 
-let peek t ~digest =
-  Mutex.lock t.mu;
-  let hit =
-    Option.map (fun e -> e.e_ir) (Hashtbl.find_opt t.mem digest)
-  in
-  Mutex.unlock t.mu;
-  match hit with
-  | Some _ -> hit
-  | None -> load_disk t ~digest ~name:(Digest.to_hex digest)
-
-let update_aux t ~digest kvs =
-  if kvs <> [] then begin
-    match peek t ~digest with
-    | None -> ()
-    | Some ir ->
-      let ir = Ir.with_aux ir kvs in
-      save_disk t ir;
-      Mutex.lock t.mu;
-      (match Hashtbl.find_opt t.mem digest with
-      | Some e -> Hashtbl.replace t.mem digest { e with e_ir = ir }
-      | None -> ());
-      Mutex.unlock t.mu
-  end
-
 (* ---- statistics ---- *)
 
 let stats t =

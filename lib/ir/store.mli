@@ -3,9 +3,10 @@
     Entries are keyed by the producing module's content digest
     ([Jt_obj.Objfile.digest]); the disk layout is one
     [<hex-digest>.jtir] file per module, containing {!Ir.encode} output
-    verbatim.  Any load failure — truncation, bad magic, wrong schema
-    version, a digest mismatch between file name/contents and the
-    requested key — is a warning plus transparent re-analysis, mirroring
+    verbatim, written once on a miss and never updated in place.  Any
+    load failure — truncation, bad magic, wrong schema version, a
+    checksum mismatch, a digest mismatch between file name/contents and
+    the requested key — is a warning plus transparent re-analysis, mirroring
     [Driver.load_rules]: a corrupt store must never take a run down.
 
     The disk store is fronted by a bounded in-memory LRU shared across
@@ -29,15 +30,6 @@ val find_or_compute :
     single-flight: one computes, the rest wait.  [name] labels metrics
     and trace events only.  If the compute function raises, the
     exception propagates to its caller and waiters retry. *)
-
-val peek : t -> digest:string -> Ir.t option
-(** Memory-then-disk probe without computing, without single-flight and
-    without touching hit/miss statistics. *)
-
-val update_aux : t -> digest:string -> (string * string) list -> unit
-(** Merge aux tables ({!Ir.with_aux}) into the stored entry, rewriting
-    the disk file atomically and refreshing the LRU copy.  A no-op if
-    the digest is not in the store. *)
 
 type stats = {
   st_mem_hits : int;

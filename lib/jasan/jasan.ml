@@ -453,46 +453,6 @@ let elision_report ?(hoist_scev = true) ?(skip_frame = true)
   List.map (plan_elision ~hoist_scev ~skip_frame ~exempt_canary ~elide ~cross)
     sa.sa_fns
 
-(* Claim codes in the serialized partition ([Jt_ir.Ir.Claims]); only
-   [Checked = 0] is meaningful to readers outside this tool. *)
-let claim_code = function
-  | Checked -> (Jt_ir.Ir.Claims.checked, 0)
-  | Exempt_canary -> (1, 0)
-  | Pcrel -> (2, 0)
-  | Policy_frame -> (3, 0)
-  | Vsa_frame -> (4, 0)
-  | Scev_covered -> (5, 0)
-  | Dom_elided w -> (6, w)
-
-(* The per-access claim partition, serialized for the module's stored IR
-   under a key fingerprinting the elision configuration — a different
-   configuration yields a different partition and must not be read back
-   as this one. *)
-let claims_aux ~hoist_scev ~skip_frame ~exempt_canary ~elide ~cross_call
-    (sa : Janitizer.Static_analyzer.t) =
-  let bit b = if b then '1' else '0' in
-  let config =
-    Printf.sprintf "jasan/%c%c%c%c%c" (bit hoist_scev) (bit skip_frame)
-      (bit exempt_canary) (bit elide) (bit cross_call)
-  in
-  let fns =
-    List.map
-      (fun (r : fn_report) ->
-        {
-          Jt_ir.Ir.Claims.fc_fn = r.er_fn;
-          fc_vsa_bailed = r.er_vsa_bailed;
-          fc_claims =
-            List.map
-              (fun (addr, c) ->
-                let code, witness = claim_code c in
-                (addr, code, witness))
-              r.er_claims;
-        })
-      (elision_report ~hoist_scev ~skip_frame ~exempt_canary ~elide ~cross_call
-         sa)
-  in
-  [ (Jt_ir.Ir.Claims.key ~config, Jt_ir.Ir.Claims.encode fns) ]
-
 let static_pass ~liveness ~hoist_scev ~skip_frame ~exempt_canary ~elide
     ~cross_call (sa : Janitizer.Static_analyzer.t) =
   let rules = ref [] in
@@ -855,8 +815,5 @@ let create ?(liveness = Live_full) ?(hoist_scev = true)
           ~exempt_canary ~elide ~cross_call;
       t_client = client;
       t_on_load = Janitizer.Tool.no_on_load;
-      t_aux =
-        claims_aux ~hoist_scev ~skip_frame:skip_frame_accesses ~exempt_canary
-          ~elide ~cross_call;
     },
     rt )

@@ -541,13 +541,5 @@ let create ?(config = default_config) () =
                      + Hashtbl.length targets.Targets.jump_targets;
                  });
           Rt.install rt l targets);
-      t_aux =
-        (fun sa ->
-          [
-            ( Jt_ir.Ir.Cpa.key,
-              Jt_ir.Ir.Cpa.encode
-                (Jt_analysis.Cpa.export
-                   (Lazy.force sa.Janitizer.Static_analyzer.sa_cpa)) );
-          ]);
     },
     rt )

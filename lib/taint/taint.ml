@@ -200,6 +200,5 @@ let create () =
       t_static = static_pass;
       t_client = client;
       t_on_load = Janitizer.Tool.no_on_load;
-      t_aux = Janitizer.Tool.no_aux;
     },
     rt )

@@ -1,8 +1,9 @@
 (* Code-pointer provenance analysis (CPA): per-site target sets, the
-   Top-degradation contract, the resolved call graph, the cpa/v1 codec,
-   and the refinement-soundness oracle — every indirect call the
-   workload sweep and the fuzz corpus actually execute must land inside
-   its site's resolved set (or the site must be Top). *)
+   Top-degradation contract, the resolved call graph, and the
+   refinement-soundness oracle — every indirect call the workload sweep
+   and the fuzz corpus actually execute must land inside its site's
+   resolved set (or the site must be Top).  The IR codec of CPA sites
+   is covered by test_ir.ml. *)
 
 open Jt_isa
 open Jt_asm.Builder
@@ -130,24 +131,6 @@ let test_callgraph () =
          e.e_kind <> Jt_cfg.Callgraph.Indirect)
        (Jt_cfg.Callgraph.edges cgt))
 
-let test_codec_roundtrip () =
-  let sites m =
-    Jt_analysis.Cpa.export
-      (Lazy.force (Janitizer.Static_analyzer.analyze m).sa_cpa)
-  in
-  List.iter
-    (fun m ->
-      let s = sites m in
-      Alcotest.(check bool)
-        ("round-trip " ^ m.Jt_obj.Objfile.name)
-        true
-        (Jt_ir.Ir.Cpa.decode (Jt_ir.Ir.Cpa.encode s) = s))
-    [ dispatch_prog (); top_prog () ];
-  Alcotest.check_raises "garbage rejected"
-    (Failure "Ir.Cpa.decode: trailing bytes")
-    (fun () ->
-      ignore (Jt_ir.Ir.Cpa.decode (Jt_ir.Ir.Cpa.encode [] ^ "xx")))
-
 (* -- satellite: dlopen'd module with no static hints takes the
    imprecise path, whose sites never consult CPA sets -- *)
 
@@ -249,7 +232,6 @@ let () =
           Alcotest.test_case "dispatch resolved" `Quick test_dispatch_resolved;
           Alcotest.test_case "top degradation" `Quick test_top_degradation;
           Alcotest.test_case "callgraph" `Quick test_callgraph;
-          Alcotest.test_case "codec round-trip" `Quick test_codec_roundtrip;
         ] );
       ( "policy",
         [ Alcotest.test_case "dlopen imprecise" `Quick test_dlopen_imprecise ] );

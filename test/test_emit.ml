@@ -215,11 +215,9 @@ let test_cfi_clean_and_detect () =
 
 let emit_main_of m =
   let tool, _ = Jt_jasan.Jasan.create () in
-  let rules =
-    List.assoc m.Jt_obj.Objfile.name
-      (Janitizer.Driver.analyze_all ~tool [ m ])
-  in
-  Emit.emit_module ~tool:(Emit.Asan { elide = true }) ~rules m
+  let sa = Janitizer.Static_analyzer.analyze m in
+  Emit.emit_module ~tool:(Emit.Asan { elide = true })
+    ~rules:(tool.Janitizer.Tool.t_static sa) sa
 
 let test_feature_refusals () =
   List.iter
@@ -240,10 +238,27 @@ let test_digest_mismatch_rejected () =
   let other = Progs.sum_prog ~n:51 () in
   let tool, _ = Jt_jasan.Jasan.create () in
   let rules = List.assoc "sum" (Janitizer.Driver.analyze_all ~tool [ other ]) in
+  let sa = Janitizer.Static_analyzer.analyze m in
   Alcotest.check_raises "stale rules rejected"
     (Invalid_argument "Jt_emit.emit_module: rules digest does not match module")
     (fun () ->
-      ignore (Emit.emit_module ~tool:(Emit.Asan { elide = true }) ~rules m))
+      ignore (Emit.emit_module ~tool:(Emit.Asan { elide = true }) ~rules sa))
+
+(* -- emission analyzes each module once -- *)
+
+let test_one_analysis_per_module () =
+  let w = Jt_workloads.Specgen.build (Jt_workloads.Sheet.find "bzip2") in
+  let a0 = Janitizer.Static_analyzer.analyses_performed () in
+  let p = emit_asan ~registry:w.w_registry ~main:"bzip2" () in
+  let analyses = Janitizer.Static_analyzer.analyses_performed () - a0 in
+  (* every analyzed module ends up emitted or skipped with a refusal:
+     the static closure (ld.so, libc.so, libm.so, bzip2) plus the two
+     unreachable libraries, libcxx.so and libgfortran.so *)
+  let modules = List.length p.p_emitted + List.length p.p_skipped in
+  Alcotest.(check int) "bzip2 registry plus ld.so" 6 modules;
+  Alcotest.(check int) "one analysis per module" modules analyses;
+  Alcotest.(check int) "one rule file per module" modules
+    (List.length p.p_rules)
 
 (* -- the map codec -- *)
 
@@ -399,6 +414,11 @@ let () =
         [
           Alcotest.test_case "features" `Quick test_feature_refusals;
           Alcotest.test_case "digest mismatch" `Quick test_digest_mismatch_rejected;
+        ] );
+      ( "analysis",
+        [
+          Alcotest.test_case "one analysis per module" `Quick
+            test_one_analysis_per_module;
         ] );
       ( "map",
         [

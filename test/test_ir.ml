@@ -1,8 +1,9 @@
 (* The serializable IR and its content-addressed store (DESIGN.md §13):
-   codec round trips, corrupt-store rejection with transparent
-   re-analysis, warm-load equivalence with the direct analyzer,
-   single-flight under domain parallelism, LRU/gc behavior, and the
-   [Driver.analyze_all] registry-ordering contract. *)
+   codec round trips (CPA sites included), corrupt-store rejection with
+   transparent re-analysis down to single flipped bytes, warm-load
+   equivalence with the direct analyzer, single-flight under domain
+   parallelism, LRU/gc behavior, and the [Driver.analyze_all]
+   registry-ordering contract. *)
 
 open Jt_ir
 
@@ -158,10 +159,23 @@ let gen_fn =
              (pair gen_addr
                 (small 3 (pair (int_bound 7) (small 3 gen_i32)))))))
 
+let gen_cpa_site =
+  let open QCheck2.Gen in
+  map (fun (fn, site, targets, witness) ->
+      {
+        Jt_analysis.Cpa.cs_fn = fn;
+        cs_site = site;
+        cs_targets = targets;
+        (* a Top site carries no witness *)
+        cs_witness = (if targets = None then 0 else witness);
+      })
+    (tup4 gen_addr gen_addr (option (small 4 gen_addr)) gen_addr)
+
 let gen_ir =
   let open QCheck2.Gen in
-  map (fun ((mname, reliable, insns, leaders, entries), (jts, ptrs, blocks, fns, aux)) ->
+  map (fun ((mname, reliable, insns, leaders, entries), (jts, ptrs, blocks, fns, cpa)) ->
       let digest = Digest.string mname in
+      let n_insns = List.length insns in
       {
         Ir.ir_module = mname;
         ir_digest = digest;
@@ -171,11 +185,14 @@ let gen_ir =
         ir_func_entries = entries;
         ir_jump_tables = jts;
         ir_code_ptrs = ptrs;
-        ir_blocks = blocks;
+        (* decode rejects a block longer than the whole instruction list *)
+        ir_blocks =
+          List.map
+            (fun (b : Ir.block) ->
+              { b with ib_ninsns = b.ib_ninsns mod (n_insns + 1) })
+            blocks;
         ir_fns = fns;
-        (* [ir_aux] is sorted by key by construction ([with_aux]) *)
-        ir_aux =
-          List.sort_uniq (fun (a, _) (b, _) -> compare a b) aux;
+        ir_cpa = cpa;
       })
     (pair
        (tup5 string_small bool
@@ -184,7 +201,7 @@ let gen_ir =
        (tup5
           (small 2 (pair gen_addr (small 3 gen_addr)))
           (small 4 gen_addr) (small 4 gen_block) (small 3 gen_fn)
-          (small 3 (pair string_small string_small))))
+          (small 3 gen_cpa_site)))
 
 let prop_roundtrip =
   QCheck2.Test.make ~name:"decode (encode ir) = ir" ~count:300 gen_ir (fun ir ->
@@ -222,6 +239,61 @@ let test_real_module_roundtrip () =
   let ir = sample_ir () in
   Alcotest.(check bool) "compute IR round-trips" true
     (Ir.decode (Ir.encode ir) = ir)
+
+(* Re-seal an encoding's payload with a fresh checksum, so a structural
+   defect reaches the parser instead of stopping at the checksum. *)
+let reseal payload = payload ^ Digest.string payload
+
+let payload_of enc = String.sub enc 0 (String.length enc - 16)
+
+let test_decode_rejects_sealed () =
+  let ir = sample_ir () in
+  let enc = Ir.encode ir in
+  Alcotest.(check bool) "reseal is the identity" true
+    (reseal (payload_of enc) = enc);
+  Alcotest.check_raises "trailing bytes under a valid checksum"
+    (Failure "Ir.decode: trailing bytes") (fun () ->
+      ignore (Ir.decode (reseal (payload_of enc ^ "xx"))));
+  let n = Array.length ir.Ir.ir_insns in
+  let long =
+    match ir.Ir.ir_blocks with
+    | b :: rest -> { b with Ir.ib_ninsns = n + 1 } :: rest
+    | [] -> Alcotest.fail "sample IR has no blocks"
+  in
+  Alcotest.check_raises "block longer than the instruction list"
+    (Failure "Ir.decode: block insn count") (fun () ->
+      ignore (Ir.decode (Ir.encode { ir with Ir.ir_blocks = long })))
+
+let bzip2 = lazy (Jt_workloads.Specgen.build (Jt_workloads.Sheet.find "bzip2"))
+
+let bzip2_module name =
+  List.find
+    (fun (m : Jt_obj.Objfile.t) -> String.equal m.name name)
+    (Lazy.force bzip2).Jt_workloads.Specgen.w_registry
+
+(* bzip2's main module has a resolved indirect call site, libc.so two
+   Top ones: between them both shapes of [ir_cpa] entry. *)
+let cpa_modules () = [ bzip2_module "bzip2"; bzip2_module "libc.so" ]
+
+let test_cpa_roundtrip () =
+  let sites =
+    List.concat_map
+      (fun m ->
+        let ir =
+          Janitizer.Static_analyzer.to_ir (Janitizer.Static_analyzer.compute m)
+        in
+        Alcotest.(check bool)
+          (m.Jt_obj.Objfile.name ^ " round-trips")
+          true
+          (Ir.decode (Ir.encode ir) = ir);
+        ir.Ir.ir_cpa)
+      (cpa_modules ())
+  in
+  let resolved, top =
+    List.partition (fun (s : Jt_analysis.Cpa.site) -> s.cs_targets <> None) sites
+  in
+  Alcotest.(check bool) "resolved sites covered" true (resolved <> []);
+  Alcotest.(check bool) "Top sites covered" true (top <> [])
 
 (* ---- store robustness: every corruption degrades to re-analysis - *)
 
@@ -296,11 +368,44 @@ let test_store_stale_digest () =
       in
       rewrite p (fun _ -> Ir.encode other))
 
-(* ---- warm load ≡ direct analysis -------------------------------- *)
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
 
-let rules_bytes tool m sa =
-  ignore m;
+let rules_bytes tool sa =
   Jt_rules.Rules.encode_file (tool.Janitizer.Tool.t_static sa)
+
+(* Flip every byte after the magic of a stored entry, one at a time: each
+   warm [analyze] must return (a rejected entry degrades to re-analysis)
+   and yield the cold JASan and JCFI rules exactly.  bzip2's libm.so
+   entry is the smallest in its registry with real functions, which
+   keeps one analysis per byte to a few seconds. *)
+let test_store_every_byte_flipped () =
+  with_dir "flip" (fun dir ->
+      let m = bzip2_module "libm.so" in
+      let jasan, _ = Jt_jasan.Jasan.create () in
+      let jcfi, _ = Jt_jcfi.Jcfi.create () in
+      let rules sa = (rules_bytes jasan sa, rules_bytes jcfi sa) in
+      let analyze () =
+        Janitizer.Static_analyzer.analyze ~store:(Store.create ~dir ()) m
+      in
+      let cold = rules (analyze ()) in
+      let path = store_entry_path dir (Jt_obj.Objfile.digest m) in
+      let good = read_file path in
+      for i = String.length Ir.magic to String.length good - 1 do
+        rewrite path (fun _ ->
+            String.mapi
+              (fun k c -> if k = i then Char.chr (Char.code c lxor 0xFF) else c)
+              good);
+        match rules (analyze ()) with
+        | r -> if r <> cold then Alcotest.failf "byte %d flipped: rules differ" i
+        | exception e ->
+          Alcotest.failf "byte %d flipped: %s" i (Printexc.to_string e)
+      done)
+
+(* ---- warm load ≡ direct analysis -------------------------------- *)
 
 let test_warm_load_equivalence () =
   with_dir "warm" (fun dir ->
@@ -322,10 +427,37 @@ let test_warm_load_equivalence () =
         (Store.stats st2).Store.st_disk_hits;
       let cold_sa = Option.get !cold_sa in
       Alcotest.(check string) "identical rule bytes"
-        (rules_bytes tool m cold_sa) (rules_bytes tool m warm_sa);
+        (rules_bytes tool cold_sa) (rules_bytes tool warm_sa);
       Alcotest.(check bool) "identical IR" true
         (Janitizer.Static_analyzer.to_ir cold_sa
         = Janitizer.Static_analyzer.to_ir warm_sa))
+
+(* CPA is a typed IR field: a warm analysis imports the persisted sites
+   instead of re-running the pass, and JCFI's per-site policy follows. *)
+let test_cpa_warm_start () =
+  with_dir "cpa" (fun dir ->
+      let modules = cpa_modules () in
+      let tool, _ = Jt_jcfi.Jcfi.create () in
+      let sites sa =
+        Jt_analysis.Cpa.export (Lazy.force sa.Janitizer.Static_analyzer.sa_cpa)
+      in
+      let st = Store.create ~dir () in
+      let cold = List.map (Janitizer.Static_analyzer.analyze ~store:st) modules in
+      let before = Janitizer.Static_analyzer.analyses_performed () in
+      let st2 = Store.create ~dir () in
+      let warm = List.map (Janitizer.Static_analyzer.analyze ~store:st2) modules in
+      Alcotest.(check int) "warm run served from disk" (List.length modules)
+        (Store.stats st2).Store.st_disk_hits;
+      List.iter2
+        (fun c w ->
+          let name = c.Janitizer.Static_analyzer.sa_mod.Jt_obj.Objfile.name in
+          Alcotest.(check bool) (name ^ ": CPA sites survive") true
+            (sites c = sites w);
+          Alcotest.(check string) (name ^ ": identical JCFI rule bytes")
+            (rules_bytes tool c) (rules_bytes tool w))
+        cold warm;
+      Alcotest.(check int) "warm run analyzed nothing" 0
+        (Janitizer.Static_analyzer.analyses_performed () - before))
 
 (* ---- single-flight under domain parallelism ---------------------- *)
 
@@ -356,7 +488,7 @@ let test_single_flight () =
       Alcotest.(check int) "one miss" 1 s.Store.st_misses;
       Alcotest.(check int) "waiters hit memory" 3 s.st_mem_hits)
 
-(* ---- LRU bounds, gc, clear, update_aux --------------------------- *)
+(* ---- LRU bounds, gc, clear -------------------------------------- *)
 
 let distinct_modules n =
   List.init n (fun i -> Progs.sum_prog ~name:(Printf.sprintf "m%d" i) ~n:(10 + i) ())
@@ -403,23 +535,6 @@ let test_gc_and_clear () =
       Alcotest.(check int) "clear removes the rest" left (Store.clear st);
       Alcotest.(check int) "store empty" 0 (List.length (Store.disk_entries st)))
 
-let test_update_aux () =
-  with_dir "aux" (fun dir ->
-      let m = Progs.sum_prog ~n:15 () in
-      let digest = Jt_obj.Objfile.digest m in
-      let st = Store.create ~dir () in
-      ignore
-        (Store.find_or_compute st ~digest ~name:m.name (fun () ->
-             Janitizer.Static_analyzer.to_ir (Janitizer.Static_analyzer.compute m)));
-      Store.update_aux st ~digest [ ("test/v1:k", "payload") ];
-      (* visible through a fresh handle, i.e. it reached the disk *)
-      let st2 = Store.create ~dir () in
-      match Store.peek st2 ~digest with
-      | None -> Alcotest.fail "entry vanished"
-      | Some ir ->
-        Alcotest.(check (option string)) "aux table persisted"
-          (Some "payload") (Ir.find_aux ir "test/v1:k"))
-
 (* ---- analyze_all: results in registry order (PR 7 satellite) ----- *)
 
 let test_analyze_all_registry_order () =
@@ -450,36 +565,6 @@ let test_analyze_all_registry_order () =
   Alcotest.(check (list string)) "unknown precomputed appended"
     (expect @ [ "ghost" ]) (names extra)
 
-(* ---- tool-contributed claims aux table --------------------------- *)
-
-let test_claims_aux_persisted () =
-  with_dir "claims" (fun dir ->
-      (* a straight-line heap store: not frame-relative, not loop-covered,
-         so its check survives every elision pass -> a [checked] claim *)
-      let m = Progs.heap_overflow_prog () in
-      let registry = Progs.registry_for m in
-      let tool, _ = Jt_jasan.Jasan.create () in
-      let store = Store.create ~dir () in
-      ignore (Janitizer.Driver.analyze_all ~store ~tool registry);
-      match Store.peek store ~digest:(Jt_obj.Objfile.digest m) with
-      | None -> Alcotest.fail "module missing from store"
-      | Some ir -> (
-        let key = Ir.Claims.key ~config:"jasan/11111" in
-        match Ir.find_aux ir key with
-        | None -> Alcotest.fail ("claims table missing under " ^ key)
-        | Some payload ->
-          let fns = Ir.Claims.decode payload in
-          Alcotest.(check bool) "claims cover functions" true (fns <> []);
-          let claims =
-            List.concat_map (fun fc -> fc.Ir.Claims.fc_claims) fns
-          in
-          Alcotest.(check bool) "claims cover accesses" true (claims <> []);
-          Alcotest.(check bool) "some accesses kept their check" true
-            (List.exists (fun (_, c, _) -> c = Ir.Claims.checked) claims);
-          (* and the payload codec round-trips *)
-          Alcotest.(check bool) "claims round-trip" true
-            (Ir.Claims.decode (Ir.Claims.encode fns) = fns)))
-
 let () =
   Alcotest.run "ir"
     [
@@ -490,6 +575,9 @@ let () =
           Alcotest.test_case "rejects malformed input" `Quick test_decode_rejects;
           Alcotest.test_case "real module round-trips" `Quick
             test_real_module_roundtrip;
+          Alcotest.test_case "rejects malformed sealed input" `Quick
+            test_decode_rejects_sealed;
+          Alcotest.test_case "cpa sites round-trip" `Quick test_cpa_roundtrip;
         ] );
       ( "store-robustness",
         [
@@ -499,6 +587,8 @@ let () =
           Alcotest.test_case "wrong schema version" `Quick
             test_store_wrong_version;
           Alcotest.test_case "stale digest" `Quick test_store_stale_digest;
+          Alcotest.test_case "every byte flipped" `Quick
+            test_store_every_byte_flipped;
         ] );
       ( "store",
         [
@@ -507,13 +597,11 @@ let () =
           Alcotest.test_case "single-flight" `Quick test_single_flight;
           Alcotest.test_case "LRU eviction" `Quick test_lru_eviction;
           Alcotest.test_case "gc and clear" `Quick test_gc_and_clear;
-          Alcotest.test_case "update_aux" `Quick test_update_aux;
+          Alcotest.test_case "cpa warm start" `Quick test_cpa_warm_start;
         ] );
       ( "driver",
         [
           Alcotest.test_case "analyze_all registry order" `Quick
             test_analyze_all_registry_order;
-          Alcotest.test_case "claims aux persisted" `Quick
-            test_claims_aux_persisted;
         ] );
     ]
