@@ -28,6 +28,7 @@ type fn = {
   f_entry : int;
   f_name : string option;
   f_blocks : (int, block) Hashtbl.t;
+  f_dom : Domtree.t;
   f_loops : loop list;
 }
 
@@ -98,7 +99,6 @@ let assign_functions (d : Disasm.t) blocks =
   let entries = d.func_entries in
   let entry_set = Hashtbl.create 64 in
   List.iter (fun e -> Hashtbl.replace entry_set e ()) entries;
-  let owner = Hashtbl.create 256 in
   let fns = Hashtbl.create 64 in
   let name_of =
     let tbl = Hashtbl.create 64 in
@@ -121,7 +121,6 @@ let assign_functions (d : Disasm.t) blocks =
           if (not (Hashtbl.mem f_blocks a)) && Hashtbl.mem blocks a then begin
             let b = Hashtbl.find blocks a in
             Hashtbl.replace f_blocks a b;
-            if not (Hashtbl.mem owner a) then Hashtbl.replace owner a entry;
             List.iter
               (fun s ->
                 (* A jump to another function's entry is a tail call, not
@@ -130,95 +129,59 @@ let assign_functions (d : Disasm.t) blocks =
               (intra_succs b)
           end
         done;
-        Hashtbl.replace fns entry
-          { f_entry = entry; f_name = name_of entry; f_blocks; f_loops = [] }
+        Hashtbl.replace fns entry (name_of entry, f_blocks)
       end)
     entries;
-  (fns, owner)
+  fns
 
 (* ---- dominators and natural loops ---- *)
 
-let fn_block_addrs fn =
-  List.sort compare (Hashtbl.fold (fun a _ acc -> a :: acc) fn.f_blocks [])
-
-let dominators fn =
-  let addrs = fn_block_addrs fn in
-  let all = Iset.of_list addrs in
-  let dom = Hashtbl.create 16 in
-  List.iter
-    (fun a ->
-      Hashtbl.replace dom a
-        (if a = fn.f_entry then Iset.singleton a else all))
-    addrs;
-  let preds_in a =
-    match Hashtbl.find_opt fn.f_blocks a with
-    | Some b -> List.filter (fun p -> Hashtbl.mem fn.f_blocks p) b.b_preds
-    | None -> []
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun a ->
-        if a <> fn.f_entry then begin
-          let preds = preds_in a in
-          let inter =
-            match preds with
-            | [] -> Iset.singleton a
-            | p :: ps ->
-              List.fold_left
-                (fun acc q -> Iset.inter acc (Hashtbl.find dom q))
-                (Hashtbl.find dom p) ps
-          in
-          let nd = Iset.add a inter in
-          if not (Iset.equal nd (Hashtbl.find dom a)) then begin
-            Hashtbl.replace dom a nd;
-            changed := true
-          end
-        end)
-      addrs
-  done;
-  dom
-
-let natural_loops fn =
-  let dom = dominators fn in
+let natural_loops f_blocks dom =
   let loops = Hashtbl.create 8 in
   Hashtbl.iter
     (fun a (b : block) ->
       List.iter
         (fun s ->
-          if Hashtbl.mem fn.f_blocks s then
-            let doms_a = Hashtbl.find dom a in
-            if Iset.mem s doms_a then begin
-              (* a -> s is a back edge; collect the natural loop of s. *)
-              let body = ref (Iset.of_list [ s; a ]) in
-              let stack = ref [ a ] in
-              while !stack <> [] do
-                match !stack with
-                | [] -> ()
-                | x :: rest ->
-                  stack := rest;
-                  if x <> s then
-                    let xb = Hashtbl.find_opt fn.f_blocks x in
-                    List.iter
-                      (fun p ->
-                        if Hashtbl.mem fn.f_blocks p && not (Iset.mem p !body)
-                        then begin
-                          body := Iset.add p !body;
-                          stack := p :: !stack
-                        end)
-                      (match xb with Some xb -> xb.b_preds | None -> [])
-              done;
-              let merged =
-                match Hashtbl.find_opt loops s with
-                | Some prev -> Iset.union prev !body
-                | None -> !body
-              in
-              Hashtbl.replace loops s merged
-            end)
+          if Hashtbl.mem f_blocks s && Domtree.dominates dom s a then begin
+            (* a -> s is a back edge; collect the natural loop of s. *)
+            let body = ref (Iset.of_list [ s; a ]) in
+            let stack = ref [ a ] in
+            while !stack <> [] do
+              match !stack with
+              | [] -> ()
+              | x :: rest ->
+                stack := rest;
+                if x <> s then
+                  let xb = Hashtbl.find_opt f_blocks x in
+                  List.iter
+                    (fun p ->
+                      if Hashtbl.mem f_blocks p && not (Iset.mem p !body)
+                      then begin
+                        body := Iset.add p !body;
+                        stack := p :: !stack
+                      end)
+                    (match xb with Some xb -> xb.b_preds | None -> [])
+            done;
+            let merged =
+              match Hashtbl.find_opt loops s with
+              | Some prev -> Iset.union prev !body
+              | None -> !body
+            in
+            Hashtbl.replace loops s merged
+          end)
         b.b_succs)
-    fn.f_blocks;
+    f_blocks;
   Hashtbl.fold (fun head body acc -> { l_head = head; l_body = body } :: acc) loops []
+
+let make_fn ~entry ~name f_blocks =
+  let f_dom =
+    Domtree.compute ~entry
+      ~succs:(fun a ->
+        List.filter (Hashtbl.mem f_blocks) (Hashtbl.find f_blocks a).b_succs)
+      (Hashtbl.fold (fun a _ acc -> a :: acc) f_blocks [])
+  in
+  { f_entry = entry; f_name = name; f_blocks; f_dom;
+    f_loops = natural_loops f_blocks f_dom }
 
 (* ---- top level ---- *)
 
@@ -231,10 +194,11 @@ let build (d : Disasm.t) =
   Hashtbl.iter
     (fun a b -> List.iter (fun s -> let sb = Hashtbl.find blocks s in sb.b_preds <- a :: sb.b_preds) b.b_succs)
     blocks;
-  let fns, _owner = assign_functions d blocks in
+  let fns = assign_functions d blocks in
   let fns' = Hashtbl.create (Hashtbl.length fns) in
   Hashtbl.iter
-    (fun e fn -> Hashtbl.replace fns' e { fn with f_loops = natural_loops fn })
+    (fun entry (name, f_blocks) ->
+      Hashtbl.replace fns' entry (make_fn ~entry ~name f_blocks))
     fns;
   { c_disasm = d; c_blocks = blocks; c_fns = fns' }
 

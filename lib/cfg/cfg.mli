@@ -34,7 +34,10 @@ type fn = {
   f_entry : int;
   f_name : string option;
   f_blocks : (int, block) Hashtbl.t;
+  f_dom : Domtree.t;  (** the function's dominator tree *)
   f_loops : loop list;
+      (** natural loops, one per header: [a -> s] is a back edge when
+          [s] dominates [a] *)
 }
 
 type t = {
@@ -44,6 +47,11 @@ type t = {
 }
 
 val build : Jt_disasm.Disasm.t -> t
+
+val make_fn : entry:int -> name:string option -> (int, block) Hashtbl.t -> fn
+(** The function over these blocks: its dominator tree (over the
+    [b_succs] edges between them) and its natural loops.  {!build} makes
+    every function this way. *)
 
 val block_at : t -> int -> block option
 val fn_at : t -> int -> fn option
@@ -55,9 +63,6 @@ val fn_blocks : fn -> block list
 
 val fn_containing : t -> int -> fn option
 (** The function whose region contains this instruction address. *)
-
-val dominators : fn -> (int, Iset.t) Hashtbl.t
-(** Per-block dominator sets (classic iterative dataflow). *)
 
 val block_count : t -> int
 val insn_count : t -> int

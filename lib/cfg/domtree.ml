@@ -1,94 +1,156 @@
-(* Dominator tree over one function's blocks, derived from the iterative
-   dominator sets [Cfg.dominators].  The immediate dominator of a block b
-   is the unique strict dominator of b that every other strict dominator
-   of b also dominates — with the full dominator sets in hand it is
-   simply the strict dominator with the largest set. *)
+(* Dominator tree over one function's blocks, as immediate dominators.
+
+   [compute] runs Cooper, Harvey and Kennedy's iterative algorithm ("A
+   Simple, Fast Dominance Algorithm", 2001) over the reverse postorder of
+   the blocks reachable from the entry; [of_idoms] takes the idoms as
+   given.  Both end in [make], which lays the tree out in preorder
+   (children by ascending address) so that a block's subtree is the
+   contiguous range [index b .. last b]: [dominates] is two comparisons.
+
+   A block the entry cannot reach — or, in imported idoms, one whose
+   parent chain never arrives at the entry — has no idom and is
+   dominated only by itself.  Such blocks follow the tree in the
+   preorder, each a subtree of its own. *)
 
 type t = {
-  dt_entry : int;
-  dt_idom : (int, int) Hashtbl.t;  (* block -> immediate dominator *)
-  dt_children : (int, int list) Hashtbl.t;
-  dt_dom : (int, Cfg.Iset.t) Hashtbl.t;  (* full dominator sets *)
+  entry : int;
+  index : (int, int) Hashtbl.t;  (* block -> preorder number *)
+  addr : int array;  (* preorder number -> block *)
+  parent : int array;  (* preorder number of the idom, -1 for none *)
+  last : int array;  (* last preorder number in the block's subtree *)
 }
 
-(* Build the tree from given dominator sets.  Shared by [compute] and
-   [import] so that a tree restored from serialized sets is identical by
-   construction to the one computed from scratch. *)
-let of_dom ~entry (dom : (int, Cfg.Iset.t) Hashtbl.t) =
-  let idom = Hashtbl.create 16 in
-  let children = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun a doms ->
-      if a <> entry then begin
-        let strict = Cfg.Iset.remove a doms in
-        (* The idom is the strict dominator dominated by all the others,
-           i.e. the one whose own dominator set is the largest. *)
-        let best =
-          Cfg.Iset.fold
-            (fun d acc ->
-              let card d =
-                match Hashtbl.find_opt dom d with
-                | Some s -> Cfg.Iset.cardinal s
-                | None -> 0
-              in
-              match acc with
-              | None -> Some d
-              | Some cur -> if card d > card cur then Some d else acc)
-            strict None
-        in
-        match best with
-        | Some p ->
-          Hashtbl.replace idom a p;
-          let prev = Option.value ~default:[] (Hashtbl.find_opt children p) in
-          Hashtbl.replace children p (a :: prev)
-        | None -> ()
-      end)
-    dom;
-  Hashtbl.filter_map_inplace
-    (fun _ cs -> Some (List.sort compare cs))
-    children;
-  { dt_entry = entry; dt_idom = idom; dt_children = children; dt_dom = dom }
-
-let compute (fn : Cfg.fn) = of_dom ~entry:fn.Cfg.f_entry (Cfg.dominators fn)
-
-(* Serialization: the full dominator sets are the ground truth the whole
-   tree is derived from, so they are what round-trips.  (Idom pairs alone
-   would not do: unreachable cycles have dominator set = all blocks,
-   giving mutually-dominating blocks whose idom choice is only
-   deterministic with the sets in hand.) *)
-
-let export t =
-  Hashtbl.fold
-    (fun a doms acc -> (a, Cfg.Iset.elements doms) :: acc)
-    t.dt_dom []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let import ~entry doms =
-  let dom = Hashtbl.create (max 1 (List.length doms)) in
+(* [idom_of b] is [b]'s immediate dominator, [None] for the entry and
+   for blocks without one. *)
+let make ~entry blocks idom_of =
+  let blocks = List.sort_uniq compare blocks in
+  let n = List.length blocks in
+  let kids = Hashtbl.create n in
   List.iter
-    (fun (a, ds) -> Hashtbl.replace dom a (Cfg.Iset.of_list ds))
-    doms;
-  of_dom ~entry dom
+    (fun b ->
+      match idom_of b with
+      | Some p when b <> entry && p <> b -> Hashtbl.add kids p b
+      | _ -> ())
+    (List.rev blocks);
+  let index = Hashtbl.create n in
+  let addr = Array.make n 0 and parent = Array.make n (-1) in
+  let last = Array.make n 0 and next = ref 0 in
+  let number p b =
+    let i = !next in
+    incr next;
+    Hashtbl.replace index b i;
+    addr.(i) <- b;
+    parent.(i) <- p;
+    last.(i) <- i;
+    i
+  in
+  (* A block is entered only from its unique idom, so the walk visits
+     each block at most once even when imported idoms hold a cycle. *)
+  let rec enter p b =
+    let i = number p b in
+    List.iter (enter i) (Hashtbl.find_all kids b);
+    last.(i) <- !next - 1
+  in
+  if List.mem entry blocks then enter (-1) entry;
+  List.iter
+    (fun b -> if not (Hashtbl.mem index b) then ignore (number (-1) b))
+    blocks;
+  { entry; index; addr; parent; last }
 
-let entry t = t.dt_entry
+let compute ~entry ~succs blocks =
+  (* Postorder numbers of the blocks reachable from the entry ([-1] while
+     a block is on the DFS stack); [order] ends up in reverse postorder. *)
+  let po = Hashtbl.create 64 and order = ref [] and n = ref 0 in
+  let rec dfs b =
+    if not (Hashtbl.mem po b) then begin
+      Hashtbl.replace po b (-1);
+      List.iter dfs (succs b);
+      Hashtbl.replace po b !n;
+      incr n;
+      order := b :: !order
+    end
+  in
+  dfs entry;
+  let n = !n and num = Hashtbl.find po in
+  let preds = Array.make n [] in
+  List.iter
+    (fun b ->
+      List.iter (fun s -> preds.(num s) <- num b :: preds.(num s)) (succs b))
+    !order;
+  (* Cooper-Harvey-Kennedy over postorder numbers: the entry is [n - 1],
+     and an idom always has a larger number than the blocks it
+     dominates. *)
+  let idom = Array.make n (-1) and root = n - 1 in
+  idom.(root) <- root;
+  let rec intersect a b =
+    if a = b then a
+    else if a < b then intersect idom.(a) b
+    else intersect a idom.(b)
+  in
+  let rpo = List.map num (List.tl !order) in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun b ->
+        let nd =
+          List.fold_left
+            (fun acc p ->
+              if idom.(p) < 0 then acc
+              else if acc < 0 then p
+              else intersect p acc)
+            (-1) preds.(b)
+        in
+        if nd <> idom.(b) then begin
+          idom.(b) <- nd;
+          changed := true
+        end)
+      rpo
+  done;
+  let block = Array.of_list (List.rev !order) in
+  make ~entry blocks (fun b ->
+      match Hashtbl.find_opt po b with
+      | Some i when i <> root -> Some block.(idom.(i))
+      | _ -> None)
 
-let idom t a = Hashtbl.find_opt t.dt_idom a
+let of_idoms ~entry pairs =
+  let tbl = Hashtbl.create (List.length pairs) in
+  List.iter (fun (b, p) -> Hashtbl.replace tbl b p) pairs;
+  make ~entry (List.map fst pairs) (Hashtbl.find_opt tbl)
 
-let children t a =
-  Option.value ~default:[] (Hashtbl.find_opt t.dt_children a)
+let entry t = t.entry
+
+let idom t b =
+  match Hashtbl.find_opt t.index b with
+  | Some i when t.parent.(i) >= 0 -> Some t.addr.(t.parent.(i))
+  | _ -> None
+
+(* The children of [i] are the roots of the consecutive subtrees that
+   fill [i + 1 .. last i], already in ascending address order. *)
+let children t b =
+  match Hashtbl.find_opt t.index b with
+  | None -> []
+  | Some i ->
+    let rec go j acc =
+      if j > t.last.(i) then List.rev acc
+      else go (t.last.(j) + 1) (t.addr.(j) :: acc)
+    in
+    go (i + 1) []
 
 let dominates t a b =
-  match Hashtbl.find_opt t.dt_dom b with
-  | Some doms -> Cfg.Iset.mem a doms
-  | None -> false
+  match (Hashtbl.find_opt t.index a, Hashtbl.find_opt t.index b) with
+  | Some i, Some j -> i <= j && j <= t.last.(i)
+  | _ -> false
 
 let strictly_dominates t a b = a <> b && dominates t a b
 
 (* Walk b, idom b, idom (idom b), ... up to the entry. *)
 let dom_chain t b =
-  let rec go a acc =
-    match idom t a with
-    | Some p when p <> a -> go p (p :: acc)
-    | _ -> List.rev acc
-  in
-  go b [ b ]
+  match Hashtbl.find_opt t.index b with
+  | None -> [ b ]
+  | Some i ->
+    let rec go i acc =
+      let p = t.parent.(i) in
+      if p < 0 then List.rev acc else go p (t.addr.(p) :: acc)
+    in
+    go i [ b ]

@@ -1,37 +1,47 @@
-(** Dominator tree over one function's blocks.
+(** Dominator tree over one function's blocks, held as one immediate
+    dominator ("idom") per block.
 
-    Built from {!Cfg.dominators}; exposes immediate-dominator and
-    dominance queries for passes that need to reason about "on every
-    path" facts — e.g. the JASan dominating-check elision walks a block's
-    dominator chain to attribute each elided access to the check that
-    subsumes it. *)
+    {!compute} runs the Cooper–Harvey–Kennedy iterative algorithm over
+    reverse postorder; {!of_idoms} rebuilds the same tree from persisted
+    idoms with no derivation step.  The tree is laid out in DFS preorder,
+    so {!dominates} is an interval test.  Passes that reason about "on
+    every path" facts use it — e.g. the JASan dominating-check elision
+    walks a block's dominator chain to attribute each elided access to
+    the check that subsumes it.
+
+    Unreachable blocks: a block the entry cannot reach (or, from
+    {!of_idoms}, one whose idom chain never reaches the entry) has no
+    idom and is dominated only by itself.  {!Cfg.build} never produces
+    one: it collects each function by a walk from its entry. *)
 
 type t
 
-val compute : Cfg.fn -> t
+val compute : entry:int -> succs:(int -> int list) -> int list -> t
+(** [compute ~entry ~succs blocks]: the tree of the graph over [blocks]
+    rooted at [entry].  [succs b] must name only members of [blocks]. *)
+
+val of_idoms : entry:int -> (int * int) list -> t
+(** Rebuild a tree from [(block, idom)] pairs, the entry paired with
+    itself.  The result answers every query as the tree the idoms came
+    from.  A non-entry block paired with itself has no idom. *)
 
 val entry : t -> int
 
 val idom : t -> int -> int option
-(** Immediate dominator of a block, [None] for the entry (and for blocks
-    outside the function). *)
+(** Immediate dominator of a block, [None] for the entry, for
+    unreachable blocks and for blocks outside the function. *)
 
 val children : t -> int -> int list
 (** Blocks immediately dominated by this one, sorted by address. *)
 
 val dominates : t -> int -> int -> bool
-(** [dominates t a b]: does block [a] dominate block [b]?  Reflexive. *)
+(** [dominates t a b]: does block [a] dominate block [b]?  Reflexive on
+    the function's blocks; false when either is outside it.  O(1): [b]'s
+    preorder number lies in [a]'s subtree interval. *)
 
 val strictly_dominates : t -> int -> int -> bool
 
 val dom_chain : t -> int -> int list
 (** [b; idom b; idom (idom b); ...] up to the function entry — the walk
-    order for finding the nearest dominating occurrence of a fact. *)
-
-val export : t -> (int * int list) list
-(** The full per-block dominator sets, blocks and set elements in
-    address order — the ground truth the tree derives from. *)
-
-val import : entry:int -> (int * int list) list -> t
-(** Rebuild a tree from {!export}ed sets; identical by construction to
-    the tree {!compute} built (both go through the same derivation). *)
+    order for finding the nearest dominating occurrence of a fact.  An
+    unreachable block's chain is [[b]]. *)

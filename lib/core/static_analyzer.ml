@@ -182,13 +182,15 @@ let value_of_ir : Ir.vsa_value -> Jt_analysis.Vsa.value = function
 let fn_to_ir (fa : fn_analysis) : Ir.fn =
   let fn = fa.fa_fn in
   let all_live, live = Jt_analysis.Liveness.export fa.fa_liveness in
+  let blocks =
+    List.map
+      (fun (b : Jt_cfg.Cfg.block) -> b.Jt_cfg.Cfg.b_addr)
+      (Jt_cfg.Cfg.fn_blocks fn)
+  in
   {
     Ir.if_entry = fn.Jt_cfg.Cfg.f_entry;
     if_name = fn.Jt_cfg.Cfg.f_name;
-    if_blocks =
-      List.map
-        (fun (b : Jt_cfg.Cfg.block) -> b.Jt_cfg.Cfg.b_addr)
-        (Jt_cfg.Cfg.fn_blocks fn);
+    if_blocks = blocks;
     if_loops =
       List.map
         (fun (l : Jt_cfg.Cfg.loop) ->
@@ -203,7 +205,13 @@ let fn_to_ir (fa : fn_analysis) : Ir.fn =
       Option.map
         (List.map (fun (a, st) -> (a, Array.map value_to_ir st)))
         (Jt_analysis.Vsa.export (Lazy.force fa.fa_vsa));
-    if_dom = Jt_cfg.Domtree.export (Lazy.force fa.fa_domtree);
+    (* The entry is its own idom; every other block has one, because
+       [Cfg.build] collects a function by a walk from its entry. *)
+    if_idom =
+      List.map
+        (fun a ->
+          Option.value ~default:a (Jt_cfg.Domtree.idom fn.Jt_cfg.Cfg.f_dom a))
+        blocks;
     if_defuse = Jt_analysis.Defuse.export (Lazy.force fa.fa_defuse);
   }
 
@@ -315,7 +323,7 @@ let compute (m : Jt_obj.Objfile.t) =
              sequentially on the tool's own domain. *)
           fa_vsa =
             lazy (Jt_analysis.Vsa.analyze ~trust_conventions:reliable fn);
-          fa_domtree = lazy (Jt_cfg.Domtree.compute fn);
+          fa_domtree = Lazy.from_val fn.Jt_cfg.Cfg.f_dom;
           fa_defuse = lazy (Jt_analysis.Defuse.analyze fn);
         })
       (Jt_cfg.Cfg.functions cfg)
@@ -417,6 +425,9 @@ let of_ir (m : Jt_obj.Objfile.t) (ir : Ir.t) =
             Jt_cfg.Cfg.f_entry = f.Ir.if_entry;
             f_name = f.if_name;
             f_blocks;
+            f_dom =
+              Jt_cfg.Domtree.of_idoms ~entry:f.if_entry
+                (List.combine f.if_blocks f.if_idom);
             f_loops =
               List.map
                 (fun (head, body) ->
@@ -444,7 +455,7 @@ let of_ir (m : Jt_obj.Objfile.t) (ir : Ir.t) =
                       (List.map (fun (a, st) -> (a, Array.map value_of_ir st)))
                       f.if_vsa)
                  fn);
-          fa_domtree = lazy (Jt_cfg.Domtree.import ~entry:f.if_entry f.if_dom);
+          fa_domtree = Lazy.from_val fn.Jt_cfg.Cfg.f_dom;
           fa_defuse = lazy (Jt_analysis.Defuse.import ~ins:f.if_defuse fn);
         })
       ir.Ir.ir_fns

@@ -17,6 +17,9 @@ type fn_analysis = {
       (** value-set analysis, computed on first force; already bailed
           (all-[Top]) when the module breaks calling conventions *)
   fa_domtree : Jt_cfg.Domtree.t Lazy.t;
+      (** [fa_fn]'s [f_dom], already built: computed by
+          {!Jt_cfg.Cfg.build}, or rebuilt by {!of_ir} from the stored
+          idoms *)
   fa_defuse : Jt_analysis.Defuse.t Lazy.t;
 }
 
@@ -47,7 +50,7 @@ type t = {
           JCFI per-site sets and JASan cross-call elision *)
   sa_ir : Jt_ir.Ir.t Lazy.t;
       (** the serializable form of this analysis.  Forcing it forces the
-          lazy per-function analyses (VSA, dominators, def-use) and
+          lazy per-function analyses (VSA, def-use) and
           [sa_cpa] — only store-backed paths pay that *)
 }
 

@@ -67,7 +67,7 @@ type fn = {
   if_scev : scev list;
   if_stack : stackinfo;
   if_vsa : (int * vsa_value array) list option;
-  if_dom : (int * int list) list;
+  if_idom : int list;
   if_defuse : (int * (int * int list) list) list;
 }
 
@@ -87,7 +87,7 @@ type t = {
 
 let magic = "JTIR"
 
-let schema_version = 2
+let schema_version = 3
 
 (* ---- encoding ----
 
@@ -257,11 +257,7 @@ let enc_fn b (f : fn) =
         u8 b (Array.length vals);
         Array.iter (enc_value b) vals)
       ins);
-  list32 b
-    (fun b (addr, doms) ->
-      u32 b addr;
-      enc_ints32 b doms)
-    f.if_dom;
+  enc_ints32 b f.if_idom;
   list32 b
     (fun b (addr, env) ->
       u32 b addr;
@@ -458,6 +454,37 @@ let rvalue r =
   | 3 -> Vtop
   | _ -> fail "bad value tag"
 
+(* The idoms must form a tree rooted at the entry: one per block, each a
+   block of the function, only the entry its own idom, and every parent
+   chain ending at the entry.  Without this a crafted entry could hand
+   [Domtree] a cycle that no analysis produced. *)
+let check_idoms ~entry blocks idoms =
+  let n = List.length blocks in
+  if List.length idoms <> n then fail "idom count";
+  let parent = Hashtbl.create n in
+  List.iter2
+    (fun b p ->
+      if Hashtbl.mem parent b then fail "duplicate block";
+      Hashtbl.replace parent b p)
+    blocks idoms;
+  if Hashtbl.find_opt parent entry <> Some entry then fail "entry idom";
+  (* [true]: known to reach the entry; [false]: on the chain being
+     climbed, so meeting it again is a cycle. *)
+  let reaches = Hashtbl.create n in
+  Hashtbl.replace reaches entry true;
+  let rec climb path a =
+    match Hashtbl.find_opt reaches a with
+    | Some true -> List.iter (fun x -> Hashtbl.replace reaches x true) path
+    | Some false -> fail "idom cycle"
+    | None -> (
+      Hashtbl.replace reaches a false;
+      match Hashtbl.find_opt parent a with
+      | None -> fail "idom outside the function"
+      | Some p when p = a -> fail "non-entry block is its own idom"
+      | Some p -> climb (a :: path) p)
+  in
+  List.iter (climb []) blocks
+
 let rfn r =
   let if_entry = r32 r in
   let if_name = match byte r with 0 -> None | _ -> Some (rstr16 r) in
@@ -488,11 +515,8 @@ let rfn r =
              let n = byte r in
              (addr, Array.init n (fun _ -> rvalue r))))
   in
-  let if_dom =
-    rlist32 r ~min:8 (fun r ->
-        let addr = r32 r in
-        (addr, rints32 r))
-  in
+  let if_idom = rints32 r in
+  check_idoms ~entry:if_entry if_blocks if_idom;
   let if_defuse =
     rlist32 r ~min:6 (fun r ->
         let addr = r32 r in
@@ -512,7 +536,7 @@ let rfn r =
     if_scev;
     if_stack;
     if_vsa;
-    if_dom;
+    if_idom;
     if_defuse;
   }
 

@@ -4,7 +4,7 @@
     One GTIRB-shaped value per module: interval-keyed byte blocks (the
     instruction spans of the recovered disassembly), CFG nodes and edges,
     and typed fields carrying the analysis facts the tools need —
-    per-block VSA register states, frame spans, dominator sets, def-use
+    per-block VSA register states, frame spans, immediate dominators, def-use
     summaries, liveness, SCEV loop bounds, canary sites and the
     per-indirect-call-site code-pointer provenance sets.
 
@@ -93,7 +93,10 @@ type fn = {
   if_stack : stackinfo;
   if_vsa : (int * vsa_value array) list option;
       (** per-block register in-states; [None] when the analysis bailed *)
-  if_dom : (int * int list) list;  (** full dominator sets, per block *)
+  if_idom : int list;
+      (** immediate dominator of each block, aligned with [if_blocks];
+          the entry carries its own address.  {!decode} rejects any list
+          that is not a tree rooted at the entry *)
   if_defuse : (int * (int * int list) list) list;
       (** per-block reaching-definition in-environments:
           (block, (register index, def addresses)) *)
@@ -129,8 +132,10 @@ val encode : t -> string
 val decode : string -> t
 (** Inverse of {!encode}.  @raise Failure on truncation, bad magic, a
     schema-version mismatch, a checksum mismatch, a block claiming more
-    instructions than the entry records, or any other malformed
-    payload. *)
+    instructions than the entry records, a function whose [if_idom] is
+    not a tree rooted at its entry (wrong length, a duplicate block, an
+    idom outside the function, a non-entry block as its own idom, a
+    cycle), or any other malformed payload. *)
 
 val peek_digest : string -> string
 (** The digest recorded in an encoding's header, without a full decode.

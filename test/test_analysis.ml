@@ -372,7 +372,7 @@ let diamond_blocks fa =
 let test_domtree_diamond () =
   let fa = diamond_fn () in
   let e, t, el, j = diamond_blocks fa in
-  let dt = Jt_cfg.Domtree.compute fa.fa_fn in
+  let dt = fa.fa_fn.f_dom in
   Alcotest.(check int) "entry" e (Jt_cfg.Domtree.entry dt);
   Alcotest.(check (option int)) "idom then" (Some e) (Jt_cfg.Domtree.idom dt t);
   Alcotest.(check (option int)) "idom else" (Some e) (Jt_cfg.Domtree.idom dt el);
@@ -391,6 +391,307 @@ let test_domtree_diamond () =
   Alcotest.(check (list int))
     "children of entry" (List.sort compare [ t; el; j ])
     (List.sort compare (Jt_cfg.Domtree.children dt e))
+
+(* -- differential: the idom tree against the set-based oracle -- *)
+
+module Iset = Jt_cfg.Cfg.Iset
+module Dt = Jt_cfg.Domtree
+
+let fn_addrs (fn : Jt_cfg.Cfg.fn) =
+  List.sort compare (Hashtbl.fold (fun a _ acc -> a :: acc) fn.f_blocks [])
+
+(* The naive oracle: classic iterative dataflow dominator sets, every
+   non-entry block starting at "all blocks" and shrinking to the
+   intersection of its in-function predecessors' sets.  Exact on
+   functions whose blocks the entry all reaches. *)
+let oracle_dominators (fn : Jt_cfg.Cfg.fn) =
+  let addrs = fn_addrs fn in
+  let all = Iset.of_list addrs in
+  let dom = Hashtbl.create 16 in
+  List.iter
+    (fun a ->
+      Hashtbl.replace dom a
+        (if a = fn.f_entry then Iset.singleton a else all))
+    addrs;
+  let preds_in a =
+    List.filter (Hashtbl.mem fn.f_blocks) (Hashtbl.find fn.f_blocks a).Jt_cfg.Cfg.b_preds
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun a ->
+        if a <> fn.f_entry then begin
+          let inter =
+            match preds_in a with
+            | [] -> Iset.singleton a
+            | p :: ps ->
+              List.fold_left
+                (fun acc q -> Iset.inter acc (Hashtbl.find dom q))
+                (Hashtbl.find dom p) ps
+          in
+          let nd = Iset.add a inter in
+          if not (Iset.equal nd (Hashtbl.find dom a)) then begin
+            Hashtbl.replace dom a nd;
+            changed := true
+          end
+        end)
+      addrs
+  done;
+  dom
+
+(* A block's idom is its strict dominator with the largest set. *)
+let oracle_idoms (fn : Jt_cfg.Cfg.fn) dom =
+  let card = Hashtbl.create 16 in
+  Hashtbl.iter (fun a s -> Hashtbl.replace card a (Iset.cardinal s)) dom;
+  let idom = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun a s ->
+      if a <> fn.f_entry then
+        Iset.iter
+          (fun d ->
+            if d <> a then
+              match Hashtbl.find_opt idom a with
+              | Some c when Hashtbl.find card c >= Hashtbl.find card d -> ()
+              | _ -> Hashtbl.replace idom a d)
+          s)
+    dom;
+  idom
+
+(* Natural loops from the sets, in the order [Cfg] builds them: the same
+   walk over the same tables, with the back-edge test on the sets. *)
+let oracle_loops (fn : Jt_cfg.Cfg.fn) dom =
+  let loops = Hashtbl.create 8 in
+  Hashtbl.iter
+    (fun a (b : Jt_cfg.Cfg.block) ->
+      List.iter
+        (fun s ->
+          if Hashtbl.mem fn.f_blocks s && Iset.mem s (Hashtbl.find dom a) then begin
+            let body = ref (Iset.of_list [ s; a ]) in
+            let stack = ref [ a ] in
+            while !stack <> [] do
+              let x = List.hd !stack in
+              stack := List.tl !stack;
+              if x <> s then
+                List.iter
+                  (fun p ->
+                    if Hashtbl.mem fn.f_blocks p && not (Iset.mem p !body) then begin
+                      body := Iset.add p !body;
+                      stack := p :: !stack
+                    end)
+                  (Hashtbl.find fn.f_blocks x).b_preds
+            done;
+            Hashtbl.replace loops s
+              (match Hashtbl.find_opt loops s with
+              | Some prev -> Iset.union prev !body
+              | None -> !body)
+          end)
+        b.b_succs)
+    fn.f_blocks;
+  Hashtbl.fold (fun h body acc -> (h, Iset.elements body) :: acc) loops []
+
+(* The first disagreement between [fn]'s tree and loops and the oracle's,
+   if any.  Every block of [fn] must be reachable from its entry. *)
+let oracle_mismatch (fn : Jt_cfg.Cfg.fn) =
+  let dom = oracle_dominators fn in
+  let idom = oracle_idoms fn dom in
+  let dt = fn.f_dom in
+  let addrs = fn_addrs fn in
+  let rec chain a = a :: (match Hashtbl.find_opt idom a with Some p -> chain p | None -> []) in
+  let kids a =
+    List.filter (fun c -> Hashtbl.find_opt idom c = Some a) addrs
+  in
+  let fail fmt = Printf.ksprintf (fun s -> Some s) fmt in
+  let per_block b =
+    if Dt.idom dt b <> Hashtbl.find_opt idom b then fail "idom of %x" b
+    else if Dt.dom_chain dt b <> chain b then fail "dom_chain of %x" b
+    else if Dt.children dt b <> kids b then fail "children of %x" b
+    else
+      List.find_map
+        (fun a ->
+          if Dt.dominates dt a b <> Iset.mem a (Hashtbl.find dom b) then
+            fail "dominates %x %x" a b
+          else if Dt.strictly_dominates dt a b <> (a <> b && Iset.mem a (Hashtbl.find dom b))
+          then fail "strictly_dominates %x %x" a b
+          else None)
+        addrs
+  in
+  match List.find_map per_block addrs with
+  | Some _ as m -> m
+  | None ->
+    let loops =
+      List.map
+        (fun (l : Jt_cfg.Cfg.loop) -> (l.l_head, Iset.elements l.l_body))
+        fn.f_loops
+    in
+    if loops <> oracle_loops fn dom then fail "natural loops" else None
+
+(* A function over a graph given as (from, to) index pairs, block [i] at
+   address [0x1000 + 0x10 * i]. *)
+let addr_of i = 0x1000 + (0x10 * i)
+
+let fn_of_edges ?(keep = fun _ -> true) ~n ~entry edges =
+  let blocks = Hashtbl.create n in
+  for i = 0 to n - 1 do
+    if keep i then
+      Hashtbl.replace blocks (addr_of i)
+        { Jt_cfg.Cfg.b_addr = addr_of i; b_insns = [||]; b_term = Jt_cfg.Cfg.Thalt;
+          b_succs = []; b_preds = [] }
+  done;
+  List.iter
+    (fun (u, v) ->
+      match (Hashtbl.find_opt blocks (addr_of u), Hashtbl.find_opt blocks (addr_of v)) with
+      | Some bu, Some bv ->
+        bu.b_succs <- bu.b_succs @ [ addr_of v ];
+        bv.b_preds <- addr_of u :: bv.b_preds
+      | _ -> ())
+    edges;
+  Jt_cfg.Cfg.make_fn ~entry:(addr_of entry) ~name:None blocks
+
+let reachable ~n ~entry edges =
+  let seen = Array.make n false in
+  let rec go i =
+    if not seen.(i) then begin
+      seen.(i) <- true;
+      List.iter (fun (u, v) -> if u = i then go v) edges
+    end
+  in
+  go entry;
+  seen
+
+(* Random graphs: [n] blocks, a random entry, each other block given a
+   tree edge from an earlier block (in an entry-first order) unless its
+   pick is [None], plus random extra edges — self-loops, edges back to
+   the entry, irreducible cycles and diamonds all occur. *)
+let gen_graph =
+  let open QCheck2.Gen in
+  int_range 1 16 >>= fun n ->
+  map
+    (fun (entry, picks, extra) ->
+      let order = entry :: List.filter (( <> ) entry) (List.init n Fun.id) in
+      let arr = Array.of_list order in
+      let tree =
+        List.concat
+          (List.mapi
+             (fun j pick ->
+               match pick with
+               | Some p when j + 1 < n -> [ (arr.(p mod (j + 1)), arr.(j + 1)) ]
+               | _ -> [])
+             picks)
+      in
+      (n, entry, tree @ extra))
+    (triple (int_bound (n - 1))
+       (list_repeat n (frequency [ (9, map Option.some nat); (1, return None) ]))
+       (list_size (int_bound (2 * n)) (pair (int_bound (n - 1)) (int_bound (n - 1)))))
+
+let print_graph (n, entry, edges) =
+  Printf.sprintf "n=%d entry=%d edges=[%s]" n entry
+    (String.concat "; " (List.map (fun (u, v) -> Printf.sprintf "%d->%d" u v) edges))
+
+(* The reachable part agrees with the oracle; with the unreachable blocks
+   left in, the reachable ones answer exactly as before and every
+   unreachable one has no idom and is dominated only by itself. *)
+let prop_domtree_oracle =
+  QCheck2.Test.make ~name:"idom tree = set oracle on random CFGs" ~count:500
+    ~print:print_graph gen_graph (fun (n, entry, edges) ->
+      let live = reachable ~n ~entry edges in
+      let reach = fn_of_edges ~keep:(fun i -> live.(i)) ~n ~entry edges in
+      (match oracle_mismatch reach with
+      | Some m -> QCheck2.Test.fail_reportf "reachable part: %s" m
+      | None -> ());
+      let full = fn_of_edges ~n ~entry edges in
+      let all = List.init n addr_of in
+      let is_live a = live.((a - 0x1000) / 0x10) in
+      List.for_all
+        (fun b ->
+          if is_live b then
+            Dt.idom full.f_dom b = Dt.idom reach.f_dom b
+            && List.for_all
+                 (fun a ->
+                   Dt.dominates full.f_dom a b
+                   = (is_live a && Dt.dominates reach.f_dom a b))
+                 all
+          else
+            Dt.idom full.f_dom b = None
+            && Dt.dom_chain full.f_dom b = [ b ]
+            && List.for_all
+                 (fun a ->
+                   Dt.dominates full.f_dom a b = (a = b)
+                   && Dt.dominates full.f_dom b a = (a = b))
+                 all)
+        all)
+
+let check_oracle what fn =
+  match oracle_mismatch fn with
+  | Some m -> Alcotest.failf "%s: %s" what m
+  | None -> ()
+
+(* The named shapes, each checked against the oracle explicitly. *)
+let test_domtree_shapes () =
+  List.iter
+    (fun (what, n, edges) -> check_oracle what (fn_of_edges ~n ~entry:0 edges))
+    [
+      ("self-loop", 3, [ (0, 1); (1, 1); (1, 2) ]);
+      ("back edge to the entry", 3, [ (0, 1); (1, 0); (1, 2) ]);
+      ("irreducible", 4, [ (0, 1); (0, 2); (1, 2); (2, 1); (2, 3) ]);
+      ("diamond", 4, [ (0, 1); (0, 2); (1, 3); (2, 3) ]);
+      ( "nested loops in a diamond", 7,
+        [ (0, 1); (0, 2); (1, 3); (2, 3); (3, 4); (4, 5); (5, 4); (5, 3); (3, 6) ] );
+    ]
+
+(* Unreachable blocks, a cycle among them included: no idom, a chain of
+   one, dominated only by themselves — and they do not perturb the
+   reachable blocks' tree. *)
+let test_domtree_unreachable () =
+  let fn = fn_of_edges ~n:5 ~entry:0 [ (0, 1); (2, 3); (3, 2); (3, 1); (4, 4) ] in
+  let dt = fn.f_dom in
+  Alcotest.(check (option int)) "reachable idom" (Some (addr_of 0)) (Dt.idom dt (addr_of 1));
+  List.iter
+    (fun u ->
+      let a = addr_of u in
+      Alcotest.(check (option int)) (Printf.sprintf "%d has no idom" u) None (Dt.idom dt a);
+      Alcotest.(check (list int)) (Printf.sprintf "%d chain" u) [ a ] (Dt.dom_chain dt a);
+      List.iter
+        (fun v ->
+          Alcotest.(check bool)
+            (Printf.sprintf "dominates %d %d" v u)
+            (u = v)
+            (Dt.dominates dt (addr_of v) a))
+        [ 0; 1; 2; 3; 4 ])
+    [ 2; 3; 4 ];
+  (* imported idoms with a cycle: every chain still ends *)
+  let cyc =
+    Dt.of_idoms ~entry:(addr_of 0)
+      [ (addr_of 0, addr_of 0); (addr_of 1, addr_of 2); (addr_of 2, addr_of 1) ]
+  in
+  Alcotest.(check (list int)) "cycle chain ends" [ addr_of 1 ] (Dt.dom_chain cyc (addr_of 1));
+  Alcotest.(check bool) "entry does not dominate a cycle" false
+    (Dt.dominates cyc (addr_of 0) (addr_of 2))
+
+(* Every function of every registry module, and ld.so. *)
+let test_domtree_registry () =
+  let seen = Hashtbl.create 64 in
+  let modules =
+    List.concat_map
+      (fun s -> (Jt_workloads.Specgen.build s).Jt_workloads.Specgen.w_registry)
+      Jt_workloads.Sheet.all
+    @ [ Jt_loader.Loader.ld_so ]
+    |> List.filter (fun m ->
+           let d = Jt_obj.Objfile.digest m in
+           (not (Hashtbl.mem seen d)) && (Hashtbl.replace seen d (); true))
+  in
+  let fns = ref 0 in
+  List.iter
+    (fun (m : Jt_obj.Objfile.t) ->
+      List.iter
+        (fun (fn : Jt_cfg.Cfg.fn) ->
+          incr fns;
+          check_oracle (Printf.sprintf "%s fn %x" m.name fn.f_entry) fn)
+        (Jt_cfg.Cfg.functions (Jt_cfg.Cfg.build (Jt_disasm.Disasm.run m))))
+    modules;
+  Alcotest.(check bool) "ld.so among the modules" true
+    (List.exists (fun (m : Jt_obj.Objfile.t) -> m.name = "ld.so") modules);
+  Alcotest.(check bool) "over a thousand functions" true (!fns > 1000)
 
 (* -- generic dataflow solver -- *)
 
@@ -631,7 +932,14 @@ let () =
           Alcotest.test_case "bails" `Quick test_scev_bails;
         ] );
       ("defuse", [ Alcotest.test_case "malloc chain" `Quick test_defuse_traces_malloc ]);
-      ("domtree", [ Alcotest.test_case "diamond" `Quick test_domtree_diamond ]);
+      ( "domtree",
+        [
+          Alcotest.test_case "diamond" `Quick test_domtree_diamond;
+          Alcotest.test_case "oracle shapes" `Quick test_domtree_shapes;
+          Alcotest.test_case "unreachable blocks" `Quick test_domtree_unreachable;
+          Alcotest.test_case "oracle on the registry" `Quick test_domtree_registry;
+          QCheck_alcotest.to_alcotest prop_domtree_oracle;
+        ] );
       ( "dataflow",
         [
           Alcotest.test_case "may vs must" `Quick test_dataflow_may_vs_must;

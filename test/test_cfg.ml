@@ -57,16 +57,31 @@ let test_dominators () =
   let cfg = cfg_of m in
   let main_addr = (Jt_obj.Objfile.find_symbol m "main" |> Option.get).vaddr in
   let fn = find_fn cfg main_addr in
-  let dom = Jt_cfg.Cfg.dominators fn in
-  (* the entry dominates every block *)
+  let dt = fn.f_dom in
+  Alcotest.(check int) "tree entry" fn.f_entry (Jt_cfg.Domtree.entry dt);
+  (* the entry dominates every block, and every chain ends at it *)
   Hashtbl.iter
     (fun a _ ->
-      let doms = Hashtbl.find dom a in
       Alcotest.(check bool)
         (Printf.sprintf "entry dominates %x" a)
         true
-        (Jt_cfg.Cfg.Iset.mem fn.f_entry doms))
-    fn.f_blocks
+        (Jt_cfg.Domtree.dominates dt fn.f_entry a);
+      Alcotest.(check int)
+        (Printf.sprintf "chain of %x ends at the entry" a)
+        fn.f_entry
+        (List.hd (List.rev (Jt_cfg.Domtree.dom_chain dt a))))
+    fn.f_blocks;
+  (* the loop head dominates its body *)
+  match fn.f_loops with
+  | [ l ] ->
+    Jt_cfg.Cfg.Iset.iter
+      (fun a ->
+        Alcotest.(check bool)
+          (Printf.sprintf "head dominates %x" a)
+          true
+          (Jt_cfg.Domtree.dominates dt l.l_head a))
+      l.l_body
+  | ls -> Alcotest.failf "expected 1 loop, got %d" (List.length ls)
 
 let test_call_edges_are_fallthrough () =
   let m = loopy_module () in

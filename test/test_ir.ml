@@ -126,13 +126,31 @@ let gen_value =
       return Ir.Vtop;
     ]
 
+(* A function's blocks and a valid idom tree over them: distinct blocks,
+   the entry its own idom, every other block's idom a block listed
+   before it in a random order — so every chain ends at the entry. *)
+let gen_idom_tree =
+  let open QCheck2.Gen in
+  map (fun (entry, others) ->
+      let others =
+        List.sort_uniq (fun (a, _) (b, _) -> compare a b)
+          (List.filter (fun (a, _) -> a <> entry) others)
+      in
+      let order = Array.of_list (entry :: List.map fst others) in
+      let tree =
+        (entry, entry)
+        :: List.mapi (fun i (b, pick) -> (b, order.(pick mod (i + 1)))) others
+      in
+      (entry, List.sort compare tree))
+    (pair gen_addr (small 5 (pair gen_addr nat)))
+
 let gen_fn =
   let open QCheck2.Gen in
-  map (fun ((entry, name, blocks, loops, live_all), (live, canaries, scev, stack), (vsa, dom, defuse)) ->
+  map (fun (((entry, tree), name, loops, live_all), (live, canaries, scev, stack), (vsa, defuse)) ->
       {
         Ir.if_entry = entry;
         if_name = name;
-        if_blocks = blocks;
+        if_blocks = List.map fst tree;
         if_loops = loops;
         if_live_all = live_all;
         if_live = live;
@@ -140,21 +158,20 @@ let gen_fn =
         if_scev = scev;
         if_stack = stack;
         if_vsa = vsa;
-        if_dom = dom;
+        if_idom = List.map snd tree;
         if_defuse = defuse;
       })
     (tup3
-       (tup5 gen_addr (option string_small) (small 4 gen_addr)
+       (tup4 gen_idom_tree (option string_small)
           (small 2 (pair gen_addr (small 3 gen_addr)))
           bool)
        (tup4
           (small 4 (tup3 gen_addr (int_bound 0xFFFF) gen_u8))
           (small 2 gen_canary) (small 2 gen_scev) gen_stack)
-       (tup3
+       (pair
           (option
              (small 3
                 (pair gen_addr (map Array.of_list (small 8 gen_value)))))
-          (small 3 (pair gen_addr (small 4 gen_addr)))
           (small 2
              (pair gen_addr
                 (small 3 (pair (int_bound 7) (small 3 gen_i32)))))))
@@ -263,6 +280,59 @@ let test_decode_rejects_sealed () =
   Alcotest.check_raises "block longer than the instruction list"
     (Failure "Ir.decode: block insn count") (fun () ->
       ignore (Ir.decode (Ir.encode { ir with Ir.ir_blocks = long })))
+
+(* Each malformed idom array is rejected under a valid checksum.  The
+   sample's largest function gets the bad array; [Ir.encode] does not
+   validate, so the encoding reaches [check_idoms] intact. *)
+let reject_idoms why mangle () =
+  let ir = sample_ir () in
+  let big =
+    List.fold_left
+      (fun (best : Ir.fn) (f : Ir.fn) ->
+        if List.length f.if_blocks > List.length best.if_blocks then f else best)
+      (List.hd ir.Ir.ir_fns) ir.Ir.ir_fns
+  in
+  Alcotest.(check bool) "sample function has 3+ blocks" true
+    (List.length big.if_blocks >= 3);
+  let fns =
+    List.map (fun (f : Ir.fn) -> if f == big then mangle f else f) ir.Ir.ir_fns
+  in
+  Alcotest.check_raises why (Failure ("Ir.decode: " ^ why)) (fun () ->
+      ignore (Ir.decode (Ir.encode { ir with Ir.ir_fns = fns })))
+
+(* The first two non-entry blocks of [f], and [f] with [b]'s idom set. *)
+let non_entry (f : Ir.fn) =
+  match List.filter (( <> ) f.if_entry) f.if_blocks with
+  | a :: b :: _ -> (a, b)
+  | _ -> Alcotest.fail "need two non-entry blocks"
+
+let set_idom (f : Ir.fn) b p =
+  { f with
+    Ir.if_idom =
+      List.map2 (fun x q -> if x = b then p else q) f.if_blocks f.if_idom }
+
+let idom_rejections =
+  [
+    ( "idom count",
+      fun (f : Ir.fn) -> { f with Ir.if_idom = List.tl f.if_idom } );
+    ( "duplicate block",
+      fun (f : Ir.fn) ->
+        let a, b = non_entry f in
+        { f with
+          Ir.if_blocks = List.map (fun x -> if x = b then a else x) f.if_blocks } );
+    ("entry idom", fun (f : Ir.fn) -> set_idom f f.if_entry (fst (non_entry f)));
+    ( "idom outside the function",
+      fun (f : Ir.fn) -> set_idom f (fst (non_entry f)) 0xdead );
+    ( "non-entry block is its own idom",
+      fun (f : Ir.fn) ->
+        let a, _ = non_entry f in
+        set_idom f a a );
+    (* two blocks as each other's idom: [dom_chain] would never end *)
+    ( "idom cycle",
+      fun (f : Ir.fn) ->
+        let a, b = non_entry f in
+        set_idom (set_idom f a b) b a );
+  ]
 
 let bzip2 = lazy (Jt_workloads.Specgen.build (Jt_workloads.Sheet.find "bzip2"))
 
@@ -578,6 +648,13 @@ let () =
           Alcotest.test_case "rejects malformed sealed input" `Quick
             test_decode_rejects_sealed;
           Alcotest.test_case "cpa sites round-trip" `Quick test_cpa_roundtrip;
+        ]
+        @ List.map
+            (fun (why, mangle) ->
+              Alcotest.test_case ("rejects " ^ why) `Quick
+                (reject_idoms why mangle))
+            idom_rejections
+        @ [
         ] );
       ( "store-robustness",
         [
