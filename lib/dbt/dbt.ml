@@ -206,8 +206,37 @@ type t = {
          recount it must always agree with (asserted after every run) *)
   mutable recording : (int * cached list) option;
       (* trace being recorded: head address, constituents in reverse *)
+  mutable trace_completed : bool;
+      (* whether the last [exec_trace] ran its trace head to tail *)
   stats : stats;
 }
+
+(* Sentinels that stand for "no block" and "no trace" on the dispatch
+   path, so it carries no options.  [no_block] is invalid, empty, has no
+   successors and no indirect end, so every chain, IBL and trace test
+   fails on it without a special case, and nothing ever writes to it;
+   [no_trace] is dead. *)
+let no_block =
+  {
+    cb = { bb_addr = -1; insns = [||] };
+    cb_plan = [||];
+    cb_indirect_end = false;
+    cb_end = 0;
+    cb_succ_taken = -1;
+    cb_succ_fall = -1;
+    cb_link_taken = None;
+    cb_link_fall = None;
+    cb_valid = false;
+    cb_ibl_last = None;
+    cb_ibl = [||];
+    cb_ibl_rr = 0;
+    cb_hot = 0;
+    cb_origin = Jt_trace.Trace.Dynamic;
+    cb_traces = [];
+  }
+
+let no_trace =
+  { tr_head = -1; tr_blocks = [||]; tr_valid = false; tr_overlay = None }
 
 let max_block_insns = 256
 
@@ -336,6 +365,7 @@ let create ~vm ?(profile = dynamorio) ?client ?(chain = true) ?(ibl = true)
       traces = Hashtbl.create 64;
       n_traces_live = 0;
       recording = None;
+      trace_completed = false;
       stats =
         {
           st_blocks_static = 0;
@@ -490,18 +520,20 @@ let translate t addr =
 
 (* ---- per-site indirect-branch inline caches ---- *)
 
+(* A hit returns the option already stored in the cache, so a probe
+   allocates nothing. *)
 let ibl_probe (p : cached) pc =
   match p.cb_ibl_last with
-  | Some c when c.cb_valid && c.cb.bb_addr = pc -> Some c
+  | Some c as hit when c.cb_valid && c.cb.bb_addr = pc -> hit
   | _ ->
     let n = Array.length p.cb_ibl in
     let rec scan i =
       if i >= n then None
       else
         match p.cb_ibl.(i) with
-        | Some c when c.cb_valid && c.cb.bb_addr = pc ->
-          p.cb_ibl_last <- Some c;
-          Some c
+        | Some c as hit when c.cb_valid && c.cb.bb_addr = pc ->
+          p.cb_ibl_last <- hit;
+          hit
         | Some _ | None -> scan (i + 1)
     in
     scan 0
@@ -533,20 +565,25 @@ let ibl_install (p : cached) (c : cached) =
    plan).  The fuel budget is checked before every instruction, not just
    between blocks, so Out_of_fuel fires within one instruction of the
    budget even inside a maximal 256-instruction block or a long chain. *)
+(* One plan slot's metas, in order: a top-level recursion rather than a
+   [List.iter] closure built per instruction. *)
+let rec run_metas vm = function
+  | [] -> ()
+  | m :: rest ->
+    Jt_vm.Vm.charge vm m.m_cost;
+    (match m.m_action with Some f -> f vm | None -> ());
+    run_metas vm rest
+
 let exec_insns t ~budget ~(plan : plan) (c : cached) =
   let vm = t.vm in
   let n = Array.length c.cb.insns in
   let k = ref 0 in
-  while !k < n && vm.Jt_vm.Vm.status = Jt_vm.Vm.Running do
+  while !k < n && Jt_vm.Vm.is_running vm do
     if vm.Jt_vm.Vm.icount >= budget then
       vm.Jt_vm.Vm.status <- Jt_vm.Vm.Fault Jt_vm.Vm.Out_of_fuel
     else begin
       let at, i, len = c.cb.insns.(!k) in
-      List.iter
-        (fun m ->
-          Jt_vm.Vm.charge vm m.m_cost;
-          match m.m_action with Some f -> f vm | None -> ())
-        plan.(!k);
+      run_metas vm plan.(!k);
       Jt_vm.Vm.step_decoded vm ~at i len;
       incr k
     end
@@ -565,8 +602,8 @@ let exec_block t ~budget (c : cached) =
   end;
   if t.profile.p_per_block > 0 then Jt_vm.Vm.charge vm t.profile.p_per_block;
   exec_insns t ~budget ~plan:c.cb_plan c;
-  if c.cb_indirect_end && vm.Jt_vm.Vm.status = Jt_vm.Vm.Running && not t.ibl
-  then Jt_vm.Vm.charge vm t.profile.p_indirect
+  if c.cb_indirect_end && Jt_vm.Vm.is_running vm && not t.ibl then
+    Jt_vm.Vm.charge vm t.profile.p_indirect
 
 (* Eager teardown maintains the invariant "[tr_valid] implies every
    constituent is valid", so liveness is a field read on the dispatch
@@ -601,7 +638,8 @@ let traces_live_scan t =
    induction guard (if any) pays for the hoisted per-iteration checks
    with its one pair of endpoint checks.  Returns the last constituent
    that executed (for the dispatcher's chain/IBL bookkeeping) and
-   whether the trace ran to completion (to arm the next streak). *)
+   records in [t.trace_completed] whether the trace ran to completion
+   (to arm the next streak). *)
 
 (* Run the endpoint checks that justify a trace's "trace-ind" drops.
    The remaining trip range is read off the live register file: [i0] is
@@ -680,7 +718,7 @@ let exec_trace t ~budget ~streak ~streak_onset (tr : trace) =
         end
     in
     exec_insns t ~budget ~plan c;
-    let running = vm.Jt_vm.Vm.status = Jt_vm.Vm.Running in
+    let running = Jt_vm.Vm.is_running vm in
     if (not running) || !i = n - 1 then begin
       (if c.cb_indirect_end && running && not t.ibl then
          Jt_vm.Vm.charge vm t.profile.p_indirect);
@@ -707,10 +745,8 @@ let exec_trace t ~budget ~streak ~streak_onset (tr : trace) =
       end
     end
   done;
-  let completed =
-    !i = n - 1 && vm.Jt_vm.Vm.status = Jt_vm.Vm.Running && tr.tr_valid
-  in
-  (!last, completed)
+  t.trace_completed <- !i = n - 1 && Jt_vm.Vm.is_running vm && tr.tr_valid;
+  !last
 
 (* ---- trace-spine elision ----
 
@@ -1052,6 +1088,12 @@ let finalize_recording t =
       end
     end
 
+(* The trace registered at head [pc], live or not, or [no_trace]. *)
+let trace_at t pc =
+  match Hashtbl.find t.traces pc with
+  | tr -> tr
+  | exception Not_found -> no_trace
+
 (* Head-execution counting and recording bookkeeping for one
    dispatcher-level entry of [c] at [pc] (not reached through a trace).
    Ends an in-progress recording when it loops back to its head, reaches
@@ -1064,19 +1106,82 @@ let note_entry t (c : cached) pc =
     if
       pc = head
       || List.length acc >= max_trace_len
-      || (match Hashtbl.find_opt t.traces pc with
-         | Some tr -> trace_alive tr
-         | None -> false)
+      || trace_alive (trace_at t pc)
     then finalize_recording t
     else t.recording <- Some (head, c :: acc)
   | None ->
     c.cb_hot <- c.cb_hot + 1;
-    if
-      c.cb_hot >= hot_threshold
-      && (match Hashtbl.find_opt t.traces pc with
-         | Some tr -> not (trace_alive tr)
-         | None -> true)
-    then t.recording <- Some (pc, [ c ])
+    if c.cb_hot >= hot_threshold && not (trace_alive (trace_at t pc)) then
+      t.recording <- Some (pc, [ c ])
+
+let emit_sever (p : cached) (c : cached) =
+  if Jt_trace.Trace.is_enabled () then
+    Jt_trace.Trace.emit
+      (Jt_trace.Trace.Chain_sever
+         { from_pc = p.cb.bb_addr; to_pc = c.cb.bb_addr })
+
+(* The live chain link out of [p] for [pc], or [no_block].  A link into
+   a dead block is severed on the way. *)
+let chain_target (p : cached) pc =
+  if p.cb_succ_taken = pc then (
+    match p.cb_link_taken with
+    | Some c when c.cb_valid -> c
+    | Some c ->
+      emit_sever p c;
+      p.cb_link_taken <- None;
+      no_block
+    | None -> no_block)
+  else if p.cb_succ_fall = pc then (
+    match p.cb_link_fall with
+    | Some c when c.cb_valid -> c
+    | Some c ->
+      emit_sever p c;
+      p.cb_link_fall <- None;
+      no_block
+    | None -> no_block)
+  else no_block
+
+(* Probe the inline cache of the indirect-ending block [p] for [pc] and
+   charge the outcome: the cached target on a hit, [no_block] on a
+   miss. *)
+let ibl_resolve t (p : cached) pc =
+  let vm = t.vm in
+  match ibl_probe p pc with
+  | Some c ->
+    Jt_vm.Vm.charge vm t.profile.p_ibl_hit;
+    t.stats.st_ibl_hits <- t.stats.st_ibl_hits + 1;
+    if Jt_trace.Trace.is_enabled () then
+      Jt_trace.Trace.emit
+        (Jt_trace.Trace.Ibl_hit { site = p.cb.bb_addr; target = pc });
+    c
+  | None ->
+    Jt_vm.Vm.charge vm t.profile.p_indirect;
+    t.stats.st_ibl_misses <- t.stats.st_ibl_misses + 1;
+    if Jt_trace.Trace.is_enabled () then
+      Jt_trace.Trace.emit
+        (Jt_trace.Trace.Ibl_miss { site = p.cb.bb_addr; target = pc });
+    no_block
+
+(* Full dispatcher resolution of [pc] after [p]: find or translate the
+   block, then install it as [p]'s chain link and, when [p]'s inline
+   cache was just probed ([probed]), into that cache. *)
+let dispatch t (p : cached) ~probed pc =
+  t.stats.st_dispatch_entries <- t.stats.st_dispatch_entries + 1;
+  let c =
+    match Hashtbl.find t.cache pc with
+    | c -> c
+    | exception Not_found -> translate t pc
+  in
+  if t.chain && p.cb_valid && (p.cb_succ_taken = pc || p.cb_succ_fall = pc)
+  then begin
+    if p.cb_succ_taken = pc then p.cb_link_taken <- Some c
+    else p.cb_link_fall <- Some c;
+    if Jt_trace.Trace.is_enabled () then
+      Jt_trace.Trace.emit
+        (Jt_trace.Trace.Chain_link { from_pc = p.cb.bb_addr; to_pc = pc })
+  end;
+  if probed && p.cb_valid then ibl_install p c;
+  c
 
 (* The dispatch loop.  After a block whose last instruction is a direct
    transfer, the next PC is compared against the block's static
@@ -1090,24 +1195,27 @@ let note_entry t (c : cached) pc =
    dispatch work; the IBL additionally replaces the flat per-indirect
    charge with a hit/miss split (cheaper on hits, never dearer).
    Program output, instruction counts and violations are bit-identical
-   with every combination of the knobs. *)
+   with every combination of the knobs.  The loop state is sentinels,
+   not options, so a block entry allocates nothing. *)
 let run ?(fuel = 200_000_000) t =
   let vm = t.vm in
   let budget = vm.Jt_vm.Vm.icount + fuel in
-  let prev : cached option ref = ref None in
+  (* The block that just exited, or [no_block]. *)
+  let prev = ref no_block in
   (* The streak: the trace that completed head-to-tail on the immediately
-     preceding dispatch.  If the very next dispatch re-enters that same
-     trace, only host dispatcher code ran in between, so the availability
-     its spine analysis computed at the tail really holds at the head —
-     the steady-state plan variant is legal.  Anything else (a plain
-     block, a phase change, a side exit) breaks the streak. *)
-  let streak : trace option ref = ref None in
+     preceding dispatch, or [no_trace].  If the very next dispatch
+     re-enters that same trace, only host dispatcher code ran in between,
+     so the availability its spine analysis computed at the tail really
+     holds at the head — the steady-state plan variant is legal.
+     Anything else (a plain block, a phase change, a side exit) breaks
+     the streak. *)
+  let streak = ref no_trace in
   (* Whether the previous dispatch's trace execution already ran in
      streak mode: the induction guard fires only on the transition into
      a streak (onset), never on its continuation trips. *)
   let was_streak = ref false in
   (try
-     while vm.Jt_vm.Vm.status = Jt_vm.Vm.Running do
+     while Jt_vm.Vm.is_running vm do
        if vm.Jt_vm.Vm.icount >= budget then
          vm.Jt_vm.Vm.status <- Jt_vm.Vm.Fault Jt_vm.Vm.Out_of_fuel
        else if vm.Jt_vm.Vm.pc = Jt_vm.Vm.sentinel then begin
@@ -1115,145 +1223,64 @@ let run ?(fuel = 200_000_000) t =
             IBL on its (probe-skipping) charge lands here.  Not counted
             as an IBL miss: no code-cache lookup happens for the
             sentinel. *)
-         (match !prev with
-         | Some p when t.ibl && p.cb_indirect_end ->
-           Jt_vm.Vm.charge vm t.profile.p_indirect
-         | Some _ | None -> ());
-         prev := None;
-         streak := None;
+         if t.ibl && !prev.cb_indirect_end then
+           Jt_vm.Vm.charge vm t.profile.p_indirect;
+         prev := no_block;
+         streak := no_trace;
          was_streak := false;
          Jt_vm.Vm.advance_phase vm
        end
        else begin
          let pc = vm.Jt_vm.Vm.pc in
-         let linked =
-           if not t.chain then None
-           else
-             match !prev with
-             | Some p when p.cb_succ_taken = pc -> (
-               match p.cb_link_taken with
-               | Some c when c.cb_valid -> Some c
-               | Some c ->
-                 if Jt_trace.Trace.is_enabled () then
-                   Jt_trace.Trace.emit
-                     (Jt_trace.Trace.Chain_sever
-                        { from_pc = p.cb.bb_addr; to_pc = c.cb.bb_addr });
-                 p.cb_link_taken <- None;
-                 None
-               | None -> None)
-             | Some p when p.cb_succ_fall = pc -> (
-               match p.cb_link_fall with
-               | Some c when c.cb_valid -> Some c
-               | Some c ->
-                 if Jt_trace.Trace.is_enabled () then
-                   Jt_trace.Trace.emit
-                     (Jt_trace.Trace.Chain_sever
-                        { from_pc = p.cb.bb_addr; to_pc = c.cb.bb_addr });
-                 p.cb_link_fall <- None;
-                 None
-               | None -> None)
-             | Some _ | None -> None
-         in
-         (* [ibl_site] remembers the probed site so a dispatcher
-            resolution can install the new target into it. *)
-         let via_ibl, ibl_site =
-           match (linked, !prev) with
-           | None, Some p when t.ibl && p.cb_indirect_end -> (
-             match ibl_probe p pc with
-             | Some c ->
-               Jt_vm.Vm.charge vm t.profile.p_ibl_hit;
-               t.stats.st_ibl_hits <- t.stats.st_ibl_hits + 1;
-               if Jt_trace.Trace.is_enabled () then
-                 Jt_trace.Trace.emit
-                   (Jt_trace.Trace.Ibl_hit { site = p.cb.bb_addr; target = pc });
-               (Some c, Some p)
-             | None ->
-               Jt_vm.Vm.charge vm t.profile.p_indirect;
-               t.stats.st_ibl_misses <- t.stats.st_ibl_misses + 1;
-               if Jt_trace.Trace.is_enabled () then
-                 Jt_trace.Trace.emit
-                   (Jt_trace.Trace.Ibl_miss { site = p.cb.bb_addr; target = pc });
-               (None, Some p))
-           | _ -> (None, None)
-         in
+         let p = !prev in
+         let linked = if t.chain then chain_target p pc else no_block in
          let cached =
-           match (linked, via_ibl) with
-           | Some c, _ ->
+           if linked != no_block then begin
              t.stats.st_chain_hits <- t.stats.st_chain_hits + 1;
-             c
-           | None, Some c -> c
-           | None, None ->
-             t.stats.st_dispatch_entries <- t.stats.st_dispatch_entries + 1;
-             let c =
-               match Hashtbl.find_opt t.cache pc with
-               | Some c -> c
-               | None -> translate t pc
-             in
-             (if t.chain then
-                match !prev with
-                | Some p when p.cb_valid ->
-                  if p.cb_succ_taken = pc || p.cb_succ_fall = pc then begin
-                    if p.cb_succ_taken = pc then p.cb_link_taken <- Some c
-                    else p.cb_link_fall <- Some c;
-                    if Jt_trace.Trace.is_enabled () then
-                      Jt_trace.Trace.emit
-                        (Jt_trace.Trace.Chain_link
-                           { from_pc = p.cb.bb_addr; to_pc = pc })
-                  end
-                | Some _ | None -> ());
-             (match ibl_site with
-             | Some p when p.cb_valid -> ibl_install p c
-             | Some _ | None -> ());
-             c
+             linked
+           end
+           else begin
+             let probed = t.ibl && p.cb_indirect_end in
+             let hit = if probed then ibl_resolve t p pc else no_block in
+             if hit != no_block then hit else dispatch t p ~probed pc
+           end
          in
          if Array.length cached.cb.insns = 0 then begin
            t.stats.st_decode_faults <- t.stats.st_decode_faults + 1;
            vm.Jt_vm.Vm.status <- Jt_vm.Vm.Fault (Jt_vm.Vm.Decode_fault pc)
          end
          else begin
-           let live_trace =
-             if not t.trace then None
-             else
-               match Hashtbl.find_opt t.traces pc with
-               | Some tr when trace_alive tr -> Some tr
-               | Some tr ->
-                 drop_trace t tr;
-                 None
-               | None -> None
-           in
+           let tr = if t.trace then trace_at t pc else no_trace in
+           if tr != no_trace && not (trace_alive tr) then drop_trace t tr;
            let last =
-             match live_trace with
-             | Some tr ->
+             if trace_alive tr then begin
                (* reaching a live trace head ends any recording *)
                finalize_recording t;
-               let use_streak =
-                 match !streak with Some s -> s == tr | None -> false
-               in
-               let last, completed =
+               let use_streak = !streak == tr in
+               let last =
                  exec_trace t ~budget ~streak:use_streak
                    ~streak_onset:(use_streak && not !was_streak) tr
                in
-               streak := (if completed then Some tr else None);
+               streak := (if t.trace_completed then tr else no_trace);
                was_streak := use_streak;
                last
-             | None ->
-               streak := None;
+             end
+             else begin
+               streak := no_trace;
                was_streak := false;
                if t.trace then note_entry t cached pc;
                exec_block t ~budget cached;
                cached
+             end
            in
            prev :=
-             if vm.Jt_vm.Vm.status = Jt_vm.Vm.Running && last.cb_valid then
-               Some last
+             if Jt_vm.Vm.is_running vm && last.cb_valid then last
              else begin
                (* the exit of a block that invalidated itself cannot be
                   probed next iteration; settle its indirect charge now *)
-               (if
-                  t.ibl && last.cb_indirect_end
-                  && vm.Jt_vm.Vm.status = Jt_vm.Vm.Running
-                then Jt_vm.Vm.charge vm t.profile.p_indirect);
-               None
+               if t.ibl && last.cb_indirect_end && Jt_vm.Vm.is_running vm then
+                 Jt_vm.Vm.charge vm t.profile.p_indirect;
+               no_block
              end
          end
        end

@@ -25,13 +25,14 @@ type t = { pages : (int, page) Hashtbl.t; mutable poisoned : int }
 
 let create () = { pages = Hashtbl.create 64; poisoned = 0 }
 
-let alloc_page t key =
-  match Hashtbl.find_opt t.pages key with
-  | Some p -> p
-  | None ->
-    let p = { bytes = Bytes.make page_size '\x00'; live = 0 } in
-    Hashtbl.add t.pages key p;
-    p
+(* Stands for an unallocated page on lookups: all zero and clean, so
+   reads and scans need no special case.  Never written. *)
+let no_page = { bytes = Bytes.make page_size '\x00'; live = 0 }
+
+let find_page t key =
+  match Hashtbl.find t.pages key with
+  | p -> p
+  | exception Not_found -> no_page
 
 let count_nonzero b off len =
   let n = ref 0 in
@@ -54,14 +55,15 @@ let fill_range t a len v =
     let key = !a lsr page_bits in
     let off = !a land page_mask in
     let chunk = min !remaining (page_size - off) in
-    (match (Hashtbl.find_opt t.pages key, v) with
-    | None, 0 -> () (* clearing untouched memory: nothing to do *)
-    | None, _ ->
-      let p = alloc_page t key in
+    let p = find_page t key in
+    (match (p == no_page, v) with
+    | true, 0 -> () (* clearing untouched memory: nothing to do *)
+    | true, _ ->
+      let p = { bytes = Bytes.make page_size '\x00'; live = chunk } in
+      Hashtbl.add t.pages key p;
       Bytes.fill p.bytes off chunk c;
-      p.live <- chunk;
       t.poisoned <- t.poisoned + chunk
-    | Some p, 0 ->
+    | false, 0 ->
       if p.live > 0 then begin
         let dropped =
           if chunk = page_size || p.live = page_size then
@@ -72,7 +74,7 @@ let fill_range t a len v =
         p.live <- p.live - dropped;
         t.poisoned <- t.poisoned - dropped
       end
-    | Some p, _ ->
+    | false, _ ->
       let overwritten =
         if p.live = 0 then 0
         else if p.live = page_size then chunk
@@ -89,9 +91,7 @@ let set t a v = fill_range t a 1 v
 
 let get t a =
   let a = a land Jt_isa.Word.mask in
-  match Hashtbl.find_opt t.pages (a lsr page_bits) with
-  | None -> 0
-  | Some p -> Char.code (Bytes.get p.bytes (a land page_mask))
+  Char.code (Bytes.get (find_page t (a lsr page_bits)).bytes (a land page_mask))
 
 let poison t a ~len st =
   if Jt_trace.Trace.is_enabled () then
@@ -108,32 +108,29 @@ let unpoison t a ~len =
 
 (* Scan page-at-a-time: a page that was never allocated, or whose live
    count is zero, cannot hold the first poisoned byte and is skipped
-   wholesale. *)
+   wholesale.  Plain loops over the chunks and their bytes, so a clean
+   access allocates nothing. *)
 let first_poisoned t a ~len =
-  let rec go start remaining consumed =
-    if remaining <= 0 then None
-    else
-      let key = start lsr page_bits in
-      let off = start land page_mask in
-      let chunk = min remaining (page_size - off) in
-      let next () =
-        go ((start + chunk) land Jt_isa.Word.mask) (remaining - chunk)
-          (consumed + chunk)
-      in
-      match Hashtbl.find_opt t.pages key with
-      | None -> next ()
-      | Some p when p.live = 0 -> next ()
-      | Some p ->
-        let rec scan i =
-          if i >= off + chunk then next ()
-          else
-            let v = Char.code (Bytes.unsafe_get p.bytes i) in
-            if v <> 0 then
-              Some ((a + consumed + (i - off)) land Jt_isa.Word.mask, of_byte v)
-            else scan (i + 1)
-        in
-        scan off
-  in
-  go (a land Jt_isa.Word.mask) len 0
+  let addr = ref (a land Jt_isa.Word.mask) in
+  let remaining = ref len in
+  let hit = ref (-1) and hit_state = ref 0 in
+  while !hit < 0 && !remaining > 0 do
+    let off = !addr land page_mask in
+    let chunk = min !remaining (page_size - off) in
+    let p = find_page t (!addr lsr page_bits) in
+    if p.live > 0 then begin
+      let i = ref off in
+      while !i < off + chunk && Bytes.unsafe_get p.bytes !i = '\x00' do
+        incr i
+      done;
+      if !i < off + chunk then begin
+        hit := !addr + (!i - off);
+        hit_state := Char.code (Bytes.unsafe_get p.bytes !i)
+      end
+    end;
+    addr := (!addr + chunk) land Jt_isa.Word.mask;
+    remaining := !remaining - chunk
+  done;
+  if !hit < 0 then None else Some (!hit, of_byte !hit_state)
 
 let poisoned_count t = t.poisoned

@@ -1,9 +1,11 @@
 (** Sparse paged byte memory for the simulated machine.
 
-    Pages are allocated on first touch and zero-filled, so programs never
-    fault on ordinary accesses; memory-safety violations are the business
-    of the sanitizers under test, not of the paging layer.  All multi-byte
-    accesses are little-endian. *)
+    A two-level page table of 4 KiB pages.  Pages are allocated on first
+    write and read as zero until then, so programs never fault on
+    ordinary accesses; memory-safety violations are the business of the
+    sanitizers under test, not of the paging layer.  All multi-byte
+    accesses are little-endian, and an access that runs past the top of
+    the address space wraps to address 0. *)
 
 type t
 
@@ -25,11 +27,3 @@ val write : t -> int -> width:int -> int -> unit
 val write_string : t -> int -> string -> unit
 val read_cstring : t -> int -> string
 (** Read a NUL-terminated string (at most 4096 bytes). *)
-
-val on_code_write : t -> (int -> unit) -> unit
-(** Register a callback invoked with the address of every byte written
-    while {!watch_writes} is enabled; used for code-cache consistency. *)
-
-val set_watch : t -> bool -> unit
-(** Enable or disable write-watch callbacks (off by default: the common
-    case pays nothing). *)

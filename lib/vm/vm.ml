@@ -59,7 +59,9 @@ let make ~registry =
     violations = [];
     phases = [];
     jit_next = jit_base;
-    decode_cache = Hashtbl.create 4096;
+    (* small to start and grown on demand: with thousands of tiny
+       programs each booting a VM, the fixed cost per VM shows *)
+    decode_cache = Hashtbl.create 256;
     decode_pages = Hashtbl.create 256;
     flush_listeners = [];
     handles = Hashtbl.create 8;
@@ -449,15 +451,24 @@ let step_decoded t ~at (i : Insn.t) len =
 
 let default_fuel = 200_000_000
 
+let is_running t =
+  match t.status with Running -> true | Exited _ | Fault _ | Aborted _ -> false
+
+(* A decode-cache hit is a [Hashtbl.find] that allocates nothing; only a
+   miss goes through [fetch] and its option. *)
 let run ?(fuel = default_fuel) t =
   let budget = t.icount + fuel in
-  while t.status = Running do
+  while is_running t do
     if t.icount >= budget then t.status <- Fault Out_of_fuel
     else if t.pc = sentinel then advance_phase t
     else
-      match fetch t t.pc with
-      | Some (i, len) -> step_decoded t ~at:t.pc i len
-      | None -> t.status <- Fault (Decode_fault t.pc)
+      let pc = t.pc in
+      match Hashtbl.find t.decode_cache pc with
+      | i, len -> step_decoded t ~at:pc i len
+      | exception Not_found -> (
+        match fetch t pc with
+        | Some (i, len) -> step_decoded t ~at:pc i len
+        | None -> t.status <- Fault (Decode_fault pc))
   done
 
 let output t = Buffer.contents t.out

@@ -129,6 +129,9 @@ val on_cache_flush : t -> (int -> int -> unit) -> unit
 (** Subscribe to [cache_flush] syscalls (start, length): a DBT must
     invalidate affected code-cache blocks. *)
 
+val is_running : t -> bool
+(** [status = Running], without a polymorphic comparison. *)
+
 val run : ?fuel:int -> t -> unit
 (** Interpret until exit or fault ("native" execution).  [fuel] bounds the
     executed instruction count (default 200 million). *)

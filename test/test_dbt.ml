@@ -201,6 +201,40 @@ let test_lightweight_profile_cheaper () =
     "lightweight < dynamorio for translation-dominated runs" true
     (run Jt_dbt.Dbt.lightweight < run Jt_dbt.Dbt.dynamorio + 10_000)
 
+(* The interpreter core allocates nothing per retired instruction: the
+   page table and its word-wide accessors, the decode-cache hit, the
+   dispatch loop's sentinels and the plan-slot walk are all box-free.
+   Minor-heap words over one loop-heavy registry workload are a
+   deterministic count, so a boxed value that creeps back onto the hot
+   path fails here.  What remains is per-run and per-block set-up
+   (boot is outside the window; first-touch pages, decoding and
+   translation are inside). *)
+let test_hot_path_allocation () =
+  let w = Jt_workloads.Specgen.build (Jt_workloads.Sheet.find "bzip2") in
+  let registry = w.w_registry and main = w.w_sheet.s_name in
+  let words_per_insn run =
+    let vm = Jt_vm.Vm.make ~registry in
+    let go = run vm in
+    Jt_vm.Vm.boot vm ~main;
+    let w0 = Gc.minor_words () in
+    go ();
+    let words = Gc.minor_words () -. w0 in
+    (match vm.status with
+    | Jt_vm.Vm.Exited 0 -> ()
+    | s -> Alcotest.failf "bzip2: %a" Jt_vm.Vm.pp_status s);
+    words /. float_of_int vm.icount
+  in
+  let native = words_per_insn (fun vm () -> Jt_vm.Vm.run vm) in
+  let null =
+    words_per_insn (fun vm ->
+        let engine = Jt_dbt.Dbt.create ~vm () in
+        fun () -> Jt_dbt.Dbt.run engine)
+  in
+  if native > 0.1 then
+    Alcotest.failf "Vm.run: %.3f minor words/insn > 0.1" native;
+  if null > 0.1 then
+    Alcotest.failf "null DBT: %.3f minor words/insn > 0.1" null
+
 let () =
   Alcotest.run "dbt"
     [
@@ -215,5 +249,7 @@ let () =
           Alcotest.test_case "fuel mid-block" `Quick test_fuel_checked_mid_block;
           Alcotest.test_case "empty-block invalidation" `Quick
             test_decode_fault_block_invalidated;
+          Alcotest.test_case "hot path allocation" `Quick
+            test_hot_path_allocation;
         ] );
     ]

@@ -305,6 +305,57 @@ let prop_memory_string_wraparound =
              = Char.code s.[i])
            (List.init (String.length s) Fun.id))
 
+(* -- word-wide memory accessors --
+
+   [read16]/[read32]/[write16]/[write32] take one page lookup when the
+   access stays inside a page and fall back to the masked byte path when
+   it crosses a page or the top of the address space.  Near both edges
+   they must agree with the byte view: a read is the little-endian
+   composition of [read8]s, and a write leaves exactly the value's low
+   bytes (values beyond 32 bits and negative ones included) and no
+   neighbouring byte changed. *)
+let prop_memory_word_accessors =
+  QCheck2.Test.make
+    ~name:"read/write16/32 match read8 near page and address-space edges"
+    ~count:1000
+    QCheck2.Gen.(
+      let* edge = oneofl [ 0x1000; 0x7F00_0000; Word.mask + 1 ] in
+      let* d = int_range (-8) 8 in
+      let* width = oneofl [ 2; 4 ] in
+      let* v = oneof [ int; int_bound Word.mask; int_range (-1000) (-1) ] in
+      let* fill = list_repeat 16 (int_bound 255) in
+      return ((edge + d) land Word.mask, width, v, fill))
+    (fun (a, width, v, fill) ->
+      let mem = Jt_mem.Memory.create () in
+      (* the window [a-4, a+12) holds random bytes before the access *)
+      let at i = (a - 4 + i) land Word.mask in
+      List.iteri (fun i b -> Jt_mem.Memory.write8 mem (at i) b) fill;
+      let byte i = Jt_mem.Memory.read8 mem ((a + i) land Word.mask) in
+      let composed () =
+        List.fold_left
+          (fun acc i -> acc lor (byte i lsl (8 * i)))
+          0
+          (List.init width Fun.id)
+      in
+      let read () = Jt_mem.Memory.read mem a ~width in
+      let read_ok = read () = composed () in
+      Jt_mem.Memory.write mem a ~width v;
+      let write_ok =
+        List.for_all
+          (fun i -> byte i = (v lsr (8 * i)) land 0xFF)
+          (List.init width Fun.id)
+        && read () = v land ((1 lsl (8 * width)) - 1)
+      in
+      let untouched =
+        List.for_all
+          (fun i ->
+            let off = i - 4 in
+            (off >= 0 && off < width)
+            || Jt_mem.Memory.read8 mem (at i) = List.nth fill i)
+          (List.init 16 Fun.id)
+      in
+      read_ok && write_ok && untouched)
+
 (* -- allocator invariants -- *)
 
 let prop_alloc_disjoint =
@@ -425,7 +476,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_shadow_wraparound;
         ] );
       ( "memory",
-        [ QCheck_alcotest.to_alcotest prop_memory_string_wraparound ] );
+        [
+          QCheck_alcotest.to_alcotest prop_memory_string_wraparound;
+          QCheck_alcotest.to_alcotest prop_memory_word_accessors;
+        ] );
       ( "alloc",
         [
           QCheck_alcotest.to_alcotest prop_alloc_disjoint;
