@@ -44,73 +44,47 @@ let analyze_all ?store ?(precomputed = []) ~tool registry =
 
 let rules_path ~dir name = Filename.concat dir (name ^ ".jtr")
 
-(* [Sys.mkdir] is single-level; rule caches are routinely pointed at
-   nested paths (per-configuration subdirectories), so create parents
-   first.  Racing creators are fine: EEXIST is ignored at every level. *)
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdir_p parent;
-    try Sys.mkdir dir 0o755 with
-    | Sys_error _ when Sys.file_exists dir -> ()
-  end
-
 let save_rules ~dir files =
-  mkdir_p dir;
+  Jt_codec.Codec.mkdir_p dir;
   List.iter
     (fun (name, f) ->
-      let oc = open_out_bin (rules_path ~dir name) in
-      output_string oc (Jt_rules.Rules.encode_file f);
-      close_out oc)
+      Jt_codec.Codec.write_file_atomic (rules_path ~dir name)
+        (Jt_rules.Rules.encode_file f))
     files
+
+let module_digest = Jt_obj.Objfile.digest
 
 (* A corrupt or unreadable cache entry must never take the run down: the
    driver falls back to re-analyzing the module.  [decode_file] raises
-   [Failure] on truncation and bad magic, but a cache path that turns out
-   to be a directory ([Sys_error] from [open_in_bin]), a short read
-   ([End_of_file]) or any other decoder defect must degrade the same
-   way, so catch everything that isn't an asynchronous exception. *)
-let module_digest = Jt_obj.Objfile.digest
-
+   [Decode_error] on any malformed file, but a cache path that turns out
+   to be a directory ([Sys_error]) must degrade the same way, so catch
+   everything that isn't an asynchronous exception. *)
 let load_rules ?expect_digest ~dir name =
   let path = rules_path ~dir name in
-  if Sys.file_exists path then begin
-    match
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with
+  if not (Sys.file_exists path) then None
+  else
+    match Jt_rules.Rules.decode_file (Jt_codec.Codec.read_file path) with
     | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
     | exception e ->
-      Printf.eprintf "janitizer: warning: unreadable rule cache %s (%s)\n%!"
-        path (Printexc.to_string e);
+      Printf.eprintf "janitizer: warning: rejecting rule cache %s (%s)\n%!"
+        path (Jt_codec.Codec.to_string e);
       None
-    | s -> (
-      match Jt_rules.Rules.decode_file s with
-      | f -> (
-        (* The cache is keyed by module *name*; a workload regenerated
-           with different code reuses the name, and applying the old
-           rules would plant checks at addresses that no longer exist.
-           The header digest detects that: any mismatch (including a
-           cache written without a digest) degrades to re-analysis,
-           exactly like corruption. *)
-        match expect_digest with
-        | None -> Some f
-        | Some d when String.equal d f.Jt_rules.Rules.rf_digest -> Some f
-        | Some _ ->
-          Printf.eprintf
-            "janitizer: warning: stale rule cache %s (module content \
-             changed), re-analyzing\n%!"
-            path;
-          None)
-      | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
-      | exception e ->
-        Printf.eprintf "janitizer: warning: corrupt rule cache %s (%s)\n%!"
-          path (Printexc.to_string e);
+    | f -> (
+      (* The cache is keyed by module *name*; a workload regenerated
+         with different code reuses the name, and applying the old
+         rules would plant checks at addresses that no longer exist.
+         The header digest detects that: any mismatch (including a
+         cache written without a digest) degrades to re-analysis,
+         exactly like corruption. *)
+      match expect_digest with
+      | None -> Some f
+      | Some d when String.equal d f.Jt_rules.Rules.rf_digest -> Some f
+      | Some _ ->
+        Printf.eprintf
+          "janitizer: warning: stale rule cache %s (module content \
+           changed), re-analyzing\n%!"
+          path;
         None)
-  end
-  else None
 
 let static_closure ~registry ~main =
   let registry =

@@ -1,4 +1,5 @@
 open Jt_isa
+module Codec = Jt_codec.Codec
 
 type tool = Asan of { elide : bool } | Cfi of Jt_jcfi.Jcfi.config
 
@@ -47,83 +48,48 @@ type emap = {
 
 let map_magic = "JEM1"
 
-let encode_map (em : emap) =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b map_magic;
-  let str s =
-    if String.length s > 255 then invalid_arg "Jt_emit: map string too long";
-    Buffer.add_uint8 b (String.length s);
-    Buffer.add_string b s
-  in
-  let w32 v = Buffer.add_int32_le b (Int32.of_int v) in
-  str em.em_digest;
-  str em.em_tool;
-  w32 em.em_text;
-  w32 (Array.length em.em_insns);
-  Array.iter
-    (fun mi ->
-      w32 mi.mi_old;
-      w32 mi.mi_new;
-      Buffer.add_uint8 b (if mi.mi_site then 1 else 0))
-    em.em_insns;
-  w32 (Array.length em.em_pins);
-  Array.iter
-    (fun (old, tgt) ->
-      w32 old;
-      w32 tgt)
-    em.em_pins;
-  Buffer.contents b
+let map_version = 1
 
-let decode_map s =
-  let fail msg = failwith ("Jt_emit.decode_map: " ^ msg) in
-  let pos = ref 0 in
-  let need n = if !pos + n > String.length s then fail "truncated" in
-  let r8 () =
-    need 1;
-    let v = Char.code s.[!pos] in
-    incr pos;
-    v
-  in
-  let r32 () =
-    need 4;
-    let v = Int32.to_int (String.get_int32_le s !pos) in
-    pos := !pos + 4;
-    v land 0xFFFF_FFFF
-  in
-  let rstr () =
-    let n = r8 () in
-    need n;
-    let v = String.sub s !pos n in
-    pos := !pos + n;
-    v
-  in
-  need 4;
-  if not (String.equal (String.sub s 0 4) map_magic) then fail "bad magic";
-  pos := 4;
-  let em_digest = rstr () in
-  let em_tool = rstr () in
-  let em_text = r32 () in
-  let n_insns = r32 () in
-  (* 9 bytes per instruction entry: bound the declared count by what the
-     remaining buffer can actually hold before allocating. *)
-  if n_insns * 9 > String.length s - !pos then fail "instruction count exceeds buffer";
-  let em_insns =
-    Array.init n_insns (fun _ ->
-        let mi_old = r32 () in
-        let mi_new = r32 () in
-        let mi_site = r8 () <> 0 in
-        { mi_old; mi_new; mi_site })
-  in
-  let n_pins = r32 () in
-  if n_pins * 8 > String.length s - !pos then fail "pin count exceeds buffer";
-  let em_pins =
-    Array.init n_pins (fun _ ->
-        let old = r32 () in
-        let tgt = r32 () in
-        (old, tgt))
-  in
-  if !pos <> String.length s then fail "trailing bytes";
-  { em_digest; em_tool; em_text; em_insns; em_pins }
+let encode_map (em : emap) =
+  Codec.seal ~magic:map_magic ~version:map_version (fun b ->
+      let open Codec.W in
+      str U8 b em.em_digest;
+      str U8 b em.em_tool;
+      u32 b em.em_text;
+      array U32
+        (fun b mi ->
+          u32 b mi.mi_old;
+          u32 b mi.mi_new;
+          bool b mi.mi_site)
+        b em.em_insns;
+      array U32
+        (fun b (old, tgt) ->
+          u32 b old;
+          u32 b tgt)
+        b em.em_pins)
+
+let decode_map =
+  Codec.unseal ~magic:map_magic ~version:map_version (fun r ->
+      let open Codec.R in
+      let em_digest = str U8 r in
+      let em_tool = str U8 r in
+      let em_text = u32 r in
+      let em_insns =
+        array U32 ~min:9
+          (fun r ->
+            let mi_old = u32 r in
+            let mi_new = u32 r in
+            { mi_old; mi_new; mi_site = bool r })
+          r
+      in
+      let em_pins =
+        array U32 ~min:8
+          (fun r ->
+            let old = u32 r in
+            (old, u32 r))
+          r
+      in
+      { em_digest; em_tool; em_text; em_insns; em_pins })
 
 let read_map (m : Jt_obj.Objfile.t) =
   match Jt_obj.Objfile.find_section m map_section_name with

@@ -100,12 +100,16 @@ type emap = {
 }
 
 val encode_map : emap -> string
+(** The map as a "JEM1" artifact in the sealed {!Jt_codec.Codec.seal}
+    frame. *)
+
 val decode_map : string -> emap
-(** @raise Failure on bad magic or truncation. *)
+(** @raise Jt_codec.Codec.Decode_error (format ["JEM1"]) on any
+    malformed map: a flipped bit or a truncation fails the frame. *)
 
 val read_map : Jt_obj.Objfile.t -> emap option
 (** The decoded [.emit.map] of an emitted object, [None] for ordinary
-    modules. *)
+    modules.  @raise Jt_codec.Codec.Decode_error as {!decode_map}. *)
 
 (** {1 Emission} *)
 
@@ -221,7 +225,8 @@ val attach :
     {!stats}, so a caller can reconstruct the exact uninstrumented
     instruction and cycle counts from an emitted run.
     @raise Failure if an emitted module's rule file is missing or its
-    digest does not match the map. *)
+    digest does not match the map, and {!Jt_codec.Codec.Decode_error} if
+    its map is corrupt. *)
 
 type run_outcome = {
   ro_outcome : Janitizer.Driver.outcome;

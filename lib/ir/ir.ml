@@ -1,3 +1,5 @@
+module Codec = Jt_codec.Codec
+
 type term =
   | Tjmp of int
   | Tjcc of int * int
@@ -87,334 +89,242 @@ type t = {
 
 let magic = "JTIR"
 
-let schema_version = 3
+let schema_version = 4
 
 (* ---- encoding ----
 
-   Little-endian, rules.ml's "JTR3" idiom: fixed-width integers written
-   through a Buffer, length-prefixed strings and lists.  Every count is
-   validated against the remaining bytes on decode, so a corrupt header
-   cannot demand a gigabyte allocation.  The last 16 bytes are a
-   [Digest] of everything before them: a flipped byte that still parses
-   (a liveness mask, a VSA bound) would otherwise reconstruct into
-   silently different facts. *)
+   The shared sealed frame: its MD5 matters here because a flipped byte
+   that still parses (a liveness mask, a VSA bound) would otherwise
+   reconstruct into silently different facts.  [i32] marks the signed
+   analysis values; both writers keep the low 32 bits, so any int in
+   [-2^31, 2^32-1] round-trips through its reader. *)
 
-let u8 b v = Buffer.add_char b (Char.chr (v land 0xFF))
+module W = Codec.W
 
-let u16 b v =
-  u8 b v;
-  u8 b (v lsr 8)
-
-let u32 b v =
-  u16 b v;
-  u16 b (v lsr 16)
-
-(* 32-bit two's complement; round-trips any int in [-2^31, 2^32-1], which
-   covers addresses, masked words and signed analysis values alike. *)
-let i32 b v = u32 b (v land 0xFFFFFFFF)
-
-let str8 b s =
-  if String.length s > 0xFF then invalid_arg "Ir.encode: string over 255";
-  u8 b (String.length s);
-  Buffer.add_string b s
-
-let str16 b s =
-  if String.length s > 0xFFFF then invalid_arg "Ir.encode: string over 64K";
-  u16 b (String.length s);
-  Buffer.add_string b s
-
-let list16 b f l =
-  if List.length l > 0xFFFF then invalid_arg "Ir.encode: list over 64K";
-  u16 b (List.length l);
-  List.iter (f b) l
-
-let list32 b f l =
-  u32 b (List.length l);
-  List.iter (f b) l
-
-let enc_ints16 b l = list16 b u32 l
-let enc_ints32 b l = list32 b u32 l
+let ints16 = W.list U16 W.u32
+let ints32 = W.list U32 W.u32
 
 let enc_term b = function
   | Tjmp t ->
-    u8 b 0;
-    u32 b t
+    W.u8 b 0;
+    W.u32 b t
   | Tjcc (t, f) ->
-    u8 b 1;
-    u32 b t;
-    u32 b f
+    W.u8 b 1;
+    W.u32 b t;
+    W.u32 b f
   | Tjmp_ind ts ->
-    u8 b 2;
-    enc_ints16 b ts
+    W.u8 b 2;
+    ints16 b ts
   | Tcall (t, r) ->
-    u8 b 3;
-    u32 b t;
-    u32 b r
+    W.u8 b 3;
+    W.u32 b t;
+    W.u32 b r
   | Tcall_ind r ->
-    u8 b 4;
-    u32 b r
-  | Tret -> u8 b 5
-  | Thalt -> u8 b 6
+    W.u8 b 4;
+    W.u32 b r
+  | Tret -> W.u8 b 5
+  | Thalt -> W.u8 b 6
   | Tfall n ->
-    u8 b 7;
-    u32 b n
+    W.u8 b 7;
+    W.u32 b n
 
 let enc_block b (bl : block) =
-  u32 b bl.ib_addr;
-  u32 b bl.ib_ninsns;
+  W.u32 b bl.ib_addr;
+  W.u32 b bl.ib_ninsns;
   enc_term b bl.ib_term;
-  enc_ints16 b bl.ib_succs;
-  enc_ints16 b bl.ib_preds
+  ints16 b bl.ib_succs;
+  ints16 b bl.ib_preds
 
 let enc_mem b (m : mem) =
-  i32 b m.im_base;
-  i32 b m.im_index;
-  u8 b m.im_scale;
-  u32 b m.im_disp
+  W.i32 b m.im_base;
+  W.i32 b m.im_index;
+  W.u8 b m.im_scale;
+  W.u32 b m.im_disp
 
 let enc_access b (a : access) =
-  u32 b a.ia_addr;
+  W.u32 b a.ia_addr;
   enc_mem b a.ia_mem;
-  u8 b a.ia_width;
-  u8 b (if a.ia_is_store then 1 else 0)
+  W.u8 b a.ia_width;
+  W.bool b a.ia_is_store
 
 let enc_scev b (s : scev) =
-  u32 b s.is_head;
-  u32 b s.is_preheader;
-  u32 b s.is_check_at;
-  u8 b s.is_ivar;
-  i32 b s.is_init;
+  W.u32 b s.is_head;
+  W.u32 b s.is_preheader;
+  W.u32 b s.is_check_at;
+  W.u8 b s.is_ivar;
+  W.i32 b s.is_init;
   (match s.is_bound with
   | Ibnd_imm v ->
-    u8 b 0;
-    i32 b v
+    W.u8 b 0;
+    W.i32 b v
   | Ibnd_reg r ->
-    u8 b 1;
-    u8 b r);
-  u8 b (if s.is_bound_incl then 1 else 0);
-  list16 b enc_access s.is_affine;
-  list16 b enc_access s.is_invariant
+    W.u8 b 1;
+    W.u8 b r);
+  W.bool b s.is_bound_incl;
+  W.list U16 enc_access b s.is_affine;
+  W.list U16 enc_access b s.is_invariant
 
 let enc_canary b (c : canary) =
-  u32 b c.ic_fn;
-  u32 b c.ic_store;
-  u32 b c.ic_after;
-  i32 b c.ic_disp;
-  enc_ints16 b c.ic_loads
+  W.u32 b c.ic_fn;
+  W.u32 b c.ic_store;
+  W.u32 b c.ic_after;
+  W.i32 b c.ic_disp;
+  ints16 b c.ic_loads
 
 let enc_stack b (s : stackinfo) =
-  u32 b s.ik_entry;
-  (match s.ik_frame with
-  | None -> u8 b 0
-  | Some v ->
-    u8 b 1;
-    i32 b v);
-  u8 b (if s.ik_canary then 1 else 0);
-  i32 b s.ik_push
+  W.u32 b s.ik_entry;
+  W.option W.i32 b s.ik_frame;
+  W.bool b s.ik_canary;
+  W.i32 b s.ik_push
 
 let enc_value b = function
-  | Vbot -> u8 b 0
+  | Vbot -> W.u8 b 0
   | Vcst (lo, hi) ->
-    u8 b 1;
-    i32 b lo;
-    i32 b hi
+    W.u8 b 1;
+    W.i32 b lo;
+    W.i32 b hi
   | Vsprel (lo, hi) ->
-    u8 b 2;
-    i32 b lo;
-    i32 b hi
-  | Vtop -> u8 b 3
+    W.u8 b 2;
+    W.i32 b lo;
+    W.i32 b hi
+  | Vtop -> W.u8 b 3
 
 let enc_fn b (f : fn) =
-  u32 b f.if_entry;
-  (match f.if_name with
-  | None -> u8 b 0
-  | Some n ->
-    u8 b 1;
-    str16 b n);
-  enc_ints32 b f.if_blocks;
-  list16 b
+  W.u32 b f.if_entry;
+  W.option (W.str U16) b f.if_name;
+  ints32 b f.if_blocks;
+  W.list U16
     (fun b (head, body) ->
-      u32 b head;
-      enc_ints32 b body)
-    f.if_loops;
-  u8 b (if f.if_live_all then 1 else 0);
-  list32 b
+      W.u32 b head;
+      ints32 b body)
+    b f.if_loops;
+  W.bool b f.if_live_all;
+  W.list U32
     (fun b (addr, regs, flags) ->
-      u32 b addr;
-      u16 b regs;
-      u8 b flags)
-    f.if_live;
-  list16 b enc_canary f.if_canaries;
-  list16 b enc_scev f.if_scev;
+      W.u32 b addr;
+      W.u16 b regs;
+      W.u8 b flags)
+    b f.if_live;
+  W.list U16 enc_canary b f.if_canaries;
+  W.list U16 enc_scev b f.if_scev;
   enc_stack b f.if_stack;
-  (match f.if_vsa with
-  | None -> u8 b 0
-  | Some ins ->
-    u8 b 1;
-    list32 b
-      (fun b (addr, vals) ->
-        u32 b addr;
-        u8 b (Array.length vals);
-        Array.iter (enc_value b) vals)
-      ins);
-  enc_ints32 b f.if_idom;
-  list32 b
+  W.option
+    (W.list U32 (fun b (addr, vals) ->
+         W.u32 b addr;
+         W.array U8 enc_value b vals))
+    b f.if_vsa;
+  ints32 b f.if_idom;
+  W.list U32
     (fun b (addr, env) ->
-      u32 b addr;
-      list16 b
+      W.u32 b addr;
+      W.list U16
         (fun b (reg, defs) ->
-          u8 b reg;
-          list16 b i32 defs)
-        env)
-    f.if_defuse
+          W.u8 b reg;
+          W.list U16 W.i32 b defs)
+        b env)
+    b f.if_defuse
 
 (* An unresolved (Top) site has no witness; its slot is written as 0. *)
 let enc_cpa b (c : Jt_analysis.Cpa.site) =
-  u32 b c.cs_fn;
-  u32 b c.cs_site;
+  W.u32 b c.cs_fn;
+  W.u32 b c.cs_site;
   match c.cs_targets with
   | None ->
-    u8 b 0;
-    u32 b 0;
-    enc_ints32 b []
+    W.bool b false;
+    W.u32 b 0;
+    ints32 b []
   | Some ts ->
-    u8 b 1;
-    u32 b c.cs_witness;
-    enc_ints32 b ts
-
-let digest_len = 16
+    W.bool b true;
+    W.u32 b c.cs_witness;
+    ints32 b ts
 
 let encode (t : t) =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b magic;
-  u16 b schema_version;
-  str8 b t.ir_digest;
-  str16 b t.ir_module;
-  u8 b (if t.ir_reliable then 1 else 0);
-  u32 b (Array.length t.ir_insns);
-  Array.iter
-    (fun (addr, len) ->
-      u32 b addr;
-      u8 b len)
-    t.ir_insns;
-  enc_ints32 b t.ir_leaders;
-  enc_ints32 b t.ir_func_entries;
-  list32 b
-    (fun b (addr, ts) ->
-      u32 b addr;
-      enc_ints16 b ts)
-    t.ir_jump_tables;
-  enc_ints32 b t.ir_code_ptrs;
-  list32 b enc_block t.ir_blocks;
-  list32 b enc_fn t.ir_fns;
-  list32 b enc_cpa t.ir_cpa;
-  Buffer.add_string b (Digest.string (Buffer.contents b));
-  Buffer.contents b
+  Codec.seal ~magic ~version:schema_version (fun b ->
+      W.str U8 b t.ir_digest;
+      W.str U16 b t.ir_module;
+      W.bool b t.ir_reliable;
+      W.array U32
+        (fun b (addr, len) ->
+          W.u32 b addr;
+          W.u8 b len)
+        b t.ir_insns;
+      ints32 b t.ir_leaders;
+      ints32 b t.ir_func_entries;
+      W.list U32
+        (fun b (addr, ts) ->
+          W.u32 b addr;
+          ints16 b ts)
+        b t.ir_jump_tables;
+      ints32 b t.ir_code_ptrs;
+      W.list U32 enc_block b t.ir_blocks;
+      W.list U32 enc_fn b t.ir_fns;
+      W.list U32 enc_cpa b t.ir_cpa)
 
-(* ---- decoding ---- *)
+(* ---- decoding ----
 
-(* [lim] excludes the trailing checksum from every bounds check. *)
-type reader = { s : string; lim : int; mutable pos : int }
+   Each list's [~min] is the smallest encoding of one element. *)
 
-let fail why = failwith ("Ir.decode: " ^ why)
+module R = Codec.R
 
-let byte r =
-  if r.pos >= r.lim then fail "truncated";
-  let v = Char.code r.s.[r.pos] in
-  r.pos <- r.pos + 1;
-  v
-
-let r16 r =
-  let a = byte r in
-  a lor (byte r lsl 8)
-
-let r32 r =
-  let a = r16 r in
-  a lor (r16 r lsl 16)
-
-let ri32 r =
-  let v = r32 r in
-  if v land 0x80000000 <> 0 then v - 0x1_0000_0000 else v
-
-let rstr r n =
-  if n < 0 || r.pos + n > r.lim then fail "truncated string";
-  let v = String.sub r.s r.pos n in
-  r.pos <- r.pos + n;
-  v
-
-let rstr8 r = rstr r (byte r)
-let rstr16 r = rstr r (r16 r)
-
-(* A list header's count must leave room for at least [min] bytes per
-   element — the up-front cheapness check that keeps corrupt counts from
-   driving huge allocations or long loops. *)
-let rlist r ~min ~count f =
-  let n = count r in
-  if n * min > r.lim - r.pos then fail "bad count";
-  List.init n (fun _ -> f r)
-
-let rlist16 r ~min f = rlist r ~min ~count:r16 f
-let rlist32 r ~min f = rlist r ~min ~count:r32 f
-
-let rints16 r = rlist16 r ~min:4 r32
-let rints32 r = rlist32 r ~min:4 r32
+let rints16 = R.list U16 ~min:4 R.u32
+let rints32 = R.list U32 ~min:4 R.u32
 
 let rterm r =
-  match byte r with
-  | 0 -> Tjmp (r32 r)
+  match R.u8 r with
+  | 0 -> Tjmp (R.u32 r)
   | 1 ->
-    let t = r32 r in
-    Tjcc (t, r32 r)
+    let t = R.u32 r in
+    Tjcc (t, R.u32 r)
   | 2 -> Tjmp_ind (rints16 r)
   | 3 ->
-    let t = r32 r in
-    Tcall (t, r32 r)
-  | 4 -> Tcall_ind (r32 r)
+    let t = R.u32 r in
+    Tcall (t, R.u32 r)
+  | 4 -> Tcall_ind (R.u32 r)
   | 5 -> Tret
   | 6 -> Thalt
-  | 7 -> Tfall (r32 r)
-  | _ -> fail "bad terminator tag"
+  | 7 -> Tfall (R.u32 r)
+  | _ -> R.fail r "bad terminator tag"
 
 (* [of_ir] allocates [ib_ninsns] slots per block, so a count beyond the
    entry's own instruction total is rejected here. *)
 let rblock ~max_insns r =
-  let ib_addr = r32 r in
-  let ib_ninsns = r32 r in
-  if ib_ninsns > max_insns then fail "block insn count";
+  let ib_addr = R.u32 r in
+  let ib_ninsns = R.u32 r in
+  if ib_ninsns > max_insns then R.fail r "block insn count";
   let ib_term = rterm r in
   let ib_succs = rints16 r in
   let ib_preds = rints16 r in
   { ib_addr; ib_ninsns; ib_term; ib_succs; ib_preds }
 
 let rmem r =
-  let im_base = ri32 r in
-  let im_index = ri32 r in
-  let im_scale = byte r in
-  let im_disp = r32 r in
+  let im_base = R.i32 r in
+  let im_index = R.i32 r in
+  let im_scale = R.u8 r in
+  let im_disp = R.u32 r in
   { im_base; im_index; im_scale; im_disp }
 
 let raccess r =
-  let ia_addr = r32 r in
+  let ia_addr = R.u32 r in
   let ia_mem = rmem r in
-  let ia_width = byte r in
-  let ia_is_store = byte r <> 0 in
+  let ia_width = R.u8 r in
+  let ia_is_store = R.bool r in
   { ia_addr; ia_mem; ia_width; ia_is_store }
 
 let rscev r =
-  let is_head = r32 r in
-  let is_preheader = r32 r in
-  let is_check_at = r32 r in
-  let is_ivar = byte r in
-  let is_init = ri32 r in
+  let is_head = R.u32 r in
+  let is_preheader = R.u32 r in
+  let is_check_at = R.u32 r in
+  let is_ivar = R.u8 r in
+  let is_init = R.i32 r in
   let is_bound =
-    match byte r with
-    | 0 -> Ibnd_imm (ri32 r)
-    | 1 -> Ibnd_reg (byte r)
-    | _ -> fail "bad bound tag"
+    match R.u8 r with
+    | 0 -> Ibnd_imm (R.i32 r)
+    | 1 -> Ibnd_reg (R.u8 r)
+    | _ -> R.fail r "bad bound tag"
   in
-  let is_bound_incl = byte r <> 0 in
-  let is_affine = rlist16 r ~min:15 raccess in
-  let is_invariant = rlist16 r ~min:15 raccess in
+  let is_bound_incl = R.bool r in
+  let is_affine = R.list U16 ~min:15 raccess r in
+  let is_invariant = R.list U16 ~min:15 raccess r in
   {
     is_head;
     is_preheader;
@@ -428,46 +338,46 @@ let rscev r =
   }
 
 let rcanary r =
-  let ic_fn = r32 r in
-  let ic_store = r32 r in
-  let ic_after = r32 r in
-  let ic_disp = ri32 r in
+  let ic_fn = R.u32 r in
+  let ic_store = R.u32 r in
+  let ic_after = R.u32 r in
+  let ic_disp = R.i32 r in
   let ic_loads = rints16 r in
   { ic_fn; ic_store; ic_after; ic_disp; ic_loads }
 
 let rstack r =
-  let ik_entry = r32 r in
-  let ik_frame = match byte r with 0 -> None | _ -> Some (ri32 r) in
-  let ik_canary = byte r <> 0 in
-  let ik_push = ri32 r in
+  let ik_entry = R.u32 r in
+  let ik_frame = R.option R.i32 r in
+  let ik_canary = R.bool r in
+  let ik_push = R.i32 r in
   { ik_entry; ik_frame; ik_canary; ik_push }
 
 let rvalue r =
-  match byte r with
+  match R.u8 r with
   | 0 -> Vbot
   | 1 ->
-    let lo = ri32 r in
-    Vcst (lo, ri32 r)
+    let lo = R.i32 r in
+    Vcst (lo, R.i32 r)
   | 2 ->
-    let lo = ri32 r in
-    Vsprel (lo, ri32 r)
+    let lo = R.i32 r in
+    Vsprel (lo, R.i32 r)
   | 3 -> Vtop
-  | _ -> fail "bad value tag"
+  | _ -> R.fail r "bad value tag"
 
 (* The idoms must form a tree rooted at the entry: one per block, each a
    block of the function, only the entry its own idom, and every parent
    chain ending at the entry.  Without this a crafted entry could hand
    [Domtree] a cycle that no analysis produced. *)
-let check_idoms ~entry blocks idoms =
+let check_idoms r ~entry blocks idoms =
   let n = List.length blocks in
-  if List.length idoms <> n then fail "idom count";
+  if List.length idoms <> n then R.fail r "idom count";
   let parent = Hashtbl.create n in
   List.iter2
     (fun b p ->
-      if Hashtbl.mem parent b then fail "duplicate block";
+      if Hashtbl.mem parent b then R.fail r "duplicate block";
       Hashtbl.replace parent b p)
     blocks idoms;
-  if Hashtbl.find_opt parent entry <> Some entry then fail "entry idom";
+  if Hashtbl.find_opt parent entry <> Some entry then R.fail r "entry idom";
   (* [true]: known to reach the entry; [false]: on the chain being
      climbed, so meeting it again is a cycle. *)
   let reaches = Hashtbl.create n in
@@ -475,55 +385,59 @@ let check_idoms ~entry blocks idoms =
   let rec climb path a =
     match Hashtbl.find_opt reaches a with
     | Some true -> List.iter (fun x -> Hashtbl.replace reaches x true) path
-    | Some false -> fail "idom cycle"
+    | Some false -> R.fail r "idom cycle"
     | None -> (
       Hashtbl.replace reaches a false;
       match Hashtbl.find_opt parent a with
-      | None -> fail "idom outside the function"
-      | Some p when p = a -> fail "non-entry block is its own idom"
+      | None -> R.fail r "idom outside the function"
+      | Some p when p = a -> R.fail r "non-entry block is its own idom"
       | Some p -> climb (a :: path) p)
   in
   List.iter (climb []) blocks
 
 let rfn r =
-  let if_entry = r32 r in
-  let if_name = match byte r with 0 -> None | _ -> Some (rstr16 r) in
+  let if_entry = R.u32 r in
+  let if_name = R.option (R.str U16) r in
   let if_blocks = rints32 r in
   let if_loops =
-    rlist16 r ~min:8 (fun r ->
-        let head = r32 r in
+    R.list U16 ~min:8
+      (fun r ->
+        let head = R.u32 r in
         (head, rints32 r))
+      r
   in
-  let if_live_all = byte r <> 0 in
+  let if_live_all = R.bool r in
   let if_live =
-    rlist32 r ~min:7 (fun r ->
-        let addr = r32 r in
-        let regs = r16 r in
-        let flags = byte r in
-        (addr, regs, flags))
+    R.list U32 ~min:7
+      (fun r ->
+        let addr = R.u32 r in
+        let regs = R.u16 r in
+        (addr, regs, R.u8 r))
+      r
   in
-  let if_canaries = rlist16 r ~min:18 rcanary in
-  let if_scev = rlist16 r ~min:24 rscev in
+  let if_canaries = R.list U16 ~min:18 rcanary r in
+  let if_scev = R.list U16 ~min:24 rscev r in
   let if_stack = rstack r in
   let if_vsa =
-    match byte r with
-    | 0 -> None
-    | _ ->
-      Some
-        (rlist32 r ~min:6 (fun r ->
-             let addr = r32 r in
-             let n = byte r in
-             (addr, Array.init n (fun _ -> rvalue r))))
+    R.option
+      (R.list U32 ~min:5 (fun r ->
+           let addr = R.u32 r in
+           (addr, R.array U8 ~min:1 rvalue r)))
+      r
   in
   let if_idom = rints32 r in
-  check_idoms ~entry:if_entry if_blocks if_idom;
+  check_idoms r ~entry:if_entry if_blocks if_idom;
   let if_defuse =
-    rlist32 r ~min:6 (fun r ->
-        let addr = r32 r in
+    R.list U32 ~min:6
+      (fun r ->
+        let addr = R.u32 r in
         ( addr,
-          rlist16 r ~min:3 (fun r ->
-              let reg = byte r in
-              (reg, rlist16 r ~min:4 ri32)) ))
+          R.list U16 ~min:3
+            (fun r ->
+              let reg = R.u8 r in
+              (reg, R.list U16 ~min:4 R.i32 r))
+            r ))
+      r
   in
   {
     if_entry;
@@ -541,67 +455,51 @@ let rfn r =
   }
 
 let rcpa r =
-  let cs_fn = r32 r in
-  let cs_site = r32 r in
-  let resolved = byte r <> 0 in
-  let cs_witness = r32 r in
+  let cs_fn = R.u32 r in
+  let cs_site = R.u32 r in
+  let resolved = R.bool r in
+  let cs_witness = R.u32 r in
   let targets = rints32 r in
   if resolved then
     { Jt_analysis.Cpa.cs_fn; cs_site; cs_targets = Some targets; cs_witness }
   else { Jt_analysis.Cpa.cs_fn; cs_site; cs_targets = None; cs_witness = 0 }
 
-let check_header r =
-  if r.lim < 6 then fail "truncated";
-  if String.sub r.s 0 4 <> magic then fail "bad magic";
-  r.pos <- 4;
-  let v = r16 r in
-  if v <> schema_version then
-    fail (Printf.sprintf "schema version %d, expected %d" v schema_version)
-
-let decode s =
-  let n = String.length s - digest_len in
-  let r = { s; lim = n; pos = 0 } in
-  check_header r;
-  if not (String.equal (Digest.substring s 0 n) (String.sub s n digest_len))
-  then fail "checksum mismatch";
-  let ir_digest = rstr8 r in
-  let ir_module = rstr16 r in
-  let ir_reliable = byte r <> 0 in
-  let n_insns = r32 r in
-  if n_insns * 5 > n - r.pos then fail "bad insn count";
-  let ir_insns =
-    Array.init n_insns (fun _ ->
-        let addr = r32 r in
-        let len = byte r in
-        (addr, len))
-  in
-  let ir_leaders = rints32 r in
-  let ir_func_entries = rints32 r in
-  let ir_jump_tables =
-    rlist32 r ~min:6 (fun r ->
-        let addr = r32 r in
-        (addr, rints16 r))
-  in
-  let ir_code_ptrs = rints32 r in
-  let ir_blocks = rlist32 r ~min:17 (rblock ~max_insns:n_insns) in
-  let ir_fns = rlist32 r ~min:40 rfn in
-  let ir_cpa = rlist32 r ~min:17 rcpa in
-  if r.pos <> n then fail "trailing bytes";
-  {
-    ir_module;
-    ir_digest;
-    ir_reliable;
-    ir_insns;
-    ir_leaders;
-    ir_func_entries;
-    ir_jump_tables;
-    ir_code_ptrs;
-    ir_blocks;
-    ir_fns;
-    ir_cpa;
-  }
-
-let peek_digest s =
-  let r = { s; lim = String.length s; pos = 0 } in
-  check_header r;
-  rstr8 r
+let decode =
+  Codec.unseal ~magic ~version:schema_version (fun r ->
+      let ir_digest = R.str U8 r in
+      let ir_module = R.str U16 r in
+      let ir_reliable = R.bool r in
+      let ir_insns =
+        R.array U32 ~min:5
+          (fun r ->
+            let addr = R.u32 r in
+            (addr, R.u8 r))
+          r
+      in
+      let ir_leaders = rints32 r in
+      let ir_func_entries = rints32 r in
+      let ir_jump_tables =
+        R.list U32 ~min:6
+          (fun r ->
+            let addr = R.u32 r in
+            (addr, rints16 r))
+          r
+      in
+      let ir_code_ptrs = rints32 r in
+      let max_insns = Array.length ir_insns in
+      let ir_blocks = R.list U32 ~min:13 (rblock ~max_insns) r in
+      let ir_fns = R.list U32 ~min:39 rfn r in
+      let ir_cpa = R.list U32 ~min:17 rcpa r in
+      {
+        ir_module;
+        ir_digest;
+        ir_reliable;
+        ir_insns;
+        ir_leaders;
+        ir_func_entries;
+        ir_jump_tables;
+        ir_code_ptrs;
+        ir_blocks;
+        ir_fns;
+        ir_cpa;
+      })

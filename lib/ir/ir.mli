@@ -125,18 +125,16 @@ val schema_version : int
 (** Bumped on any layout change; a mismatch degrades to re-analysis. *)
 
 val encode : t -> string
-(** Versioned little-endian binary encoding, magic + schema version
-    first, module digest in the header, and a [Digest] of everything
-    before it as the last 16 bytes. *)
+(** The IR in the sealed {!Jt_codec.Codec.seal} frame: magic, schema
+    version and payload length first, the module digest at the head of
+    the payload, and an MD5 of everything before it as the last 16
+    bytes. *)
 
 val decode : string -> t
-(** Inverse of {!encode}.  @raise Failure on truncation, bad magic, a
-    schema-version mismatch, a checksum mismatch, a block claiming more
-    instructions than the entry records, a function whose [if_idom] is
-    not a tree rooted at its entry (wrong length, a duplicate block, an
-    idom outside the function, a non-entry block as its own idom, a
-    cycle), or any other malformed payload. *)
-
-val peek_digest : string -> string
-(** The digest recorded in an encoding's header, without a full decode.
-    @raise Failure on truncation or bad magic/version. *)
+(** Inverse of {!encode}.
+    @raise Jt_codec.Codec.Decode_error (format ["JTIR"]) on truncation,
+    bad magic, a schema-version mismatch, a length or checksum mismatch,
+    a block claiming more instructions than the entry records, a
+    function whose [if_idom] is not a tree rooted at its entry (wrong
+    length, a duplicate block, an idom outside the function, a non-entry
+    block as its own idom, a cycle), or any other malformed payload. *)

@@ -1,3 +1,4 @@
+module Codec = Jt_codec.Codec
 module Trace = Jt_trace.Trace
 
 type entry = { e_ir : Ir.t; mutable e_tick : int }
@@ -25,17 +26,9 @@ type t = {
   mutable s_corrupt : int;
 }
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdir_p parent;
-    try Sys.mkdir dir 0o755 with
-    | Sys_error _ when Sys.file_exists dir -> ()
-  end
-
 let create ?(capacity = 32) ~dir () =
   if capacity < 0 then invalid_arg "Store.create: negative capacity";
-  mkdir_p dir;
+  Codec.mkdir_p dir;
   {
     dir;
     capacity;
@@ -62,52 +55,32 @@ let path_of t digest = Filename.concat t.dir (Digest.to_hex digest ^ ".jtir")
    or stale entry is transparently re-analyzed and overwritten. *)
 let load_disk t ~digest ~name =
   let path = path_of t digest in
+  let reject why =
+    Printf.eprintf
+      "janitizer: warning: rejecting IR store entry %s (%s), re-analyzing\n%!"
+      path why;
+    if Trace.is_enabled () then Trace.emit (Trace.Store_corrupt { name; why });
+    Mutex.lock t.mu;
+    t.s_corrupt <- t.s_corrupt + 1;
+    Mutex.unlock t.mu;
+    None
+  in
   if not (Sys.file_exists path) then None
-  else begin
-    match
-      let ic = open_in_bin path in
-      let s =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      let ir = Ir.decode s in
-      if not (String.equal ir.Ir.ir_digest digest) then
-        failwith "stale digest (module content changed)";
-      ir
-    with
+  else
+    match Ir.decode (Codec.read_file path) with
     | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
-    | exception e ->
-      let why =
-        match e with Failure m -> m | e -> Printexc.to_string e
-      in
-      Printf.eprintf
-        "janitizer: warning: rejecting IR store entry %s (%s), re-analyzing\n%!"
-        path why;
-      if Trace.is_enabled () then Trace.emit (Trace.Store_corrupt { name; why });
-      Mutex.lock t.mu;
-      t.s_corrupt <- t.s_corrupt + 1;
-      Mutex.unlock t.mu;
-      None
+    | exception e -> reject (Codec.to_string e)
+    | ir when not (String.equal ir.Ir.ir_digest digest) ->
+      reject "stale digest (module content changed)"
     | ir ->
       (* Touch so gc's oldest-first disk eviction tracks access order,
          not just write order. *)
       (try Unix.utimes path 0.0 0.0 with Unix.Unix_error _ -> ());
       Some ir
-  end
 
-let save_disk t ir =
-  let path = path_of t ir.Ir.ir_digest in
-  let tmp =
-    Filename.temp_file ~temp_dir:t.dir "jtir" ".tmp"
-  in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (Ir.encode ir));
-  (* Atomic publish: concurrent readers see either the old entry or the
-     complete new one, never a torn write. *)
-  Sys.rename tmp path
+(* Atomic publish: concurrent readers see either the old entry or the
+   complete new one, never a torn write. *)
+let save_disk t ir = Codec.write_file_atomic (path_of t ir.Ir.ir_digest) (Ir.encode ir)
 
 (* ---- in-memory LRU (caller holds the lock) ---- *)
 

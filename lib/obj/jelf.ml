@@ -1,242 +1,137 @@
+open Jt_codec.Codec
+
 let magic = "JELF1"
 
-(* ---- writer ---- *)
+(* A tag is its constructor's index here. *)
+let kind_tags = Objfile.[| Exec_nonpic; Exec_pic; Shared |]
+let symtab_tags = Objfile.[| Full; Exported_only; Stripped |]
 
-let u8 b v = Buffer.add_char b (Char.chr (v land 0xFF))
+let feature_tags =
+  Objfile.[| Cxx_exceptions; Fortran_runtime; Handwritten_asm; Breaks_calling_convention |]
 
-let u32 b v =
-  u8 b v;
-  u8 b (v lsr 8);
-  u8 b (v lsr 16);
-  u8 b (v lsr 24)
-
-let str b s =
-  u32 b (String.length s);
-  Buffer.add_string b s
-
-let list_ b xs f =
-  u32 b (List.length xs);
-  List.iter (f b) xs
-
-let kind_tag = function
-  | Objfile.Exec_nonpic -> 0
-  | Objfile.Exec_pic -> 1
-  | Objfile.Shared -> 2
-
-let symtab_tag = function
-  | Objfile.Full -> 0
-  | Objfile.Exported_only -> 1
-  | Objfile.Stripped -> 2
-
-let feature_tag = function
-  | Objfile.Cxx_exceptions -> 0
-  | Objfile.Fortran_runtime -> 1
-  | Objfile.Handwritten_asm -> 2
-  | Objfile.Breaks_calling_convention -> 3
+let sym_kind_tags = Symbol.[| Func; Object |]
 
 let write (m : Objfile.t) =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b magic;
-  str b m.name;
-  u8 b (kind_tag m.kind);
-  u8 b (symtab_tag m.symtab_level);
-  list_ b m.features (fun b f -> u8 b (feature_tag f));
-  list_ b m.deps str;
-  (match m.entry with
-  | Some e ->
-    u8 b 1;
-    u32 b e
-  | None -> u8 b 0);
-  list_ b m.sections (fun b (s : Section.t) ->
-      str b s.name;
-      u32 b s.vaddr;
-      u8 b (if s.is_code then 1 else 0);
-      str b s.data;
-      list_ b s.truth_code_ranges (fun b (a, l) ->
-          u32 b a;
-          u32 b l));
-  list_ b m.symbols (fun b (s : Symbol.t) ->
-      str b s.name;
-      u32 b s.vaddr;
-      u32 b s.size;
-      u8 b (match s.kind with Symbol.Func -> 0 | Symbol.Object -> 1);
-      u8 b (if s.exported then 1 else 0));
-  list_ b m.relocs (fun b (r : Reloc.t) ->
-      u32 b r.offset;
-      match r.kind with
-      | Reloc.Rel_relative v ->
-        u8 b 0;
-        u32 b v
-      | Reloc.Rel_got n ->
-        u8 b 1;
-        str b n);
-  list_ b m.imports (fun b (i : Objfile.import) ->
-      str b i.imp_sym;
-      u32 b i.imp_got;
-      match i.imp_plt with
-      | Some p ->
-        u8 b 1;
-        u32 b p
-      | None -> u8 b 0);
-  list_ b m.exports str;
-  Buffer.contents b
+  encode ~magic (fun b ->
+      W.str U32 b m.name;
+      W.enum kind_tags b m.kind;
+      W.enum symtab_tags b m.symtab_level;
+      W.list U32 (W.enum feature_tags) b m.features;
+      W.list U32 (W.str U32) b m.deps;
+      W.option W.u32 b m.entry;
+      W.list U32
+        (fun b (s : Section.t) ->
+          W.str U32 b s.name;
+          W.u32 b s.vaddr;
+          W.bool b s.is_code;
+          W.str U32 b s.data;
+          W.list U32
+            (fun b (a, l) ->
+              W.u32 b a;
+              W.u32 b l)
+            b s.truth_code_ranges)
+        b m.sections;
+      W.list U32
+        (fun b (s : Symbol.t) ->
+          W.str U32 b s.name;
+          W.u32 b s.vaddr;
+          W.u32 b s.size;
+          W.enum sym_kind_tags b s.kind;
+          W.bool b s.exported)
+        b m.symbols;
+      W.list U32
+        (fun b (r : Reloc.t) ->
+          W.u32 b r.offset;
+          match r.kind with
+          | Reloc.Rel_relative v ->
+            W.u8 b 0;
+            W.u32 b v
+          | Reloc.Rel_got n ->
+            W.u8 b 1;
+            W.str U32 b n)
+        b m.relocs;
+      W.list U32
+        (fun b (i : Objfile.import) ->
+          W.str U32 b i.imp_sym;
+          W.u32 b i.imp_got;
+          W.option W.u32 b i.imp_plt)
+        b m.imports;
+      W.list U32 (W.str U32) b m.exports)
 
-(* ---- reader ---- *)
+(* The [~min] of each list is the smallest encoding of one element. *)
+let read =
+  decode ~magic (fun r ->
+      let name = R.str U32 r in
+      let kind = R.enum kind_tags r in
+      let symtab_level = R.enum symtab_tags r in
+      let features = R.list U32 ~min:1 (R.enum feature_tags) r in
+      let deps = R.list U32 ~min:4 (R.str U32) r in
+      let entry = R.option R.u32 r in
+      let sections =
+        R.list U32 ~min:17
+          (fun r ->
+            let name = R.str U32 r in
+            let vaddr = R.u32 r in
+            let is_code = R.bool r in
+            let data = R.str U32 r in
+            let truth =
+              R.list U32 ~min:8
+                (fun r ->
+                  let a = R.u32 r in
+                  (a, R.u32 r))
+                r
+            in
+            Section.make ~truth_code_ranges:truth ~name ~vaddr ~is_code data)
+          r
+      in
+      let symbols =
+        R.list U32 ~min:14
+          (fun r ->
+            let name = R.str U32 r in
+            let vaddr = R.u32 r in
+            let size = R.u32 r in
+            let kind = R.enum sym_kind_tags r in
+            let exported = R.bool r in
+            Symbol.make ~size ~exported ~kind ~name vaddr)
+          r
+      in
+      let relocs =
+        R.list U32 ~min:9
+          (fun r ->
+            let offset = R.u32 r in
+            match R.u8 r with
+            | 0 -> Reloc.relative ~offset (R.u32 r)
+            | 1 -> Reloc.got ~offset (R.str U32 r)
+            | _ -> R.fail r "bad reloc")
+          r
+      in
+      let imports =
+        R.list U32 ~min:9
+          (fun r ->
+            let imp_sym = R.str U32 r in
+            let imp_got = R.u32 r in
+            let imp_plt = R.option R.u32 r in
+            { Objfile.imp_sym; imp_got; imp_plt })
+          r
+      in
+      let exports = R.list U32 ~min:4 (R.str U32) r in
+      {
+        Objfile.name;
+        kind;
+        sections;
+        symbols;
+        symtab_level;
+        relocs;
+        imports;
+        exports;
+        deps;
+        entry;
+        features;
+      })
 
-type cursor = { s : string; mutable pos : int }
-
-let fail why = failwith ("Jelf.read: " ^ why)
-
-let byte c =
-  if c.pos >= String.length c.s then fail "truncated";
-  let v = Char.code c.s.[c.pos] in
-  c.pos <- c.pos + 1;
-  v
-
-let r32 c =
-  let a = byte c in
-  let b = byte c in
-  let d = byte c in
-  let e = byte c in
-  a lor (b lsl 8) lor (d lsl 16) lor (e lsl 24)
-
-let rstr c =
-  let n = r32 c in
-  if c.pos + n > String.length c.s then fail "bad string";
-  let s = String.sub c.s c.pos n in
-  c.pos <- c.pos + n;
-  s
-
-(* [min] is the smallest possible encoding of one element: a count
-   whose elements could not all fit in the remaining bytes is corrupt,
-   however small the absolute number looks (the magic 1M ceiling alone
-   let a short file claim 999,999 sections and spin the decoder through
-   a million "truncated" probes — or worse, allocate for them).  Same
-   rule the rules codec and the JTIR codec apply to their counts. *)
-let rlist ~min c f =
-  let n = r32 c in
-  if n > 1_000_000 then fail "absurd count";
-  if n * min > String.length c.s - c.pos then fail "count exceeds buffer";
-  List.init n (fun _ -> f c)
-
-let read s =
-  if String.length s < 5 || String.sub s 0 5 <> magic then fail "bad magic";
-  let c = { s; pos = 5 } in
-  let name = rstr c in
-  let kind =
-    match byte c with
-    | 0 -> Objfile.Exec_nonpic
-    | 1 -> Objfile.Exec_pic
-    | 2 -> Objfile.Shared
-    | _ -> fail "bad kind"
-  in
-  let symtab_level =
-    match byte c with
-    | 0 -> Objfile.Full
-    | 1 -> Objfile.Exported_only
-    | 2 -> Objfile.Stripped
-    | _ -> fail "bad symtab level"
-  in
-  let features =
-    rlist ~min:1 c (fun c ->
-        match byte c with
-        | 0 -> Objfile.Cxx_exceptions
-        | 1 -> Objfile.Fortran_runtime
-        | 2 -> Objfile.Handwritten_asm
-        | 3 -> Objfile.Breaks_calling_convention
-        | _ -> fail "bad feature")
-  in
-  let deps = rlist ~min:4 c rstr in
-  let entry = match byte c with 1 -> Some (r32 c) | 0 -> None | _ -> fail "bad entry" in
-  let sections =
-    rlist ~min:17 c (fun c ->
-        let name = rstr c in
-        let vaddr = r32 c in
-        let is_code = byte c = 1 in
-        let data = rstr c in
-        let truth =
-          rlist ~min:8 c (fun c ->
-              let a = r32 c in
-              let l = r32 c in
-              (a, l))
-        in
-        Section.make ~truth_code_ranges:truth ~name ~vaddr ~is_code data)
-  in
-  let symbols =
-    rlist ~min:14 c (fun c ->
-        let name = rstr c in
-        let vaddr = r32 c in
-        let size = r32 c in
-        let kind = match byte c with 0 -> Symbol.Func | 1 -> Symbol.Object | _ -> fail "bad sym" in
-        let exported = byte c = 1 in
-        Symbol.make ~size ~exported ~kind ~name vaddr)
-  in
-  let relocs =
-    rlist ~min:9 c (fun c ->
-        let offset = r32 c in
-        match byte c with
-        | 0 -> Reloc.relative ~offset (r32 c)
-        | 1 -> Reloc.got ~offset (rstr c)
-        | _ -> fail "bad reloc")
-  in
-  let imports =
-    rlist ~min:9 c (fun c ->
-        let imp_sym = rstr c in
-        let imp_got = r32 c in
-        let imp_plt = match byte c with 1 -> Some (r32 c) | 0 -> None | _ -> fail "bad import" in
-        { Objfile.imp_sym; imp_got; imp_plt })
-  in
-  let exports = rlist ~min:4 c rstr in
-  (* A valid decode must consume the whole buffer: accepting trailing
-     garbage would let a corrupted (e.g. doubly-written) file pass, and
-     makes the digest of what was read disagree with the file bytes. *)
-  if c.pos <> String.length s then fail "trailing bytes";
-  {
-    Objfile.name;
-    kind;
-    sections;
-    symbols;
-    symtab_level;
-    relocs;
-    imports;
-    exports;
-    deps;
-    entry;
-    features;
-  }
-
-(* [Sys.mkdir] is single-level; emitted binaries are routinely saved
-   into nested output directories.  Racing creators are fine: EEXIST is
-   ignored at every level. *)
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdir_p parent;
-    try Sys.mkdir dir 0o755 with
-    | Sys_error _ when Sys.file_exists dir -> ()
-  end
-
-(* Publish protocol shared with [Jt_ir.Store]: write to a temp file in
-   the destination directory, then atomically rename over the final
-   path.  A crash mid-write leaves only a stray [.tmp], never a
-   truncated [.jelf] that a later [load] would half-decode. *)
 let save ~dir (m : Objfile.t) =
-  mkdir_p dir;
   let path = Filename.concat dir (m.name ^ ".jelf") in
-  let tmp = Filename.temp_file ~temp_dir:dir (m.name ^ ".") ".tmp" in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists tmp then Sys.remove tmp)
-    (fun () ->
-      let oc = open_out_bin tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc (write m));
-      Sys.rename tmp path);
+  write_file_atomic path (write m);
   path
 
-let load path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  read s
+let load path = read (read_file path)

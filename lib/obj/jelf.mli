@@ -8,21 +8,21 @@
     runs them, and rule files produced offline refer to them by name. *)
 
 val write : Objfile.t -> string
-(** Serialize a module to its container bytes. *)
+(** Serialize a module to its container bytes ({!Jt_codec.Codec.encode},
+    unsealed). *)
 
 val read : string -> Objfile.t
-(** @raise Failure on malformed input: truncation, bad magic or tags,
-    element counts that cannot fit in the remaining bytes, and trailing
-    bytes after a complete decode are all rejected. *)
-
-val mkdir_p : string -> unit
-(** Recursive directory creation ([Sys.mkdir] is single-level);
-    idempotent and race-tolerant. *)
+(** Inverse of {!write}, accepting only canonical encodings: a module it
+    returns writes back to exactly its input.
+    @raise Jt_codec.Codec.Decode_error (format ["JELF1"]) on truncation,
+    bad magic, tags or booleans, counts that cannot fit in the remaining
+    bytes, and trailing bytes. *)
 
 val save : dir:string -> Objfile.t -> string
 (** Write [<dir>/<name>.jelf] (creating [dir] and any missing parents)
-    via temp-file + atomic rename, so an interrupted save never leaves a
-    partial [.jelf] at the final path; returns the path. *)
+    with {!Jt_codec.Codec.write_file_atomic}, so an interrupted save
+    never leaves a partial [.jelf] at the final path; returns the path. *)
 
 val load : string -> Objfile.t
-(** Read a module from a file path.  @raise Failure / [Sys_error]. *)
+(** Read a module from a file path.
+    @raise Jt_codec.Codec.Decode_error / [Sys_error]. *)

@@ -1,3 +1,5 @@
+module Codec = Jt_codec.Codec
+
 type t = { rule_id : int; bb : int; insn : int; data : int array }
 
 let no_op = 0
@@ -13,118 +15,60 @@ type file = {
   rf_rules : t list;
 }
 
-(* Format v3 ("JTR3"): the header gains a small key/value stats section
-   (per-module static-pass accounting such as elision counts), so the
-   "what did the analyzer decide and why" record travels with the rules
-   under the same digest scheme.  v2 ("JTR2") and v1 ("JTRR") files fail
-   the magic check and degrade to re-analysis. *)
+(* "JTR3": the module digest and a small key/value stats section
+   (per-module static-pass accounting such as elision counts) head the
+   rules, so the "what did the analyzer decide and why" record travels
+   with the rules under the same digest scheme.  Sealed in the shared
+   frame; files from before the frame, and the older "JTR2"/"JTRR"
+   layouts, fail it and degrade to re-analysis. *)
 let magic = "JTR3"
 
-let u8 b v = Buffer.add_char b (Char.chr (v land 0xFF))
-
-let u16 b v =
-  u8 b v;
-  u8 b (v lsr 8)
-
-let u32 b v =
-  u16 b v;
-  u16 b (v lsr 16)
+let version = 1
 
 let encode_file f =
-  if String.length f.rf_digest > 0xFF then
-    invalid_arg "Rules.encode_file: digest longer than 255 bytes";
-  let b = Buffer.create 1024 in
-  Buffer.add_string b magic;
-  u8 b (String.length f.rf_digest);
-  Buffer.add_string b f.rf_digest;
-  u16 b (String.length f.rf_module);
-  Buffer.add_string b f.rf_module;
-  if List.length f.rf_stats > 0xFF then
-    invalid_arg "Rules.encode_file: more than 255 stats";
-  u8 b (List.length f.rf_stats);
-  List.iter
-    (fun (k, v) ->
-      if String.length k > 0xFF then
-        invalid_arg "Rules.encode_file: stat key longer than 255 bytes";
-      u8 b (String.length k);
-      Buffer.add_string b k;
-      u32 b v)
-    f.rf_stats;
-  u32 b (List.length f.rf_rules);
-  List.iter
-    (fun r ->
-      u16 b r.rule_id;
-      u32 b r.bb;
-      u32 b r.insn;
-      u8 b (Array.length r.data);
-      Array.iter (fun d -> u32 b d) r.data)
-    f.rf_rules;
-  Buffer.contents b
+  Codec.seal ~magic ~version (fun b ->
+      let open Codec.W in
+      str U8 b f.rf_digest;
+      str U16 b f.rf_module;
+      list U8
+        (fun b (k, v) ->
+          str U8 b k;
+          u32 b v)
+        b f.rf_stats;
+      list U32
+        (fun b r ->
+          u16 b r.rule_id;
+          u32 b r.bb;
+          u32 b r.insn;
+          array U8 u32 b r.data)
+        b f.rf_rules)
 
-let decode_file s =
-  let pos = ref 0 in
-  let fail why = failwith ("Rules.decode_file: " ^ why) in
-  let byte () =
-    if !pos >= String.length s then fail "truncated";
-    let v = Char.code s.[!pos] in
-    incr pos;
-    v
-  in
-  let r16 () =
-    let a = byte () in
-    a lor (byte () lsl 8)
-  in
-  let r32 () =
-    let a = r16 () in
-    a lor (r16 () lsl 16)
-  in
-  if String.length s < 4 || String.sub s 0 4 <> magic then fail "bad magic";
-  pos := 4;
-  let dlen = byte () in
-  if !pos + dlen > String.length s then fail "bad digest";
-  let digest = String.sub s !pos dlen in
-  pos := !pos + dlen;
-  let nlen = r16 () in
-  if !pos + nlen > String.length s then fail "bad name";
-  let name = String.sub s !pos nlen in
-  pos := !pos + nlen;
-  let nstats = byte () in
-  let stats = ref [] in
-  for _ = 1 to nstats do
-    let klen = byte () in
-    if !pos + klen > String.length s then fail "bad stat key";
-    let k = String.sub s !pos klen in
-    pos := !pos + klen;
-    let v = r32 () in
-    stats := (k, v) :: !stats
-  done;
-  let stats = List.rev !stats in
-  let count = r32 () in
-  (* A rule occupies at least 11 bytes (u16 id + u32 bb + u32 insn +
-     u8 nd); validating the declared count against the bytes actually
-     present rejects a corrupt header up front instead of spinning
-     through up to ~4G loop iterations before a byte-level "truncated"
-     failure. *)
-  if count * 11 > String.length s - !pos then fail "rule count exceeds file size";
-  let rules = ref [] in
-  for _ = 1 to count do
-    let id = r16 () in
-    let bb = r32 () in
-    let insn = r32 () in
-    let nd = byte () in
-    if nd > 4 then fail "too many data words";
-    (* data words are read with an explicit in-order loop: [Array.init]'s
-       element evaluation order is unspecified, so feeding it an
-       impure [r32] could silently permute range-check parameters and
-       canary displacements under a different compiler/runtime *)
-    let data = Array.make nd 0 in
-    for i = 0 to nd - 1 do
-      data.(i) <- r32 ()
-    done;
-    rules := { rule_id = id; bb; insn; data } :: !rules
-  done;
-  { rf_module = name; rf_digest = digest; rf_stats = stats;
-    rf_rules = List.rev !rules }
+(* A stat takes at least 5 bytes (u8 key length + u32 value), a rule 11
+   (u16 id + u32 bb + u32 insn + u8 data count). *)
+let decode_file =
+  Codec.unseal ~magic ~version (fun r ->
+      let open Codec.R in
+      let rf_digest = str U8 r in
+      let rf_module = str U16 r in
+      let rf_stats =
+        list U8 ~min:5
+          (fun r ->
+            let k = str U8 r in
+            (k, u32 r))
+          r
+      in
+      let rf_rules =
+        list U32 ~min:11
+          (fun r ->
+            let rule_id = u16 r in
+            let bb = u32 r in
+            let insn = u32 r in
+            let data = array U8 ~min:4 u32 r in
+            if Array.length data > 4 then fail r "too many data words";
+            { rule_id; bb; insn; data })
+          r
+      in
+      { rf_module; rf_digest; rf_stats; rf_rules })
 
 module Table = struct
   type rule = t

@@ -42,16 +42,17 @@ type file = {
 }
 
 val encode_file : file -> string
-(** Serialize in format v3 (magic "JTR3": digest and stats in the
-    header).
+(** Serialize as a "JTR3" rule file in the sealed
+    {!Jt_codec.Codec.seal} frame (digest and stats in the header).
     @raise Invalid_argument if the digest or a stat key exceeds 255
     bytes, or there are more than 255 stats. *)
 
 val decode_file : string -> file
-(** @raise Failure on malformed input: bad magic (including v2 "JTR2"
-    and v1 "JTRR" files, which degrade to re-analysis), truncation, or a
-    declared rule count that exceeds what the remaining bytes could
-    possibly hold (rejected up front, before the decode loop). *)
+(** @raise Jt_codec.Codec.Decode_error (format ["JTR3"]) on malformed
+    input: any flipped bit or truncation fails the frame (so do files
+    written before it, and the older "JTR2"/"JTRR" layouts, which
+    degrade to re-analysis), and a declared count that exceeds what the
+    remaining bytes could hold is rejected before the decode loop. *)
 
 (** Run-time rule table for one loaded module: addresses adjusted by the
     load base (for PIC modules) and hashed for block- and

@@ -88,8 +88,9 @@ type event =
   | Store_evict of { name : string }
       (** in-memory LRU entry evicted by capacity pressure *)
   | Store_corrupt of { name : string; why : string }
-      (** on-disk entry rejected (truncation, bad magic, wrong schema
-          version, stale digest) and re-analyzed *)
+      (** on-disk entry rejected and re-analyzed; [why] is a decode
+          error as [Jt_codec.Codec.to_string] prints it (format, byte
+          offset, reason), or a stale digest *)
   | Phase_begin of { phase : phase }
   | Phase_end of { phase : phase; host_s : float; cycles : int }
 

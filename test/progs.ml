@@ -216,3 +216,68 @@ let registry_for m = [ m; libc; plugin ]
 
 let run_native m =
   Jt_vm.Vm.run_native ~registry:(registry_for m) ~main:m.Jt_obj.Objfile.name ()
+
+(* ---- persisted artifacts: the codec suites' shared checks ---- *)
+
+(* bzip2's main module and its static analysis: the subject of every
+   codec's byte-flip test. *)
+let bzip2_main =
+  lazy
+    (List.find
+       (fun (m : Jt_obj.Objfile.t) -> String.equal m.name "bzip2")
+       (Jt_workloads.Specgen.build (Jt_workloads.Sheet.find "bzip2")).w_registry)
+
+let bzip2_analysis =
+  lazy (Janitizer.Static_analyzer.compute (Lazy.force bzip2_main))
+
+let bzip2_jasan_rules () =
+  let tool, _ = Jt_jasan.Jasan.create () in
+  tool.Janitizer.Tool.t_static (Lazy.force bzip2_analysis)
+
+(* [f] must raise [Decode_error] naming [format] and [reason]. *)
+let expect_decode_error ~format ~reason label f =
+  match f () with
+  | _ -> Alcotest.failf "%s: decode accepted a bad encoding" label
+  | exception Jt_codec.Codec.Decode_error e ->
+    Alcotest.(check string) (label ^ ": format") format e.format;
+    Alcotest.(check string) (label ^ ": reason") reason e.reason
+
+(* Every one-bit flip of [enc] ([bits_of i] are the bits flipped in byte
+   [i]) goes through [check], then every proper prefix must raise
+   [Decode_error] naming [format].  Any other exception escapes and
+   fails the test. *)
+let sweep ~format ?(bits_of = fun _ -> [ 0; 1; 2; 3; 4; 5; 6; 7 ]) ~check
+    decode enc =
+  let rejected what = function
+    | Jt_codec.Codec.Decode_error e when String.equal e.format format -> ()
+    | Jt_codec.Codec.Decode_error e ->
+      Alcotest.failf "%s: error names format %s, not %s" what e.format format
+    | e -> raise e
+  in
+  (* One buffer is flipped and restored in place: a fresh copy per flip
+     would allocate the artifact's size once per bit.  [decode] keeps no
+     reference to its input. *)
+  let b = Bytes.of_string enc in
+  for i = 0 to String.length enc - 1 do
+    List.iter
+      (fun bit ->
+        let toggle () = Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor (1 lsl bit)) in
+        toggle ();
+        let s = Bytes.unsafe_to_string b in
+        let what = Printf.sprintf "bit %d of byte %d" bit i in
+        (match decode s with
+        | v -> check what s v
+        | exception e -> rejected what e);
+        toggle ())
+      (bits_of i)
+  done;
+  for n = 0 to String.length enc - 1 do
+    match decode (String.sub enc 0 n) with
+    | _ -> Alcotest.failf "truncation to %d bytes accepted" n
+    | exception e -> rejected (Printf.sprintf "truncation to %d bytes" n) e
+  done
+
+(* A sealed artifact accepts no flip at all. *)
+let sealed_sweep ~format ?bits_of decode enc =
+  sweep ~format ?bits_of decode enc ~check:(fun what _ _ ->
+      Alcotest.failf "%s: flipped %s artifact accepted" what format)

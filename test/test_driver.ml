@@ -64,6 +64,23 @@ let test_save_rules_nested_dir () =
       Alcotest.(check bool) "second save works" true
         (Sys.file_exists (Filename.concat dir "m2.jtr")))
 
+(* A save publishes each file by rename: a torn file already at the
+   final path is replaced whole, and no temp file survives. *)
+let test_save_rules_atomic () =
+  let dir = tmpdir "atomic" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      Janitizer.Driver.save_rules ~dir [];
+      let oc = open_out_bin (Filename.concat dir "m.jtr") in
+      output_string oc "JTR3\x01";
+      close_out oc;
+      Janitizer.Driver.save_rules ~dir [ ("m", sample_file "m") ];
+      Alcotest.(check bool) "torn file replaced" true
+        (Janitizer.Driver.load_rules ~dir "m" = Some (sample_file "m"));
+      Alcotest.(check (list string)) "no temp file left" [ "m.jtr" ]
+        (Array.to_list (Sys.readdir dir)))
+
 (* -- corrupt-cache regressions -- *)
 
 let test_load_rules_truncated () =
@@ -73,7 +90,7 @@ let test_load_rules_truncated () =
     (fun () ->
       Janitizer.Driver.save_rules ~dir [ ("m", sample_file "m") ];
       let path = Filename.concat dir "m.jtr" in
-      (* keep the magic, drop the payload: decode_file raises Failure *)
+      (* keep the magic, drop the rest: decode_file raises Decode_error *)
       let ic = open_in_bin path in
       let head = really_input_string ic 6 in
       close_in ic;
@@ -293,6 +310,7 @@ let () =
           Alcotest.test_case "save/load round trip" `Quick
             test_save_load_roundtrip;
           Alcotest.test_case "nested cache dir" `Quick test_save_rules_nested_dir;
+          Alcotest.test_case "atomic save" `Quick test_save_rules_atomic;
           Alcotest.test_case "truncated file" `Quick test_load_rules_truncated;
           Alcotest.test_case "garbage file" `Quick test_load_rules_garbage;
           Alcotest.test_case "directory entry" `Quick

@@ -280,16 +280,60 @@ let test_map_roundtrip () =
   let em' = Emit.decode_map (Emit.encode_map em) in
   Alcotest.(check bool) "map round-trips" true (em = em')
 
+let gen_map =
+  let open QCheck2.Gen in
+  let word = int_bound 0xFFFF_FFFF in
+  let* em_digest = string_size (int_bound 16) in
+  let* em_tool = string_size ~gen:printable (int_bound 12) in
+  let* em_text = word in
+  let* insns =
+    list_size (int_bound 40)
+      (let* mi_old = word in
+       let* mi_new = word in
+       let* mi_site = bool in
+       return { Emit.mi_old; mi_new; mi_site })
+  in
+  let* pins = list_size (int_bound 10) (pair word word) in
+  return
+    {
+      Emit.em_digest;
+      em_tool;
+      em_text;
+      em_insns = Array.of_list insns;
+      em_pins = Array.of_list pins;
+    }
+
+let prop_map_roundtrip =
+  QCheck2.Test.make ~name:"map decode (encode m) = m" ~count:300 gen_map
+    (fun em -> Emit.decode_map (Emit.encode_map em) = em)
+
+let format = "JEM1"
+
 let test_map_rejects_garbage () =
   let enc = Emit.encode_map (sample_map ()) in
-  let expect_fail label s =
-    match Emit.decode_map s with
-    | _ -> Alcotest.failf "%s: decode should have failed" label
-    | exception Failure _ -> ()
+  let expect_fail reason label s =
+    Progs.expect_decode_error ~format ~reason label (fun () -> Emit.decode_map s)
   in
-  expect_fail "bad magic" ("XXXX" ^ String.sub enc 4 (String.length enc - 4));
-  expect_fail "truncated" (String.sub enc 0 (String.length enc - 3));
-  expect_fail "trailing bytes" (enc ^ "\x00")
+  expect_fail "bad magic" "bad magic"
+    ("XXXX" ^ String.sub enc 4 (String.length enc - 4));
+  expect_fail "truncated" "truncated" (String.sub enc 0 (String.length enc - 3));
+  expect_fail "trailing bytes" "trailing bytes" (enc ^ "\x00")
+
+(* Every one-bit flip and every truncation of the map emitted for
+   bzip2's main module is rejected by the frame. *)
+let test_map_byte_flips () =
+  let m' =
+    match
+      Emit.emit_module ~tool:(Emit.Asan { elide = true })
+        ~rules:(Progs.bzip2_jasan_rules ())
+        (Lazy.force Progs.bzip2_analysis)
+    with
+    | Ok m' -> m'
+    | Error r -> Alcotest.failf "emit refused: %s" (Emit.refusal_to_string r)
+  in
+  match Jt_obj.Objfile.find_section m' Emit.map_section_name with
+  | Some s -> Progs.sealed_sweep ~format Emit.decode_map s.Jt_obj.Section.data
+  | None -> Alcotest.fail "emitted module has no map"
 
 (* -- emitted-object structure -- *)
 
@@ -424,6 +468,8 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_map_roundtrip;
           Alcotest.test_case "garbage" `Quick test_map_rejects_garbage;
+          QCheck_alcotest.to_alcotest prop_map_roundtrip;
+          Alcotest.test_case "bzip2 byte flips" `Quick test_map_byte_flips;
         ] );
       ( "object",
         [

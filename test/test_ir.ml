@@ -224,16 +224,11 @@ let prop_roundtrip =
   QCheck2.Test.make ~name:"decode (encode ir) = ir" ~count:300 gen_ir (fun ir ->
       Ir.decode (Ir.encode ir) = ir)
 
-let prop_peek_digest =
-  QCheck2.Test.make ~name:"peek_digest reads the header" ~count:100 gen_ir
-    (fun ir -> Ir.peek_digest (Ir.encode ir) = ir.Ir.ir_digest)
-
 (* ---- codec rejection ------------------------------------------- *)
 
-let expect_failure name f =
-  match f () with
-  | (_ : Ir.t) -> Alcotest.fail (name ^ ": decode accepted a bad encoding")
-  | exception Failure _ -> ()
+let format = Ir.magic
+
+let decode_error = Progs.expect_decode_error ~format
 
 let sample_ir () =
   Janitizer.Static_analyzer.to_ir
@@ -241,45 +236,65 @@ let sample_ir () =
 
 let test_decode_rejects () =
   let enc = Ir.encode (sample_ir ()) in
-  expect_failure "truncated" (fun () ->
+  decode_error ~reason:"truncated" "truncated" (fun () ->
       Ir.decode (String.sub enc 0 (String.length enc / 2)));
-  expect_failure "empty" (fun () -> Ir.decode "");
-  expect_failure "bad magic" (fun () ->
+  decode_error ~reason:"truncated" "empty" (fun () -> Ir.decode "");
+  decode_error ~reason:"bad magic" "bad magic" (fun () ->
       Ir.decode ("XXXX" ^ String.sub enc 4 (String.length enc - 4)));
   let bumped = Bytes.of_string enc in
   Bytes.set bumped 4 (Char.chr (Ir.schema_version + 1));
-  expect_failure "wrong schema version" (fun () ->
-      Ir.decode (Bytes.to_string bumped));
-  expect_failure "trailing bytes" (fun () -> Ir.decode (enc ^ "\x00"))
+  decode_error
+    ~reason:
+      (Printf.sprintf "version %d, expected %d" (Ir.schema_version + 1)
+         Ir.schema_version)
+    "wrong schema version"
+    (fun () -> Ir.decode (Bytes.to_string bumped));
+  decode_error ~reason:"trailing bytes" "trailing bytes" (fun () ->
+      Ir.decode (enc ^ "\x00"))
+
+(* Every byte of bzip2's main-module entry gets one flipped bit (bit
+   [i mod 8] of byte [i], so every bit position is covered), and every
+   truncation is tried: the frame rejects them all.  Flipping all eight
+   bits of each byte would cost eight MD5s of the entry per byte. *)
+let test_byte_flips () =
+  Progs.sealed_sweep ~format
+    ~bits_of:(fun i -> [ i land 7 ])
+    Ir.decode
+    (Ir.encode (Janitizer.Static_analyzer.to_ir (Lazy.force Progs.bzip2_analysis)))
 
 let test_real_module_roundtrip () =
   let ir = sample_ir () in
   Alcotest.(check bool) "compute IR round-trips" true
     (Ir.decode (Ir.encode ir) = ir)
 
-(* Re-seal an encoding's payload with a fresh checksum, so a structural
+(* Re-seal an encoding's payload in a fresh frame, so a structural
    defect reaches the parser instead of stopping at the checksum. *)
-let reseal payload = payload ^ Digest.string payload
+let reseal payload =
+  Jt_codec.Codec.seal ~magic:Ir.magic ~version:Ir.schema_version (fun b ->
+      Buffer.add_string b payload)
 
-let payload_of enc = String.sub enc 0 (String.length enc - 16)
+(* magic, u16 version and u32 length before the payload; MD5 after it *)
+let header_len = String.length Ir.magic + 6
+
+let payload_of enc =
+  String.sub enc header_len (String.length enc - header_len - 16)
 
 let test_decode_rejects_sealed () =
   let ir = sample_ir () in
   let enc = Ir.encode ir in
   Alcotest.(check bool) "reseal is the identity" true
     (reseal (payload_of enc) = enc);
-  Alcotest.check_raises "trailing bytes under a valid checksum"
-    (Failure "Ir.decode: trailing bytes") (fun () ->
-      ignore (Ir.decode (reseal (payload_of enc ^ "xx"))));
+  decode_error ~reason:"trailing bytes" "trailing bytes under a valid checksum"
+    (fun () -> Ir.decode (reseal (payload_of enc ^ "xx")));
   let n = Array.length ir.Ir.ir_insns in
   let long =
     match ir.Ir.ir_blocks with
     | b :: rest -> { b with Ir.ib_ninsns = n + 1 } :: rest
     | [] -> Alcotest.fail "sample IR has no blocks"
   in
-  Alcotest.check_raises "block longer than the instruction list"
-    (Failure "Ir.decode: block insn count") (fun () ->
-      ignore (Ir.decode (Ir.encode { ir with Ir.ir_blocks = long })))
+  decode_error ~reason:"block insn count"
+    "block longer than the instruction list" (fun () ->
+      Ir.decode (Ir.encode { ir with Ir.ir_blocks = long }))
 
 (* Each malformed idom array is rejected under a valid checksum.  The
    sample's largest function gets the bad array; [Ir.encode] does not
@@ -297,8 +312,8 @@ let reject_idoms why mangle () =
   let fns =
     List.map (fun (f : Ir.fn) -> if f == big then mangle f else f) ir.Ir.ir_fns
   in
-  Alcotest.check_raises why (Failure ("Ir.decode: " ^ why)) (fun () ->
-      ignore (Ir.decode (Ir.encode { ir with Ir.ir_fns = fns })))
+  decode_error ~reason:why why (fun () ->
+      Ir.decode (Ir.encode { ir with Ir.ir_fns = fns }))
 
 (* The first two non-entry blocks of [f], and [f] with [b]'s idom set. *)
 let non_entry (f : Ir.fn) =
@@ -408,9 +423,22 @@ let rewrite path f =
   output_string oc (f data);
   close_out oc
 
+(* The warning and the [Store_corrupt] event carry the decode error as
+   the codec prints it: format, offset and reason. *)
 let test_store_truncated () =
-  check_corrupt_reanalyzes "trunc" (fun p ->
-      rewrite p (fun d -> String.sub d 0 (String.length d / 3)))
+  Jt_trace.Trace.enable ();
+  Fun.protect ~finally:Jt_trace.Trace.disable (fun () ->
+      check_corrupt_reanalyzes "trunc" (fun p ->
+          rewrite p (fun d -> String.sub d 0 (String.length d / 3)));
+      match
+        List.filter_map
+          (function Jt_trace.Trace.Store_corrupt { why; _ } -> Some why | _ -> None)
+          (Jt_trace.Trace.events ())
+      with
+      | [ why ] ->
+        Alcotest.(check string) "event names the decode error"
+          "JTIR decode error at byte 10: truncated" why
+      | l -> Alcotest.failf "%d Store_corrupt events, expected 1" (List.length l))
 
 let test_store_garbage () =
   check_corrupt_reanalyzes "garbage" (fun p ->
@@ -641,13 +669,13 @@ let () =
       ( "codec",
         [
           QCheck_alcotest.to_alcotest prop_roundtrip;
-          QCheck_alcotest.to_alcotest prop_peek_digest;
           Alcotest.test_case "rejects malformed input" `Quick test_decode_rejects;
           Alcotest.test_case "real module round-trips" `Quick
             test_real_module_roundtrip;
           Alcotest.test_case "rejects malformed sealed input" `Quick
             test_decode_rejects_sealed;
           Alcotest.test_case "cpa sites round-trip" `Quick test_cpa_roundtrip;
+          Alcotest.test_case "bzip2 byte flips" `Quick test_byte_flips;
         ]
         @ List.map
             (fun (why, mangle) ->

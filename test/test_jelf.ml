@@ -25,23 +25,24 @@ let test_runs_identically_from_disk () =
   List.iter Sys.remove paths;
   Sys.rmdir dir
 
+let format = "JELF1"
+
 let test_corruption_rejected () =
   let m = Jt_workloads.Stdlibs.libc in
   let good = Jt_obj.Jelf.write m in
-  Alcotest.check_raises "magic" (Failure "Jelf.read: bad magic") (fun () ->
-      ignore (Jt_obj.Jelf.read ("XELF1" ^ String.sub good 5 (String.length good - 5))));
-  (match Jt_obj.Jelf.read (String.sub good 0 (String.length good - 3)) with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "truncated input accepted")
+  Progs.expect_decode_error ~format ~reason:"bad magic" "magic" (fun () ->
+      Jt_obj.Jelf.read ("XELF1" ^ String.sub good 5 (String.length good - 5)));
+  Progs.expect_decode_error ~format ~reason:"truncated" "truncated" (fun () ->
+      Jt_obj.Jelf.read (String.sub good 0 (String.length good - 3)))
 
 (* Regression: [read] used to accept any bytes appended after a valid
    module, so a doubly-written or padded file passed undetected. *)
 let test_trailing_bytes_rejected () =
   let good = Jt_obj.Jelf.write Jt_workloads.Stdlibs.libc in
-  Alcotest.check_raises "trailing" (Failure "Jelf.read: trailing bytes")
-    (fun () -> ignore (Jt_obj.Jelf.read (good ^ "\x00")));
-  Alcotest.check_raises "trailing run" (Failure "Jelf.read: trailing bytes")
-    (fun () -> ignore (Jt_obj.Jelf.read (good ^ good)))
+  Progs.expect_decode_error ~format ~reason:"trailing bytes" "trailing"
+    (fun () -> Jt_obj.Jelf.read (good ^ "\x00"));
+  Progs.expect_decode_error ~format ~reason:"trailing bytes" "trailing run"
+    (fun () -> Jt_obj.Jelf.read (good ^ good))
 
 (* Regression: list counts were only compared against a magic 1M
    ceiling, so a 40-byte file could claim 999,999 symbols and walk the
@@ -54,9 +55,20 @@ let test_absurd_count_rejected () =
   let count_pos = 5 + name_len + 2 in
   let forged = Bytes.of_string good in
   Bytes.set_int32_le forged count_pos 999_999l;
-  Alcotest.check_raises "oversized count"
-    (Failure "Jelf.read: count exceeds buffer") (fun () ->
-      ignore (Jt_obj.Jelf.read (Bytes.to_string forged)))
+  Progs.expect_decode_error ~format ~reason:"count exceeds buffer"
+    "oversized count" (fun () -> Jt_obj.Jelf.read (Bytes.to_string forged))
+
+(* JELF is unsealed: a flipped byte may well be another valid module.
+   But every flip either raises [Decode_error] or decodes to a module
+   that writes back to exactly the flipped bytes (only canonical
+   encodings are accepted: a flag byte of 2 is not [true]), and every
+   truncation is rejected. *)
+let test_byte_flips () =
+  let m = Lazy.force Progs.bzip2_main in
+  Progs.sweep ~format Jt_obj.Jelf.read (Jt_obj.Jelf.write m)
+    ~check:(fun what s m' ->
+      if not (String.equal (Jt_obj.Jelf.write m') s) then
+        Alcotest.failf "%s: accepted a non-canonical encoding" what)
 
 (* Satellite: [save] must create nested directories and publish
    atomically — a pre-existing partial file at the final path is
@@ -69,7 +81,7 @@ let test_save_nested_and_atomic () =
   let final = Filename.concat dir (m.Jt_obj.Objfile.name ^ ".jelf") in
   (* Simulate the debris of an interrupted non-atomic save: a truncated
      file already sitting at the final path. *)
-  Jt_obj.Jelf.mkdir_p dir;
+  Jt_codec.Codec.mkdir_p dir;
   let oc = open_out_bin final in
   output_string oc (String.sub (Jt_obj.Jelf.write m) 0 10);
   close_out oc;
@@ -98,5 +110,6 @@ let () =
           Alcotest.test_case "trailing bytes" `Quick test_trailing_bytes_rejected;
           Alcotest.test_case "absurd count" `Quick test_absurd_count_rejected;
           Alcotest.test_case "atomic nested save" `Quick test_save_nested_and_atomic;
+          Alcotest.test_case "bzip2 byte flips" `Quick test_byte_flips;
         ] );
     ]

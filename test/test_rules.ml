@@ -75,16 +75,20 @@ let test_pic_adjustment () =
   let t' = Jt_rules.Rules.Table.load f ~base:0x1000_0000 ~pic:false in
   Alcotest.(check bool) "non-pic unadjusted" true (Jt_rules.Rules.Table.bb_seen t' 0x40)
 
+let format = "JTR3"
+
+let decode_error = Progs.expect_decode_error ~format
+
 let test_decode_failures () =
-  Alcotest.check_raises "bad magic" (Failure "Rules.decode_file: bad magic")
-    (fun () -> ignore (Jt_rules.Rules.decode_file "NOPE"));
+  decode_error ~reason:"bad magic" "bad magic" (fun () ->
+      Jt_rules.Rules.decode_file "NOPE");
   let good =
     Jt_rules.Rules.encode_file
       { rf_module = "m"; rf_digest = ""; rf_stats = []; rf_rules = [] }
   in
   let truncated = String.sub good 0 (String.length good - 1) in
-  Alcotest.check_raises "truncated" (Failure "Rules.decode_file: truncated")
-    (fun () -> ignore (Jt_rules.Rules.decode_file truncated))
+  decode_error ~reason:"truncated" "truncated" (fun () ->
+      Jt_rules.Rules.decode_file truncated)
 
 (* Regression: decode_file once filled data words via [Array.init], whose
    element evaluation order is unspecified — an order change would
@@ -108,16 +112,23 @@ let test_data_word_order () =
 
 (* Regression: a corrupt header declaring ~4G rules must be rejected by
    the up-front count-vs-remaining-bytes check, not by spinning through
-   the decode loop until a byte-level "truncated" failure. *)
+   the decode loop until a byte-level "truncated" failure.  The payload
+   is sealed in a valid frame, so it is the count check that fires. *)
 let test_corrupt_count_bound () =
   let corrupt =
-    (* magic, empty digest, name "m", no stats, count 0xFFFFFFFF, no
-       rule bytes *)
-    "JTR3" ^ "\x00" ^ "\x01\x00" ^ "m" ^ "\x00" ^ "\xff\xff\xff\xff"
+    Jt_codec.Codec.seal ~magic:format ~version:1 (fun b ->
+        (* empty digest, name "m", no stats, count 0xFFFFFFFF, no rule
+           bytes *)
+        Buffer.add_string b ("\x00" ^ "\x01\x00" ^ "m" ^ "\x00" ^ "\xff\xff\xff\xff"))
   in
-  Alcotest.check_raises "count bound"
-    (Failure "Rules.decode_file: rule count exceeds file size") (fun () ->
-      ignore (Jt_rules.Rules.decode_file corrupt))
+  decode_error ~reason:"count exceeds buffer" "count bound" (fun () ->
+      Jt_rules.Rules.decode_file corrupt)
+
+(* Every one-bit flip and every truncation of bzip2's JASan rule file
+   is rejected by the frame. *)
+let test_byte_flips () =
+  Progs.sealed_sweep ~format Jt_rules.Rules.decode_file
+    (Jt_rules.Rules.encode_file (Progs.bzip2_jasan_rules ()))
 
 (* Regression: [Table.load] used [prev @ [ r ]] per same-insn rule
    (quadratic); the linear rebuild must still present rules in file
@@ -151,14 +162,17 @@ let test_digest_roundtrip () =
   let f' = Jt_rules.Rules.(decode_file (encode_file f)) in
   Alcotest.(check string) "digest round trip" digest f'.rf_digest;
   Alcotest.(check (list (pair string int))) "stats round trip" stats f'.rf_stats;
-  Alcotest.check_raises "v1 magic rejected"
-    (Failure "Rules.decode_file: bad magic") (fun () ->
-      ignore (Jt_rules.Rules.decode_file "JTRR\x01\x00m\x00\x00\x00\x00"));
-  Alcotest.check_raises "v2 magic rejected"
-    (Failure "Rules.decode_file: bad magic") (fun () ->
-      ignore
-        (Jt_rules.Rules.decode_file
-           ("JTR2" ^ "\x00" ^ "\x01\x00" ^ "m" ^ "\x00\x00\x00\x00")))
+  decode_error ~reason:"bad magic" "v1 magic rejected" (fun () ->
+      Jt_rules.Rules.decode_file "JTRR\x01\x00m\x00\x00\x00\x00");
+  decode_error ~reason:"bad magic" "v2 magic rejected" (fun () ->
+      Jt_rules.Rules.decode_file
+        ("JTR2" ^ "\x00" ^ "\x01\x00" ^ "m" ^ "\x00\x00\x00\x00"));
+  (* a "JTR3" file from before the frame: its digest length and first
+     name byte read as the version *)
+  decode_error ~reason:"version 256, expected 1" "unsealed v3 rejected"
+    (fun () ->
+      Jt_rules.Rules.decode_file
+        ("JTR3" ^ "\x00" ^ "\x01\x00" ^ "m" ^ "\x00" ^ "\x00\x00\x00\x00"))
 
 let test_data_limit () =
   match Jt_rules.Rules.make ~id:1 ~bb:0 ~insn:0 ~data:[ 1; 2; 3; 4; 5 ] () with
@@ -177,6 +191,7 @@ let () =
             test_corrupt_count_bound;
           Alcotest.test_case "digest round trip" `Quick test_digest_roundtrip;
           Alcotest.test_case "data limit" `Quick test_data_limit;
+          Alcotest.test_case "bzip2 byte flips" `Quick test_byte_flips;
         ] );
       ( "tables",
         [
