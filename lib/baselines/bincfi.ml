@@ -160,7 +160,7 @@ let run ?(fuel = 200_000_000) ~registry ~main () =
       else
         match Jt_vm.Vm.fetch vm vm.pc with
         | None -> vm.status <- Jt_vm.Vm.Fault (Jt_vm.Vm.Decode_fault vm.pc)
-        | Some (i, len) ->
+        | Some { d_insn = i; d_len = len; d_op } ->
           let at = vm.pc in
           (if covered at then
              match Insn.cti_kind i with
@@ -193,7 +193,7 @@ let run ?(fuel = 200_000_000) ~registry ~main () =
                  | Insn.Cti_halt | Insn.Cti_syscall )
              | None ->
                ());
-          Jt_vm.Vm.step_decoded vm ~at i len
+          d_op vm
     done;
     Ok (Jt_vm.Vm.result vm)
 

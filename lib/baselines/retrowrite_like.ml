@@ -162,7 +162,7 @@ let run ?(fuel = 200_000_000) ~registry ~main () =
       else
         match Jt_vm.Vm.fetch vm vm.pc with
         | None -> vm.status <- Jt_vm.Vm.Fault (Jt_vm.Vm.Decode_fault vm.pc)
-        | Some (i, len) ->
+        | Some { d_op; _ } ->
           let at = vm.pc in
           (match Jt_emit.Emit.Sitemap.find sitemap at with
           | Some metas ->
@@ -172,6 +172,6 @@ let run ?(fuel = 200_000_000) ~registry ~main () =
                 m.sm_action vm)
               metas
           | None -> ());
-          Jt_vm.Vm.step_decoded vm ~at i len
+          d_op vm
     done;
     Ok (Jt_vm.Vm.result vm)

@@ -62,7 +62,7 @@ let run ?(fuel = 200_000_000) ~registry ~main () =
     else
       match Jt_vm.Vm.fetch vm vm.pc with
       | None -> vm.status <- Jt_vm.Vm.Fault (Jt_vm.Vm.Decode_fault vm.pc)
-      | Some (i, len) ->
+      | Some { d_insn = i; d_len = len; d_op } ->
         let at = vm.pc in
         (* Interpretation overhead on every instruction. *)
         Jt_vm.Vm.charge vm Jt_vm.Cost.valgrind_per_insn;
@@ -72,6 +72,6 @@ let run ?(fuel = 200_000_000) ~registry ~main () =
           let a = Jt_vm.Vm.eval_mem vm ~next_pc:(at + len) m in
           check t vm ~addr:a ~len:(Insn.width_bytes w)
         | _ -> ());
-        Jt_vm.Vm.step_decoded vm ~at i len
+        d_op vm
   done;
   Jt_vm.Vm.result vm

@@ -144,6 +144,7 @@ type overlay = {
    block is dropped lazily the first time it is followed. *)
 type cached = {
   cb : block;
+  cb_ops : Jt_vm.Vm.op array;  (* one compiled op per [cb.insns] slot *)
   cb_plan : plan;
   cb_indirect_end : bool;
   cb_end : int;  (* exclusive end of the byte span; bb_addr+1 if empty *)
@@ -165,6 +166,10 @@ type cached = {
      so invalidation tears dependent traces down eagerly (and the live
      count stays O(1) to read). *)
   mutable cb_traces : trace list;
+  (* The live trace headed at this block, or [no_trace]: set when the
+     trace is built, cleared when it is dropped, so a block entry finds
+     its trace without a table lookup. *)
+  mutable cb_head_trace : trace;
 }
 
 (* A NET-style superblock trace: the tail of blocks that actually
@@ -200,7 +205,6 @@ type t = {
      module's load order and reached through the loader's interval-indexed
      [module_at] instead of a linear scan. *)
   tables : (int, Jt_rules.Rules.Table.t) Hashtbl.t;
-  traces : (int, trace) Hashtbl.t;
   mutable n_traces_live : int;
       (* incremental live-trace count; [traces_live_scan] is the full
          recount it must always agree with (asserted after every run) *)
@@ -216,9 +220,13 @@ type t = {
    successors and no indirect end, so every chain, IBL and trace test
    fails on it without a special case, and nothing ever writes to it;
    [no_trace] is dead. *)
+let no_trace =
+  { tr_head = -1; tr_blocks = [||]; tr_valid = false; tr_overlay = None }
+
 let no_block =
   {
     cb = { bb_addr = -1; insns = [||] };
+    cb_ops = [||];
     cb_plan = [||];
     cb_indirect_end = false;
     cb_end = 0;
@@ -233,10 +241,8 @@ let no_block =
     cb_hot = 0;
     cb_origin = Jt_trace.Trace.Dynamic;
     cb_traces = [];
+    cb_head_trace = no_trace;
   }
-
-let no_trace =
-  { tr_head = -1; tr_blocks = [||]; tr_valid = false; tr_overlay = None }
 
 let max_block_insns = 256
 
@@ -273,10 +279,9 @@ let index_remove t (c : cached) =
   done
 
 (* Tear a trace down: mark it dead, keep the live count in step, unhook
-   it from its constituents' back-pointer lists and drop it from the
-   head table.  Idempotent — the eager path (invalidate) and the lazy
-   path (a side exit noticing a dead constituent) may both reach the
-   same trace. *)
+   it from its constituents' back-pointer lists and from its head block.
+   Idempotent — the eager path (invalidate) and the lazy path (a side
+   exit noticing a dead constituent) may both reach the same trace. *)
 let drop_trace t tr =
   if tr.tr_valid then begin
     tr.tr_valid <- false;
@@ -287,9 +292,8 @@ let drop_trace t tr =
       tr.tr_blocks;
     if Jt_trace.Trace.is_enabled () then
       Jt_trace.Trace.emit (Jt_trace.Trace.Trace_teardown { head = tr.tr_head });
-    match Hashtbl.find_opt t.traces tr.tr_head with
-    | Some cur when cur == tr -> Hashtbl.remove t.traces tr.tr_head
-    | Some _ | None -> ()
+    let head = tr.tr_blocks.(0) in
+    if head.cb_head_trace == tr then head.cb_head_trace <- no_trace
   end
 
 let invalidate t (c : cached) =
@@ -362,7 +366,6 @@ let create ~vm ?(profile = dynamorio) ?client ?(chain = true) ?(ibl = true)
       cache = Hashtbl.create 4096;
       pages = Hashtbl.create 256;
       tables = Hashtbl.create 8;
-      traces = Hashtbl.create 64;
       n_traces_live = 0;
       recording = None;
       trace_completed = false;
@@ -413,22 +416,31 @@ let is_indirect_end (b : block) =
       false
 
 (* Build the dynamic basic block starting at [addr]: decode until a
-   control-transfer instruction (step (2) in Figure 4). *)
+   control-transfer instruction (step (2) in Figure 4).  Returns the
+   block and the compiled op of each of its instructions. *)
 let build_block t addr =
-  let insns = ref [] in
+  let decoded = ref [] in
   let n = ref 0 in
   let pc = ref addr in
   let stop = ref false in
   while not !stop do
     match Jt_vm.Vm.fetch t.vm !pc with
     | None -> stop := true
-    | Some (i, len) ->
-      insns := (!pc, i, len) :: !insns;
+    | Some d ->
+      decoded := (!pc, d) :: !decoded;
       incr n;
-      pc := !pc + len;
-      if Insn.ends_block i || !n >= max_block_insns then stop := true
+      pc := !pc + d.d_len;
+      if Insn.ends_block d.d_insn || !n >= max_block_insns then stop := true
   done;
-  { bb_addr = addr; insns = Array.of_list (List.rev !insns) }
+  let decoded = Array.of_list (List.rev !decoded) in
+  ( {
+      bb_addr = addr;
+      insns =
+        Array.map
+          (fun (at, (d : Jt_vm.Vm.decoded)) -> (at, d.d_insn, d.d_len))
+          decoded;
+    },
+    Array.map (fun (_, (d : Jt_vm.Vm.decoded)) -> d.d_op) decoded )
 
 (* Static successors of a block, for chaining: a block ending in a direct
    Jmp/Call has one known successor, a Jcc has two (target and
@@ -451,7 +463,7 @@ let successors (b : block) =
 (* Translate: classify the block against the rule tables ((3a)/(3b) in
    Figure 4) and let the client build its instrumentation plan. *)
 let translate t addr =
-  let b = build_block t addr in
+  let b, ops = build_block t addr in
   let translate_cycles =
     t.profile.p_translate_block
     + (t.profile.p_translate_insn * Array.length b.insns)
@@ -490,6 +502,7 @@ let translate t addr =
   let cached =
     {
       cb = b;
+      cb_ops = ops;
       cb_plan = plan;
       cb_indirect_end = is_indirect_end b;
       cb_end;
@@ -505,6 +518,7 @@ let translate t addr =
       cb_origin =
         (if static_hit then Jt_trace.Trace.Static else Jt_trace.Trace.Dynamic);
       cb_traces = [];
+      cb_head_trace = no_trace;
     }
   in
   if Jt_trace.Trace.is_enabled () then
@@ -582,9 +596,8 @@ let exec_insns t ~budget ~(plan : plan) (c : cached) =
     if vm.Jt_vm.Vm.icount >= budget then
       vm.Jt_vm.Vm.status <- Jt_vm.Vm.Fault Jt_vm.Vm.Out_of_fuel
     else begin
-      let at, i, len = c.cb.insns.(!k) in
       run_metas vm plan.(!k);
-      Jt_vm.Vm.step_decoded vm ~at i len;
+      c.cb_ops.(!k) vm;
       incr k
     end
   done
@@ -613,14 +626,17 @@ let trace_alive tr = tr.tr_valid
 let traces_live t = t.n_traces_live
 
 (* The pre-invariant recount — O(traces · len) — kept as the debug
-   oracle the incremental count is asserted against after every run. *)
+   oracle the incremental count is asserted against after every run.
+   Every live trace hangs off its head block, and a valid block is in the
+   code cache, so walking the cache's head fields finds them all. *)
 let traces_live_scan t =
   Hashtbl.fold
-    (fun _ tr n ->
+    (fun _ (c : cached) n ->
+      let tr = c.cb_head_trace in
       if tr.tr_valid && Array.for_all (fun c -> c.cb_valid) tr.tr_blocks then
         n + 1
       else n)
-    t.traces 0
+    t.cache 0
 
 (* Execute a superblock trace.  Constituents run back to back with their
    instrumentation plans; after each one, control stays inside the trace
@@ -1058,15 +1074,13 @@ let finalize_recording t =
     if List.length blocks >= 2 then begin
       let arr = Array.of_list blocks in
       let overlay = if t.trace_elide then build_overlay arr else None in
-      (* a dead predecessor may still sit in the table under this head;
-         retire it cleanly so the live count stays exact *)
-      (match Hashtbl.find_opt t.traces head with
-      | Some old -> drop_trace t old
-      | None -> ());
+      (* a recording starts only at a block with no live trace; retire
+         any regardless, so the live count stays exact *)
+      drop_trace t arr.(0).cb_head_trace;
       let tr =
         { tr_head = head; tr_blocks = arr; tr_valid = true; tr_overlay = overlay }
       in
-      Hashtbl.replace t.traces head tr;
+      arr.(0).cb_head_trace <- tr;
       t.n_traces_live <- t.n_traces_live + 1;
       Array.iter
         (fun (c : cached) ->
@@ -1088,12 +1102,6 @@ let finalize_recording t =
       end
     end
 
-(* The trace registered at head [pc], live or not, or [no_trace]. *)
-let trace_at t pc =
-  match Hashtbl.find t.traces pc with
-  | tr -> tr
-  | exception Not_found -> no_trace
-
 (* Head-execution counting and recording bookkeeping for one
    dispatcher-level entry of [c] at [pc] (not reached through a trace).
    Ends an in-progress recording when it loops back to its head, reaches
@@ -1106,12 +1114,12 @@ let note_entry t (c : cached) pc =
     if
       pc = head
       || List.length acc >= max_trace_len
-      || trace_alive (trace_at t pc)
+      || trace_alive c.cb_head_trace
     then finalize_recording t
     else t.recording <- Some (head, c :: acc)
   | None ->
     c.cb_hot <- c.cb_hot + 1;
-    if c.cb_hot >= hot_threshold && not (trace_alive (trace_at t pc)) then
+    if c.cb_hot >= hot_threshold && not (trace_alive c.cb_head_trace) then
       t.recording <- Some (pc, [ c ])
 
 let emit_sever (p : cached) (c : cached) =
@@ -1250,8 +1258,7 @@ let run ?(fuel = 200_000_000) t =
            vm.Jt_vm.Vm.status <- Jt_vm.Vm.Fault (Jt_vm.Vm.Decode_fault pc)
          end
          else begin
-           let tr = if t.trace then trace_at t pc else no_trace in
-           if tr != no_trace && not (trace_alive tr) then drop_trace t tr;
+           let tr = if t.trace then cached.cb_head_trace else no_trace in
            let last =
              if trace_alive tr then begin
                (* reaching a live trace head ends any recording *)
@@ -1325,11 +1332,12 @@ let reset_stats t =
    and ["trace-ind"]. *)
 let trace_elisions t =
   Hashtbl.fold
-    (fun head tr acc ->
+    (fun head (c : cached) acc ->
+      let tr = c.cb_head_trace in
       match tr.tr_overlay with
       | Some ov when tr.tr_valid -> (head, ov.ov_decisions) :: acc
       | Some _ | None -> acc)
-    t.traces []
+    t.cache []
   |> List.sort compare
 
 let dynamic_block_fraction t =

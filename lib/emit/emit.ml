@@ -515,7 +515,7 @@ let attach ~tool ~rules_for (vm : Jt_vm.Vm.t) =
             let insn_rt = site_rt + 2 in
             match Jt_vm.Vm.fetch vm insn_rt with
             | None -> failwith "Jt_emit: undecodable instruction at emitted site"
-            | Some (insn, len) ->
+            | Some { d_insn = insn; d_len = len; d_op = _ } ->
               let metas =
                 List.filter_map
                   (fun r ->

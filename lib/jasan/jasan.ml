@@ -587,13 +587,10 @@ let mem_operand (i : Insn.t) =
    rebound — that is how the induction guard turns these per-iteration
    checks into two endpoint checks at streak onset. *)
 let check_meta rt ~cost ~len ~is_store ~elide (m : Insn.mem) ~next_pc =
+  let ea = Jt_vm.Vm.compile_addr ~next_pc m in
   {
     Jt_dbt.Dbt.m_cost = cost;
-    m_action =
-      Some
-        (fun vm ->
-          let addr = Jt_vm.Vm.eval_mem vm ~next_pc m in
-          Rt.check rt vm ~addr ~len ~is_store);
+    m_action = Some (fun vm -> Rt.check rt vm ~addr:(ea vm) ~len ~is_store);
     m_kind =
       (if not elide then Jt_dbt.Dbt.M_opaque
        else

@@ -21,18 +21,51 @@ let page_mask = page_size - 1
    over a wholly clean page is free. *)
 type page = { bytes : Bytes.t; mutable live : int }
 
-type t = { pages : (int, page) Hashtbl.t; mutable poisoned : int }
+(* A two-level page table like guest memory's: [a lsr 22] picks one of
+   1024 directories, [(a lsr 12) land 1023] one of its 1024 pages.  Both
+   levels start at shared clean sentinels and are allocated on the first
+   poison of a byte they cover, so a check reads two array slots and
+   never hashes. *)
+let dir_bits = 10
+let dir_size = 1 lsl dir_bits
+let dir_mask = dir_size - 1
 
-let create () = { pages = Hashtbl.create 64; poisoned = 0 }
+type t = { dirs : page array array; mutable poisoned : int }
 
 (* Stands for an unallocated page on lookups: all zero and clean, so
    reads and scans need no special case.  Never written. *)
 let no_page = { bytes = Bytes.make page_size '\x00'; live = 0 }
+let no_dir = Array.make dir_size no_page
 
-let find_page t key =
-  match Hashtbl.find t.pages key with
-  | p -> p
-  | exception Not_found -> no_page
+let create () = { dirs = Array.make dir_size no_dir; poisoned = 0 }
+
+(* [a] is a masked address, so both indices are in range. *)
+let find_page t a =
+  Array.unsafe_get
+    (Array.unsafe_get t.dirs (a lsr (page_bits + dir_bits)))
+    ((a lsr page_bits) land dir_mask)
+
+(* The page of masked address [a], allocating it (and its directory) if
+   it is still a sentinel. *)
+let alloc_page t a =
+  let di = a lsr (page_bits + dir_bits) in
+  let d = Array.unsafe_get t.dirs di in
+  let d =
+    if d != no_dir then d
+    else begin
+      let d = Array.make dir_size no_page in
+      Array.unsafe_set t.dirs di d;
+      d
+    end
+  in
+  let pi = (a lsr page_bits) land dir_mask in
+  let p = Array.unsafe_get d pi in
+  if p != no_page then p
+  else begin
+    let p = { bytes = Bytes.make page_size '\x00'; live = 0 } in
+    Array.unsafe_set d pi p;
+    p
+  end
 
 let count_nonzero b off len =
   let n = ref 0 in
@@ -52,15 +85,14 @@ let fill_range t a len v =
   let a = ref (a land Jt_isa.Word.mask) in
   let remaining = ref len in
   while !remaining > 0 do
-    let key = !a lsr page_bits in
     let off = !a land page_mask in
     let chunk = min !remaining (page_size - off) in
-    let p = find_page t key in
+    let p = find_page t !a in
     (match (p == no_page, v) with
     | true, 0 -> () (* clearing untouched memory: nothing to do *)
     | true, _ ->
-      let p = { bytes = Bytes.make page_size '\x00'; live = chunk } in
-      Hashtbl.add t.pages key p;
+      let p = alloc_page t !a in
+      p.live <- chunk;
       Bytes.fill p.bytes off chunk c;
       t.poisoned <- t.poisoned + chunk
     | false, 0 ->
@@ -91,7 +123,7 @@ let set t a v = fill_range t a 1 v
 
 let get t a =
   let a = a land Jt_isa.Word.mask in
-  Char.code (Bytes.get (find_page t (a lsr page_bits)).bytes (a land page_mask))
+  Char.code (Bytes.get (find_page t a).bytes (a land page_mask))
 
 let poison t a ~len st =
   if Jt_trace.Trace.is_enabled () then
@@ -117,7 +149,7 @@ let first_poisoned t a ~len =
   while !hit < 0 && !remaining > 0 do
     let off = !addr land page_mask in
     let chunk = min !remaining (page_size - off) in
-    let p = find_page t (!addr lsr page_bits) in
+    let p = find_page t !addr in
     if p.live > 0 then begin
       let i = ref off in
       while !i < off + chunk && Bytes.unsafe_get p.bytes !i = '\x00' do

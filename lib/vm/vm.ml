@@ -25,8 +25,10 @@ type t = {
   mutable violations : violation list;
   mutable phases : int list;
   mutable jit_next : int;
-  decode_cache : (int, Insn.t * int) Hashtbl.t;
+  decode_cache : (int, decoded) Hashtbl.t;
   decode_pages : (int, int list ref) Hashtbl.t;
+  front_tags : int array;
+  front_ops : op array;
   mutable flush_listeners : (int -> int -> unit) list;
   handles : (int, Jt_loader.Loader.loaded) Hashtbl.t;
   mutable next_handle : int;
@@ -34,12 +36,23 @@ type t = {
   syscall_hooks : (int, t -> unit) Hashtbl.t;
 }
 
+and op = t -> unit
+
+and decoded = { d_insn : Insn.t; d_len : int; d_op : op }
+
 exception Security_abort of string
 
 let sentinel = 0xFFFF_FF00
 let stack_top = 0x7F00_0000
 let jit_base = 0x6000_0000
 let jit_region = (jit_base, 0x7000_0000)
+
+(* The decode front: a direct-mapped cache of compiled ops indexed by the
+   low bits of the PC, read by [run] before the decode table.  At 256
+   slots each array is small enough to come from the minor heap. *)
+let front_size = 256
+let front_mask = front_size - 1
+let no_op (_ : t) = ()
 
 let make ~registry =
   let mem = Jt_mem.Memory.create () in
@@ -63,6 +76,8 @@ let make ~registry =
        programs each booting a VM, the fixed cost per VM shows *)
     decode_cache = Hashtbl.create 256;
     decode_pages = Hashtbl.create 256;
+    front_tags = Array.make front_size (-1);
+    front_ops = Array.make front_size no_op;
     flush_listeners = [];
     handles = Hashtbl.create 8;
     next_handle = 1;
@@ -114,30 +129,16 @@ let advance_phase t =
    the whole table. *)
 let page_shift = 12
 
-let cache_decoded t addr ((_, len) as v) =
-  Hashtbl.replace t.decode_cache addr v;
-  let span = max len 1 in
-  for p = addr asr page_shift to (addr + span - 1) asr page_shift do
-    let b =
-      match Hashtbl.find_opt t.decode_pages p with
-      | Some b -> b
-      | None ->
-        let b = ref [] in
-        Hashtbl.replace t.decode_pages p b;
-        b
-    in
-    if not (List.mem addr !b) then b := addr :: !b
-  done
-
-let fetch t addr =
-  match Hashtbl.find_opt t.decode_cache addr with
-  | Some v -> Some v
-  | None -> (
-    match Decode.instr ~read:(fun a -> Jt_mem.Memory.read8 t.mem a) ~at:addr with
-    | Some v ->
-      cache_decoded t addr v;
-      Some v
-    | None -> None)
+(* Drop [addr] from the page buckets of its [len]-byte span and from the
+   decode front. *)
+let unindex t addr len =
+  for q = addr asr page_shift to (addr + max len 1 - 1) asr page_shift do
+    match Hashtbl.find_opt t.decode_pages q with
+    | Some b -> b := List.filter (fun a -> a <> addr) !b
+    | None -> ()
+  done;
+  let s = addr land front_mask in
+  if t.front_tags.(s) = addr then t.front_tags.(s) <- -1
 
 let charge t c = t.cycles <- t.cycles + c
 
@@ -160,8 +161,6 @@ let report_violation t ~kind ~addr =
 let on_cache_flush t f = t.flush_listeners <- f :: t.flush_listeners
 
 (* ---- operand evaluation ---- *)
-
-let eval_operand t = function Insn.Reg r -> get t r | Insn.Imm v -> v
 
 let eval_mem t ~next_pc (m : Insn.mem) =
   let base =
@@ -186,20 +185,6 @@ let flags_sub t a b r =
   Flags.set_arith t.flags ~result:r ~carry:(a < b)
     ~overflow:(sign a <> sign b && sign r <> sign a)
 
-let eval_cond t (c : Insn.cond) =
-  let f = t.flags in
-  match c with
-  | Insn.Eq -> f.zf
-  | Ne -> not f.zf
-  | Lt -> f.sf <> f.of_
-  | Ge -> f.sf = f.of_
-  | Le -> f.zf || f.sf <> f.of_
-  | Gt -> (not f.zf) && f.sf = f.of_
-  | Ult -> f.cf
-  | Uge -> not f.cf
-  | Ule -> f.cf || f.zf
-  | Ugt -> (not f.cf) && not f.zf
-
 (* ---- syscalls ---- *)
 
 (* Invalidate every cached instruction whose byte span [k, k+len)
@@ -222,8 +207,8 @@ let flush_range t start len =
            (fun k ->
              c.c_flush_visits <- c.c_flush_visits + 1;
              match Hashtbl.find_opt t.decode_cache k with
-             | Some (_, ilen) when k < start + len && k + max ilen 1 > start ->
-               doomed := (k, ilen) :: !doomed
+             | Some d when k < start + len && k + max d.d_len 1 > start ->
+               doomed := (k, d.d_len) :: !doomed
              | Some _ | None -> ())
            !b
      done;
@@ -233,11 +218,7 @@ let flush_range t start len =
          if Hashtbl.mem t.decode_cache k then begin
            c.c_flush_drops <- c.c_flush_drops + 1;
            Hashtbl.remove t.decode_cache k;
-           for q = k asr page_shift to (k + max ilen 1 - 1) asr page_shift do
-             match Hashtbl.find_opt t.decode_pages q with
-             | Some b -> b := List.filter (fun a -> a <> k) !b
-             | None -> ()
-           done
+           unindex t k ilen
          end)
        !doomed
    end);
@@ -356,119 +337,294 @@ and do_builtin_syscall t n =
   else (* unknown syscall: returns -1 *)
     set t Reg.r0 (Word.of_int (-1))
 
-(* ---- execution ---- *)
+(* ---- compilation ----
 
-let step_decoded t ~at (i : Insn.t) len =
-  let next_pc = at + len in
+   Instruction semantics live here, once.  [compile ~at i len] fixes at
+   decode time everything that does not depend on machine state — the
+   addressing-mode shape, [next_pc], the [Cost.insn] charge, the operand
+   registers and immediates — and returns one specialised closure per
+   instruction shape.  Every op retires in the same order: [icount],
+   then [cycles], then [pc <- next_pc], then the effect. *)
+
+module Mem = Jt_mem.Memory
+
+let[@inline] retire t cost next_pc =
   t.icount <- t.icount + 1;
-  t.cycles <- t.cycles + Cost.insn i;
-  t.pc <- next_pc;
+  t.cycles <- t.cycles + cost;
+  t.pc <- next_pc
+
+(* Register indices come from [Reg.index], so they are always in range. *)
+let[@inline] rget t r = Array.unsafe_get t.regs r
+let[@inline] rset t r v = Array.unsafe_set t.regs r (Word.of_int v)
+
+(* The addressing mode of [m], resolved once: the registers it reads,
+   its displacement, and a PC-relative or absolute address folded to a
+   constant.  Computes exactly [eval_mem t ~next_pc m]. *)
+let compile_addr ~next_pc (m : Insn.mem) : t -> int =
+  let disp = m.disp and scale = m.scale in
+  match (m.base, m.index) with
+  | Some (Insn.Breg b), None ->
+    let b = Reg.index b in
+    fun t -> Word.of_int (rget t b + disp)
+  | Some (Insn.Breg b), Some x ->
+    let b = Reg.index b and x = Reg.index x in
+    fun t -> Word.of_int (rget t b + (rget t x * scale) + disp)
+  | Some Insn.Bpc, None ->
+    let a = Word.of_int (next_pc + disp) in
+    fun _ -> a
+  | Some Insn.Bpc, Some x ->
+    let x = Reg.index x and c = next_pc + disp in
+    fun t -> Word.of_int (c + (rget t x * scale))
+  | None, None ->
+    let a = Word.of_int disp in
+    fun _ -> a
+  | None, Some x ->
+    let x = Reg.index x in
+    fun t -> Word.of_int ((rget t x * scale) + disp)
+
+let[@inline] logic t rd r =
+  rset t rd r;
+  Flags.set_logic t.flags ~result:r
+
+let[@inline] arith_add t rd a b =
+  let r = Word.add a b in
+  rset t rd r;
+  flags_add t a b r
+
+let[@inline] arith_sub t rd a b =
+  let r = Word.sub a b in
+  rset t rd r;
+  flags_sub t a b r
+
+(* In the op builders, [c] is the instruction's native cost and [n] its
+   next PC.  [Binop] immediates stay unmasked: the carry of an add reads
+   the operand as decoded. *)
+let binop_reg ~c ~n (op : Insn.binop) rd rs : op =
+  match op with
+  | Insn.Add -> fun t -> retire t c n; arith_add t rd (rget t rd) (rget t rs)
+  | Sub -> fun t -> retire t c n; arith_sub t rd (rget t rd) (rget t rs)
+  | And -> fun t -> retire t c n; logic t rd (Word.logand (rget t rd) (rget t rs))
+  | Or -> fun t -> retire t c n; logic t rd (Word.logor (rget t rd) (rget t rs))
+  | Xor -> fun t -> retire t c n; logic t rd (Word.logxor (rget t rd) (rget t rs))
+  | Shl -> fun t -> retire t c n; logic t rd (Word.shl (rget t rd) (rget t rs))
+  | Shr -> fun t -> retire t c n; logic t rd (Word.shr (rget t rd) (rget t rs))
+  | Sar -> fun t -> retire t c n; logic t rd (Word.sar (rget t rd) (rget t rs))
+  | Mul -> fun t -> retire t c n; logic t rd (Word.mul (rget t rd) (rget t rs))
+
+let binop_imm ~c ~n (op : Insn.binop) rd b : op =
+  match op with
+  | Insn.Add -> fun t -> retire t c n; arith_add t rd (rget t rd) b
+  | Sub -> fun t -> retire t c n; arith_sub t rd (rget t rd) b
+  | And -> fun t -> retire t c n; logic t rd (Word.logand (rget t rd) b)
+  | Or -> fun t -> retire t c n; logic t rd (Word.logor (rget t rd) b)
+  | Xor -> fun t -> retire t c n; logic t rd (Word.logxor (rget t rd) b)
+  | Shl -> fun t -> retire t c n; logic t rd (Word.shl (rget t rd) b)
+  | Shr -> fun t -> retire t c n; logic t rd (Word.shr (rget t rd) b)
+  | Sar -> fun t -> retire t c n; logic t rd (Word.sar (rget t rd) b)
+  | Mul -> fun t -> retire t c n; logic t rd (Word.mul (rget t rd) b)
+
+let jcc ~c ~n (cond : Insn.cond) target : op =
+  match cond with
+  | Insn.Eq -> fun t -> retire t c n; if t.flags.zf then t.pc <- target
+  | Ne -> fun t -> retire t c n; if not t.flags.zf then t.pc <- target
+  | Lt -> fun t -> retire t c n; if t.flags.sf <> t.flags.of_ then t.pc <- target
+  | Ge -> fun t -> retire t c n; if t.flags.sf = t.flags.of_ then t.pc <- target
+  | Le ->
+    fun t ->
+      retire t c n;
+      let f = t.flags in
+      if f.zf || f.sf <> f.of_ then t.pc <- target
+  | Gt ->
+    fun t ->
+      retire t c n;
+      let f = t.flags in
+      if (not f.zf) && f.sf = f.of_ then t.pc <- target
+  | Ult -> fun t -> retire t c n; if t.flags.cf then t.pc <- target
+  | Uge -> fun t -> retire t c n; if not t.flags.cf then t.pc <- target
+  | Ule -> fun t -> retire t c n; if t.flags.cf || t.flags.zf then t.pc <- target
+  | Ugt ->
+    fun t ->
+      retire t c n;
+      if (not t.flags.cf) && not t.flags.zf then t.pc <- target
+
+let compile ~at (i : Insn.t) len : op =
+  let n = at + len and c = Cost.insn i in
   match i with
-  | Insn.Nop -> ()
-  | Halt -> t.status <- Fault (Halted at)
-  | Mov (rd, src) -> set t rd (eval_operand t src)
-  | Lea (rd, m) -> set t rd (eval_mem t ~next_pc m)
-  | Load (w, rd, m) ->
-    let a = eval_mem t ~next_pc m in
-    set t rd (Jt_mem.Memory.read t.mem a ~width:(Insn.width_bytes w))
-  | Store (w, m, src) ->
-    let a = eval_mem t ~next_pc m in
-    Jt_mem.Memory.write t.mem a ~width:(Insn.width_bytes w) (eval_operand t src)
-  | Binop (op, rd, src) -> (
-    let a = get t rd and b = eval_operand t src in
-    match op with
-    | Insn.Add ->
-      let r = Word.add a b in
-      set t rd r;
-      flags_add t a b r
-    | Sub ->
-      let r = Word.sub a b in
-      set t rd r;
-      flags_sub t a b r
-    | And ->
-      let r = Word.logand a b in
-      set t rd r;
-      Flags.set_logic t.flags ~result:r
-    | Or ->
-      let r = Word.logor a b in
-      set t rd r;
-      Flags.set_logic t.flags ~result:r
-    | Xor ->
-      let r = Word.logxor a b in
-      set t rd r;
-      Flags.set_logic t.flags ~result:r
-    | Shl ->
-      let r = Word.shl a b in
-      set t rd r;
-      Flags.set_logic t.flags ~result:r
-    | Shr ->
-      let r = Word.shr a b in
-      set t rd r;
-      Flags.set_logic t.flags ~result:r
-    | Sar ->
-      let r = Word.sar a b in
-      set t rd r;
-      Flags.set_logic t.flags ~result:r
-    | Mul ->
-      let r = Word.mul a b in
-      set t rd r;
-      Flags.set_logic t.flags ~result:r)
+  | Insn.Nop -> fun t -> retire t c n
+  | Halt ->
+    let st = Fault (Halted at) in
+    fun t -> retire t c n; t.status <- st
+  | Mov (rd, Reg rs) ->
+    let rd = Reg.index rd and rs = Reg.index rs in
+    fun t -> retire t c n; rset t rd (rget t rs)
+  | Mov (rd, Imm v) ->
+    let rd = Reg.index rd in
+    fun t -> retire t c n; rset t rd v
+  | Lea (rd, m) ->
+    let rd = Reg.index rd and ea = compile_addr ~next_pc:n m in
+    fun t -> retire t c n; rset t rd (ea t)
+  | Load (w, rd, m) -> (
+    let rd = Reg.index rd and ea = compile_addr ~next_pc:n m in
+    match w with
+    | Insn.W1 -> fun t -> retire t c n; rset t rd (Mem.read8 t.mem (ea t))
+    | W2 -> fun t -> retire t c n; rset t rd (Mem.read16 t.mem (ea t))
+    | W4 -> fun t -> retire t c n; rset t rd (Mem.read32 t.mem (ea t)))
+  | Store (w, m, Reg rs) -> (
+    let rs = Reg.index rs and ea = compile_addr ~next_pc:n m in
+    match w with
+    | Insn.W1 -> fun t -> retire t c n; Mem.write8 t.mem (ea t) (rget t rs)
+    | W2 -> fun t -> retire t c n; Mem.write16 t.mem (ea t) (rget t rs)
+    | W4 -> fun t -> retire t c n; Mem.write32 t.mem (ea t) (rget t rs))
+  | Store (w, m, Imm v) -> (
+    let ea = compile_addr ~next_pc:n m in
+    match w with
+    | Insn.W1 -> fun t -> retire t c n; Mem.write8 t.mem (ea t) v
+    | W2 -> fun t -> retire t c n; Mem.write16 t.mem (ea t) v
+    | W4 -> fun t -> retire t c n; Mem.write32 t.mem (ea t) v)
+  | Binop (op, rd, Reg rs) -> binop_reg ~c ~n op (Reg.index rd) (Reg.index rs)
+  | Binop (op, rd, Imm b) -> binop_imm ~c ~n op (Reg.index rd) b
   | Neg r ->
-    let a = get t r in
-    let v = Word.neg a in
-    set t r v;
-    flags_sub t 0 a v
+    let r = Reg.index r in
+    fun t ->
+      retire t c n;
+      let a = rget t r in
+      let v = Word.neg a in
+      rset t r v;
+      flags_sub t 0 a v
   | Not r ->
-    set t r (Word.lognot (get t r))
     (* x86 NOT does not affect flags *)
-  | Cmp (ra, src) ->
-    let a = get t ra and b = eval_operand t src in
-    flags_sub t a b (Word.sub a b)
-  | Test (ra, src) ->
-    let a = get t ra and b = eval_operand t src in
-    Flags.set_logic t.flags ~result:(Word.logand a b)
-  | Push src -> push t (eval_operand t src)
-  | Pop rd -> set t rd (pop t)
-  | Jmp target -> t.pc <- target
-  | Jcc (c, target) -> if eval_cond t c then t.pc <- target
-  | Jmp_ind (Some r, _) -> t.pc <- get t r
-  | Jmp_ind (None, Some m) -> t.pc <- Jt_mem.Memory.read32 t.mem (eval_mem t ~next_pc m)
-  | Jmp_ind (None, None) -> t.status <- Fault (Decode_fault at)
+    let r = Reg.index r in
+    fun t -> retire t c n; rset t r (Word.lognot (rget t r))
+  | Cmp (ra, Reg rb) ->
+    let ra = Reg.index ra and rb = Reg.index rb in
+    fun t ->
+      retire t c n;
+      let a = rget t ra and b = rget t rb in
+      flags_sub t a b (Word.sub a b)
+  | Cmp (ra, Imm b) ->
+    let ra = Reg.index ra in
+    fun t ->
+      retire t c n;
+      let a = rget t ra in
+      flags_sub t a b (Word.sub a b)
+  | Test (ra, Reg rb) ->
+    let ra = Reg.index ra and rb = Reg.index rb in
+    fun t ->
+      retire t c n;
+      Flags.set_logic t.flags ~result:(Word.logand (rget t ra) (rget t rb))
+  | Test (ra, Imm b) ->
+    let ra = Reg.index ra in
+    fun t ->
+      retire t c n;
+      Flags.set_logic t.flags ~result:(Word.logand (rget t ra) b)
+  | Push (Reg r) ->
+    let r = Reg.index r in
+    fun t -> retire t c n; push t (rget t r)
+  | Push (Imm v) -> fun t -> retire t c n; push t v
+  | Pop rd ->
+    let rd = Reg.index rd in
+    fun t ->
+      retire t c n;
+      let v = pop t in
+      rset t rd v
+  | Jmp target -> fun t -> retire t c n; t.pc <- target
+  | Jcc (cond, target) -> jcc ~c ~n cond target
+  | Jmp_ind (Some r, _) ->
+    let r = Reg.index r in
+    fun t -> retire t c n; t.pc <- rget t r
+  | Jmp_ind (None, Some m) ->
+    let ea = compile_addr ~next_pc:n m in
+    fun t -> retire t c n; t.pc <- Mem.read32 t.mem (ea t)
+  | Jmp_ind (None, None) | Call_ind (None, None) ->
+    let st = Fault (Decode_fault at) in
+    fun t -> retire t c n; t.status <- st
   | Call target ->
-    push t next_pc;
-    t.pc <- target
+    fun t ->
+      retire t c n;
+      push t n;
+      t.pc <- target
   | Call_ind (Some r, _) ->
-    push t next_pc;
-    t.pc <- get t r
+    let r = Reg.index r in
+    fun t ->
+      retire t c n;
+      push t n;
+      t.pc <- rget t r
   | Call_ind (None, Some m) ->
-    let target = Jt_mem.Memory.read32 t.mem (eval_mem t ~next_pc m) in
-    push t next_pc;
-    t.pc <- target
-  | Call_ind (None, None) -> t.status <- Fault (Decode_fault at)
-  | Ret -> t.pc <- pop t
-  | Load_canary rd -> set t rd t.canary
-  | Syscall n -> do_syscall t n
+    let ea = compile_addr ~next_pc:n m in
+    fun t ->
+      retire t c n;
+      let target = Mem.read32 t.mem (ea t) in
+      push t n;
+      t.pc <- target
+  | Ret -> fun t -> retire t c n; t.pc <- pop t
+  | Load_canary rd ->
+    let rd = Reg.index rd in
+    fun t -> retire t c n; rset t rd t.canary
+  | Syscall num -> fun t -> retire t c n; do_syscall t num
+
+let syscall = do_syscall
+
+(* ---- the decode cache ---- *)
+
+(* Insert (or replace) the entry at [addr], registering it under every
+   page its span overlaps.  A fresh address cannot be in any bucket yet,
+   so only a replacement has an old span to unregister (which also
+   empties its decode-front slot); a bucket never holds an address
+   twice.  [run] fills the front from the table on the next hit. *)
+let insert t addr (i, len) =
+  let d = { d_insn = i; d_len = len; d_op = compile ~at:addr i len } in
+  (match Hashtbl.find t.decode_cache addr with
+  | old -> unindex t addr old.d_len
+  | exception Not_found -> ());
+  Hashtbl.replace t.decode_cache addr d;
+  for p = addr asr page_shift to (addr + max len 1 - 1) asr page_shift do
+    match Hashtbl.find t.decode_pages p with
+    | b -> b := addr :: !b
+    | exception Not_found -> Hashtbl.replace t.decode_pages p (ref [ addr ])
+  done;
+  d
+
+let cache_decoded t addr v = ignore (insert t addr v : decoded)
+
+let fetch t addr =
+  match Hashtbl.find_opt t.decode_cache addr with
+  | Some _ as hit -> hit
+  | None -> (
+    match Decode.instr ~read:(fun a -> Jt_mem.Memory.read8 t.mem a) ~at:addr with
+    | Some v -> Some (insert t addr v)
+    | None -> None)
+
+(* ---- execution ---- *)
 
 let default_fuel = 200_000_000
 
 let is_running t =
   match t.status with Running -> true | Exited _ | Fault _ | Aborted _ -> false
 
-(* A decode-cache hit is a [Hashtbl.find] that allocates nothing; only a
-   miss goes through [fetch] and its option. *)
+(* A retired instruction costs a front probe (two array loads and a
+   compare) and a call to its compiled op.  A front miss falls back to
+   the decode table and refills the slot; only a decode miss goes
+   through [fetch] and its option. *)
 let run ?(fuel = default_fuel) t =
   let budget = t.icount + fuel in
+  let tags = t.front_tags and ops = t.front_ops in
   while is_running t do
     if t.icount >= budget then t.status <- Fault Out_of_fuel
     else if t.pc = sentinel then advance_phase t
     else
       let pc = t.pc in
-      match Hashtbl.find t.decode_cache pc with
-      | i, len -> step_decoded t ~at:pc i len
-      | exception Not_found -> (
-        match fetch t pc with
-        | Some (i, len) -> step_decoded t ~at:pc i len
-        | None -> t.status <- Fault (Decode_fault pc))
+      let s = pc land front_mask in
+      if Array.unsafe_get tags s = pc then (Array.unsafe_get ops s) t
+      else
+        match Hashtbl.find t.decode_cache pc with
+        | d ->
+          Array.unsafe_set tags s pc;
+          Array.unsafe_set ops s d.d_op;
+          d.d_op t
+        | exception Not_found -> (
+          match fetch t pc with
+          | Some d -> d.d_op t
+          | None -> t.status <- Fault (Decode_fault pc))
   done
 
 let output t = Buffer.contents t.out

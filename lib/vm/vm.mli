@@ -4,8 +4,8 @@
     process, plus the cycle and instruction counters every experiment is
     measured with.  It can execute a program directly (the "native"
     baseline: {!run}) or serve as the substrate for a dynamic binary
-    modifier, which drives execution itself through {!fetch},
-    {!step_decoded} and {!advance_phase}. *)
+    modifier, which drives execution itself through {!fetch}, the
+    compiled ops it returns, and {!advance_phase}. *)
 
 open Jt_isa
 
@@ -42,11 +42,20 @@ type t = {
   mutable violations : violation list;  (** newest first *)
   mutable phases : int list;
   mutable jit_next : int;
-  decode_cache : (int, Insn.t * int) Hashtbl.t;
+  decode_cache : (int, decoded) Hashtbl.t;
   decode_pages : (int, int list ref) Hashtbl.t;
       (** 4KiB-page index over [decode_cache]: each entry is registered
-          under every page its byte span overlaps, so {!flush_range}
-          visits only affected pages.  Maintained by {!cache_decoded}. *)
+          exactly once under every page its byte span overlaps, so
+          {!flush_range} visits only affected pages.  Maintained by
+          {!cache_decoded}. *)
+  front_tags : int array;
+  front_ops : op array;
+      (** The decode front: a 256-slot direct-mapped cache of compiled
+          ops, indexed by the low PC bits and read by {!run} before
+          [decode_cache].  Slot [s] holds the op of address
+          [front_tags.(s)], or is empty when that tag is [-1];
+          {!cache_decoded} and {!flush_range} keep it coherent with
+          [decode_cache]. *)
   mutable flush_listeners : (int -> int -> unit) list;
   handles : (int, Jt_loader.Loader.loaded) Hashtbl.t;
   mutable next_handle : int;  (** monotonic dlopen handle allocator *)
@@ -55,6 +64,13 @@ type t = {
       (** per-number overrides consulted before the built-in syscall
           chain; see {!set_syscall_hook} *)
 }
+
+and op = t -> unit
+(** One instruction compiled by {!compile}: running it retires the
+    instruction in the given machine. *)
+
+and decoded = { d_insn : Insn.t; d_len : int; d_op : op }
+(** A decode-cache entry: the instruction, its length and its op. *)
 
 val set_input : t -> int list -> unit
 (** Provide the program's external input stream, consumed by the
@@ -96,23 +112,40 @@ val advance_phase : t -> unit
 val get : t -> Reg.t -> int
 val set : t -> Reg.t -> int -> unit
 
-val fetch : t -> int -> (Insn.t * int) option
-(** Decode (with caching) the instruction at an address. *)
+val compile : at:int -> Insn.t -> int -> op
+(** [compile ~at i len] is the semantics of instruction [i], of length
+    [len], located at [at].  Everything that does not depend on machine
+    state (addressing-mode shape, next PC, native cost, operand
+    registers and immediates) is fixed here, once.  Running the op adds
+    one to [icount], charges the native cost, sets [pc] to [at + len]
+    and then performs the effect (a taken branch overwrites [pc]).  It
+    raises nothing: faults set {!status}. *)
+
+val compile_addr : next_pc:int -> Insn.mem -> t -> int
+(** The addressing mode of a memory operand, compiled the same way:
+    [compile_addr ~next_pc m] computes [eval_mem t ~next_pc m] in any
+    machine [t].  Instrumentation that re-derives an access's address on
+    every execution resolves the operand once with this. *)
+
+val fetch : t -> int -> decoded option
+(** Decode, compile and cache the instruction at an address (a cache hit
+    returns the cached entry). *)
 
 val cache_decoded : t -> int -> Insn.t * int -> unit
-(** Insert a pre-decoded instruction into the decode cache, registering
-    it in the page index ({!fetch} goes through this; exposed for tools
-    that pre-decode). *)
+(** Compile a pre-decoded instruction and insert it into the decode
+    cache, replacing any entry at that address (and emptying its
+    decode-front slot) and registering it in the page index ({!fetch}
+    goes through this; exposed for tools that pre-decode). *)
 
 val flush_range : t -> int -> int -> unit
 (** Programmatic icache flush: invalidate every decode-cache entry whose
     byte span overlaps [[start, start+len)] and notify flush listeners.
     The [cache_flush] syscall is routed through this. *)
 
-val step_decoded : t -> at:int -> Insn.t -> int -> unit
-(** Execute one already-decoded instruction of length [len] located at
-    [at] (normally [at = pc]), charging its native cost and updating the
-    PC.  Raises nothing: faults set {!status}. *)
+val syscall : t -> int -> unit
+(** Perform system call [n] in the current machine state: its hook if
+    one is installed, else the built-in handler.  A compiled [syscall]
+    instruction calls this after retiring. *)
 
 val charge : t -> int -> unit
 (** Add instrumentation cycles. *)
@@ -141,7 +174,7 @@ val output : t -> string
 
 exception Security_abort of string
 (** Tools may raise this from instrumentation actions to model
-    abort-on-violation policies; {!step_decoded} does not catch it. *)
+    abort-on-violation policies; compiled ops do not catch it. *)
 
 (** {1 Convenience} *)
 

@@ -202,12 +202,14 @@ let test_lightweight_profile_cheaper () =
     (run Jt_dbt.Dbt.lightweight < run Jt_dbt.Dbt.dynamorio + 10_000)
 
 (* The interpreter core allocates nothing per retired instruction: the
-   page table and its word-wide accessors, the decode-cache hit, the
-   dispatch loop's sentinels and the plan-slot walk are all box-free.
-   Minor-heap words over one loop-heavy registry workload are a
-   deterministic count, so a boxed value that creeps back onto the hot
-   path fails here.  What remains is per-run and per-block set-up
-   (boot is outside the window; first-touch pages, decoding and
+   page table and its word-wide accessors, the decode front and the
+   compiled ops, the dispatch loop's sentinels, the plan-slot walk and
+   JASan's paged shadow checks are all box-free.  Ops are compiled when
+   an instruction is decoded, never when it retires.  Minor-heap words
+   over one loop-heavy registry workload are a deterministic count, so a
+   boxed value that creeps back onto the hot path fails here.  What
+   remains is per-run and per-block set-up (tool set-up and boot are
+   outside the window; first-touch pages, decoding, compilation and
    translation are inside). *)
 let test_hot_path_allocation () =
   let w = Jt_workloads.Specgen.build (Jt_workloads.Sheet.find "bzip2") in
@@ -230,10 +232,20 @@ let test_hot_path_allocation () =
         let engine = Jt_dbt.Dbt.create ~vm () in
         fun () -> Jt_dbt.Dbt.run engine)
   in
+  (* JASan dyn-only: every load and store carries a shadow check *)
+  let jasan =
+    words_per_insn (fun vm ->
+        let tool, _ = Jt_jasan.Jasan.create () in
+        let engine = Jt_dbt.Dbt.create ~vm ~client:tool.t_client () in
+        tool.t_setup vm;
+        fun () -> Jt_dbt.Dbt.run engine)
+  in
   if native > 0.1 then
     Alcotest.failf "Vm.run: %.3f minor words/insn > 0.1" native;
   if null > 0.1 then
-    Alcotest.failf "null DBT: %.3f minor words/insn > 0.1" null
+    Alcotest.failf "null DBT: %.3f minor words/insn > 0.1" null;
+  if jasan > 0.1 then
+    Alcotest.failf "JASan dyn-only DBT: %.3f minor words/insn > 0.1" jasan
 
 let () =
   Alcotest.run "dbt"

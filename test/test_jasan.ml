@@ -305,6 +305,105 @@ let test_static_rules_emitted () =
     (List.length f'.rf_rules);
   Alcotest.(check bool) "roundtrip equal" true (f = f')
 
+(* -- the paged shadow table -- *)
+
+module Shadow = Jt_jasan.Shadow
+
+let poisoned_at =
+  let state =
+    Alcotest.testable
+      (fun ppf st ->
+        Format.pp_print_string ppf
+          (match st with
+          | Shadow.Addressable -> "addressable"
+          | Heap_redzone -> "redzone"
+          | Heap_freed -> "freed"
+          | Stack_canary -> "canary"))
+      ( = )
+  in
+  Alcotest.(option (pair int state))
+
+(* Ranges straddling a 4 MiB directory boundary, the middle of the
+   address space and its top (where addresses wrap to 0). *)
+let test_shadow_directory_edges () =
+  List.iter
+    (fun b ->
+      let at d = (b + d) land 0xFFFF_FFFF in
+      let s = Shadow.create () in
+      Alcotest.check poisoned_at "clean table" None
+        (Shadow.first_poisoned s (at (-16)) ~len:32);
+      Shadow.poison s (at (-6)) ~len:12 Shadow.Heap_redzone;
+      Alcotest.(check int) "count" 12 (Shadow.poisoned_count s);
+      Alcotest.check poisoned_at "first from below"
+        (Some (at (-6), Shadow.Heap_redzone))
+        (Shadow.first_poisoned s (at (-16)) ~len:32);
+      Alcotest.check poisoned_at "first past the edge"
+        (Some (at 0, Shadow.Heap_redzone))
+        (Shadow.first_poisoned s (at 0) ~len:8);
+      Alcotest.check poisoned_at "clean above" None
+        (Shadow.first_poisoned s (at 6) ~len:64);
+      Alcotest.(check int) "last byte" 1 (Shadow.get s (at 5));
+      Alcotest.(check int) "byte after" 0 (Shadow.get s (at 6));
+      Shadow.unpoison s (at (-2)) ~len:4;
+      Alcotest.(check int) "count after unpoison" 8 (Shadow.poisoned_count s);
+      Alcotest.check poisoned_at "hole" None
+        (Shadow.first_poisoned s (at (-2)) ~len:4);
+      Alcotest.check poisoned_at "after the hole"
+        (Some (at 2, Shadow.Heap_redzone))
+        (Shadow.first_poisoned s (at (-2)) ~len:5);
+      Shadow.poison s (at (-3)) ~len:2 Shadow.Heap_freed;
+      Alcotest.(check int) "count after repoison" 9 (Shadow.poisoned_count s);
+      Alcotest.check poisoned_at "new state"
+        (Some (at (-3), Shadow.Heap_freed))
+        (Shadow.first_poisoned s (at (-3)) ~len:1);
+      Shadow.unpoison s (at (-16)) ~len:32;
+      Alcotest.(check int) "all clean" 0 (Shadow.poisoned_count s);
+      Alcotest.check poisoned_at "clean again" None
+        (Shadow.first_poisoned s (at (-16)) ~len:32))
+    [ 0x0040_0000; 0x0080_0000; 0x8000_0000; 0 ]
+
+(* Overlapping fills of random ranges, against a per-byte model: the
+   count stays exact and every first_poisoned agrees. *)
+let test_shadow_overlapping_fills () =
+  let rng = Random.State.make [| 19 |] in
+  List.iter
+    (fun lo ->
+      let s = Shadow.create () in
+      let model = Hashtbl.create 64 in
+      let span = 0x4000 in
+      for _ = 1 to 400 do
+        let a = (lo + Random.State.int rng span) land 0xFFFF_FFFF in
+        let len = 1 + Random.State.int rng 5000 in
+        let v = Random.State.int rng 3 in
+        (if v = 0 then Shadow.unpoison s a ~len
+         else
+           Shadow.poison s a ~len
+             (if v = 1 then Shadow.Heap_redzone else Shadow.Heap_freed));
+        for k = 0 to len - 1 do
+          let x = (a + k) land 0xFFFF_FFFF in
+          if v = 0 then Hashtbl.remove model x else Hashtbl.replace model x v
+        done;
+        Alcotest.(check int) "count" (Hashtbl.length model)
+          (Shadow.poisoned_count s);
+        let q = (lo + Random.State.int rng span) land 0xFFFF_FFFF in
+        let qlen = 1 + Random.State.int rng 300 in
+        let expected =
+          let rec go k =
+            if k >= qlen then None
+            else
+              let x = (q + k) land 0xFFFF_FFFF in
+              match Hashtbl.find_opt model x with
+              | Some v ->
+                Some (x, if v = 1 then Shadow.Heap_redzone else Shadow.Heap_freed)
+              | None -> go (k + 1)
+          in
+          go 0
+        in
+        Alcotest.check poisoned_at "first_poisoned" expected
+          (Shadow.first_poisoned s q ~len:qlen)
+      done)
+    [ 0x0040_0000 - 0x2000; 0xFFFF_FFFF - 0x2000 ]
+
 let () =
   Alcotest.run "jasan"
     [
@@ -336,4 +435,11 @@ let () =
         ] );
       ( "rules",
         [ Alcotest.test_case "static rules" `Quick test_static_rules_emitted ] );
+      ( "shadow",
+        [
+          Alcotest.test_case "directory and address-space edges" `Quick
+            test_shadow_directory_edges;
+          Alcotest.test_case "overlapping fills" `Quick
+            test_shadow_overlapping_fills;
+        ] );
     ]

@@ -332,10 +332,10 @@ let test_dlopen_handle_no_reuse () =
       [
         func "main"
           ([
-             addr_of_data ~pic:false Reg.r0 "na";
+             addr_of_data ~pic:true Reg.r0 "na";
              syscall Sysno.dlopen;
              mov Reg.r5 Reg.r0 (* handle A *);
-             addr_of_data ~pic:false Reg.r0 "nb";
+             addr_of_data ~pic:true Reg.r0 "nb";
              syscall Sysno.dlopen;
              mov Reg.r6 Reg.r0 (* handle B *);
              mov Reg.r0 Reg.r5;
@@ -366,7 +366,7 @@ let test_flush_range_overlap () =
   Jt_vm.Vm.boot vm ~main:"fl";
   let entry = Jt_loader.Loader.entry_point vm.loader in
   (match Jt_vm.Vm.fetch vm entry with
-  | Some (_, len) -> Alcotest.(check bool) "entry decodes" true (len > 0)
+  | Some d -> Alcotest.(check bool) "entry decodes" true (d.d_len > 0)
   | None -> Alcotest.fail "entry must decode");
   (* flush a range just past the entry instruction (movi = 6 bytes): no
      overlap, so the entry must survive (the heuristic dropped it) *)
@@ -383,6 +383,415 @@ let test_flush_range_overlap () =
   Jt_vm.Vm.flush_range vm entry 4;
   Alcotest.(check bool) "covered entry dropped" false
     (Hashtbl.mem vm.decode_cache entry)
+
+(* Every address in the decode cache sits exactly once in the bucket of
+   each page its span overlaps, and in no other bucket. *)
+let check_page_index (vm : Jt_vm.Vm.t) =
+  let span_pages addr len = (addr asr 12, (addr + max len 1 - 1) asr 12) in
+  Hashtbl.iter
+    (fun addr (d : Jt_vm.Vm.decoded) ->
+      let lo, hi = span_pages addr d.d_len in
+      for p = lo to hi do
+        let b =
+          match Hashtbl.find_opt vm.decode_pages p with Some b -> !b | None -> []
+        in
+        match List.length (List.filter (Int.equal addr) b) with
+        | 1 -> ()
+        | n -> Alcotest.failf "0x%x is %d times in page 0x%x" addr n p
+      done)
+    vm.decode_cache;
+  Hashtbl.iter
+    (fun p b ->
+      List.iter
+        (fun addr ->
+          match Hashtbl.find_opt vm.decode_cache addr with
+          | None -> Alcotest.failf "page 0x%x holds uncached 0x%x" p addr
+          | Some d ->
+            let lo, hi = span_pages addr d.d_len in
+            if p < lo || p > hi then
+              Alcotest.failf "page 0x%x holds 0x%x outside its span" p addr)
+        !b)
+    vm.decode_pages
+
+let test_decode_page_index () =
+  let m = Progs.sum_prog ~n:20 () in
+  let vm = Jt_vm.Vm.make ~registry:(Progs.registry_for m) in
+  Jt_vm.Vm.boot vm ~main:"sum";
+  Jt_vm.Vm.run vm;
+  check_exit (Jt_vm.Vm.result vm);
+  Alcotest.(check bool) "decoded something" true
+    (Hashtbl.length vm.decode_cache > 10);
+  check_page_index vm;
+  (* replace an entry with a longer span that reaches the next page, then
+     with a shorter one again *)
+  let a = 0x0070_0FFE in
+  Jt_vm.Vm.cache_decoded vm a (Insn.Nop, 1);
+  check_page_index vm;
+  Jt_vm.Vm.cache_decoded vm a (Insn.Nop, 20);
+  check_page_index vm;
+  Jt_vm.Vm.cache_decoded vm a (Insn.Nop, 20);
+  check_page_index vm;
+  Jt_vm.Vm.cache_decoded vm a (Insn.Nop, 1);
+  check_page_index vm;
+  Alcotest.(check bool) "next page bucket emptied" true
+    (match Hashtbl.find_opt vm.decode_pages 0x701 with
+    | Some b -> !b = []
+    | None -> true)
+
+(* -- decode front coherence under plain Vm.run -- *)
+
+let store_bytes code =
+  List.concat
+    (List.mapi
+       (fun i c ->
+         [
+           movi Reg.r2 (Char.code c);
+           I
+             (Jt_asm.Sinsn.Sstore
+                (Insn.W1, mem_b ~disp:i Reg.r6, Jt_asm.Sinsn.Sreg Reg.r2));
+         ])
+       (List.init (String.length code) (String.get code)))
+
+(* A loop that lives in the JIT region and rewrites its own body.  Each
+   trip prints the immediate of its first instruction, [mov r0, imm];
+   every second trip then stores 10 * trips into that immediate and
+   (with [flush]) flushes the region, so each version of the code runs
+   twice and the second run comes from the decode front.  The loop spans
+   fewer than 256 bytes, so no two of its instructions share a slot. *)
+let jit_patch_loop ~flush =
+  let base = fst Jt_vm.Vm.jit_region in
+  let mov_imm v = Insn.Mov (Reg.r0, Insn.Imm v) in
+  let imm_off =
+    let first = Encode.encode ~at:base (mov_imm 0x1122_3344) in
+    let rec find i =
+      if String.sub first i 4 = "\x44\x33\x22\x11" then i else find (i + 1)
+    in
+    find 0
+  in
+  let head skip =
+    [ mov_imm 0; Insn.Syscall Sysno.write_int;
+      Insn.Binop (Insn.Add, Reg.r5, Insn.Imm 1); Insn.Test (Reg.r5, Insn.Imm 1);
+      Insn.Jcc (Insn.Ne, skip); Insn.Mov (Reg.r2, Insn.Reg Reg.r5);
+      Insn.Binop (Insn.Mul, Reg.r2, Insn.Imm 10);
+      Insn.Store (Insn.W4, Insn.mem_base ~disp:imm_off Reg.r6, Insn.Reg Reg.r2) ]
+    @
+    if flush then
+      [ Insn.Mov (Reg.r0, Insn.Reg Reg.r6); Insn.Mov (Reg.r1, Insn.Imm 256);
+        Insn.Syscall Sysno.cache_flush ]
+    else []
+  in
+  let size insns = List.fold_left (fun n i -> n + Encode.length i) 0 insns in
+  let skip = base + size (head base) in
+  let code =
+    List.fold_left
+      (fun (acc, a) i -> (acc ^ Encode.encode ~at:a i, a + Encode.length i))
+      ("", base)
+      (head skip
+      @ [ Insn.Cmp (Reg.r5, Insn.Imm 4); Insn.Jcc (Insn.Lt, base); Insn.Ret ])
+    |> fst
+  in
+  let m =
+    build ~name:"jitloop" ~kind:Jt_obj.Objfile.Exec_nonpic ~entry:"main"
+      [
+        func "main"
+          ([ movi Reg.r0 256; syscall Sysno.mmap_code; mov Reg.r6 Reg.r0 ]
+          @ store_bytes code
+          @ [
+              mov Reg.r0 Reg.r6;
+              movi Reg.r1 256;
+              syscall Sysno.cache_flush;
+              movi Reg.r5 0;
+              call_reg Reg.r6;
+            ]
+          @ exit_ok);
+      ]
+  in
+  run m
+
+let test_front_jit_flush () =
+  let r = jit_patch_loop ~flush:true in
+  check_exit r;
+  Alcotest.(check string) "each trip runs the rewritten code" "0\n0\n20\n20\n"
+    r.r_output
+
+let test_front_jit_no_flush () =
+  let r = jit_patch_loop ~flush:false in
+  check_exit r;
+  Alcotest.(check string) "without a flush the cached instruction runs"
+    "0\n0\n0\n0\n" r.r_output
+
+let test_front_cache_decoded_hot () =
+  let m =
+    build ~name:"spin" ~kind:Jt_obj.Objfile.Exec_nonpic ~entry:"main"
+      [ func "main" [ label "top"; addi Reg.r1 1; jmp "top" ] ]
+  in
+  let vm = Jt_vm.Vm.make ~registry:[ m ] in
+  Jt_vm.Vm.boot vm ~main:"spin";
+  let add1 = Insn.Binop (Insn.Add, Reg.r1, Insn.Imm 1) in
+  let step () =
+    Jt_vm.Vm.run ~fuel:1 vm;
+    vm.status <- Jt_vm.Vm.Running
+  in
+  for _ = 1 to 100 do
+    step ()
+  done;
+  (* stop with the hot add next *)
+  while
+    match Jt_vm.Vm.fetch vm vm.pc with
+    | Some d -> d.d_insn <> add1
+    | None -> Alcotest.fail "spin loop must decode"
+  do
+    step ()
+  done;
+  let before = Jt_vm.Vm.get vm Reg.r1 in
+  Alcotest.(check bool) "hot loop ran" true (before >= 49);
+  let add100 = Insn.Binop (Insn.Add, Reg.r1, Insn.Imm 100) in
+  Jt_vm.Vm.cache_decoded vm vm.pc (add100, Encode.length add100);
+  step ();
+  Alcotest.(check int) "next step runs the replacement" (before + 100)
+    (Jt_vm.Vm.get vm Reg.r1)
+
+(* Two non-PIC plugins load at the same base with the same layout, so
+   the second one's [f] sits at the addresses the first one's loop made
+   hot.  The host is PIC, so it loads elsewhere. *)
+let test_front_dlclose_reopen () =
+  let plugin name v =
+    build ~name ~kind:Jt_obj.Objfile.Exec_nonpic
+      [
+        func ~exported:true "f"
+          [
+            movi Reg.r5 0;
+            label "loop";
+            movi Reg.r0 v;
+            syscall Sysno.write_int;
+            addi Reg.r5 1;
+            cmpi Reg.r5 3;
+            jcc Insn.Lt "loop";
+            ret;
+          ];
+      ]
+  in
+  let call_f name =
+    [
+      addr_of_data ~pic:true Reg.r0 name;
+      syscall Sysno.dlopen;
+      mov Reg.r7 Reg.r0;
+      addr_of_data ~pic:true Reg.r1 "sym";
+      syscall Sysno.dlsym;
+      call_reg Reg.r0;
+      mov Reg.r0 Reg.r7;
+      syscall Sysno.dlclose;
+    ]
+  in
+  let m =
+    build ~name:"reopen" ~kind:Jt_obj.Objfile.Exec_pic ~entry:"main"
+      ~datas:
+        [
+          data "na" [ Dbytes "pa.so\x00" ];
+          data "nb" [ Dbytes "pb.so\x00" ];
+          data "sym" [ Dbytes "f\x00" ];
+        ]
+      [ func "main" (call_f "na" @ call_f "nb" @ exit_ok) ]
+  in
+  let r = run ~registry:[ plugin "pa.so" 111; plugin "pb.so" 222 ] m in
+  check_exit r;
+  Alcotest.(check string) "the reopened base runs the new module"
+    "111\n111\n111\n222\n222\n222\n" r.r_output
+
+(* -- compiled ops against the reference model -- *)
+
+type mstate = {
+  ms_at : int;
+  ms_regs : int array;
+  ms_flags : int;
+  ms_bytes : int array;  (* seeded around each address the insn may touch *)
+}
+
+let mem_of (i : Insn.t) =
+  match i with
+  | Insn.Lea (_, m)
+  | Load (_, _, m)
+  | Store (_, m, _)
+  | Jmp_ind (None, Some m)
+  | Call_ind (None, Some m) ->
+    Some m
+  | _ -> None
+
+(* A fresh machine in state [st], with [st.ms_bytes] written around the
+   effective address of [i]'s memory operand and around [sp].  Returns
+   the machine and the addresses seeded (the only memory an instruction
+   other than a syscall can touch). *)
+let machine st (i : Insn.t) len =
+  let vm = Jt_vm.Vm.make ~registry:[] in
+  Array.iteri (fun k v -> Jt_vm.Vm.set vm (Reg.of_index k) v) st.ms_regs;
+  Flags.unpack vm.flags st.ms_flags;
+  vm.pc <- st.ms_at;
+  let n = Array.length st.ms_bytes in
+  let around a = List.init n (fun k -> Word.of_int (a - (n / 2) + k)) in
+  let touched =
+    (match mem_of i with
+    | Some m -> around (Jt_vm.Vm.eval_mem vm ~next_pc:(st.ms_at + len) m)
+    | None -> [])
+    @ around (Jt_vm.Vm.get vm Reg.sp)
+  in
+  List.iteri
+    (fun k a -> Jt_mem.Memory.write8 vm.mem a st.ms_bytes.(k mod n))
+    touched;
+  (vm, touched)
+
+let observe (vm : Jt_vm.Vm.t) touched raised =
+  ( (Array.to_list vm.regs, Flags.pack vm.flags, vm.pc, vm.icount, vm.cycles),
+    (vm.status, Jt_vm.Vm.output vm, raised),
+    List.map (Jt_mem.Memory.read8 vm.mem) touched )
+
+let run_one f vm =
+  match f vm with () -> "" | exception e -> Printexc.to_string e
+
+(* Compare [Vm.compile ~at i len] with the reference on two copies of
+   the same machine. *)
+let compiled_matches st (i : Insn.t) =
+  (* an operand-less indirect transfer has no encoding *)
+  let len = try Encode.length i with Invalid_argument _ -> 2 in
+  let at = st.ms_at in
+  let vm_c, touched = machine st i len in
+  let vm_r, _ = machine st i len in
+  let op = Jt_vm.Vm.compile ~at i len in
+  let raised_c = run_one op vm_c in
+  let raised_r = run_one (fun vm -> Ref_step.step_decoded vm ~at i len) vm_r in
+  observe vm_c touched raised_c = observe vm_r touched raised_r
+
+let check_compiled name st i =
+  if not (compiled_matches st i) then
+    Alcotest.failf "%s: compiled %a diverges from the reference" name Insn.pp i
+
+let words =
+  [ 0; 1; 2; 31; 32; 33; 64; 0xFFF; 0x1000; 0xFFFE; 0x7FFF_FFFF; 0x8000_0000;
+    0xFFFF_FFFD; 0xFFFF_FFFE; 0xFFFF_FFFF ]
+
+let gen_word = QCheck2.Gen.(oneof [ Gen_isa.gen_imm; oneofl words ])
+
+let gen_state =
+  let open QCheck2.Gen in
+  let* ms_at = gen_word in
+  let* ms_regs = array_repeat Reg.count gen_word in
+  let* ms_flags = int_bound 15 in
+  let* ms_bytes = array_repeat 16 (int_bound 255) in
+  return { ms_at; ms_regs; ms_flags; ms_bytes }
+
+(* Syscalls whose cost does not scale with a random register (calloc
+   and realloc loop over their size argument, cache_flush walks every
+   page of its range, malloc reserves it), plus the emit hooks' numbers
+   and one unassigned number. *)
+let safe_syscalls =
+  Sysno.[ exit_; write_int; write_ch; free; dlopen; dlsym; mmap_code; resolve;
+          dlclose; read_int; emit_site; emit_pin; 200 ]
+
+let gen_vm_insn =
+  QCheck2.Gen.map
+    (function
+      | Insn.Syscall n ->
+        Insn.Syscall (List.nth safe_syscalls (n mod List.length safe_syscalls))
+      | i -> i)
+    Gen_isa.gen_insn
+
+let prop_compiled_ops =
+  QCheck2.Test.make ~name:"compiled ops match the reference" ~count:5000
+    ~print:(fun (i, st) ->
+      Format.asprintf "%a at 0x%x regs [%s] flags %d" Insn.pp i st.ms_at
+        (String.concat "; " (List.map string_of_int (Array.to_list st.ms_regs)))
+        st.ms_flags)
+    (QCheck2.Gen.pair gen_vm_insn gen_state)
+    (fun (i, st) -> compiled_matches st i)
+
+let base_state =
+  {
+    ms_at = 0x0040_1000;
+    ms_regs = Array.init Reg.count (fun k -> 0x100 * (k + 1));
+    ms_flags = 0;
+    ms_bytes = Array.init 16 (fun k -> 0xA0 + k);
+  }
+
+let with_regs st assoc =
+  let regs = Array.copy st.ms_regs in
+  List.iter (fun (r, v) -> regs.(Reg.index r) <- v) assoc;
+  { st with ms_regs = regs }
+
+let test_compiled_edge_cases () =
+  let r1 = Reg.r1 and r2 = Reg.r2 and r3 = Reg.r3 in
+  (* W1/W2/W4 accesses that cross a page or wrap past 0xFFFFFFFF *)
+  List.iter
+    (fun w ->
+      List.iter
+        (fun base ->
+          let st = with_regs base_state [ (r2, base) ] in
+          let m = Insn.mem_base r2 in
+          check_compiled "load" st (Insn.Load (w, r1, m));
+          check_compiled "store reg" st (Insn.Store (w, m, Insn.Reg r3));
+          check_compiled "store imm" st (Insn.Store (w, m, Insn.Imm 0xDEAD_BEEF)))
+        [ 0xFFD; 0xFFE; 0xFFF; 0xFFFF_FFFD; 0xFFFF_FFFE; 0xFFFF_FFFF ])
+    [ Insn.W1; Insn.W2; Insn.W4 ];
+  (* PC-relative with an index, absolute with an index, both wrapping *)
+  List.iter
+    (fun (idx, scale, disp) ->
+      let st = with_regs base_state [ (r3, idx) ] in
+      let pcrel = { Insn.base = Some Insn.Bpc; index = Some r3; scale; disp } in
+      let abs = { Insn.base = None; index = Some r3; scale; disp } in
+      check_compiled "bpc+index lea" st (Insn.Lea (r1, pcrel));
+      check_compiled "bpc+index load" st (Insn.Load (Insn.W4, r1, pcrel));
+      check_compiled "abs+index load" st (Insn.Load (Insn.W2, r1, abs));
+      check_compiled "bpc+index jmp" st (Insn.jmp_ind_mem pcrel))
+    [ (0, 1, 0); (3, 4, 0x10); (0xFFFF_FFFF, 8, 0xFFFF_FFF0); (0x4000_0000, 8, 0) ];
+  (* shift counts of 32 and more, and multiply overflow *)
+  List.iter
+    (fun n ->
+      let st = with_regs base_state [ (r1, 0x8000_0001); (r2, n) ] in
+      List.iter
+        (fun op ->
+          check_compiled "shift reg" st (Insn.Binop (op, r1, Insn.Reg r2));
+          check_compiled "shift imm" st (Insn.Binop (op, r1, Insn.Imm n)))
+        [ Insn.Shl; Insn.Shr; Insn.Sar ])
+    [ 0; 1; 31; 32; 33; 63; 64; 0xFFFF_FFFF ];
+  List.iter
+    (fun (a, b) ->
+      let st = with_regs base_state [ (r1, a); (r2, b) ] in
+      check_compiled "mul reg" st (Insn.Binop (Insn.Mul, r1, Insn.Reg r2));
+      check_compiled "mul imm" st (Insn.Binop (Insn.Mul, r1, Insn.Imm b));
+      check_compiled "add carry" st (Insn.Binop (Insn.Add, r1, Insn.Reg r2));
+      check_compiled "sub borrow" st (Insn.Binop (Insn.Sub, r1, Insn.Imm b));
+      check_compiled "cmp" st (Insn.Cmp (r1, Insn.Reg r2)))
+    [ (0xFFFF_FFFF, 0xFFFF_FFFF); (0x1_0000, 0x1_0000); (0x8000_0000, 2);
+      (0x7FFF_FFFF, 0x7FFF_FFFF) ];
+  (* all ten conditions under all sixteen flag states *)
+  List.iter
+    (fun c ->
+      for flags = 0 to 15 do
+        check_compiled "jcc" { base_state with ms_flags = flags }
+          (Insn.Jcc (c, 0x0040_2000))
+      done)
+    Insn.[ Eq; Ne; Lt; Le; Gt; Ge; Ult; Ule; Ugt; Uge ];
+  (* push, pop, call and ret across an sp wrap *)
+  List.iter
+    (fun sp ->
+      let st = with_regs base_state [ (Reg.sp, sp) ] in
+      check_compiled "push reg" st (Insn.Push (Insn.Reg r1));
+      check_compiled "push sp" st (Insn.Push (Insn.Reg Reg.sp));
+      check_compiled "push imm" st (Insn.Push (Insn.Imm 0x1234_5678));
+      check_compiled "pop" st (Insn.Pop r1);
+      check_compiled "pop sp" st (Insn.Pop Reg.sp);
+      check_compiled "call" st (Insn.Call 0x0040_3000);
+      check_compiled "call_ind sp" st (Insn.call_ind_reg Reg.sp);
+      check_compiled "ret" st Insn.Ret)
+    [ 0; 2; 4; 0xFFFF_FFFC; 0xFFFF_FFFE ];
+  (* operand-less indirect transfers fault *)
+  check_compiled "jmp_ind none" base_state (Insn.Jmp_ind (None, None));
+  check_compiled "call_ind none" base_state (Insn.Call_ind (None, None));
+  (* the write_int and exit syscalls *)
+  List.iter
+    (fun v ->
+      let st = with_regs base_state [ (Reg.r0, v) ] in
+      check_compiled "write_int" st (Insn.Syscall Sysno.write_int);
+      check_compiled "exit" st (Insn.Syscall Sysno.exit_))
+    [ 0; 42; 0x8000_0000; 0xFFFF_FFFF ]
 
 let () =
   Alcotest.run "vm"
@@ -404,5 +813,19 @@ let () =
             test_dlopen_handle_no_reuse;
           Alcotest.test_case "flush-range overlap" `Quick
             test_flush_range_overlap;
+          Alcotest.test_case "decode page index" `Quick test_decode_page_index;
         ] );
+      ( "decode-front",
+        [
+          Alcotest.test_case "jit rewrite with flush" `Quick test_front_jit_flush;
+          Alcotest.test_case "jit rewrite without flush" `Quick
+            test_front_jit_no_flush;
+          Alcotest.test_case "cache_decoded on a hot address" `Quick
+            test_front_cache_decoded_hot;
+          Alcotest.test_case "dlclose and reopen at the same base" `Quick
+            test_front_dlclose_reopen;
+        ] );
+      ( "compiled-ops",
+        Alcotest.test_case "edge cases" `Quick test_compiled_edge_cases
+        :: List.map QCheck_alcotest.to_alcotest [ prop_compiled_ops ] );
     ]
