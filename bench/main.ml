@@ -882,7 +882,7 @@ let micro () =
    Per mem-op-heavy workload, JASan-hybrid runs twice — elision off and
    on — and reports the executed shadow-check counts from the c_san_checks
    counter.  The on-run includes the full stack: the static per-block
-   passes (VSA frame bounds, dominating checks, SCEV hoisting) plus the
+   passes (dominating checks, SCEV hoisting) plus the
    trace-spine elision the DBT performs on hot superblocks.  Two hard
    gates: the runs must be observably identical (status, output, icount,
    and the set of (kind, addr) violations), and the geomean check-count
@@ -893,7 +893,6 @@ type elide_row = {
   el_checks_off : int;
   el_checks_on : int;
   el_ratio : float;  (* on / off *)
-  el_frame : int;
   el_dom : int;
   el_trace : int;  (* executed-check elisions by the trace layer *)
   el_icount : int;
@@ -912,7 +911,7 @@ let elide_bench () =
     let tool, _ = Jt_jasan.Jasan.create ~elide () in
     let o = Janitizer.Driver.run ~tool ~registry ~main () in
     let c = Jt_metrics.Metrics.Counters.current () in
-    ( o.o_result, c.c_san_checks, c.c_san_elide_frame, c.c_san_elide_dom,
+    ( o.o_result, c.c_san_checks, c.c_san_elide_dom,
       c.c_san_trace_elide_dom + c.c_san_trace_elide_streak + c.c_san_trace_elide_ind )
   in
   let rows =
@@ -921,14 +920,13 @@ let elide_bench () =
         Printf.eprintf "  elide: %s...\n%!" name;
         let w = Specgen.build (Sheet.find name) in
         let reg = w.Specgen.w_registry in
-        let r_off, c_off, _, _, _ = run_once ~elide:false reg name in
-        let r_on, c_on, frame, dom, trace = run_once ~elide:true reg name in
+        let r_off, c_off, _, _ = run_once ~elide:false reg name in
+        let r_on, c_on, dom, trace = run_once ~elide:true reg name in
         {
           el_name = name;
           el_checks_off = c_off;
           el_checks_on = c_on;
           el_ratio = float_of_int c_on /. float_of_int (max c_off 1);
-          el_frame = frame;
           el_dom = dom;
           el_trace = trace;
           el_icount = r_on.Jt_vm.Vm.r_icount;
@@ -938,13 +936,13 @@ let elide_bench () =
   in
   open_table "JASan dynamic checks: elision off vs on"
     "executed shadow checks / static elisions / trace-layer elisions"
-    [ "checks off"; "checks on"; "reduction %"; "frame"; "dom"; "trace" ]
+    [ "checks off"; "checks on"; "reduction %"; "dom"; "trace" ]
     (List.map
        (fun r ->
          ( r.el_name,
            [ count r.el_checks_off; count r.el_checks_on;
-             value (100.0 *. (1.0 -. r.el_ratio)); count r.el_frame;
-             count r.el_dom; count r.el_trace ] ))
+             value (100.0 *. (1.0 -. r.el_ratio)); count r.el_dom;
+             count r.el_trace ] ))
        rows);
   let geo_ratio = Jt_metrics.Metrics.geomean (List.map (fun r -> r.el_ratio) rows) in
   let geo_reduction = 100.0 *. (1.0 -. geo_ratio) in
@@ -954,7 +952,7 @@ let elide_bench () =
         [ ("name", String r.el_name); ("checks_off", Int r.el_checks_off);
           ("checks_on", Int r.el_checks_on);
           ("reduction_pct", Float (4, 100.0 *. (1.0 -. r.el_ratio)));
-          ("elide_frame", Int r.el_frame); ("elide_dom", Int r.el_dom);
+          ("elide_dom", Int r.el_dom);
           ("elide_trace", Int r.el_trace); ("icount", Int r.el_icount);
           ("identical", Bool r.el_identical) ])
   in

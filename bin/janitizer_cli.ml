@@ -225,7 +225,8 @@ let dump_facts oc ?(traces = []) (closure : Jt_obj.Objfile.t list) =
            | _ -> []))
       in
       Obj
-        [ ("entry", Int r.er_fn); ("vsa_bailed", Bool r.er_vsa_bailed);
+        [ ("entry", Int r.er_fn);
+          ("vsa_bailed", Bool (Jt_analysis.Vsa.bailed vsa));
           ("vsa_iterations", Int (Jt_analysis.Vsa.iterations vsa));
           ("blocks", List (List.map block (Jt_cfg.Cfg.fn_blocks fa.fa_fn)));
           ("accesses", List (List.map access r.er_claims)) ]

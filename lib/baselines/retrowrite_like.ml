@@ -45,13 +45,46 @@ let check_cost ~dead ~flags_dead =
   + (Jt_vm.Cost.spill_reg * max 0 (2 - dead))
   + if flags_dead then 0 else Jt_vm.Cost.save_restore_flags
 
+(* Per-module instrumentation maps in link coordinates: each is rebased
+   into run-time coordinates when the loader commits its module and
+   purged when the module unloads. *)
+module Sitemap = struct
+  type meta = { sm_cost : int; sm_action : Jt_vm.Vm.t -> unit }
+
+  (* The run-time table, kept current by loader callbacks; call before
+     [Vm.boot]. *)
+  let create ~maps_for (vm : Jt_vm.Vm.t) =
+    let tbl = Hashtbl.create 4096 in
+    let by_module : (int, int list) Hashtbl.t = Hashtbl.create 8 in
+    Jt_loader.Loader.on_load vm.Jt_vm.Vm.loader (fun l ->
+        match maps_for l.Jt_loader.Loader.lmod.Jt_obj.Objfile.name with
+        | None -> ()
+        | Some map ->
+          let keys = ref [] in
+          Hashtbl.iter
+            (fun a metas ->
+              let ra = Jt_loader.Loader.runtime_addr l a in
+              Hashtbl.replace tbl ra metas;
+              keys := ra :: !keys)
+            map;
+          Hashtbl.replace by_module l.load_order !keys);
+    (* Purging on unload is what makes reused bases safe: non-PIC
+       objects always map at base 0, so a dlclose'd module's entries
+       would otherwise shadow whatever loads there next. *)
+    Jt_loader.Loader.on_unload vm.Jt_vm.Vm.loader (fun l ->
+        match Hashtbl.find_opt by_module l.Jt_loader.Loader.load_order with
+        | None -> ()
+        | Some keys ->
+          List.iter (Hashtbl.remove tbl) keys;
+          Hashtbl.remove by_module l.load_order);
+    tbl
+end
+
 (* Build the per-instruction instrumentation of one rewritten module
    (link-time addresses). *)
 let instrument_module rt (m : Jt_obj.Objfile.t) =
   let sa = Janitizer.Static_analyzer.analyze m in
-  let map : (int, Jt_emit.Emit.Sitemap.meta list) Hashtbl.t =
-    Hashtbl.create 256
-  in
+  let map : (int, Sitemap.meta list) Hashtbl.t = Hashtbl.create 256 in
   (* Accumulate in reverse (cons is O(1) where append re-walks the
      list) and restore application order once at the end. *)
   let add addr meta =
@@ -86,7 +119,7 @@ let instrument_module rt (m : Jt_obj.Objfile.t) =
                 in
                 add info.d_addr
                   {
-                    Jt_emit.Emit.Sitemap.sm_cost =
+                    Sitemap.sm_cost =
                       check_cost ~dead:(min 2 dead) ~flags_dead;
                     sm_action =
                       (fun vm ->
@@ -102,7 +135,7 @@ let instrument_module rt (m : Jt_obj.Objfile.t) =
         (fun (site : Jt_analysis.Canary.site) ->
           add site.c_after_store
             {
-              Jt_emit.Emit.Sitemap.sm_cost = Jt_vm.Cost.asan_canary_op;
+              Sitemap.sm_cost = Jt_vm.Cost.asan_canary_op;
               sm_action =
                 (fun vm ->
                   Jt_jasan.Jasan.Rt.poison_canary rt vm
@@ -112,7 +145,7 @@ let instrument_module rt (m : Jt_obj.Objfile.t) =
             (fun load_addr ->
               add load_addr
                 {
-                  Jt_emit.Emit.Sitemap.sm_cost = Jt_vm.Cost.asan_canary_op;
+                  Sitemap.sm_cost = Jt_vm.Cost.asan_canary_op;
                   sm_action =
                     (fun vm ->
                       Jt_jasan.Jasan.Rt.unpoison_canary rt vm
@@ -145,12 +178,8 @@ let run ?(fuel = 200_000_000) ~registry ~main () =
         registry
     in
     let vm = Jt_vm.Vm.make ~registry in
-    (* The sitemap rebases each module's map at load and purges it at
-       unload — non-PIC modules reuse base 0 across dlclose/dlopen
-       cycles, so entries that outlive their module would fire on
-       whatever loads there next. *)
     let sitemap =
-      Jt_emit.Emit.Sitemap.create
+      Sitemap.create
         ~maps_for:(fun name -> List.assoc_opt name link_maps)
         vm
     in
@@ -164,10 +193,10 @@ let run ?(fuel = 200_000_000) ~registry ~main () =
         | None -> vm.status <- Jt_vm.Vm.Fault (Jt_vm.Vm.Decode_fault vm.pc)
         | Some { d_op; _ } ->
           let at = vm.pc in
-          (match Jt_emit.Emit.Sitemap.find sitemap at with
+          (match Hashtbl.find_opt sitemap at with
           | Some metas ->
             List.iter
-              (fun (m : Jt_emit.Emit.Sitemap.meta) ->
+              (fun (m : Sitemap.meta) ->
                 Jt_vm.Vm.charge vm m.sm_cost;
                 m.sm_action vm)
               metas

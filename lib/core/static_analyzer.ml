@@ -5,7 +5,6 @@ type fn_analysis = {
   fa_liveness : Jt_analysis.Liveness.t;
   fa_canaries : Jt_analysis.Canary.site list;
   fa_scev : Jt_analysis.Scev.summary list;
-  fa_stack : Jt_analysis.Stackinfo.info;
   fa_vsa : Jt_analysis.Vsa.t Lazy.t;
   fa_domtree : Jt_cfg.Domtree.t Lazy.t;
   fa_defuse : Jt_analysis.Defuse.t Lazy.t;
@@ -151,22 +150,6 @@ let canary_of_ir (c : Ir.canary) : Jt_analysis.Canary.site =
     c_check_loads = c.ic_loads;
   }
 
-let stack_to_ir (s : Jt_analysis.Stackinfo.info) : Ir.stackinfo =
-  {
-    Ir.ik_entry = s.Jt_analysis.Stackinfo.s_entry;
-    ik_frame = s.s_frame_size;
-    ik_canary = s.s_has_canary_pattern;
-    ik_push = s.s_push_bytes;
-  }
-
-let stack_of_ir (s : Ir.stackinfo) : Jt_analysis.Stackinfo.info =
-  {
-    Jt_analysis.Stackinfo.s_entry = s.Ir.ik_entry;
-    s_frame_size = s.ik_frame;
-    s_has_canary_pattern = s.ik_canary;
-    s_push_bytes = s.ik_push;
-  }
-
 let value_to_ir : Jt_analysis.Vsa.value -> Ir.vsa_value = function
   | Jt_analysis.Vsa.Bot -> Ir.Vbot
   | Jt_analysis.Vsa.Cst i -> Ir.Vcst (i.Jt_analysis.Vsa.lo, i.hi)
@@ -200,7 +183,6 @@ let fn_to_ir (fa : fn_analysis) : Ir.fn =
     if_live = live;
     if_canaries = List.map canary_to_ir fa.fa_canaries;
     if_scev = List.map scev_to_ir fa.fa_scev;
-    if_stack = stack_to_ir fa.fa_stack;
     if_vsa =
       Option.map
         (List.map (fun (a, st) -> (a, Array.map value_to_ir st)))
@@ -317,7 +299,6 @@ let compute (m : Jt_obj.Objfile.t) =
                  ~exit_all_live:true fn);
           fa_canaries = Jt_analysis.Canary.analyze fn;
           fa_scev = Jt_analysis.Scev.analyze fn;
-          fa_stack = Jt_analysis.Stackinfo.analyze fn;
           (* The heavier whole-function analyses are computed on demand:
              only tools that elide checks (JASan) force them, and always
              sequentially on the tool's own domain. *)
@@ -446,7 +427,6 @@ let of_ir (m : Jt_obj.Objfile.t) (ir : Ir.t) =
               ~facts:f.if_live ();
           fa_canaries = List.map canary_of_ir f.if_canaries;
           fa_scev = List.map scev_of_ir f.if_scev;
-          fa_stack = stack_of_ir f.if_stack;
           fa_vsa =
             lazy
               (Jt_analysis.Vsa.import

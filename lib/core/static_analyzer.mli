@@ -3,7 +3,7 @@
     For each statically available module this runs the core-layer
     pipeline — disassembly and control-flow recovery over *all* executable
     sections, then the generic helper analyses (liveness, canary
-    detection, SCEV loop bounds, stack info, def-use chains) — and hands
+    detection, SCEV loop bounds, def-use chains) — and hands
     the bundle to a security tool's static pass, which turns it into
     rewrite rules. *)
 
@@ -12,7 +12,6 @@ type fn_analysis = {
   fa_liveness : Jt_analysis.Liveness.t;
   fa_canaries : Jt_analysis.Canary.site list;
   fa_scev : Jt_analysis.Scev.summary list;
-  fa_stack : Jt_analysis.Stackinfo.info;
   fa_vsa : Jt_analysis.Vsa.t Lazy.t;
       (** value-set analysis, computed on first force; already bailed
           (all-[Top]) when the module breaks calling conventions *)

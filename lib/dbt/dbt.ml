@@ -332,7 +332,6 @@ let invalidate t (c : cached) =
    that covers their address retires them too. *)
 let flush_blocks t start len =
   if len > 0 then begin
-    let m = Jt_metrics.Metrics.Counters.current () in
     for p = start asr page_shift to (start + len - 1) asr page_shift do
       match Hashtbl.find_opt t.pages p with
       | None -> ()
@@ -340,15 +339,10 @@ let flush_blocks t start len =
         let doomed =
           List.filter
             (fun (c : cached) ->
-              m.c_flush_visits <- m.c_flush_visits + 1;
               c.cb_valid && c.cb_end > start && c.cb.bb_addr < start + len)
             !b
         in
-        List.iter
-          (fun c ->
-            m.c_flush_drops <- m.c_flush_drops + 1;
-            invalidate t c)
-          doomed
+        List.iter (invalidate t) doomed
     done
   end
 

@@ -409,43 +409,6 @@ let emit_module ~tool ~rules (sa : Janitizer.Static_analyzer.t) =
     | exception Refused r -> Error r
 
 (* ------------------------------------------------------------------ *)
-(* Link-map lifecycle                                                 *)
-(* ------------------------------------------------------------------ *)
-
-module Sitemap = struct
-  type meta = { sm_cost : int; sm_action : Jt_vm.Vm.t -> unit }
-  type t = { tbl : (int, meta list) Hashtbl.t }
-
-  let create ~maps_for (vm : Jt_vm.Vm.t) =
-    let tbl = Hashtbl.create 4096 in
-    let by_module : (int, int list) Hashtbl.t = Hashtbl.create 8 in
-    Jt_loader.Loader.on_load vm.Jt_vm.Vm.loader (fun l ->
-        match maps_for l.Jt_loader.Loader.lmod.Jt_obj.Objfile.name with
-        | None -> ()
-        | Some map ->
-          let keys = ref [] in
-          Hashtbl.iter
-            (fun a metas ->
-              let ra = Jt_loader.Loader.runtime_addr l a in
-              Hashtbl.replace tbl ra metas;
-              keys := ra :: !keys)
-            map;
-          Hashtbl.replace by_module l.load_order !keys);
-    (* Purging on unload is what makes reused bases safe: non-PIC
-       objects always map at base 0, so a dlclose'd module's entries
-       would otherwise shadow whatever loads there next. *)
-    Jt_loader.Loader.on_unload vm.Jt_vm.Vm.loader (fun l ->
-        match Hashtbl.find_opt by_module l.Jt_loader.Loader.load_order with
-        | None -> ()
-        | Some keys ->
-          List.iter (Hashtbl.remove tbl) keys;
-          Hashtbl.remove by_module l.load_order);
-    { tbl }
-
-  let find t a = Hashtbl.find_opt t.tbl a
-end
-
-(* ------------------------------------------------------------------ *)
 (* The emit runtime                                                   *)
 (* ------------------------------------------------------------------ *)
 

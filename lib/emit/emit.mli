@@ -160,33 +160,6 @@ val emit_program :
     through [store] when given), and that analysis feeds both the tool's
     static pass and {!emit_module}. *)
 
-(** {1 Link-map lifecycle}
-
-    Shared machinery for rewriters that carry per-instruction
-    instrumentation maps in link coordinates (the emitter itself, and
-    static baselines like [Retrowrite_like]): rebase each module's map
-    into run-time coordinates when the loader commits it, and — just as
-    important — purge those entries when the module unloads, so a later
-    module mapped at a reused base (non-PIC objects always load at
-    base 0) cannot inherit stale instrumentation. *)
-module Sitemap : sig
-  type meta = { sm_cost : int; sm_action : Jt_vm.Vm.t -> unit }
-
-  type t
-
-  val create :
-    maps_for:(string -> (int, meta list) Hashtbl.t option) ->
-    Jt_vm.Vm.t ->
-    t
-  (** Install load/unload callbacks on the VM's loader; call before
-      [Vm.boot].  [maps_for] returns a module's link-coordinate
-      instrumentation map, or [None] for modules the rewriter did not
-      cover. *)
-
-  val find : t -> int -> meta list option
-  (** The metas anchored at a run-time address, in application order. *)
-end
-
 (** {1 The emit runtime} *)
 
 type stats = {

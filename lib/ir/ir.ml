@@ -49,13 +49,6 @@ type canary = {
   ic_loads : int list;
 }
 
-type stackinfo = {
-  ik_entry : int;
-  ik_frame : int option;
-  ik_canary : bool;
-  ik_push : int;
-}
-
 type vsa_value = Vbot | Vcst of int * int | Vsprel of int * int | Vtop
 
 type fn = {
@@ -67,7 +60,6 @@ type fn = {
   if_live : (int * int * int) list;
   if_canaries : canary list;
   if_scev : scev list;
-  if_stack : stackinfo;
   if_vsa : (int * vsa_value array) list option;
   if_idom : int list;
   if_defuse : (int * (int * int list) list) list;
@@ -89,7 +81,7 @@ type t = {
 
 let magic = "JTIR"
 
-let schema_version = 4
+let schema_version = 5
 
 (* ---- encoding ----
 
@@ -171,12 +163,6 @@ let enc_canary b (c : canary) =
   W.i32 b c.ic_disp;
   ints16 b c.ic_loads
 
-let enc_stack b (s : stackinfo) =
-  W.u32 b s.ik_entry;
-  W.option W.i32 b s.ik_frame;
-  W.bool b s.ik_canary;
-  W.i32 b s.ik_push
-
 let enc_value b = function
   | Vbot -> W.u8 b 0
   | Vcst (lo, hi) ->
@@ -207,7 +193,6 @@ let enc_fn b (f : fn) =
     b f.if_live;
   W.list U16 enc_canary b f.if_canaries;
   W.list U16 enc_scev b f.if_scev;
-  enc_stack b f.if_stack;
   W.option
     (W.list U32 (fun b (addr, vals) ->
          W.u32 b addr;
@@ -345,13 +330,6 @@ let rcanary r =
   let ic_loads = rints16 r in
   { ic_fn; ic_store; ic_after; ic_disp; ic_loads }
 
-let rstack r =
-  let ik_entry = R.u32 r in
-  let ik_frame = R.option R.i32 r in
-  let ik_canary = R.bool r in
-  let ik_push = R.i32 r in
-  { ik_entry; ik_frame; ik_canary; ik_push }
-
 let rvalue r =
   match R.u8 r with
   | 0 -> Vbot
@@ -417,7 +395,6 @@ let rfn r =
   in
   let if_canaries = R.list U16 ~min:18 rcanary r in
   let if_scev = R.list U16 ~min:24 rscev r in
-  let if_stack = rstack r in
   let if_vsa =
     R.option
       (R.list U32 ~min:5 (fun r ->
@@ -448,7 +425,6 @@ let rfn r =
     if_live;
     if_canaries;
     if_scev;
-    if_stack;
     if_vsa;
     if_idom;
     if_defuse;
@@ -488,7 +464,7 @@ let decode =
       let ir_code_ptrs = rints32 r in
       let max_insns = Array.length ir_insns in
       let ir_blocks = R.list U32 ~min:13 (rblock ~max_insns) r in
-      let ir_fns = R.list U32 ~min:39 rfn r in
+      let ir_fns = R.list U32 ~min:29 rfn r in
       let ir_cpa = R.list U32 ~min:17 rcpa r in
       {
         ir_module;

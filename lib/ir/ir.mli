@@ -71,13 +71,6 @@ type canary = {
   ic_loads : int list;
 }
 
-type stackinfo = {
-  ik_entry : int;
-  ik_frame : int option;
-  ik_canary : bool;
-  ik_push : int;
-}
-
 type vsa_value = Vbot | Vcst of int * int | Vsprel of int * int | Vtop
 
 type fn = {
@@ -90,7 +83,6 @@ type fn = {
       (** (insn addr, live register mask, live flag bits) *)
   if_canaries : canary list;
   if_scev : scev list;
-  if_stack : stackinfo;
   if_vsa : (int * vsa_value array) list option;
       (** per-block register in-states; [None] when the analysis bailed *)
   if_idom : int list;

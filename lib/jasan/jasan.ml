@@ -106,15 +106,12 @@ let scale_log2 = function 1 -> 0 | 2 -> 1 | 4 -> 2 | 8 -> 3 | _ -> 0
 
 let width_of = function Insn.W1 -> 1 | Insn.W2 -> 2 | Insn.W4 -> 4
 
-(* ---- elision passes (VSA frame bounds + dominating checks) ---- *)
-
-module Vsa = Jt_analysis.Vsa
+(* ---- elision passes ---- *)
 
 type claim =
   | Exempt_canary
   | Pcrel
   | Policy_frame
-  | Vsa_frame
   | Scev_covered
   | Dom_elided of int  (* witness: dominating checked access *)
   | Checked
@@ -123,7 +120,6 @@ let claim_name = function
   | Exempt_canary -> "exempt-canary"
   | Pcrel -> "pcrel"
   | Policy_frame -> "policy-frame"
-  | Vsa_frame -> "vsa-frame"
   | Scev_covered -> "scev"
   | Dom_elided _ -> "dom"
   | Checked -> "checked"
@@ -139,70 +135,23 @@ let key_of = Jt_analysis.Avail.key_of
 let key_regs = Jt_analysis.Avail.key_regs
 
 (* Available-checks must-analysis: the set of address keys whose byte
-   ranges were shadow-checked (or statically proven in-frame) on *every*
-   path to a point, with no intervening redefinition of the key's
-   registers and no shadow-state barrier.  Join is intersection; the
-   solver's optimistic initialization plays the implicit "everything"
-   top, so the analysis converges downwards to the must-set. *)
+   ranges were shadow-checked on *every* path to a point, with no
+   intervening redefinition of the key's registers and no shadow-state
+   barrier.  Join is intersection; the solver's optimistic
+   initialization plays the implicit "everything" top, so the analysis
+   converges downwards to the must-set. *)
 module Avail_solver = Jt_analysis.Dataflow.Make (Jt_analysis.Avail.Lattice)
-
-(* Frame-bounds proof: the access address is an entry-sp-relative
-   interval wholly inside the prologue's reservation, at or above the
-   current stack top (so the bytes are actually reserved here), and
-   disjoint from every canary slot — the only stack bytes JASan ever
-   poisons.  Anything weaker keeps its check. *)
-let frame_proof ~span ~canary_spans vsa (info : Jt_disasm.Disasm.insn_info)
-    (m : Insn.mem) width =
-  match span with
-  | None -> false
-  | Some (flo, fhi) -> (
-    match Vsa.mem_addr vsa info m with
-    | Vsa.Sprel { lo; hi } ->
-      let ahi = hi + width - 1 in
-      lo >= flo && ahi <= fhi
-      && (match Vsa.reg_before vsa info.d_addr Reg.sp with
-         | Vsa.Sprel s -> lo >= s.hi
-         | _ -> false)
-      && not (List.exists (fun (clo, chi) -> lo <= chi && ahi >= clo) canary_spans)
-    | _ -> false)
-
-(* Entry-sp-relative spans of the function's canary slots.  [None] when
-   any slot cannot be pinned to a single offset — frame elision is then
-   disabled for the whole function rather than risking an access that
-   overlaps a poisoned slot. *)
-let canary_slot_spans (fa : Janitizer.Static_analyzer.fn_analysis) vsa info_of =
-  let rec go acc = function
-    | [] -> Some acc
-    | (site : Jt_analysis.Canary.site) :: rest -> (
-      match Hashtbl.find_opt info_of site.c_store_addr with
-      | None -> None
-      | Some (info : Jt_disasm.Disasm.insn_info) -> (
-        match info.d_insn with
-        | Insn.Store (_, m, _) -> (
-          match Vsa.mem_addr vsa info m with
-          | Vsa.Sprel { lo; hi } when lo = hi -> go ((lo, lo + 3) :: acc) rest
-          | _ -> None)
-        | _ -> None))
-  in
-  go [] fa.fa_canaries
 
 type fn_report = {
   er_fn : int;  (* function entry *)
-  er_vsa_bailed : bool;
   er_claims : (int * claim) list;  (* one per load/store, address order *)
 }
 
 (* Decide, for every load/store of one function, which pass claims it.
    Claims are disjoint by construction and the priority is fixed:
-   canary exemption > pc-relative > VSA frame proof > frame policy >
-   SCEV coverage > dominating check; whatever is left gets a shadow
-   check.  The VSA proof is consulted *before* the frame policy: both
-   remove the check, but only a proven access is a gen site for the
-   dominating-check pass (and only honest attribution keeps the
-   elide_frame statistic meaningful — with the order flipped the
-   policy, which also claims every frame access, starves the proof into
-   dead code).  An access claimed twice is a bug in the pass ordering
-   and raises. *)
+   canary exemption > pc-relative > frame policy > SCEV coverage >
+   dominating check; whatever is left gets a shadow check.  An access
+   claimed twice is a bug in the pass ordering and raises. *)
 let plan_elision ~hoist_scev ~skip_frame ~exempt_canary ~elide ~cross
     (fa : Janitizer.Static_analyzer.fn_analysis) =
   let exempt =
@@ -214,14 +163,6 @@ let plan_elision ~hoist_scev ~skip_frame ~exempt_canary ~elide ~cross
     else Hashtbl.create 1
   in
   let blocks = Jt_cfg.Cfg.fn_blocks fa.fa_fn in
-  let info_of = Hashtbl.create 64 in
-  List.iter
-    (fun (b : Jt_cfg.Cfg.block) ->
-      Array.iter
-        (fun (i : Jt_disasm.Disasm.insn_info) ->
-          Hashtbl.replace info_of i.d_addr i)
-        b.b_insns)
-    blocks;
   (* Every memory access, in block/instruction order, with its block and
      in-block index. *)
   let accesses =
@@ -245,48 +186,27 @@ let plan_elision ~hoist_scev ~skip_frame ~exempt_canary ~elide ~cross
         (Printf.sprintf "Jasan.plan_elision: access 0x%x claimed twice" addr);
     Hashtbl.replace claims addr c
   in
-  let vsa =
-    if elide then
-      let v = Lazy.force fa.fa_vsa in
-      if Vsa.bailed v then None else Some v
-    else None
-  in
-  let span = Jt_analysis.Stackinfo.frame_span fa.fa_stack in
-  let cspans =
-    match vsa with None -> None | Some v -> canary_slot_spans fa v info_of
-  in
   (* Pass 1: the cheap claims, in priority order. *)
   List.iter
-    (fun (_, _, (info : Jt_disasm.Disasm.insn_info), width, m) ->
+    (fun (_, _, (info : Jt_disasm.Disasm.insn_info), _, m) ->
       let addr = info.d_addr in
       if Hashtbl.mem exempt addr then claim addr Exempt_canary
       else if is_pcrel m then claim addr Pcrel
-      else
-        match (vsa, cspans) with
-        | Some v, Some spans
-          when frame_proof ~span ~canary_spans:spans v info m width ->
-          claim addr Vsa_frame
-        | _ ->
-          if skip_frame && is_frame_access m then claim addr Policy_frame
-          else if Hashtbl.mem covered addr then claim addr Scev_covered)
+      else if skip_frame && is_frame_access m then claim addr Policy_frame
+      else if Hashtbl.mem covered addr then claim addr Scev_covered)
     accesses;
   (* Pass 2: dominating-check elimination over the availability
-     fixpoint.  Gen sites are accesses that will carry their own check
-     (still unclaimed here) or are frame-proven — on any path through
-     one, the key's byte range is known clean right after it. *)
+     fixpoint.  Gen sites are the accesses that will carry their own
+     check (still unclaimed here) — on any path through one, the key's
+     byte range is known clean right after it. *)
   if elide then begin
     let gen_key = Hashtbl.create 64 in
     let gen_by_block = Hashtbl.create 16 in
     List.iter
       (fun ((b : Jt_cfg.Cfg.block), k, (info : Jt_disasm.Disasm.insn_info),
             width, m) ->
-        let eligible =
-          match Hashtbl.find_opt claims info.d_addr with
-          | None | Some Vsa_frame -> true
-          | Some _ -> false
-        in
         match key_of m width with
-        | Some key when eligible ->
+        | Some key when not (Hashtbl.mem claims info.d_addr) ->
           Hashtbl.replace gen_key info.d_addr key;
           let prev =
             Option.value ~default:[] (Hashtbl.find_opt gen_by_block b.b_addr)
@@ -388,7 +308,6 @@ let plan_elision ~hoist_scev ~skip_frame ~exempt_canary ~elide ~cross
   end;
   {
     er_fn = fa.fa_fn.Jt_cfg.Cfg.f_entry;
-    er_vsa_bailed = elide && Option.is_none vsa;
     er_claims =
       List.map
         (fun (_, _, (info : Jt_disasm.Disasm.insn_info), _, _) ->
@@ -438,9 +357,9 @@ let pack_invariant (a : Jt_analysis.Scev.access) =
   [ d1; a.a_mem.Insn.disp ]
 
 (* Callee-summary lookup for the cross-call relaxation.  Only modules
-   with reliable conventions qualify: the relaxation trusts VSA-backed
-   keys and the interprocedural summaries, both of which degrade on
-   convention-breaking modules. *)
+   with reliable conventions qualify: the relaxation trusts the
+   interprocedural summaries, which degrade on convention-breaking
+   modules. *)
 let cross_lookup ~cross_call ~elide (sa : Janitizer.Static_analyzer.t) =
   if cross_call && elide && sa.sa_reliable_conventions then fun t ->
     Hashtbl.find_opt (Lazy.force sa.sa_summaries) t
@@ -469,7 +388,7 @@ let static_pass ~liveness ~hoist_scev ~skip_frame ~exempt_canary ~elide
   let bb_addr insn_addr =
     Option.value ~default:insn_addr (Hashtbl.find_opt bb_of insn_addr)
   in
-  let n_checks = ref 0 and n_frame = ref 0 and n_dom = ref 0 in
+  let n_checks = ref 0 and n_dom = ref 0 in
   let cross = cross_lookup ~cross_call ~elide sa in
   List.iter
     (fun (fa : Janitizer.Static_analyzer.fn_analysis) ->
@@ -506,14 +425,6 @@ let static_pass ~liveness ~hoist_scev ~skip_frame ~exempt_canary ~elide
                  ~data:[ dead_scratch; flags_dead ]
                  ())
           | Scev_covered -> Hashtbl.replace scev_claimed addr ()
-          | Vsa_frame ->
-            incr n_frame;
-            let c = Jt_metrics.Metrics.Counters.current () in
-            c.c_san_elide_frame <- c.c_san_elide_frame + 1;
-            if Jt_trace.Trace.is_enabled () then
-              Jt_trace.Trace.emit
-                (Jt_trace.Trace.Check_elide
-                   { insn = addr; fn = fn_entry; reason = "frame"; witness = 0 })
           | Dom_elided w ->
             incr n_dom;
             let c = Jt_metrics.Metrics.Counters.current () in
@@ -565,8 +476,7 @@ let static_pass ~liveness ~hoist_scev ~skip_frame ~exempt_canary ~elide
   { Jt_rules.Rules.rf_module = sa.sa_mod.Jt_obj.Objfile.name;
     rf_digest = Jt_obj.Objfile.digest sa.sa_mod;
     rf_stats =
-      [ ("checks", !n_checks); ("elide_frame", !n_frame);
-        ("elide_dom", !n_dom) ];
+      [ ("checks", !n_checks); ("elide_dom", !n_dom) ];
     rf_rules = rules }
 
 (* ---- instrumentation (dynamic modifier side) ---- *)

@@ -12,8 +12,9 @@
     - globals are not protected (no type information in binaries).
 
     The static pass uses cross-block analysis to (a) skip accesses that
-    are provably frame-local, PC-relative or covered by a hoisted SCEV
-    range check, and (b) embed register/flag liveness into each rule so
+    are constant-offset frame slots (left to the canary policy),
+    PC-relative, covered by a hoisted SCEV range check or dominated by
+    an identical check, and (b) embed register/flag liveness into each rule so
     the inlined check saves only what is live.  The dynamic fallback
     instruments every load and store in a block with conservative
     save/restore, and recognizes canary stores/checks locally. *)
@@ -67,23 +68,15 @@ val is_pcrel : Jt_isa.Insn.mem -> bool
 
     The static pass assigns every load/store to exactly one claim — the
     reason it does or does not carry a shadow check.  Claims are computed
-    in a fixed priority order: canary exemption, pc-relative, VSA frame
-    proof, frame policy, SCEV coverage, dominating check.  The VSA proof
-    outranks the frame policy even though both remove the check: a
-    proven access is a gen site for the dominating-check pass and is
-    reported honestly as [Vsa_frame] (consulting the policy first would
-    starve the proof into dead code — [elide_frame] permanently 0).
-    [Vsa_frame] and [Dom_elided] are the analysis-driven elisions built
-    on {!Jt_analysis.Vsa}, {!Jt_analysis.Dataflow} and
+    in a fixed priority order: canary exemption, pc-relative, frame
+    policy, SCEV coverage, dominating check.  [Dom_elided] is the
+    analysis-driven elision, built on {!Jt_analysis.Dataflow} and
     {!Jt_cfg.Domtree}. *)
 type claim =
   | Exempt_canary  (** canary-handling access, never instrumented *)
   | Pcrel  (** pc-relative static data *)
   | Policy_frame
       (** constant [sp]/[fp] offset, covered by the canary policy *)
-  | Vsa_frame
-      (** proven by VSA to fall inside the function's own frame
-          reservation, away from any canary slot *)
   | Scev_covered  (** subsumed by a hoisted SCEV range check *)
   | Dom_elided of int
       (** an identical, register-stable access is checked on every path;
@@ -94,9 +87,6 @@ val claim_name : claim -> string
 
 type fn_report = {
   er_fn : int;  (** function entry *)
-  er_vsa_bailed : bool;
-      (** elision was requested but the VSA answered only [Top] (bailed
-          module or convention breaker) *)
   er_claims : (int * claim) list;
       (** one entry per load/store, in block/instruction order *)
 }
@@ -143,9 +133,10 @@ val create :
     the DynamoRIO default that section 4.1.1 explicitly engineers away
     with hand-written inline assembly; useful as an ablation.
 
-    [elide] (default true) enables the two analysis-driven elision
-    passes (VSA frame bounds and dominating-check elimination); turn it
-    off for the differential safety harness's baseline.
+    [elide] (default true) enables the analysis-driven elision
+    (dominating-check elimination, and the address keys the DBT's
+    trace-spine pass reads); turn it off for the differential safety
+    harness's baseline.
 
     [cross_call] (default true) lets dominating-check claims survive
     direct calls whose resolved callees are provably barrier-free (no

@@ -96,12 +96,9 @@ let find_loaded t name =
    overlap (the assembler lays sections out disjointly and each PIC module
    gets its own base slot), so one candidate suffices. *)
 let module_at t a =
-  let c = Jt_metrics.Metrics.Counters.current () in
-  c.c_module_lookups <- c.c_module_lookups + 1;
   let arr = t.index in
   let lo = ref 0 and hi = ref (Array.length arr) in
   while !lo < !hi do
-    c.c_lookup_probes <- c.c_lookup_probes + 1;
     let mid = (!lo + !hi) / 2 in
     let b, _, _ = arr.(mid) in
     if b <= a then lo := mid + 1 else hi := mid

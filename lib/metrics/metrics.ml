@@ -14,12 +14,7 @@ let geomean xs =
 
 module Counters = struct
   type t = {
-    mutable c_module_lookups : int;
-    mutable c_lookup_probes : int;
-    mutable c_flush_visits : int;
-    mutable c_flush_drops : int;
     mutable c_san_checks : int;
-    mutable c_san_elide_frame : int;
     mutable c_san_elide_dom : int;
     mutable c_san_trace_elide_dom : int;
     mutable c_san_trace_elide_canary : int;
@@ -29,12 +24,7 @@ module Counters = struct
 
   let fresh () =
     {
-      c_module_lookups = 0;
-      c_lookup_probes = 0;
-      c_flush_visits = 0;
-      c_flush_drops = 0;
       c_san_checks = 0;
-      c_san_elide_frame = 0;
       c_san_elide_dom = 0;
       c_san_trace_elide_dom = 0;
       c_san_trace_elide_canary = 0;
@@ -51,47 +41,23 @@ module Counters = struct
 
   let reset () =
     let c = current () in
-    c.c_module_lookups <- 0;
-    c.c_lookup_probes <- 0;
-    c.c_flush_visits <- 0;
-    c.c_flush_drops <- 0;
     c.c_san_checks <- 0;
-    c.c_san_elide_frame <- 0;
     c.c_san_elide_dom <- 0;
     c.c_san_trace_elide_dom <- 0;
     c.c_san_trace_elide_canary <- 0;
     c.c_san_trace_elide_streak <- 0;
     c.c_san_trace_elide_ind <- 0
 
-  let snapshot_of c =
+  let snapshot () =
+    let c = current () in
     [
-      ("module_lookups", c.c_module_lookups);
-      ("lookup_probes", c.c_lookup_probes);
-      ("flush_visits", c.c_flush_visits);
-      ("flush_drops", c.c_flush_drops);
       ("san_checks", c.c_san_checks);
-      ("san_elide_frame", c.c_san_elide_frame);
       ("san_elide_dom", c.c_san_elide_dom);
       ("san_trace_elide_dom", c.c_san_trace_elide_dom);
       ("san_trace_elide_canary", c.c_san_trace_elide_canary);
       ("san_trace_elide_streak", c.c_san_trace_elide_streak);
       ("san_trace_elide_ind", c.c_san_trace_elide_ind);
     ]
-
-  let snapshot () = snapshot_of (current ())
-
-  let merge snaps =
-    match snaps with
-    | [] -> snapshot_of (fresh ())
-    | first :: _ ->
-      List.map
-        (fun (name, _) ->
-          ( name,
-            List.fold_left
-              (fun acc snap ->
-                acc + Option.value ~default:0 (List.assoc_opt name snap))
-              0 snaps ))
-        first
 end
 
 type cell = Value of float | Fail of string

@@ -5,32 +5,20 @@ val geomean : float list -> float
     poison the mean through [log], so they are skipped (with a warning on
     stderr); 0 if nothing positive remains. *)
 
-(** Hot-path instrumentation counters for events no engine record
-    already counts: the loader's address-range index, the
-    cache-invalidation paths and the JASan check and elision counts.  Dispatch
-    work is counted once, in [Jt_dbt.Dbt.stats]; IR-store traffic once,
-    in [Jt_ir.Store.stats].  They measure *host-level* work (probes,
-    visits), not simulated cycles, so resetting or reading them never
-    perturbs an experiment.
+(** JASan's check and elision counts, the events no engine record
+    already counts.  Dispatch work is counted once, in
+    [Jt_dbt.Dbt.stats]; IR-store traffic once, in [Jt_ir.Store.stats].
+    They measure what a run did, not simulated cycles, so resetting or
+    reading them never perturbs an experiment.
 
     The counters are {e domain-local} ([Domain.DLS]): every domain counts
     into its own instance, so concurrent driver runs on a [Jt_pool] never
-    corrupt each other.  A pool job that wants its numbers must
-    {!Counters.snapshot} on its own domain (inside the job) and return
-    the snapshot; the harness aggregates with {!Counters.merge}. *)
+    corrupt each other.  A pool job that wants its numbers must read
+    them on its own domain (inside the job) and return them. *)
 module Counters : sig
   type t = {
-    mutable c_module_lookups : int;  (** [Loader.module_at] calls *)
-    mutable c_lookup_probes : int;
-        (** binary-search steps across all module lookups *)
-    mutable c_flush_visits : int;
-        (** cache entries examined by range invalidations *)
-    mutable c_flush_drops : int;
-        (** cache entries actually invalidated *)
     mutable c_san_checks : int;
         (** JASan shadow-memory checks actually executed at run time *)
-    mutable c_san_elide_frame : int;
-        (** accesses statically elided by the VSA frame-bounds proof *)
     mutable c_san_elide_dom : int;
         (** accesses statically elided by the dominating-check pass *)
     mutable c_san_trace_elide_dom : int;
@@ -59,13 +47,6 @@ module Counters : sig
   val snapshot : unit -> (string * int) list
   (** The calling domain's current values as name/value pairs, in a
       stable order. *)
-
-  val snapshot_of : t -> (string * int) list
-
-  val merge : (string * int) list list -> (string * int) list
-  (** Sum snapshots pointwise (key order of the first snapshot); the
-      aggregation step for per-domain snapshots collected from pool
-      jobs.  Empty input yields an all-zero snapshot. *)
 end
 
 type cell =

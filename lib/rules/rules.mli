@@ -33,8 +33,8 @@ type file = {
           unknown; serialized into the file header so a consumer can
           reject a cache written for a different build of the module *)
   rf_stats : (string * int) list;
-      (** per-module static-pass accounting (e.g. ["elide_frame"],
-          ["elide_dom"], ["checks"]): key/value pairs serialized into the
+      (** per-module static-pass accounting (e.g. ["elide_dom"],
+          ["checks"]): key/value pairs serialized into the
           v3 header so the analyzer's decisions travel with the rules
           under the same digest scheme.  At most 255 entries, keys at
           most 255 bytes.  [[]] when a producer has nothing to report. *)

@@ -61,7 +61,7 @@ type event =
   | Check_elide of {
       insn : int;  (** address of the access whose check was elided *)
       fn : int;  (** entry address of the containing function *)
-      reason : string;  (** "frame" or "dom" *)
+      reason : string;  (** "dom" *)
       witness : int;  (** dominating checked access for "dom", else 0 *)
     }
   | Violation of {

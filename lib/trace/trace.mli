@@ -66,8 +66,8 @@ type event =
       insn : int;  (** address of the access whose check was elided *)
       fn : int;  (** entry address of the containing function *)
       reason : string;
-          (** which static proof removed the check: ["frame"]
-              (VSA frame-bounds) or ["dom"] (dominating identical check) *)
+          (** which static proof removed the check: ["dom"] (a
+              dominating identical check) is the only one JASan emits *)
       witness : int;
           (** for ["dom"], the address of the dominating checked access
               that subsumes this one; [0] otherwise *)

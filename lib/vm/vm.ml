@@ -197,7 +197,6 @@ let flush_range t start len =
   if Jt_trace.Trace.is_enabled () then
     Jt_trace.Trace.emit (Jt_trace.Trace.Flush_range { start; len });
   (if len > 0 then begin
-     let c = Jt_metrics.Metrics.Counters.current () in
      let doomed = ref [] in
      for p = start asr page_shift to (start + len - 1) asr page_shift do
        match Hashtbl.find_opt t.decode_pages p with
@@ -205,7 +204,6 @@ let flush_range t start len =
        | Some b ->
          List.iter
            (fun k ->
-             c.c_flush_visits <- c.c_flush_visits + 1;
              match Hashtbl.find_opt t.decode_cache k with
              | Some d when k < start + len && k + max d.d_len 1 > start ->
                doomed := (k, d.d_len) :: !doomed
@@ -216,7 +214,6 @@ let flush_range t start len =
        (fun (k, ilen) ->
          (* an entry spanning two flushed pages appears twice *)
          if Hashtbl.mem t.decode_cache k then begin
-           c.c_flush_drops <- c.c_flush_drops + 1;
            Hashtbl.remove t.decode_cache k;
            unindex t k ilen
          end)

@@ -1,4 +1,4 @@
-(* Helper analyses: liveness, canary detection, SCEV, def-use, stack. *)
+(* Helper analyses: liveness, canary detection, SCEV, def-use. *)
 
 open Jt_isa
 open Jt_asm.Builder
@@ -319,21 +319,6 @@ let test_interproc_syscall_precision () =
     (not
        (List.exists (Reg.equal Reg.r4)
           (Jt_analysis.Liveness.dead_regs_before main_fa.fa_liveness call_addr)))
-
-let test_stackinfo () =
-  let _, _, fa =
-    analyze_main
-      [
-        func "main"
-          (Abi.frame_enter ~canary:true ~locals:24 ()
-          @ Abi.frame_leave ~canary:true ~locals:24 ()
-          @ [ movi Reg.r0 0; syscall Sysno.exit_ ]);
-      ]
-  in
-  let info = fa.fa_stack in
-  Alcotest.(check (option int)) "frame" (Some 24) info.s_frame_size;
-  Alcotest.(check bool) "canary" true info.s_has_canary_pattern;
-  Alcotest.(check bool) "push bytes" true (info.s_push_bytes >= 4)
 
 (* -- dominator tree -- *)
 
@@ -958,5 +943,4 @@ let () =
           Alcotest.test_case "syscall precision" `Quick
             test_interproc_syscall_precision;
         ] );
-      ("stack", [ Alcotest.test_case "info" `Quick test_stackinfo ]);
     ]

@@ -277,7 +277,7 @@ let run_jasan ?(trace_elide = true) ~registry m =
   tool.Janitizer.Tool.t_setup vm;
   Jt_vm.Vm.boot vm ~main:m.Jt_obj.Objfile.name;
   Jt_dbt.Dbt.run engine;
-  let snap = Jt_metrics.Metrics.Counters.(snapshot_of (current ())) in
+  let snap = Jt_metrics.Metrics.Counters.snapshot () in
   (Jt_vm.Vm.result vm, engine, vm, snap)
 
 (* A hot loop that loads the same heap word twice (the second is a
@@ -603,7 +603,7 @@ let test_trace_elision_decisions () =
                [ "trace-dom"; "trace-streak"; "trace-ind" ]))
         ds)
     o.o_trace_elisions;
-  let snap = Jt_metrics.Metrics.Counters.(snapshot_of (current ())) in
+  let snap = Jt_metrics.Metrics.Counters.snapshot () in
   Alcotest.(check bool)
     "steady state elides the loop-invariant check" true
     (List.assoc "san_trace_elide_streak" snap > 0)

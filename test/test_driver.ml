@@ -218,9 +218,6 @@ let test_counters_isolated_between_runs () =
   (* dispatch work is counted in the engine's stats, not the counters *)
   Alcotest.(check bool) "first run dispatched" true
     ((Option.get o1.o_dbt).st_dispatch_entries > 0);
-  (* pre-fix, every counter doubled on the second run *)
-  Alcotest.(check bool) "first run counted something" true
-    (List.assoc "module_lookups" s1 > 0);
   List.iter2
     (fun (name, v1) (name2, v2) ->
       Alcotest.(check string) "same counter order" name name2;
@@ -230,6 +227,9 @@ let test_counters_isolated_between_runs () =
   let tool, _ = Jt_jasan.Jasan.create () in
   ignore (Janitizer.Driver.run ~tool ~registry ~main:"sum" ());
   let s3 = Jt_metrics.Metrics.Counters.snapshot () in
+  (* pre-fix, every counter doubled on the second run *)
+  Alcotest.(check bool) "first tool run counted checks" true
+    (List.assoc "san_checks" s3 > 0);
   ignore (Janitizer.Driver.run ~tool ~registry ~main:"sum" ());
   let s4 = Jt_metrics.Metrics.Counters.snapshot () in
   List.iter2
@@ -285,23 +285,6 @@ let test_parallel_runs_match_sequential () =
         cs1 cs2)
     (List.combine sequential parallel)
 
-(* Counter snapshots from worker domains merge into an aggregate equal to
-   the sequential sum — the API the bench harness relies on. *)
-let test_merge_across_domains () =
-  let m = Progs.sum_prog ~n:30 () in
-  let job () =
-    let registry = Progs.registry_for m in
-    ignore (Janitizer.Driver.run_null ~registry ~main:"sum" ());
-    Jt_metrics.Metrics.Counters.snapshot ()
-  in
-  let snaps = Jt_pool.Pool.run ~jobs:2 (fun j -> j ()) [ job; job ] in
-  let merged = Jt_metrics.Metrics.Counters.merge snaps in
-  let solo = job () in
-  List.iter2
-    (fun (n, total) (_, one) ->
-      Alcotest.(check int) (n ^ " merged = 2x solo") (2 * one) total)
-    merged solo
-
 let () =
   Alcotest.run "driver"
     [
@@ -333,7 +316,5 @@ let () =
         [
           Alcotest.test_case "parallel runs match sequential" `Quick
             test_parallel_runs_match_sequential;
-          Alcotest.test_case "merge across domains" `Quick
-            test_merge_across_domains;
         ] );
     ]

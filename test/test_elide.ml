@@ -1,7 +1,7 @@
-(* Differential safety for check elision (VSA frame bounds +
-   dominating-check elimination): turning elision on must never change
-   what a program does or what the sanitizer reports — only how many
-   dynamic checks it takes to get there. *)
+(* Differential safety for check elision (dominating-check elimination,
+   static and on traces): turning elision on must never change what a
+   program does or what the sanitizer reports — only how many dynamic
+   checks it takes to get there. *)
 
 open Jt_isa
 open Jt_asm.Builder
@@ -140,10 +140,8 @@ let test_call_is_barrier () =
     r.er_claims
 
 (* A store through a frame-base register plus a masked index: not a
-   constant [sp]/[fp] offset (so outside the frame policy), but VSA
-   bounds it inside the frame reservation away from the canary slot —
-   the Vsa_frame pass claims it.  The differential harness doubles as a
-   soundness check on the same program. *)
+   constant [sp]/[fp] offset, so outside the frame policy, and no other
+   pass covers it — it keeps its own check. *)
 let frame_prog () =
   [
     func "victim"
@@ -160,40 +158,20 @@ let frame_prog () =
     func "main" ([ call "victim"; call_import "print_int" ] @ Progs.exit0);
   ]
 
-let test_vsa_frame_elided () =
+let test_masked_frame_store_checked () =
   let m, reports = report_for ~name:"elfr" (frame_prog ()) in
   let r = fn_report m reports "victim" in
-  Alcotest.(check bool) "vsa did not bail" false r.er_vsa_bailed;
-  Alcotest.(check bool)
-    "masked frame store claimed by Vsa_frame" true
-    (List.exists (fun (_, c) -> c = Jt_jasan.Jasan.Vsa_frame) r.er_claims)
-
-(* End-to-end regression for the dead-pass bug: on a whole run of the
-   crafted frame workload, the VSA frame-bounds pass must actually claim
-   something — [san_elide_frame] > 0 in the run's counters and
-   ["elide_frame"] > 0 in the emitted rule-file stats.  Before the
-   claim-priority fix the frame *policy* swallowed every provable access
-   first and this counter was permanently 0. *)
-let test_vsa_frame_fires_end_to_end () =
-  let m =
-    build ~name:"elfr" ~kind:Jt_obj.Objfile.Exec_nonpic ~deps:[ "libc.so" ]
-      ~entry:"main" (frame_prog ())
-  in
-  let registry = Progs.registry_for m in
-  let o = check_differential "frame workload" ~registry ~main:"elfr" in
-  Alcotest.(check bool)
-    "run completed" true
-    (o.o_result.r_status = Jt_vm.Vm.Exited 0);
-  let snap = Jt_metrics.Metrics.Counters.(snapshot_of (current ())) in
-  Alcotest.(check bool)
-    "san_elide_frame > 0 after the run" true
-    (List.assoc "san_elide_frame" snap > 0);
-  let tool, _ = Jt_jasan.Jasan.create () in
-  let files = Janitizer.Driver.analyze_all ~tool registry in
-  let f = List.assoc "elfr" files in
-  Alcotest.(check bool)
-    "elide_frame stat > 0" true
-    (List.assoc "elide_frame" f.Jt_rules.Rules.rf_stats > 0)
+  (* every other access of [victim] is canary handling *)
+  Alcotest.(check (list string))
+    "masked frame store keeps its check" [ "checked" ]
+    (List.filter_map
+       (fun (_, c) ->
+         if c = Jt_jasan.Jasan.Exempt_canary then None
+         else Some (Jt_jasan.Jasan.claim_name c))
+       r.er_claims);
+  ignore
+    (check_differential "frame workload" ~registry:(Progs.registry_for m)
+       ~main:"elfr")
 
 (* The stack-smash store indexes past the array into the canary; its
    index is data-dependent across iterations, so no static pass may
@@ -210,7 +188,7 @@ let test_smash_store_not_elided () =
   List.iter
     (fun (a, c) ->
       match c with
-      | Jt_jasan.Jasan.Vsa_frame | Jt_jasan.Jasan.Dom_elided _ ->
+      | Jt_jasan.Jasan.Dom_elided _ ->
         Alcotest.failf "unsafe elision of 0x%x (%s)" a
           (Jt_jasan.Jasan.claim_name c)
       | _ -> ())
@@ -223,10 +201,10 @@ let test_smash_store_not_elided () =
        r.er_claims)
 
 (* Overlap regression: on a program mixing every claim source (canary
-   handling, frame policy, VSA-provable masked store, SCEV-hoistable
-   loop, repeated heap access), the passes must partition the accesses —
-   elision_report raises Invalid_argument on any double claim, and each
-   access address appears exactly once. *)
+   handling, frame policy, SCEV-hoistable loop, repeated heap access),
+   the passes must partition the accesses — elision_report raises
+   Invalid_argument on any double claim, and each access address
+   appears exactly once. *)
 let test_claims_are_a_partition () =
   let funcs =
     [
@@ -239,8 +217,6 @@ let test_claims_are_a_partition () =
             lea Reg.r2 (mem_b ~disp:(-32) Reg.fp);
             st (mem_bi ~scale:2 Reg.r2 Reg.r3) Reg.r3;
             sti (mem_b ~disp:(-12) Reg.fp) 9;
-            (* above the frame reservation (caller's frame): the VSA
-               proof cannot cover it, so the frame *policy* claims it *)
             ld Reg.r4 (mem_b ~disp:8 Reg.fp);
             movi Reg.r0 3;
           ]
@@ -278,7 +254,6 @@ let test_claims_are_a_partition () =
   let all = List.concat_map (fun r -> r.Jt_jasan.Jasan.er_claims) reports in
   let has c = List.exists (fun (_, c') -> c' = c) all in
   Alcotest.(check bool) "has scev claim" true (has Jt_jasan.Jasan.Scev_covered);
-  Alcotest.(check bool) "has vsa-frame claim" true (has Jt_jasan.Jasan.Vsa_frame);
   Alcotest.(check bool)
     "has dom claim" true
     (List.exists
@@ -315,10 +290,6 @@ let test_stats_match_claims () =
     (count (fun c -> c = Jt_jasan.Jasan.Checked))
     (stat "checks");
   Alcotest.(check int)
-    "elide_frame stat = Vsa_frame claims"
-    (count (fun c -> c = Jt_jasan.Jasan.Vsa_frame))
-    (stat "elide_frame");
-  Alcotest.(check int)
     "elide_dom stat = Dom_elided claims"
     (count (fun c ->
          match c with Jt_jasan.Jasan.Dom_elided _ -> true | _ -> false))
@@ -343,9 +314,8 @@ let () =
         [
           Alcotest.test_case "dominating check" `Quick test_dominating_check_elided;
           Alcotest.test_case "call barrier" `Quick test_call_is_barrier;
-          Alcotest.test_case "vsa frame" `Quick test_vsa_frame_elided;
-          Alcotest.test_case "vsa frame end to end" `Quick
-            test_vsa_frame_fires_end_to_end;
+          Alcotest.test_case "masked frame store checked" `Quick
+            test_masked_frame_store_checked;
           Alcotest.test_case "smash not elided" `Quick test_smash_store_not_elided;
           Alcotest.test_case "partition" `Quick test_claims_are_a_partition;
           Alcotest.test_case "stats match" `Quick test_stats_match_claims;

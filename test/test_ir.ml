@@ -110,12 +110,6 @@ let gen_canary =
       })
     (tup5 gen_addr gen_addr gen_addr gen_i32 (small 3 gen_addr))
 
-let gen_stack =
-  let open QCheck2.Gen in
-  map (fun (entry, frame, canary, push) ->
-      { Ir.ik_entry = entry; ik_frame = frame; ik_canary = canary; ik_push = push })
-    (tup4 gen_addr (option gen_i32) bool gen_i32)
-
 let gen_value =
   let open QCheck2.Gen in
   oneof
@@ -146,7 +140,7 @@ let gen_idom_tree =
 
 let gen_fn =
   let open QCheck2.Gen in
-  map (fun (((entry, tree), name, loops, live_all), (live, canaries, scev, stack), (vsa, defuse)) ->
+  map (fun (((entry, tree), name, loops, live_all), (live, canaries, scev), (vsa, defuse)) ->
       {
         Ir.if_entry = entry;
         if_name = name;
@@ -156,7 +150,6 @@ let gen_fn =
         if_live = live;
         if_canaries = canaries;
         if_scev = scev;
-        if_stack = stack;
         if_vsa = vsa;
         if_idom = List.map snd tree;
         if_defuse = defuse;
@@ -165,9 +158,9 @@ let gen_fn =
        (tup4 gen_idom_tree (option string_small)
           (small 2 (pair gen_addr (small 3 gen_addr)))
           bool)
-       (tup4
+       (tup3
           (small 4 (tup3 gen_addr (int_bound 0xFFFF) gen_u8))
-          (small 2 gen_canary) (small 2 gen_scev) gen_stack)
+          (small 2 gen_canary) (small 2 gen_scev))
        (pair
           (option
              (small 3
@@ -224,6 +217,21 @@ let prop_roundtrip =
   QCheck2.Test.make ~name:"decode (encode ir) = ir" ~count:300 gen_ir (fun ir ->
       Ir.decode (Ir.encode ir) = ir)
 
+(* Functions at their smallest encoding, packed at the end of the
+   payload: each list's element bound must admit them. *)
+let test_smallest_fns_roundtrip () =
+  let fn a =
+    { Ir.if_entry = a; if_name = None; if_blocks = [ a ]; if_loops = [];
+      if_live_all = false; if_live = []; if_canaries = []; if_scev = [];
+      if_vsa = None; if_idom = [ a ]; if_defuse = [] }
+  in
+  let ir =
+    { (Janitizer.Static_analyzer.to_ir
+         (Janitizer.Static_analyzer.compute (Progs.sum_prog ~n:20 ())))
+      with Ir.ir_fns = List.map fn [ 0x100; 0x200; 0x300 ]; ir_cpa = [] }
+  in
+  Alcotest.(check bool) "round-trips" true (Ir.decode (Ir.encode ir) = ir)
+
 (* ---- codec rejection ------------------------------------------- *)
 
 let format = Ir.magic
@@ -233,6 +241,18 @@ let decode_error = Progs.expect_decode_error ~format
 let sample_ir () =
   Janitizer.Static_analyzer.to_ir
     (Janitizer.Static_analyzer.compute (Progs.sum_prog ~n:20 ()))
+
+(* Re-seal an encoding's payload in a fresh frame, so a structural
+   defect reaches the parser instead of stopping at the checksum. *)
+let reseal ?(version = Ir.schema_version) payload =
+  Jt_codec.Codec.seal ~magic:Ir.magic ~version (fun b ->
+      Buffer.add_string b payload)
+
+(* magic, u16 version and u32 length before the payload; MD5 after it *)
+let header_len = String.length Ir.magic + 6
+
+let payload_of enc =
+  String.sub enc header_len (String.length enc - header_len - 16)
 
 let test_decode_rejects () =
   let enc = Ir.encode (sample_ir ()) in
@@ -249,6 +269,12 @@ let test_decode_rejects () =
          Ir.schema_version)
     "wrong schema version"
     (fun () -> Ir.decode (Bytes.to_string bumped));
+  (* schema 4 still carried a per-function stack record; under a valid
+     checksum it is a typed error, not a misparse *)
+  decode_error
+    ~reason:(Printf.sprintf "version 4, expected %d" Ir.schema_version)
+    "schema 4 entry"
+    (fun () -> Ir.decode (reseal ~version:4 (payload_of enc)));
   decode_error ~reason:"trailing bytes" "trailing bytes" (fun () ->
       Ir.decode (enc ^ "\x00"))
 
@@ -266,18 +292,6 @@ let test_real_module_roundtrip () =
   let ir = sample_ir () in
   Alcotest.(check bool) "compute IR round-trips" true
     (Ir.decode (Ir.encode ir) = ir)
-
-(* Re-seal an encoding's payload in a fresh frame, so a structural
-   defect reaches the parser instead of stopping at the checksum. *)
-let reseal payload =
-  Jt_codec.Codec.seal ~magic:Ir.magic ~version:Ir.schema_version (fun b ->
-      Buffer.add_string b payload)
-
-(* magic, u16 version and u32 length before the payload; MD5 after it *)
-let header_len = String.length Ir.magic + 6
-
-let payload_of enc =
-  String.sub enc header_len (String.length enc - header_len - 16)
 
 let test_decode_rejects_sealed () =
   let ir = sample_ir () in
@@ -453,7 +467,9 @@ let test_store_wrong_version () =
       rewrite p (fun d ->
           let b = Bytes.of_string d in
           Bytes.set b 4 (Char.chr (Ir.schema_version + 1));
-          Bytes.to_string b))
+          Bytes.to_string b));
+  check_corrupt_reanalyzes "schema4" (fun p ->
+      rewrite p (fun d -> reseal ~version:4 (payload_of d)))
 
 let test_store_stale_digest () =
   (* The file decodes fine but records a different module's digest — the
@@ -675,15 +691,15 @@ let () =
           Alcotest.test_case "rejects malformed sealed input" `Quick
             test_decode_rejects_sealed;
           Alcotest.test_case "cpa sites round-trip" `Quick test_cpa_roundtrip;
+          Alcotest.test_case "smallest functions round-trip" `Quick
+            test_smallest_fns_roundtrip;
           Alcotest.test_case "bzip2 byte flips" `Quick test_byte_flips;
         ]
         @ List.map
             (fun (why, mangle) ->
               Alcotest.test_case ("rejects " ^ why) `Quick
                 (reject_idoms why mangle))
-            idom_rejections
-        @ [
-        ] );
+            idom_rejections );
       ( "store-robustness",
         [
           Alcotest.test_case "truncated entry" `Quick test_store_truncated;

@@ -150,6 +150,75 @@ let test_hybrid_cheaper_than_dyn () =
     "hybrid cheaper" true
     (hybrid.o_result.r_cycles < dyn.o_result.r_cycles)
 
+(* ---- static-pass ablations ---- *)
+
+let run_with tool m =
+  let o =
+    Janitizer.Driver.run ~tool ~registry:(Progs.registry_for m)
+      ~main:m.Jt_obj.Objfile.name ()
+  in
+  (o, (Jt_metrics.Metrics.Counters.current ()).c_san_checks)
+
+(* A loop over fp-relative locals: the frame policy leaves every one of
+   these accesses to the canary, so turning it off must add checks. *)
+let frame_locals_prog () =
+  let open Jt_isa in
+  let open Jt_asm.Builder in
+  let open Jt_asm.Builder.Dsl in
+  let locals = 8 in
+  build ~name:"frloc" ~kind:Jt_obj.Objfile.Exec_nonpic ~deps:[ "libc.so" ]
+    ~entry:"main"
+    [
+      func "acc"
+        (Abi.frame_enter ~locals ()
+        @ [
+            sti (Abi.local locals 0) 0;
+            movi Reg.r1 0;
+            label "loop";
+            cmpi Reg.r1 20;
+            jcc Insn.Ge "done";
+            ld Reg.r2 (Abi.local locals 0);
+            add Reg.r2 Reg.r1;
+            st (Abi.local locals 0) Reg.r2;
+            addi Reg.r1 1;
+            jmp "loop";
+            label "done";
+            ld Reg.r0 (Abi.local locals 0);
+          ]
+        @ Abi.frame_leave ~locals ());
+      func "main" ([ call "acc"; call_import "print_int" ] @ Progs.exit0);
+    ]
+
+let test_frame_skip_matters () =
+  let m = frame_locals_prog () in
+  let o_on, on = run_with (fst (Jt_jasan.Jasan.create ())) m in
+  let o_off, off =
+    run_with (fst (Jt_jasan.Jasan.create ~skip_frame_accesses:false ())) m
+  in
+  check_clean "frame-skip on" o_on "190\n";
+  check_clean "frame-skip off" o_off "190\n";
+  Alcotest.(check bool)
+    (Printf.sprintf "more checks without frame-skip (%d > %d)" off on)
+    true (off > on)
+
+(* Canary analysis is a soundness requirement, not an optimization: once
+   frame accesses are instrumented, the epilogue's own canary read trips
+   the poisoned slot unless the exemption covers it. *)
+let test_canary_exemption_necessary () =
+  let m = Progs.stack_smash_prog ~bad:false () in
+  let run exempt_canary =
+    fst
+      (run_with
+         (fst
+            (Jt_jasan.Jasan.create ~skip_frame_accesses:false ~exempt_canary
+               ()))
+         m)
+  in
+  Alcotest.(check bool)
+    "stack violations without the exemption" true
+    (List.mem "stack-buffer-overflow" (kinds (run false)));
+  check_clean "with the exemption" (run true) "3\n"
+
 (* ---- allocator lifecycle: shadow contract of the Rt event handler ---- *)
 
 (* Drive a bare allocator through [Rt.on_alloc_event], no VM needed. *)
@@ -420,6 +489,13 @@ let () =
         [
           Alcotest.test_case "liveness opt" `Quick test_liveness_reduces_cost;
           Alcotest.test_case "hybrid vs dyn" `Quick test_hybrid_cheaper_than_dyn;
+        ] );
+      ( "ablation",
+        [
+          Alcotest.test_case "frame-skip policy matters" `Quick
+            test_frame_skip_matters;
+          Alcotest.test_case "canary exemption necessary" `Quick
+            test_canary_exemption_necessary;
         ] );
       ( "alloc-lifecycle",
         [

@@ -154,7 +154,7 @@ let test_table_same_insn_order () =
    magics are rejected rather than misparsed. *)
 let test_digest_roundtrip () =
   let digest = Digest.string "some module contents" in
-  let stats = [ ("checks", 12); ("elide_frame", 3); ("elide_dom", 4) ] in
+  let stats = [ ("checks", 12); ("elide_dom", 4) ] in
   let f =
     { Jt_rules.Rules.rf_module = "m"; rf_digest = digest; rf_stats = stats;
       rf_rules = [ mk ~id:1 ~bb:0 ~insn:0 () ] }
