@@ -125,6 +125,8 @@ type ind_guard = {
 type overlay = {
   ov_plans : plan array;
   ov_plans_streak : plan array;
+  ov_runs : Jt_vm.Vm.op array;  (* [ov_plans] fused, one per constituent *)
+  ov_runs_streak : Jt_vm.Vm.op array;
   ov_ind : ind_guard option;
       (* endpoint guard justifying the streak plans' "trace-ind" drops;
          executed once when a streak begins *)
@@ -146,6 +148,10 @@ type cached = {
   cb : block;
   cb_ops : Jt_vm.Vm.op array;  (* one compiled op per [cb.insns] slot *)
   cb_plan : plan;
+  mutable cb_run : Jt_vm.Vm.op;
+      (* [cb_ops] and [cb_plan] fused by [fuse], or [unfused] before the
+         block's second execution: see [fused] *)
+  mutable cb_warm : bool;  (* executed at least once *)
   cb_indirect_end : bool;
   cb_end : int;  (* exclusive end of the byte span; bb_addr+1 if empty *)
   cb_succ_taken : int;  (* direct Jmp/Jcc/Call target, -1 if none *)
@@ -212,6 +218,11 @@ type t = {
       (* trace being recorded: head address, constituents in reverse *)
   mutable trace_completed : bool;
       (* whether the last [exec_trace] ran its trace head to tail *)
+  mutable tracing : bool;
+  mutable counters : Jt_metrics.Metrics.Counters.t;
+      (* the calling domain's tracing state and counters record, sampled
+         once when [run] starts so no block or trace entry pays a
+         [Domain.DLS] lookup *)
   stats : stats;
 }
 
@@ -228,6 +239,8 @@ let no_block =
     cb = { bb_addr = -1; insns = [||] };
     cb_ops = [||];
     cb_plan = [||];
+    cb_run = ignore;
+    cb_warm = false;
     cb_indirect_end = false;
     cb_end = 0;
     cb_succ_taken = -1;
@@ -363,6 +376,8 @@ let create ~vm ?(profile = dynamorio) ?client ?(chain = true) ?(ibl = true)
       n_traces_live = 0;
       recording = None;
       trace_completed = false;
+      tracing = Jt_trace.Trace.is_enabled ();
+      counters = Jt_metrics.Metrics.Counters.current ();
       stats =
         {
           st_blocks_static = 0;
@@ -454,6 +469,102 @@ let successors (b : block) =
       (-1, -1)
     | Some Insn.Cti_syscall | None -> (-1, la + ll)
 
+(* ---- fused blocks ---- *)
+
+(* One plan slot's metas, in order: a top-level recursion rather than a
+   [List.iter] closure built per instruction.  A fused block calls it
+   only for a slot with two or more metas; the per-instruction loop
+   calls it for every slot. *)
+let rec run_metas vm = function
+  | [] -> ()
+  | m :: rest ->
+    Jt_vm.Vm.charge vm m.m_cost;
+    (match m.m_action with Some f -> f vm | None -> ());
+    run_metas vm rest
+
+(* One instruction's op with the metas anchored before it.  A meta with
+   no action and no cost vanishes; a lone meta becomes one wrapper. *)
+let fuse_slot metas (op : Jt_vm.Vm.op) : Jt_vm.Vm.op =
+  match
+    List.filter (fun m -> m.m_cost <> 0 || Option.is_some m.m_action) metas
+  with
+  | [] -> op
+  | [ { m_cost; m_action = None; _ } ] ->
+    fun vm ->
+      Jt_vm.Vm.charge vm m_cost;
+      op vm
+  | [ { m_cost; m_action = Some f; _ } ] ->
+    fun vm ->
+      Jt_vm.Vm.charge vm m_cost;
+      f vm;
+      op vm
+  | ms ->
+    fun vm ->
+      run_metas vm ms;
+      op vm
+
+(* The [cb_run] of a block not yet fused; never called. *)
+let unfused : Jt_vm.Vm.op = fun _ -> ()
+
+(* Straight-line composition, four units to a closure. *)
+let rec seq : Jt_vm.Vm.op list -> Jt_vm.Vm.op = function
+  | [] -> ignore
+  | [ a ] -> a
+  | [ a; b ] ->
+    fun vm ->
+      a vm;
+      b vm
+  | [ a; b; c ] ->
+    fun vm ->
+      a vm;
+      b vm;
+      c vm
+  | [ a; b; c; d ] ->
+    fun vm ->
+      a vm;
+      b vm;
+      c vm;
+      d vm
+  | a :: b :: c :: d :: rest ->
+    let r = seq rest in
+    fun vm ->
+      a vm;
+      b vm;
+      c vm;
+      d vm;
+      r vm
+
+(* A block's ops under [plan] fused into one closure.  Metas never write
+   [vm.status], and every instruction that can, except [Syscall], ends
+   its block; so the status is tested only after a mid-block syscall,
+   which may have exited or faulted.  The caller must have the fuel for
+   every instruction of the block. *)
+let fuse (c : cached) (plan : plan) : Jt_vm.Vm.op =
+  let ops = c.cb_ops in
+  let n = Array.length ops in
+  let close seg after =
+    match after with
+    | None -> seq seg
+    | Some rest ->
+      let seg = seq seg in
+      fun vm ->
+        seg vm;
+        if Jt_vm.Vm.is_running vm then rest vm
+  in
+  (* Walk backwards: [seg] collects the units of the current segment,
+     [after] is what runs once a segment's closing syscall leaves the
+     machine running. *)
+  let rec go k seg after =
+    if k < 0 then close seg after
+    else
+      let u = fuse_slot plan.(k) ops.(k) in
+      match c.cb.insns.(k) with
+      | _, Insn.Syscall _, _ when k < n - 1 ->
+        go (k - 1) [ u ] (Some (close seg after))
+      | _ -> go (k - 1) (u :: seg) after
+  in
+  go (n - 1) [] None
+
 (* Translate: classify the block against the rule tables ((3a)/(3b) in
    Figure 4) and let the client build its instrumentation plan. *)
 let translate t addr =
@@ -463,7 +574,7 @@ let translate t addr =
     + (t.profile.p_translate_insn * Array.length b.insns)
   in
   t.vm.Jt_vm.Vm.cycles <- t.vm.Jt_vm.Vm.cycles + translate_cycles;
-  if Jt_trace.Trace.is_enabled () then
+  if t.tracing then
     Jt_trace.Trace.phase_add_cycles Jt_trace.Trace.Rewrite translate_cycles;
   let table = table_for t addr in
   let static_hit =
@@ -498,6 +609,8 @@ let translate t addr =
       cb = b;
       cb_ops = ops;
       cb_plan = plan;
+      cb_run = unfused;
+      cb_warm = false;
       cb_indirect_end = is_indirect_end b;
       cb_end;
       cb_succ_taken = succ_taken;
@@ -515,7 +628,7 @@ let translate t addr =
       cb_head_trace = no_trace;
     }
   in
-  if Jt_trace.Trace.is_enabled () then
+  if t.tracing then
     Jt_trace.Trace.emit
       (Jt_trace.Trace.Block_translate
          { pc = addr; insns = Array.length b.insns; origin = cached.cb_origin });
@@ -569,46 +682,57 @@ let ibl_install (p : cached) (c : cached) =
 
 (* ---- block / trace execution ---- *)
 
-(* Run one translated block's instructions (with their instrumentation
-   plan).  The fuel budget is checked before every instruction, not just
-   between blocks, so Out_of_fuel fires within one instruction of the
-   budget even inside a maximal 256-instruction block or a long chain. *)
-(* One plan slot's metas, in order: a top-level recursion rather than a
-   [List.iter] closure built per instruction. *)
-let rec run_metas vm = function
-  | [] -> ()
-  | m :: rest ->
-    Jt_vm.Vm.charge vm m.m_cost;
-    (match m.m_action with Some f -> f vm | None -> ());
-    run_metas vm rest
-
-let exec_insns t ~budget ~(plan : plan) (c : cached) =
+(* Run one translated block under [plan], whose fused form is [run].
+   When the budget covers the whole block, [run] executes it with no
+   per-instruction fuel or status test.  Otherwise (or while [run] is
+   still [unfused]) the per-instruction loop tests the budget before
+   every instruction, so Out_of_fuel fires at exactly the budget even
+   inside a maximal 256-instruction block or a long chain. *)
+let exec_insns t ~budget ~(plan : plan) ~run (c : cached) =
   let vm = t.vm in
-  let n = Array.length c.cb.insns in
-  let k = ref 0 in
-  while !k < n && Jt_vm.Vm.is_running vm do
-    if vm.Jt_vm.Vm.icount >= budget then
-      vm.Jt_vm.Vm.status <- Jt_vm.Vm.Fault Jt_vm.Vm.Out_of_fuel
-    else begin
-      run_metas vm plan.(!k);
-      c.cb_ops.(!k) vm;
-      incr k
-    end
-  done
+  let n = Array.length c.cb_ops in
+  if budget - vm.Jt_vm.Vm.icount >= n && run != unfused then run vm
+  else begin
+    let k = ref 0 in
+    while !k < n && Jt_vm.Vm.is_running vm do
+      if vm.Jt_vm.Vm.icount >= budget then
+        vm.Jt_vm.Vm.status <- Jt_vm.Vm.Fault Jt_vm.Vm.Out_of_fuel
+      else begin
+        run_metas vm plan.(!k);
+        c.cb_ops.(!k) vm;
+        incr k
+      end
+    done
+  end
+
+(* A block's fused closure, built at its second execution so that code
+   which runs once never allocates one; [unfused] before that. *)
+let[@inline] fused (c : cached) =
+  let run = c.cb_run in
+  if run != unfused then run
+  else if c.cb_warm then begin
+    let run = fuse c c.cb_plan in
+    c.cb_run <- run;
+    run
+  end
+  else begin
+    c.cb_warm <- true;
+    unfused
+  end
 
 (* With the IBL on, the cost of an ending indirect transfer depends on
    the probe outcome and is charged by the dispatch loop (or by the
    trace executor for in-trace transitions); with it off the flat
    [p_indirect] charge lands here, as before. *)
-let exec_block t ~budget (c : cached) =
+let[@inline] exec_block t ~budget (c : cached) =
   let vm = t.vm in
   t.stats.st_block_execs <- t.stats.st_block_execs + 1;
-  if Jt_trace.Trace.is_enabled () then begin
+  if t.tracing then begin
     Jt_trace.Trace.set_exec_origin c.cb_origin;
     Jt_trace.Trace.emit (Jt_trace.Trace.Block_exec { pc = c.cb.bb_addr })
   end;
   if t.profile.p_per_block > 0 then Jt_vm.Vm.charge vm t.profile.p_per_block;
-  exec_insns t ~budget ~plan:c.cb_plan c;
+  exec_insns t ~budget ~plan:c.cb_plan ~run:(fused c) c;
   if c.cb_indirect_end && Jt_vm.Vm.is_running vm && not t.ibl then
     Jt_vm.Vm.charge vm t.profile.p_indirect
 
@@ -631,25 +755,6 @@ let traces_live_scan t =
         n + 1
       else n)
     t.cache 0
-
-(* Execute a superblock trace.  Constituents run back to back with their
-   instrumentation plans; after each one, control stays inside the trace
-   only if the machine's next PC really is the next constituent's head
-   (so a Jcc going the other way, an indirect transfer to a new target,
-   or a constituent invalidated by a flush mid-trace all side-exit to
-   the dispatcher, which re-resolves from scratch).  An in-trace
-   indirect transition pays only the inlined-comparison price
-   [p_ibl_hit]; the final block's exit is resolved by the dispatcher
-   exactly like a plain block's.  [streak] selects the steady-state
-   elision plans — legal only when this very trace completed head to
-   tail on the immediately preceding dispatch, so the availability
-   carried across the back-edge is real.  [streak_onset] marks the first
-   streak-mode execution of a consecutive run: that is when the
-   induction guard (if any) pays for the hoisted per-iteration checks
-   with its one pair of endpoint checks.  Returns the last constituent
-   that executed (for the dispatcher's chain/IBL bookkeeping) and
-   records in [t.trace_completed] whether the trace ran to completion
-   (to arm the next streak). *)
 
 (* Run the endpoint checks that justify a trace's "trace-ind" drops.
    The remaining trip range is read off the live register file: [i0] is
@@ -688,11 +793,29 @@ let run_ind_guard vm (ig : ind_guard) =
     Jt_vm.Vm.set vm ig.ig_ivar saved
   end
 
+(* Execute a superblock trace.  Constituents run back to back with their
+   instrumentation plans; after each one, control stays inside the trace
+   only if the machine's next PC really is the next constituent's head
+   (so a Jcc going the other way, an indirect transfer to a new target,
+   or a constituent invalidated by a flush mid-trace all side-exit to
+   the dispatcher, which re-resolves from scratch).  An in-trace
+   indirect transition pays only the inlined-comparison price
+   [p_ibl_hit]; the final block's exit is resolved by the dispatcher
+   exactly like a plain block's.  [streak] selects the steady-state
+   elision plans — legal only when this very trace completed head to
+   tail on the immediately preceding dispatch, so the availability
+   carried across the back-edge is real.  [streak_onset] marks the first
+   streak-mode execution of a consecutive run: that is when the
+   induction guard (if any) pays for the hoisted per-iteration checks
+   with its one pair of endpoint checks.  Returns the last constituent
+   that executed (for the dispatcher's chain/IBL bookkeeping) and
+   records in [t.trace_completed] whether the trace ran to completion
+   (to arm the next streak). *)
 let exec_trace t ~budget ~streak ~streak_onset (tr : trace) =
   let vm = t.vm in
   let s = t.stats in
   s.st_trace_execs <- s.st_trace_execs + 1;
-  let m = Jt_metrics.Metrics.Counters.current () in
+  let m = t.counters in
   (if streak && streak_onset then
      match tr.tr_overlay with
      | Some { ov_ind = Some ig; _ } -> run_ind_guard vm ig
@@ -707,27 +830,26 @@ let exec_trace t ~budget ~streak ~streak_onset (tr : trace) =
     last := c;
     s.st_block_execs <- s.st_block_execs + 1;
     if !i > 0 then s.st_trace_interior <- s.st_trace_interior + 1;
-    if Jt_trace.Trace.is_enabled () then begin
+    if t.tracing then begin
       Jt_trace.Trace.set_exec_origin c.cb_origin;
       Jt_trace.Trace.emit (Jt_trace.Trace.Block_exec { pc = c.cb.bb_addr })
     end;
-    let plan =
-      match tr.tr_overlay with
-      | None -> c.cb_plan
-      | Some ov ->
-        if streak then begin
-          m.c_san_trace_elide_dom <- m.c_san_trace_elide_dom + ov.ov_s_dom.(!i);
-          m.c_san_trace_elide_streak <-
-            m.c_san_trace_elide_streak + ov.ov_s_streak.(!i);
-          m.c_san_trace_elide_ind <- m.c_san_trace_elide_ind + ov.ov_s_ind.(!i);
-          ov.ov_plans_streak.(!i)
-        end
-        else begin
-          m.c_san_trace_elide_dom <- m.c_san_trace_elide_dom + ov.ov_dom.(!i);
-          ov.ov_plans.(!i)
-        end
-    in
-    exec_insns t ~budget ~plan c;
+    (match tr.tr_overlay with
+    | None -> exec_insns t ~budget ~plan:c.cb_plan ~run:(fused c) c
+    | Some ov ->
+      let k = !i in
+      if streak then begin
+        m.c_san_trace_elide_dom <- m.c_san_trace_elide_dom + ov.ov_s_dom.(k);
+        m.c_san_trace_elide_streak <-
+          m.c_san_trace_elide_streak + ov.ov_s_streak.(k);
+        m.c_san_trace_elide_ind <- m.c_san_trace_elide_ind + ov.ov_s_ind.(k);
+        exec_insns t ~budget ~plan:ov.ov_plans_streak.(k)
+          ~run:ov.ov_runs_streak.(k) c
+      end
+      else begin
+        m.c_san_trace_elide_dom <- m.c_san_trace_elide_dom + ov.ov_dom.(k);
+        exec_insns t ~budget ~plan:ov.ov_plans.(k) ~run:ov.ov_runs.(k) c
+      end);
     let running = Jt_vm.Vm.is_running vm in
     if (not running) || !i = n - 1 then begin
       (if c.cb_indirect_end && running && not t.ibl then
@@ -1037,10 +1159,15 @@ let build_overlay (blocks : cached array) =
             drops_streak []
         |> List.sort compare
       in
+      let fuse_all plans = Array.mapi (fun bi c -> fuse c plans.(bi)) blocks in
+      let plans = filter_plans drops_base
+      and plans_streak = filter_plans drops_streak in
       Some
         {
-          ov_plans = filter_plans drops_base;
-          ov_plans_streak = filter_plans drops_streak;
+          ov_plans = plans;
+          ov_plans_streak = plans_streak;
+          ov_runs = fuse_all plans;
+          ov_runs_streak = fuse_all plans_streak;
           ov_ind = Option.map (fun (g, _, _) -> g) ind;
           ov_dom = counts drops_base "trace-dom";
           ov_s_dom = counts drops_streak "trace-dom";
@@ -1082,7 +1209,7 @@ let finalize_recording t =
             c.cb_traces <- tr :: c.cb_traces)
         arr;
       t.stats.st_traces_built <- t.stats.st_traces_built + 1;
-      if Jt_trace.Trace.is_enabled () then begin
+      if t.tracing then begin
         Jt_trace.Trace.emit
           (Jt_trace.Trace.Trace_build { head; blocks = Array.length arr });
         match overlay with
@@ -1102,7 +1229,7 @@ let finalize_recording t =
    another live trace's head, or hits the length cap; otherwise appends
    the entered block.  A block whose entry count crosses the hot
    threshold (and that has no live trace yet) starts a recording. *)
-let note_entry t (c : cached) pc =
+let[@inline] note_entry t (c : cached) pc =
   match t.recording with
   | Some (head, acc) ->
     if
@@ -1116,20 +1243,20 @@ let note_entry t (c : cached) pc =
     if c.cb_hot >= hot_threshold && not (trace_alive c.cb_head_trace) then
       t.recording <- Some (pc, [ c ])
 
-let emit_sever (p : cached) (c : cached) =
-  if Jt_trace.Trace.is_enabled () then
+let emit_sever t (p : cached) (c : cached) =
+  if t.tracing then
     Jt_trace.Trace.emit
       (Jt_trace.Trace.Chain_sever
          { from_pc = p.cb.bb_addr; to_pc = c.cb.bb_addr })
 
 (* The live chain link out of [p] for [pc], or [no_block].  A link into
    a dead block is severed on the way. *)
-let chain_target (p : cached) pc =
+let[@inline] chain_target t (p : cached) pc =
   if p.cb_succ_taken = pc then (
     match p.cb_link_taken with
     | Some c when c.cb_valid -> c
     | Some c ->
-      emit_sever p c;
+      emit_sever t p c;
       p.cb_link_taken <- None;
       no_block
     | None -> no_block)
@@ -1137,7 +1264,7 @@ let chain_target (p : cached) pc =
     match p.cb_link_fall with
     | Some c when c.cb_valid -> c
     | Some c ->
-      emit_sever p c;
+      emit_sever t p c;
       p.cb_link_fall <- None;
       no_block
     | None -> no_block)
@@ -1152,14 +1279,14 @@ let ibl_resolve t (p : cached) pc =
   | Some c ->
     Jt_vm.Vm.charge vm t.profile.p_ibl_hit;
     t.stats.st_ibl_hits <- t.stats.st_ibl_hits + 1;
-    if Jt_trace.Trace.is_enabled () then
+    if t.tracing then
       Jt_trace.Trace.emit
         (Jt_trace.Trace.Ibl_hit { site = p.cb.bb_addr; target = pc });
     c
   | None ->
     Jt_vm.Vm.charge vm t.profile.p_indirect;
     t.stats.st_ibl_misses <- t.stats.st_ibl_misses + 1;
-    if Jt_trace.Trace.is_enabled () then
+    if t.tracing then
       Jt_trace.Trace.emit
         (Jt_trace.Trace.Ibl_miss { site = p.cb.bb_addr; target = pc });
     no_block
@@ -1178,7 +1305,7 @@ let dispatch t (p : cached) ~probed pc =
   then begin
     if p.cb_succ_taken = pc then p.cb_link_taken <- Some c
     else p.cb_link_fall <- Some c;
-    if Jt_trace.Trace.is_enabled () then
+    if t.tracing then
       Jt_trace.Trace.emit
         (Jt_trace.Trace.Chain_link { from_pc = p.cb.bb_addr; to_pc = pc })
   end;
@@ -1202,6 +1329,8 @@ let dispatch t (p : cached) ~probed pc =
 let run ?(fuel = 200_000_000) t =
   let vm = t.vm in
   let budget = vm.Jt_vm.Vm.icount + fuel in
+  t.tracing <- Jt_trace.Trace.is_enabled ();
+  t.counters <- Jt_metrics.Metrics.Counters.current ();
   (* The block that just exited, or [no_block]. *)
   let prev = ref no_block in
   (* The streak: the trace that completed head-to-tail on the immediately
@@ -1235,7 +1364,7 @@ let run ?(fuel = 200_000_000) t =
        else begin
          let pc = vm.Jt_vm.Vm.pc in
          let p = !prev in
-         let linked = if t.chain then chain_target p pc else no_block in
+         let linked = if t.chain then chain_target t p pc else no_block in
          let cached =
            if linked != no_block then begin
              t.stats.st_chain_hits <- t.stats.st_chain_hits + 1;

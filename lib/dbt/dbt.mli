@@ -161,8 +161,25 @@ val create :
     identical with it off; only simulated cycles (check work) drop. *)
 
 val run : ?fuel:int -> t -> unit
-(** Execute the booted program to completion under the engine.  On the
-    way out, asserts the entry-accounting identity
+(** Execute the booted program to completion under the engine.
+
+    [fuel] (default 200 million) bounds the instructions this call
+    retires, exactly as in {!Jt_vm.Vm.run}: once it has retired [fuel]
+    instructions the run stops with [Fault Out_of_fuel], at the same PC
+    and with the same registers and output as [Vm.run ~fuel].  From its
+    second execution on, a translated block runs as one fused closure
+    of its instructions and instrumentation, but only when the
+    remaining budget covers all of it; a block that would cross the
+    budget runs instruction by instruction.
+
+    The calling domain's tracing state ({!Jt_trace.Trace.is_enabled})
+    and its {!Jt_metrics.Metrics.Counters} record are sampled once, when
+    [run] starts, and used for the whole run: enabling or disabling
+    tracing mid-run takes effect at the next [run].  Only invalidation
+    events, which a flush between runs can also raise, read the live
+    state.
+
+    On the way out, asserts the entry-accounting identity
     [st_dispatch_entries + st_chain_hits + st_ibl_hits + st_trace_interior
      = st_block_execs + st_decode_faults]
     via {!Jt_trace.Trace.entry_accounting} (raising

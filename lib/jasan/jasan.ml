@@ -20,9 +20,19 @@ module Rt = struct
        any range that is *still* quarantined, so reallocation never
        silently clears a neighbour's [Heap_freed] bytes. *)
     quarantined : (int, int * int) Hashtbl.t;
+    (* The counters [check] bumps: the domain-local record of the domain
+       that last attached this runtime to a machine, so a check pays no
+       [Domain.DLS] lookup. *)
+    mutable counters : Jt_metrics.Metrics.Counters.t;
   }
 
-  let create () = { shadow = Shadow.create (); quarantined = Hashtbl.create 16 }
+  let create () =
+    {
+      shadow = Shadow.create ();
+      quarantined = Hashtbl.create 16;
+      counters = Jt_metrics.Metrics.Counters.current ();
+    }
+
   let shadow t = t.shadow
 
   let bad_free_kind = function
@@ -64,6 +74,7 @@ module Rt = struct
       report ~kind:(bad_free_kind kind) ~addr
 
   let attach t (vm : Jt_vm.Vm.t) =
+    t.counters <- Jt_metrics.Metrics.Counters.current ();
     Jt_vm.Alloc.set_redzone vm.alloc redzone_bytes;
     Jt_vm.Alloc.subscribe vm.alloc
       (on_alloc_event t ~report:(fun ~kind ~addr ->
@@ -77,7 +88,7 @@ module Rt = struct
     | Shadow.Addressable, _ -> "bad-access"
 
   let check t vm ~addr ~len ~is_store =
-    let c = Jt_metrics.Metrics.Counters.current () in
+    let c = t.counters in
     c.c_san_checks <- c.c_san_checks + 1;
     match Shadow.first_poisoned t.shadow addr ~len with
     | Some (a, st) -> Jt_vm.Vm.report_violation vm ~kind:(kind_of st is_store) ~addr:a

@@ -33,7 +33,9 @@ module Rt : sig
 
   val attach : t -> Jt_vm.Vm.t -> unit
   (** Interpose on the allocator (redzones + poisoning), like ASan's
-      LD_PRELOADed allocator. *)
+      LD_PRELOADed allocator.  Also binds {!check}'s counting to the
+      calling domain's {!Jt_metrics.Metrics.Counters} record: attach on
+      the domain that runs the machine. *)
 
   val on_alloc_event :
     t ->
@@ -47,7 +49,9 @@ module Rt : sig
       reported as ["double-free"] or ["invalid-free"]. *)
 
   val check : t -> Jt_vm.Vm.t -> addr:int -> len:int -> is_store:bool -> unit
-  (** Report a violation if any byte of the range is poisoned. *)
+  (** Report a violation if any byte of the range is poisoned, and count
+      the check in the counters record bound by the last {!attach} (the
+      creating domain's before any). *)
 
   val poison_canary : t -> Jt_vm.Vm.t -> slot_disp:int -> unit
   (** Poison the canary slot at [fp + slot_disp] (current frame). *)

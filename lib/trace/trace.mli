@@ -97,7 +97,9 @@ type event =
 val is_enabled : unit -> bool
 (** The cheap guard: is tracing enabled on the calling domain?  Check it
     before constructing an event so the disabled path neither allocates
-    nor emits. *)
+    nor emits.  Hot loops sample it once instead of per event:
+    [Jt_dbt.Dbt.run] reads it when it starts and keeps that state for
+    the whole run. *)
 
 val default_capacity : int
 

@@ -143,6 +143,233 @@ let test_fuel_checked_mid_block () =
     (vm.status = Jt_vm.Vm.Fault Jt_vm.Vm.Out_of_fuel);
   Alcotest.(check int) "stops at the budget" 10 vm.icount
 
+(* The engine configurations the fuel and syscall tests run: the null
+   DBT and JASan dyn-only (no rules, so every load and store carries a
+   check), each with traces on and off. *)
+let configs =
+  [
+    ("null", false, true);
+    ("null, no traces", false, false);
+    ("jasan dyn-only", true, true);
+    ("jasan dyn-only, no traces", true, false);
+  ]
+
+(* Boot [m] under one configuration, after [setup] on the fresh VM, and
+   run it with [fuel]. *)
+let run_config ~jasan ~trace ?fuel ?(setup = ignore) m =
+  let vm = Jt_vm.Vm.make ~registry:[ m ] in
+  let client =
+    if jasan then begin
+      let tool, _ = Jt_jasan.Jasan.create () in
+      tool.t_setup vm;
+      Some tool.t_client
+    end
+    else None
+  in
+  let engine = Jt_dbt.Dbt.create ~vm ?client ~trace () in
+  setup vm;
+  Jt_vm.Vm.boot vm ~main:m.Jt_obj.Objfile.name;
+  Jt_dbt.Dbt.run ?fuel engine;
+  (vm, engine)
+
+let run_native ?fuel ?(setup = ignore) m =
+  let vm = Jt_vm.Vm.make ~registry:[ m ] in
+  setup vm;
+  Jt_vm.Vm.boot vm ~main:m.Jt_obj.Objfile.name;
+  Jt_vm.Vm.run ?fuel vm;
+  vm
+
+(* Everything a fuel cut or a mid-block exit could get wrong. *)
+let machine_state (vm : Jt_vm.Vm.t) =
+  Format.asprintf "%a pc=%#x icount=%d regs=[%s] out=%S violations=%d"
+    Jt_vm.Vm.pp_status vm.status vm.pc vm.icount
+    (String.concat " " (Array.to_list (Array.map string_of_int vm.regs)))
+    (Jt_vm.Vm.output vm)
+    (List.length vm.violations)
+
+(* A hot loop (50 trips, so traces form) with a mid-block [write_int],
+   a load and store for JASan to check and an indirect call; then a
+   second hot loop whose repeated load lets JASan's trace elision drop
+   checks, so its elided plans run too. *)
+let fuel_sweep_prog () =
+  let open Jt_isa in
+  let open Jt_asm.Builder in
+  let open Jt_asm.Builder.Dsl in
+  build ~name:"fsweep" ~kind:Jt_obj.Objfile.Exec_nonpic ~entry:"main"
+    ~datas:[ data "buf" [ Dspace 16 ]; data "fp" [ Dfuncptr "bump" ] ]
+    [
+      func "bump" [ addi Reg.r2 3; ret ];
+      func "main"
+        ([
+           addr_of_data ~pic:false Reg.r6 "buf";
+           addr_of_data ~pic:false Reg.r3 "fp";
+           ld Reg.r4 (mem_b ~disp:0 Reg.r3);
+           movi Reg.r5 0;
+           movi Reg.r2 0;
+           label "loop";
+           cmpi Reg.r5 50;
+           jcc Insn.Ge "done";
+           add Reg.r2 Reg.r5;
+           st (mem_b ~disp:0 Reg.r6) Reg.r2;
+           mov Reg.r0 Reg.r2;
+           syscall Sysno.write_int;
+           ld Reg.r1 (mem_b ~disp:0 Reg.r6);
+           call_reg Reg.r4;
+           addi Reg.r5 1;
+           jmp "loop";
+           label "done";
+           movi Reg.r5 0;
+           label "loop2";
+           cmpi Reg.r5 40;
+           jcc Insn.Ge "done2";
+           ld Reg.r1 (mem_b ~disp:4 Reg.r6);
+           add Reg.r2 Reg.r1;
+           ld Reg.r1 (mem_b ~disp:4 Reg.r6);
+           addi Reg.r5 1;
+           jmp "loop2";
+           label "done2";
+           mov Reg.r0 Reg.r2;
+           syscall Sysno.write_int;
+         ]
+        @ Progs.exit0);
+    ]
+
+(* Every fuel budget from 0 to the program's native instruction count
+   must stop every configuration exactly where [Vm.run] stops: a fused
+   block runs only when the budget covers all of it, so a block that
+   would cross the budget runs instruction by instruction and
+   Out_of_fuel fires at icount = fuel. *)
+let test_fuel_boundary_sweep () =
+  let m = fuel_sweep_prog () in
+  let full = run_native m in
+  Alcotest.(check bool) "native exits" true (full.status = Jt_vm.Vm.Exited 0);
+  List.iter
+    (fun (name, jasan, trace) ->
+      Jt_metrics.Metrics.Counters.reset ();
+      let _, engine = run_config ~jasan ~trace m in
+      if trace then
+        Alcotest.(check bool) (name ^ ": traces run") true
+          ((Jt_dbt.Dbt.stats engine).st_trace_execs > 0);
+      if jasan && trace then
+        Alcotest.(check bool) (name ^ ": elided plans run") true
+          ((Jt_metrics.Metrics.Counters.current ()).c_san_trace_elide_streak
+          > 0);
+      for fuel = 0 to full.icount do
+        let native = run_native ~fuel m in
+        let vm, _ = run_config ~jasan ~trace ~fuel m in
+        if fuel < full.icount then
+          Alcotest.(check bool) "native out of fuel" true
+            (native.status = Jt_vm.Vm.Fault Jt_vm.Vm.Out_of_fuel
+            && native.icount = fuel);
+        Alcotest.(check string)
+          (Printf.sprintf "%s, fuel %d" name fuel)
+          (machine_state native) (machine_state vm)
+      done)
+    configs
+
+(* A loop whose body block carries two mid-block syscalls: a
+   [write_int], which must not cut the block short, and syscall 100,
+   which a hook turns into an exit on trip [exit_trip].  Nothing after
+   the exiting syscall may retire. *)
+let mid_syscall_prog () =
+  let open Jt_isa in
+  let open Jt_asm.Builder in
+  let open Jt_asm.Builder.Dsl in
+  build ~name:"midsys" ~kind:Jt_obj.Objfile.Exec_nonpic ~entry:"main"
+    ~datas:[ data "buf" [ Dspace 16 ] ]
+    [
+      func "main"
+        ([
+           addr_of_data ~pic:false Reg.r6 "buf";
+           movi Reg.r5 0;
+           label "loop";
+           cmpi Reg.r5 1000;
+           jcc Insn.Ge "done";
+           st (mem_b ~disp:0 Reg.r6) Reg.r5;
+           mov Reg.r0 Reg.r5;
+           syscall Sysno.write_int;
+           ld Reg.r1 (mem_b ~disp:0 Reg.r6);
+           mov Reg.r0 Reg.r5;
+           syscall 100;
+           addi Reg.r5 1;
+           st (mem_b ~disp:4 Reg.r6) Reg.r5;
+           jmp "loop";
+           label "done";
+         ]
+        @ Progs.exit0);
+    ]
+
+let exit_on_trip trip vm =
+  Jt_vm.Vm.set_syscall_hook vm 100 (fun vm ->
+      if Jt_vm.Vm.get vm Jt_isa.Reg.r0 = trip then
+        vm.Jt_vm.Vm.status <- Jt_vm.Vm.Exited trip)
+
+let test_mid_block_syscall () =
+  let open Jt_isa in
+  let open Jt_asm.Builder in
+  let open Jt_asm.Builder.Dsl in
+  (* one block: [...; syscall exit; addi ...; jmp ...] *)
+  let straight =
+    build ~name:"exitmid" ~kind:Jt_obj.Objfile.Exec_nonpic ~entry:"main"
+      ~datas:[ data "buf" [ Dspace 16 ] ]
+      [
+        func "main"
+          [
+            label "top";
+            addr_of_data ~pic:false Reg.r6 "buf";
+            movi Reg.r0 5;
+            st (mem_b ~disp:0 Reg.r6) Reg.r0;
+            syscall Sysno.write_int;
+            ld Reg.r1 (mem_b ~disp:0 Reg.r6);
+            movi Reg.r0 0;
+            syscall Sysno.exit_;
+            addi Reg.r0 1;
+            st (mem_b ~disp:0 Reg.r6) Reg.r0;
+            jmp "top";
+          ];
+      ]
+  in
+  let native = run_native straight in
+  Alcotest.(check string) "native output" "5\n" (Jt_vm.Vm.output native);
+  List.iter
+    (fun (name, jasan, trace) ->
+      let vm, engine = run_config ~jasan ~trace straight in
+      Alcotest.(check string) (name ^ ": exit mid-block")
+        (machine_state native) (machine_state vm);
+      (* [_init]'s [ret] and main's one block *)
+      let s = Jt_dbt.Dbt.stats engine in
+      Alcotest.(check int) (name ^ ": two blocks") 2
+        (s.st_blocks_static + s.st_blocks_dynamic))
+    configs;
+  (* Exit on the first execution of the body block, on its second (no
+     trace yet) and on trip 45, inside a trace. *)
+  let m = mid_syscall_prog () in
+  List.iter
+    (fun trip ->
+      let setup = exit_on_trip trip in
+      let native = run_native ~setup m in
+      Alcotest.(check bool) "native exits on the trip" true
+        (native.status = Jt_vm.Vm.Exited trip
+        && Jt_vm.Vm.get native Reg.r5 = trip);
+      List.iter
+        (fun (name, jasan, trace) ->
+          let vm, engine = run_config ~jasan ~trace ~setup m in
+          let name = Printf.sprintf "%s, exit on trip %d" name trip in
+          Alcotest.(check string) name (machine_state native)
+            (machine_state vm);
+          let s = Jt_dbt.Dbt.stats engine in
+          (* [_init], main's entry (which holds the first loop test),
+             the body and, once the back edge runs, the loop head: the
+             write_int cut nothing *)
+          Alcotest.(check int) (name ^ ": blocks")
+            (if trip = 0 then 3 else 4)
+            (s.st_blocks_static + s.st_blocks_dynamic);
+          if trace && trip = 45 then
+            Alcotest.(check bool) (name ^ ": exits inside a trace") true
+              (s.st_traces_built >= 1 && s.st_trace_execs >= 5))
+        configs)
+    [ 0; 1; 45 ]
+
 (* An empty (decode-faulting) cached block sits at exactly its start
    address; flush invalidation must treat it as length 1 so regenerating
    code over it retranslates instead of replaying the stale fault. *)
@@ -259,6 +486,9 @@ let () =
           Alcotest.test_case "profiles" `Quick test_lightweight_profile_cheaper;
           Alcotest.test_case "chaining" `Quick test_chaining_equivalent_and_cheaper;
           Alcotest.test_case "fuel mid-block" `Quick test_fuel_checked_mid_block;
+          Alcotest.test_case "fuel boundary sweep" `Quick
+            test_fuel_boundary_sweep;
+          Alcotest.test_case "mid-block syscall" `Quick test_mid_block_syscall;
           Alcotest.test_case "empty-block invalidation" `Quick
             test_decode_fault_block_invalidated;
           Alcotest.test_case "hot path allocation" `Quick
