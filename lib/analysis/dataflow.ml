@@ -115,61 +115,9 @@ module Make (L : LATTICE) = struct
       addrs;
     { blocks; block_of_insn; r_in; r_out; transfer; iterations = !iterations }
 
-  (* Spine-shaped input: a straight-line sequence with no internal
-     control flow (e.g. a DBT trace's constituent-block spine).  No
-     worklist is needed — a single forward pass is the fixpoint.  The
-     element type is the caller's ('e may be an instruction, a block, or
-     any richer record); [transfer] folds one element.  Returns the
-     pre-state of every element plus the spine's out-state, so callers
-     can both make per-element decisions and re-seed the entry for
-     steady-state (back-edge) variants of the same spine. *)
-  let solve_spine ~entry ~transfer (spine : 'e array) : L.t array * L.t =
-    let n = Array.length spine in
-    let pre = Array.make n entry in
-    let st = ref entry in
-    for i = 0 to n - 1 do
-      pre.(i) <- !st;
-      st := transfer spine.(i) !st
-    done;
-    (pre, !st)
-
   let block_in t a = Hashtbl.find_opt t.r_in a
   let block_out t a = Hashtbl.find_opt t.r_out a
   let iterations t = t.iterations
-
-  (* The per-block in-states are the whole fixpoint: out-states and
-     per-instruction states are derived by replaying [transfer].  So a
-     solution serializes as just (block, in-state) pairs, and [restore]
-     rebuilds an equivalent solver value with a single non-iterating
-     pass — no worklist, no joins, provided the caller supplies the same
-     transfer function the original [solve] used. *)
-  let export t =
-    Hashtbl.fold (fun a st acc -> (a, st) :: acc) t.r_in []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-  let restore ~transfer ~ins (fn : Cfg.fn) =
-    let blocks = fn.Cfg.f_blocks in
-    let r_in = Hashtbl.create 16 in
-    let r_out = Hashtbl.create 16 in
-    List.iter
-      (fun (a, st) ->
-        match Hashtbl.find_opt blocks a with
-        | None -> failwith "Dataflow.restore: unknown block"
-        | Some b ->
-          Hashtbl.replace r_in a st;
-          let out =
-            Array.fold_left (fun st i -> transfer i st) st b.Cfg.b_insns
-          in
-          Hashtbl.replace r_out a out)
-      ins;
-    let block_of_insn = Hashtbl.create 64 in
-    Hashtbl.iter
-      (fun a (b : Cfg.block) ->
-        Array.iter
-          (fun (i : insn_info) -> Hashtbl.replace block_of_insn i.d_addr a)
-          b.Cfg.b_insns)
-      blocks;
-    { blocks; block_of_insn; r_in; r_out; transfer; iterations = 0 }
 
   (* Per-instruction state: replay the block's transfer from its in-state
      up to (but not including) the instruction. *)

@@ -9,10 +9,13 @@
     Soundness contract: [join] must be an upper bound of its arguments,
     [transfer] monotone, and [widen prev next] an upper bound of both that
     guarantees stabilization of every ascending chain.  Must-analyses
-    (e.g. available checks) are expressed by flipping the order — use
-    intersection as [join] and a designated "everything" element as the
-    implicit optimistic initial value: unreached predecessors simply
-    contribute nothing. *)
+    (e.g. available checks, {!Avail.Lattice}) are expressed by flipping
+    the order — an intersection-like [join] and the optimistic
+    "everything" top left implicit: unreached predecessors simply
+    contribute nothing.  A block's in-state only ever changes by a
+    [join] with its previous value, so on a finite-height lattice the
+    solver stabilizes even for a transfer that is not monotone
+    ({!Avail.gen} reads the incoming state). *)
 
 module type LATTICE = sig
   type t
@@ -39,15 +42,6 @@ module Make (L : LATTICE) : sig
       [widen_after] (default 2) is the per-block visit count beyond which
       [L.widen] replaces [L.join]. *)
 
-  val solve_spine :
-    entry:L.t -> transfer:('e -> L.t -> L.t) -> 'e array -> L.t array * L.t
-  (** Forward pass over a spine: a straight-line sequence with no
-      internal control flow (a DBT trace's constituent-block spine).
-      Returns each element's pre-state and the spine's out-state.  For a
-      spine, one pass {e is} the fixpoint; re-seeding [entry] with the
-      returned out-state yields the steady-state solution for a spine
-      re-entered through its own back-edge. *)
-
   val block_in : t -> int -> L.t option
   (** Fixpoint state at a block's entry ([None] for blocks the solver
       never reached — unknown addresses). *)
@@ -60,21 +54,4 @@ module Make (L : LATTICE) : sig
 
   val iterations : t -> int
   (** Blocks processed until stabilization (solver diagnostics). *)
-
-  val export : t -> (int * L.t) list
-  (** The fixpoint's per-block in-states, sorted by block address.  This
-      is the complete solution: out-states and per-instruction states are
-      replay-derived. *)
-
-  val restore :
-    transfer:(Jt_disasm.Disasm.insn_info -> L.t -> L.t) ->
-    ins:(int * L.t) list ->
-    Jt_cfg.Cfg.fn ->
-    t
-  (** Rebuild a solver value from {!export}ed in-states without running
-      the fixpoint: one transfer pass per block recomputes the out-states.
-      The caller must supply the same transfer the original [solve] used,
-      or the replayed states are meaningless.  [iterations] of the result
-      is [0].  @raise Failure if [ins] names a block not in the
-      function. *)
 end

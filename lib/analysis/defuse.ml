@@ -6,7 +6,6 @@ module Imap = Map.Make (Int)
 
 (* Reaching definitions: def = instruction address; -1 = entry/unknown. *)
 type t = {
-  fn : Cfg.fn;
   (* per-instruction: register index -> set of reaching def addresses *)
   before : (int, int list Imap.t) Hashtbl.t;
   insn_of : (int, Insn.t) Hashtbl.t;
@@ -71,7 +70,7 @@ let analyze (fn : Cfg.fn) =
           env := transfer i.d_addr i.d_insn !env)
         b.Cfg.b_insns)
     blocks;
-  { fn; before; insn_of }
+  { before; insn_of }
 
 let reaching_defs t addr r =
   match Hashtbl.find_opt t.before addr with
@@ -80,59 +79,6 @@ let reaching_defs t addr r =
     match Imap.find_opt (Reg.index r) env with
     | Some ds -> ds
     | None -> [ entry_def ])
-
-(* Do two program points agree on where a register's value comes from?
-   Equal reaching-definition sets mean no definition lies between the
-   points on a path that reaches only one of them — the confirmation the
-   dominating-check elision uses for its witness pairs.  (This is a
-   necessary check, not a sufficient one: a definition on a branch
-   between the points can reach both through a back edge.  The elision
-   pass therefore gates on the available-checks dataflow and uses this
-   only to corroborate the chosen witness.) *)
-let same_defs t r ~at_a ~at_b =
-  let a = List.sort_uniq compare (reaching_defs t at_a r) in
-  let b = List.sort_uniq compare (reaching_defs t at_b r) in
-  a = b
-
-(* Serialization.  The per-block in-environments are the whole fixpoint:
-   [analyze]'s final pass derives every per-instruction fact from them by
-   replaying [transfer], and [import] repeats exactly that pass.  A
-   block's in-environment is [before] at its first instruction (blocks
-   always carry at least one). *)
-
-let export t =
-  List.map
-    (fun (b : Cfg.block) ->
-      let env =
-        match Hashtbl.find_opt t.before b.Cfg.b_insns.(0).d_addr with
-        | Some env -> env
-        | None -> Imap.empty
-      in
-      (b.Cfg.b_addr, Imap.bindings env))
-    (Cfg.fn_blocks t.fn)
-
-let import ~ins (fn : Cfg.fn) =
-  let before = Hashtbl.create 64 in
-  let insn_of = Hashtbl.create 64 in
-  List.iter
-    (fun (addr, bindings) ->
-      match Hashtbl.find_opt fn.Cfg.f_blocks addr with
-      | None -> failwith "Defuse.import: unknown block"
-      | Some b ->
-        let env =
-          ref
-            (List.fold_left
-               (fun m (r, defs) -> Imap.add r defs m)
-               Imap.empty bindings)
-        in
-        Array.iter
-          (fun (i : insn_info) ->
-            Hashtbl.replace before i.d_addr !env;
-            Hashtbl.replace insn_of i.d_addr i.d_insn;
-            env := transfer i.d_addr i.d_insn !env)
-          b.Cfg.b_insns)
-    ins;
-  { fn; before; insn_of }
 
 let traces_to t addr r ~pred =
   let visited = Hashtbl.create 16 in

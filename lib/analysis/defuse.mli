@@ -5,7 +5,8 @@
     from an instruction satisfying [p]?"  This is the building block the
     paper uses for tracing allocation-site provenance and for
     taint-tracking-style analyses (the repository's custom-tool example
-    uses it for exactly that). *)
+    uses it for exactly that).  No library pass reads it, and it is not
+    persisted in the IR: {!analyze} runs on first use. *)
 
 open Jt_isa
 
@@ -18,28 +19,8 @@ val reaching_defs : t -> int -> Reg.t -> int list
     before instruction [addr]; the pseudo-address [-1] stands for "value
     from function entry / unknown". *)
 
-val same_defs : t -> Reg.t -> at_a:int -> at_b:int -> bool
-(** Do the two program points see the same reaching-definition set for
-    [r]?  Used by the dominating-check elision to corroborate that a
-    register was not redefined between a witness check and the access it
-    subsumes.  Necessary but not sufficient on its own (a definition
-    between the points can reach both through a back edge), so callers
-    must pair it with a path-sensitive argument such as the
-    available-checks dataflow. *)
-
 val traces_to : t -> int -> Reg.t -> pred:(Insn.t -> bool) -> bool
 (** Transitively follow register-to-register dataflow backwards from the
     value of [r] before [addr]; true if any contributing definition
     satisfies [pred].  Memory is not traced through (stores/loads break
     the chain), matching a conservative binary-level tracer. *)
-
-val export : t -> (int * (int * int list) list) list
-(** Per-block reaching-definition in-environments:
-    [(block address, (register index, def addresses) list)], blocks in
-    address order, registers in index order — the complete fixpoint;
-    per-instruction facts are replay-derived. *)
-
-val import : ins:(int * (int * int list) list) list -> Jt_cfg.Cfg.fn -> t
-(** Rebuild from {!export}ed in-environments by replaying each block's
-    transfer — every query answers identically to the original.
-    @raise Failure if a listed block is not in the function. *)

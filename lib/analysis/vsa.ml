@@ -318,20 +318,3 @@ let block_in t a =
 
 let iterations t =
   match t.vs_solver with None -> 0 | Some s -> Solver.iterations s
-
-(* Serialization: the per-block in-states are the whole fixpoint (see
-   [Dataflow.export]).  [import] rebuilds the exact transfer closure
-   [analyze] uses, so replayed out-states and per-instruction states are
-   identical to the originals. *)
-
-let fn_transfer (i : insn_info) st =
-  transfer_regs ~trust:true ~at:i.d_addr ~len:i.d_len i.d_insn st
-
-let export t =
-  match t.vs_solver with None -> None | Some s -> Some (Solver.export s)
-
-let import ~ins (fn : Jt_cfg.Cfg.fn) =
-  match ins with
-  | None -> { vs_solver = None }
-  | Some ins ->
-    { vs_solver = Some (Solver.restore ~transfer:fn_transfer ~ins fn) }

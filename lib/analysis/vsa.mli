@@ -40,17 +40,6 @@ val block_in : t -> int -> (Reg.t * value) list option
 
 val iterations : t -> int
 
-val export : t -> (int * value array) list option
-(** Per-block in-state register files, sorted by block address; [None]
-    when the analysis bailed.  Together with the function itself this is
-    the complete fixpoint (see {!Dataflow.Make.export}). *)
-
-val import : ins:(int * value array) list option -> Jt_cfg.Cfg.fn -> t
-(** Rebuild an analysis from {!export}ed states without re-running the
-    fixpoint; [ins = None] reconstructs a bailed analysis.  All queries
-    answer identically to the original.  @raise Failure if a listed
-    block is not in the function. *)
-
 (** {1 Lattice primitives}
 
     Exposed for the property-based tests: monotonicity of [join]/[widen]

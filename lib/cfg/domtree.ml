@@ -143,14 +143,3 @@ let dominates t a b =
   | _ -> false
 
 let strictly_dominates t a b = a <> b && dominates t a b
-
-(* Walk b, idom b, idom (idom b), ... up to the entry. *)
-let dom_chain t b =
-  match Hashtbl.find_opt t.index b with
-  | None -> [ b ]
-  | Some i ->
-    let rec go i acc =
-      let p = t.parent.(i) in
-      if p < 0 then List.rev acc else go p (t.addr.(p) :: acc)
-    in
-    go i [ b ]

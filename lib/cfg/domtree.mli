@@ -4,10 +4,8 @@
     {!compute} runs the Cooper–Harvey–Kennedy iterative algorithm over
     reverse postorder; {!of_idoms} rebuilds the same tree from persisted
     idoms with no derivation step.  The tree is laid out in DFS preorder,
-    so {!dominates} is an interval test.  Passes that reason about "on
-    every path" facts use it — e.g. the JASan dominating-check elision
-    walks a block's dominator chain to attribute each elided access to
-    the check that subsumes it.
+    so {!dominates} is an interval test.  Natural-loop detection takes
+    its back edges from it.
 
     Unreachable blocks: a block the entry cannot reach (or, from
     {!of_idoms}, one whose idom chain never reaches the entry) has no
@@ -40,8 +38,3 @@ val dominates : t -> int -> int -> bool
     preorder number lies in [a]'s subtree interval. *)
 
 val strictly_dominates : t -> int -> int -> bool
-
-val dom_chain : t -> int -> int list
-(** [b; idom b; idom (idom b); ...] up to the function entry — the walk
-    order for finding the nearest dominating occurrence of a fact.  An
-    unreachable block's chain is [[b]]. *)

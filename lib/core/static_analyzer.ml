@@ -150,18 +150,6 @@ let canary_of_ir (c : Ir.canary) : Jt_analysis.Canary.site =
     c_check_loads = c.ic_loads;
   }
 
-let value_to_ir : Jt_analysis.Vsa.value -> Ir.vsa_value = function
-  | Jt_analysis.Vsa.Bot -> Ir.Vbot
-  | Jt_analysis.Vsa.Cst i -> Ir.Vcst (i.Jt_analysis.Vsa.lo, i.hi)
-  | Jt_analysis.Vsa.Sprel i -> Ir.Vsprel (i.Jt_analysis.Vsa.lo, i.hi)
-  | Jt_analysis.Vsa.Top -> Ir.Vtop
-
-let value_of_ir : Ir.vsa_value -> Jt_analysis.Vsa.value = function
-  | Ir.Vbot -> Jt_analysis.Vsa.Bot
-  | Ir.Vcst (lo, hi) -> Jt_analysis.Vsa.Cst { Jt_analysis.Vsa.lo; hi }
-  | Ir.Vsprel (lo, hi) -> Jt_analysis.Vsa.Sprel { Jt_analysis.Vsa.lo; hi }
-  | Ir.Vtop -> Jt_analysis.Vsa.Top
-
 let fn_to_ir (fa : fn_analysis) : Ir.fn =
   let fn = fa.fa_fn in
   let all_live, live = Jt_analysis.Liveness.export fa.fa_liveness in
@@ -183,10 +171,6 @@ let fn_to_ir (fa : fn_analysis) : Ir.fn =
     if_live = live;
     if_canaries = List.map canary_to_ir fa.fa_canaries;
     if_scev = List.map scev_to_ir fa.fa_scev;
-    if_vsa =
-      Option.map
-        (List.map (fun (a, st) -> (a, Array.map value_to_ir st)))
-        (Jt_analysis.Vsa.export (Lazy.force fa.fa_vsa));
     (* The entry is its own idom; every other block has one, because
        [Cfg.build] collects a function by a walk from its entry. *)
     if_idom =
@@ -194,7 +178,6 @@ let fn_to_ir (fa : fn_analysis) : Ir.fn =
         (fun a ->
           Option.value ~default:a (Jt_cfg.Domtree.idom fn.Jt_cfg.Cfg.f_dom a))
         blocks;
-    if_defuse = Jt_analysis.Defuse.export (Lazy.force fa.fa_defuse);
   }
 
 let build_ir (sa : t) : Ir.t =
@@ -299,9 +282,9 @@ let compute (m : Jt_obj.Objfile.t) =
                  ~exit_all_live:true fn);
           fa_canaries = Jt_analysis.Canary.analyze fn;
           fa_scev = Jt_analysis.Scev.analyze fn;
-          (* The heavier whole-function analyses are computed on demand:
-             only tools that elide checks (JASan) force them, and always
-             sequentially on the tool's own domain. *)
+          (* The heavier whole-function analyses are computed on demand,
+             sequentially on the forcing domain: CPA forces VSA for every
+             function; no library pass reads def-use. *)
           fa_vsa =
             lazy (Jt_analysis.Vsa.analyze ~trust_conventions:reliable fn);
           fa_domtree = Lazy.from_val fn.Jt_cfg.Cfg.f_dom;
@@ -427,16 +410,14 @@ let of_ir (m : Jt_obj.Objfile.t) (ir : Ir.t) =
               ~facts:f.if_live ();
           fa_canaries = List.map canary_of_ir f.if_canaries;
           fa_scev = List.map scev_of_ir f.if_scev;
+          (* VSA and def-use are not persisted: CPA, the one warm reader
+             of VSA, is ([ir_cpa]). *)
           fa_vsa =
             lazy
-              (Jt_analysis.Vsa.import
-                 ~ins:
-                   (Option.map
-                      (List.map (fun (a, st) -> (a, Array.map value_of_ir st)))
-                      f.if_vsa)
+              (Jt_analysis.Vsa.analyze ~trust_conventions:ir.Ir.ir_reliable
                  fn);
           fa_domtree = Lazy.from_val fn.Jt_cfg.Cfg.f_dom;
-          fa_defuse = lazy (Jt_analysis.Defuse.import ~ins:f.if_defuse fn);
+          fa_defuse = lazy (Jt_analysis.Defuse.analyze fn);
         })
       ir.Ir.ir_fns
   in

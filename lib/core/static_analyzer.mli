@@ -13,13 +13,15 @@ type fn_analysis = {
   fa_canaries : Jt_analysis.Canary.site list;
   fa_scev : Jt_analysis.Scev.summary list;
   fa_vsa : Jt_analysis.Vsa.t Lazy.t;
-      (** value-set analysis, computed on first force; already bailed
-          (all-[Top]) when the module breaks calling conventions *)
+      (** value-set analysis, computed on first force (also after
+          {!of_ir}: it is not persisted); already bailed (all-[Top])
+          when the module breaks calling conventions *)
   fa_domtree : Jt_cfg.Domtree.t Lazy.t;
       (** [fa_fn]'s [f_dom], already built: computed by
           {!Jt_cfg.Cfg.build}, or rebuilt by {!of_ir} from the stored
           idoms *)
   fa_defuse : Jt_analysis.Defuse.t Lazy.t;
+      (** def-use chains, computed on first force; not persisted *)
 }
 
 type t = {
@@ -48,9 +50,9 @@ type t = {
           calls resolved through [sa_cpa] — the shared fact base behind
           JCFI per-site sets and JASan cross-call elision *)
   sa_ir : Jt_ir.Ir.t Lazy.t;
-      (** the serializable form of this analysis.  Forcing it forces the
-          lazy per-function analyses (VSA, def-use) and
-          [sa_cpa] — only store-backed paths pay that *)
+      (** the serializable form of this analysis.  Forcing it forces
+          [sa_cpa], and through it every function's VSA — only
+          store-backed paths pay that *)
 }
 
 val analyze : ?store:Jt_ir.Store.t -> Jt_obj.Objfile.t -> t
@@ -66,8 +68,9 @@ val compute : Jt_obj.Objfile.t -> t
 val of_ir : Jt_obj.Objfile.t -> Jt_ir.Ir.t -> t
 (** Rebuild a full analysis from a stored IR: instruction spans
     re-decoded from the module's own bytes, analyses restored from the
-    serialized fixpoints.  Every query and every generated rule is
-    identical to what {!compute} would produce.  @raise Failure on any
+    serialized facts; VSA and def-use are recomputed lazily.  Every
+    query and every generated rule is identical to what {!compute} would
+    produce.  @raise Failure on any
     inconsistency (digest mismatch, undecodable span, dangling block). *)
 
 val to_ir : t -> Jt_ir.Ir.t

@@ -891,8 +891,7 @@ let exec_trace t ~budget ~streak ~streak_onset (tr : trace) =
    over the flattened spine; its product is an overlay of thinned plans,
    never a mutation of the constituents' own [cb_plan]s. *)
 
-module KS = Jt_analysis.Avail.Set
-module Spine_solver = Jt_analysis.Dataflow.Make (Jt_analysis.Avail.Lattice)
+module Avail = Jt_analysis.Avail
 
 type spine_el = {
   se_bi : int;  (* constituent position within the trace *)
@@ -902,26 +901,16 @@ type spine_el = {
   se_metas : meta list;
 }
 
-(* A check gens availability of its key; a poisoning shadow write clears
-   the set, as does any opaque action the pass cannot see through.  An
-   unpoison only widens what is addressable, so it is not a barrier. *)
-let meta_transfer m st =
-  match m.m_kind with
-  | M_check k -> KS.add k st
-  | M_shadow_write -> KS.empty
-  | M_opaque -> ( match m.m_action with Some _ -> KS.empty | None -> st)
-  | M_unpoison -> st
-
-let spine_transfer el st =
-  Jt_analysis.Avail.insn_transfer el.se_insn
-    (List.fold_left (fun st m -> meta_transfer m st) st el.se_metas)
-
 (* One decision walk from a given entry state: which checks may be
-   dropped, each with the earlier site that witnesses it.  The witness
-   table maps an available key to the address of the check that made it
-   available; passing a walk's final table into the next walk carries
+   dropped, each with the check that made its key available, plus the
+   walk's final state.  A check of an unavailable key gens it; a
+   poisoning shadow write clears the state, as does any opaque action
+   the pass cannot see through.  An unpoison only widens what is
+   addressable, so it is not a barrier.  A spine has no joins, so no key
+   is ever marked [Several] and every available key has a witness.
+   Seeding a walk with the previous walk's final state carries the
    witnesses across the back-edge for the streak variant. *)
-let decide_spine ~entry ~wit spine =
+let decide_spine ~entry spine =
   let drops = Hashtbl.create 16 in
   let st = ref entry in
   Array.iter
@@ -929,19 +918,20 @@ let decide_spine ~entry ~wit spine =
       List.iteri
         (fun j (m : meta) ->
           match m.m_kind with
-          | M_check k when KS.mem k !st ->
-            Hashtbl.replace drops (el.se_bi, el.se_k, j)
-              ( "trace-dom",
-                Option.value ~default:0 (Hashtbl.find_opt wit k),
-                el.se_addr )
-          | M_check k ->
-            Hashtbl.replace wit k el.se_addr;
-            st := KS.add k !st
-          | M_shadow_write | M_opaque | M_unpoison -> st := meta_transfer m !st)
+          | M_check k -> (
+            match Avail.witness k !st with
+            | Some w ->
+              Hashtbl.replace drops (el.se_bi, el.se_k, j)
+                ("trace-dom", w, el.se_addr)
+            | None -> st := Avail.gen k el.se_addr !st)
+          | M_shadow_write -> st := Avail.Map.empty
+          | M_opaque ->
+            if Option.is_some m.m_action then st := Avail.Map.empty
+          | M_unpoison -> ())
         el.se_metas;
-      st := Jt_analysis.Avail.insn_transfer el.se_insn !st)
+      st := Avail.insn_transfer el.se_insn !st)
     spine;
-  drops
+  (drops, !st)
 
 (* Recognize the counted-loop shape on a spine and collect the affine
    checks the induction guard can hoist.  Mirrors the static SCEV
@@ -1097,18 +1087,12 @@ let build_overlay (blocks : cached array) =
                   c.cb.insns)
               blocks))
     in
-    (* One forward pass is the fixpoint on a spine; the out-state seeds
-       the steady-state (streak) walk: for a straight line,
-       out(out(bot)) = out(bot), so this is also the back-edge fixpoint. *)
-    let _pre, out =
-      Spine_solver.solve_spine ~entry:KS.empty ~transfer:spine_transfer spine
-    in
-    let wit = Hashtbl.create 16 in
-    let drops_base = decide_spine ~entry:KS.empty ~wit spine in
-    (* the base walk's final witness table describes exactly the keys in
-       [out] — the availability a streak entry inherits from the
-       previous trip around the trace *)
-    let drops_streak = decide_spine ~entry:out ~wit spine in
+    (* One walk is the fixpoint on a spine; its final state seeds the
+       steady-state (streak) walk: for a straight line, out(out(bot)) =
+       out(bot), so this is also the back-edge fixpoint, and its sites
+       are the checks a streak entry inherits from the previous trip. *)
+    let drops_base, out = decide_spine ~entry:Avail.Map.empty spine in
+    let drops_streak, _ = decide_spine ~entry:out spine in
     (* a streak drop the base walk also made keeps its reason; one only
        the carried-over availability justifies is a loop-invariant
        (streak) elision *)

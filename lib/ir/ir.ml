@@ -49,8 +49,6 @@ type canary = {
   ic_loads : int list;
 }
 
-type vsa_value = Vbot | Vcst of int * int | Vsprel of int * int | Vtop
-
 type fn = {
   if_entry : int;
   if_name : string option;
@@ -60,9 +58,7 @@ type fn = {
   if_live : (int * int * int) list;
   if_canaries : canary list;
   if_scev : scev list;
-  if_vsa : (int * vsa_value array) list option;
   if_idom : int list;
-  if_defuse : (int * (int * int list) list) list;
 }
 
 type t = {
@@ -81,7 +77,7 @@ type t = {
 
 let magic = "JTIR"
 
-let schema_version = 5
+let schema_version = 6
 
 (* ---- encoding ----
 
@@ -163,18 +159,6 @@ let enc_canary b (c : canary) =
   W.i32 b c.ic_disp;
   ints16 b c.ic_loads
 
-let enc_value b = function
-  | Vbot -> W.u8 b 0
-  | Vcst (lo, hi) ->
-    W.u8 b 1;
-    W.i32 b lo;
-    W.i32 b hi
-  | Vsprel (lo, hi) ->
-    W.u8 b 2;
-    W.i32 b lo;
-    W.i32 b hi
-  | Vtop -> W.u8 b 3
-
 let enc_fn b (f : fn) =
   W.u32 b f.if_entry;
   W.option (W.str U16) b f.if_name;
@@ -193,21 +177,7 @@ let enc_fn b (f : fn) =
     b f.if_live;
   W.list U16 enc_canary b f.if_canaries;
   W.list U16 enc_scev b f.if_scev;
-  W.option
-    (W.list U32 (fun b (addr, vals) ->
-         W.u32 b addr;
-         W.array U8 enc_value b vals))
-    b f.if_vsa;
-  ints32 b f.if_idom;
-  W.list U32
-    (fun b (addr, env) ->
-      W.u32 b addr;
-      W.list U16
-        (fun b (reg, defs) ->
-          W.u8 b reg;
-          W.list U16 W.i32 b defs)
-        b env)
-    b f.if_defuse
+  ints32 b f.if_idom
 
 (* An unresolved (Top) site has no witness; its slot is written as 0. *)
 let enc_cpa b (c : Jt_analysis.Cpa.site) =
@@ -330,18 +300,6 @@ let rcanary r =
   let ic_loads = rints16 r in
   { ic_fn; ic_store; ic_after; ic_disp; ic_loads }
 
-let rvalue r =
-  match R.u8 r with
-  | 0 -> Vbot
-  | 1 ->
-    let lo = R.i32 r in
-    Vcst (lo, R.i32 r)
-  | 2 ->
-    let lo = R.i32 r in
-    Vsprel (lo, R.i32 r)
-  | 3 -> Vtop
-  | _ -> R.fail r "bad value tag"
-
 (* The idoms must form a tree rooted at the entry: one per block, each a
    block of the function, only the entry its own idom, and every parent
    chain ending at the entry.  Without this a crafted entry could hand
@@ -395,27 +353,8 @@ let rfn r =
   in
   let if_canaries = R.list U16 ~min:18 rcanary r in
   let if_scev = R.list U16 ~min:24 rscev r in
-  let if_vsa =
-    R.option
-      (R.list U32 ~min:5 (fun r ->
-           let addr = R.u32 r in
-           (addr, R.array U8 ~min:1 rvalue r)))
-      r
-  in
   let if_idom = rints32 r in
   check_idoms r ~entry:if_entry if_blocks if_idom;
-  let if_defuse =
-    R.list U32 ~min:6
-      (fun r ->
-        let addr = R.u32 r in
-        ( addr,
-          R.list U16 ~min:3
-            (fun r ->
-              let reg = R.u8 r in
-              (reg, R.list U16 ~min:4 R.i32 r))
-            r ))
-      r
-  in
   {
     if_entry;
     if_name;
@@ -425,9 +364,7 @@ let rfn r =
     if_live;
     if_canaries;
     if_scev;
-    if_vsa;
     if_idom;
-    if_defuse;
   }
 
 let rcpa r =

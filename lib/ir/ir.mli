@@ -3,10 +3,12 @@
 
     One GTIRB-shaped value per module: interval-keyed byte blocks (the
     instruction spans of the recovered disassembly), CFG nodes and edges,
-    and typed fields carrying the analysis facts the tools need —
-    per-block VSA register states, frame spans, immediate dominators, def-use
-    summaries, liveness, SCEV loop bounds, canary sites and the
-    per-indirect-call-site code-pointer provenance sets.
+    and typed fields carrying the analysis facts the tools need and cannot
+    cheaply rebuild — immediate dominators, natural loops, liveness, SCEV
+    loop bounds, canary sites and the per-indirect-call-site
+    code-pointer provenance sets.  VSA in-states and def-use chains are
+    not stored: the one warm reader of VSA (CPA) is itself persisted, so
+    both are recomputed from the CFG on first use.
 
     The representation is deliberately *pure data*: no closures, no
     lazies, no hashtables — so structural equality is meaningful (the
@@ -16,7 +18,7 @@
     the consumer re-decodes from the module's section bytes, which the
     content digest pins down exactly.  What the store saves is the
     expensive part — recursive-traversal disassembly, CFG recovery and
-    the fixpoint analyses — not the linear decode. *)
+    the fixpoint analyses the tools read — not the linear decode. *)
 
 type term =
   | Tjmp of int
@@ -71,8 +73,6 @@ type canary = {
   ic_loads : int list;
 }
 
-type vsa_value = Vbot | Vcst of int * int | Vsprel of int * int | Vtop
-
 type fn = {
   if_entry : int;
   if_name : string option;
@@ -83,15 +83,10 @@ type fn = {
       (** (insn addr, live register mask, live flag bits) *)
   if_canaries : canary list;
   if_scev : scev list;
-  if_vsa : (int * vsa_value array) list option;
-      (** per-block register in-states; [None] when the analysis bailed *)
   if_idom : int list;
       (** immediate dominator of each block, aligned with [if_blocks];
           the entry carries its own address.  {!decode} rejects any list
           that is not a tree rooted at the entry *)
-  if_defuse : (int * (int * int list) list) list;
-      (** per-block reaching-definition in-environments:
-          (block, (register index, def addresses)) *)
 }
 
 type t = {

@@ -139,19 +139,16 @@ let claim_name = function
    shared with the DBT's trace-spine elision pass (which must agree
    exactly on what "same address" means), so they live in
    [Jt_analysis.Avail]. *)
-module Key = Jt_analysis.Avail.Key
-module KS = Jt_analysis.Avail.Set
+module Avail = Jt_analysis.Avail
 
-let key_of = Jt_analysis.Avail.key_of
-let key_regs = Jt_analysis.Avail.key_regs
+let key_of = Avail.key_of
+let key_regs = Avail.key_regs
 
-(* Available-checks must-analysis: the set of address keys whose byte
-   ranges were shadow-checked on *every* path to a point, with no
-   intervening redefinition of the key's registers and no shadow-state
-   barrier.  Join is intersection; the solver's optimistic
-   initialization plays the implicit "everything" top, so the analysis
-   converges downwards to the must-set. *)
-module Avail_solver = Jt_analysis.Dataflow.Make (Jt_analysis.Avail.Lattice)
+(* Available-checks must-analysis: the address keys whose byte ranges
+   were shadow-checked on *every* path to a point, with no intervening
+   redefinition of the key's registers and no shadow-state barrier, each
+   with the check that made it available. *)
+module Avail_solver = Jt_analysis.Dataflow.Make (Avail.Lattice)
 
 type fn_report = {
   er_fn : int;  (* function entry *)
@@ -173,20 +170,17 @@ let plan_elision ~hoist_scev ~skip_frame ~exempt_canary ~elide ~cross
     if hoist_scev then Jt_analysis.Scev.covered_addrs fa.fa_scev
     else Hashtbl.create 1
   in
-  let blocks = Jt_cfg.Cfg.fn_blocks fa.fa_fn in
-  (* Every memory access, in block/instruction order, with its block and
-     in-block index. *)
+  (* Every memory access, in block/instruction order. *)
   let accesses =
     List.concat_map
       (fun (b : Jt_cfg.Cfg.block) ->
         Array.to_list b.b_insns
-        |> List.mapi (fun k i -> (b, k, i))
-        |> List.filter_map (fun (b, k, (info : Jt_disasm.Disasm.insn_info)) ->
+        |> List.filter_map (fun (info : Jt_disasm.Disasm.insn_info) ->
                match info.d_insn with
-               | Insn.Load (w, _, m) -> Some (b, k, info, width_of w, m)
-               | Insn.Store (w, m, _) -> Some (b, k, info, width_of w, m)
+               | Insn.Load (w, _, m) -> Some (info, width_of w, m)
+               | Insn.Store (w, m, _) -> Some (info, width_of w, m)
                | _ -> None))
-      blocks
+      (Jt_cfg.Cfg.fn_blocks fa.fa_fn)
   in
   let claims : (int, claim) Hashtbl.t = Hashtbl.create 64 in
   let claim addr c =
@@ -199,7 +193,7 @@ let plan_elision ~hoist_scev ~skip_frame ~exempt_canary ~elide ~cross
   in
   (* Pass 1: the cheap claims, in priority order. *)
   List.iter
-    (fun (_, _, (info : Jt_disasm.Disasm.insn_info), _, m) ->
+    (fun ((info : Jt_disasm.Disasm.insn_info), _, m) ->
       let addr = info.d_addr in
       if Hashtbl.mem exempt addr then claim addr Exempt_canary
       else if is_pcrel m then claim addr Pcrel
@@ -209,22 +203,16 @@ let plan_elision ~hoist_scev ~skip_frame ~exempt_canary ~elide ~cross
   (* Pass 2: dominating-check elimination over the availability
      fixpoint.  Gen sites are the accesses that will carry their own
      check (still unclaimed here) — on any path through one, the key's
-     byte range is known clean right after it. *)
+     byte range is known clean right after it.  An available key's
+     single site is the witness; a key checked at different accesses on
+     different paths ([Several]) keeps the access checked. *)
   if elide then begin
     let gen_key = Hashtbl.create 64 in
-    let gen_by_block = Hashtbl.create 16 in
     List.iter
-      (fun ((b : Jt_cfg.Cfg.block), k, (info : Jt_disasm.Disasm.insn_info),
-            width, m) ->
+      (fun ((info : Jt_disasm.Disasm.insn_info), width, m) ->
         match key_of m width with
         | Some key when not (Hashtbl.mem claims info.d_addr) ->
-          Hashtbl.replace gen_key info.d_addr key;
-          let prev =
-            Option.value ~default:[] (Hashtbl.find_opt gen_by_block b.b_addr)
-          in
-          (* accumulated reversed: descending in-block index, so the
-             nearest earlier site is found first *)
-          Hashtbl.replace gen_by_block b.b_addr ((k, info.d_addr, key) :: prev)
+          Hashtbl.replace gen_key info.d_addr key
         | _ -> ())
       accesses;
     (* Barriers: canary poisoning rewrites stack shadow state, so no
@@ -238,10 +226,12 @@ let plan_elision ~hoist_scev ~skip_frame ~exempt_canary ~elide ~cross
         Hashtbl.replace barrier s.c_after_store ())
       fa.fa_canaries;
     let transfer (info : Jt_disasm.Disasm.insn_info) st =
-      let st = if Hashtbl.mem barrier info.d_addr then KS.empty else st in
+      let st =
+        if Hashtbl.mem barrier info.d_addr then Avail.Map.empty else st
+      in
       let st =
         match Hashtbl.find_opt gen_key info.d_addr with
-        | Some k -> KS.add k st
+        | Some k -> Avail.gen k info.d_addr st
         | None -> st
       in
       match info.d_insn with
@@ -256,72 +246,37 @@ let plan_elision ~hoist_scev ~skip_frame ~exempt_canary ~elide ~cross
            across calls to leaves that don't touch fp. *)
         match cross t with
         | Some (s : Jt_analysis.Interproc.summary) when not s.ip_barrier ->
-          KS.filter
-            (fun key ->
+          Avail.Map.filter
+            (fun key _ ->
               Jt_analysis.Liveness.reg_mask (key_regs key) land s.ip_clobbers
               = 0)
             st
-        | _ -> Jt_analysis.Avail.insn_transfer info.d_insn st)
+        | _ -> Avail.insn_transfer info.d_insn st)
       | _ ->
         (* calls/syscalls barrier and register-def kills: the shared
            instruction-shape transfer, identical to the trace pass's *)
-        Jt_analysis.Avail.insn_transfer info.d_insn st
+        Avail.insn_transfer info.d_insn st
     in
-    let solver = Avail_solver.solve ~entry:KS.empty ~transfer fa.fa_fn in
-    let domtree = Lazy.force fa.fa_domtree in
-    let defuse = Lazy.force fa.fa_defuse in
-    (* Witness attribution: the nearest gen site with the same key —
-       first looking backwards in the access's own block, then up the
-       dominator chain. *)
-    let witness_for (b : Jt_cfg.Cfg.block) k_idx key =
-      let in_block baddr limit =
-        match Hashtbl.find_opt gen_by_block baddr with
-        | None -> None
-        | Some sites ->
-          List.find_map
-            (fun (i, addr, k) ->
-              if i < limit && Key.compare k key = 0 then Some addr else None)
-            sites
-      in
-      match in_block b.b_addr k_idx with
-      | Some w -> Some w
-      | None ->
-        List.find_map
-          (fun baddr -> in_block baddr max_int)
-          (match Jt_cfg.Domtree.dom_chain domtree b.b_addr with
-          | _self :: chain -> chain
-          | [] -> [])
+    let solver =
+      Avail_solver.solve ~entry:Avail.Map.empty ~transfer fa.fa_fn
     in
     List.iter
-      (fun ((b : Jt_cfg.Cfg.block), k_idx, (info : Jt_disasm.Disasm.insn_info),
-            width, m) ->
+      (fun ((info : Jt_disasm.Disasm.insn_info), width, m) ->
         let addr = info.d_addr in
         if not (Hashtbl.mem claims addr) then
-          match key_of m width with
-          | None -> ()
-          | Some key ->
-            let available =
-              match Avail_solver.before solver addr with
-              | Some st -> KS.mem key st
-              | None -> false
-            in
-            if available then (
-              match witness_for b k_idx key with
-              | Some w
-                when List.for_all
-                       (fun r ->
-                         Jt_analysis.Defuse.same_defs defuse r ~at_a:w
-                           ~at_b:addr)
-                       (key_regs key) ->
-                claim addr (Dom_elided w)
-              | _ -> ()))
+          match (key_of m width, Avail_solver.before solver addr) with
+          | Some key, Some st -> (
+            match Avail.witness key st with
+            | Some w -> claim addr (Dom_elided w)
+            | None -> ())
+          | _ -> ())
       accesses
   end;
   {
     er_fn = fa.fa_fn.Jt_cfg.Cfg.f_entry;
     er_claims =
       List.map
-        (fun (_, _, (info : Jt_disasm.Disasm.insn_info), _, _) ->
+        (fun ((info : Jt_disasm.Disasm.insn_info), _, _) ->
           ( info.d_addr,
             Option.value ~default:Checked
               (Hashtbl.find_opt claims info.d_addr) ))

@@ -74,8 +74,8 @@ val is_pcrel : Jt_isa.Insn.mem -> bool
     reason it does or does not carry a shadow check.  Claims are computed
     in a fixed priority order: canary exemption, pc-relative, frame
     policy, SCEV coverage, dominating check.  [Dom_elided] is the
-    analysis-driven elision, built on {!Jt_analysis.Dataflow} and
-    {!Jt_cfg.Domtree}. *)
+    analysis-driven elision: the {!Jt_analysis.Avail} must-analysis
+    names, for each available key, the check that made it available. *)
 type claim =
   | Exempt_canary  (** canary-handling access, never instrumented *)
   | Pcrel  (** pc-relative static data *)
@@ -83,8 +83,10 @@ type claim =
       (** constant [sp]/[fp] offset, covered by the canary policy *)
   | Scev_covered  (** subsumed by a hoisted SCEV range check *)
   | Dom_elided of int
-      (** an identical, register-stable access is checked on every path;
-          the payload is the witness access's address *)
+      (** one identical, register-stable access is checked on every path
+          to this one; the payload is that access's address, itself
+          [Checked].  A key checked at different accesses on different
+          paths leaves the access [Checked]. *)
   | Checked  (** none of the above: gets a shadow check *)
 
 val claim_name : claim -> string

@@ -51,8 +51,9 @@ type event =
               trace's own back-edge) or ["trace-ind"] (hoisted to the
               induction guard's endpoint checks) *)
       witness : int;
-          (** address of the earlier access whose check subsumes this
-              one; [0] if unknown *)
+          (** the check that made the key available on the spine (from
+              the previous trip for ["trace-streak"]), or the loop-head
+              compare for ["trace-ind"] *)
     }
   | Flush_range of { start : int; len : int }
   | Module_load of { name : string; base : int }
@@ -69,8 +70,9 @@ type event =
           (** which static proof removed the check: ["dom"] (a
               dominating identical check) is the only one JASan emits *)
       witness : int;
-          (** for ["dom"], the address of the dominating checked access
-              that subsumes this one; [0] otherwise *)
+          (** for ["dom"], the address of the checked access that the
+              availability analysis found on every path to this one
+              with the same address key; [0] otherwise *)
     }
   | Violation of {
       kind : string;

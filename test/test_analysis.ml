@@ -372,7 +372,6 @@ let test_domtree_diamond () =
   Alcotest.(check bool)
     "strict dominance is irreflexive" false
     (Jt_cfg.Domtree.strictly_dominates dt j j);
-  Alcotest.(check (list int)) "chain from join" [ j; e ] (Jt_cfg.Domtree.dom_chain dt j);
   Alcotest.(check (list int))
     "children of entry" (List.sort compare [ t; el; j ])
     (List.sort compare (Jt_cfg.Domtree.children dt e))
@@ -482,14 +481,12 @@ let oracle_mismatch (fn : Jt_cfg.Cfg.fn) =
   let idom = oracle_idoms fn dom in
   let dt = fn.f_dom in
   let addrs = fn_addrs fn in
-  let rec chain a = a :: (match Hashtbl.find_opt idom a with Some p -> chain p | None -> []) in
   let kids a =
     List.filter (fun c -> Hashtbl.find_opt idom c = Some a) addrs
   in
   let fail fmt = Printf.ksprintf (fun s -> Some s) fmt in
   let per_block b =
     if Dt.idom dt b <> Hashtbl.find_opt idom b then fail "idom of %x" b
-    else if Dt.dom_chain dt b <> chain b then fail "dom_chain of %x" b
     else if Dt.children dt b <> kids b then fail "children of %x" b
     else
       List.find_map
@@ -598,7 +595,6 @@ let prop_domtree_oracle =
                  all
           else
             Dt.idom full.f_dom b = None
-            && Dt.dom_chain full.f_dom b = [ b ]
             && List.for_all
                  (fun a ->
                    Dt.dominates full.f_dom a b = (a = b)
@@ -624,9 +620,9 @@ let test_domtree_shapes () =
         [ (0, 1); (0, 2); (1, 3); (2, 3); (3, 4); (4, 5); (5, 4); (5, 3); (3, 6) ] );
     ]
 
-(* Unreachable blocks, a cycle among them included: no idom, a chain of
-   one, dominated only by themselves — and they do not perturb the
-   reachable blocks' tree. *)
+(* Unreachable blocks, a cycle among them included: no idom, dominated
+   only by themselves — and they do not perturb the reachable blocks'
+   tree. *)
 let test_domtree_unreachable () =
   let fn = fn_of_edges ~n:5 ~entry:0 [ (0, 1); (2, 3); (3, 2); (3, 1); (4, 4) ] in
   let dt = fn.f_dom in
@@ -635,7 +631,6 @@ let test_domtree_unreachable () =
     (fun u ->
       let a = addr_of u in
       Alcotest.(check (option int)) (Printf.sprintf "%d has no idom" u) None (Dt.idom dt a);
-      Alcotest.(check (list int)) (Printf.sprintf "%d chain" u) [ a ] (Dt.dom_chain dt a);
       List.iter
         (fun v ->
           Alcotest.(check bool)
@@ -644,12 +639,12 @@ let test_domtree_unreachable () =
             (Dt.dominates dt (addr_of v) a))
         [ 0; 1; 2; 3; 4 ])
     [ 2; 3; 4 ];
-  (* imported idoms with a cycle: every chain still ends *)
+  (* imported idoms with a cycle: its blocks have no idom *)
   let cyc =
     Dt.of_idoms ~entry:(addr_of 0)
       [ (addr_of 0, addr_of 0); (addr_of 1, addr_of 2); (addr_of 2, addr_of 1) ]
   in
-  Alcotest.(check (list int)) "cycle chain ends" [ addr_of 1 ] (Dt.dom_chain cyc (addr_of 1));
+  Alcotest.(check (option int)) "cycle has no idom" None (Dt.idom cyc (addr_of 1));
   Alcotest.(check bool) "entry does not dominate a cycle" false
     (Dt.dominates cyc (addr_of 0) (addr_of 2))
 

@@ -77,6 +77,12 @@ let fn_report m reports fname =
   let addr = (Jt_obj.Objfile.find_symbol m fname |> Option.get).vaddr in
   List.find (fun (r : Jt_jasan.Jasan.fn_report) -> r.er_fn = addr) reports
 
+let show_claims claims =
+  String.concat ", "
+    (List.map
+       (fun (a, c) -> Printf.sprintf "0x%x:%s" a (Jt_jasan.Jasan.claim_name c))
+       claims)
+
 (* Two identical heap loads, no redefinition and no barrier in between:
    the second is subsumed by the first (the dominating-check pass), with
    the first's address as witness. *)
@@ -104,13 +110,158 @@ let test_dominating_check_elided () =
   | [ (a1, Jt_jasan.Jasan.Checked); (a2, Jt_jasan.Jasan.Dom_elided w) ] ->
     Alcotest.(check int) "witness is the first load" a1 w;
     Alcotest.(check bool) "witness dominates" true (a1 < a2)
-  | claims ->
-    Alcotest.failf "unexpected claims: %s"
-      (String.concat ", "
-         (List.map
+  | claims -> Alcotest.failf "unexpected claims: %s" (show_claims claims)
+
+(* The claims of [main] in a one-function program, canary handling
+   dropped. *)
+let main_claims ~name body =
+  let m, reports = report_for ~name [ func "main" (body @ Progs.exit0) ] in
+  List.filter
+    (fun (_, c) -> c <> Jt_jasan.Jasan.Exempt_canary)
+    (fn_report m reports "main").er_claims
+
+let malloc_r6 = [ movi Reg.r0 32; call_import "malloc"; mov Reg.r6 Reg.r0 ]
+
+(* Three identical heap loads: the second and the third are both covered
+   by the first, the one that keeps its check.  Naming the second (itself
+   elided) as the third's witness would point at an access that carries
+   no check. *)
+let test_witness_keeps_its_check () =
+  match
+    main_claims ~name:"el3"
+      (malloc_r6
+      @ [
+          ld Reg.r1 (mem_b ~disp:0 Reg.r6);
+          ld Reg.r2 (mem_b ~disp:0 Reg.r6);
+          ld Reg.r3 (mem_b ~disp:0 Reg.r6);
+        ])
+  with
+  | [ (a1, Jt_jasan.Jasan.Checked);
+      (_, Jt_jasan.Jasan.Dom_elided w2);
+      (_, Jt_jasan.Jasan.Dom_elided w3) ] ->
+    Alcotest.(check int) "second's witness is the first load" a1 w2;
+    Alcotest.(check int) "third's witness is the first load" a1 w3
+  | claims -> Alcotest.failf "unexpected claims: %s" (show_claims claims)
+
+let all_checked label claims =
+  if
+    claims = []
+    || List.exists (fun (_, c) -> c <> Jt_jasan.Jasan.Checked) claims
+  then Alcotest.failf "%s: expected every access checked: %s" label
+      (show_claims claims)
+
+(* A diamond whose arms each check the key, with no check before the
+   branch: the key is available at the join, but from a different check
+   on each path, so no one access witnesses the join's. *)
+let diamond =
+  malloc_r6
+  @ [
+      cmpi Reg.r6 0;
+      jcc Insn.Eq "else";
+      ld Reg.r1 (mem_b ~disp:0 Reg.r6);
+      jmp "join";
+      label "else";
+      ld Reg.r2 (mem_b ~disp:0 Reg.r6);
+      label "join";
+      ld Reg.r3 (mem_b ~disp:0 Reg.r6);
+    ]
+
+let test_several_diamond () =
+  all_checked "diamond" (main_claims ~name:"eldia" diamond)
+
+(* After such a join the join's access keeps its check, so it becomes
+   the key's site: a later identical access is elided with the join's
+   access as witness, as the nearest check that covers it. *)
+let test_several_then_recheck () =
+  match
+    main_claims ~name:"eldia2" (diamond @ [ ld Reg.r4 (mem_b ~disp:0 Reg.r6) ])
+  with
+  | [ (_, Jt_jasan.Jasan.Checked); (_, Jt_jasan.Jasan.Checked);
+      (j, Jt_jasan.Jasan.Checked); (_, Jt_jasan.Jasan.Dom_elided w) ] ->
+    Alcotest.(check int) "witness is the join's access" j w
+  | claims -> Alcotest.failf "unexpected claims: %s" (show_claims claims)
+
+(* A dominating check, then one arm that redefines the base register
+   and checks again: the dominator's check no longer covers that path,
+   so reporting it as the join's witness would be stale. *)
+let test_several_redefined_arm () =
+  all_checked "redefined arm"
+    (main_claims ~name:"elred"
+       (malloc_r6
+       @ [
+           ld Reg.r1 (mem_b ~disp:0 Reg.r6);
+           cmpi Reg.r1 0;
+           jcc Insn.Eq "join";
+           mov Reg.r6 Reg.r0;
+           ld Reg.r2 (mem_b ~disp:0 Reg.r6);
+           label "join";
+           ld Reg.r3 (mem_b ~disp:0 Reg.r6);
+         ]))
+
+(* Every [Dom_elided w] over the registry's main modules, libc, libm and
+   ld.so: [w] is a [Checked] access of the same function with the same
+   address operand and width, and it dominates the access — earlier in
+   the same block, or in a dominating block. *)
+let test_registry_witnesses () =
+  let seen = Hashtbl.create 64 in
+  let modules =
+    List.concat_map
+      (fun (s : Jt_workloads.Sheet.t) ->
+        List.filter
+          (fun (m : Jt_obj.Objfile.t) ->
+            m.name = s.s_name || m.name = "libc.so" || m.name = "libm.so")
+          (Jt_workloads.Specgen.build s).w_registry)
+      Jt_workloads.Sheet.all
+    @ [ Jt_loader.Loader.ld_so ]
+    |> List.filter (fun m ->
+           let d = Jt_obj.Objfile.digest m in
+           (not (Hashtbl.mem seen d)) && (Hashtbl.replace seen d (); true))
+  in
+  let n_dom = ref 0 in
+  List.iter
+    (fun (m : Jt_obj.Objfile.t) ->
+      let sa = Janitizer.Static_analyzer.analyze m in
+      List.iter2
+        (fun (fa : Janitizer.Static_analyzer.fn_analysis)
+             (r : Jt_jasan.Jasan.fn_report) ->
+          (* access address -> (block, in-block index, operand, width) *)
+          let where = Hashtbl.create 64 in
+          List.iter
+            (fun (b : Jt_cfg.Cfg.block) ->
+              Array.iteri
+                (fun k (i : Jt_disasm.Disasm.insn_info) ->
+                  match i.d_insn with
+                  | Insn.Load (w, _, mem) | Insn.Store (w, mem, _) ->
+                    Hashtbl.replace where i.d_addr (b.b_addr, k, (mem, w))
+                  | _ -> ())
+                b.b_insns)
+            (Jt_cfg.Cfg.fn_blocks fa.fa_fn);
+          List.iter
             (fun (a, c) ->
-              Printf.sprintf "0x%x:%s" a (Jt_jasan.Jasan.claim_name c))
-            claims))
+              match c with
+              | Jt_jasan.Jasan.Dom_elided w ->
+                incr n_dom;
+                let fail why =
+                  Alcotest.failf "%s fn 0x%x: 0x%x elided by 0x%x: %s" m.name
+                    r.er_fn a w why
+                in
+                if List.assoc_opt w r.er_claims <> Some Jt_jasan.Jasan.Checked
+                then fail "witness is not checked";
+                let ab, ak, akey = Hashtbl.find where a in
+                let wb, wk, wkey = Hashtbl.find where w in
+                if akey <> wkey then fail "different key";
+                if
+                  not
+                    (if wb = ab then wk < ak
+                     else Jt_cfg.Domtree.dominates fa.fa_fn.f_dom wb ab)
+                then fail "witness does not dominate"
+              | _ -> ())
+            r.er_claims)
+        sa.sa_fns
+        (Jt_jasan.Jasan.elision_report sa))
+    modules;
+  Alcotest.(check int) "28 mains, libc, libm and ld.so" 31 (List.length modules);
+  Alcotest.(check bool) "some accesses elided" true (!n_dom > 0)
 
 (* A call between the two identical accesses is a shadow-state barrier
    (free/realloc may poison the range): the second access must keep its
@@ -313,6 +464,14 @@ let () =
       ( "claims",
         [
           Alcotest.test_case "dominating check" `Quick test_dominating_check_elided;
+          Alcotest.test_case "witness keeps its check" `Quick
+            test_witness_keeps_its_check;
+          Alcotest.test_case "several: diamond" `Quick test_several_diamond;
+          Alcotest.test_case "several: re-check becomes the site" `Quick
+            test_several_then_recheck;
+          Alcotest.test_case "several: redefined arm" `Quick
+            test_several_redefined_arm;
+          Alcotest.test_case "registry witnesses" `Quick test_registry_witnesses;
           Alcotest.test_case "call barrier" `Quick test_call_is_barrier;
           Alcotest.test_case "masked frame store checked" `Quick
             test_masked_frame_store_checked;

@@ -110,16 +110,6 @@ let gen_canary =
       })
     (tup5 gen_addr gen_addr gen_addr gen_i32 (small 3 gen_addr))
 
-let gen_value =
-  let open QCheck2.Gen in
-  oneof
-    [
-      return Ir.Vbot;
-      map2 (fun lo hi -> Ir.Vcst (lo, hi)) gen_i32 gen_i32;
-      map2 (fun lo hi -> Ir.Vsprel (lo, hi)) gen_i32 gen_i32;
-      return Ir.Vtop;
-    ]
-
 (* A function's blocks and a valid idom tree over them: distinct blocks,
    the entry its own idom, every other block's idom a block listed
    before it in a random order — so every chain ends at the entry. *)
@@ -140,7 +130,7 @@ let gen_idom_tree =
 
 let gen_fn =
   let open QCheck2.Gen in
-  map (fun (((entry, tree), name, loops, live_all), (live, canaries, scev), (vsa, defuse)) ->
+  map (fun (((entry, tree), name, loops, live_all), (live, canaries, scev)) ->
       {
         Ir.if_entry = entry;
         if_name = name;
@@ -150,24 +140,15 @@ let gen_fn =
         if_live = live;
         if_canaries = canaries;
         if_scev = scev;
-        if_vsa = vsa;
         if_idom = List.map snd tree;
-        if_defuse = defuse;
       })
-    (tup3
+    (pair
        (tup4 gen_idom_tree (option string_small)
           (small 2 (pair gen_addr (small 3 gen_addr)))
           bool)
        (tup3
           (small 4 (tup3 gen_addr (int_bound 0xFFFF) gen_u8))
-          (small 2 gen_canary) (small 2 gen_scev))
-       (pair
-          (option
-             (small 3
-                (pair gen_addr (map Array.of_list (small 8 gen_value)))))
-          (small 2
-             (pair gen_addr
-                (small 3 (pair (int_bound 7) (small 3 gen_i32)))))))
+          (small 2 gen_canary) (small 2 gen_scev)))
 
 let gen_cpa_site =
   let open QCheck2.Gen in
@@ -223,7 +204,7 @@ let test_smallest_fns_roundtrip () =
   let fn a =
     { Ir.if_entry = a; if_name = None; if_blocks = [ a ]; if_loops = [];
       if_live_all = false; if_live = []; if_canaries = []; if_scev = [];
-      if_vsa = None; if_idom = [ a ]; if_defuse = [] }
+      if_idom = [ a ] }
   in
   let ir =
     { (Janitizer.Static_analyzer.to_ir
@@ -269,12 +250,16 @@ let test_decode_rejects () =
          Ir.schema_version)
     "wrong schema version"
     (fun () -> Ir.decode (Bytes.to_string bumped));
-  (* schema 4 still carried a per-function stack record; under a valid
-     checksum it is a typed error, not a misparse *)
-  decode_error
-    ~reason:(Printf.sprintf "version 4, expected %d" Ir.schema_version)
-    "schema 4 entry"
-    (fun () -> Ir.decode (reseal ~version:4 (payload_of enc)));
+  (* schema 4 still carried a per-function stack record, schema 5 VSA
+     in-states and def-use chains; under a valid checksum each is a typed
+     error, not a misparse *)
+  List.iter
+    (fun v ->
+      decode_error
+        ~reason:(Printf.sprintf "version %d, expected %d" v Ir.schema_version)
+        (Printf.sprintf "schema %d entry" v)
+        (fun () -> Ir.decode (reseal ~version:v (payload_of enc))))
+    [ 4; 5 ];
   decode_error ~reason:"trailing bytes" "trailing bytes" (fun () ->
       Ir.decode (enc ^ "\x00"))
 
@@ -469,7 +454,9 @@ let test_store_wrong_version () =
           Bytes.set b 4 (Char.chr (Ir.schema_version + 1));
           Bytes.to_string b));
   check_corrupt_reanalyzes "schema4" (fun p ->
-      rewrite p (fun d -> reseal ~version:4 (payload_of d)))
+      rewrite p (fun d -> reseal ~version:4 (payload_of d)));
+  check_corrupt_reanalyzes "schema5" (fun p ->
+      rewrite p (fun d -> reseal ~version:5 (payload_of d)))
 
 let test_store_stale_digest () =
   (* The file decodes fine but records a different module's digest — the
@@ -544,7 +531,24 @@ let test_warm_load_equivalence () =
         (rules_bytes tool cold_sa) (rules_bytes tool warm_sa);
       Alcotest.(check bool) "identical IR" true
         (Janitizer.Static_analyzer.to_ir cold_sa
-        = Janitizer.Static_analyzer.to_ir warm_sa))
+        = Janitizer.Static_analyzer.to_ir warm_sa);
+      (* VSA is not persisted: the warm analysis recomputes it from the
+         stored CFG, and every block's in-state must match *)
+      List.iter2
+        (fun (c : Janitizer.Static_analyzer.fn_analysis)
+             (w : Janitizer.Static_analyzer.fn_analysis) ->
+          let cv = Lazy.force c.fa_vsa and wv = Lazy.force w.fa_vsa in
+          let entry = c.fa_fn.Jt_cfg.Cfg.f_entry in
+          Alcotest.(check bool)
+            (Printf.sprintf "0x%x bailed" entry)
+            (Jt_analysis.Vsa.bailed cv) (Jt_analysis.Vsa.bailed wv);
+          List.iter
+            (fun (b : Jt_cfg.Cfg.block) ->
+              if Jt_analysis.Vsa.block_in cv b.b_addr
+                 <> Jt_analysis.Vsa.block_in wv b.b_addr
+              then Alcotest.failf "0x%x: VSA in-state of 0x%x differs" entry b.b_addr)
+            (Jt_cfg.Cfg.fn_blocks c.fa_fn))
+        cold_sa.sa_fns warm_sa.sa_fns)
 
 (* CPA is a typed IR field: a warm analysis imports the persisted sites
    instead of re-running the pass, and JCFI's per-site policy follows. *)
