@@ -90,6 +90,9 @@ type bench_runs = {
   b_lk_w_air : Jt_metrics.Metrics.cell;
   b_sair_jcfi : float;
   b_sair_bincfi : Jt_metrics.Metrics.cell;
+  b_cycles : (string * int) list;
+      (** simulated cycles of native and of every scheme that ran, in
+          run order; RetroWrite runs against its own PIC native *)
 }
 
 let ratio c n = float_of_int c /. float_of_int n
@@ -106,8 +109,9 @@ let measure (s : Sheet.t) =
   let main = s.s_name in
   let native = Specgen.run_native w in
   let n = native.r_cycles in
-  let diverged = ref [] in
+  let diverged = ref [] and cycles = ref [ ("native", n) ] in
   let check_out ?(base = native) scheme (r : Jt_vm.Vm.result) =
+    cycles := (scheme, r.r_cycles) :: !cycles;
     if r.r_output <> base.r_output || r.r_status <> base.r_status then
       diverged := scheme :: !diverged
   in
@@ -138,13 +142,13 @@ let measure (s : Sheet.t) =
     with
     | Ok r ->
       let np = Specgen.run_native wp in
+      cycles := ("native-pic", np.r_cycles) :: !cycles;
       check_out ~base:np "retrowrite" r;
       value (ratio r.r_cycles np.r_cycles)
     | Error (Jt_baselines.Retrowrite_like.Needs_pic m) ->
       Jt_metrics.Metrics.Fail ("non-PIC: " ^ m)
     | Error (Jt_baselines.Retrowrite_like.Unsupported_feature (m, f)) ->
       Jt_metrics.Metrics.Fail (m ^ ": " ^ f)
-    | Error Jt_baselines.Retrowrite_like.Applicable -> assert false
   in
   let run_jcfi ?(hybrid = true) ?config scheme =
     let tool, rt = Jt_jcfi.Jcfi.create ?config () in
@@ -182,15 +186,13 @@ let measure (s : Sheet.t) =
       value (ratio r.r_cycles n)
     | Error (Jt_baselines.Bincfi.Broken_rewrite m) ->
       Jt_metrics.Metrics.Fail ("broken rewrite: " ^ m)
-    | Error Jt_baselines.Bincfi.Applicable -> assert false
   in
   let closure = Janitizer.Driver.static_closure ~registry ~main in
   let sair_jcfi = Jt_jcfi.Air.static_jcfi closure in
   let sair_bincfi =
     match Jt_baselines.Bincfi.applicability ~registry ~main with
-    | Jt_baselines.Bincfi.Applicable ->
-      value (Jt_baselines.Bincfi.static_air closure)
-    | Jt_baselines.Bincfi.Broken_rewrite m ->
+    | None -> value (Jt_baselines.Bincfi.static_air closure)
+    | Some (Jt_baselines.Bincfi.Broken_rewrite m) ->
       Jt_metrics.Metrics.Fail ("broken rewrite: " ^ m)
   in
   ( {
@@ -213,6 +215,7 @@ let measure (s : Sheet.t) =
       b_lk_w_air = lk_w_air;
       b_sair_jcfi = sair_jcfi;
       b_sair_bincfi = sair_bincfi;
+      b_cycles = List.rev !cycles;
     },
     List.rev !diverged )
 
@@ -238,7 +241,9 @@ let sweep =
                       (fun (r, d) ->
                         Obj
                           [ ("name", String (name r));
-                            ("diverged", List (List.map (fun x -> String x) d)) ])
+                            ("diverged", List (List.map (fun x -> String x) d));
+                            ( "cycles",
+                              Obj (List.map (fun (k, c) -> (k, Int c)) r.b_cycles) ) ])
                       runs)) ) ];
          failures =
            List.concat_map
@@ -428,7 +433,7 @@ type dispatch_row = {
 let dispatch_rows () =
   let loopy = [ "bzip2"; "hmmer"; "mcf"; "milc"; "lbm"; "sjeng" ] in
   let run_one ~chain ~ibl ~trace registry main =
-    let vm = Jt_vm.Vm.make ~registry in
+    let vm = Jt_vm.Vm.make ~registry () in
     let engine = Jt_dbt.Dbt.create ~vm ~chain ~ibl ~trace () in
     Jt_vm.Vm.boot vm ~main;
     (* count from a clean slate: nothing before [run] may leak in *)

@@ -211,7 +211,7 @@ let eval_operand st = function
 (* Abstract [base + index*scale + disp]; [next_pc] resolves pc-relative
    bases (the address of the following instruction is a link-time
    constant). *)
-let eval_mem st ~next_pc (m : Insn.mem) =
+let eval_addr st ~next_pc (m : Insn.mem) =
   let base =
     match m.Insn.base with
     | Some (Insn.Breg r) -> get st r
@@ -240,7 +240,7 @@ let transfer_regs ~trust ~at ~len (i : Insn.t) st =
   let next_pc = at + len in
   match i with
   | Insn.Mov (rd, src) -> set st rd (eval_operand st src)
-  | Insn.Lea (rd, m) -> set st rd (eval_mem st ~next_pc m)
+  | Insn.Lea (rd, m) -> set st rd (eval_addr st ~next_pc m)
   | Insn.Load (_, rd, _) -> set st rd Top
   | Insn.Load_canary rd -> set st rd Top
   | Insn.Binop (op, rd, src) ->
@@ -305,7 +305,7 @@ let mem_addr t (info : insn_info) (m : Insn.mem) =
   | None -> Top
   | Some s -> (
     match Solver.before s info.d_addr with
-    | Some st -> eval_mem st ~next_pc:(info.d_addr + info.d_len) m
+    | Some st -> eval_addr st ~next_pc:(info.d_addr + info.d_len) m
     | None -> Top)
 
 let block_in t a =

@@ -2,7 +2,7 @@ open Jt_isa
 
 let data_in_code_threshold = 0.10
 
-type verdict = Applicable | Broken_rewrite of string
+type refusal = Broken_rewrite of string
 
 (* The implicit dynamic loader is part of every process: include it in
    the analyzed closure like the registry-provided modules. *)
@@ -21,12 +21,12 @@ let closure ~registry ~main =
   let ld = List.find (fun (m : Jt_obj.Objfile.t) -> String.equal m.name "ld.so") registry in
   if List.memq ld mods then mods else ld :: mods
 
-(* Fraction of non-padding code-section bytes the static disassembly
-   could not decode: embedded data.  Zero bytes are alignment padding and
-   don't confuse a rewriter; everything else that isn't an instruction
-   does.  Past the threshold, the rewriter produces a broken binary. *)
-let data_in_code_fraction (m : Jt_obj.Objfile.t) =
-  let d = Jt_disasm.Disasm.run m in
+(* Fraction of non-padding code-section bytes the static disassembly [d]
+   of [m] could not decode: embedded data.  Zero bytes are alignment
+   padding and don't confuse a rewriter; everything else that isn't an
+   instruction does.  Past the threshold, the rewriter produces a broken
+   binary. *)
+let data_in_code_fraction (m : Jt_obj.Objfile.t) (d : Jt_disasm.Disasm.t) =
   let covered = Hashtbl.create 4096 in
   Hashtbl.iter
     (fun a (i : Jt_disasm.Disasm.insn_info) ->
@@ -47,24 +47,28 @@ let data_in_code_fraction (m : Jt_obj.Objfile.t) =
     (Jt_obj.Objfile.code_sections m);
   if !total = 0 then 0.0 else float_of_int !uncovered /. float_of_int !total
 
-let applicability ~registry ~main =
-  let rec check = function
-    | [] -> Applicable
-    | (m : Jt_obj.Objfile.t) :: rest ->
-      if data_in_code_fraction m > data_in_code_threshold then
-        Broken_rewrite m.name
-      else check rest
-  in
-  check (closure ~registry ~main)
+(* Each module of the closure with its static disassembly, which the
+   applicability check and the target sets both read. *)
+let disassemble ~registry ~main =
+  List.map (fun m -> (m, Jt_disasm.Disasm.run m)) (closure ~registry ~main)
+
+let refusal_of disassembled =
+  List.find_map
+    (fun ((m : Jt_obj.Objfile.t), d) ->
+      if data_in_code_fraction m d > data_in_code_threshold then
+        Some (Broken_rewrite m.name)
+      else None)
+    disassembled
+
+let applicability ~registry ~main = refusal_of (disassemble ~registry ~main)
 
 type mod_sets = {
-  bc_mod : Jt_obj.Objfile.t;
+  bc_disasm : Jt_disasm.Disasm.t;
   scan_targets : (int, unit) Hashtbl.t;  (** link-time; scan ∩ insn boundary *)
   ret_targets : (int, unit) Hashtbl.t;  (** call-preceded instructions *)
 }
 
-let analyze_module (m : Jt_obj.Objfile.t) =
-  let d = Jt_disasm.Disasm.run m in
+let analyze_module (m : Jt_obj.Objfile.t) d =
   let scan_targets = Hashtbl.create 64 in
   (* BinCFI disassembles speculatively from scanned constants, so values
      that decode plausibly count as boundaries even when recursive
@@ -102,18 +106,17 @@ let analyze_module (m : Jt_obj.Objfile.t) =
         Hashtbl.replace ret_targets (a + info.d_len) ()
       | _ -> ())
     d.insns;
-  { bc_mod = m; scan_targets; ret_targets }
+  { bc_disasm = d; scan_targets; ret_targets }
 
-type rt_sets = {
-  rs : (Jt_loader.Loader.loaded * mod_sets) list;
-}
+(* The rewritten modules loaded so far, newest first. *)
+type rt_sets = (Jt_loader.Loader.loaded * mod_sets) list
 
 (* Static rewriting constrains transfers into code it rewrote; a target
    outside every rewritten module (dlopen'd binaries the rewriter never
    saw, or generated code) is out of its jurisdiction and passes
    through — part of why its coverage is incomplete. *)
-let in_rewritten rts target =
-  List.exists (fun (l, _) -> Jt_loader.Loader.contains l target) rts.rs
+let in_rewritten (rts : rt_sets) target =
+  List.exists (fun (l, _) -> Jt_loader.Loader.contains l target) rts
 
 let forward_ok rts target =
   (not (in_rewritten rts target))
@@ -121,7 +124,7 @@ let forward_ok rts target =
        (fun ((l : Jt_loader.Loader.loaded), s) ->
          Jt_loader.Loader.contains l target
          && Hashtbl.mem s.scan_targets (Jt_loader.Loader.link_addr l target))
-       rts.rs
+       rts
 
 let ret_ok rts target =
   target = Jt_vm.Vm.sentinel
@@ -130,76 +133,71 @@ let ret_ok rts target =
        (fun ((l : Jt_loader.Loader.loaded), s) ->
          Jt_loader.Loader.contains l target
          && Hashtbl.mem s.ret_targets (Jt_loader.Loader.link_addr l target))
-       rts.rs
+       rts
 
-let run ?(fuel = 200_000_000) ~registry ~main () =
-  match applicability ~registry ~main with
-  | Broken_rewrite _ as v -> Error v
-  | Applicable ->
-    let static_mods = closure ~registry ~main in
-    let analyzed = List.map (fun m -> (m.Jt_obj.Objfile.name, analyze_module m)) static_mods in
-    let rts = { rs = [] } in
-    let rts = ref rts in
-    let vm = Jt_vm.Vm.make ~registry in
+let in_ld_so (vm : Jt_vm.Vm.t) at =
+  match Jt_loader.Loader.module_at vm.loader at with
+  | Some l -> String.equal l.lmod.Jt_obj.Objfile.name "ld.so"
+  | None -> false
+
+(* Each indirect transfer and return inside a rewritten module goes
+   through the address-translation lookup, which enforces the policy
+   before the transfer. *)
+let instrument (rts : rt_sets ref) ~at i len op =
+  match Jt_vm.Vm.compile_target ~next_pc:(at + len) i with
+  | Some target ->
+    fun vm ->
+      if in_rewritten !rts at then begin
+        Jt_vm.Vm.charge vm Jt_vm.Cost.bincfi_translation;
+        let tgt = target vm in
+        if tgt <> Jt_vm.Vm.sentinel && not (forward_ok !rts tgt) then
+          Jt_vm.Vm.report_violation vm ~kind:"bincfi-forward" ~addr:tgt
+      end;
+      op vm
+  | None -> (
+    match (i : Insn.t) with
+    | Ret ->
+      fun vm ->
+        if in_rewritten !rts at then begin
+          Jt_vm.Vm.charge vm Jt_vm.Cost.bincfi_translation;
+          let tgt = Jt_mem.Memory.read32 vm.mem (Jt_vm.Vm.get vm Reg.sp) in
+          (* BinCFI patches the loader's resolver ret into a jump with
+             the (permissive) forward policy. *)
+          if in_ld_so vm at then begin
+            if not (forward_ok !rts tgt || ret_ok !rts tgt) then
+              Jt_vm.Vm.report_violation vm ~kind:"bincfi-forward" ~addr:tgt
+          end
+          else if not (ret_ok !rts tgt) then
+            Jt_vm.Vm.report_violation vm ~kind:"bincfi-ret" ~addr:tgt
+        end;
+        op vm
+    | _ -> op)
+
+let run ?fuel ~registry ~main () =
+  let disassembled = disassemble ~registry ~main in
+  match refusal_of disassembled with
+  | Some r -> Error r
+  | None ->
+    let analyzed =
+      List.map
+        (fun ((m : Jt_obj.Objfile.t), d) -> (m.name, analyze_module m d))
+        disassembled
+    in
+    let rts = ref [] in
+    let vm = Jt_vm.Vm.make ~instrument:(instrument rts) ~registry () in
     Jt_loader.Loader.on_load vm.loader (fun l ->
         match List.assoc_opt l.lmod.Jt_obj.Objfile.name analyzed with
-        | Some s -> rts := { rs = (l, s) :: !rts.rs }
+        | Some s -> rts := (l, s) :: !rts
         | None -> ());
     Jt_vm.Vm.boot vm ~main;
-    let covered at =
-      List.exists (fun (l, _) -> Jt_loader.Loader.contains l at) !rts.rs
-    in
-    let in_ld_so at =
-      match Jt_loader.Loader.module_at vm.loader at with
-      | Some l -> String.equal l.lmod.Jt_obj.Objfile.name "ld.so"
-      | None -> false
-    in
-    while vm.status = Jt_vm.Vm.Running do
-      if vm.icount >= fuel then vm.status <- Jt_vm.Vm.Fault Jt_vm.Vm.Out_of_fuel
-      else if vm.pc = Jt_vm.Vm.sentinel then Jt_vm.Vm.advance_phase vm
-      else
-        match Jt_vm.Vm.fetch vm vm.pc with
-        | None -> vm.status <- Jt_vm.Vm.Fault (Jt_vm.Vm.Decode_fault vm.pc)
-        | Some { d_insn = i; d_len = len; d_op } ->
-          let at = vm.pc in
-          (if covered at then
-             match Insn.cti_kind i with
-             | Some (Insn.Cti_call_ind | Insn.Cti_jmp_ind) ->
-               Jt_vm.Vm.charge vm Jt_vm.Cost.bincfi_translation;
-               let tgt =
-                 match i with
-                 | Insn.Call_ind (Some r, _) | Insn.Jmp_ind (Some r, _) ->
-                   Jt_vm.Vm.get vm r
-                 | Insn.Call_ind (None, Some m) | Insn.Jmp_ind (None, Some m) ->
-                   Jt_mem.Memory.read32 vm.mem
-                     (Jt_vm.Vm.eval_mem vm ~next_pc:(at + len) m)
-                 | _ -> 0
-               in
-               if tgt <> Jt_vm.Vm.sentinel && not (forward_ok !rts tgt) then
-                 Jt_vm.Vm.report_violation vm ~kind:"bincfi-forward" ~addr:tgt
-             | Some Insn.Cti_ret ->
-               Jt_vm.Vm.charge vm Jt_vm.Cost.bincfi_translation;
-               let tgt = Jt_mem.Memory.read32 vm.mem (Jt_vm.Vm.get vm Reg.sp) in
-               (* BinCFI patches the loader's resolver ret into a jump with
-                  the (permissive) forward policy. *)
-               if in_ld_so at then begin
-                 if not (forward_ok !rts tgt || ret_ok !rts tgt) then
-                   Jt_vm.Vm.report_violation vm ~kind:"bincfi-forward" ~addr:tgt
-               end
-               else if not (ret_ok !rts tgt) then
-                 Jt_vm.Vm.report_violation vm ~kind:"bincfi-ret" ~addr:tgt
-             | Some
-                 ( Insn.Cti_jmp _ | Insn.Cti_jcc _ | Insn.Cti_call _
-                 | Insn.Cti_halt | Insn.Cti_syscall )
-             | None ->
-               ());
-          d_op vm
-    done;
+    Jt_vm.Vm.run ?fuel vm;
     Ok (Jt_vm.Vm.result vm)
 
 let static_air modules =
   let total = Jt_jcfi.Air.total_code_bytes modules in
-  let analyzed = List.map analyze_module modules in
+  let analyzed =
+    List.map (fun m -> analyze_module m (Jt_disasm.Disasm.run m)) modules
+  in
   let forward_size =
     float_of_int
       (List.fold_left (fun acc s -> acc + Hashtbl.length s.scan_targets) 0 analyzed)
@@ -211,7 +209,6 @@ let static_air modules =
   let sizes = ref [] in
   List.iter
     (fun s ->
-      let d = Jt_disasm.Disasm.run s.bc_mod in
       Hashtbl.iter
         (fun _ (info : Jt_disasm.Disasm.insn_info) ->
           match Insn.cti_kind info.d_insn with
@@ -223,6 +220,6 @@ let static_air modules =
               | Insn.Cti_syscall )
           | None ->
             ())
-        d.insns)
+        s.bc_disasm.insns)
     analyzed;
   Jt_jcfi.Air.air ~sizes:!sizes ~total

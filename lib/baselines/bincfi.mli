@@ -15,19 +15,20 @@
 
 val data_in_code_threshold : float
 
-type verdict = Applicable | Broken_rewrite of string  (** offending module *)
+(** Why the rewriter refuses a binary. *)
+type refusal = Broken_rewrite of string  (** offending module *)
 
-val data_in_code_fraction : Jt_obj.Objfile.t -> float
-(** Fraction of code-section bytes static disassembly cannot decode. *)
-
-val applicability : registry:Jt_obj.Objfile.t list -> main:string -> verdict
+val applicability : registry:Jt_obj.Objfile.t list -> main:string -> refusal option
+(** [None] when no module of the closure embeds more than
+    {!data_in_code_threshold} of its code bytes as data (bytes static
+    disassembly cannot decode). *)
 
 val run :
   ?fuel:int ->
   registry:Jt_obj.Objfile.t list ->
   main:string ->
   unit ->
-  (Jt_vm.Vm.result, verdict) result
+  (Jt_vm.Vm.result, refusal) result
 
 val static_air : Jt_obj.Objfile.t list -> float
 (** Static AIR under BinCFI's policy (Figure 13). *)

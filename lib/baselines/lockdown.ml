@@ -105,13 +105,6 @@ let ijmp_ok rt ~site target =
     let lo, hi = Jt_vm.Vm.jit_region in
     target >= lo && target < hi
 
-let target_of insn ~at ~len vm =
-  match insn with
-  | Insn.Call_ind (Some r, _) | Insn.Jmp_ind (Some r, _) -> Jt_vm.Vm.get vm r
-  | Insn.Call_ind (None, Some m) | Insn.Jmp_ind (None, Some m) ->
-    Jt_mem.Memory.read32 vm.Jt_vm.Vm.mem (Jt_vm.Vm.eval_mem vm ~next_pc:(at + len) m)
-  | _ -> 0
-
 let client rt =
   {
     Jt_dbt.Dbt.cl_name = "lockdown";
@@ -126,8 +119,10 @@ let client rt =
         Array.iteri
           (fun k (at, insn, len) ->
             let metas = ref [] in
-            (match Insn.cti_kind insn with
-            | Some (Insn.Cti_call _) ->
+            (match
+               (Insn.cti_kind insn, Jt_vm.Vm.compile_target ~next_pc:(at + len) insn)
+             with
+            | Some (Insn.Cti_call _), _ ->
               metas :=
                 {
                   Jt_dbt.Dbt.m_cost = Jt_vm.Cost.cfi_shadow_push;
@@ -137,7 +132,7 @@ let client rt =
                   m_kind = Jt_dbt.Dbt.M_opaque;
                 }
                 :: !metas
-            | Some Insn.Cti_call_ind ->
+            | Some Insn.Cti_call_ind, Some target ->
               metas :=
                 {
                   Jt_dbt.Dbt.m_cost =
@@ -145,7 +140,7 @@ let client rt =
                   m_action =
                     Some
                       (fun vm ->
-                        let tgt = target_of insn ~at ~len vm in
+                        let tgt = target vm in
                         Hashtbl.replace rt.sites at Kicall;
                         if
                           tgt <> Jt_vm.Vm.sentinel && not (icall_ok rt ~site:at tgt)
@@ -156,14 +151,14 @@ let client rt =
                   m_kind = Jt_dbt.Dbt.M_opaque;
                 }
                 :: !metas
-            | Some Insn.Cti_jmp_ind ->
+            | Some Insn.Cti_jmp_ind, Some target ->
               metas :=
                 {
                   Jt_dbt.Dbt.m_cost = Jt_vm.Cost.lockdown_indirect;
                   m_action =
                     Some
                       (fun vm ->
-                        let tgt = target_of insn ~at ~len vm in
+                        let tgt = target vm in
                         let range =
                           Option.bind (mod_at rt at) (fun lm -> fn_range_of lm at)
                         in
@@ -176,7 +171,7 @@ let client rt =
                   m_kind = Jt_dbt.Dbt.M_opaque;
                 }
                 :: !metas
-            | Some Insn.Cti_ret ->
+            | Some Insn.Cti_ret, _ ->
               if in_ld_so at then
                 (* resolver special case: Lockdown's secure loader rewrites
                    this path; treat it as allowed *)
@@ -202,10 +197,12 @@ let client rt =
                     m_kind = Jt_dbt.Dbt.M_opaque;
                   }
                   :: !metas
-            | Some
-                ( Insn.Cti_jmp _ | Insn.Cti_jcc _ | Insn.Cti_halt
-                | Insn.Cti_syscall )
-            | None ->
+            | Some (Insn.Cti_call_ind | Insn.Cti_jmp_ind), None
+            | ( Some
+                  ( Insn.Cti_jmp _ | Insn.Cti_jcc _ | Insn.Cti_halt
+                  | Insn.Cti_syscall ),
+                _ )
+            | None, _ ->
               ());
             plan.(k) <- !metas)
           b.insns;
@@ -275,7 +272,7 @@ let run ?(fuel = 200_000_000) ?(policy = Strong) ~registry ~main () =
       sites = Hashtbl.create 64;
     }
   in
-  let vm = Jt_vm.Vm.make ~registry in
+  let vm = Jt_vm.Vm.make ~registry () in
   let engine =
     (* Lockdown's libdetox keeps its own constants: no IBL discount, no
        trace stitching — every indirect pays the lightweight profile's

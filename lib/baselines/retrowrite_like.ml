@@ -1,9 +1,6 @@
 open Jt_isa
 
-type verdict =
-  | Applicable
-  | Needs_pic of string
-  | Unsupported_feature of string * string
+type refusal = Needs_pic of string | Unsupported_feature of string * string
 
 (* Transitive dependency closure over the registry (the "ldd" view). *)
 let closure ~registry ~main =
@@ -27,18 +24,15 @@ let closure ~registry ~main =
   List.rev !order
 
 let applicability ~registry ~main =
-  let mods = closure ~registry ~main in
-  let rec check = function
-    | [] -> Applicable
-    | (m : Jt_obj.Objfile.t) :: rest ->
+  List.find_map
+    (fun (m : Jt_obj.Objfile.t) ->
       if Jt_obj.Objfile.has_feature m Jt_obj.Objfile.Cxx_exceptions then
-        Unsupported_feature (m.name, "C++ exception tables")
+        Some (Unsupported_feature (m.name, "C++ exception tables"))
       else if Jt_obj.Objfile.has_feature m Jt_obj.Objfile.Fortran_runtime then
-        Unsupported_feature (m.name, "Fortran runtime")
-      else if m.kind = Jt_obj.Objfile.Exec_nonpic then Needs_pic m.name
-      else check rest
-  in
-  check mods
+        Some (Unsupported_feature (m.name, "Fortran runtime"))
+      else if m.kind = Jt_obj.Objfile.Exec_nonpic then Some (Needs_pic m.name)
+      else None)
+    (closure ~registry ~main)
 
 let check_cost ~dead ~flags_dead =
   Jt_vm.Cost.asan_check
@@ -51,10 +45,9 @@ let check_cost ~dead ~flags_dead =
 module Sitemap = struct
   type meta = { sm_cost : int; sm_action : Jt_vm.Vm.t -> unit }
 
-  (* The run-time table, kept current by loader callbacks; call before
-     [Vm.boot]. *)
-  let create ~maps_for (vm : Jt_vm.Vm.t) =
-    let tbl = Hashtbl.create 4096 in
+  (* Keep the run-time table [tbl] current with loader callbacks; call
+     before [Vm.boot]. *)
+  let track tbl ~maps_for (vm : Jt_vm.Vm.t) =
     let by_module : (int, int list) Hashtbl.t = Hashtbl.create 8 in
     Jt_loader.Loader.on_load vm.Jt_vm.Vm.loader (fun l ->
         match maps_for l.Jt_loader.Loader.lmod.Jt_obj.Objfile.name with
@@ -76,8 +69,23 @@ module Sitemap = struct
         | None -> ()
         | Some keys ->
           List.iter (Hashtbl.remove tbl) keys;
-          Hashtbl.remove by_module l.load_order);
-    tbl
+          Hashtbl.remove by_module l.load_order)
+
+  (* Run the metas the table holds for [at], when the instruction runs,
+     before its op. *)
+  let instrument tbl ~at _ _ op =
+    let wrapped vm =
+      (match Hashtbl.find_opt tbl at with
+      | Some metas ->
+        List.iter
+          (fun m ->
+            Jt_vm.Vm.charge vm m.sm_cost;
+            m.sm_action vm)
+          metas
+      | None -> ());
+      op vm
+    in
+    wrapped
 end
 
 (* Build the per-instruction instrumentation of one rewritten module
@@ -113,7 +121,11 @@ let instrument_module rt (m : Jt_obj.Objfile.t) =
                     info.d_addr
                 in
                 let len = Insn.width_bytes w in
-                let next = info.d_addr + info.d_len in
+                (* link-time == run-time only for non-PIC; the sitemap
+                   rebases the whole map per module. *)
+                let ea =
+                  Jt_vm.Vm.compile_addr ~next_pc:(info.d_addr + info.d_len) m'
+                in
                 let is_store =
                   match info.d_insn with Insn.Store _ -> true | _ -> false
                 in
@@ -123,10 +135,7 @@ let instrument_module rt (m : Jt_obj.Objfile.t) =
                       check_cost ~dead:(min 2 dead) ~flags_dead;
                     sm_action =
                       (fun vm ->
-                        (* link-time == run-time only for non-PIC; the
-                           sitemap rebases the whole map per module. *)
-                        let a = Jt_vm.Vm.eval_mem vm ~next_pc:next m' in
-                        Jt_jasan.Jasan.Rt.check rt vm ~addr:a ~len ~is_store);
+                        Jt_jasan.Jasan.Rt.check rt vm ~addr:(ea vm) ~len ~is_store);
                   }
               | _ -> ())
             b.b_insns)
@@ -157,10 +166,10 @@ let instrument_module rt (m : Jt_obj.Objfile.t) =
   Hashtbl.filter_map_inplace (fun _ metas -> Some (List.rev metas)) map;
   map
 
-let run ?(fuel = 200_000_000) ~registry ~main () =
+let run ?fuel ~registry ~main () =
   match applicability ~registry ~main with
-  | (Needs_pic _ | Unsupported_feature _) as v -> Error v
-  | Applicable ->
+  | Some r -> Error r
+  | None ->
     let rt = Jt_jasan.Jasan.Rt.create () in
     (* RetroWrite rewrites object *files*, not processes: every registry
        module its reassembly can handle is instrumented ahead of time —
@@ -177,30 +186,10 @@ let run ?(fuel = 200_000_000) ~registry ~main () =
           if rewritable m then Some (m.name, instrument_module rt m) else None)
         registry
     in
-    let vm = Jt_vm.Vm.make ~registry in
-    let sitemap =
-      Sitemap.create
-        ~maps_for:(fun name -> List.assoc_opt name link_maps)
-        vm
-    in
+    let sitemap = Hashtbl.create 4096 in
+    let vm = Jt_vm.Vm.make ~instrument:(Sitemap.instrument sitemap) ~registry () in
+    Sitemap.track sitemap ~maps_for:(fun name -> List.assoc_opt name link_maps) vm;
     Jt_jasan.Jasan.Rt.attach rt vm;
     Jt_vm.Vm.boot vm ~main;
-    while vm.status = Jt_vm.Vm.Running do
-      if vm.icount >= fuel then vm.status <- Jt_vm.Vm.Fault Jt_vm.Vm.Out_of_fuel
-      else if vm.pc = Jt_vm.Vm.sentinel then Jt_vm.Vm.advance_phase vm
-      else
-        match Jt_vm.Vm.fetch vm vm.pc with
-        | None -> vm.status <- Jt_vm.Vm.Fault (Jt_vm.Vm.Decode_fault vm.pc)
-        | Some { d_op; _ } ->
-          let at = vm.pc in
-          (match Hashtbl.find_opt sitemap at with
-          | Some metas ->
-            List.iter
-              (fun (m : Sitemap.meta) ->
-                Jt_vm.Vm.charge vm m.sm_cost;
-                m.sm_action vm)
-              metas
-          | None -> ());
-          d_op vm
-    done;
+    Jt_vm.Vm.run ?fuel vm;
     Ok (Jt_vm.Vm.result vm)

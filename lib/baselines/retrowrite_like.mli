@@ -11,8 +11,8 @@
     stops at static code: dynamically loaded or generated code runs
     uninstrumented. *)
 
-type verdict =
-  | Applicable
+(** Why the rewriter refuses a binary. *)
+type refusal =
   | Needs_pic of string  (** offending module *)
   | Unsupported_feature of string * string  (** module, feature *)
 
@@ -20,10 +20,11 @@ val closure :
   registry:Jt_obj.Objfile.t list -> main:string -> Jt_obj.Objfile.t list
 (** The static ("ldd") dependency closure, dependencies first. *)
 
-val applicability : registry:Jt_obj.Objfile.t list -> main:string -> verdict
+val applicability : registry:Jt_obj.Objfile.t list -> main:string -> refusal option
+(** [None] when the rewriter accepts the whole closure. *)
 
 val run :
   ?fuel:int -> registry:Jt_obj.Objfile.t list -> main:string -> unit ->
-  (Jt_vm.Vm.result, verdict) result
-(** [Error v] when the rewriter refuses the binary (the ✗ entries of
+  (Jt_vm.Vm.result, refusal) result
+(** [Error r] when the rewriter refuses the binary (the ✗ entries of
     Figure 7). *)

@@ -50,28 +50,26 @@ let check t (vm : Jt_vm.Vm.t) ~addr ~len =
   | Some (a, _) -> Jt_vm.Vm.report_violation vm ~kind:"heap-buffer-overflow" ~addr:a
   | None -> ()
 
-let run ?(fuel = 200_000_000) ~registry ~main () =
+(* Interpretation overhead on every instruction, plus a heavyweight
+   shadow check before every load and store. *)
+let instrument t ~at i len op =
+  match (i : Insn.t) with
+  | Load (w, _, m) | Store (w, m, _) ->
+    let ea = Jt_vm.Vm.compile_addr ~next_pc:(at + len) m
+    and len = Insn.width_bytes w in
+    fun vm ->
+      Jt_vm.Vm.charge vm (Jt_vm.Cost.valgrind_per_insn + Jt_vm.Cost.valgrind_mem_check);
+      check t vm ~addr:(ea vm) ~len;
+      op vm
+  | _ ->
+    fun vm ->
+      Jt_vm.Vm.charge vm Jt_vm.Cost.valgrind_per_insn;
+      op vm
+
+let run ?fuel ~registry ~main () =
   let t = create () in
-  let vm = Jt_vm.Vm.make ~registry in
+  let vm = Jt_vm.Vm.make ~instrument:(instrument t) ~registry () in
   attach t vm;
   Jt_vm.Vm.boot vm ~main;
-  let budget = fuel in
-  while vm.status = Jt_vm.Vm.Running do
-    if vm.icount >= budget then vm.status <- Jt_vm.Vm.Fault Jt_vm.Vm.Out_of_fuel
-    else if vm.pc = Jt_vm.Vm.sentinel then Jt_vm.Vm.advance_phase vm
-    else
-      match Jt_vm.Vm.fetch vm vm.pc with
-      | None -> vm.status <- Jt_vm.Vm.Fault (Jt_vm.Vm.Decode_fault vm.pc)
-      | Some { d_insn = i; d_len = len; d_op } ->
-        let at = vm.pc in
-        (* Interpretation overhead on every instruction. *)
-        Jt_vm.Vm.charge vm Jt_vm.Cost.valgrind_per_insn;
-        (match i with
-        | Insn.Load (w, _, m) | Insn.Store (w, m, _) ->
-          Jt_vm.Vm.charge vm Jt_vm.Cost.valgrind_mem_check;
-          let a = Jt_vm.Vm.eval_mem vm ~next_pc:(at + len) m in
-          check t vm ~addr:a ~len:(Insn.width_bytes w)
-        | _ -> ());
-        d_op vm
-  done;
+  Jt_vm.Vm.run ?fuel vm;
   Jt_vm.Vm.result vm

@@ -132,7 +132,7 @@ let run ?fuel ?(hybrid = true) ?profile ?ibl ?trace ?trace_elide
       (fun acc (_, (f : Jt_rules.Rules.file)) -> acc + List.length f.rf_rules)
       0 rule_files
   in
-  let vm = Jt_vm.Vm.make ~registry in
+  let vm = Jt_vm.Vm.make ~registry () in
   let engine =
     Jt_dbt.Dbt.create ~vm ?profile ?ibl ?trace ?trace_elide
       ~client:tool.Tool.t_client
@@ -169,7 +169,7 @@ let run ?fuel ?(hybrid = true) ?profile ?ibl ?trace ?trace_elide
 
 let run_null ?fuel ?profile ?ibl ?trace ~registry ~main () =
   Jt_metrics.Metrics.Counters.reset ();
-  let vm = Jt_vm.Vm.make ~registry in
+  let vm = Jt_vm.Vm.make ~registry () in
   let engine = Jt_dbt.Dbt.create ~vm ?profile ?ibl ?trace () in
   Jt_vm.Vm.boot vm ~main;
   if vm.Jt_vm.Vm.status = Jt_vm.Vm.Running then Jt_dbt.Dbt.run ?fuel engine;
@@ -188,7 +188,7 @@ let run_null ?fuel ?profile ?ibl ?trace ~registry ~main () =
    allocator interposition) on the fresh VM before boot. *)
 let run_plain ?fuel ?(setup = fun _ -> ()) ~registry ~main () =
   Jt_metrics.Metrics.Counters.reset ();
-  let vm = Jt_vm.Vm.make ~registry in
+  let vm = Jt_vm.Vm.make ~registry () in
   setup vm;
   Jt_vm.Vm.boot vm ~main;
   if vm.Jt_vm.Vm.status = Jt_vm.Vm.Running then Jt_vm.Vm.run ?fuel vm;

@@ -220,14 +220,12 @@ let run_scheme scheme m =
     | Ok r -> Ran (r, None)
     | Error (Jt_baselines.Retrowrite_like.Needs_pic m) -> Refused ("needs-pic:" ^ m)
     | Error (Jt_baselines.Retrowrite_like.Unsupported_feature (m, f)) ->
-      Refused (Printf.sprintf "unsupported:%s:%s" m f)
-    | Error Jt_baselines.Retrowrite_like.Applicable -> Refused "inconsistent-verdict")
+      Refused (Printf.sprintf "unsupported:%s:%s" m f))
   | Lockdown -> Ran ((Jt_baselines.Lockdown.run ~registry ~main ()).lk_result, None)
   | Bincfi -> (
     match Jt_baselines.Bincfi.run ~registry ~main () with
     | Ok r -> Ran (r, None)
-    | Error (Jt_baselines.Bincfi.Broken_rewrite m) -> Refused ("broken-rewrite:" ^ m)
-    | Error Jt_baselines.Bincfi.Applicable -> Refused "inconsistent-verdict")
+    | Error (Jt_baselines.Bincfi.Broken_rewrite m) -> Refused ("broken-rewrite:" ^ m))
 
 (* ---- oracle ---- *)
 

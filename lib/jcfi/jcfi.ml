@@ -336,43 +336,33 @@ let dyn_fwd_cost =
   Jt_vm.Cost.cfi_forward_check + (4 * Jt_vm.Cost.spill_reg)
   + Jt_vm.Cost.save_restore_flags
 
-let target_of_call_operand (insn : Insn.t) ~at ~len vm =
-  match insn with
-  | Insn.Call_ind (Some r, _) | Insn.Jmp_ind (Some r, _) -> Jt_vm.Vm.get vm r
-  | Insn.Call_ind (None, Some m) | Insn.Jmp_ind (None, Some m) ->
-    Jt_mem.Memory.read32 vm.Jt_vm.Vm.mem (Jt_vm.Vm.eval_mem vm ~next_pc:(at + len) m)
-  | _ -> 0
+(* A forward-edge check of the indirect transfer [insn] at [at], given
+   the target it is about to reach; none when [insn] is not one. *)
+let forward_meta ~cost ~at ~insn ~len check =
+  Option.map
+    (fun target ->
+      {
+        Jt_dbt.Dbt.m_cost = cost;
+        m_action = Some (fun vm -> check vm (target vm));
+        m_kind = Jt_dbt.Dbt.M_opaque;
+      })
+    (Jt_vm.Vm.compile_target ~next_pc:(at + len) insn)
 
 (* Interpret one static rule at one instruction into a meta op; [at] and
    [len] are run-time coordinates of the anchor instruction, [pic_base]
    the containing module's load base (0 for position-dependent code) for
    adjusting rule-carried link addresses.  Shared between the DBT plan
    below and the AOT emitter (Jt_emit), whose materialized sites run the
-   same checks with the same costs. *)
+   same checks with the same costs.  A forward-edge rule whose anchor is
+   not an indirect transfer yields no meta. *)
 let static_meta rt (r : Jt_rules.Rules.t) ~at ~insn ~len ~pic_base =
   if r.rule_id = Ids.icall then
-    Some
-      {
-        Jt_dbt.Dbt.m_cost = hybrid_fwd_cost;
-        m_action =
-          Some
-            (fun vm ->
-              let tgt = target_of_call_operand insn ~at ~len vm in
-              Rt.check_icall rt vm ~site:at tgt);
-        m_kind = Jt_dbt.Dbt.M_opaque;
-      }
+    forward_meta ~cost:hybrid_fwd_cost ~at ~insn ~len (fun vm tgt ->
+        Rt.check_icall rt vm ~site:at tgt)
   else if r.rule_id = Ids.ijmp then begin
     let entry = r.data.(0) + pic_base in
-    Some
-      {
-        Jt_dbt.Dbt.m_cost = hybrid_fwd_cost;
-        m_action =
-          Some
-            (fun vm ->
-              let tgt = target_of_call_operand insn ~at ~len vm in
-              Rt.check_ijmp rt vm ~site:at ~fn_entry:(Some entry) tgt);
-        m_kind = Jt_dbt.Dbt.M_opaque;
-      }
+    forward_meta ~cost:hybrid_fwd_cost ~at ~insn ~len (fun vm tgt ->
+        Rt.check_ijmp rt vm ~site:at ~fn_entry:(Some entry) tgt)
   end
   else if r.rule_id = Ids.shadow_push then
     Some
@@ -440,17 +430,10 @@ let plan_dynamic rt (b : Jt_dbt.Dbt.block) vm0 =
             :: !metas
       | Some Insn.Cti_call_ind ->
         if config.cf_forward then
-          metas :=
-            {
-              Jt_dbt.Dbt.m_cost = dyn_fwd_cost;
-              m_action =
-                Some
-                  (fun vm ->
-                    let tgt = target_of_call_operand insn ~at ~len vm in
-                    Rt.check_icall rt vm ~site:at tgt);
-              m_kind = Jt_dbt.Dbt.M_opaque;
-            }
-            :: !metas;
+          Option.iter
+            (fun m -> metas := m :: !metas)
+            (forward_meta ~cost:dyn_fwd_cost ~at ~insn ~len (fun vm tgt ->
+                 Rt.check_icall rt vm ~site:at tgt));
         if config.cf_backward then
           metas :=
             {
@@ -463,18 +446,11 @@ let plan_dynamic rt (b : Jt_dbt.Dbt.block) vm0 =
             :: !metas
       | Some Insn.Cti_jmp_ind ->
         if config.cf_forward then
-          metas :=
-            {
-              Jt_dbt.Dbt.m_cost = dyn_fwd_cost;
-              m_action =
-                Some
-                  (fun vm ->
-                    let tgt = target_of_call_operand insn ~at ~len vm in
-                    (* No static function extents here: weaker policy. *)
-                    Rt.check_ijmp rt vm ~site:at ~fn_entry:None tgt);
-              m_kind = Jt_dbt.Dbt.M_opaque;
-            }
-            :: !metas
+          Option.iter
+            (fun m -> metas := m :: !metas)
+            (forward_meta ~cost:dyn_fwd_cost ~at ~insn ~len (fun vm tgt ->
+                 (* No static function extents here: weaker policy. *)
+                 Rt.check_ijmp rt vm ~site:at ~fn_entry:None tgt))
       | Some Insn.Cti_ret ->
         if in_ld_so at then begin
           if config.cf_forward then

@@ -41,61 +41,65 @@ module Rt = struct
     (match m.base with Some (Insn.Breg r) -> reg_is t r | _ -> false)
     || match m.index with Some r -> reg_is t r | None -> false
 
-  (* Pre-execution propagation: reads the pre-state, updates the taint
-     state to reflect the instruction about to execute. *)
-  let propagate t (vm : Jt_vm.Vm.t) insn ~at ~len =
-    let next_pc = at + len in
-    let ea m = Jt_vm.Vm.eval_mem vm ~next_pc m in
+  (* Pre-execution propagation, compiled for one instruction: the op
+     reads the pre-state and updates the taint state to reflect the
+     instruction about to execute. *)
+  let propagate t (insn : Insn.t) ~next_pc : Jt_vm.Vm.t -> unit =
     match insn with
-    | Insn.Mov (rd, src) -> set_reg t rd (operand_taint t src)
-    | Insn.Lea (rd, m) -> set_reg t rd (mem_operand_reg_taint t m)
-    | Insn.Load (w, rd, m) ->
+    | Mov (rd, src) -> fun _ -> set_reg t rd (operand_taint t src)
+    | Lea (rd, m) -> fun _ -> set_reg t rd (mem_operand_reg_taint t m)
+    | Load (w, rd, m) ->
       (* value taint plus address taint: data selected by untrusted
          indices is untrusted (the table-indexing hijack pattern) *)
-      set_reg t rd
-        (mem_is t (ea m) ~len:(Insn.width_bytes w) || mem_operand_reg_taint t m)
-    | Insn.Store (w, m, src) ->
-      set_mem t (ea m) ~len:(Insn.width_bytes w) (operand_taint t src)
-    | Insn.Binop (_, rd, src) ->
-      set_reg t rd (reg_is t rd || operand_taint t src)
-    | Insn.Neg _ | Insn.Not _ -> ()  (* taint preserved in place *)
-    | Insn.Load_canary rd -> set_reg t rd false
-    | Insn.Push src ->
-      let sp = Jt_vm.Vm.get vm Reg.sp in
-      set_mem t (Word.sub sp 4) ~len:4 (operand_taint t src)
-    | Insn.Pop rd ->
-      let sp = Jt_vm.Vm.get vm Reg.sp in
-      set_reg t rd (mem_is t sp ~len:4)
-    | Insn.Call _ | Insn.Call_ind _ ->
+      let ea = Jt_vm.Vm.compile_addr ~next_pc m and len = Insn.width_bytes w in
+      fun vm -> set_reg t rd (mem_is t (ea vm) ~len || mem_operand_reg_taint t m)
+    | Store (w, m, src) ->
+      let ea = Jt_vm.Vm.compile_addr ~next_pc m and len = Insn.width_bytes w in
+      fun vm -> set_mem t (ea vm) ~len (operand_taint t src)
+    | Binop (_, rd, src) -> fun _ -> set_reg t rd (reg_is t rd || operand_taint t src)
+    | Neg _ | Not _ -> fun _ -> ()  (* taint preserved in place *)
+    | Load_canary rd -> fun _ -> set_reg t rd false
+    | Push src ->
+      fun vm ->
+        let sp = Jt_vm.Vm.get vm Reg.sp in
+        set_mem t (Word.sub sp 4) ~len:4 (operand_taint t src)
+    | Pop rd ->
+      fun vm ->
+        let sp = Jt_vm.Vm.get vm Reg.sp in
+        set_reg t rd (mem_is t sp ~len:4)
+    | Call _ | Call_ind _ ->
       (* the pushed return address is trusted *)
-      let sp = Jt_vm.Vm.get vm Reg.sp in
-      set_mem t (Word.sub sp 4) ~len:4 false
-    | Insn.Syscall n ->
-      if n = Sysno.read_int then set_reg t Reg.r0 true
-      else if n = Sysno.exit_ || n = Sysno.resolve || n = Sysno.cache_flush then ()
-      else set_reg t Reg.r0 false
-    | Insn.Nop | Insn.Halt | Insn.Cmp _ | Insn.Test _ | Insn.Jmp _
-    | Insn.Jcc _ | Insn.Jmp_ind _ | Insn.Ret ->
-      ()
+      fun vm ->
+        let sp = Jt_vm.Vm.get vm Reg.sp in
+        set_mem t (Word.sub sp 4) ~len:4 false
+    | Syscall n ->
+      if n = Sysno.read_int then fun _ -> set_reg t Reg.r0 true
+      else if n = Sysno.exit_ || n = Sysno.resolve || n = Sysno.cache_flush then
+        fun _ -> ()
+      else fun _ -> set_reg t Reg.r0 false
+    | Nop | Halt | Cmp _ | Test _ | Jmp _ | Jcc _ | Jmp_ind _ | Ret -> fun _ -> ()
 
   let alert t vm ~addr =
     t.n_alerts <- t.n_alerts + 1;
     Jt_vm.Vm.report_violation vm ~kind:"tainted-target" ~addr
 
-  (* Policy: an indirect transfer steered by tainted data is an alert. *)
-  let check_target t (vm : Jt_vm.Vm.t) insn ~at ~len =
-    let next_pc = at + len in
+  (* Policy: an indirect transfer steered by tainted data is an alert.
+     Compiled for one instruction, like [propagate]. *)
+  let check_target t (insn : Insn.t) ~next_pc : Jt_vm.Vm.t -> unit =
     match insn with
-    | Insn.Jmp_ind (Some r, _) | Insn.Call_ind (Some r, _) ->
-      if reg_is t r then alert t vm ~addr:(Jt_vm.Vm.get vm r)
-    | Insn.Jmp_ind (None, Some m) | Insn.Call_ind (None, Some m) ->
-      let a = Jt_vm.Vm.eval_mem vm ~next_pc m in
-      if mem_is t a ~len:4 || mem_operand_reg_taint t m then
-        alert t vm ~addr:(Jt_mem.Memory.read32 vm.mem a)
-    | Insn.Ret ->
-      let sp = Jt_vm.Vm.get vm Reg.sp in
-      if mem_is t sp ~len:4 then alert t vm ~addr:(Jt_mem.Memory.read32 vm.mem sp)
-    | _ -> ()
+    | Jmp_ind (Some r, _) | Call_ind (Some r, _) ->
+      fun vm -> if reg_is t r then alert t vm ~addr:(Jt_vm.Vm.get vm r)
+    | Jmp_ind (None, Some m) | Call_ind (None, Some m) ->
+      let ea = Jt_vm.Vm.compile_addr ~next_pc m in
+      fun vm ->
+        let a = ea vm in
+        if mem_is t a ~len:4 || mem_operand_reg_taint t m then
+          alert t vm ~addr:(Jt_mem.Memory.read32 vm.mem a)
+    | Ret ->
+      fun vm ->
+        let sp = Jt_vm.Vm.get vm Reg.sp in
+        if mem_is t sp ~len:4 then alert t vm ~addr:(Jt_mem.Memory.read32 vm.mem sp)
+    | _ -> fun _ -> ()
 end
 
 (* An instruction that can move data between taint-relevant locations. *)
@@ -150,7 +154,7 @@ let metas_for rt insn ~at ~len ~conservative ~want_prop ~want_check =
      [
        {
          Jt_dbt.Dbt.m_cost = prop_cost + extra;
-         m_action = Some (fun vm -> Rt.propagate rt vm insn ~at ~len);
+         m_action = Some (Rt.propagate rt insn ~next_pc:(at + len));
          m_kind = Jt_dbt.Dbt.M_opaque;
        };
      ]
@@ -160,7 +164,7 @@ let metas_for rt insn ~at ~len ~conservative ~want_prop ~want_check =
     [
       {
         Jt_dbt.Dbt.m_cost = check_cost + extra;
-        m_action = Some (fun vm -> Rt.check_target rt vm insn ~at ~len);
+        m_action = Some (Rt.check_target rt insn ~next_pc:(at + len));
         m_kind = Jt_dbt.Dbt.M_opaque;
       };
     ]

@@ -34,6 +34,7 @@ type t = {
   mutable next_handle : int;
   mutable input : int list;
   syscall_hooks : (int, t -> unit) Hashtbl.t;
+  instrument : (at:int -> Insn.t -> int -> op -> op) option;
 }
 
 and op = t -> unit
@@ -54,7 +55,7 @@ let front_size = 256
 let front_mask = front_size - 1
 let no_op (_ : t) = ()
 
-let make ~registry =
+let make ?instrument ~registry () =
   let mem = Jt_mem.Memory.create () in
   let loader = Jt_loader.Loader.create ~mem ~registry in
   {
@@ -83,6 +84,7 @@ let make ~registry =
     next_handle = 1;
     input = [];
     syscall_hooks = Hashtbl.create 4;
+    instrument;
   }
 
 let set_input t values = t.input <- values
@@ -159,18 +161,6 @@ let report_violation t ~kind ~addr =
          })
 
 let on_cache_flush t f = t.flush_listeners <- f :: t.flush_listeners
-
-(* ---- operand evaluation ---- *)
-
-let eval_mem t ~next_pc (m : Insn.mem) =
-  let base =
-    match m.base with
-    | Some (Insn.Breg r) -> get t r
-    | Some Insn.Bpc -> next_pc
-    | None -> 0
-  in
-  let index = match m.index with Some r -> get t r * m.scale | None -> 0 in
-  Word.of_int (base + index + m.disp)
 
 (* ---- flag computation ---- *)
 
@@ -356,7 +346,7 @@ let[@inline] rset t r v = Array.unsafe_set t.regs r (Word.of_int v)
 
 (* The addressing mode of [m], resolved once: the registers it reads,
    its displacement, and a PC-relative or absolute address folded to a
-   constant.  Computes exactly [eval_mem t ~next_pc m]. *)
+   constant. *)
 let compile_addr ~next_pc (m : Insn.mem) : t -> int =
   let disp = m.disp and scale = m.scale in
   match (m.base, m.index) with
@@ -378,6 +368,21 @@ let compile_addr ~next_pc (m : Insn.mem) : t -> int =
   | None, Some x ->
     let x = Reg.index x in
     fun t -> Word.of_int ((rget t x * scale) + disp)
+
+(* The target of an indirect call or jump, read before the instruction
+   runs.  A call through [sp] lands on the slot its own push fills. *)
+let compile_target ~next_pc (i : Insn.t) : (t -> int) option =
+  match i with
+  | Insn.Call_ind (Some r, _) when Reg.equal r Reg.sp ->
+    let r = Reg.index r in
+    Some (fun t -> Word.sub (rget t r) 4)
+  | Call_ind (Some r, _) | Jmp_ind (Some r, _) ->
+    let r = Reg.index r in
+    Some (fun t -> rget t r)
+  | Call_ind (None, Some m) | Jmp_ind (None, Some m) ->
+    let ea = compile_addr ~next_pc m in
+    Some (fun t -> Mem.read32 t.mem (ea t))
+  | _ -> None
 
 let[@inline] logic t rd r =
   rset t rd r;
@@ -526,33 +531,23 @@ let compile ~at (i : Insn.t) len : op =
       rset t rd v
   | Jmp target -> fun t -> retire t c n; t.pc <- target
   | Jcc (cond, target) -> jcc ~c ~n cond target
-  | Jmp_ind (Some r, _) ->
-    let r = Reg.index r in
-    fun t -> retire t c n; t.pc <- rget t r
-  | Jmp_ind (None, Some m) ->
-    let ea = compile_addr ~next_pc:n m in
-    fun t -> retire t c n; t.pc <- Mem.read32 t.mem (ea t)
-  | Jmp_ind (None, None) | Call_ind (None, None) ->
-    let st = Fault (Decode_fault at) in
-    fun t -> retire t c n; t.status <- st
   | Call target ->
     fun t ->
       retire t c n;
       push t n;
       t.pc <- target
-  | Call_ind (Some r, _) ->
-    let r = Reg.index r in
-    fun t ->
-      retire t c n;
-      push t n;
-      t.pc <- rget t r
-  | Call_ind (None, Some m) ->
-    let ea = compile_addr ~next_pc:n m in
-    fun t ->
-      retire t c n;
-      let target = Mem.read32 t.mem (ea t) in
-      push t n;
-      t.pc <- target
+  | Jmp_ind _ | Call_ind _ -> (
+    match (compile_target ~next_pc:n i, i) with
+    | None, _ ->
+      let st = Fault (Decode_fault at) in
+      fun t -> retire t c n; t.status <- st
+    | Some target, Call_ind _ ->
+      fun t ->
+        retire t c n;
+        let pc = target t in
+        push t n;
+        t.pc <- pc
+    | Some target, _ -> fun t -> retire t c n; t.pc <- target t)
   | Ret -> fun t -> retire t c n; t.pc <- pop t
   | Load_canary rd ->
     let rd = Reg.index rd in
@@ -567,9 +562,12 @@ let syscall = do_syscall
    page its span overlaps.  A fresh address cannot be in any bucket yet,
    so only a replacement has an old span to unregister (which also
    empties its decode-front slot); a bucket never holds an address
-   twice.  [run] fills the front from the table on the next hit. *)
+   twice.  [run] fills the front from the table on the next hit.  The
+   machine's [instrument] wraps the op here, once per decode. *)
 let insert t addr (i, len) =
-  let d = { d_insn = i; d_len = len; d_op = compile ~at:addr i len } in
+  let op = compile ~at:addr i len in
+  let op = match t.instrument with None -> op | Some f -> f ~at:addr i len op in
+  let d = { d_insn = i; d_len = len; d_op = op } in
   (match Hashtbl.find t.decode_cache addr with
   | old -> unindex t addr old.d_len
   | exception Not_found -> ());
@@ -644,7 +642,7 @@ let result t =
   }
 
 let run_native ?fuel ~registry ~main () =
-  let t = make ~registry in
+  let t = make ~registry () in
   boot t ~main;
   if t.status = Running then run ?fuel t;
   result t

@@ -2,10 +2,13 @@
 
     A VM owns the memory, registers, flags, allocator and loader of one
     process, plus the cycle and instruction counters every experiment is
-    measured with.  It can execute a program directly (the "native"
-    baseline: {!run}) or serve as the substrate for a dynamic binary
-    modifier, which drives execution itself through {!fetch}, the
-    compiled ops it returns, and {!advance_phase}. *)
+    measured with.  {!compile} is the one home of instruction semantics
+    and {!run} the one interpreter loop: it executes a program directly
+    (the "native" baseline), and the interpretive baselines run through
+    it too, their checks wrapped around each compiled op at decode time
+    by [make]'s [instrument].  A dynamic binary modifier drives
+    execution itself, through {!fetch}, the compiled ops it returns and
+    {!advance_phase}. *)
 
 open Jt_isa
 
@@ -63,6 +66,8 @@ type t = {
   syscall_hooks : (int, t -> unit) Hashtbl.t;
       (** per-number overrides consulted before the built-in syscall
           chain; see {!set_syscall_hook} *)
+  instrument : (at:int -> Insn.t -> int -> op -> op) option;
+      (** see {!make} *)
 }
 
 and op = t -> unit
@@ -86,10 +91,26 @@ val set_syscall_hook : t -> int -> (t -> unit) -> unit
     native cost is charged, so a hook may adjust both (set [pc], call
     {!charge} with a delta). *)
 
-val make : registry:Jt_obj.Objfile.t list -> t
+val make :
+  ?instrument:(at:int -> Insn.t -> int -> op -> op) ->
+  registry:Jt_obj.Objfile.t list ->
+  unit ->
+  t
 (** Create a VM with an empty process.  Register loader callbacks (via
     [Jt_loader.Loader.on_load (loader vm)]) before calling {!boot} to
-    observe startup modules. *)
+    observe startup modules.
+
+    [instrument ~at i len op] is applied once per decode-cache entry,
+    when the instruction [i] (of length [len], at [at]) is compiled; the
+    op it returns is what the decode cache and {!run}'s decode front
+    hold, so {!run} does no per-instruction work for it.  It runs again
+    only when the entry is re-decoded (after {!flush_range} or
+    {!cache_decoded}).  At wrap time it may fix only what depends on the
+    instruction alone (its kind, width, {!compile_addr},
+    {!compile_target}) and must not read machine state; everything else
+    is read inside the returned op, which should run its checks before
+    calling [op] so they see the pre-instruction PC and registers.  A
+    DBT never sets it: it wraps its own blocks. *)
 
 val boot : t -> main:string -> unit
 (** Load the main module and its dependency closure, set up the stack,
@@ -123,13 +144,23 @@ val compile : at:int -> Insn.t -> int -> op
 
 val compile_addr : next_pc:int -> Insn.mem -> t -> int
 (** The addressing mode of a memory operand, compiled the same way:
-    [compile_addr ~next_pc m] computes [eval_mem t ~next_pc m] in any
-    machine [t].  Instrumentation that re-derives an access's address on
-    every execution resolves the operand once with this. *)
+    [compile_addr ~next_pc m t] is the effective address of [m] in
+    machine [t] ([next_pc], the address of the following instruction,
+    is the base of a PC-relative operand).  Instrumentation that
+    re-derives an access's address resolves the operand once with
+    this. *)
+
+val compile_target : next_pc:int -> Insn.t -> (t -> int) option
+(** The target of an indirect call or jump ([Call_ind]/[Jmp_ind] with an
+    operand), compiled once: in a machine about to execute it, the
+    reader returns the PC the instruction transfers to.  [None] for any
+    other instruction.  {!compile} uses it for both transfers, and it is
+    the one reader CFI instrumentation checks targets with. *)
 
 val fetch : t -> int -> decoded option
 (** Decode, compile and cache the instruction at an address (a cache hit
-    returns the cached entry). *)
+    returns the cached entry).  The DBT and the emitter read instructions
+    through this; {!run} goes through it only on a decode-table miss. *)
 
 val cache_decoded : t -> int -> Insn.t * int -> unit
 (** Compile a pre-decoded instruction and insert it into the decode
@@ -149,12 +180,6 @@ val syscall : t -> int -> unit
 
 val charge : t -> int -> unit
 (** Add instrumentation cycles. *)
-
-val eval_mem : t -> next_pc:int -> Insn.mem -> int
-(** Effective address of a memory operand in the current machine state
-    ([next_pc] is the address of the following instruction, the base for
-    PC-relative operands).  Used by instrumentation to reproduce the
-    address an access is about to touch. *)
 
 val report_violation : t -> kind:string -> addr:int -> unit
 

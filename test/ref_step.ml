@@ -7,6 +7,16 @@ open Jt_isa
 open Jt_vm
 open Jt_vm.Vm
 
+let eval_mem t ~next_pc (m : Insn.mem) =
+  let base =
+    match m.base with
+    | Some (Insn.Breg r) -> get t r
+    | Some Insn.Bpc -> next_pc
+    | None -> 0
+  in
+  let index = match m.index with Some r -> get t r * m.scale | None -> 0 in
+  Word.of_int (base + index + m.disp)
+
 let eval_operand t = function Insn.Reg r -> get t r | Insn.Imm v -> v
 
 let push t v =

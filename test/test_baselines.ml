@@ -155,6 +155,59 @@ let test_zero_size_free_clean () =
       Alcotest.(check string) (name ^ " output") "1\n" r.r_output)
     [ ("valgrind", run_valgrind m); ("jasan", run_jasan m) ]
 
+(* The machine code of [insns], laid out from address 0. *)
+let assemble insns =
+  fst
+    (List.fold_left
+       (fun (acc, a) i -> (acc ^ Encode.encode ~at:a i, a + Encode.length i))
+       ("", 0) insns)
+
+(* Byte stores copying [code] to the buffer at [r7]. *)
+let jit_writes code =
+  List.concat
+    (List.mapi
+       (fun i c ->
+         [
+           movi Reg.r2 (Char.code c);
+           I (Jt_asm.Sinsn.Sstore (Insn.W1, mem_b ~disp:i Reg.r7, Jt_asm.Sinsn.Sreg Reg.r2));
+         ])
+       (List.init (String.length code) (String.get code)))
+
+(* Re-instrumentation: a JIT store that runs cleanly, is rewritten in
+   place to hit the right redzone and is flushed, must be checked at its
+   new address when it runs again, so the re-decoded entry carries a
+   freshly wrapped op. *)
+let test_valgrind_jit_rewrite () =
+  let jit disp =
+    assemble [ Insn.Store (Insn.W4, Insn.mem_base ~disp Reg.r6, Insn.Reg Reg.r0); Insn.Ret ]
+  in
+  let clean = jit 28 and overflow = jit 32 in
+  Alcotest.(check int) "same length" (String.length clean) (String.length overflow);
+  let flush_and_call =
+    [ mov Reg.r0 Reg.r7; movi Reg.r1 64; syscall Sysno.cache_flush; call_reg Reg.r7 ]
+  in
+  let m =
+    build ~name:"jit_rw" ~kind:Jt_obj.Objfile.Exec_nonpic ~deps:[ "libc.so" ]
+      ~entry:"main"
+      [
+        func "main"
+          ([
+             movi Reg.r0 32; call_import "malloc"; mov Reg.r6 Reg.r0;
+             movi Reg.r0 64; syscall Sysno.mmap_code; mov Reg.r7 Reg.r0;
+           ]
+          @ jit_writes clean @ flush_and_call
+          @ [ movi Reg.r0 1; syscall Sysno.write_int ]
+          @ jit_writes overflow @ flush_and_call
+          @ [ movi Reg.r0 2; syscall Sysno.write_int ]
+          @ Progs.exit0);
+      ]
+  in
+  let r = run_valgrind m in
+  Alcotest.(check string) "both calls return" "1\n2\n" r.r_output;
+  Alcotest.(check (list string))
+    "only the rewritten store overflows" [ "heap-buffer-overflow" ]
+    (List.map (fun v -> v.Jt_vm.Vm.v_kind) r.r_violations)
+
 let test_valgrind_slower_than_jasan () =
   let m = Progs.sum_prog ~n:400 () in
   let native = (Progs.run_native m).r_cycles in
@@ -215,20 +268,8 @@ let test_retrowrite_detects_on_pic () =
 let test_retrowrite_misses_jit () =
   (* Same JIT overflow JASan catches (test_jasan): static-only rewriting
      cannot see dynamically generated code. *)
-  let open Jt_asm.Sinsn in
   let code =
-    List.fold_left
-      (fun (acc, a) i -> (acc ^ Encode.encode ~at:a i, a + Encode.length i))
-      ("", 0)
-      [ Insn.Store (Insn.W4, Insn.mem_base ~disp:32 Reg.r6, Insn.Reg Reg.r0); Insn.Ret ]
-    |> fst
-  in
-  let store_bytes =
-    List.concat
-      (List.mapi
-         (fun i c ->
-           [ movi Reg.r2 (Char.code c); I (Sstore (Insn.W1, mem_b ~disp:i Reg.r7, Sreg Reg.r2)) ])
-         (List.init (String.length code) (String.get code)))
+    assemble [ Insn.Store (Insn.W4, Insn.mem_base ~disp:32 Reg.r6, Insn.Reg Reg.r0); Insn.Ret ]
   in
   let m =
     build ~name:"jit_pic" ~kind:Jt_obj.Objfile.Exec_pic ~deps:[ "libc.so" ]
@@ -239,7 +280,7 @@ let test_retrowrite_misses_jit () =
              movi Reg.r0 32; call_import "malloc"; mov Reg.r6 Reg.r0;
              movi Reg.r0 64; syscall Sysno.mmap_code; mov Reg.r7 Reg.r0;
            ]
-          @ store_bytes
+          @ jit_writes code
           @ [
               mov Reg.r0 Reg.r7; movi Reg.r1 64; syscall Sysno.cache_flush;
               call_reg Reg.r7;
@@ -462,6 +503,76 @@ let test_bincfi_breaks_on_data_in_code () =
   | Error (Jt_baselines.Bincfi.Broken_rewrite "datey") -> ()
   | Error _ | Ok _ -> Alcotest.fail "expected broken rewrite"
 
+(* -- the shared interpreter loop -- *)
+
+(* A PIC loop of loads, stores, an indirect call and a return per trip,
+   with output every trip: every baseline instruments something in it. *)
+let fuel_prog () =
+  build ~name:"bfuel" ~kind:Jt_obj.Objfile.Exec_pic ~entry:"main"
+    ~datas:[ data "buf" [ Dspace 16 ]; data "fp" [ Dfuncptr "bump" ] ]
+    [
+      func "bump" [ addi Reg.r1 1; ret ];
+      func "main"
+        ([
+           addr_of_data ~pic:true Reg.r6 "buf";
+           addr_of_data ~pic:true Reg.r3 "fp";
+           ld Reg.r4 (mem_b ~disp:0 Reg.r3);
+           movi Reg.r5 0;
+           movi Reg.r2 0;
+           label "loop";
+           cmpi Reg.r5 12;
+           jcc Insn.Ge "done";
+           add Reg.r2 Reg.r5;
+           st (mem_b ~disp:0 Reg.r6) Reg.r2;
+           ld Reg.r1 (mem_b ~disp:0 Reg.r6);
+           call_reg Reg.r4;
+           mov Reg.r0 Reg.r1;
+           syscall Sysno.write_int;
+           addi Reg.r5 1;
+           jmp "loop";
+           label "done";
+         ]
+        @ Progs.exit0);
+    ]
+
+(* Every fuel budget from 0 to the program's instruction count must stop
+   each baseline exactly where [Vm.run ~fuel] stops natively: same
+   status, instruction count and output ([Vm.result] carries no PC; at
+   a given instruction count the PC of this deterministic program is
+   fixed), and no violation. *)
+let test_fuel_boundary_sweep () =
+  let m = fuel_prog () in
+  let registry = [ m ] and main = "bfuel" in
+  let state (r : Jt_vm.Vm.result) =
+    Format.asprintf "%a icount=%d out=%S violations=%d" Jt_vm.Vm.pp_status
+      r.r_status r.r_icount r.r_output (List.length r.r_violations)
+  in
+  let full = Jt_vm.Vm.run_native ~registry ~main () in
+  Alcotest.(check bool) "native exits" true (full.r_status = Jt_vm.Vm.Exited 0);
+  let baselines =
+    [
+      ("valgrind", fun fuel -> Jt_baselines.Valgrind_like.run ~fuel ~registry ~main ());
+      ( "bincfi",
+        fun fuel -> Result.get_ok (Jt_baselines.Bincfi.run ~fuel ~registry ~main ()) );
+      ( "retrowrite",
+        fun fuel ->
+          Result.get_ok (Jt_baselines.Retrowrite_like.run ~fuel ~registry ~main ()) );
+    ]
+  in
+  for fuel = 0 to full.r_icount do
+    let native = Jt_vm.Vm.run_native ~fuel ~registry ~main () in
+    if fuel < full.r_icount then
+      Alcotest.(check bool) "native out of fuel" true
+        (native.r_status = Jt_vm.Vm.Fault Jt_vm.Vm.Out_of_fuel
+        && native.r_icount = fuel);
+    List.iter
+      (fun (name, run) ->
+        Alcotest.(check string)
+          (Printf.sprintf "%s, fuel %d" name fuel)
+          (state native) (state (run fuel)))
+      baselines
+  done
+
 let () =
   Alcotest.run "baselines"
     [
@@ -473,6 +584,7 @@ let () =
           Alcotest.test_case "bad-free kinds" `Quick test_valgrind_bad_free_kinds;
           Alcotest.test_case "zero-size free" `Quick test_zero_size_free_clean;
           Alcotest.test_case "overhead class" `Quick test_valgrind_slower_than_jasan;
+          Alcotest.test_case "jit rewrite with flush" `Quick test_valgrind_jit_rewrite;
         ] );
       ( "retrowrite",
         [
@@ -492,4 +604,6 @@ let () =
           Alcotest.test_case "clean + air" `Quick test_bincfi_clean_and_air;
           Alcotest.test_case "data in code" `Quick test_bincfi_breaks_on_data_in_code;
         ] );
+      ( "interpreter loop",
+        [ Alcotest.test_case "fuel boundary sweep" `Quick test_fuel_boundary_sweep ] );
     ]

@@ -11,7 +11,7 @@ let all_progs () =
   ]
 
 let run_null m =
-  let vm = Jt_vm.Vm.make ~registry:(Progs.registry_for m) in
+  let vm = Jt_vm.Vm.make ~registry:(Progs.registry_for m) () in
   let engine = Jt_dbt.Dbt.create ~vm () in
   Jt_vm.Vm.boot vm ~main:m.Jt_obj.Objfile.name;
   Jt_dbt.Dbt.run engine;
@@ -108,7 +108,7 @@ let test_cache_flush_invalidation () =
 let test_chaining_equivalent_and_cheaper () =
   let m = Progs.sum_prog ~n:200 () in
   let go chain =
-    let vm = Jt_vm.Vm.make ~registry:(Progs.registry_for m) in
+    let vm = Jt_vm.Vm.make ~registry:(Progs.registry_for m) () in
     let engine = Jt_dbt.Dbt.create ~vm ~chain () in
     Jt_vm.Vm.boot vm ~main:"sum";
     Jt_dbt.Dbt.run engine;
@@ -135,7 +135,7 @@ let test_fuel_checked_mid_block () =
     build ~name:"fuelb" ~kind:Jt_obj.Objfile.Exec_nonpic ~entry:"main"
       [ func "main" (List.init 40 (fun _ -> addi Reg.r0 1) @ Progs.exit0) ]
   in
-  let vm = Jt_vm.Vm.make ~registry:[ m ] in
+  let vm = Jt_vm.Vm.make ~registry:[ m ] () in
   let engine = Jt_dbt.Dbt.create ~vm () in
   Jt_vm.Vm.boot vm ~main:"fuelb";
   Jt_dbt.Dbt.run ~fuel:10 engine;
@@ -157,7 +157,7 @@ let configs =
 (* Boot [m] under one configuration, after [setup] on the fresh VM, and
    run it with [fuel]. *)
 let run_config ~jasan ~trace ?fuel ?(setup = ignore) m =
-  let vm = Jt_vm.Vm.make ~registry:[ m ] in
+  let vm = Jt_vm.Vm.make ~registry:[ m ] () in
   let client =
     if jasan then begin
       let tool, _ = Jt_jasan.Jasan.create () in
@@ -173,7 +173,7 @@ let run_config ~jasan ~trace ?fuel ?(setup = ignore) m =
   (vm, engine)
 
 let run_native ?fuel ?(setup = ignore) m =
-  let vm = Jt_vm.Vm.make ~registry:[ m ] in
+  let vm = Jt_vm.Vm.make ~registry:[ m ] () in
   setup vm;
   Jt_vm.Vm.boot vm ~main:m.Jt_obj.Objfile.name;
   Jt_vm.Vm.run ?fuel vm;
@@ -390,7 +390,7 @@ let test_decode_fault_block_invalidated () =
           @ Progs.exit0);
       ]
   in
-  let vm = Jt_vm.Vm.make ~registry:(Progs.registry_for m) in
+  let vm = Jt_vm.Vm.make ~registry:(Progs.registry_for m) () in
   let engine = Jt_dbt.Dbt.create ~vm () in
   Jt_vm.Vm.boot vm ~main:"efault";
   Jt_dbt.Dbt.run engine;
@@ -418,7 +418,7 @@ let test_decode_fault_block_invalidated () =
 let test_lightweight_profile_cheaper () =
   let m = Progs.sum_prog ~n:100 () in
   let run profile =
-    let vm = Jt_vm.Vm.make ~registry:(Progs.registry_for m) in
+    let vm = Jt_vm.Vm.make ~registry:(Progs.registry_for m) () in
     let engine = Jt_dbt.Dbt.create ~vm ~profile () in
     Jt_vm.Vm.boot vm ~main:"sum";
     Jt_dbt.Dbt.run engine;
@@ -442,7 +442,7 @@ let test_hot_path_allocation () =
   let w = Jt_workloads.Specgen.build (Jt_workloads.Sheet.find "bzip2") in
   let registry = w.w_registry and main = w.w_sheet.s_name in
   let words_per_insn run =
-    let vm = Jt_vm.Vm.make ~registry in
+    let vm = Jt_vm.Vm.make ~registry () in
     let go = run vm in
     Jt_vm.Vm.boot vm ~main;
     let w0 = Gc.minor_words () in

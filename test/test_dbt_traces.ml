@@ -15,7 +15,7 @@ let run ?(chain = true) ?(ibl = true) ?(trace = true) ?registry m =
   let registry =
     match registry with Some r -> r | None -> Progs.registry_for m
   in
-  let vm = Jt_vm.Vm.make ~registry in
+  let vm = Jt_vm.Vm.make ~registry () in
   let engine = Jt_dbt.Dbt.create ~vm ~chain ~ibl ~trace () in
   Jt_vm.Vm.boot vm ~main:m.Jt_obj.Objfile.name;
   Jt_dbt.Dbt.run engine;
@@ -268,7 +268,7 @@ let test_dlclose_reopen_reused_base () =
 let run_jasan ?(trace_elide = true) ~registry m =
   Jt_metrics.Metrics.Counters.reset ();
   let tool, _rt = Jt_jasan.Jasan.create ~elide:true () in
-  let vm = Jt_vm.Vm.make ~registry in
+  let vm = Jt_vm.Vm.make ~registry () in
   let engine =
     Jt_dbt.Dbt.create ~vm ~trace_elide ~client:tool.Janitizer.Tool.t_client ()
   in
@@ -536,7 +536,7 @@ let recheck_client ~unpoison checks =
 let run_recheck ~unpoison ~trace_elide m =
   Jt_metrics.Metrics.Counters.reset ();
   let checks = ref 0 in
-  let vm = Jt_vm.Vm.make ~registry:(Progs.registry_for m) in
+  let vm = Jt_vm.Vm.make ~registry:(Progs.registry_for m) () in
   let engine =
     Jt_dbt.Dbt.create ~vm ~trace_elide
       ~client:(recheck_client ~unpoison checks) ()

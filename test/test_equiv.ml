@@ -133,7 +133,7 @@ let observe (r : Jt_vm.Vm.result) = (r.r_status, r.r_output, r.r_icount)
 let run_native m = observe (Progs.run_native m)
 
 let run_dbt m =
-  let vm = Jt_vm.Vm.make ~registry:(Progs.registry_for m) in
+  let vm = Jt_vm.Vm.make ~registry:(Progs.registry_for m) () in
   let engine = Jt_dbt.Dbt.create ~vm () in
   Jt_vm.Vm.boot vm ~main:"rand";
   Jt_dbt.Dbt.run engine;
@@ -189,7 +189,7 @@ let toggles =
    checked), with chain links, inline caches, traces and trace elision
    toggled: the observables, the violations, and whether a trace ran. *)
 let run_toggled ~jasan (chain, ibl, trace, trace_elide) m =
-  let vm = Jt_vm.Vm.make ~registry:(Progs.registry_for m) in
+  let vm = Jt_vm.Vm.make ~registry:(Progs.registry_for m) () in
   let client =
     if jasan then begin
       let tool, _ = Jt_jasan.Jasan.create () in

@@ -114,7 +114,7 @@ let test_dlclose_pinned_refused () =
   (* handle 0 is not a valid dlopen handle; also the startup closure is
      pinned: dlclosing libc must fail.  We test via the loader API. *)
   let m = dlclose_prog ~call_after:false in
-  let vm = Jt_vm.Vm.make ~registry:(registry m) in
+  let vm = Jt_vm.Vm.make ~registry:(registry m) () in
   Jt_vm.Vm.boot vm ~main:"dlc";
   Alcotest.(check bool) "libc pinned" false
     (Jt_loader.Loader.dlclose vm.loader "libc.so");
@@ -151,7 +151,7 @@ let test_input_stream () =
           @ Progs.exit0);
       ]
   in
-  let vm = Jt_vm.Vm.make ~registry:[ m; Jt_workloads.Stdlibs.libc ] in
+  let vm = Jt_vm.Vm.make ~registry:[ m; Jt_workloads.Stdlibs.libc ] () in
   Jt_vm.Vm.set_input vm [ 11; 22 ];
   Jt_vm.Vm.boot vm ~main:"inp";
   Jt_vm.Vm.run vm;

@@ -42,7 +42,7 @@ let test_counters_instrument_dispatch () =
   let open Jt_metrics.Metrics.Counters in
   reset ();
   let m = Progs.sum_prog ~n:50 () in
-  let vm = Jt_vm.Vm.make ~registry:(Progs.registry_for m) in
+  let vm = Jt_vm.Vm.make ~registry:(Progs.registry_for m) () in
   let engine = Jt_dbt.Dbt.create ~vm () in
   Jt_vm.Vm.boot vm ~main:"sum";
   Jt_dbt.Dbt.run engine;

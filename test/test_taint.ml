@@ -9,7 +9,7 @@ let vkinds (r : Jt_vm.Vm.result) =
 
 let run ?(hybrid = true) ?(input = []) m =
   let tool, rt = Jt_taint.Taint.create () in
-  let vm = Jt_vm.Vm.make ~registry:(Progs.registry_for m) in
+  let vm = Jt_vm.Vm.make ~registry:(Progs.registry_for m) () in
   let engine =
     let rule_files =
       if hybrid then

@@ -231,7 +231,7 @@ let test_entry_accounting_holds_live () =
   (* [Dbt.run] asserts the identity itself; a run completing without
      [Invariant_failure] plus an explicit re-check here covers both. *)
   let m = Progs.sum_prog ~n:10 () in
-  let vm = Jt_vm.Vm.make ~registry:(Progs.registry_for m) in
+  let vm = Jt_vm.Vm.make ~registry:(Progs.registry_for m) () in
   let engine = Jt_dbt.Dbt.create ~vm () in
   Jt_vm.Vm.boot vm ~main:"sum";
   Jt_dbt.Dbt.run engine;
@@ -253,7 +253,7 @@ let test_entry_accounting_decode_fault () =
       ~entry:"main"
       [ func "main" [ Dsl.movi Jt_isa.Reg.r1 0x00DEAD00; Dsl.jmp_reg Jt_isa.Reg.r1 ] ]
   in
-  let vm = Jt_vm.Vm.make ~registry:(Progs.registry_for m) in
+  let vm = Jt_vm.Vm.make ~registry:(Progs.registry_for m) () in
   let engine = Jt_dbt.Dbt.create ~vm () in
   Jt_vm.Vm.boot vm ~main:"wild";
   Jt_dbt.Dbt.run engine;

@@ -362,7 +362,7 @@ let test_flush_range_overlap () =
     build ~name:"fl" ~kind:Jt_obj.Objfile.Exec_nonpic ~entry:"main"
       [ func "main" exit_ok ]
   in
-  let vm = Jt_vm.Vm.make ~registry:[ m ] in
+  let vm = Jt_vm.Vm.make ~registry:[ m ] () in
   Jt_vm.Vm.boot vm ~main:"fl";
   let entry = Jt_loader.Loader.entry_point vm.loader in
   (match Jt_vm.Vm.fetch vm entry with
@@ -415,7 +415,7 @@ let check_page_index (vm : Jt_vm.Vm.t) =
 
 let test_decode_page_index () =
   let m = Progs.sum_prog ~n:20 () in
-  let vm = Jt_vm.Vm.make ~registry:(Progs.registry_for m) in
+  let vm = Jt_vm.Vm.make ~registry:(Progs.registry_for m) () in
   Jt_vm.Vm.boot vm ~main:"sum";
   Jt_vm.Vm.run vm;
   check_exit (Jt_vm.Vm.result vm);
@@ -525,7 +525,7 @@ let test_front_cache_decoded_hot () =
     build ~name:"spin" ~kind:Jt_obj.Objfile.Exec_nonpic ~entry:"main"
       [ func "main" [ label "top"; addi Reg.r1 1; jmp "top" ] ]
   in
-  let vm = Jt_vm.Vm.make ~registry:[ m ] in
+  let vm = Jt_vm.Vm.make ~registry:[ m ] () in
   Jt_vm.Vm.boot vm ~main:"spin";
   let add1 = Insn.Binop (Insn.Add, Reg.r1, Insn.Imm 1) in
   let step () =
@@ -622,7 +622,7 @@ let mem_of (i : Insn.t) =
    the machine and the addresses seeded (the only memory an instruction
    other than a syscall can touch). *)
 let machine st (i : Insn.t) len =
-  let vm = Jt_vm.Vm.make ~registry:[] in
+  let vm = Jt_vm.Vm.make ~registry:[] () in
   Array.iteri (fun k v -> Jt_vm.Vm.set vm (Reg.of_index k) v) st.ms_regs;
   Flags.unpack vm.flags st.ms_flags;
   vm.pc <- st.ms_at;
@@ -630,7 +630,7 @@ let machine st (i : Insn.t) len =
   let around a = List.init n (fun k -> Word.of_int (a - (n / 2) + k)) in
   let touched =
     (match mem_of i with
-    | Some m -> around (Jt_vm.Vm.eval_mem vm ~next_pc:(st.ms_at + len) m)
+    | Some m -> around (Ref_step.eval_mem vm ~next_pc:(st.ms_at + len) m)
     | None -> [])
     @ around (Jt_vm.Vm.get vm Reg.sp)
   in
@@ -648,7 +648,9 @@ let run_one f vm =
   match f vm with () -> "" | exception e -> Printexc.to_string e
 
 (* Compare [Vm.compile ~at i len] with the reference on two copies of
-   the same machine. *)
+   the same machine.  For an indirect call or jump, [Vm.compile_target]
+   read in the pre-state must also name the PC the reference reaches;
+   for any other instruction it must be [None]. *)
 let compiled_matches st (i : Insn.t) =
   (* an operand-less indirect transfer has no encoding *)
   let len = try Encode.length i with Invalid_argument _ -> 2 in
@@ -656,9 +658,19 @@ let compiled_matches st (i : Insn.t) =
   let vm_c, touched = machine st i len in
   let vm_r, _ = machine st i len in
   let op = Jt_vm.Vm.compile ~at i len in
+  let target =
+    Option.map (fun read -> read vm_c) (Jt_vm.Vm.compile_target ~next_pc:(at + len) i)
+  in
   let raised_c = run_one op vm_c in
   let raised_r = run_one (fun vm -> Ref_step.step_decoded vm ~at i len) vm_r in
-  observe vm_c touched raised_c = observe vm_r touched raised_r
+  let target_ok =
+    match (i, target) with
+    | (Jmp_ind (None, None) | Call_ind (None, None)), None -> true
+    | (Jmp_ind _ | Call_ind _), Some pc -> pc = vm_r.pc
+    | (Jmp_ind _ | Call_ind _), None -> false
+    | _, target -> Option.is_none target
+  in
+  target_ok && observe vm_c touched raised_c = observe vm_r touched raised_r
 
 let check_compiled name st i =
   if not (compiled_matches st i) then

@@ -74,7 +74,7 @@ let test_retrowrite_applicability_pattern () =
       Alcotest.(check bool)
         (s.Sheet.s_name ^ " retrowrite applicability")
         expected_ok
-        (verdict = Jt_baselines.Retrowrite_like.Applicable))
+        (Option.is_none verdict))
     Sheet.all
 
 let test_bincfi_failure_pattern () =
@@ -91,7 +91,7 @@ let test_bincfi_failure_pattern () =
       Alcotest.(check bool)
         (s.Sheet.s_name ^ " bincfi breaks")
         should_break
-        (verdict <> Jt_baselines.Bincfi.Applicable))
+        (Option.is_some verdict))
     Sheet.all
 
 let test_lockdown_fp_pattern () =
