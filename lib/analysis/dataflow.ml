@@ -120,12 +120,18 @@ module Make (L : LATTICE) = struct
   let iterations t = t.iterations
 
   (* Per-instruction state: replay the block's transfer from its in-state
-     up to (but not including) the instruction. *)
-  let before t addr =
+     (or from [unreached] in a block the solver never reached) up to (but
+     not including) the instruction. *)
+  let before ?unreached t addr =
     match Hashtbl.find_opt t.block_of_insn addr with
     | None -> None
     | Some ba -> (
-      match (Hashtbl.find_opt t.blocks ba, Hashtbl.find_opt t.r_in ba) with
+      let st0 =
+        match Hashtbl.find_opt t.r_in ba with
+        | Some _ as st0 -> st0
+        | None -> unreached
+      in
+      match (Hashtbl.find_opt t.blocks ba, st0) with
       | Some b, Some st0 ->
         let st = ref st0 in
         let found = ref None in
@@ -136,4 +142,12 @@ module Make (L : LATTICE) = struct
           b.Cfg.b_insns;
         !found
       | _ -> None)
+
+  let insn t addr =
+    match Hashtbl.find_opt t.block_of_insn addr with
+    | None -> None
+    | Some ba ->
+      Array.find_opt
+        (fun (i : insn_info) -> i.d_addr = addr)
+        (Hashtbl.find t.blocks ba).Cfg.b_insns
 end

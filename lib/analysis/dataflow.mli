@@ -48,9 +48,15 @@ module Make (L : LATTICE) : sig
 
   val block_out : t -> int -> L.t option
 
-  val before : t -> int -> L.t option
+  val before : ?unreached:L.t -> t -> int -> L.t option
   (** State just before an instruction, obtained by replaying the
-      enclosing block's transfer from its in-state. *)
+      enclosing block's transfer from its in-state.  In a block the
+      solver never reached the replay starts from [unreached], and
+      without it the answer is [None]. *)
+
+  val insn : t -> int -> Jt_disasm.Disasm.insn_info option
+  (** The instruction at this address, if one of the function's blocks
+      holds it. *)
 
   val iterations : t -> int
   (** Blocks processed until stabilization (solver diagnostics). *)

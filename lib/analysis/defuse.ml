@@ -1,79 +1,57 @@
 open Jt_isa
-open Jt_cfg
 open Jt_disasm.Disasm
 
 module Imap = Map.Make (Int)
 
-(* Reaching definitions: def = instruction address; -1 = entry/unknown. *)
-type t = {
-  (* per-instruction: register index -> set of reaching def addresses *)
-  before : (int, int list Imap.t) Hashtbl.t;
-  insn_of : (int, Insn.t) Hashtbl.t;
-}
-
+(* Reaching definitions: def = instruction address; -1 = entry/unknown.
+   A state maps a register index to the sorted, duplicate-free list of
+   the definitions that may reach it; a register with no binding has
+   none. *)
 let entry_def = -1
 
-let union_defs a b =
-  Imap.union (fun _ x y -> Some (List.sort_uniq compare (x @ y))) a b
+let rec merge a b =
+  match (a, b) with
+  | [], l | l, [] -> l
+  | x :: a', y :: b' ->
+    if x < y then x :: merge a' b
+    else if y < x then y :: merge a b'
+    else x :: merge a' b'
 
-let transfer addr insn env =
+module Lattice = struct
+  type t = int list Imap.t
+
+  let equal = Imap.equal (List.equal Int.equal)
+  let join = Imap.union (fun _ x y -> Some (if x == y then x else merge x y))
+  let widen = join
+end
+
+module Solver = Dataflow.Make (Lattice)
+
+type t = Solver.t
+
+let transfer i env =
   (* Calls define the return-value register by convention: allocation-site
      tracing hangs off this. *)
   let defs =
-    match insn with
-    | Insn.Call _ | Insn.Call_ind _ -> Reg.r0 :: Insn.defs insn
-    | _ -> Insn.defs insn
+    match i.d_insn with
+    | Insn.Call _ | Insn.Call_ind _ -> Reg.r0 :: Insn.defs i.d_insn
+    | _ -> Insn.defs i.d_insn
   in
-  List.fold_left (fun env r -> Imap.add (Reg.index r) [ addr ] env) env defs
+  List.fold_left (fun env r -> Imap.add (Reg.index r) [ i.d_addr ] env) env defs
 
-let analyze (fn : Cfg.fn) =
-  let blocks = Cfg.fn_blocks fn in
-  let entry_env =
-    List.fold_left (fun m r -> Imap.add (Reg.index r) [ entry_def ] m) Imap.empty Reg.all
+let analyze fn =
+  let entry =
+    List.fold_left
+      (fun m r -> Imap.add (Reg.index r) [ entry_def ] m)
+      Imap.empty Reg.all
   in
-  let in_env = Hashtbl.create 16 in
-  List.iter (fun b -> Hashtbl.replace in_env b.Cfg.b_addr Imap.empty) blocks;
-  Hashtbl.replace in_env fn.Cfg.f_entry entry_env;
-  let out_of b =
-    let env = ref (Hashtbl.find in_env b.Cfg.b_addr) in
-    Array.iter (fun i -> env := transfer i.d_addr i.d_insn !env) b.Cfg.b_insns;
-    !env
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun b ->
-        let out = out_of b in
-        List.iter
-          (fun s ->
-            match Hashtbl.find_opt in_env s with
-            | None -> ()
-            | Some prev ->
-              let merged = union_defs prev out in
-              if not (Imap.equal (fun a b -> a = b) merged prev) then begin
-                Hashtbl.replace in_env s merged;
-                changed := true
-              end)
-          b.Cfg.b_succs)
-      blocks
-  done;
-  let before = Hashtbl.create 64 in
-  let insn_of = Hashtbl.create 64 in
-  List.iter
-    (fun b ->
-      let env = ref (Hashtbl.find in_env b.Cfg.b_addr) in
-      Array.iter
-        (fun i ->
-          Hashtbl.replace before i.d_addr !env;
-          Hashtbl.replace insn_of i.d_addr i.d_insn;
-          env := transfer i.d_addr i.d_insn !env)
-        b.Cfg.b_insns)
-    blocks;
-  { before; insn_of }
+  Solver.solve ~entry ~transfer fn
 
+(* A block the solver never reached replays from the empty state: only
+   its own definitions reach, and every other register reads as
+   unknown. *)
 let reaching_defs t addr r =
-  match Hashtbl.find_opt t.before addr with
+  match Solver.before ~unreached:Imap.empty t addr with
   | None -> [ entry_def ]
   | Some env -> (
     match Imap.find_opt (Reg.index r) env with
@@ -88,9 +66,9 @@ let traces_to t addr r ~pred =
         if d = entry_def || Hashtbl.mem visited (d, Reg.index r) then false
         else begin
           Hashtbl.replace visited (d, Reg.index r) ();
-          match Hashtbl.find_opt t.insn_of d with
+          match Solver.insn t d with
           | None -> false
-          | Some i ->
+          | Some { d_insn = i; _ } ->
             pred i
             ||
             (* Follow register-to-register copies and arithmetic. *)

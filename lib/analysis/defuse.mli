@@ -6,7 +6,9 @@
     paper uses for tracing allocation-site provenance and for
     taint-tracking-style analyses (the repository's custom-tool example
     uses it for exactly that).  No library pass reads it, and it is not
-    persisted in the IR: {!analyze} runs on first use. *)
+    persisted in the IR: {!analyze} runs on first use.  The fixpoint is
+    {!Dataflow.Make}'s, holding one state per block; a query replays its
+    block from the block's in-state. *)
 
 open Jt_isa
 

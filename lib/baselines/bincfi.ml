@@ -27,7 +27,8 @@ let closure ~registry ~main =
    instruction does.  Past the threshold, the rewriter produces a broken
    binary. *)
 let data_in_code_fraction (m : Jt_obj.Objfile.t) (d : Jt_disasm.Disasm.t) =
-  let covered = Hashtbl.create 4096 in
+  (* one binding per decoded byte; a table holds two per bucket *)
+  let covered = Hashtbl.create (fst (Jt_disasm.Disasm.code_stats d) / 2) in
   Hashtbl.iter
     (fun a (i : Jt_disasm.Disasm.insn_info) ->
       for k = 0 to i.d_len - 1 do

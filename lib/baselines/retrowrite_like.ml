@@ -186,7 +186,10 @@ let run ?fuel ~registry ~main () =
           if rewritable m then Some (m.name, instrument_module rt m) else None)
         registry
     in
-    let sitemap = Hashtbl.create 4096 in
+    let sitemap =
+      Hashtbl.create
+        (List.fold_left (fun n (_, map) -> n + Hashtbl.length map) 0 link_maps)
+    in
     let vm = Jt_vm.Vm.make ~instrument:(Sitemap.instrument sitemap) ~registry () in
     Sitemap.track sitemap ~maps_for:(fun name -> List.assoc_opt name link_maps) vm;
     Jt_jasan.Jasan.Rt.attach rt vm;

@@ -218,11 +218,11 @@ let build_ir (sa : t) : Ir.t =
 
 (* ---- full analysis (the expensive path) ---- *)
 
-let addr_fn_of fns =
+let addr_fn_of (disasm : Jt_disasm.Disasm.t) fns =
   (* Instruction-address -> function, built once so [fn_of_addr] is a
      hash probe.  [Hashtbl.add] guarded by [mem] keeps the *first*
      function in [fns] order for an address claimed by several. *)
-  let addr_fn = Hashtbl.create 1024 in
+  let addr_fn = Hashtbl.create (Hashtbl.length disasm.insns) in
   List.iter
     (fun fa ->
       Hashtbl.iter
@@ -298,7 +298,7 @@ let compute (m : Jt_obj.Objfile.t) =
       sa_disasm = disasm;
       sa_cfg = cfg;
       sa_fns = fns;
-      sa_addr_fn = addr_fn_of fns;
+      sa_addr_fn = addr_fn_of disasm fns;
       sa_reliable_conventions = reliable;
       sa_raw_code_ptrs = lazy (Jt_disasm.Disasm.scan_code_pointers m);
       sa_cpa = lazy (compute_cpa sa);
@@ -427,7 +427,7 @@ let of_ir (m : Jt_obj.Objfile.t) (ir : Ir.t) =
       sa_disasm = disasm;
       sa_cfg = { Jt_cfg.Cfg.c_disasm = disasm; c_blocks; c_fns };
       sa_fns = fns;
-      sa_addr_fn = addr_fn_of fns;
+      sa_addr_fn = addr_fn_of disasm fns;
       sa_reliable_conventions = ir.Ir.ir_reliable;
       sa_raw_code_ptrs = lazy ir.Ir.ir_code_ptrs;
       sa_cpa = lazy (Jt_analysis.Cpa.import ir.Ir.ir_cpa);

@@ -370,7 +370,8 @@ let create ~vm ?(profile = dynamorio) ?client ?(chain = true) ?(ibl = true)
       ibl;
       trace;
       trace_elide;
-      cache = Hashtbl.create 4096;
+      (* starts small and grows: a run caches only the blocks it runs *)
+      cache = Hashtbl.create 256;
       pages = Hashtbl.create 256;
       tables = Hashtbl.create 8;
       n_traces_live = 0;
@@ -1329,77 +1330,75 @@ let run ?(fuel = 200_000_000) t =
      streak mode: the induction guard fires only on the transition into
      a streak (onset), never on its continuation trips. *)
   let was_streak = ref false in
-  (try
-     while Jt_vm.Vm.is_running vm do
-       if vm.Jt_vm.Vm.icount >= budget then
-         vm.Jt_vm.Vm.status <- Jt_vm.Vm.Fault Jt_vm.Vm.Out_of_fuel
-       else if vm.Jt_vm.Vm.pc = Jt_vm.Vm.sentinel then begin
-         (* A phase-ending return is still an indirect transfer; with the
-            IBL on its (probe-skipping) charge lands here.  Not counted
-            as an IBL miss: no code-cache lookup happens for the
-            sentinel. *)
-         if t.ibl && !prev.cb_indirect_end then
-           Jt_vm.Vm.charge vm t.profile.p_indirect;
-         prev := no_block;
-         streak := no_trace;
-         was_streak := false;
-         Jt_vm.Vm.advance_phase vm
-       end
-       else begin
-         let pc = vm.Jt_vm.Vm.pc in
-         let p = !prev in
-         let linked = if t.chain then chain_target t p pc else no_block in
-         let cached =
-           if linked != no_block then begin
-             t.stats.st_chain_hits <- t.stats.st_chain_hits + 1;
-             linked
-           end
-           else begin
-             let probed = t.ibl && p.cb_indirect_end in
-             let hit = if probed then ibl_resolve t p pc else no_block in
-             if hit != no_block then hit else dispatch t p ~probed pc
-           end
-         in
-         if Array.length cached.cb.insns = 0 then begin
-           t.stats.st_decode_faults <- t.stats.st_decode_faults + 1;
-           vm.Jt_vm.Vm.status <- Jt_vm.Vm.Fault (Jt_vm.Vm.Decode_fault pc)
-         end
-         else begin
-           let tr = if t.trace then cached.cb_head_trace else no_trace in
-           let last =
-             if trace_alive tr then begin
-               (* reaching a live trace head ends any recording *)
-               finalize_recording t;
-               let use_streak = !streak == tr in
-               let last =
-                 exec_trace t ~budget ~streak:use_streak
-                   ~streak_onset:(use_streak && not !was_streak) tr
-               in
-               streak := (if t.trace_completed then tr else no_trace);
-               was_streak := use_streak;
-               last
-             end
-             else begin
-               streak := no_trace;
-               was_streak := false;
-               if t.trace then note_entry t cached pc;
-               exec_block t ~budget cached;
-               cached
-             end
-           in
-           prev :=
-             if Jt_vm.Vm.is_running vm && last.cb_valid then last
-             else begin
-               (* the exit of a block that invalidated itself cannot be
-                  probed next iteration; settle its indirect charge now *)
-               if t.ibl && last.cb_indirect_end && Jt_vm.Vm.is_running vm then
-                 Jt_vm.Vm.charge vm t.profile.p_indirect;
-               no_block
-             end
-         end
-       end
-     done
-   with Jt_vm.Vm.Security_abort why -> vm.Jt_vm.Vm.status <- Jt_vm.Vm.Aborted why);
+  while Jt_vm.Vm.is_running vm do
+    if vm.Jt_vm.Vm.icount >= budget then
+      vm.Jt_vm.Vm.status <- Jt_vm.Vm.Fault Jt_vm.Vm.Out_of_fuel
+    else if vm.Jt_vm.Vm.pc = Jt_vm.Vm.sentinel then begin
+      (* A phase-ending return is still an indirect transfer; with the
+         IBL on its (probe-skipping) charge lands here.  Not counted
+         as an IBL miss: no code-cache lookup happens for the
+         sentinel. *)
+      if t.ibl && !prev.cb_indirect_end then
+        Jt_vm.Vm.charge vm t.profile.p_indirect;
+      prev := no_block;
+      streak := no_trace;
+      was_streak := false;
+      Jt_vm.Vm.advance_phase vm
+    end
+    else begin
+      let pc = vm.Jt_vm.Vm.pc in
+      let p = !prev in
+      let linked = if t.chain then chain_target t p pc else no_block in
+      let cached =
+        if linked != no_block then begin
+          t.stats.st_chain_hits <- t.stats.st_chain_hits + 1;
+          linked
+        end
+        else begin
+          let probed = t.ibl && p.cb_indirect_end in
+          let hit = if probed then ibl_resolve t p pc else no_block in
+          if hit != no_block then hit else dispatch t p ~probed pc
+        end
+      in
+      if Array.length cached.cb.insns = 0 then begin
+        t.stats.st_decode_faults <- t.stats.st_decode_faults + 1;
+        vm.Jt_vm.Vm.status <- Jt_vm.Vm.Fault (Jt_vm.Vm.Decode_fault pc)
+      end
+      else begin
+        let tr = if t.trace then cached.cb_head_trace else no_trace in
+        let last =
+          if trace_alive tr then begin
+            (* reaching a live trace head ends any recording *)
+            finalize_recording t;
+            let use_streak = !streak == tr in
+            let last =
+              exec_trace t ~budget ~streak:use_streak
+                ~streak_onset:(use_streak && not !was_streak) tr
+            in
+            streak := (if t.trace_completed then tr else no_trace);
+            was_streak := use_streak;
+            last
+          end
+          else begin
+            streak := no_trace;
+            was_streak := false;
+            if t.trace then note_entry t cached pc;
+            exec_block t ~budget cached;
+            cached
+          end
+        in
+        prev :=
+          if Jt_vm.Vm.is_running vm && last.cb_valid then last
+          else begin
+            (* the exit of a block that invalidated itself cannot be
+               probed next iteration; settle its indirect charge now *)
+            if t.ibl && last.cb_indirect_end && Jt_vm.Vm.is_running vm then
+              Jt_vm.Vm.charge vm t.profile.p_indirect;
+            no_block
+          end
+      end
+    end
+  done;
   (* Every block execution must be accounted to exactly one entry path
      (dispatcher, chain link, IBL hit, or trace interior); dispatcher
      entries that resolve to an empty block decode-fault without

@@ -47,7 +47,14 @@ let recover_jump_table m ~consts ~bounds (mem : Insn.mem) =
   | _ -> []
 
 let run (m : Objfile.t) =
-  let insns = Hashtbl.create 1024 in
+  (* One bucket per eight code bytes: a table holds two bindings per
+     bucket before it grows and instructions average four to five and a
+     half bytes, so the table starts as large as it will end, whatever
+     the module's size. *)
+  let code_bytes =
+    List.fold_left (fun n s -> n + Section.size s) 0 (Objfile.code_sections m)
+  in
+  let insns = Hashtbl.create (code_bytes / 8) in
   let leaders = Hashtbl.create 256 in
   let func_entries = Hashtbl.create 64 in
   let jump_tables = ref [] in

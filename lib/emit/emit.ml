@@ -211,7 +211,7 @@ let emit_module_exn ~tool ~(rules : Jt_rules.Rules.file)
      the DBT does); PC-relative operands are re-displaced to keep
      addressing the old absolute location — data never moves, so
      code/data-ambiguous references stay correct by construction. *)
-  let buf = Buffer.create 4096 in
+  let buf = Buffer.create (!cursor - text_base) in
   let remap t =
     match Hashtbl.find_opt new_entry_of t with
     | Some n -> Word.of_int n

@@ -344,7 +344,7 @@ let static_pass ~liveness ~hoist_scev ~skip_frame ~exempt_canary ~elide
   let emit r = rules := r :: !rules in
   (* Map instruction address -> enclosing block address, for rule bb
      fields. *)
-  let bb_of = Hashtbl.create 1024 in
+  let bb_of = Hashtbl.create (Hashtbl.length sa.sa_disasm.Jt_disasm.Disasm.insns) in
   Hashtbl.iter
     (fun a (b : Jt_cfg.Cfg.block) ->
       Array.iter

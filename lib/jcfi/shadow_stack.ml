@@ -1,6 +1,6 @@
 type t = { mutable data : int array; mutable top : int }
 
-let create () = { data = Array.make 1024 0; top = 0 }
+let create () = { data = Array.make 64 0; top = 0 }
 
 let push t v =
   if t.top >= Array.length t.data then begin

@@ -1,48 +1,82 @@
 let page_bits = 12
 let page_size = 1 lsl page_bits
 let page_mask = page_size - 1
+let page_tail = 2
 
-(* A two-level page table over the 32-bit address space: [a lsr 22]
-   picks one of 1024 directories, [(a lsr 12) land 1023] one of its 1024
-   4 KiB pages.  Both levels are allocated on first write.  Until then
-   they point at shared all-zero sentinels, so a read is two array loads
-   with no test and no allocation; only the write path compares against
-   the sentinels, and it never writes through them. *)
-let dir_bits = 10
-let dir_size = 1 lsl dir_bits
-let dir_mask = dir_size - 1
-let zero_page = Bytes.make page_size '\x00'
-let zero_dir = Array.make dir_size zero_page
+(* A three-level page table over the 32-bit address space: [a lsr 24]
+   picks one of 256 top-level slots, [(a lsr 18) land 63] one of 64 in
+   the middle level, [(a lsr 12) land 63] one of 64 4 KiB pages in the
+   leaf.  Every interior level is at most 256 words, so it is born on the
+   minor heap: a short-lived memory (one small program's VM, its JASan
+   shadow) costs the major heap only the pages it writes.  Interior
+   levels and pages are allocated on first write.  Until then they point
+   at shared all-zero sentinels, so a read is three array loads with no
+   test and no allocation; only the write path compares against the
+   sentinels, and it never writes through them.
 
-type t = { dirs : Bytes.t array array }
+   Each page carries [page_tail] bytes past its [page_size] data bytes
+   that the memory never reads or writes: the JASan shadow, built on
+   this same table, keeps its per-page count of poisoned bytes there.  A
+   4096-byte and a 4098-byte [Bytes.t] take the same number of words. *)
+let top_bits = 8
+let mid_bits = 6
+let leaf_bits = 6
+let top_size = 1 lsl top_bits
+let mid_size = 1 lsl mid_bits
+let leaf_size = 1 lsl leaf_bits
+let mid_mask = mid_size - 1
+let leaf_mask = leaf_size - 1
+let mid_shift = page_bits + leaf_bits
+let top_shift = mid_shift + mid_bits
+let new_page () = Bytes.make (page_size + page_tail) '\x00'
+let zero_page = new_page ()
+let zero_leaf = Array.make leaf_size zero_page
+let zero_mid = Array.make mid_size zero_leaf
 
-let create () = { dirs = Array.make dir_size zero_dir }
+type t = Bytes.t array array array
 
-(* [a] is a masked address, so both indices are in range. *)
-let read_page t a =
+let create () : t = Array.make top_size zero_mid
+
+(* [a] is a masked address, so every index is in range. *)
+let read_page (t : t) a =
   Array.unsafe_get
-    (Array.unsafe_get t.dirs (a lsr (page_bits + dir_bits)))
-    ((a lsr page_bits) land dir_mask)
+    (Array.unsafe_get
+       (Array.unsafe_get t (a lsr top_shift))
+       ((a lsr mid_shift) land mid_mask))
+    ((a lsr page_bits) land leaf_mask)
 
-let write_page t a =
-  let di = a lsr (page_bits + dir_bits) in
-  let d = Array.unsafe_get t.dirs di in
-  let d =
-    if d != zero_dir then d
+let write_page (t : t) a =
+  let ti = a lsr top_shift in
+  let m = Array.unsafe_get t ti in
+  let m =
+    if m != zero_mid then m
     else begin
-      let d = Array.make dir_size zero_page in
-      Array.unsafe_set t.dirs di d;
-      d
+      let m = Array.make mid_size zero_leaf in
+      Array.unsafe_set t ti m;
+      m
     end
   in
-  let pi = (a lsr page_bits) land dir_mask in
-  let p = Array.unsafe_get d pi in
+  let mi = (a lsr mid_shift) land mid_mask in
+  let l = Array.unsafe_get m mi in
+  let l =
+    if l != zero_leaf then l
+    else begin
+      let l = Array.make leaf_size zero_page in
+      Array.unsafe_set m mi l;
+      l
+    end
+  in
+  let li = (a lsr page_bits) land leaf_mask in
+  let p = Array.unsafe_get l li in
   if p != zero_page then p
   else begin
-    let p = Bytes.make page_size '\x00' in
-    Array.unsafe_set d pi p;
+    let p = new_page () in
+    Array.unsafe_set l li p;
     p
   end
+
+let page t a = read_page t (a land Jt_isa.Word.mask)
+let page_for_write t a = write_page t (a land Jt_isa.Word.mask)
 
 let read8 t a =
   let a = a land Jt_isa.Word.mask in
@@ -109,13 +143,21 @@ let write t a ~width v =
   | 4 -> write32 t a v
   | _ -> invalid_arg "Memory.write"
 
-(* String helpers wrap [a + i] through the word mask themselves:
-   crossing the top of the address space must land on page 0, whatever
-   the byte primitives do internally. *)
+(* String helpers wrap through the word mask themselves: crossing the
+   top of the address space must land on page 0, whatever the byte
+   primitives do internally.  [write_string] blits one page-sized chunk
+   at a time, so loading a section takes one page lookup per page. *)
 let write_string t a s =
-  String.iteri
-    (fun i c -> write8 t ((a + i) land Jt_isa.Word.mask) (Char.code c))
-    s
+  let len = String.length s in
+  let rec go a i =
+    if i < len then begin
+      let off = a land page_mask in
+      let n = min (len - i) (page_size - off) in
+      Bytes.blit_string s i (write_page t a) off n;
+      go ((a + n) land Jt_isa.Word.mask) (i + n)
+    end
+  in
+  go (a land Jt_isa.Word.mask) 0
 
 let read_cstring t a =
   let b = Buffer.create 16 in

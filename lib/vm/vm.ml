@@ -41,8 +41,6 @@ and op = t -> unit
 
 and decoded = { d_insn : Insn.t; d_len : int; d_op : op }
 
-exception Security_abort of string
-
 let sentinel = 0xFFFF_FF00
 let stack_top = 0x7F00_0000
 let jit_base = 0x6000_0000

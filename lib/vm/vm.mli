@@ -197,10 +197,6 @@ val run : ?fuel:int -> t -> unit
 val output : t -> string
 (** The program's output stream so far. *)
 
-exception Security_abort of string
-(** Tools may raise this from instrumentation actions to model
-    abort-on-violation policies; compiled ops do not catch it. *)
-
 (** {1 Convenience} *)
 
 type result = {

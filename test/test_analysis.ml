@@ -673,6 +673,102 @@ let test_domtree_registry () =
     (List.exists (fun (m : Jt_obj.Objfile.t) -> m.name = "ld.so") modules);
   Alcotest.(check bool) "over a thousand functions" true (!fns > 1000)
 
+(* [Defuse] on the shared solver against the round-robin reference
+   ([Defuse_ref]): every register before every instruction of every
+   function of the registry modules, ld.so and a batch of Fuzz programs
+   (none of their functions has a block unreachable from its entry;
+   "unreached block" covers that case). *)
+let test_defuse_reference () =
+  let seen = Hashtbl.create 64 in
+  let modules =
+    List.concat_map
+      (fun s -> (Jt_workloads.Specgen.build s).Jt_workloads.Specgen.w_registry)
+      Jt_workloads.Sheet.all
+    @ [ Jt_loader.Loader.ld_so ]
+    @ List.map Jt_fuzz.Fuzz.build (Jt_fuzz.Fuzz.cases_of ~base_seed:1 ~seeds:8)
+    |> List.filter (fun m ->
+           let d = Jt_obj.Objfile.digest m in
+           (not (Hashtbl.mem seen d)) && (Hashtbl.replace seen d (); true))
+  in
+  let queries = ref 0 in
+  List.iter
+    (fun (m : Jt_obj.Objfile.t) ->
+      List.iter
+        (fun (fn : Jt_cfg.Cfg.fn) ->
+          let du = Jt_analysis.Defuse.analyze fn in
+          let oracle = Defuse_ref.analyze fn in
+          List.iter
+            (fun (b : Jt_cfg.Cfg.block) ->
+              Array.iter
+                (fun (i : Jt_disasm.Disasm.insn_info) ->
+                  List.iter
+                    (fun r ->
+                      incr queries;
+                      let got = Jt_analysis.Defuse.reaching_defs du i.d_addr r
+                      and want = Defuse_ref.reaching_defs oracle i.d_addr r in
+                      if got <> want then
+                        Alcotest.failf "%s fn %x: %s before %x: [%s], want [%s]"
+                          m.name fn.f_entry (Reg.name r) i.d_addr
+                          (String.concat ";" (List.map string_of_int got))
+                          (String.concat ";" (List.map string_of_int want)))
+                    Reg.all)
+                b.b_insns)
+            (Jt_cfg.Cfg.fn_blocks fn))
+        (Jt_cfg.Cfg.functions (Jt_cfg.Cfg.build (Jt_disasm.Disasm.run m))))
+    modules;
+  Alcotest.(check bool) "over 300K queries" true (!queries > 300_000)
+
+(* A block with no predecessors that the entry cannot reach: the solver
+   never visits it, and its queries replay it from the empty state, so
+   only its own definitions reach and every other register is unknown,
+   as in the reference. *)
+let test_defuse_unreached_block () =
+  let block a insns succs =
+    {
+      Jt_cfg.Cfg.b_addr = a;
+      b_insns =
+        Array.of_list
+          (List.mapi
+             (fun k i -> { Jt_disasm.Disasm.d_addr = a + (4 * k); d_insn = i; d_len = 4 })
+             insns);
+      b_term = Jt_cfg.Cfg.Thalt;
+      b_succs = succs;
+      b_preds = [];
+    }
+  in
+  let blocks = Hashtbl.create 2 in
+  List.iter
+    (fun b -> Hashtbl.replace blocks b.Jt_cfg.Cfg.b_addr b)
+    [
+      block 0x1000 [ Insn.Mov (Reg.r1, Insn.Imm 1); Insn.Halt ] [];
+      block 0x1100
+        [
+          Insn.Mov (Reg.r2, Insn.Imm 2);
+          Insn.Binop (Insn.Add, Reg.r1, Insn.Reg Reg.r2);
+          Insn.Mov (Reg.r3, Insn.Reg Reg.r1);
+        ]
+        [];
+    ];
+  let fn = Jt_cfg.Cfg.make_fn ~entry:0x1000 ~name:None blocks in
+  let du = Jt_analysis.Defuse.analyze fn and oracle = Defuse_ref.analyze fn in
+  let defs = Alcotest.(list int) in
+  Alcotest.check defs "r2 from its block" [ 0x1100 ]
+    (Jt_analysis.Defuse.reaching_defs du 0x1104 Reg.r2);
+  Alcotest.check defs "r1 unknown on entry" [ -1 ]
+    (Jt_analysis.Defuse.reaching_defs du 0x1104 Reg.r1);
+  Alcotest.check defs "r1 from the add" [ 0x1104 ]
+    (Jt_analysis.Defuse.reaching_defs du 0x1108 Reg.r1);
+  List.iter
+    (fun a ->
+      List.iter
+        (fun r ->
+          Alcotest.check defs
+            (Printf.sprintf "%s before %x" (Reg.name r) a)
+            (Defuse_ref.reaching_defs oracle a r)
+            (Jt_analysis.Defuse.reaching_defs du a r))
+        Reg.all)
+    [ 0x1000; 0x1004; 0x1100; 0x1104; 0x1108 ]
+
 (* -- generic dataflow solver -- *)
 
 (* Definitely-/possibly-defined registers as bitmask lattices: union join
@@ -911,7 +1007,13 @@ let () =
           Alcotest.test_case "hoistable" `Quick test_scev_hoistable_loop;
           Alcotest.test_case "bails" `Quick test_scev_bails;
         ] );
-      ("defuse", [ Alcotest.test_case "malloc chain" `Quick test_defuse_traces_malloc ]);
+      ( "defuse",
+        [
+          Alcotest.test_case "malloc chain" `Quick test_defuse_traces_malloc;
+          Alcotest.test_case "reference on the registry and Fuzz" `Quick
+            test_defuse_reference;
+          Alcotest.test_case "unreached block" `Quick test_defuse_unreached_block;
+        ] );
       ( "domtree",
         [
           Alcotest.test_case "diamond" `Quick test_domtree_diamond;

@@ -474,6 +474,52 @@ let test_hot_path_allocation () =
   if jasan > 0.1 then
     Alcotest.failf "JASan dyn-only DBT: %.3f minor words/insn > 0.1" jasan
 
+(* Per-run footprint: what one small program costs the major heap
+   directly, from [Vm.make] through boot and the run.  Words allocated
+   straight onto the major heap (blocks above the minor heap's 256-word
+   limit: guest and shadow pages, and any table preallocated for a large
+   program) are [major - promoted] in [Gc.counters]; they are what drives
+   major collections when thousands of tiny programs go through one
+   process.  One page is 513 words: the bound holds eight touched guest
+   and shadow pages (the case touches five, plus two shadow pages under
+   JASan) and nothing sized for a large program. *)
+let test_per_run_footprint () =
+  let m = Jt_fuzz.Fuzz.build (List.hd (Jt_fuzz.Fuzz.cases_of ~base_seed:1 ~seeds:1)) in
+  let registry = [ m; Jt_workloads.Stdlibs.libc ] and main = m.name in
+  let direct_major run =
+    let _, p0, j0 = Gc.counters () in
+    let vm = Jt_vm.Vm.make ~registry () in
+    let go = run vm in
+    Jt_vm.Vm.boot vm ~main;
+    go ();
+    let _, p1, j1 = Gc.counters () in
+    (match vm.status with
+    | Jt_vm.Vm.Exited _ -> ()
+    | s -> Alcotest.failf "%s: %a" main Jt_vm.Vm.pp_status s);
+    j1 -. j0 -. (p1 -. p0)
+  in
+  let native = direct_major (fun vm () -> Jt_vm.Vm.run vm) in
+  let null =
+    direct_major (fun vm ->
+        let engine = Jt_dbt.Dbt.create ~vm () in
+        fun () -> Jt_dbt.Dbt.run engine)
+  in
+  let jasan =
+    direct_major (fun vm ->
+        let tool, _ = Jt_jasan.Jasan.create () in
+        let engine = Jt_dbt.Dbt.create ~vm ~client:tool.t_client () in
+        tool.t_setup vm;
+        fun () -> Jt_dbt.Dbt.run engine)
+  in
+  let bound = 4096. in
+  if native > bound then
+    Alcotest.failf "Vm.run: %.0f direct-major words > %.0f" native bound;
+  if null > bound then
+    Alcotest.failf "null DBT: %.0f direct-major words > %.0f" null bound;
+  if jasan > bound then
+    Alcotest.failf "JASan dyn-only DBT: %.0f direct-major words > %.0f" jasan
+      bound
+
 let () =
   Alcotest.run "dbt"
     [
@@ -493,5 +539,6 @@ let () =
             test_decode_fault_block_invalidated;
           Alcotest.test_case "hot path allocation" `Quick
             test_hot_path_allocation;
+          Alcotest.test_case "per-run footprint" `Quick test_per_run_footprint;
         ] );
     ]

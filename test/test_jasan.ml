@@ -392,8 +392,9 @@ let poisoned_at =
   in
   Alcotest.(option (pair int state))
 
-(* Ranges straddling a 4 MiB directory boundary, the middle of the
-   address space and its top (where addresses wrap to 0). *)
+(* Ranges straddling each level of the page table (a 4 KiB page, a
+   256 KiB leaf, a 16 MiB middle level), the middle of the address space
+   and its top (where addresses wrap to 0). *)
 let test_shadow_directory_edges () =
   List.iter
     (fun b ->
@@ -429,7 +430,8 @@ let test_shadow_directory_edges () =
       Alcotest.(check int) "all clean" 0 (Shadow.poisoned_count s);
       Alcotest.check poisoned_at "clean again" None
         (Shadow.first_poisoned s (at (-16)) ~len:32))
-    [ 0x0040_0000; 0x0080_0000; 0x8000_0000; 0 ]
+    [ 0x0000_1000; 0x0004_0000; 0x0040_0000; 0x0080_0000; 0x0100_0000;
+      0x8000_0000; 0 ]
 
 (* Overlapping fills of random ranges, against a per-byte model: the
    count stays exact and every first_poisoned agrees. *)

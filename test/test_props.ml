@@ -305,6 +305,38 @@ let prop_memory_string_wraparound =
              = Char.code s.[i])
            (List.init (String.length s) Fun.id))
 
+(* Boundaries of each level of the page table: a 4 KiB page, a 256 KiB
+   leaf, a 16 MiB middle level, and the top of the address space. *)
+let edges = [ 0x1000; 0x4_0000; 0x100_0000; 0x7F00_0000; Word.mask + 1 ]
+
+(* [write_string] blits a page-sized chunk at a time; it must leave
+   memory exactly as the same bytes written one [write8] at a time, at
+   the wrapped addresses, for strings that start anywhere near a level
+   boundary and span up to three pages. *)
+let prop_memory_write_string_bytewise =
+  QCheck2.Test.make ~name:"write_string matches write8 across page levels"
+    ~count:200
+    QCheck2.Gen.(
+      let* edge = oneofl edges in
+      let* d = int_range (-9000) 100 in
+      let* n = int_range 0 9000 in
+      let* seed = int in
+      return ((edge + d) land Word.mask, n, seed))
+    (fun (a, n, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let s = String.init n (fun _ -> Char.chr (Random.State.int rng 256)) in
+      let blit = Jt_mem.Memory.create () and bytewise = Jt_mem.Memory.create () in
+      Jt_mem.Memory.write_string blit a s;
+      String.iteri
+        (fun i c ->
+          Jt_mem.Memory.write8 bytewise ((a + i) land Word.mask) (Char.code c))
+        s;
+      List.for_all
+        (fun i ->
+          let x = (a + i) land Word.mask in
+          Jt_mem.Memory.read8 blit x = Jt_mem.Memory.read8 bytewise x)
+        (List.init (n + 64) (fun i -> i - 32)))
+
 (* -- word-wide memory accessors --
 
    [read16]/[read32]/[write16]/[write32] take one page lookup when the
@@ -319,7 +351,7 @@ let prop_memory_word_accessors =
     ~name:"read/write16/32 match read8 near page and address-space edges"
     ~count:1000
     QCheck2.Gen.(
-      let* edge = oneofl [ 0x1000; 0x7F00_0000; Word.mask + 1 ] in
+      let* edge = oneofl edges in
       let* d = int_range (-8) 8 in
       let* width = oneofl [ 2; 4 ] in
       let* v = oneof [ int; int_bound Word.mask; int_range (-1000) (-1) ] in
@@ -479,6 +511,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_memory_string_wraparound;
           QCheck_alcotest.to_alcotest prop_memory_word_accessors;
+          QCheck_alcotest.to_alcotest prop_memory_write_string_bytewise;
         ] );
       ( "alloc",
         [
