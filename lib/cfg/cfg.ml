@@ -42,8 +42,6 @@ type t = {
 
 let build_blocks (d : Disasm.t) =
   let leaders = Disasm.block_starts d in
-  let leader_set = Hashtbl.create 256 in
-  List.iter (fun a -> Hashtbl.replace leader_set a ()) leaders;
   let table_at = Hashtbl.create 16 in
   List.iter (fun (a, ts) -> Hashtbl.replace table_at a ts) d.jump_tables;
   let blocks = Hashtbl.create 256 in
@@ -71,7 +69,7 @@ let build_blocks (d : Disasm.t) =
               | Some Insn.Cti_ret -> Tret
               | Some Insn.Cti_halt -> Thalt
               | Some Insn.Cti_syscall | None -> assert false
-            else if Hashtbl.mem leader_set next then Tfall next
+            else if Hashtbl.mem d.leaders next then Tfall next
             else walk next
         in
         let term = walk leader in

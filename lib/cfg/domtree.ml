@@ -2,15 +2,14 @@
 
    [compute] runs Cooper, Harvey and Kennedy's iterative algorithm ("A
    Simple, Fast Dominance Algorithm", 2001) over the reverse postorder of
-   the blocks reachable from the entry; [of_idoms] takes the idoms as
-   given.  Both end in [make], which lays the tree out in preorder
-   (children by ascending address) so that a block's subtree is the
-   contiguous range [index b .. last b]: [dominates] is two comparisons.
+   the blocks reachable from the entry, then [make] lays the tree out in
+   preorder (children by ascending address) so that a block's subtree is
+   the contiguous range [index b .. last b]: [dominates] is two
+   comparisons.
 
-   A block the entry cannot reach — or, in imported idoms, one whose
-   parent chain never arrives at the entry — has no idom and is
-   dominated only by itself.  Such blocks follow the tree in the
-   preorder, each a subtree of its own. *)
+   A block the entry cannot reach has no idom and is dominated only by
+   itself.  Such blocks follow the tree in the preorder, each a subtree
+   of its own. *)
 
 type t = {
   entry : int;
@@ -28,9 +27,7 @@ let make ~entry blocks idom_of =
   let kids = Hashtbl.create n in
   List.iter
     (fun b ->
-      match idom_of b with
-      | Some p when b <> entry && p <> b -> Hashtbl.add kids p b
-      | _ -> ())
+      match idom_of b with Some p -> Hashtbl.add kids p b | None -> ())
     (List.rev blocks);
   let index = Hashtbl.create n in
   let addr = Array.make n 0 and parent = Array.make n (-1) in
@@ -44,8 +41,6 @@ let make ~entry blocks idom_of =
     last.(i) <- i;
     i
   in
-  (* A block is entered only from its unique idom, so the walk visits
-     each block at most once even when imported idoms hold a cycle. *)
   let rec enter p b =
     let i = number p b in
     List.iter (enter i) (Hashtbl.find_all kids b);
@@ -112,11 +107,6 @@ let compute ~entry ~succs blocks =
       match Hashtbl.find_opt po b with
       | Some i when i <> root -> Some block.(idom.(i))
       | _ -> None)
-
-let of_idoms ~entry pairs =
-  let tbl = Hashtbl.create (List.length pairs) in
-  List.iter (fun (b, p) -> Hashtbl.replace tbl b p) pairs;
-  make ~entry (List.map fst pairs) (Hashtbl.find_opt tbl)
 
 let entry t = t.entry
 

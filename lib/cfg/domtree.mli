@@ -2,26 +2,20 @@
     dominator ("idom") per block.
 
     {!compute} runs the Cooper–Harvey–Kennedy iterative algorithm over
-    reverse postorder; {!of_idoms} rebuilds the same tree from persisted
-    idoms with no derivation step.  The tree is laid out in DFS preorder,
-    so {!dominates} is an interval test.  Natural-loop detection takes
-    its back edges from it.
+    reverse postorder and is the only constructor: a warm load rebuilds
+    the CFG with {!Cfg.build}, so no tree is ever read from stored
+    bytes.  The tree is laid out in DFS preorder, so {!dominates} is an
+    interval test.  Natural-loop detection takes its back edges from it.
 
-    Unreachable blocks: a block the entry cannot reach (or, from
-    {!of_idoms}, one whose idom chain never reaches the entry) has no
-    idom and is dominated only by itself.  {!Cfg.build} never produces
-    one: it collects each function by a walk from its entry. *)
+    Unreachable blocks: a block the entry cannot reach has no idom and
+    is dominated only by itself.  {!Cfg.build} never produces one: it
+    collects each function by a walk from its entry. *)
 
 type t
 
 val compute : entry:int -> succs:(int -> int list) -> int list -> t
 (** [compute ~entry ~succs blocks]: the tree of the graph over [blocks]
     rooted at [entry].  [succs b] must name only members of [blocks]. *)
-
-val of_idoms : entry:int -> (int * int) list -> t
-(** Rebuild a tree from [(block, idom)] pairs, the entry paired with
-    itself.  The result answers every query as the tree the idoms came
-    from.  A non-entry block paired with itself has no idom. *)
 
 val entry : t -> int
 

@@ -25,36 +25,18 @@ type t = {
 }
 
 (* Ground truth for the warm-start invariant: every *real* analysis —
-   disassembly, CFG recovery, the per-function fixpoints — passes through
-   [compute], which bumps this counter.  It is a cross-domain [Atomic]
-   rather than a [Metrics] counter because pool workers analyze on their
-   own domains and the bench gate needs one total, not per-domain
-   shards. *)
+   recursive-traversal disassembly and the per-function fixpoints —
+   passes through [compute], which bumps this counter.  [of_ir] runs
+   [Cfg.build] too, over the stored disassembly, but that is the cheap
+   derivation a warm load is allowed; it is not counted.  It is a
+   cross-domain [Atomic] rather than a [Metrics] counter because pool
+   workers analyze on their own domains and the bench gate needs one
+   total, not per-domain shards. *)
 let analyses = Atomic.make 0
 
 let analyses_performed () = Atomic.get analyses
 
 (* ---- IR conversion: Cfg/analysis values -> pure data and back ---- *)
-
-let term_to_ir : Jt_cfg.Cfg.term -> Ir.term = function
-  | Jt_cfg.Cfg.Tjmp t -> Ir.Tjmp t
-  | Jt_cfg.Cfg.Tjcc (t, f) -> Ir.Tjcc (t, f)
-  | Jt_cfg.Cfg.Tjmp_ind ts -> Ir.Tjmp_ind ts
-  | Jt_cfg.Cfg.Tcall (c, r) -> Ir.Tcall (c, r)
-  | Jt_cfg.Cfg.Tcall_ind r -> Ir.Tcall_ind r
-  | Jt_cfg.Cfg.Tret -> Ir.Tret
-  | Jt_cfg.Cfg.Thalt -> Ir.Thalt
-  | Jt_cfg.Cfg.Tfall n -> Ir.Tfall n
-
-let term_of_ir : Ir.term -> Jt_cfg.Cfg.term = function
-  | Ir.Tjmp t -> Jt_cfg.Cfg.Tjmp t
-  | Ir.Tjcc (t, f) -> Jt_cfg.Cfg.Tjcc (t, f)
-  | Ir.Tjmp_ind ts -> Jt_cfg.Cfg.Tjmp_ind ts
-  | Ir.Tcall (c, r) -> Jt_cfg.Cfg.Tcall (c, r)
-  | Ir.Tcall_ind r -> Jt_cfg.Cfg.Tcall_ind r
-  | Ir.Tret -> Jt_cfg.Cfg.Tret
-  | Ir.Thalt -> Jt_cfg.Cfg.Thalt
-  | Ir.Tfall n -> Jt_cfg.Cfg.Tfall n
 
 let mem_to_ir (m : Jt_isa.Insn.mem) : Ir.mem =
   {
@@ -151,33 +133,13 @@ let canary_of_ir (c : Ir.canary) : Jt_analysis.Canary.site =
   }
 
 let fn_to_ir (fa : fn_analysis) : Ir.fn =
-  let fn = fa.fa_fn in
   let all_live, live = Jt_analysis.Liveness.export fa.fa_liveness in
-  let blocks =
-    List.map
-      (fun (b : Jt_cfg.Cfg.block) -> b.Jt_cfg.Cfg.b_addr)
-      (Jt_cfg.Cfg.fn_blocks fn)
-  in
   {
-    Ir.if_entry = fn.Jt_cfg.Cfg.f_entry;
-    if_name = fn.Jt_cfg.Cfg.f_name;
-    if_blocks = blocks;
-    if_loops =
-      List.map
-        (fun (l : Jt_cfg.Cfg.loop) ->
-          (l.Jt_cfg.Cfg.l_head, Jt_cfg.Cfg.Iset.elements l.l_body))
-        fn.Jt_cfg.Cfg.f_loops;
+    Ir.if_entry = fa.fa_fn.Jt_cfg.Cfg.f_entry;
     if_live_all = all_live;
     if_live = live;
     if_canaries = List.map canary_to_ir fa.fa_canaries;
     if_scev = List.map scev_to_ir fa.fa_scev;
-    (* The entry is its own idom; every other block has one, because
-       [Cfg.build] collects a function by a walk from its entry. *)
-    if_idom =
-      List.map
-        (fun a ->
-          Option.value ~default:a (Jt_cfg.Domtree.idom fn.Jt_cfg.Cfg.f_dom a))
-        blocks;
   }
 
 let build_ir (sa : t) : Ir.t =
@@ -189,19 +151,6 @@ let build_ir (sa : t) : Ir.t =
       d.Jt_disasm.Disasm.insns []
     |> List.sort compare |> Array.of_list
   in
-  let blocks =
-    Hashtbl.fold (fun _ b acc -> b :: acc) sa.sa_cfg.Jt_cfg.Cfg.c_blocks []
-    |> List.sort (fun (a : Jt_cfg.Cfg.block) b ->
-           compare a.Jt_cfg.Cfg.b_addr b.Jt_cfg.Cfg.b_addr)
-    |> List.map (fun (b : Jt_cfg.Cfg.block) ->
-           {
-             Ir.ib_addr = b.Jt_cfg.Cfg.b_addr;
-             ib_ninsns = Array.length b.b_insns;
-             ib_term = term_to_ir b.b_term;
-             ib_succs = b.b_succs;
-             ib_preds = b.b_preds;
-           })
-  in
   {
     Ir.ir_module = sa.sa_mod.Jt_obj.Objfile.name;
     ir_digest = Jt_obj.Objfile.digest sa.sa_mod;
@@ -211,12 +160,27 @@ let build_ir (sa : t) : Ir.t =
     ir_func_entries = d.Jt_disasm.Disasm.func_entries;
     ir_jump_tables = d.Jt_disasm.Disasm.jump_tables;
     ir_code_ptrs = Lazy.force sa.sa_raw_code_ptrs;
-    ir_blocks = blocks;
     ir_fns = List.map fn_to_ir sa.sa_fns;
     ir_cpa = Jt_analysis.Cpa.export (Lazy.force sa.sa_cpa);
   }
 
 (* ---- full analysis (the expensive path) ---- *)
+
+(* One function's bundle over its fixpoint facts, computed or imported.
+   The heavier whole-function analyses are computed on demand,
+   sequentially on the forcing domain, and are not persisted: CPA, the
+   one library reader of VSA, is ([ir_cpa]); no library pass reads
+   def-use. *)
+let fn_analysis ~reliable fn ~liveness ~canaries ~scev =
+  {
+    fa_fn = fn;
+    fa_liveness = liveness;
+    fa_canaries = canaries;
+    fa_scev = scev;
+    fa_vsa = lazy (Jt_analysis.Vsa.analyze ~trust_conventions:reliable fn);
+    fa_domtree = Lazy.from_val fn.Jt_cfg.Cfg.f_dom;
+    fa_defuse = lazy (Jt_analysis.Defuse.analyze fn);
+  }
 
 let addr_fn_of (disasm : Jt_disasm.Disasm.t) fns =
   (* Instruction-address -> function, built once so [fn_of_addr] is a
@@ -273,23 +237,14 @@ let compute (m : Jt_obj.Objfile.t) =
   let fns =
     List.map
       (fun fn ->
-        {
-          fa_fn = fn;
-          fa_liveness =
+        fn_analysis ~reliable fn
+          ~liveness:
             (if reliable then Jt_analysis.Liveness.analyze fn
              else
                Jt_analysis.Liveness.analyze ~call_summary:interproc_summary
-                 ~exit_all_live:true fn);
-          fa_canaries = Jt_analysis.Canary.analyze fn;
-          fa_scev = Jt_analysis.Scev.analyze fn;
-          (* The heavier whole-function analyses are computed on demand,
-             sequentially on the forcing domain: CPA forces VSA for every
-             function; no library pass reads def-use. *)
-          fa_vsa =
-            lazy (Jt_analysis.Vsa.analyze ~trust_conventions:reliable fn);
-          fa_domtree = Lazy.from_val fn.Jt_cfg.Cfg.f_dom;
-          fa_defuse = lazy (Jt_analysis.Defuse.analyze fn);
-        })
+                 ~exit_all_live:true fn)
+          ~canaries:(Jt_analysis.Canary.analyze fn)
+          ~scev:(Jt_analysis.Scev.analyze fn))
       (Jt_cfg.Cfg.functions cfg)
   in
   let rec sa =
@@ -347,85 +302,34 @@ let of_ir (m : Jt_obj.Objfile.t) (ir : Ir.t) =
       jump_tables = ir.Ir.ir_jump_tables;
     }
   in
-  (* Blocks: each block's instructions are the consecutive spans starting
-     at its address. *)
-  let c_blocks = Hashtbl.create 256 in
-  List.iter
-    (fun (b : Ir.block) ->
-      let arr =
-        Array.make b.Ir.ib_ninsns
-          { Jt_disasm.Disasm.d_addr = 0; d_insn = Jt_isa.Insn.Nop; d_len = 0 }
-      in
-      let addr = ref b.Ir.ib_addr in
-      for k = 0 to b.Ir.ib_ninsns - 1 do
-        match Hashtbl.find_opt insns !addr with
-        | None -> failwith "Static_analyzer.of_ir: block walks off the insns"
-        | Some i ->
-          arr.(k) <- i;
-          addr := !addr + i.d_len
-      done;
-      Hashtbl.replace c_blocks b.Ir.ib_addr
-        {
-          Jt_cfg.Cfg.b_addr = b.Ir.ib_addr;
-          b_insns = arr;
-          b_term = term_of_ir b.ib_term;
-          b_succs = b.ib_succs;
-          b_preds = b.ib_preds;
-        })
-    ir.Ir.ir_blocks;
-  let c_fns = Hashtbl.create 64 in
+  (* The CFG is rebuilt by the one builder, so it is the cold CFG by
+     construction; the stored facts must then name its functions, one
+     each, in the same entry order. *)
+  let cfg = Jt_cfg.Cfg.build disasm in
+  let rec zip cfns ifns =
+    match (cfns, ifns) with
+    | [], [] -> []
+    | (fn : Jt_cfg.Cfg.fn) :: cfns, (f : Ir.fn) :: ifns
+      when fn.f_entry = f.Ir.if_entry ->
+      (fn, f) :: zip cfns ifns
+    | _ -> failwith "Static_analyzer.of_ir: stored functions do not match the CFG"
+  in
   let fns =
     List.map
-      (fun (f : Ir.fn) ->
-        let f_blocks = Hashtbl.create (List.length f.Ir.if_blocks) in
-        List.iter
-          (fun a ->
-            match Hashtbl.find_opt c_blocks a with
-            | Some b -> Hashtbl.replace f_blocks a b
-            | None -> failwith "Static_analyzer.of_ir: unknown block in fn")
-          f.Ir.if_blocks;
-        let fn =
-          {
-            Jt_cfg.Cfg.f_entry = f.Ir.if_entry;
-            f_name = f.if_name;
-            f_blocks;
-            f_dom =
-              Jt_cfg.Domtree.of_idoms ~entry:f.if_entry
-                (List.combine f.if_blocks f.if_idom);
-            f_loops =
-              List.map
-                (fun (head, body) ->
-                  {
-                    Jt_cfg.Cfg.l_head = head;
-                    l_body = Jt_cfg.Cfg.Iset.of_list body;
-                  })
-                f.if_loops;
-          }
-        in
-        Hashtbl.replace c_fns f.Ir.if_entry fn;
-        {
-          fa_fn = fn;
-          fa_liveness =
-            Jt_analysis.Liveness.import ~all_live:f.if_live_all
-              ~facts:f.if_live ();
-          fa_canaries = List.map canary_of_ir f.if_canaries;
-          fa_scev = List.map scev_of_ir f.if_scev;
-          (* VSA and def-use are not persisted: CPA, the one warm reader
-             of VSA, is ([ir_cpa]). *)
-          fa_vsa =
-            lazy
-              (Jt_analysis.Vsa.analyze ~trust_conventions:ir.Ir.ir_reliable
-                 fn);
-          fa_domtree = Lazy.from_val fn.Jt_cfg.Cfg.f_dom;
-          fa_defuse = lazy (Jt_analysis.Defuse.analyze fn);
-        })
-      ir.Ir.ir_fns
+      (fun (fn, (f : Ir.fn)) ->
+        fn_analysis ~reliable:ir.Ir.ir_reliable fn
+          ~liveness:
+            (Jt_analysis.Liveness.import ~all_live:f.if_live_all
+               ~facts:f.if_live ())
+          ~canaries:(List.map canary_of_ir f.if_canaries)
+          ~scev:(List.map scev_of_ir f.if_scev))
+      (zip (Jt_cfg.Cfg.functions cfg) ir.Ir.ir_fns)
   in
   let rec sa =
     {
       sa_mod = m;
       sa_disasm = disasm;
-      sa_cfg = { Jt_cfg.Cfg.c_disasm = disasm; c_blocks; c_fns };
+      sa_cfg = cfg;
       sa_fns = fns;
       sa_addr_fn = addr_fn_of disasm fns;
       sa_reliable_conventions = ir.Ir.ir_reliable;

@@ -17,9 +17,8 @@ type fn_analysis = {
           {!of_ir}: it is not persisted); already bailed (all-[Top])
           when the module breaks calling conventions *)
   fa_domtree : Jt_cfg.Domtree.t Lazy.t;
-      (** [fa_fn]'s [f_dom], already built: computed by
-          {!Jt_cfg.Cfg.build}, or rebuilt by {!of_ir} from the stored
-          idoms *)
+      (** [fa_fn]'s [f_dom], already built by {!Jt_cfg.Cfg.build} (on a
+          warm load too: {!of_ir} rebuilds the CFG) *)
   fa_defuse : Jt_analysis.Defuse.t Lazy.t;
       (** def-use chains, computed on first force; not persisted *)
 }
@@ -67,11 +66,14 @@ val compute : Jt_obj.Objfile.t -> t
 
 val of_ir : Jt_obj.Objfile.t -> Jt_ir.Ir.t -> t
 (** Rebuild a full analysis from a stored IR: instruction spans
-    re-decoded from the module's own bytes, analyses restored from the
-    serialized facts; VSA and def-use are recomputed lazily.  Every
-    query and every generated rule is identical to what {!compute} would
-    produce.  @raise Failure on any
-    inconsistency (digest mismatch, undecodable span, dangling block). *)
+    re-decoded from the module's own bytes, the CFG rebuilt over them by
+    {!Jt_cfg.Cfg.build} (so it is the cold CFG by construction), the
+    fixpoint facts restored from [ir_fns]; VSA and def-use are
+    recomputed lazily.  Every query and every generated rule is
+    identical to what {!compute} would produce.  Not counted by
+    {!analyses_performed}.  @raise Failure on any inconsistency (digest
+    mismatch, undecodable span, [ir_fns] not naming the rebuilt CFG's
+    functions one for one in entry order). *)
 
 val to_ir : t -> Jt_ir.Ir.t
 (** [Lazy.force sa.sa_ir]. *)

@@ -1,23 +1,5 @@
 module Codec = Jt_codec.Codec
 
-type term =
-  | Tjmp of int
-  | Tjcc of int * int
-  | Tjmp_ind of int list
-  | Tcall of int * int
-  | Tcall_ind of int
-  | Tret
-  | Thalt
-  | Tfall of int
-
-type block = {
-  ib_addr : int;
-  ib_ninsns : int;
-  ib_term : term;
-  ib_succs : int list;
-  ib_preds : int list;
-}
-
 type mem = { im_base : int; im_index : int; im_scale : int; im_disp : int }
 
 type access = {
@@ -51,14 +33,10 @@ type canary = {
 
 type fn = {
   if_entry : int;
-  if_name : string option;
-  if_blocks : int list;
-  if_loops : (int * int list) list;
   if_live_all : bool;
   if_live : (int * int * int) list;
   if_canaries : canary list;
   if_scev : scev list;
-  if_idom : int list;
 }
 
 type t = {
@@ -70,19 +48,18 @@ type t = {
   ir_func_entries : int list;
   ir_jump_tables : (int * int list) list;
   ir_code_ptrs : int list;
-  ir_blocks : block list;
   ir_fns : fn list;
   ir_cpa : Jt_analysis.Cpa.site list;
 }
 
 let magic = "JTIR"
 
-let schema_version = 6
+let schema_version = 7
 
 (* ---- encoding ----
 
    The shared sealed frame: its MD5 matters here because a flipped byte
-   that still parses (a liveness mask, a VSA bound) would otherwise
+   that still parses (a liveness mask, a leader) would otherwise
    reconstruct into silently different facts.  [i32] marks the signed
    analysis values; both writers keep the low 32 bits, so any int in
    [-2^31, 2^32-1] round-trips through its reader. *)
@@ -91,37 +68,6 @@ module W = Codec.W
 
 let ints16 = W.list U16 W.u32
 let ints32 = W.list U32 W.u32
-
-let enc_term b = function
-  | Tjmp t ->
-    W.u8 b 0;
-    W.u32 b t
-  | Tjcc (t, f) ->
-    W.u8 b 1;
-    W.u32 b t;
-    W.u32 b f
-  | Tjmp_ind ts ->
-    W.u8 b 2;
-    ints16 b ts
-  | Tcall (t, r) ->
-    W.u8 b 3;
-    W.u32 b t;
-    W.u32 b r
-  | Tcall_ind r ->
-    W.u8 b 4;
-    W.u32 b r
-  | Tret -> W.u8 b 5
-  | Thalt -> W.u8 b 6
-  | Tfall n ->
-    W.u8 b 7;
-    W.u32 b n
-
-let enc_block b (bl : block) =
-  W.u32 b bl.ib_addr;
-  W.u32 b bl.ib_ninsns;
-  enc_term b bl.ib_term;
-  ints16 b bl.ib_succs;
-  ints16 b bl.ib_preds
 
 let enc_mem b (m : mem) =
   W.i32 b m.im_base;
@@ -161,13 +107,6 @@ let enc_canary b (c : canary) =
 
 let enc_fn b (f : fn) =
   W.u32 b f.if_entry;
-  W.option (W.str U16) b f.if_name;
-  ints32 b f.if_blocks;
-  W.list U16
-    (fun b (head, body) ->
-      W.u32 b head;
-      ints32 b body)
-    b f.if_loops;
   W.bool b f.if_live_all;
   W.list U32
     (fun b (addr, regs, flags) ->
@@ -176,8 +115,7 @@ let enc_fn b (f : fn) =
       W.u8 b flags)
     b f.if_live;
   W.list U16 enc_canary b f.if_canaries;
-  W.list U16 enc_scev b f.if_scev;
-  ints32 b f.if_idom
+  W.list U16 enc_scev b f.if_scev
 
 (* An unresolved (Top) site has no witness; its slot is written as 0. *)
 let enc_cpa b (c : Jt_analysis.Cpa.site) =
@@ -211,7 +149,6 @@ let encode (t : t) =
           ints16 b ts)
         b t.ir_jump_tables;
       ints32 b t.ir_code_ptrs;
-      W.list U32 enc_block b t.ir_blocks;
       W.list U32 enc_fn b t.ir_fns;
       W.list U32 enc_cpa b t.ir_cpa)
 
@@ -223,33 +160,6 @@ module R = Codec.R
 
 let rints16 = R.list U16 ~min:4 R.u32
 let rints32 = R.list U32 ~min:4 R.u32
-
-let rterm r =
-  match R.u8 r with
-  | 0 -> Tjmp (R.u32 r)
-  | 1 ->
-    let t = R.u32 r in
-    Tjcc (t, R.u32 r)
-  | 2 -> Tjmp_ind (rints16 r)
-  | 3 ->
-    let t = R.u32 r in
-    Tcall (t, R.u32 r)
-  | 4 -> Tcall_ind (R.u32 r)
-  | 5 -> Tret
-  | 6 -> Thalt
-  | 7 -> Tfall (R.u32 r)
-  | _ -> R.fail r "bad terminator tag"
-
-(* [of_ir] allocates [ib_ninsns] slots per block, so a count beyond the
-   entry's own instruction total is rejected here. *)
-let rblock ~max_insns r =
-  let ib_addr = R.u32 r in
-  let ib_ninsns = R.u32 r in
-  if ib_ninsns > max_insns then R.fail r "block insn count";
-  let ib_term = rterm r in
-  let ib_succs = rints16 r in
-  let ib_preds = rints16 r in
-  { ib_addr; ib_ninsns; ib_term; ib_succs; ib_preds }
 
 let rmem r =
   let im_base = R.i32 r in
@@ -300,48 +210,8 @@ let rcanary r =
   let ic_loads = rints16 r in
   { ic_fn; ic_store; ic_after; ic_disp; ic_loads }
 
-(* The idoms must form a tree rooted at the entry: one per block, each a
-   block of the function, only the entry its own idom, and every parent
-   chain ending at the entry.  Without this a crafted entry could hand
-   [Domtree] a cycle that no analysis produced. *)
-let check_idoms r ~entry blocks idoms =
-  let n = List.length blocks in
-  if List.length idoms <> n then R.fail r "idom count";
-  let parent = Hashtbl.create n in
-  List.iter2
-    (fun b p ->
-      if Hashtbl.mem parent b then R.fail r "duplicate block";
-      Hashtbl.replace parent b p)
-    blocks idoms;
-  if Hashtbl.find_opt parent entry <> Some entry then R.fail r "entry idom";
-  (* [true]: known to reach the entry; [false]: on the chain being
-     climbed, so meeting it again is a cycle. *)
-  let reaches = Hashtbl.create n in
-  Hashtbl.replace reaches entry true;
-  let rec climb path a =
-    match Hashtbl.find_opt reaches a with
-    | Some true -> List.iter (fun x -> Hashtbl.replace reaches x true) path
-    | Some false -> R.fail r "idom cycle"
-    | None -> (
-      Hashtbl.replace reaches a false;
-      match Hashtbl.find_opt parent a with
-      | None -> R.fail r "idom outside the function"
-      | Some p when p = a -> R.fail r "non-entry block is its own idom"
-      | Some p -> climb (a :: path) p)
-  in
-  List.iter (climb []) blocks
-
 let rfn r =
   let if_entry = R.u32 r in
-  let if_name = R.option (R.str U16) r in
-  let if_blocks = rints32 r in
-  let if_loops =
-    R.list U16 ~min:8
-      (fun r ->
-        let head = R.u32 r in
-        (head, rints32 r))
-      r
-  in
   let if_live_all = R.bool r in
   let if_live =
     R.list U32 ~min:7
@@ -353,19 +223,7 @@ let rfn r =
   in
   let if_canaries = R.list U16 ~min:18 rcanary r in
   let if_scev = R.list U16 ~min:24 rscev r in
-  let if_idom = rints32 r in
-  check_idoms r ~entry:if_entry if_blocks if_idom;
-  {
-    if_entry;
-    if_name;
-    if_blocks;
-    if_loops;
-    if_live_all;
-    if_live;
-    if_canaries;
-    if_scev;
-    if_idom;
-  }
+  { if_entry; if_live_all; if_live; if_canaries; if_scev }
 
 let rcpa r =
   let cs_fn = R.u32 r in
@@ -399,9 +257,7 @@ let decode =
           r
       in
       let ir_code_ptrs = rints32 r in
-      let max_insns = Array.length ir_insns in
-      let ir_blocks = R.list U32 ~min:13 (rblock ~max_insns) r in
-      let ir_fns = R.list U32 ~min:29 rfn r in
+      let ir_fns = R.list U32 ~min:13 rfn r in
       let ir_cpa = R.list U32 ~min:17 rcpa r in
       {
         ir_module;
@@ -412,7 +268,6 @@ let decode =
         ir_func_entries;
         ir_jump_tables;
         ir_code_ptrs;
-        ir_blocks;
         ir_fns;
         ir_cpa;
       })

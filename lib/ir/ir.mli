@@ -1,44 +1,28 @@
 (** The serializable intermediate representation — the common spine every
     tool consumes (DESIGN.md §13).
 
-    One GTIRB-shaped value per module: interval-keyed byte blocks (the
-    instruction spans of the recovered disassembly), CFG nodes and edges,
-    and typed fields carrying the analysis facts the tools need and cannot
-    cheaply rebuild — immediate dominators, natural loops, liveness, SCEV
-    loop bounds, canary sites and the per-indirect-call-site
-    code-pointer provenance sets.  VSA in-states and def-use chains are
-    not stored: the one warm reader of VSA (CPA) is itself persisted, so
-    both are recomputed from the CFG on first use.
+    One GTIRB-shaped value per module: the recovered disassembly
+    (interval-keyed instruction spans, block leaders, function entries,
+    jump tables and the raw code-pointer scan) and typed fields carrying
+    the fixpoint facts the tools read — liveness, SCEV loop bounds,
+    canary sites and the per-indirect-call-site code-pointer provenance
+    sets.  Nothing a consumer can rebuild from the disassembly is
+    stored: blocks, terminators, edges, function membership and names,
+    dominators and natural loops all come from {!Jt_cfg.Cfg.build} over
+    the re-decoded disassembly, and VSA in-states and def-use chains are
+    recomputed from that CFG on first use (CPA, VSA's one warm reader,
+    is itself persisted).
 
     The representation is deliberately *pure data*: no closures, no
     lazies, no hashtables — so structural equality is meaningful (the
     qcheck round-trip property is [decode (encode ir) = ir]) and the
     binary codec is total over well-formed values.  Decoded instructions
-    are NOT stored; blocks carry instruction spans (address, length) and
-    the consumer re-decodes from the module's section bytes, which the
-    content digest pins down exactly.  What the store saves is the
-    expensive part — recursive-traversal disassembly, CFG recovery and
-    the fixpoint analyses the tools read — not the linear decode. *)
-
-type term =
-  | Tjmp of int
-  | Tjcc of int * int
-  | Tjmp_ind of int list
-  | Tcall of int * int
-  | Tcall_ind of int
-  | Tret
-  | Thalt
-  | Tfall of int
-
-type block = {
-  ib_addr : int;
-  ib_ninsns : int;
-      (** instruction count; the spans themselves are recovered by
-          walking [ir_insns] from [ib_addr] *)
-  ib_term : term;
-  ib_succs : int list;
-  ib_preds : int list;
-}
+    are NOT stored; the consumer re-decodes each span (address, length)
+    from the module's section bytes, which the content digest pins down
+    exactly, and the stored length must match.  What the store saves is
+    the expensive part — recursive-traversal disassembly and the
+    fixpoint analyses the tools read — not the linear decode or the CFG
+    built over it. *)
 
 (** Memory operand, registers as indices: [im_base] is a register index,
     [-1] for none, [-2] for pc-relative. *)
@@ -73,20 +57,15 @@ type canary = {
   ic_loads : int list;
 }
 
+(** One function's facts, keyed by its entry: [of_ir] pairs [ir_fns]
+    with the rebuilt CFG's functions in entry order. *)
 type fn = {
   if_entry : int;
-  if_name : string option;
-  if_blocks : int list;
-  if_loops : (int * int list) list;
   if_live_all : bool;
   if_live : (int * int * int) list;
       (** (insn addr, live register mask, live flag bits) *)
   if_canaries : canary list;
   if_scev : scev list;
-  if_idom : int list;
-      (** immediate dominator of each block, aligned with [if_blocks];
-          the entry carries its own address.  {!decode} rejects any list
-          that is not a tree rooted at the entry *)
 }
 
 type t = {
@@ -98,7 +77,6 @@ type t = {
   ir_func_entries : int list;
   ir_jump_tables : (int * int list) list;
   ir_code_ptrs : int list;  (** raw sliding-window pointer-scan results *)
-  ir_blocks : block list;
   ir_fns : fn list;
   ir_cpa : Jt_analysis.Cpa.site list;
       (** code-pointer provenance, one entry per indirect call site
@@ -121,7 +99,4 @@ val decode : string -> t
 (** Inverse of {!encode}.
     @raise Jt_codec.Codec.Decode_error (format ["JTIR"]) on truncation,
     bad magic, a schema-version mismatch, a length or checksum mismatch,
-    a block claiming more instructions than the entry records, a
-    function whose [if_idom] is not a tree rooted at its entry (wrong
-    length, a duplicate block, an idom outside the function, a non-entry
-    block as its own idom, a cycle), or any other malformed payload. *)
+    or any other malformed payload. *)

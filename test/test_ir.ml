@@ -36,32 +36,6 @@ let gen_i32 = QCheck2.Gen.(int_range (-0x4000_0000) 0x3FFF_FFFF)
 let gen_u8 = QCheck2.Gen.(int_bound 255)
 let small l g = QCheck2.Gen.(list_size (int_bound l) g)
 
-let gen_term =
-  let open QCheck2.Gen in
-  oneof
-    [
-      map (fun t -> Ir.Tjmp t) gen_addr;
-      map2 (fun t f -> Ir.Tjcc (t, f)) gen_addr gen_addr;
-      map (fun ts -> Ir.Tjmp_ind ts) (small 4 gen_addr);
-      map2 (fun t r -> Ir.Tcall (t, r)) gen_addr gen_addr;
-      map (fun r -> Ir.Tcall_ind r) gen_addr;
-      return Ir.Tret;
-      return Ir.Thalt;
-      map (fun n -> Ir.Tfall n) gen_addr;
-    ]
-
-let gen_block =
-  let open QCheck2.Gen in
-  map (fun (addr, n, term, succs, preds) ->
-      {
-        Ir.ib_addr = addr;
-        ib_ninsns = n;
-        ib_term = term;
-        ib_succs = succs;
-        ib_preds = preds;
-      })
-    (tup5 gen_addr gen_u32 gen_term (small 4 gen_addr) (small 4 gen_addr))
-
 let gen_mem =
   let open QCheck2.Gen in
   map (fun (base, index, scale, disp) ->
@@ -110,42 +84,17 @@ let gen_canary =
       })
     (tup5 gen_addr gen_addr gen_addr gen_i32 (small 3 gen_addr))
 
-(* A function's blocks and a valid idom tree over them: distinct blocks,
-   the entry its own idom, every other block's idom a block listed
-   before it in a random order — so every chain ends at the entry. *)
-let gen_idom_tree =
-  let open QCheck2.Gen in
-  map (fun (entry, others) ->
-      let others =
-        List.sort_uniq (fun (a, _) (b, _) -> compare a b)
-          (List.filter (fun (a, _) -> a <> entry) others)
-      in
-      let order = Array.of_list (entry :: List.map fst others) in
-      let tree =
-        (entry, entry)
-        :: List.mapi (fun i (b, pick) -> (b, order.(pick mod (i + 1)))) others
-      in
-      (entry, List.sort compare tree))
-    (pair gen_addr (small 5 (pair gen_addr nat)))
-
 let gen_fn =
   let open QCheck2.Gen in
-  map (fun (((entry, tree), name, loops, live_all), (live, canaries, scev)) ->
+  map (fun ((entry, live_all), (live, canaries, scev)) ->
       {
         Ir.if_entry = entry;
-        if_name = name;
-        if_blocks = List.map fst tree;
-        if_loops = loops;
         if_live_all = live_all;
         if_live = live;
         if_canaries = canaries;
         if_scev = scev;
-        if_idom = List.map snd tree;
       })
-    (pair
-       (tup4 gen_idom_tree (option string_small)
-          (small 2 (pair gen_addr (small 3 gen_addr)))
-          bool)
+    (pair (pair gen_addr bool)
        (tup3
           (small 4 (tup3 gen_addr (int_bound 0xFFFF) gen_u8))
           (small 2 gen_canary) (small 2 gen_scev)))
@@ -164,24 +113,16 @@ let gen_cpa_site =
 
 let gen_ir =
   let open QCheck2.Gen in
-  map (fun ((mname, reliable, insns, leaders, entries), (jts, ptrs, blocks, fns, cpa)) ->
-      let digest = Digest.string mname in
-      let n_insns = List.length insns in
+  map (fun ((mname, reliable, insns, leaders, entries), (jts, ptrs, fns, cpa)) ->
       {
         Ir.ir_module = mname;
-        ir_digest = digest;
+        ir_digest = Digest.string mname;
         ir_reliable = reliable;
         ir_insns = Array.of_list insns;
         ir_leaders = leaders;
         ir_func_entries = entries;
         ir_jump_tables = jts;
         ir_code_ptrs = ptrs;
-        (* decode rejects a block longer than the whole instruction list *)
-        ir_blocks =
-          List.map
-            (fun (b : Ir.block) ->
-              { b with ib_ninsns = b.ib_ninsns mod (n_insns + 1) })
-            blocks;
         ir_fns = fns;
         ir_cpa = cpa;
       })
@@ -189,10 +130,9 @@ let gen_ir =
        (tup5 string_small bool
           (small 6 (pair gen_addr (int_range 1 8)))
           (small 4 gen_addr) (small 4 gen_addr))
-       (tup5
+       (tup4
           (small 2 (pair gen_addr (small 3 gen_addr)))
-          (small 4 gen_addr) (small 4 gen_block) (small 3 gen_fn)
-          (small 3 gen_cpa_site)))
+          (small 4 gen_addr) (small 3 gen_fn) (small 3 gen_cpa_site)))
 
 let prop_roundtrip =
   QCheck2.Test.make ~name:"decode (encode ir) = ir" ~count:300 gen_ir (fun ir ->
@@ -202,9 +142,8 @@ let prop_roundtrip =
    payload: each list's element bound must admit them. *)
 let test_smallest_fns_roundtrip () =
   let fn a =
-    { Ir.if_entry = a; if_name = None; if_blocks = [ a ]; if_loops = [];
-      if_live_all = false; if_live = []; if_canaries = []; if_scev = [];
-      if_idom = [ a ] }
+    { Ir.if_entry = a; if_live_all = false; if_live = []; if_canaries = [];
+      if_scev = [] }
   in
   let ir =
     { (Janitizer.Static_analyzer.to_ir
@@ -251,15 +190,16 @@ let test_decode_rejects () =
     "wrong schema version"
     (fun () -> Ir.decode (Bytes.to_string bumped));
   (* schema 4 still carried a per-function stack record, schema 5 VSA
-     in-states and def-use chains; under a valid checksum each is a typed
-     error, not a misparse *)
+     in-states and def-use chains, schema 6 blocks, idoms, loops and
+     names; under a valid checksum each is a typed error, not a
+     misparse *)
   List.iter
     (fun v ->
       decode_error
         ~reason:(Printf.sprintf "version %d, expected %d" v Ir.schema_version)
         (Printf.sprintf "schema %d entry" v)
         (fun () -> Ir.decode (reseal ~version:v (payload_of enc))))
-    [ 4; 5 ];
+    [ 4; 5; 6 ];
   decode_error ~reason:"trailing bytes" "trailing bytes" (fun () ->
       Ir.decode (enc ^ "\x00"))
 
@@ -279,74 +219,11 @@ let test_real_module_roundtrip () =
     (Ir.decode (Ir.encode ir) = ir)
 
 let test_decode_rejects_sealed () =
-  let ir = sample_ir () in
-  let enc = Ir.encode ir in
+  let enc = Ir.encode (sample_ir ()) in
   Alcotest.(check bool) "reseal is the identity" true
     (reseal (payload_of enc) = enc);
   decode_error ~reason:"trailing bytes" "trailing bytes under a valid checksum"
-    (fun () -> Ir.decode (reseal (payload_of enc ^ "xx")));
-  let n = Array.length ir.Ir.ir_insns in
-  let long =
-    match ir.Ir.ir_blocks with
-    | b :: rest -> { b with Ir.ib_ninsns = n + 1 } :: rest
-    | [] -> Alcotest.fail "sample IR has no blocks"
-  in
-  decode_error ~reason:"block insn count"
-    "block longer than the instruction list" (fun () ->
-      Ir.decode (Ir.encode { ir with Ir.ir_blocks = long }))
-
-(* Each malformed idom array is rejected under a valid checksum.  The
-   sample's largest function gets the bad array; [Ir.encode] does not
-   validate, so the encoding reaches [check_idoms] intact. *)
-let reject_idoms why mangle () =
-  let ir = sample_ir () in
-  let big =
-    List.fold_left
-      (fun (best : Ir.fn) (f : Ir.fn) ->
-        if List.length f.if_blocks > List.length best.if_blocks then f else best)
-      (List.hd ir.Ir.ir_fns) ir.Ir.ir_fns
-  in
-  Alcotest.(check bool) "sample function has 3+ blocks" true
-    (List.length big.if_blocks >= 3);
-  let fns =
-    List.map (fun (f : Ir.fn) -> if f == big then mangle f else f) ir.Ir.ir_fns
-  in
-  decode_error ~reason:why why (fun () ->
-      Ir.decode (Ir.encode { ir with Ir.ir_fns = fns }))
-
-(* The first two non-entry blocks of [f], and [f] with [b]'s idom set. *)
-let non_entry (f : Ir.fn) =
-  match List.filter (( <> ) f.if_entry) f.if_blocks with
-  | a :: b :: _ -> (a, b)
-  | _ -> Alcotest.fail "need two non-entry blocks"
-
-let set_idom (f : Ir.fn) b p =
-  { f with
-    Ir.if_idom =
-      List.map2 (fun x q -> if x = b then p else q) f.if_blocks f.if_idom }
-
-let idom_rejections =
-  [
-    ( "idom count",
-      fun (f : Ir.fn) -> { f with Ir.if_idom = List.tl f.if_idom } );
-    ( "duplicate block",
-      fun (f : Ir.fn) ->
-        let a, b = non_entry f in
-        { f with
-          Ir.if_blocks = List.map (fun x -> if x = b then a else x) f.if_blocks } );
-    ("entry idom", fun (f : Ir.fn) -> set_idom f f.if_entry (fst (non_entry f)));
-    ( "idom outside the function",
-      fun (f : Ir.fn) -> set_idom f (fst (non_entry f)) 0xdead );
-    ( "non-entry block is its own idom",
-      fun (f : Ir.fn) ->
-        let a, _ = non_entry f in
-        set_idom f a a );
-    (* two blocks as each other's idom: [dom_chain] would never end *)
-    ( "idom cycle",
-      fun (f : Ir.fn) ->
-        let a, b = non_entry f in
-        set_idom (set_idom f a b) b a );
-  ]
+    (fun () -> Ir.decode (reseal (payload_of enc ^ "xx")))
 
 let bzip2 = lazy (Jt_workloads.Specgen.build (Jt_workloads.Sheet.find "bzip2"))
 
@@ -455,8 +332,11 @@ let test_store_wrong_version () =
           Bytes.to_string b));
   check_corrupt_reanalyzes "schema4" (fun p ->
       rewrite p (fun d -> reseal ~version:4 (payload_of d)));
-  check_corrupt_reanalyzes "schema5" (fun p ->
-      rewrite p (fun d -> reseal ~version:5 (payload_of d)))
+  List.iter
+    (fun v ->
+      check_corrupt_reanalyzes (Printf.sprintf "schema%d" v) (fun p ->
+          rewrite p (fun d -> reseal ~version:v (payload_of d))))
+    [ 5; 6 ]
 
 let test_store_stale_digest () =
   (* The file decodes fine but records a different module's digest — the
@@ -508,47 +388,163 @@ let test_store_every_byte_flipped () =
 
 (* ---- warm load ≡ direct analysis -------------------------------- *)
 
+module Sa = Janitizer.Static_analyzer
+
+(* Everything a tool can read off a CFG: each block's instruction
+   addresses, terminator and successor/predecessor lists (in order: the
+   predecessor order feeds [Dataflow] and SCEV's preheader pick), and
+   each function's name, blocks, idoms and natural loops (in order). *)
+let cfg_shape (cfg : Jt_cfg.Cfg.t) =
+  let blocks =
+    Hashtbl.fold (fun _ b acc -> b :: acc) cfg.c_blocks []
+    |> List.sort (fun (a : Jt_cfg.Cfg.block) b -> compare a.b_addr b.b_addr)
+    |> List.map (fun (b : Jt_cfg.Cfg.block) ->
+           ( b.b_addr,
+             Array.map (fun (i : Jt_disasm.Disasm.insn_info) -> i.d_addr) b.b_insns,
+             b.b_term,
+             b.b_succs,
+             b.b_preds ))
+  in
+  let fns =
+    List.map
+      (fun (fn : Jt_cfg.Cfg.fn) ->
+        ( fn.f_entry,
+          fn.f_name,
+          List.map
+            (fun (b : Jt_cfg.Cfg.block) ->
+              (b.b_addr, Jt_cfg.Domtree.idom fn.f_dom b.b_addr))
+            (Jt_cfg.Cfg.fn_blocks fn),
+          List.map
+            (fun (l : Jt_cfg.Cfg.loop) ->
+              (l.l_head, Jt_cfg.Cfg.Iset.elements l.l_body))
+            fn.f_loops ))
+      (Jt_cfg.Cfg.functions cfg)
+  in
+  (blocks, fns)
+
+(* A cold-code module: a registry C sheet with one driver unit and its
+   code bloated, so it is large and its functions run about once. *)
+let bloated_module () =
+  let s =
+    { (Jt_workloads.Sheet.find "gcc") with
+      Jt_workloads.Sheet.s_name = "gcc_cold_150";
+      s_code_bloat = 150;
+      s_units = 1 }
+  in
+  (Jt_workloads.Specgen.build s).Jt_workloads.Specgen.w_main
+
+(* Every registry module, libc, libm, ld.so and one bloated module, each
+   once. *)
+let equivalence_modules () =
+  let seen = Hashtbl.create 64 in
+  List.concat_map
+    (fun s -> (Jt_workloads.Specgen.build s).Jt_workloads.Specgen.w_registry)
+    Jt_workloads.Sheet.all
+  @ [ Jt_workloads.Stdlibs.libc; Jt_workloads.Stdlibs.libm;
+      Jt_loader.Loader.ld_so; bloated_module () ]
+  |> List.filter (fun m ->
+         let d = Jt_obj.Objfile.digest m in
+         (not (Hashtbl.mem seen d)) && (Hashtbl.replace seen d (); true))
+
+(* Cold through a store, then warm through a fresh handle over the same
+   directory (the disk decode path, not the memory LRU): no warm
+   [compute], and the warm analysis equals the cold one in its CFG, its
+   IR, its recomputed VSA and the JASan and JCFI rule bytes. *)
 let test_warm_load_equivalence () =
   with_dir "warm" (fun dir ->
-      let m = Progs.sum_prog ~n:30 () in
-      let tool, _ = Jt_jasan.Jasan.create () in
-      let cold_sa = ref None in
-      let before = Janitizer.Static_analyzer.analyses_performed () in
-      (let st = Store.create ~dir () in
-       cold_sa := Some (Janitizer.Static_analyzer.analyze ~store:st m));
-      let mid = Janitizer.Static_analyzer.analyses_performed () in
-      Alcotest.(check int) "cold run analyzed once" 1 (mid - before);
-      (* fresh handle over the same dir: warm load goes through the disk
-         decode path, not the memory LRU *)
+      let modules = Progs.sum_prog ~n:30 () :: equivalence_modules () in
+      let jasan, _ = Jt_jasan.Jasan.create () in
+      let jcfi, _ = Jt_jcfi.Jcfi.create () in
+      let before = Sa.analyses_performed () in
+      let cold = List.map (Sa.analyze ~store:(Store.create ~dir ())) modules in
+      let mid = Sa.analyses_performed () in
+      Alcotest.(check int) "cold run analyzed each module once"
+        (List.length modules) (mid - before);
       let st2 = Store.create ~dir () in
-      let warm_sa = Janitizer.Static_analyzer.analyze ~store:st2 m in
-      let after = Janitizer.Static_analyzer.analyses_performed () in
-      Alcotest.(check int) "warm run analyzed nothing" 0 (after - mid);
-      Alcotest.(check int) "warm run hit the disk" 1
+      let warm = List.map (Sa.analyze ~store:st2) modules in
+      Alcotest.(check int) "warm run analyzed nothing" 0
+        (Sa.analyses_performed () - mid);
+      Alcotest.(check int) "warm run hit the disk" (List.length modules)
         (Store.stats st2).Store.st_disk_hits;
-      let cold_sa = Option.get !cold_sa in
-      Alcotest.(check string) "identical rule bytes"
-        (rules_bytes tool cold_sa) (rules_bytes tool warm_sa);
-      Alcotest.(check bool) "identical IR" true
-        (Janitizer.Static_analyzer.to_ir cold_sa
-        = Janitizer.Static_analyzer.to_ir warm_sa);
-      (* VSA is not persisted: the warm analysis recomputes it from the
-         stored CFG, and every block's in-state must match *)
+      Alcotest.(check bool) "ld.so and a bloated module among them" true
+        (List.exists (fun (m : Jt_obj.Objfile.t) -> m.name = "ld.so") modules
+        && List.exists
+             (fun (m : Jt_obj.Objfile.t) -> m.name = "gcc_cold_150")
+             modules);
       List.iter2
-        (fun (c : Janitizer.Static_analyzer.fn_analysis)
-             (w : Janitizer.Static_analyzer.fn_analysis) ->
-          let cv = Lazy.force c.fa_vsa and wv = Lazy.force w.fa_vsa in
-          let entry = c.fa_fn.Jt_cfg.Cfg.f_entry in
-          Alcotest.(check bool)
-            (Printf.sprintf "0x%x bailed" entry)
-            (Jt_analysis.Vsa.bailed cv) (Jt_analysis.Vsa.bailed wv);
-          List.iter
-            (fun (b : Jt_cfg.Cfg.block) ->
-              if Jt_analysis.Vsa.block_in cv b.b_addr
-                 <> Jt_analysis.Vsa.block_in wv b.b_addr
-              then Alcotest.failf "0x%x: VSA in-state of 0x%x differs" entry b.b_addr)
-            (Jt_cfg.Cfg.fn_blocks c.fa_fn))
-        cold_sa.sa_fns warm_sa.sa_fns)
+        (fun (c : Sa.t) (w : Sa.t) ->
+          let name = c.sa_mod.Jt_obj.Objfile.name in
+          let check what ok =
+            if not ok then Alcotest.failf "%s: warm %s differs" name what
+          in
+          check "CFG" (cfg_shape c.sa_cfg = cfg_shape w.sa_cfg);
+          check "IR" (Sa.to_ir c = Sa.to_ir w);
+          check "JASan rules" (rules_bytes jasan c = rules_bytes jasan w);
+          check "JCFI rules" (rules_bytes jcfi c = rules_bytes jcfi w);
+          (* VSA is not persisted: the warm analysis recomputes it from
+             the rebuilt CFG, and every block's in-state must match *)
+          List.iter2
+            (fun (cf : Sa.fn_analysis) (wf : Sa.fn_analysis) ->
+              let cv = Lazy.force cf.fa_vsa and wv = Lazy.force wf.fa_vsa in
+              check "VSA bail" (Jt_analysis.Vsa.bailed cv = Jt_analysis.Vsa.bailed wv);
+              List.iter
+                (fun (b : Jt_cfg.Cfg.block) ->
+                  check
+                    (Printf.sprintf "VSA in-state of 0x%x" b.b_addr)
+                    (Jt_analysis.Vsa.block_in cv b.b_addr
+                    = Jt_analysis.Vsa.block_in wv b.b_addr))
+                (Jt_cfg.Cfg.fn_blocks cf.fa_fn))
+            c.sa_fns w.sa_fns)
+        cold warm)
+
+(* A sealed entry whose [ir_fns] do not name the rebuilt CFG's
+   functions one for one: [of_ir] rejects it, and a warm [analyze] reads
+   it from disk, warns, recomputes and returns the cold rules. *)
+let check_misaligned name mangle =
+  with_dir name (fun dir ->
+      let m = bzip2_module "libm.so" in
+      let jasan, _ = Jt_jasan.Jasan.create () in
+      let jcfi, _ = Jt_jcfi.Jcfi.create () in
+      let rules sa = (rules_bytes jasan sa, rules_bytes jcfi sa) in
+      let cold = Sa.compute m in
+      let bad = mangle cold (Sa.to_ir cold) in
+      (match Sa.of_ir m bad with
+      | _ -> Alcotest.failf "%s: of_ir accepted the entry" name
+      | exception Failure _ -> ());
+      let st = Store.create ~dir () in
+      Jt_codec.Codec.write_file_atomic
+        (store_entry_path dir (Jt_obj.Objfile.digest m))
+        (Ir.encode bad);
+      let before = Sa.analyses_performed () in
+      let warm = Sa.analyze ~store:st m in
+      Alcotest.(check int) (name ^ ": the entry decoded") 1
+        (Store.stats st).Store.st_disk_hits;
+      Alcotest.(check int) (name ^ ": recomputed") 1
+        (Sa.analyses_performed () - before);
+      Alcotest.(check bool) (name ^ ": cold rules") true (rules warm = rules cold))
+
+let test_misaligned_fns () =
+  check_misaligned "dropped" (fun _ ir ->
+      match ir.Ir.ir_fns with
+      | a :: _ :: rest -> { ir with Ir.ir_fns = a :: rest }
+      | _ -> Alcotest.fail "need two functions");
+  check_misaligned "moved" (fun cold ir ->
+      (* the first function with a second block gets that block as its
+         entry *)
+      let fn, b =
+        List.find_map
+          (fun (fa : Sa.fn_analysis) ->
+            match Jt_cfg.Cfg.fn_blocks fa.fa_fn with
+            | _ :: (b : Jt_cfg.Cfg.block) :: _ -> Some (fa.fa_fn.f_entry, b.b_addr)
+            | _ -> None)
+          cold.Sa.sa_fns
+        |> Option.get
+      in
+      { ir with
+        Ir.ir_fns =
+          List.map
+            (fun (f : Ir.fn) -> if f.if_entry = fn then { f with if_entry = b } else f)
+            ir.ir_fns })
 
 (* CPA is a typed IR field: a warm analysis imports the persisted sites
    instead of re-running the pass, and JCFI's per-site policy follows. *)
@@ -698,12 +694,7 @@ let () =
           Alcotest.test_case "smallest functions round-trip" `Quick
             test_smallest_fns_roundtrip;
           Alcotest.test_case "bzip2 byte flips" `Quick test_byte_flips;
-        ]
-        @ List.map
-            (fun (why, mangle) ->
-              Alcotest.test_case ("rejects " ^ why) `Quick
-                (reject_idoms why mangle))
-            idom_rejections );
+        ] );
       ( "store-robustness",
         [
           Alcotest.test_case "truncated entry" `Quick test_store_truncated;
@@ -714,6 +705,8 @@ let () =
           Alcotest.test_case "stale digest" `Quick test_store_stale_digest;
           Alcotest.test_case "every byte flipped" `Quick
             test_store_every_byte_flipped;
+          Alcotest.test_case "functions not matching the CFG" `Quick
+            test_misaligned_fns;
         ] );
       ( "store",
         [
