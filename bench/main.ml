@@ -68,26 +68,29 @@ let same_behaviour (a : Jt_vm.Vm.result) (b : Jt_vm.Vm.result) =
   in
   a.r_status = b.r_status && a.r_output = b.r_output && vset a = vset b
 
-(* ---- the figure sweep: every workload under ~12 configurations ---- *)
+(* ---- the figure sweep: every workload under the scheme table ---- *)
+
+module Scheme = Jt_schemes.Scheme
+
+(* A sweep run: a scheme, or one of two tool-option ablations of a
+   scheme (Figures 8 and 11), which run the driver directly. *)
+type entry = S of Scheme.t | Jasan_base | Jcfi_forward
+
+let entry_name = function
+  | S sc -> Scheme.name sc
+  | Jasan_base -> "jasan-base"
+  | Jcfi_forward -> "jcfi-forward"
+
+(* Run order, which is also the order of the report's "cycles". *)
+let entries =
+  [ S Null; S (Jasan Hybrid); Jasan_base; S (Jasan Dyn); S Valgrind; S Retrowrite;
+    S (Jcfi Hybrid); S (Jcfi Dyn); Jcfi_forward; S (Lockdown Strong);
+    S (Lockdown Weak); S Bincfi ]
 
 type bench_runs = {
   b_sheet : Sheet.t;
-  b_null : float;
-  b_jasan_h : float;
-  b_jasan_b : float;
-  b_jasan_d : float;
-  b_valgrind : float;
-  b_retrowrite : Jt_metrics.Metrics.cell;
-  b_jcfi_h : float;
-  b_jcfi_d : float;
-  b_jcfi_fwd : float;
-  b_lockdown : Jt_metrics.Metrics.cell;
-  b_bincfi : Jt_metrics.Metrics.cell;
-  b_dynfrac : float;
-  b_dair_h : float;
-  b_dair_d : float;
-  b_lk_s_air : Jt_metrics.Metrics.cell;
-  b_lk_w_air : Jt_metrics.Metrics.cell;
+  b_runs : (entry * (Jt_metrics.Metrics.cell * Scheme.outcome option)) list;
+      (** per entry: slowdown vs native, and the scheme's outcome if it ran *)
   b_sair_jcfi : float;
   b_sair_bincfi : Jt_metrics.Metrics.cell;
   b_cycles : (string * int) list;
@@ -105,90 +108,55 @@ let count n = value (float_of_int n)
 let measure (s : Sheet.t) =
   Printf.eprintf "  measuring %s...\n%!" s.s_name;
   let w = Specgen.build s in
-  let registry = w.w_registry in
   let main = s.s_name in
   let native = Specgen.run_native w in
-  let n = native.r_cycles in
-  let diverged = ref [] and cycles = ref [ ("native", n) ] in
-  let check_out ?(base = native) scheme (r : Jt_vm.Vm.result) =
-    cycles := (scheme, r.r_cycles) :: !cycles;
+  let diverged = ref [] and cycles = ref [ ("native", native.r_cycles) ] in
+  let check_out ?(base = native) label (r : Jt_vm.Vm.result) =
+    cycles := (label, r.r_cycles) :: !cycles;
     if r.r_output <> base.r_output || r.r_status <> base.r_status then
-      diverged := scheme :: !diverged
+      diverged := label :: !diverged;
+    value (ratio r.r_cycles base.r_cycles)
   in
-  let run_tool ?(hybrid = true) scheme mk =
-    let tool = mk () in
-    let o = Janitizer.Driver.run ~hybrid ~tool ~registry ~main () in
-    check_out scheme o.o_result;
-    o
+  let ablate label tool =
+    let o = Janitizer.Driver.run ~tool ~registry:w.w_registry ~main () in
+    (check_out label o.o_result, None)
   in
-  let null = Janitizer.Driver.run_null ~registry ~main () in
-  check_out "null" null.o_result;
-  let jasan_h = run_tool "jasan-hybrid" (fun () -> fst (Jt_jasan.Jasan.create ())) in
-  let jasan_b =
-    run_tool "jasan-base" (fun () ->
-        fst (Jt_jasan.Jasan.create ~liveness:Jt_jasan.Jasan.Live_none ()))
+  let run e =
+    let label = entry_name e in
+    ( e,
+      match e with
+      | Jasan_base ->
+        ablate label (fst (Jt_jasan.Jasan.create ~liveness:Jt_jasan.Jasan.Live_none ()))
+      | Jcfi_forward ->
+        ablate label
+          (fst (Jt_jcfi.Jcfi.create ~config:{ cf_forward = true; cf_backward = false } ()))
+      | S (Lockdown _) when s.s_fails_lockdown ->
+        (Jt_metrics.Metrics.Fail "crash (as in the original paper)", None)
+      | S sc -> (
+        (* RetroWrite gets the PIC build it requires (the original
+           paper's setup); its slowdown is measured against the PIC
+           native run. *)
+        let pic = sc = Retrowrite in
+        let w = if pic then Specgen.build ~kind:Jt_obj.Objfile.Exec_pic s else w in
+        match Scheme.run sc ~registry:w.w_registry ~main with
+        | Error r -> (Jt_metrics.Metrics.Fail (Scheme.refusal_to_string r), None)
+        | Ok o ->
+          let base =
+            if pic then begin
+              let np = Specgen.run_native w in
+              cycles := ("native-pic", np.r_cycles) :: !cycles;
+              np
+            end
+            else native
+          in
+          (* the weak Lockdown policy runs for its AIR (Figure 12) only *)
+          ( (if sc = Lockdown Weak then Jt_metrics.Metrics.Fail "-"
+             else check_out ~base label o.so_run.o_result),
+            Some o )) )
   in
-  let jasan_d =
-    run_tool ~hybrid:false "jasan-dyn" (fun () -> fst (Jt_jasan.Jasan.create ()))
-  in
-  let valgrind = Jt_baselines.Valgrind_like.run ~registry ~main () in
-  check_out "valgrind" valgrind;
-  (* RetroWrite gets the PIC build it requires (the original paper's
-     setup); its slowdown is measured against the PIC native run. *)
-  let retrowrite =
-    let wp = Specgen.build ~kind:Jt_obj.Objfile.Exec_pic s in
-    match
-      Jt_baselines.Retrowrite_like.run ~registry:wp.w_registry ~main ()
-    with
-    | Ok r ->
-      let np = Specgen.run_native wp in
-      cycles := ("native-pic", np.r_cycles) :: !cycles;
-      check_out ~base:np "retrowrite" r;
-      value (ratio r.r_cycles np.r_cycles)
-    | Error (Jt_baselines.Retrowrite_like.Needs_pic m) ->
-      Jt_metrics.Metrics.Fail ("non-PIC: " ^ m)
-    | Error (Jt_baselines.Retrowrite_like.Unsupported_feature (m, f)) ->
-      Jt_metrics.Metrics.Fail (m ^ ": " ^ f)
-  in
-  let run_jcfi ?(hybrid = true) ?config scheme =
-    let tool, rt = Jt_jcfi.Jcfi.create ?config () in
-    let o = Janitizer.Driver.run ~hybrid ~tool ~registry ~main () in
-    check_out scheme o.o_result;
-    (o, rt)
-  in
-  let jcfi_h, rt_h = run_jcfi "jcfi-hybrid" in
-  let jcfi_d, rt_d = run_jcfi ~hybrid:false "jcfi-dyn" in
-  let jcfi_fwd, _ =
-    run_jcfi ~config:{ Jt_jcfi.Jcfi.cf_forward = true; cf_backward = false }
-      "jcfi-forward"
-  in
-  let lockdown, lk_s_air, lk_w_air =
-    if s.s_fails_lockdown then
-      ( Jt_metrics.Metrics.Fail "crash (as in the original paper)",
-        Jt_metrics.Metrics.Fail "-",
-        Jt_metrics.Metrics.Fail "-" )
-    else begin
-      let lk = Jt_baselines.Lockdown.run ~registry ~main () in
-      let lkw =
-        Jt_baselines.Lockdown.run ~policy:Jt_baselines.Lockdown.Weak ~registry
-          ~main ()
-      in
-      check_out "lockdown" lk.lk_result;
-      ( value (ratio lk.lk_result.r_cycles n),
-        value lk.lk_dynamic_air,
-        value lkw.lk_dynamic_air )
-    end
-  in
-  let bincfi =
-    match Jt_baselines.Bincfi.run ~registry ~main () with
-    | Ok r ->
-      check_out "bincfi" r;
-      value (ratio r.r_cycles n)
-    | Error (Jt_baselines.Bincfi.Broken_rewrite m) ->
-      Jt_metrics.Metrics.Fail ("broken rewrite: " ^ m)
-  in
+  let runs = List.map run entries in
+  let registry = w.w_registry in
   let closure = Janitizer.Driver.static_closure ~registry ~main in
-  let sair_jcfi = Jt_jcfi.Air.static_jcfi closure in
   let sair_bincfi =
     match Jt_baselines.Bincfi.applicability ~registry ~main with
     | None -> value (Jt_baselines.Bincfi.static_air closure)
@@ -197,27 +165,24 @@ let measure (s : Sheet.t) =
   in
   ( {
       b_sheet = s;
-      b_null = ratio null.o_result.r_cycles n;
-      b_jasan_h = ratio jasan_h.o_result.r_cycles n;
-      b_jasan_b = ratio jasan_b.o_result.r_cycles n;
-      b_jasan_d = ratio jasan_d.o_result.r_cycles n;
-      b_valgrind = ratio valgrind.r_cycles n;
-      b_retrowrite = retrowrite;
-      b_jcfi_h = ratio jcfi_h.o_result.r_cycles n;
-      b_jcfi_d = ratio jcfi_d.o_result.r_cycles n;
-      b_jcfi_fwd = ratio jcfi_fwd.o_result.r_cycles n;
-      b_lockdown = lockdown;
-      b_bincfi = bincfi;
-      b_dynfrac = jasan_h.o_dynamic_fraction;
-      b_dair_h = Jt_jcfi.Air.dynamic rt_h;
-      b_dair_d = Jt_jcfi.Air.dynamic rt_d;
-      b_lk_s_air = lk_s_air;
-      b_lk_w_air = lk_w_air;
-      b_sair_jcfi = sair_jcfi;
+      b_runs = runs;
+      b_sair_jcfi = Jt_jcfi.Air.static_jcfi closure;
       b_sair_bincfi = sair_bincfi;
       b_cycles = List.rev !cycles;
     },
     List.rev !diverged )
+
+let slowdown r e = fst (List.assoc e r.b_runs)
+
+let dair r e =
+  match snd (List.assoc e r.b_runs) with
+  | Some { Scheme.so_figure = Dynamic_air a; _ } -> value a
+  | _ -> Jt_metrics.Metrics.Fail "-"
+
+let dynfrac r =
+  match snd (List.assoc (S (Jasan Hybrid)) r.b_runs) with
+  | Some o -> o.so_run.o_dynamic_fraction
+  | None -> 0.0
 
 (* The sweep runs once per process, on first use: with [--jobs N] the
    workloads are measured as pool jobs.  Its soundness gate is the
@@ -267,23 +232,25 @@ let fig7 () =
   sweep_table "Figure 7: JASan overhead on SPEC CPU2006-like workloads"
     "slowdown vs native"
     [ "Valgrind"; "JASan-dyn"; "Retrowrite"; "JASan-hybrid" ]
-    (fun r -> [ value r.b_valgrind; value r.b_jasan_d; r.b_retrowrite; value r.b_jasan_h ])
+    (fun r ->
+      List.map (slowdown r) [ S Valgrind; S (Jasan Dyn); S Retrowrite; S (Jasan Hybrid) ])
 
 let fig8 () =
   sweep_table "Figure 8: JASan overhead breakdown" "slowdown vs native"
     [ "Null client"; "hybrid(full)"; "hybrid(base)"; "JASan-dyn" ]
-    (fun r -> [ value r.b_null; value r.b_jasan_h; value r.b_jasan_b; value r.b_jasan_d ])
+    (fun r -> List.map (slowdown r) [ S Null; S (Jasan Hybrid); Jasan_base; S (Jasan Dyn) ])
 
 let fig9 () =
   sweep_table "Figure 9: JCFI overhead vs Lockdown and BinCFI"
     "slowdown vs native"
     [ "Lockdown"; "JCFI-dyn"; "JCFI-hybrid"; "BinCFI" ]
-    (fun r -> [ r.b_lockdown; value r.b_jcfi_d; value r.b_jcfi_h; r.b_bincfi ])
+    (fun r ->
+      List.map (slowdown r) [ S (Lockdown Strong); S (Jcfi Dyn); S (Jcfi Hybrid); S Bincfi ])
 
 let fig10 () =
   Printf.printf "\n  running 624 Juliet CWE-122 cases x 2 variants x 2 tools...\n%!";
-  let j = Juliet.evaluate Juliet.Jasan_hybrid in
-  let v = Juliet.evaluate Juliet.Valgrind in
+  let j = Juliet.evaluate (Jasan Hybrid) in
+  let v = Juliet.evaluate Valgrind in
   Jt_metrics.Metrics.print_kv
     "Figure 10: security properties across 624 Juliet CWE-122 test cases"
     [
@@ -302,8 +269,8 @@ let fig10 () =
   let fam_rows =
     List.concat_map
       (fun fam ->
-        let j = Juliet.evaluate_family Juliet.Jasan_hybrid fam in
-        let v = Juliet.evaluate_family Juliet.Valgrind fam in
+        let j = Juliet.evaluate_family (Jasan Hybrid) fam in
+        let v = Juliet.evaluate_family Valgrind fam in
         [
           ( Printf.sprintf "%s (%d): TP"
               (Juliet.family_name fam)
@@ -323,13 +290,14 @@ let fig11 () =
   sweep_table "Figure 11: forward/backward CFI contribution to JCFI overhead"
     "slowdown vs native"
     [ "Null client"; "+Forward CFI"; "+Backward CFI" ]
-    (fun r -> [ value r.b_null; value r.b_jcfi_fwd; value r.b_jcfi_h ])
+    (fun r -> List.map (slowdown r) [ S Null; Jcfi_forward; S (Jcfi Hybrid) ])
 
 let fig12 () =
   sweep_table "Figure 12: dynamic average indirect-target reduction (DAIR)"
     "% (higher is better)"
     [ "Lockdown(S)"; "JCFI-dyn"; "JCFI-hybrid"; "Lockdown(W)" ]
-    (fun r -> [ r.b_lk_s_air; value r.b_dair_d; value r.b_dair_h; r.b_lk_w_air ])
+    (fun r ->
+      List.map (dair r) [ S (Lockdown Strong); S (Jcfi Dyn); S (Jcfi Hybrid); S (Lockdown Weak) ])
 
 let fig13 () =
   sweep_table "Figure 13: static average indirect-target reduction (AIR)"
@@ -339,10 +307,10 @@ let fig13 () =
 let fig14 () =
   sweep_table "Figure 14: basic blocks only discovered by the dynamic modifier"
     "% of executed unique blocks" [ "dynamic code" ]
-    (fun r -> [ value (100.0 *. r.b_dynfrac) ]);
+    (fun r -> [ value (100.0 *. dynfrac r) ]);
   let runs = Lazy.force sweep in
   let mean =
-    List.fold_left (fun acc r -> acc +. r.b_dynfrac) 0.0 runs
+    List.fold_left (fun acc r -> acc +. dynfrac r) 0.0 runs
     /. float_of_int (List.length runs)
   in
   Printf.printf "arith. mean: %.2f%%\n" (100.0 *. mean)
@@ -644,10 +612,9 @@ type trace_ov_row = {
 let trace_overhead () =
   let subset = [ "bzip2"; "hmmer"; "mcf"; "sjeng" ] in
   let run_once registry main =
-    let tool, _ = Jt_jasan.Jasan.create () in
     let t0 = Sys.time () in
-    let o = Janitizer.Driver.run ~tool ~registry ~main () in
-    (o.o_result, max (Sys.time () -. t0) 1e-9)
+    let o = Result.get_ok (Scheme.run (Jasan Hybrid) ~registry ~main) in
+    (o.so_run.o_result, max (Sys.time () -. t0) 1e-9)
   in
   let rows =
     List.mapi
@@ -747,11 +714,8 @@ type parallel_row = {
 
 let parallel_eval (s : Sheet.t) =
   let w = Specgen.build s in
-  let tool, _ = Jt_jasan.Jasan.create () in
-  let o =
-    Janitizer.Driver.run ~tool ~registry:w.w_registry ~main:s.s_name ()
-  in
-  let r = o.Janitizer.Driver.o_result in
+  let o = Result.get_ok (Scheme.run (Jasan Hybrid) ~registry:w.w_registry ~main:s.s_name) in
+  let r = o.so_run.o_result in
   {
     pr_name = s.s_name;
     pr_status = Format.asprintf "%a" Jt_vm.Vm.pp_status r.r_status;
@@ -759,7 +723,7 @@ let parallel_eval (s : Sheet.t) =
     pr_icount = r.r_icount;
     pr_cycles = r.r_cycles;
     pr_violations = List.length r.r_violations;
-    pr_rules = o.o_rule_count;
+    pr_rules = o.so_run.o_rule_count;
   }
 
 let parallel_bench () =
@@ -1279,8 +1243,7 @@ let emit_and_hybrid ~registry ~main =
   Result.map
     (fun p ->
       let e = Jt_emit.Emit.run p in
-      let tool, _ = Jt_jasan.Jasan.create ~elide:true () in
-      (e, Janitizer.Driver.run ~tool ~registry ~main ()))
+      (e, (Result.get_ok (Scheme.run (Jasan Hybrid) ~registry ~main)).so_run))
     (Jt_emit.Emit.emit_program ~tool:(Jt_emit.Emit.Asan { elide = true }) ~registry
        ~main ())
 

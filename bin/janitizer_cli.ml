@@ -85,16 +85,33 @@ let inspect_cmd =
 
 (* ---- run ---- *)
 
-let tool_conv =
-  Arg.enum
-    [ ("jasan", `Jasan); ("jcfi", `Jcfi); ("taint", `Taint); ("valgrind", `Valgrind);
-      ("null", `Null) ]
+let tools =
+  [ ("jasan", `Jasan); ("jcfi", `Jcfi); ("taint", `Taint); ("valgrind", `Valgrind);
+    ("null", `Null) ]
+
+let tool_conv = Arg.enum tools
 
 let tool_arg =
   Arg.(value & opt tool_conv `Jasan & info [ "tool" ] ~docv:"TOOL" ~doc:"Security tool")
 
 let no_static_arg =
   Arg.(value & flag & info [ "no-static" ] ~doc:"Disable the static analyzer (dynamic-only mode)")
+
+(* Run a workload under the scheme a --tool names (hybrid unless
+   --no-static); none of these schemes refuses a program. *)
+let run_scheme ?store ?(hybrid = true) tool ~registry ~main =
+  let mode = if hybrid then Jt_schemes.Scheme.Hybrid else Dyn in
+  let scheme : Jt_schemes.Scheme.t =
+    match tool with
+    | `Jasan -> Jasan mode
+    | `Jcfi -> Jcfi mode
+    | `Taint -> Taint mode
+    | `Valgrind -> Valgrind
+    | `Null -> Null
+  in
+  match Jt_schemes.Scheme.run ?store scheme ~registry ~main with
+  | Ok o -> o
+  | Error r -> failwith (Jt_schemes.Scheme.refusal_to_string r)
 
 let run_cmd =
   let doc = "Execute a workload under the dynamic modifier with a tool." in
@@ -104,7 +121,6 @@ let run_cmd =
       prerr_endline e;
       exit 1
     | Ok w ->
-      let hybrid = not no_static in
       let native = Specgen.run_native w in
       let show label (r : Jt_vm.Vm.result) extra =
         Printf.printf "%s: %s, %d instructions, %d cycles (%.2fx)%s\n" label
@@ -122,31 +138,26 @@ let run_cmd =
             vs
       in
       show "native" native "";
-      (match tool with
-      | `Null ->
-        let o = Janitizer.Driver.run_null ~registry:w.w_registry ~main:name () in
-        show "null client" o.o_result ""
-      | `Valgrind ->
-        let r = Jt_baselines.Valgrind_like.run ~registry:w.w_registry ~main:name () in
-        show "valgrind-class" r ""
-      | `Jasan ->
-        let t, _ = Jt_jasan.Jasan.create () in
-        let o = Janitizer.Driver.run ~hybrid ~tool:t ~registry:w.w_registry ~main:name () in
-        show "jasan" o.o_result
-          (Printf.sprintf ", %d rules, %.1f%% dynamic blocks" o.o_rule_count
-             (100.0 *. o.o_dynamic_fraction))
-      | `Jcfi ->
-        let t, rt = Jt_jcfi.Jcfi.create () in
-        let o = Janitizer.Driver.run ~hybrid ~tool:t ~registry:w.w_registry ~main:name () in
-        show "jcfi" o.o_result
-          (Printf.sprintf ", %d rules, DAIR %.2f%%" o.o_rule_count
-             (Jt_jcfi.Air.dynamic rt))
-      | `Taint ->
-        let t, rt = Jt_taint.Taint.create () in
-        let o = Janitizer.Driver.run ~hybrid ~tool:t ~registry:w.w_registry ~main:name () in
-        show "jtaint" o.o_result
-          (Printf.sprintf ", %d rules, %d alerts" o.o_rule_count
-             (Jt_taint.Taint.Rt.alerts rt)));
+      let o =
+        run_scheme ~hybrid:(not no_static) tool ~registry:w.w_registry ~main:name
+      in
+      let label =
+        match tool with
+        | `Null -> "null client"
+        | `Valgrind -> "valgrind-class"
+        | `Jasan -> "jasan"
+        | `Jcfi -> "jcfi"
+        | `Taint -> "jtaint"
+      in
+      let rules = Printf.sprintf ", %d rules" o.so_run.o_rule_count in
+      show label o.so_run.o_result
+        (match (tool, o.so_figure) with
+        | `Jasan, _ ->
+          Printf.sprintf "%s, %.1f%% dynamic blocks" rules
+            (100.0 *. o.so_run.o_dynamic_fraction)
+        | _, Dynamic_air a -> Printf.sprintf "%s, DAIR %.2f%%" rules a
+        | _, Alerts n -> Printf.sprintf "%s, %d alerts" rules n
+        | _, No_figure -> "");
       if native.r_output <> "" then
         Printf.printf "program output: %s\n" (String.trim native.r_output)
   in
@@ -327,17 +338,7 @@ let analyze_cmd =
       | Some file ->
         (* A tool instance is one-run state; the run that collects the
            per-trace elision decisions gets its own. *)
-        let run_tool =
-          match tool with
-          | `Jasan -> fst (Jt_jasan.Jasan.create ())
-          | `Jcfi -> fst (Jt_jcfi.Jcfi.create ())
-          | `Taint -> fst (Jt_taint.Taint.create ())
-          | `Valgrind | `Null -> assert false
-        in
-        let o =
-          Janitizer.Driver.run ~tool:run_tool ~registry:w.w_registry
-            ~main:name ()
-        in
+        let o = (run_scheme tool ~registry:w.w_registry ~main:name).so_run in
         let oc = open_out file in
         dump_facts oc ~traces:o.o_trace_elisions closure;
         close_out oc;
@@ -369,23 +370,14 @@ let trace_cmd =
       prerr_endline e;
       exit 1
     | Ok w ->
-      let hybrid = not no_static in
+      if tool = `Valgrind then begin
+        prerr_endline "trace needs a framework tool (jasan|jcfi|taint|null)";
+        exit 1
+      end;
       Jt_trace.Trace.enable ~capacity ();
       let o =
-        match tool with
-        | `Null -> Janitizer.Driver.run_null ~registry:w.w_registry ~main:name ()
-        | `Valgrind ->
-          prerr_endline "trace needs a framework tool (jasan|jcfi|taint|null)";
-          exit 1
-        | `Jasan ->
-          let t, _ = Jt_jasan.Jasan.create () in
-          Janitizer.Driver.run ~hybrid ~tool:t ~registry:w.w_registry ~main:name ()
-        | `Jcfi ->
-          let t, _ = Jt_jcfi.Jcfi.create () in
-          Janitizer.Driver.run ~hybrid ~tool:t ~registry:w.w_registry ~main:name ()
-        | `Taint ->
-          let t, _ = Jt_taint.Taint.create () in
-          Janitizer.Driver.run ~hybrid ~tool:t ~registry:w.w_registry ~main:name ()
+        (run_scheme ~hybrid:(not no_static) tool ~registry:w.w_registry ~main:name)
+          .so_run
       in
       Jt_trace.Trace.disable ();
       let oc = open_out out in
@@ -443,13 +435,7 @@ let batch_cmd =
                  store at DIR: modules already in the store skip \
                  re-analysis, and the report gains the store hit rate")
   in
-  let tool_name = function
-    | `Jasan -> "jasan"
-    | `Jcfi -> "jcfi"
-    | `Taint -> "taint"
-    | `Valgrind -> "valgrind"
-    | `Null -> "null"
-  in
+  let tool_name t = fst (List.find (fun (_, t') -> t' = t) tools) in
   let run names tools jobs out store_dir =
     let store = Option.map (fun dir -> Jt_ir.Store.create ~dir ()) store_dir in
     let names = if names = [] then List.map (fun (s : Sheet.t) -> s.s_name) Sheet.all else names in
@@ -474,27 +460,7 @@ let batch_cmd =
       | exception Not_found -> assert false
       | s ->
         let w = Specgen.build s in
-        let o =
-          match tool with
-          | `Null -> Janitizer.Driver.run_null ~registry:w.w_registry ~main:name ()
-          | `Valgrind ->
-            let r =
-              Jt_baselines.Valgrind_like.run ~registry:w.w_registry ~main:name ()
-            in
-            { Janitizer.Driver.o_result = r; o_dbt = None;
-              o_dynamic_fraction = 0.0; o_rule_count = 0;
-              o_trace_elisions = [] }
-          | `Jasan ->
-            let t, _ = Jt_jasan.Jasan.create () in
-            Janitizer.Driver.run ?store ~tool:t ~registry:w.w_registry ~main:name ()
-          | `Jcfi ->
-            let t, _ = Jt_jcfi.Jcfi.create () in
-            Janitizer.Driver.run ?store ~tool:t ~registry:w.w_registry ~main:name ()
-          | `Taint ->
-            let t, _ = Jt_taint.Taint.create () in
-            Janitizer.Driver.run ?store ~tool:t ~registry:w.w_registry ~main:name ()
-        in
-        (name, tool, o)
+        (name, tool, (run_scheme ?store tool ~registry:w.w_registry ~main:name).so_run)
     in
     let t0 = Unix.gettimeofday () in
     let results =
@@ -713,16 +679,7 @@ let emit_cmd =
             Printf.printf "  violation: %s at 0x%08x (pc 0x%08x)\n"
               v.Jt_vm.Vm.v_kind v.v_addr v.v_pc)
           er.r_violations;
-        let h =
-          match tool with
-          | `Jasan ->
-            let t, _ = Jt_jasan.Jasan.create ~elide:true () in
-            Janitizer.Driver.run ~tool:t ~registry:w.w_registry ~main:name ()
-          | `Jcfi ->
-            let t, _ = Jt_jcfi.Jcfi.create () in
-            Janitizer.Driver.run ~tool:t ~registry:w.w_registry ~main:name ()
-          | _ -> assert false
-        in
+        let h = (run_scheme tool ~registry:w.w_registry ~main:name).so_run in
         let vset (r : Jt_vm.Vm.result) =
           List.sort_uniq compare
             (List.map (fun v -> (v.Jt_vm.Vm.v_kind, v.v_addr)) r.r_violations)
@@ -748,11 +705,12 @@ let juliet_cmd =
   let doc = "Run a Juliet-style CWE suite under a detector." in
   let det_conv =
     Arg.enum
-      [ ("jasan", Juliet.Jasan_hybrid); ("jasan-dyn", Juliet.Jasan_dyn);
-        ("valgrind", Juliet.Valgrind) ]
+      [ ("jasan", Jt_schemes.Scheme.Jasan Hybrid);
+        ("jasan-dyn", Jt_schemes.Scheme.Jasan Dyn); ("valgrind", Jt_schemes.Scheme.Valgrind) ]
   in
   let det_arg =
-    Arg.(value & opt det_conv Juliet.Jasan_hybrid & info [ "detector" ] ~docv:"DET")
+    Arg.(value & opt det_conv (Jt_schemes.Scheme.Jasan Hybrid)
+         & info [ "detector" ] ~docv:"DET")
   in
   let fam_conv =
     Arg.enum

@@ -3,9 +3,6 @@ open Jt_cfg
 
 let reg_mask rs = List.fold_left (fun m r -> m lor (1 lsl Reg.index r)) 0 rs
 
-let mask_regs m =
-  List.filter (fun r -> m land (1 lsl Reg.index r) <> 0) Reg.all
-
 let all_regs = reg_mask Reg.all
 
 (* Live-out at function exits: return value, stack registers, and

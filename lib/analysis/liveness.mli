@@ -47,7 +47,6 @@ val conservative : Jt_cfg.Cfg.fn -> t
     modules and the "JASan-hybrid (base)" configuration of Figure 8. *)
 
 val reg_mask : Reg.t list -> int
-val mask_regs : int -> Reg.t list
 
 val export : t -> bool * (int * int * int) list
 (** [(all_live, facts)] where each fact is (instruction address, live

@@ -521,7 +521,6 @@ module Dsl = struct
   let cmpi ra v = I (Scmp (ra, Simm v))
   let testi ra v = I (Stest (ra, Simm v))
   let push r = I (Spush (Sreg r))
-  let pushi v = I (Spush (Simm v))
   let pop r = I (Spop r)
   let jmp l = I (Sjmp (Rlabel l))
   let jcc c l = I (Sjcc (c, Rlabel l))
@@ -537,9 +536,6 @@ module Dsl = struct
 
   let mem_bi ?(disp = 0) ?(scale = 1) b i =
     { sbase = Some (SBreg b); sindex = Some i; sscale = scale; sdisp = Dconst disp }
-
-  let mem_abs_data d =
-    { sbase = None; sindex = None; sscale = 1; sdisp = Daddr (Rdata d) }
 
   let mem_pc_data d =
     { sbase = Some SBpc; sindex = None; sscale = 1; sdisp = Daddr (Rdata d) }

@@ -108,7 +108,6 @@ module Dsl : sig
   val cmpi : Reg.t -> int -> item
   val testi : Reg.t -> int -> item
   val push : Reg.t -> item
-  val pushi : int -> item
   val pop : Reg.t -> item
   val jmp : string -> item
   val jcc : Insn.cond -> string -> item
@@ -127,9 +126,6 @@ module Dsl : sig
   (** [base + disp] *)
 
   val mem_bi : ?disp:int -> ?scale:int -> Reg.t -> Reg.t -> smem
-  val mem_abs_data : string -> smem
-  (** Absolute reference to a data object (non-PIC only in code). *)
-
   val mem_pc_data : string -> smem
   (** PC-relative reference to a data object (PIC-safe). *)
 

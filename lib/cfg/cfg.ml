@@ -200,7 +200,6 @@ let build (d : Disasm.t) =
     fns;
   { c_disasm = d; c_blocks = blocks; c_fns = fns' }
 
-let block_at t a = Hashtbl.find_opt t.c_blocks a
 let fn_at t a = Hashtbl.find_opt t.c_fns a
 
 let functions t =
@@ -210,23 +209,6 @@ let functions t =
 let fn_blocks fn =
   Hashtbl.fold (fun _ b acc -> b :: acc) fn.f_blocks []
   |> List.sort (fun a b -> compare a.b_addr b.b_addr)
-
-let fn_containing t addr =
-  let found = ref None in
-  Hashtbl.iter
-    (fun _ fn ->
-      Hashtbl.iter
-        (fun _ (b : block) ->
-          let last =
-            if Array.length b.b_insns = 0 then b.b_addr
-            else
-              let i = b.b_insns.(Array.length b.b_insns - 1) in
-              i.d_addr + i.d_len
-          in
-          if addr >= b.b_addr && addr < last then found := Some fn)
-        fn.f_blocks)
-    t.c_fns;
-  !found
 
 let block_count t = Hashtbl.length t.c_blocks
 

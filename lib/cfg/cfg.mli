@@ -53,16 +53,12 @@ val make_fn : entry:int -> name:string option -> (int, block) Hashtbl.t -> fn
     [b_succs] edges between them) and its natural loops.  {!build} makes
     every function this way. *)
 
-val block_at : t -> int -> block option
 val fn_at : t -> int -> fn option
 val functions : t -> fn list
 (** Sorted by entry address. *)
 
 val fn_blocks : fn -> block list
 (** Sorted by address. *)
-
-val fn_containing : t -> int -> fn option
-(** The function whose region contains this instruction address. *)
 
 val block_count : t -> int
 val insn_count : t -> int

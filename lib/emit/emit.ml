@@ -25,8 +25,6 @@ let refusal_to_string = function
   | Pin_collision (m, a, b) -> Printf.sprintf "%s: pins collide at 0x%x/0x%x" m a b
   | Pin_unsafe (m, a) -> Printf.sprintf "%s: cannot safely pin 0x%x" m a
 
-let pp_refusal ppf r = Format.pp_print_string ppf (refusal_to_string r)
-
 exception Refused of refusal
 
 (* ------------------------------------------------------------------ *)

@@ -64,7 +64,6 @@ type refusal =
           jump-table data) *)
 
 val refusal_to_string : refusal -> string
-val pp_refusal : Format.formatter -> refusal -> unit
 
 (** {1 The emitted map}
 

@@ -170,14 +170,16 @@ type scheme = Native | Hybrid | Emitted | Valgrind | Retrowrite | Lockdown | Bin
 
 let schemes = [ Native; Hybrid; Emitted; Valgrind; Retrowrite; Lockdown; Bincfi ]
 
-let scheme_name = function
-  | Native -> "native"
-  | Hybrid -> "jasan-hybrid"
-  | Emitted -> "jasan-emitted"
-  | Valgrind -> "valgrind"
-  | Retrowrite -> "retrowrite"
-  | Lockdown -> "lockdown"
-  | Bincfi -> "bincfi"
+let to_scheme : scheme -> Jt_schemes.Scheme.t = function
+  | Native -> Native
+  | Hybrid -> Jasan Hybrid
+  | Emitted -> Jasan_emitted
+  | Valgrind -> Valgrind
+  | Retrowrite -> Retrowrite
+  | Lockdown -> Lockdown Strong
+  | Bincfi -> Bincfi
+
+let scheme_name s = Jt_schemes.Scheme.name (to_scheme s)
 
 type detection =
   | Ran of Jt_vm.Vm.result * (int * int) option
@@ -187,45 +189,16 @@ type detection =
 
 let registry_for m = [ m; Jt_workloads.Stdlibs.libc ]
 
-(* libc.so / ld.so static rules are case-independent: analyze once. *)
-let precomputed_lib_rules =
-  lazy
-    (let tool, _ = Jt_jasan.Jasan.create () in
-     Janitizer.Driver.analyze_all ~tool
-       [ Jt_workloads.Stdlibs.libc; Jt_loader.Loader.ld_so ])
-
 let run_scheme scheme m =
-  let registry = registry_for m in
-  let main = m.Jt_obj.Objfile.name in
-  match scheme with
-  | Native -> Ran ((Janitizer.Driver.run_native ~registry ~main ()).o_result, None)
-  | Hybrid ->
-    let tool, _ = Jt_jasan.Jasan.create () in
-    let precomputed = Lazy.force precomputed_lib_rules in
-    Ran ((Janitizer.Driver.run ~hybrid:true ~precomputed ~tool ~registry ~main ()).o_result, None)
-  | Emitted -> (
-    match
-      Jt_emit.Emit.emit_program ~tool:(Jt_emit.Emit.Asan { elide = true })
-        ~registry ~main ()
-    with
-    | Error (m, _) -> Refused (Printf.sprintf "emit:%s" m)
-    | Ok p ->
-      let ro = Jt_emit.Emit.run p in
-      Ran
-        ( ro.Jt_emit.Emit.ro_outcome.Janitizer.Driver.o_result,
-          Some (ro.ro_sites, ro.ro_pins) ))
-  | Valgrind -> Ran (Jt_baselines.Valgrind_like.run ~registry ~main (), None)
-  | Retrowrite -> (
-    match Jt_baselines.Retrowrite_like.run ~registry ~main () with
-    | Ok r -> Ran (r, None)
-    | Error (Jt_baselines.Retrowrite_like.Needs_pic m) -> Refused ("needs-pic:" ^ m)
-    | Error (Jt_baselines.Retrowrite_like.Unsupported_feature (m, f)) ->
-      Refused (Printf.sprintf "unsupported:%s:%s" m f))
-  | Lockdown -> Ran ((Jt_baselines.Lockdown.run ~registry ~main ()).lk_result, None)
-  | Bincfi -> (
-    match Jt_baselines.Bincfi.run ~registry ~main () with
-    | Ok r -> Ran (r, None)
-    | Error (Jt_baselines.Bincfi.Broken_rewrite m) -> Refused ("broken-rewrite:" ^ m))
+  let precomputed =
+    if scheme = Hybrid then Lazy.force Jt_workloads.Stdlibs.jasan_rules else []
+  in
+  match
+    Jt_schemes.Scheme.run ~precomputed (to_scheme scheme) ~registry:(registry_for m)
+      ~main:m.Jt_obj.Objfile.name
+  with
+  | Ok o -> Ran (o.so_run.o_result, o.so_sites_pins)
+  | Error r -> Refused (Jt_schemes.Scheme.refusal_to_string r)
 
 (* ---- oracle ---- *)
 

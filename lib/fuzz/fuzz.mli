@@ -62,7 +62,13 @@ val build : case -> Jt_obj.Objfile.t
 type scheme = Native | Hybrid | Emitted | Valgrind | Retrowrite | Lockdown | Bincfi
 
 val schemes : scheme list
+
+val to_scheme : scheme -> Jt_schemes.Scheme.t
+(** The entry of the scheme table each fuzz scheme runs as ([Hybrid] is
+    JASan hybrid, [Lockdown] the strong policy). *)
+
 val scheme_name : scheme -> string
+(** [Jt_schemes.Scheme.name] of {!to_scheme}. *)
 
 type detection =
   | Ran of Jt_vm.Vm.result * (int * int) option

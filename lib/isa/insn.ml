@@ -86,21 +86,6 @@ let ends_block i =
       | Cti_ret | Cti_halt ) ->
     true
 
-let reads_mem = function
-  | Load (_, _, m) -> Some m
-  | Jmp_ind (None, Some m) | Call_ind (None, Some m) -> Some m
-  | Nop | Halt | Mov _ | Lea _ | Store _ | Binop _ | Neg _ | Not _ | Cmp _
-  | Test _ | Push _ | Pop _ | Jmp _ | Jcc _ | Jmp_ind _ | Call _ | Call_ind _
-  | Ret | Load_canary _ | Syscall _ ->
-    None
-
-let writes_mem = function
-  | Store (_, m, _) -> Some m
-  | Nop | Halt | Mov _ | Lea _ | Load _ | Binop _ | Neg _ | Not _ | Cmp _
-  | Test _ | Push _ | Pop _ | Jmp _ | Jcc _ | Jmp_ind _ | Call _ | Call_ind _
-  | Ret | Load_canary _ | Syscall _ ->
-    None
-
 let mem_regs m =
   let base = match m.base with Some (Breg r) -> [ r ] | Some Bpc | None -> [] in
   match m.index with Some r -> r :: base | None -> base

@@ -95,15 +95,6 @@ val ends_block : t -> bool
 (** True for unconditional transfers, conditional branches, calls,
     returns and halt — everything that terminates a basic block. *)
 
-val reads_mem : t -> mem option
-(** The memory operand read by the instruction ([Load], and the slot read
-    by memory-indirect [Jmp_ind]/[Call_ind]).  [Pop]/[Ret] read the stack
-    implicitly and are not reported here. *)
-
-val writes_mem : t -> mem option
-(** The memory operand written ([Store]).  [Push]/[Call] write the stack
-    implicitly and are not reported here. *)
-
 (** {1 Register and flag use/def, for liveness} *)
 
 val uses : t -> Reg.t list

@@ -43,8 +43,6 @@ module Rt = struct
       observed = Hashtbl.create 64;
     }
 
-  let shadow_depth t = Shadow_stack.depth t.sstack
-
   let executed_sites t = Hashtbl.fold (fun a k acc -> (a, k) :: acc) t.sites []
 
   let observed_icalls t =

@@ -26,8 +26,6 @@ val default_config : config
 module Rt : sig
   type t
 
-  val shadow_depth : t -> int
-
   type site_kind =
     | Sicall
     | Sijmp of int option

@@ -17,5 +17,3 @@ let check_pop t v =
     t.top <- t.top - 1;
     t.data.(t.top) = v
   end
-
-let depth t = t.top

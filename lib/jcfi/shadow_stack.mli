@@ -12,5 +12,3 @@ val check_pop : t -> int -> bool
     false on mismatch (an entry is still consumed, resynchronizing on the
     next frames).  An empty shadow stack accepts anything: frames that
     predate instrumentation (process startup) must not fault. *)
-
-val depth : t -> int

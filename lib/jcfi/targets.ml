@@ -10,8 +10,6 @@ type t = {
   precise : bool;
 }
 
-let is_func_entry t a = Hashtbl.mem t.funcs a
-
 let in_function_of t ~entry a =
   match Hashtbl.find_opt t.funcs entry with
   | Some size -> a >= entry && a < entry + size

@@ -69,8 +69,6 @@ type table = {
   t_rows : (string * cell list) list;
 }
 
-let value_exn = function Value v -> Some v | Fail _ -> None
-
 let col_values t k =
   List.filter_map
     (fun (_, cells) ->

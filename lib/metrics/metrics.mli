@@ -60,8 +60,6 @@ type table = {
   t_rows : (string * cell list) list;  (** benchmark name, one cell per column *)
 }
 
-val value_exn : cell -> float option
-
 val geomean_row : table -> float option list
 (** Per-column geomean over the benchmarks where that column has a value. *)
 

@@ -31,7 +31,6 @@ module Rt = struct
       else Hashtbl.remove t.mem (a + i)
     done
 
-  let tainted_regs t = List.filter (reg_is t) Reg.all
   let tainted_bytes t = Hashtbl.length t.mem
   let alerts t = t.n_alerts
 

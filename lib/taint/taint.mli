@@ -17,7 +17,6 @@
 module Rt : sig
   type t
 
-  val tainted_regs : t -> Jt_isa.Reg.t list
   val tainted_bytes : t -> int
   val alerts : t -> int
   (** Number of tainted-target transfers flagged (also reported as

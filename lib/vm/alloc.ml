@@ -19,13 +19,12 @@ type block = {
 type t = {
   mutable brk : int;
   blocks : (int, block) Hashtbl.t;
-  mutable order : block list;
   mutable redzone : int;
   mutable listeners : (event -> unit) list;
   mutable next_id : int;
   quarantine : block Queue.t;
   mutable quarantine_bytes : int;
-  mutable quarantine_capacity : int;
+  quarantine_capacity : int;
   reuse : bool;
   (* retired (drained) footprints available for reuse, keyed by
      (user size, redzone): identical layout, so handing one out is
@@ -41,7 +40,6 @@ let create ?(base = default_base) ?(reuse = false)
   {
     brk = base;
     blocks = Hashtbl.create 64;
-    order = [];
     redzone = 0;
     listeners = [];
     next_id = 1;
@@ -53,9 +51,6 @@ let create ?(base = default_base) ?(reuse = false)
   }
 
 let set_redzone t n = t.redzone <- n
-
-let set_quarantine_capacity t n =
-  t.quarantine_capacity <- max 0 n
 
 let quarantined_bytes t = t.quarantine_bytes
 let subscribe t f = t.listeners <- f :: t.listeners
@@ -70,7 +65,6 @@ let fresh_id t =
 
 let register t b =
   Hashtbl.replace t.blocks b.b_addr b;
-  t.order <- b :: t.order;
   fire t (Ev_alloc { id = b.b_id; addr = b.b_addr; size = b.b_size; redzone = b.b_redzone })
 
 (* Retire quarantined blocks oldest-first until the quarantine fits its
@@ -136,8 +130,3 @@ let block_of t addr =
         found := Some (b.b_addr, b.b_size, b.b_live))
     t.blocks;
   !found
-
-let live_blocks t =
-  List.filter_map
-    (fun b -> if b.b_live then Some (b.b_addr, b.b_size) else None)
-    t.order

@@ -41,7 +41,6 @@ val create :
 val set_redzone : t -> int -> unit
 (** Padding placed before and after every subsequent block. *)
 
-val set_quarantine_capacity : t -> int -> unit
 val quarantined_bytes : t -> int
 
 val subscribe : t -> (event -> unit) -> unit
@@ -54,6 +53,3 @@ val free : t -> int -> unit
 val block_of : t -> int -> (int * int * bool) option
 (** [block_of t addr]: the [(base, size, live)] of the block whose user
     range contains [addr], if any (redzones excluded). *)
-
-val live_blocks : t -> (int * int) list
-(** [(addr, size)] of blocks not yet freed. *)

@@ -28,7 +28,6 @@ let save_restore_flags = 2
 
 let asan_check = 13
 let asan_canary_op = 3
-let asan_alloc_hook = 20
 
 let valgrind_per_insn = 9
 let valgrind_mem_check = 16

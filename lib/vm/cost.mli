@@ -47,9 +47,6 @@ val asan_check : int
 val asan_canary_op : int
 (** Poisoning or unpoisoning a canary slot. *)
 
-val asan_alloc_hook : int
-(** Redzone poisoning work at malloc/free. *)
-
 (** {1 Interpretive (Valgrind-like) execution} *)
 
 val valgrind_per_insn : int

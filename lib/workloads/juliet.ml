@@ -176,8 +176,6 @@ let build_case (c : case) ~bad =
 
 let registry_for m = [ m; Stdlibs.libc ]
 
-type detector = Jasan_hybrid | Jasan_dyn | Valgrind
-
 type tally = {
   t_true_pos : int;
   t_false_neg : int;
@@ -191,29 +189,21 @@ let distinct_sites (r : Jt_vm.Vm.result) =
   List.length
     (List.sort_uniq compare (List.map (fun v -> v.Jt_vm.Vm.v_pc) r.r_violations))
 
-(* libc.so and ld.so rules are the same for every case: analyze once. *)
-let precomputed_lib_rules =
-  lazy
-    (let tool, _ = Jt_jasan.Jasan.create () in
-     Janitizer.Driver.analyze_all ~tool [ Stdlibs.libc; Jt_loader.Loader.ld_so ])
+let run_scheme scheme m =
+  let precomputed = Lazy.force Stdlibs.jasan_rules in
+  match
+    Jt_schemes.Scheme.run ~precomputed scheme ~registry:(registry_for m)
+      ~main:m.Jt_obj.Objfile.name
+  with
+  | Ok o -> o.so_run.o_result
+  | Error r -> failwith ("Juliet: refused: " ^ Jt_schemes.Scheme.refusal_to_string r)
 
-let run_detector det m =
-  let registry = registry_for m in
-  let main = m.Jt_obj.Objfile.name in
-  match det with
-  | Valgrind -> Jt_baselines.Valgrind_like.run ~registry ~main ()
-  | Jasan_hybrid | Jasan_dyn ->
-    let hybrid = det = Jasan_hybrid in
-    let precomputed = if hybrid then Lazy.force precomputed_lib_rules else [] in
-    let tool, _ = Jt_jasan.Jasan.create () in
-    (Janitizer.Driver.run ~hybrid ~precomputed ~tool ~registry ~main ()).o_result
-
-let tally_cases det ~build ~expected selected =
+let tally_cases scheme ~build ~expected selected =
   let tally = ref { t_true_pos = 0; t_false_neg = 0; t_true_neg = 0; t_false_pos = 0 } in
   List.iter
     (fun c ->
-      let bad_r = run_detector det (build c ~bad:true) in
-      let good_r = run_detector det (build c ~bad:false) in
+      let bad_r = run_scheme scheme (build c ~bad:true) in
+      let good_r = run_scheme scheme (build c ~bad:false) in
       let t = !tally in
       let t =
         if distinct_sites bad_r >= expected c then
@@ -233,8 +223,8 @@ let limited limit l =
   | None -> l
   | Some n -> List.filteri (fun k _ -> k < n) l
 
-let evaluate ?limit det =
-  tally_cases det ~build:build_case
+let evaluate ?limit scheme =
+  tally_cases scheme ~build:build_case
     ~expected:(fun c -> c.c_expected)
     (limited limit cases)
 
@@ -393,7 +383,7 @@ let build_family_case (c : fcase) ~bad =
   build ~name ~kind:Jt_obj.Objfile.Exec_nonpic ~deps:[ "libc.so" ] ~entry:"main"
     [ victim; func "main" ([ call "victim"; call_import "print_int" ] @ exit0) ]
 
-let evaluate_family ?limit det fam =
-  tally_cases det ~build:build_family_case
+let evaluate_family ?limit scheme fam =
+  tally_cases scheme ~build:build_family_case
     ~expected:(fun c -> c.fc_expected)
     (limited limit (family_cases fam))

@@ -40,8 +40,6 @@ val build_case : case -> bad:bool -> Jt_obj.Objfile.t
 
 val registry_for : Jt_obj.Objfile.t -> Jt_obj.Objfile.t list
 
-type detector = Jasan_hybrid | Jasan_dyn | Valgrind
-
 type tally = {
   t_true_pos : int;  (** bad variants fully reported *)
   t_false_neg : int;  (** bad variants with no or fewer-than-actual reports *)
@@ -49,9 +47,11 @@ type tally = {
   t_false_pos : int;  (** good variants incorrectly flagged *)
 }
 
-val evaluate : ?limit:int -> detector -> tally
-(** Run every case's two variants under the detector.  [limit] restricts
-    to the first n cases (for quick tests). *)
+val evaluate : ?limit:int -> Jt_schemes.Scheme.t -> tally
+(** Run every case's two variants under the scheme.  [limit] restricts
+    to the first n cases (for quick tests).
+    @raise Failure if the scheme refuses a case (every case is a non-PIC
+    executable). *)
 
 (** {2 Sibling families}
 
@@ -90,4 +90,4 @@ val all_family_cases : fcase list
 
 val build_family_case : fcase -> bad:bool -> Jt_obj.Objfile.t
 
-val evaluate_family : ?limit:int -> detector -> family -> tally
+val evaluate_family : ?limit:int -> Jt_schemes.Scheme.t -> family -> tally

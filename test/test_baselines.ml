@@ -536,10 +536,11 @@ let fuel_prog () =
     ]
 
 (* Every fuel budget from 0 to the program's instruction count must stop
-   each baseline exactly where [Vm.run ~fuel] stops natively: same
+   every scheme exactly where [Vm.run ~fuel] stops natively: same
    status, instruction count and output ([Vm.result] carries no PC; at
    a given instruction count the PC of this deterministic program is
-   fixed), and no violation. *)
+   fixed), and no violation.  The emitted binary is left out: its
+   icount also counts its sites and pins. *)
 let test_fuel_boundary_sweep () =
   let m = fuel_prog () in
   let registry = [ m ] and main = "bfuel" in
@@ -549,15 +550,8 @@ let test_fuel_boundary_sweep () =
   in
   let full = Jt_vm.Vm.run_native ~registry ~main () in
   Alcotest.(check bool) "native exits" true (full.r_status = Jt_vm.Vm.Exited 0);
-  let baselines =
-    [
-      ("valgrind", fun fuel -> Jt_baselines.Valgrind_like.run ~fuel ~registry ~main ());
-      ( "bincfi",
-        fun fuel -> Result.get_ok (Jt_baselines.Bincfi.run ~fuel ~registry ~main ()) );
-      ( "retrowrite",
-        fun fuel ->
-          Result.get_ok (Jt_baselines.Retrowrite_like.run ~fuel ~registry ~main ()) );
-    ]
+  let schemes =
+    List.filter (fun s -> s <> Jt_schemes.Scheme.Jasan_emitted) Jt_schemes.Scheme.all
   in
   for fuel = 0 to full.r_icount do
     let native = Jt_vm.Vm.run_native ~fuel ~registry ~main () in
@@ -566,11 +560,16 @@ let test_fuel_boundary_sweep () =
         (native.r_status = Jt_vm.Vm.Fault Jt_vm.Vm.Out_of_fuel
         && native.r_icount = fuel);
     List.iter
-      (fun (name, run) ->
-        Alcotest.(check string)
-          (Printf.sprintf "%s, fuel %d" name fuel)
-          (state native) (state (run fuel)))
-      baselines
+      (fun scheme ->
+        let name = Jt_schemes.Scheme.name scheme in
+        match Jt_schemes.Scheme.run ~fuel scheme ~registry ~main with
+        | Error r ->
+          Alcotest.failf "%s refused: %s" name (Jt_schemes.Scheme.refusal_to_string r)
+        | Ok o ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s, fuel %d" name fuel)
+            (state native) (state o.so_run.o_result))
+      schemes
   done
 
 let () =

@@ -83,6 +83,31 @@ let test_rng_stable () =
   let draws = List.init 6 (fun _ -> Fuzz.Rng.int r 1000) in
   Alcotest.(check (list int)) "stream" [ 706; 145; 929; 882; 625; 531 ] draws
 
+(* Scheme names are keys: BENCH_fuzz.json and perfbench spans carry the
+   fuzz schemes' names, BENCH_sweep.json the sweep's. *)
+let test_scheme_names () =
+  let module Scheme = Jt_schemes.Scheme in
+  List.iter
+    (fun s ->
+      Alcotest.(check bool)
+        (Scheme.name s ^ " round-trips") true
+        (Scheme.of_string (Scheme.name s) = Some s))
+    Scheme.all;
+  let names = List.map Scheme.name Scheme.all in
+  Alcotest.(check int) "unique names" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  Alcotest.(check bool) "unknown name" true (Scheme.of_string "jasan" = None);
+  Alcotest.(check (list string))
+    "fuzz names"
+    [ "native"; "jasan-hybrid"; "jasan-emitted"; "valgrind"; "retrowrite"; "lockdown";
+      "bincfi" ]
+    (List.map Fuzz.scheme_name Fuzz.schemes);
+  List.iter
+    (fun s ->
+      Alcotest.(check string) "fuzz name is the table's" (Fuzz.scheme_name s)
+        (Scheme.name (Fuzz.to_scheme s)))
+    Fuzz.schemes
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -94,4 +119,5 @@ let () =
           Alcotest.test_case "each injection kind" `Quick test_each_injection_kind;
           Alcotest.test_case "rng stream pinned" `Quick test_rng_stable;
         ] );
+      ("schemes", [ Alcotest.test_case "names" `Quick test_scheme_names ]);
     ]

@@ -1,6 +1,7 @@
 (* The Juliet CWE-122 suite must reproduce Figure 10 exactly. *)
 
 open Jt_workloads
+module Scheme = Jt_schemes.Scheme
 
 let test_structure () =
   Alcotest.(check int) "624 cases" 624 (List.length Juliet.cases);
@@ -33,12 +34,12 @@ let test_cases_run_cleanly () =
     (List.filteri (fun k _ -> k mod 60 = 0) Juliet.cases)
 
 let test_figure10_exact () =
-  let j = Juliet.evaluate Juliet.Jasan_hybrid in
+  let j = Juliet.evaluate (Scheme.Jasan Hybrid) in
   Alcotest.(check int) "jasan TP" 528 j.t_true_pos;
   Alcotest.(check int) "jasan FN" 96 j.t_false_neg;
   Alcotest.(check int) "jasan TN" 624 j.t_true_neg;
   Alcotest.(check int) "jasan FP" 0 j.t_false_pos;
-  let v = Juliet.evaluate Juliet.Valgrind in
+  let v = Juliet.evaluate Scheme.Valgrind in
   Alcotest.(check int) "valgrind TP" 504 v.t_true_pos;
   Alcotest.(check int) "valgrind FN" 120 v.t_false_neg;
   Alcotest.(check int) "valgrind TN" 624 v.t_true_neg;
@@ -47,7 +48,7 @@ let test_figure10_exact () =
 let test_dyn_mode_also_covers () =
   (* JASan without static analysis still catches the redzone categories
      (coverage comes from the dynamic fallback). *)
-  let t = Juliet.evaluate ~limit:40 Juliet.Jasan_dyn in
+  let t = Juliet.evaluate ~limit:40 (Scheme.Jasan Dyn) in
   Alcotest.(check int) "dyn TP on heap-heap prefix" 40 t.t_true_pos;
   Alcotest.(check int) "dyn FP" 0 t.t_false_pos
 
@@ -99,24 +100,24 @@ let check_family det fam ~tp ~fn =
   Alcotest.(check int) (name ^ " FP") 0 t.t_false_pos
 
 let test_families_jasan_exact () =
-  check_family Juliet.Jasan_hybrid Juliet.Cwe124 ~tp:48 ~fn:0;
-  check_family Juliet.Jasan_hybrid Juliet.Cwe415 ~tp:48 ~fn:0;
-  check_family Juliet.Jasan_hybrid Juliet.Cwe416 ~tp:96 ~fn:0;
-  check_family Juliet.Jasan_hybrid Juliet.Cwe121 ~tp:72 ~fn:0
+  check_family (Scheme.Jasan Hybrid) Juliet.Cwe124 ~tp:48 ~fn:0;
+  check_family (Scheme.Jasan Hybrid) Juliet.Cwe415 ~tp:48 ~fn:0;
+  check_family (Scheme.Jasan Hybrid) Juliet.Cwe416 ~tp:96 ~fn:0;
+  check_family (Scheme.Jasan Hybrid) Juliet.Cwe121 ~tp:72 ~fn:0
 
 let test_families_valgrind_exact () =
   (* identical on the heap families; blind to stack smashes *)
-  check_family Juliet.Valgrind Juliet.Cwe124 ~tp:48 ~fn:0;
-  check_family Juliet.Valgrind Juliet.Cwe415 ~tp:48 ~fn:0;
-  check_family Juliet.Valgrind Juliet.Cwe416 ~tp:96 ~fn:0;
-  check_family Juliet.Valgrind Juliet.Cwe121 ~tp:0 ~fn:72
+  check_family Scheme.Valgrind Juliet.Cwe124 ~tp:48 ~fn:0;
+  check_family Scheme.Valgrind Juliet.Cwe415 ~tp:48 ~fn:0;
+  check_family Scheme.Valgrind Juliet.Cwe416 ~tp:96 ~fn:0;
+  check_family Scheme.Valgrind Juliet.Cwe121 ~tp:0 ~fn:72
 
 let test_family_kinds () =
   (* bad variants report exactly the family's expected kind *)
   List.iter
     (fun fam ->
       let c = List.hd (Juliet.family_cases fam) in
-      let t = Juliet.evaluate_family ~limit:1 Juliet.Jasan_hybrid fam in
+      let t = Juliet.evaluate_family ~limit:1 (Scheme.Jasan Hybrid) fam in
       Alcotest.(check int) (c.Juliet.fc_kind ^ " caught") 1 t.t_true_pos)
     Juliet.families
 
