@@ -48,28 +48,16 @@ let data_in_code_fraction (m : Jt_obj.Objfile.t) (d : Jt_disasm.Disasm.t) =
     (Jt_obj.Objfile.code_sections m);
   if !total = 0 then 0.0 else float_of_int !uncovered /. float_of_int !total
 
-(* Each module of the closure with its static disassembly, which the
-   applicability check and the target sets both read. *)
-let disassemble ~registry ~main =
-  List.map (fun m -> (m, Jt_disasm.Disasm.run m)) (closure ~registry ~main)
-
-let refusal_of disassembled =
-  List.find_map
-    (fun ((m : Jt_obj.Objfile.t), d) ->
-      if data_in_code_fraction m d > data_in_code_threshold then
-        Some (Broken_rewrite m.name)
-      else None)
-    disassembled
-
-let applicability ~registry ~main = refusal_of (disassemble ~registry ~main)
-
-type mod_sets = {
-  bc_disasm : Jt_disasm.Disasm.t;
-  scan_targets : (int, unit) Hashtbl.t;  (** link-time; scan ∩ insn boundary *)
-  ret_targets : (int, unit) Hashtbl.t;  (** call-preceded instructions *)
+type prep = {
+  bc_data_in_code : float;
+  bc_indirect : int;
+  bc_returns : int;
+  bc_scan_targets : (int, unit) Hashtbl.t;
+  bc_ret_targets : (int, unit) Hashtbl.t;
 }
 
-let analyze_module (m : Jt_obj.Objfile.t) d =
+let prepare_module (m : Jt_obj.Objfile.t) =
+  let d = Jt_disasm.Disasm.run m in
   let scan_targets = Hashtbl.create 64 in
   (* BinCFI disassembles speculatively from scanned constants, so values
      that decode plausibly count as boundaries even when recursive
@@ -100,17 +88,51 @@ let analyze_module (m : Jt_obj.Objfile.t) d =
       | None -> ())
     m.imports;
   let ret_targets = Hashtbl.create 64 in
+  let indirect = ref 0 and returns = ref 0 in
   Hashtbl.iter
     (fun a (info : Jt_disasm.Disasm.insn_info) ->
       match Insn.cti_kind info.d_insn with
-      | Some (Insn.Cti_call _ | Insn.Cti_call_ind) ->
-        Hashtbl.replace ret_targets (a + info.d_len) ()
-      | _ -> ())
+      | Some (Insn.Cti_call _ | Insn.Cti_call_ind as k) ->
+        Hashtbl.replace ret_targets (a + info.d_len) ();
+        if k = Insn.Cti_call_ind then incr indirect
+      | Some Insn.Cti_jmp_ind -> incr indirect
+      | Some Insn.Cti_ret -> incr returns
+      | Some
+          ( Insn.Cti_jmp _ | Insn.Cti_jcc _ | Insn.Cti_halt | Insn.Cti_syscall )
+      | None ->
+        ())
     d.insns;
-  { bc_disasm = d; scan_targets; ret_targets }
+  {
+    bc_data_in_code = data_in_code_fraction m d;
+    bc_indirect = !indirect;
+    bc_returns = !returns;
+    bc_scan_targets = scan_targets;
+    bc_ret_targets = ret_targets;
+  }
+
+let prepared : prep Jt_ir.Rewrite_cache.kind = Jt_ir.Rewrite_cache.kind "bincfi"
+
+let prepare m =
+  Jt_ir.Rewrite_cache.find_or_compute prepared ~tool:"bincfi" m (fun () ->
+      prepare_module m)
+
+(* Each module of the closure with its preparation, which the
+   applicability check and the target sets both read. *)
+let prepare_closure ~registry ~main =
+  List.map (fun m -> (m, prepare m)) (closure ~registry ~main)
+
+let refusal_of prepared =
+  List.find_map
+    (fun ((m : Jt_obj.Objfile.t), p) ->
+      if p.bc_data_in_code > data_in_code_threshold then
+        Some (Broken_rewrite m.name)
+      else None)
+    prepared
+
+let applicability ~registry ~main = refusal_of (prepare_closure ~registry ~main)
 
 (* The rewritten modules loaded so far, newest first. *)
-type rt_sets = (Jt_loader.Loader.loaded * mod_sets) list
+type rt_sets = (Jt_loader.Loader.loaded * prep) list
 
 (* Static rewriting constrains transfers into code it rewrote; a target
    outside every rewritten module (dlopen'd binaries the rewriter never
@@ -124,7 +146,7 @@ let forward_ok rts target =
   || List.exists
        (fun ((l : Jt_loader.Loader.loaded), s) ->
          Jt_loader.Loader.contains l target
-         && Hashtbl.mem s.scan_targets (Jt_loader.Loader.link_addr l target))
+         && Hashtbl.mem s.bc_scan_targets (Jt_loader.Loader.link_addr l target))
        rts
 
 let ret_ok rts target =
@@ -133,7 +155,7 @@ let ret_ok rts target =
   || List.exists
        (fun ((l : Jt_loader.Loader.loaded), s) ->
          Jt_loader.Loader.contains l target
-         && Hashtbl.mem s.ret_targets (Jt_loader.Loader.link_addr l target))
+         && Hashtbl.mem s.bc_ret_targets (Jt_loader.Loader.link_addr l target))
        rts
 
 let in_ld_so (vm : Jt_vm.Vm.t) at =
@@ -175,52 +197,33 @@ let instrument (rts : rt_sets ref) ~at i len op =
     | _ -> op)
 
 let run ?fuel ~registry ~main () =
-  let disassembled = disassemble ~registry ~main in
-  match refusal_of disassembled with
+  let prepared = prepare_closure ~registry ~main in
+  match refusal_of prepared with
   | Some r -> Error r
   | None ->
-    let analyzed =
-      List.map
-        (fun ((m : Jt_obj.Objfile.t), d) -> (m.name, analyze_module m d))
-        disassembled
+    let by_name =
+      List.map (fun ((m : Jt_obj.Objfile.t), p) -> (m.name, p)) prepared
     in
     let rts = ref [] in
     let vm = Jt_vm.Vm.make ~instrument:(instrument rts) ~registry () in
     Jt_loader.Loader.on_load vm.loader (fun l ->
-        match List.assoc_opt l.lmod.Jt_obj.Objfile.name analyzed with
-        | Some s -> rts := (l, s) :: !rts
+        match List.assoc_opt l.lmod.Jt_obj.Objfile.name by_name with
+        | Some p -> rts := (l, p) :: !rts
         | None -> ());
     Jt_vm.Vm.boot vm ~main;
     Jt_vm.Vm.run ?fuel vm;
     Ok (Jt_vm.Vm.result vm)
 
+(* Every indirect call or jump may reach any forward target, every
+   return any call-preceded instruction. *)
 let static_air modules =
   let total = Jt_jcfi.Air.total_code_bytes modules in
-  let analyzed =
-    List.map (fun m -> analyze_module m (Jt_disasm.Disasm.run m)) modules
+  let prepared = List.map prepare modules in
+  let sum f = List.fold_left (fun acc p -> acc + f p) 0 prepared in
+  let forward_size = float_of_int (sum (fun p -> Hashtbl.length p.bc_scan_targets))
+  and ret_size = float_of_int (sum (fun p -> Hashtbl.length p.bc_ret_targets)) in
+  let sizes =
+    List.init (sum (fun p -> p.bc_indirect)) (fun _ -> forward_size)
+    @ List.init (sum (fun p -> p.bc_returns)) (fun _ -> ret_size)
   in
-  let forward_size =
-    float_of_int
-      (List.fold_left (fun acc s -> acc + Hashtbl.length s.scan_targets) 0 analyzed)
-  in
-  let ret_size =
-    float_of_int
-      (List.fold_left (fun acc s -> acc + Hashtbl.length s.ret_targets) 0 analyzed)
-  in
-  let sizes = ref [] in
-  List.iter
-    (fun s ->
-      Hashtbl.iter
-        (fun _ (info : Jt_disasm.Disasm.insn_info) ->
-          match Insn.cti_kind info.d_insn with
-          | Some (Insn.Cti_call_ind | Insn.Cti_jmp_ind) ->
-            sizes := forward_size :: !sizes
-          | Some Insn.Cti_ret -> sizes := ret_size :: !sizes
-          | Some
-              ( Insn.Cti_jmp _ | Insn.Cti_jcc _ | Insn.Cti_call _ | Insn.Cti_halt
-              | Insn.Cti_syscall )
-          | None ->
-            ())
-        s.bc_disasm.insns)
-    analyzed;
-  Jt_jcfi.Air.air ~sizes:!sizes ~total
+  Jt_jcfi.Air.air ~sizes ~total

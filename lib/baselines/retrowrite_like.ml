@@ -88,17 +88,19 @@ module Sitemap = struct
     wrapped
 end
 
-(* Build the per-instruction instrumentation of one rewritten module
-   (link-time addresses). *)
-let instrument_module rt (m : Jt_obj.Objfile.t) =
-  let sa = Janitizer.Static_analyzer.analyze m in
-  let map : (int, Sitemap.meta list) Hashtbl.t = Hashtbl.create 256 in
-  (* Accumulate in reverse (cons is O(1) where append re-walks the
-     list) and restore application order once at the end. *)
-  let add addr meta =
-    Hashtbl.replace map addr
-      (meta :: Option.value ~default:[] (Hashtbl.find_opt map addr))
-  in
+type op =
+  | Check of { ea : Insn.mem; len : int; is_store : bool }
+  | Poison of int
+  | Unpoison of int
+
+type site = { s_addr : int; s_cost : int; s_op : op }
+
+(* The sites of one rewritten module in application order: per
+   function, its access checks in block order, then its canary poisons
+   and unpoisons. *)
+let site_plan (sa : Janitizer.Static_analyzer.t) =
+  let sites = ref [] in
+  let add s_addr s_cost s_op = sites := { s_addr; s_cost; s_op } :: !sites in
   List.iter
     (fun (fa : Janitizer.Static_analyzer.fn_analysis) ->
       let exempt = Jt_analysis.Canary.exempt_addrs fa.fa_canaries in
@@ -120,50 +122,59 @@ let instrument_module rt (m : Jt_obj.Objfile.t) =
                   Jt_analysis.Liveness.flags_dead_before fa.fa_liveness
                     info.d_addr
                 in
-                let len = Insn.width_bytes w in
-                (* link-time == run-time only for non-PIC; the sitemap
-                   rebases the whole map per module. *)
-                let ea =
-                  Jt_vm.Vm.compile_addr ~next_pc:(info.d_addr + info.d_len) m'
-                in
                 let is_store =
                   match info.d_insn with Insn.Store _ -> true | _ -> false
                 in
                 add info.d_addr
-                  {
-                    Sitemap.sm_cost =
-                      check_cost ~dead:(min 2 dead) ~flags_dead;
-                    sm_action =
-                      (fun vm ->
-                        Jt_jasan.Jasan.Rt.check rt vm ~addr:(ea vm) ~len ~is_store);
-                  }
+                  (check_cost ~dead:(min 2 dead) ~flags_dead)
+                  (Check { ea = m'; len = Insn.width_bytes w; is_store })
               | _ -> ())
             b.b_insns)
         (Jt_cfg.Cfg.fn_blocks fa.fa_fn);
       List.iter
         (fun (site : Jt_analysis.Canary.site) ->
-          add site.c_after_store
-            {
-              Sitemap.sm_cost = Jt_vm.Cost.asan_canary_op;
-              sm_action =
-                (fun vm ->
-                  Jt_jasan.Jasan.Rt.poison_canary rt vm
-                    ~slot_disp:site.c_slot_disp);
-            };
+          add site.c_after_store Jt_vm.Cost.asan_canary_op
+            (Poison site.c_slot_disp);
           List.iter
             (fun load_addr ->
-              add load_addr
-                {
-                  Sitemap.sm_cost = Jt_vm.Cost.asan_canary_op;
-                  sm_action =
-                    (fun vm ->
-                      Jt_jasan.Jasan.Rt.unpoison_canary rt vm
-                        ~slot_disp:site.c_slot_disp);
-                })
+              add load_addr Jt_vm.Cost.asan_canary_op (Unpoison site.c_slot_disp))
             site.c_check_loads)
         fa.fa_canaries)
     sa.sa_fns;
-  Hashtbl.filter_map_inplace (fun _ metas -> Some (List.rev metas)) map;
+  Array.of_list (List.rev !sites)
+
+let planned : site array Jt_ir.Rewrite_cache.kind =
+  Jt_ir.Rewrite_cache.kind "retrowrite"
+
+let plan m =
+  Jt_ir.Rewrite_cache.find_or_compute planned ~tool:"retrowrite" m (fun () ->
+      site_plan (Janitizer.Static_analyzer.analyze m))
+
+(* Bind a module's plan to this run's runtime: its per-instruction
+   instrumentation, in link-time addresses. *)
+let bind rt plan =
+  let map : (int, Sitemap.meta list) Hashtbl.t = Hashtbl.create 256 in
+  (* Walk the plan backwards and cons, so each address's metas come out
+     in application order. *)
+  for k = Array.length plan - 1 downto 0 do
+    let s = plan.(k) in
+    let sm_action =
+      match s.s_op with
+      | Check { ea; len; is_store } ->
+        (* Checked operands are never PC-relative, so the address
+           compiles without the instruction's own; the sitemap rebases
+           the whole map per module. *)
+        let ea = Jt_vm.Vm.compile_addr ~next_pc:0 ea in
+        fun vm -> Jt_jasan.Jasan.Rt.check rt vm ~addr:(ea vm) ~len ~is_store
+      | Poison slot_disp ->
+        fun vm -> Jt_jasan.Jasan.Rt.poison_canary rt vm ~slot_disp
+      | Unpoison slot_disp ->
+        fun vm -> Jt_jasan.Jasan.Rt.unpoison_canary rt vm ~slot_disp
+    in
+    Hashtbl.replace map s.s_addr
+      ({ Sitemap.sm_cost = s.s_cost; sm_action }
+      :: Option.value ~default:[] (Hashtbl.find_opt map s.s_addr))
+  done;
   map
 
 let run ?fuel ~registry ~main () =
@@ -183,7 +194,7 @@ let run ?fuel ~registry ~main () =
     let link_maps =
       List.filter_map
         (fun (m : Jt_obj.Objfile.t) ->
-          if rewritable m then Some (m.name, instrument_module rt m) else None)
+          if rewritable m then Some (m.name, bind rt (plan m)) else None)
         registry
     in
     let sitemap =

@@ -5,10 +5,10 @@ type tool = Asan of { elide : bool } | Cfi of Jt_jcfi.Jcfi.config
 
 let tool_tag = function
   | Asan { elide } -> if elide then "jasan+elide" else "jasan"
-  | Cfi c ->
-    if c.Jt_jcfi.Jcfi.cf_forward && c.cf_backward then "jcfi"
-    else if c.cf_forward then "jcfi-fwd"
-    else "jcfi-bwd"
+  | Cfi { cf_forward = true; cf_backward = true } -> "jcfi"
+  | Cfi { cf_forward = true; cf_backward = false } -> "jcfi-fwd"
+  | Cfi { cf_forward = false; cf_backward = true } -> "jcfi-bwd"
+  | Cfi { cf_forward = false; cf_backward = false } -> "jcfi-none"
 
 type refusal =
   | Unsupported_feature of string * string
@@ -569,6 +569,12 @@ let driver_tool = function
 
 exception Stop of string * refusal
 
+(* A shared object's rule file and emission, per tool tag. *)
+let emitted_shared :
+    (Jt_rules.Rules.file * (Jt_obj.Objfile.t, refusal) result)
+    Jt_ir.Rewrite_cache.kind =
+  Jt_ir.Rewrite_cache.kind "emit"
+
 let emit_program ?store ~tool ~registry ~main () =
   let closure = Janitizer.Driver.static_closure ~registry ~main in
   let in_closure n =
@@ -580,14 +586,21 @@ let emit_program ?store ~tool ~registry ~main () =
   (* Extras are analyzed too: a dlopen-only plugin gets static rules —
      and an emitted body — even though the hybrid driver would only reach
      it through the dynamic fallback.  Each module is analyzed once; the
-     one analysis feeds both the tool's static pass and the rewriter. *)
+     one analysis feeds both the tool's static pass and the rewriter.  A
+     shared object is rewritten once per process and tool tag: later
+     programs reuse its rule file and emitted body. *)
   let static = (driver_tool tool).Janitizer.Tool.t_static in
   let rule_files = ref [] in
   let emit1 (m : Jt_obj.Objfile.t) =
-    let sa = Janitizer.Static_analyzer.analyze ?store m in
-    let rules = static sa in
+    let rules, emitted =
+      Jt_ir.Rewrite_cache.find_or_compute emitted_shared ~tool:(tool_tag tool) m
+        (fun () ->
+          let sa = Janitizer.Static_analyzer.analyze ?store m in
+          let rules = static sa in
+          (rules, emit_module ~tool ~rules sa))
+    in
     rule_files := (m.name, rules) :: !rule_files;
-    emit_module ~tool ~rules sa
+    emitted
   in
   match
     let emitted = Hashtbl.create 8 in

@@ -39,7 +39,9 @@
 type tool = Asan of { elide : bool } | Cfi of Jt_jcfi.Jcfi.config
 
 val tool_tag : tool -> string
-(** Short configuration tag stamped into the emitted map section. *)
+(** Short configuration tag stamped into the emitted map section.
+    Distinct configurations get distinct tags, so the tag also keys the
+    shared-object cache ({!emit_program}). *)
 
 (** Why a module cannot be soundly emitted.  The first payload is always
     the module name. *)
@@ -157,7 +159,13 @@ val emit_program :
     reachable only via [dlopen] are emitted opportunistically.  Each
     module is analyzed once ({!Janitizer.Static_analyzer.analyze}
     through [store] when given), and that analysis feeds both the tool's
-    static pass and {!emit_module}. *)
+    static pass and {!emit_module}.
+
+    A shared object ([ld.so] included) is analyzed and emitted once per
+    process and {!tool_tag}: its rule file and its emission (or refusal)
+    are kept in {!Jt_ir.Rewrite_cache} under its content digest, and
+    every later program that links it reuses both without analyzing it
+    again.  Executables are analyzed and emitted on every call. *)
 
 (** {1 The emit runtime} *)
 

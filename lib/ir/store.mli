@@ -9,10 +9,11 @@
     the requested key — is a warning plus transparent re-analysis, mirroring
     [Driver.load_rules]: a corrupt store must never take a run down.
 
-    The disk store is fronted by a bounded in-memory LRU shared across
-    domains, with {e single-flight} per digest: when several [Jt_pool]
-    workers miss on the same module simultaneously, exactly one runs the
-    compute function and the rest block until its result is published. *)
+    The disk store is fronted by a {!Memo}: a bounded in-memory LRU
+    shared across domains, with {e single-flight} per digest — when
+    several [Jt_pool] workers miss on the same module simultaneously,
+    exactly one runs the compute function and the rest block until its
+    result is published.  {!Rewrite_cache} uses the same layer. *)
 
 type t
 

@@ -97,6 +97,19 @@ let geomean_x_row t =
       match vs with [] -> None | vs -> Some (geomean vs))
     t.t_cols
 
+(* "-" marks a cell that is no measurement (not a failure) *)
+let failure_reasons t =
+  List.concat_map
+    (fun (row, cells) ->
+      List.concat
+        (List.map2
+           (fun col cell ->
+             match cell with
+             | Fail why when why <> "-" -> [ Printf.sprintf "%s/%s: %s" row col why ]
+             | Fail _ | Value _ -> [])
+           t.t_cols cells))
+    t.t_rows
+
 let print t =
   let w_name =
     List.fold_left (fun acc (n, _) -> max acc (String.length n)) 10 t.t_rows
@@ -133,7 +146,8 @@ let print t =
   let any_fail =
     List.exists (fun (_, cells) -> not (all_values cells)) t.t_rows
   in
-  if any_fail then print_summary "geomean-x" (geomean_x_row t)
+  if any_fail then print_summary "geomean-x" (geomean_x_row t);
+  List.iter print_endline (failure_reasons t)
 
 let print_kv title kvs =
   Printf.printf "\n== %s ==\n" title;

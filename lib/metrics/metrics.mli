@@ -67,9 +67,15 @@ val geomean_x_row : table -> float option list
 (** Per-column geomean restricted to benchmarks where *every* column has
     a value (the paper's "geomean-x"). *)
 
+val failure_reasons : table -> string list
+(** One ["row/column: reason"] line per failed cell, in row then column
+    order; cells failed with the placeholder ["-"] (no measurement, not
+    a refusal) are skipped. *)
+
 val print : table -> unit
 (** Render to stdout with geomean (and geomean-x when columns differ in
-    coverage) appended. *)
+    coverage) appended, then the {!failure_reasons}: a failed cell
+    prints as [x] in its row. *)
 
 val print_kv : string -> (string * string) list -> unit
 (** Simple key/value block (for the Figure 10 style tables). *)

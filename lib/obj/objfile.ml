@@ -63,27 +63,73 @@ let code_bounds m =
 
 let has_feature m f = List.mem f m.features
 
-(* Content digest used to key derived artifacts (rule caches): covers
-   everything the static analyzer's output depends on — identity, layout
-   and the raw section bytes — so regenerating a module with different
-   code yields a different digest even when the name is unchanged. *)
+(* Content digest that keys every derived artifact (JTIR, rule files,
+   the shared-object rewrite cache).  It covers every field a tool
+   reads: the disassembler, analyzer, emitter and baselines read
+   symbols, the symtab level, imports, exports, relocations,
+   dependencies and features as well as the section bytes, so two
+   modules that differ in any of them digest differently, even under
+   the same name.  Only the sections' ground-truth code ranges are left
+   out: they exist for evaluation, and no tool reads them.  Integers go
+   in as fixed-width binary and strings with a length prefix, so the
+   encoding is unambiguous. *)
 let digest m =
   let b = Buffer.create 4096 in
+  let int i = Buffer.add_int64_le b (Int64.of_int i) in
   let str s =
-    Buffer.add_string b (string_of_int (String.length s));
-    Buffer.add_char b ':';
+    int (String.length s);
     Buffer.add_string b s
   in
+  let tag c = Buffer.add_char b c in
+  let list f l =
+    int (List.length l);
+    List.iter f l
+  in
+  let opt f = function None -> tag '-' | Some x -> tag '+'; f x in
   str m.name;
-  str (match m.kind with Exec_nonpic -> "E" | Exec_pic -> "P" | Shared -> "S");
-  Buffer.add_string b (match m.entry with None -> "-" | Some e -> string_of_int e);
-  List.iter
+  tag (match m.kind with Exec_nonpic -> 'E' | Exec_pic -> 'P' | Shared -> 'S');
+  opt int m.entry;
+  list
     (fun (s : Section.t) ->
-      str s.Section.name;
-      Buffer.add_string b (string_of_int s.Section.vaddr);
-      Buffer.add_char b (if s.Section.is_code then 'c' else 'd');
-      str s.Section.data)
+      str s.name;
+      int s.vaddr;
+      tag (if s.is_code then 'c' else 'd');
+      str s.data)
     m.sections;
+  list
+    (fun (s : Symbol.t) ->
+      str s.name;
+      int s.vaddr;
+      int s.size;
+      tag (match s.kind with Func -> 'f' | Object -> 'o');
+      tag (if s.exported then 'x' else '-'))
+    m.symbols;
+  tag
+    (match m.symtab_level with Full -> 'F' | Exported_only -> 'X' | Stripped -> 'S');
+  list
+    (fun (r : Reloc.t) ->
+      int r.offset;
+      match r.kind with
+      | Rel_relative v -> tag 'r'; int v
+      | Rel_got n -> tag 'g'; str n)
+    m.relocs;
+  list
+    (fun i ->
+      str i.imp_sym;
+      int i.imp_got;
+      opt int i.imp_plt)
+    m.imports;
+  list str m.exports;
+  list str m.deps;
+  list
+    (fun f ->
+      tag
+        (match f with
+        | Cxx_exceptions -> 'C'
+        | Fortran_runtime -> 'F'
+        | Handwritten_asm -> 'A'
+        | Breaks_calling_convention -> 'B'))
+    m.features;
   Digest.string (Buffer.contents b)
 
 let pp ppf m =

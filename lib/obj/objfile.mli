@@ -70,9 +70,12 @@ val code_bounds : t -> (int * int) option
 val has_feature : t -> feature -> bool
 
 val digest : t -> string
-(** 16-byte MD5 over the module's identity, layout and section contents.
-    Keys derived artifacts (the [.jtr] rule caches): two builds of a
-    module with the same name but different code digest differently, so
-    a stale cache is detected instead of applied. *)
+(** 16-byte MD5 over every field of the module a tool reads: identity,
+    kind, entry, sections (bytes and layout), symbols, symtab level,
+    relocations, imports, exports, dependencies and features (not the
+    sections' ground-truth code ranges, which only evaluation reads).  Keys derived artifacts
+    (the IR store, rule files, the shared-object rewrite cache): two
+    modules that differ in anything a tool reads digest differently, so
+    a stale or foreign artifact is detected instead of applied. *)
 
 val pp : Format.formatter -> t -> unit

@@ -212,6 +212,27 @@ let indirect_prog ?(name = "indirect") () =
         @ exit0);
     ]
 
+(* A helper reached by a direct call, and a heap overflow, at any symtab
+   level: with full symbols the helper is a symbol, stripped it is
+   inferred from the call. *)
+let stripped_prog ~symtab_level =
+  build ~name:"sapp" ~kind:Jt_obj.Objfile.Exec_nonpic ~deps:[ "libc.so" ]
+    ~symtab_level ~entry:"main"
+    [
+      func "helper" [ muli Reg.r0 3; ret ];
+      func "main"
+        ([
+           movi Reg.r0 32;
+           call_import "malloc";
+           mov Reg.r6 Reg.r0;
+           movi Reg.r0 7;
+           call "helper";
+           st (mem_b ~disp:32 Reg.r6) Reg.r0 (* heap overflow *);
+           call_import "print_int";
+         ]
+        @ exit0);
+    ]
+
 let registry_for m = [ m; libc; plugin ]
 
 let run_native m =

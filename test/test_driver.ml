@@ -158,7 +158,21 @@ let test_module_digest_sensitivity () =
        (Janitizer.Driver.module_digest (Progs.sum_prog ~n:30 ())));
   Alcotest.(check bool) "different code, different digest" false
     (String.equal (Janitizer.Driver.module_digest m)
-       (Janitizer.Driver.module_digest m'))
+       (Janitizer.Driver.module_digest m'));
+  (* same bytes, different metadata a tool reads *)
+  List.iter
+    (fun (what, (m' : Jt_obj.Objfile.t)) ->
+      Alcotest.(check bool) (what ^ ", different digest") false
+        (String.equal (Janitizer.Driver.module_digest m)
+           (Janitizer.Driver.module_digest m')))
+    [
+      ("stripped", { m with symtab_level = Jt_obj.Objfile.Stripped });
+      ("export-only", { m with symtab_level = Jt_obj.Objfile.Exported_only });
+      ( "breaks calling convention",
+        { m with features = Jt_obj.Objfile.Breaks_calling_convention :: m.features } );
+      ("no symbols", { m with symbols = [] });
+      ("extra dependency", { m with deps = "libm.so" :: m.deps });
+    ]
 
 (* -- fn_of_addr: indexed lookup must match the old linear scan -- *)
 

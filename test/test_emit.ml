@@ -248,9 +248,14 @@ let test_digest_mismatch_rejected () =
 
 let test_one_analysis_per_module () =
   let w = Jt_workloads.Specgen.build (Jt_workloads.Sheet.find "bzip2") in
-  let a0 = Janitizer.Static_analyzer.analyses_performed () in
-  let p = emit_asan ~registry:w.w_registry ~main:"bzip2" () in
-  let analyses = Janitizer.Static_analyzer.analyses_performed () - a0 in
+  (* No other test here emits with [elide = false], so under this tool
+     tag the process has not rewritten any of these modules yet. *)
+  let emit () =
+    let a0 = Janitizer.Static_analyzer.analyses_performed () in
+    let p = emit_asan ~elide:false ~registry:w.w_registry ~main:"bzip2" () in
+    (p, Janitizer.Static_analyzer.analyses_performed () - a0)
+  in
+  let p, analyses = emit () in
   (* every analyzed module ends up emitted or skipped with a refusal:
      the static closure (ld.so, libc.so, libm.so, bzip2) plus the two
      unreachable libraries, libcxx.so and libgfortran.so *)
@@ -258,7 +263,14 @@ let test_one_analysis_per_module () =
   Alcotest.(check int) "bzip2 registry plus ld.so" 6 modules;
   Alcotest.(check int) "one analysis per module" modules analyses;
   Alcotest.(check int) "one rule file per module" modules
-    (List.length p.p_rules)
+    (List.length p.p_rules);
+  (* the five shared objects are reused: only bzip2 is analyzed again,
+     and the second program is the first one *)
+  let p', analyses' = emit () in
+  Alcotest.(check int) "only the executable re-analyzed" 1 analyses';
+  Alcotest.(check bool) "same registry" true (p'.p_registry = p.p_registry);
+  Alcotest.(check bool) "same rules" true (p'.p_rules = p.p_rules);
+  Alcotest.(check bool) "same refusals" true (p'.p_skipped = p.p_skipped)
 
 (* -- the map codec -- *)
 

@@ -602,6 +602,33 @@ let test_single_flight () =
       Alcotest.(check int) "one miss" 1 s.Store.st_misses;
       Alcotest.(check int) "waiters hit memory" 3 s.st_mem_hits)
 
+(* ---- builds that differ only in metadata ------------------------ *)
+
+(* The same code at two symtab levels: the digest must tell them apart,
+   or one store hands the stripped build the full build's analysis. *)
+let test_symtab_levels_keyed_apart () =
+  with_dir "symtab" (fun dir ->
+      let full = Progs.stripped_prog ~symtab_level:Jt_obj.Objfile.Full
+      and stripped = Progs.stripped_prog ~symtab_level:Jt_obj.Objfile.Stripped in
+      let rules sa =
+        let tool, _ = Jt_jcfi.Jcfi.create () in
+        Jt_rules.Rules.encode_file (tool.t_static sa)
+      in
+      let st = Store.create ~dir () in
+      let through_store m = rules (Janitizer.Static_analyzer.analyze ~store:st m) in
+      let fresh m = rules (Janitizer.Static_analyzer.compute m) in
+      let r_full = through_store full and r_stripped = through_store stripped in
+      Alcotest.(check int) "two store entries" 2 (List.length (Store.disk_entries st));
+      Alcotest.(check bool) "full build gets its own rules" true (r_full = fresh full);
+      Alcotest.(check bool) "stripped build gets its own rules" true
+        (r_stripped = fresh stripped);
+      Alcotest.(check bool) "the two builds' rules differ" false (r_full = r_stripped);
+      (* warm, from a fresh handle: still apart *)
+      let st2 = Store.create ~dir () in
+      Alcotest.(check bool) "warm stripped build" true
+        (rules (Janitizer.Static_analyzer.analyze ~store:st2 stripped) = r_stripped);
+      Alcotest.(check int) "both served from disk" 0 (Store.stats st2).st_misses)
+
 (* ---- LRU bounds, gc, clear -------------------------------------- *)
 
 let distinct_modules n =
@@ -714,6 +741,8 @@ let () =
             test_warm_load_equivalence;
           Alcotest.test_case "single-flight" `Quick test_single_flight;
           Alcotest.test_case "LRU eviction" `Quick test_lru_eviction;
+          Alcotest.test_case "symtab levels keyed apart" `Quick
+            test_symtab_levels_keyed_apart;
           Alcotest.test_case "gc and clear" `Quick test_gc_and_clear;
           Alcotest.test_case "cpa warm start" `Quick test_cpa_warm_start;
         ] );

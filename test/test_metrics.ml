@@ -103,6 +103,53 @@ let test_json_row_layout () =
             ("pair", Obj [ ("a", Int 1); ("b", List [ Int 2; Int 3 ]) ]);
             ("workloads", List [ row "x" 1; row "y" 2 ]) ]))
 
+(* ---- figure tables: a failed cell prints as x, its reason below ---- *)
+
+let capture_stdout f =
+  let path = Filename.temp_file "metrics" ".out" in
+  flush stdout;
+  let saved = Unix.dup Unix.stdout in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  Unix.dup2 fd Unix.stdout;
+  Unix.close fd;
+  Fun.protect
+    ~finally:(fun () ->
+      flush stdout;
+      Unix.dup2 saved Unix.stdout;
+      Unix.close saved)
+    f;
+  let ic = open_in_bin path in
+  let out = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  out
+
+let test_table_failure_reasons () =
+  let open Jt_metrics.Metrics in
+  let t =
+    {
+      t_title = "Fig";
+      t_unit = "slowdown";
+      t_cols = [ "jasan"; "retrowrite" ];
+      t_rows =
+        [
+          ("bzip2", [ Value 1.5; Fail "needs-pic:bzip2" ]);
+          ("gcc", [ Fail "-"; Value 2.0 ]);
+        ];
+    }
+  in
+  Alcotest.(check (list string)) "one line per refusal, placeholders skipped"
+    [ "bzip2/retrowrite: needs-pic:bzip2" ] (failure_reasons t);
+  let lines = String.split_on_char '\n' (capture_stdout (fun () -> print t)) in
+  (* rows as before: 12-wide names, 14-wide cells, x for a failure *)
+  Alcotest.(check bool) "bzip2 row" true
+    (List.mem (Printf.sprintf "%-12s%14.2f%14s" "bzip2" 1.5 "x") lines);
+  Alcotest.(check bool) "gcc row" true
+    (List.mem (Printf.sprintf "%-12s%14s%14.2f" "gcc" "x" 2.0) lines);
+  Alcotest.(check (list string)) "reasons follow the summary rows"
+    [ "bzip2/retrowrite: needs-pic:bzip2"; "" ]
+    (List.filteri (fun k _ -> k >= List.length lines - 2) lines)
+
 let () =
   Alcotest.run "metrics"
     [
@@ -126,4 +173,6 @@ let () =
           Alcotest.test_case "null and empty list" `Quick test_json_null_and_empty;
           Alcotest.test_case "row layout" `Quick test_json_row_layout;
         ] );
+      ( "table",
+        [ Alcotest.test_case "failure reasons" `Quick test_table_failure_reasons ] );
     ]

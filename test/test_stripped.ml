@@ -6,27 +6,7 @@
    rule-reuse property of section 3.3.1 (a shared library is analyzed
    once, regardless of which program loads it). *)
 
-open Jt_isa
-open Jt_asm.Builder
-open Jt_asm.Builder.Dsl
-
-let prog ~symtab_level =
-  build ~name:"sapp" ~kind:Jt_obj.Objfile.Exec_nonpic ~deps:[ "libc.so" ]
-    ~symtab_level ~entry:"main"
-    [
-      func "helper" [ muli Reg.r0 3; ret ];
-      func "main"
-        ([
-           movi Reg.r0 32;
-           call_import "malloc";
-           mov Reg.r6 Reg.r0;
-           movi Reg.r0 7;
-           call "helper";
-           st (mem_b ~disp:32 Reg.r6) Reg.r0 (* heap overflow *);
-           call_import "print_int";
-         ]
-        @ Progs.exit0);
-    ]
+let prog = Progs.stripped_prog
 
 let test_entry_inference_when_stripped () =
   let m = prog ~symtab_level:Jt_obj.Objfile.Stripped in
