@@ -131,9 +131,17 @@ let read_word (m : Jt_obj.Objfile.t) addr =
    most 256 element reads, or the load degrades to Top. *)
 let max_table_elems = 256
 
+(* One function as the outer fixpoint sees it. *)
+type scanned = {
+  sc_fn : Cfg.fn;
+  sc_vsa : Vsa.t Lazy.t;  (** forced only inside the demand cone *)
+  sc_sites : Jt_disasm.Disasm.insn_info list;  (** its [Call_ind]s *)
+  sc_calls : (int * int) list;  (** direct-call edges (insn, callee) *)
+}
+
 let analyze ~(m : Jt_obj.Objfile.t) ~(entries : int list)
     ~(code_ptrs : int list) ~(jump_table_targets : int list)
-    (fns : (Cfg.fn * Vsa.t) list) =
+    (fns : (Cfg.fn * Vsa.t Lazy.t) list) =
   let tracked = Hashtbl.create 64 in
   List.iter (fun e -> Hashtbl.replace tracked e ()) entries;
   let exported = Hashtbl.create 16 in
@@ -158,15 +166,17 @@ let analyze ~(m : Jt_obj.Objfile.t) ~(entries : int list)
     && not (Hashtbl.mem escapes e)
   in
   let arg_regs = [ Reg.index Reg.r0; Reg.index Reg.r1; Reg.index Reg.r2 ] in
-  (* Per-closed-function join of caller argument values, grown
-     monotonically by the outer fixpoint below. *)
+  (* Per-closed-function join of caller argument values: Bot, the join
+     of no call, until the outer fixpoint below joins a call in, then
+     grown monotonically.  [degraded] turns every entry state to Top. *)
   let entry_args : (int, value array) Hashtbl.t = Hashtbl.create 16 in
+  let no_args = Array.make (List.length arg_regs) Bot in
+  let args_of e = Option.value ~default:no_args (Hashtbl.find_opt entry_args e) in
+  let degraded = ref false in
   let entry_state fn_entry =
     let regs = Array.make Reg.count Top in
-    (match Hashtbl.find_opt entry_args fn_entry with
-    | Some args ->
-      List.iteri (fun k i -> regs.(i) <- args.(k)) arg_regs
-    | None -> ());
+    if closed fn_entry && not !degraded then
+      List.iteri (fun k i -> regs.(i) <- (args_of fn_entry).(k)) arg_regs;
     { regs; slots = [] }
   in
   let seed_const ~at k =
@@ -290,33 +300,82 @@ let analyze ~(m : Jt_obj.Objfile.t) ~(entries : int list)
       { regs; slots = [] }
     | i -> top_defs st i
   in
-  (* Outer fixpoint: solve every function, propagate direct-call
-     argument values into closed callees, repeat until the argument
-     joins stabilize.  Monotone and finite (value chains are bounded),
-     with a defensive round cap that degrades to Top instead of
-     stopping early. *)
+  (* One pass over the blocks: each function's indirect call sites (in
+     address order) and its direct-call edges [(insn, callee)] — the
+     [Call t] and the out-of-function [Jmp t] to a tracked entry. *)
+  let scanned =
+    List.map
+      (fun ((fn : Cfg.fn), vsa) ->
+        let sites = ref [] and calls = ref [] in
+        Hashtbl.iter
+          (fun _ (b : Cfg.block) ->
+            Array.iter
+              (fun (info : Jt_disasm.Disasm.insn_info) ->
+                match info.d_insn with
+                | Insn.Call_ind _ -> sites := info :: !sites
+                | Insn.Call t when Hashtbl.mem tracked t ->
+                  calls := (info.d_addr, t) :: !calls
+                | Insn.Jmp t
+                  when Hashtbl.mem tracked t
+                       && not (Hashtbl.mem fn.Cfg.f_blocks t) ->
+                  calls := (info.d_addr, t) :: !calls
+                | _ -> ())
+              b.Cfg.b_insns)
+          fn.Cfg.f_blocks;
+        let by_addr (a : Jt_disasm.Disasm.insn_info)
+            (b : Jt_disasm.Disasm.insn_info) =
+          compare a.d_addr b.d_addr
+        in
+        { sc_fn = fn; sc_vsa = vsa; sc_sites = List.sort by_addr !sites;
+          sc_calls = !calls })
+      fns
+  in
+  (* The demand cone: the functions holding a site, closed under "a
+     direct caller of a closed member joins".  A member's fixpoint
+     depends only on its entry state, and a closed member's entry state
+     only on its callers, so solving the cone alone gives the
+     whole-module solution on it. *)
+  let callers = Hashtbl.create 16 in
+  List.iter
+    (fun f ->
+      List.iter
+        (fun (_, t) -> Hashtbl.add callers t f.sc_fn.Cfg.f_entry)
+        f.sc_calls)
+    scanned;
+  let in_cone = Hashtbl.create 16 in
+  let rec admit e =
+    if not (Hashtbl.mem in_cone e) then begin
+      Hashtbl.replace in_cone e ();
+      if closed e then List.iter admit (Hashtbl.find_all callers e)
+    end
+  in
+  List.iter (fun f -> if f.sc_sites <> [] then admit f.sc_fn.Cfg.f_entry) scanned;
+  let cone =
+    List.filter (fun f -> Hashtbl.mem in_cone f.sc_fn.Cfg.f_entry) scanned
+  in
+  let solve_cone () =
+    List.map
+      (fun f ->
+        ( f,
+          Solver.solve ~entry:(entry_state f.sc_fn.Cfg.f_entry)
+            ~transfer:(transfer (Lazy.force f.sc_vsa)) f.sc_fn ))
+      cone
+  in
+  (* Outer fixpoint: solve the cone, propagate direct-call argument
+     values into closed cone members, repeat until the argument joins
+     stabilize.  Monotone and finite (value chains are bounded), with a
+     defensive cap of 10 rounds that degrades to Top instead of stopping
+     early. *)
   let solutions = ref [] in
   let stable = ref false in
   let rounds = ref 0 in
   while not !stable do
     incr rounds;
     stable := true;
-    solutions :=
-      List.map
-        (fun ((fn : Cfg.fn), vsa) ->
-          let solver =
-            Solver.solve ~entry:(entry_state fn.Cfg.f_entry)
-              ~transfer:(transfer vsa) fn
-          in
-          (fn, vsa, solver))
-        fns;
+    solutions := solve_cone ();
     let join_arg callee args =
-      if closed callee then begin
-        let prev =
-          match Hashtbl.find_opt entry_args callee with
-          | Some a -> a
-          | None -> Array.make (List.length arg_regs) Bot
-        in
+      if closed callee && Hashtbl.mem in_cone callee then begin
+        let prev = args_of callee in
         let next = Array.mapi (fun k v -> join_value v args.(k)) prev in
         if not (Array.for_all2 equal_value prev next) then begin
           Hashtbl.replace entry_args callee next;
@@ -325,79 +384,46 @@ let analyze ~(m : Jt_obj.Objfile.t) ~(entries : int list)
       end
     in
     List.iter
-      (fun ((fn : Cfg.fn), _vsa, solver) ->
+      (fun (f, solver) ->
         List.iter
-          (fun (b : Cfg.block) ->
-            Array.iter
-              (fun (info : Jt_disasm.Disasm.insn_info) ->
-                match info.d_insn with
-                | Insn.Call t
-                | Insn.Jmp t
-                  when Hashtbl.mem tracked t
-                       && not (Hashtbl.mem fn.Cfg.f_blocks t) -> (
-                  match Solver.before solver info.d_addr with
-                  | Some st ->
-                    join_arg t
-                      (Array.of_list
-                         (List.map (fun i -> st.regs.(i)) arg_regs))
-                  | None -> ())
-                | Insn.Call t when Hashtbl.mem tracked t -> (
-                  match Solver.before solver info.d_addr with
-                  | Some st ->
-                    join_arg t
-                      (Array.of_list
-                         (List.map (fun i -> st.regs.(i)) arg_regs))
-                  | None -> ())
-                | _ -> ())
-              b.Cfg.b_insns)
-          (Cfg.fn_blocks fn))
+          (fun (at, t) ->
+            match Solver.before solver at with
+            | Some st ->
+              join_arg t
+                (Array.of_list (List.map (fun i -> st.regs.(i)) arg_regs))
+            | None -> ())
+          f.sc_calls)
       !solutions;
     if !rounds >= 10 && not !stable then begin
       (* degrade every refined entry to Top rather than iterate on *)
-      Hashtbl.reset entry_args;
+      degraded := true;
       stable := true;
-      solutions :=
-        List.map
-          (fun ((fn : Cfg.fn), vsa) ->
-            let solver =
-              Solver.solve ~entry:(entry_state fn.Cfg.f_entry)
-                ~transfer:(transfer vsa) fn
-            in
-            (fn, vsa, solver))
-          fns
+      solutions := solve_cone ()
     end
   done;
   (* Per-site results from the stabilized solution. *)
   let sites = ref [] in
   List.iter
-    (fun ((fn : Cfg.fn), vsa, solver) ->
+    (fun (f, solver) ->
       List.iter
-        (fun (b : Cfg.block) ->
-          Array.iter
-            (fun (info : Jt_disasm.Disasm.insn_info) ->
-              match info.d_insn with
-              | Insn.Call_ind (operand, mem) ->
-                let v =
-                  match Solver.before solver info.d_addr with
-                  | None -> Top
-                  | Some st -> (
-                    match (operand, mem) with
-                    | Some r, _ -> st.regs.(Reg.index r)
-                    | None, Some m -> eval_load vsa st info m
-                    | None, None -> Top)
-                in
-                let cs_targets, cs_witness =
-                  match v with
-                  | Entries (s, w) -> (Some (Iset.elements s), w)
-                  | Bot | Top -> (None, 0)
-                in
-                sites :=
-                  { cs_fn = fn.Cfg.f_entry; cs_site = info.d_addr;
-                    cs_targets; cs_witness }
-                  :: !sites
-              | _ -> ())
-            b.Cfg.b_insns)
-        (Cfg.fn_blocks fn))
+        (fun (info : Jt_disasm.Disasm.insn_info) ->
+          let v =
+            match (Solver.before solver info.d_addr, info.d_insn) with
+            | Some st, Insn.Call_ind (Some r, _) -> st.regs.(Reg.index r)
+            | Some st, Insn.Call_ind (None, Some m) ->
+              eval_load (Lazy.force f.sc_vsa) st info m
+            | _ -> Top
+          in
+          let cs_targets, cs_witness =
+            match v with
+            | Entries (s, w) -> (Some (Iset.elements s), w)
+            | Bot | Top -> (None, 0)
+          in
+          sites :=
+            { cs_fn = f.sc_fn.Cfg.f_entry; cs_site = info.d_addr; cs_targets;
+              cs_witness }
+            :: !sites)
+        f.sc_sites)
     !solutions;
   of_sites
     (List.sort (fun a b -> compare a.cs_site b.cs_site) !sites)

@@ -45,10 +45,14 @@ val analyze :
   entries:int list ->
   code_ptrs:int list ->
   jump_table_targets:int list ->
-  (Jt_cfg.Cfg.fn * Vsa.t) list ->
+  (Jt_cfg.Cfg.fn * Vsa.t Lazy.t) list ->
   t
 (** [analyze ~m ~entries ~code_ptrs ~jump_table_targets fns] runs the
-    pass over every function (paired with its VSA fixpoint).
+    pass over the demand cone of [fns]: the functions holding an
+    indirect call site, plus, transitively, every direct caller of a
+    closed member.  Only cone members are solved and only their VSA
+    fixpoints (paired with each function) are forced; the sites come
+    out exactly as a whole-module solve would give them.
     [entries] are the module's discovered function entries (the tracked
     universe), [code_ptrs] the raw code-pointer-scan hits and
     [jump_table_targets] the recovered jump-table targets — both used

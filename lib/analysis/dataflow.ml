@@ -20,8 +20,8 @@ end
 
 module Make (L : LATTICE) = struct
   type t = {
-    blocks : (int, Cfg.block) Hashtbl.t;
-    block_of_insn : (int, int) Hashtbl.t;
+    fn : Cfg.fn;
+    mutable block_of_insn : (int, int) Hashtbl.t option;
     r_in : (int, L.t) Hashtbl.t;
     r_out : (int, L.t) Hashtbl.t;
     transfer : insn_info -> L.t -> L.t;
@@ -30,7 +30,6 @@ module Make (L : LATTICE) = struct
 
   let solve ?(widen_after = 2) ~entry ~transfer (fn : Cfg.fn) =
     let blocks = fn.Cfg.f_blocks in
-    let addrs = List.map (fun b -> b.Cfg.b_addr) (Cfg.fn_blocks fn) in
     let r_in = Hashtbl.create 16 in
     let r_out = Hashtbl.create 16 in
     let visits = Hashtbl.create 16 in
@@ -103,27 +102,39 @@ module Make (L : LATTICE) = struct
         if out_changed then List.iter enqueue b.Cfg.b_succs
       end
     done;
-    let block_of_insn = Hashtbl.create 64 in
-    List.iter
-      (fun a ->
-        match Hashtbl.find_opt blocks a with
-        | None -> ()
-        | Some b ->
-          Array.iter
-            (fun (i : insn_info) -> Hashtbl.replace block_of_insn i.d_addr a)
-            b.Cfg.b_insns)
-      addrs;
-    { blocks; block_of_insn; r_in; r_out; transfer; iterations = !iterations }
+    { fn; block_of_insn = None; r_in; r_out; transfer;
+      iterations = !iterations }
 
   let block_in t a = Hashtbl.find_opt t.r_in a
   let block_out t a = Hashtbl.find_opt t.r_out a
   let iterations t = t.iterations
 
+  (* Instruction -> enclosing block, built by the first [before] or
+     [insn] query: most solves are never queried.  A plain option field
+     rather than a [Lazy.t], which raises when two domains force it at
+     once; a race here only builds the same table twice. *)
+  let block_of_insn t addr =
+    let index =
+      match t.block_of_insn with
+      | Some index -> index
+      | None ->
+        let index = Hashtbl.create 64 in
+        List.iter
+          (fun (b : Cfg.block) ->
+            Array.iter
+              (fun (i : insn_info) -> Hashtbl.replace index i.d_addr b.Cfg.b_addr)
+              b.Cfg.b_insns)
+          (Cfg.fn_blocks t.fn);
+        t.block_of_insn <- Some index;
+        index
+    in
+    Hashtbl.find_opt index addr
+
   (* Per-instruction state: replay the block's transfer from its in-state
      (or from [unreached] in a block the solver never reached) up to (but
      not including) the instruction. *)
   let before ?unreached t addr =
-    match Hashtbl.find_opt t.block_of_insn addr with
+    match block_of_insn t addr with
     | None -> None
     | Some ba -> (
       let st0 =
@@ -131,7 +142,7 @@ module Make (L : LATTICE) = struct
         | Some _ as st0 -> st0
         | None -> unreached
       in
-      match (Hashtbl.find_opt t.blocks ba, st0) with
+      match (Hashtbl.find_opt t.fn.Cfg.f_blocks ba, st0) with
       | Some b, Some st0 ->
         let st = ref st0 in
         let found = ref None in
@@ -144,10 +155,10 @@ module Make (L : LATTICE) = struct
       | _ -> None)
 
   let insn t addr =
-    match Hashtbl.find_opt t.block_of_insn addr with
+    match block_of_insn t addr with
     | None -> None
     | Some ba ->
       Array.find_opt
         (fun (i : insn_info) -> i.d_addr = addr)
-        (Hashtbl.find t.blocks ba).Cfg.b_insns
+        (Hashtbl.find t.fn.Cfg.f_blocks ba).Cfg.b_insns
 end

@@ -40,7 +40,9 @@ module Make (L : LATTICE) : sig
     t
   (** Run to fixpoint.  [entry] is the state at the function entry;
       [widen_after] (default 2) is the per-block visit count beyond which
-      [L.widen] replaces [L.join]. *)
+      [L.widen] replaces [L.join].  The instruction-to-block index behind
+      {!before} and {!insn} is built by the first such query, so a solve
+      that is never queried does not pay for it. *)
 
   val block_in : t -> int -> L.t option
   (** Fixpoint state at a block's entry ([None] for blocks the solver

@@ -211,7 +211,7 @@ let compute_cpa sa =
     ~code_ptrs:(Lazy.force sa.sa_raw_code_ptrs)
     ~jump_table_targets:
       (List.concat_map snd sa.sa_disasm.Jt_disasm.Disasm.jump_tables)
-    (List.map (fun fa -> (fa.fa_fn, Lazy.force fa.fa_vsa)) sa.sa_fns)
+    (List.map (fun fa -> (fa.fa_fn, fa.fa_vsa)) sa.sa_fns)
 
 let cpa_resolver sa site = Jt_analysis.Cpa.resolve (Lazy.force sa.sa_cpa) site
 

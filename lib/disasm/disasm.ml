@@ -47,6 +47,27 @@ let recover_jump_table m ~consts ~bounds (mem : Insn.mem) =
   | _ -> []
 
 let run (m : Objfile.t) =
+  (* The section that held the last address looked up: a decode run
+     walks one section, so most lookups skip the scan of the section
+     list.  It answers as [Objfile.section_at] does because sections
+     are disjoint ([Jelf.read] rejects an overlap). *)
+  let last = ref None in
+  let section_of a =
+    match !last with
+    | Some s when Section.contains s a -> !last
+    | _ ->
+      let found = Objfile.section_at m a in
+      if found <> None then last := found;
+      found
+  in
+  let in_code a =
+    match section_of a with Some s -> s.Section.is_code | None -> false
+  in
+  let read a =
+    match section_of a with
+    | Some s -> Section.byte s a
+    | None -> raise (Decode.Bad_read a)
+  in
   (* One bucket per eight code bytes: a table holds two bindings per
      bucket before it grows and instructions average four to five and a
      half bytes, so the table starts as large as it will end, whatever
@@ -61,11 +82,11 @@ let run (m : Objfile.t) =
   let worklist = Queue.create () in
   let add_leader a = if not (Hashtbl.mem leaders a) then Hashtbl.replace leaders a () in
   let seed_code a =
-    if in_code_section m a && not (Hashtbl.mem insns a) then Queue.add a worklist;
-    if in_code_section m a then add_leader a
+    if in_code a && not (Hashtbl.mem insns a) then Queue.add a worklist;
+    if in_code a then add_leader a
   in
   let seed_func a =
-    if in_code_section m a then Hashtbl.replace func_entries a ();
+    if in_code a then Hashtbl.replace func_entries a ();
     seed_code a
   in
   (* Seeds: entry point, visible function symbols, exported functions,
@@ -87,25 +108,12 @@ let run (m : Objfile.t) =
            follows the stub's one-instruction indirect jump, and is only
            ever reached through the GOT — seed it explicitly so stripped
            modules (no @plt.lazy symbols) still cover it. *)
-        (match
-           Decode.instr
-             ~read:(fun a ->
-               match Objfile.byte_at m a with
-               | Some b -> b
-               | None -> raise (Decode.Bad_read a))
-             ~at:p
-         with
+        (match Decode.instr ~read ~at:p with
         | Some (_, len) -> seed_func (p + len)
         | None -> ())
       | None -> ())
     m.imports;
   List.iter (fun (s : Section.t) -> seed_code s.vaddr) (Objfile.code_sections m);
-
-  let read a =
-    match Objfile.byte_at m a with
-    | Some b -> b
-    | None -> raise (Decode.Bad_read a)
-  in
   (* Decode a straight-line run from [start] until a block-ending
      instruction, an already-decoded address, or a decode failure. *)
   let decode_run start =
@@ -114,7 +122,7 @@ let run (m : Objfile.t) =
     let pc = ref start in
     let stop = ref false in
     while not !stop do
-      if Hashtbl.mem insns !pc || not (in_code_section m !pc) then stop := true
+      if Hashtbl.mem insns !pc || not (in_code !pc) then stop := true
       else
         match Decode.instr ~read ~at:!pc with
         | None -> stop := true

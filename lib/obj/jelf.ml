@@ -84,6 +84,21 @@ let read =
             Section.make ~truth_code_ranges:truth ~name ~vaddr ~is_code data)
           r
       in
+      (* [Objfile.section_at] and the disassembler's section cache
+         assume every address lies in at most one section. *)
+      let spans =
+        List.filter (fun s -> Section.size s > 0) sections
+        |> List.sort (fun (a : Section.t) b -> compare a.vaddr b.vaddr)
+      in
+      let rec disjoint = function
+        | (a : Section.t) :: (b :: _ as rest) ->
+          if Section.end_vaddr a > b.vaddr then
+            R.fail r
+              (Printf.sprintf "sections %s and %s overlap" a.name b.name);
+          disjoint rest
+        | _ -> ()
+      in
+      disjoint spans;
       let symbols =
         R.list U32 ~min:14
           (fun r ->

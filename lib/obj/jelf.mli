@@ -16,7 +16,7 @@ val read : string -> Objfile.t
     returns writes back to exactly its input.
     @raise Jt_codec.Codec.Decode_error (format ["JELF1"]) on truncation,
     bad magic, tags or booleans, counts that cannot fit in the remaining
-    bytes, and trailing bytes. *)
+    bytes, two sections sharing an address, and trailing bytes. *)
 
 val save : dir:string -> Objfile.t -> string
 (** Write [<dir>/<name>.jelf] (creating [dir] and any missing parents)

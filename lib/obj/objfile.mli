@@ -55,7 +55,9 @@ val find_symbol : t -> string -> Symbol.t option
 val find_export : t -> string -> Symbol.t option
 
 val section_at : t -> int -> Section.t option
-(** Section containing link-time address. *)
+(** Section containing link-time address: the only one, since sections
+    are disjoint ({!Jelf.read} rejects an overlap, and no builder makes
+    one). *)
 
 val find_section : t -> string -> Section.t option
 val code_sections : t -> Section.t list

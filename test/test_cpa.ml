@@ -1,5 +1,6 @@
 (* Code-pointer provenance analysis (CPA): per-site target sets, the
-   Top-degradation contract, the resolved call graph, and the
+   Top-degradation contract, the interprocedural pass and the demand
+   cone it solves, the resolved call graph, and the
    refinement-soundness oracle — every indirect call the workload sweep
    and the fuzz corpus actually execute must land inside its site's
    resolved set (or the site must be Top).  The IR codec of CPA sites
@@ -184,6 +185,89 @@ let check_oracle name rt =
     Alcotest.failf "%s: observed icall %d -> %d outside its resolved set" name
       site tgt
 
+(* -- the interprocedural pass: [main] materializes [&op0] in [r0] and
+   reaches the [call_reg r0] through [hops] direct calls; every helper
+   but the last is closed, the last too unless [exported] -- *)
+
+let hop_prog ~hops ~exported =
+  let helper k = Printf.sprintf "h%d" k in
+  build ~name:"cpa-hops" ~kind:Jt_obj.Objfile.Exec_nonpic ~deps:[ "libc.so" ]
+    ~entry:"main"
+    ([ func "op0" [ addi Reg.r0 1; ret ] ]
+    @ List.init hops (fun k ->
+          if k = hops - 1 then
+            func ~exported (helper (k + 1)) [ call_reg Reg.r0; ret ]
+          else func (helper (k + 1)) [ call (helper (k + 2)); ret ])
+    @ [
+        func "main"
+          [
+            addr_of_func ~pic:false Reg.r0 "op0";
+            call "h1";
+            movi Reg.r0 0;
+            syscall Sysno.exit_;
+          ];
+      ])
+
+let test_interproc () =
+  let site_of ~hops ~exported =
+    let m = hop_prog ~hops ~exported in
+    let sa = Janitizer.Static_analyzer.analyze m in
+    match Jt_analysis.Cpa.sites (Lazy.force sa.sa_cpa) with
+    | [ s ] ->
+      Alcotest.(check int) "site in the last helper"
+        (addr_of m (Printf.sprintf "h%d" hops)) s.cs_fn;
+      (m, s)
+    | sites -> Alcotest.failf "expected 1 site, got %d" (List.length sites)
+  in
+  List.iter
+    (fun hops ->
+      let m, s = site_of ~hops ~exported:false in
+      Alcotest.(check (option (list int)))
+        (Printf.sprintf "%d closed hop(s): exactly op0" hops)
+        (Some [ addr_of m "op0" ]) s.cs_targets;
+      Alcotest.(check bool) "witness in main" true
+        (s.cs_witness >= addr_of m "main"))
+    [ 1; 2 ];
+  let _, s = site_of ~hops:1 ~exported:true in
+  Alcotest.(check (option (list int))) "exported helper: Top" None s.cs_targets;
+  (* the resolved two-hop set holds at run time *)
+  let m = hop_prog ~hops:2 ~exported:false in
+  let tool, rt = Jt_jcfi.Jcfi.create () in
+  let o =
+    Janitizer.Driver.run ~tool ~registry:(Progs.registry_for m)
+      ~main:m.Jt_obj.Objfile.name ()
+  in
+  Alcotest.(check (list string))
+    "clean run" []
+    (List.map (fun v -> v.Jt_vm.Vm.v_kind) o.o_result.r_violations);
+  Alcotest.(check int) "the site ran" 1
+    (List.length (Jt_jcfi.Jcfi.Rt.observed_icalls rt));
+  check_oracle "cpa-hops" rt
+
+(* -- the demand cone: CPA forces the VSA of no function outside it -- *)
+
+let forced (sa : Janitizer.Static_analyzer.t) =
+  List.filter_map
+    (fun (fa : Janitizer.Static_analyzer.fn_analysis) ->
+      if Lazy.is_val fa.fa_vsa then Some fa.fa_fn.Jt_cfg.Cfg.f_entry else None)
+    sa.sa_fns
+
+let test_cone_vsa () =
+  let m = dispatch_prog () in
+  let sa = Janitizer.Static_analyzer.analyze m in
+  ignore (Lazy.force sa.sa_cpa);
+  Alcotest.(check (list int)) "cpa-disp: only main's VSA" [ addr_of m "main" ]
+    (forced sa);
+  List.iter
+    (fun c ->
+      let m = Jt_fuzz.Fuzz.build c in
+      let sa = Janitizer.Static_analyzer.analyze m in
+      Alcotest.(check int) "no indirect call site" 0
+        (List.length (Jt_analysis.Cpa.sites (Lazy.force sa.sa_cpa)));
+      Alcotest.(check (list int)) (m.Jt_obj.Objfile.name ^ ": no VSA forced") []
+        (forced sa))
+    (Jt_fuzz.Fuzz.cases_of ~base_seed:1 ~seeds:4)
+
 let test_sweep_oracle () =
   (* the full workload sweep; also assert the oracle is not vacuous *)
   let resolved_hits = ref 0 in
@@ -232,6 +316,8 @@ let () =
           Alcotest.test_case "dispatch resolved" `Quick test_dispatch_resolved;
           Alcotest.test_case "top degradation" `Quick test_top_degradation;
           Alcotest.test_case "callgraph" `Quick test_callgraph;
+          Alcotest.test_case "interprocedural" `Quick test_interproc;
+          Alcotest.test_case "cone forces VSA" `Quick test_cone_vsa;
         ] );
       ( "policy",
         [ Alcotest.test_case "dlopen imprecise" `Quick test_dlopen_imprecise ] );

@@ -2,8 +2,9 @@
    codec round trips (CPA sites included), corrupt-store rejection with
    transparent re-analysis down to single flipped bytes, warm-load
    equivalence with the direct analyzer, single-flight under domain
-   parallelism, LRU/gc behavior, and the [Driver.analyze_all]
-   registry-ordering contract. *)
+   parallelism, LRU/gc behavior, the [Driver.analyze_all]
+   registry-ordering contract, and disjoint JELF sections (which a warm
+   load's [section_at] re-decode relies on). *)
 
 open Jt_ir
 
@@ -446,6 +447,99 @@ let equivalence_modules () =
          let d = Jt_obj.Objfile.digest m in
          (not (Hashtbl.mem seen d)) && (Hashtbl.replace seen d (); true))
 
+(* ---- JELF sections: disjoint, or the module does not decode ---- *)
+
+let overlapping_sections (m : Jt_obj.Objfile.t) =
+  let open Jt_obj.Section in
+  let rec pairs = function
+    | [] -> []
+    | a :: rest ->
+      List.filter_map
+        (fun b ->
+          if size a > 0 && size b > 0 && a.vaddr < end_vaddr b
+             && b.vaddr < end_vaddr a
+          then Some (a.name ^ "/" ^ b.name)
+          else None)
+        rest
+      @ pairs rest
+  in
+  pairs m.sections
+
+let two_section_module a b =
+  let sec (name, vaddr, size) =
+    Jt_obj.Section.make ~name ~vaddr ~is_code:false (String.make size '\x00')
+  in
+  {
+    Jt_obj.Objfile.name = "two-sections";
+    kind = Jt_obj.Objfile.Shared;
+    sections = [ sec a; sec b ];
+    symbols = [];
+    symtab_level = Jt_obj.Objfile.Full;
+    relocs = [];
+    imports = [];
+    exports = [];
+    deps = [];
+    entry = None;
+    features = [];
+  }
+
+let test_overlapping_sections () =
+  let roundtrips a b =
+    let m = two_section_module a b in
+    Alcotest.(check bool) "decodes to itself" true
+      (Jt_obj.Jelf.read (Jt_obj.Jelf.write m) = m)
+  in
+  roundtrips (".a", 0x2000, 16) (".b", 0x2010, 16);
+  roundtrips (".b", 0x2010, 16) (".a", 0x2000, 16);
+  roundtrips (".a", 0x2000, 16) (".empty", 0x2008, 0);
+  List.iter
+    (fun (a, b) ->
+      let enc = Jt_obj.Jelf.write (two_section_module a b) in
+      Progs.expect_decode_error ~format:"JELF1"
+        ~reason:"sections .a and .b overlap" "overlap" (fun () ->
+          Jt_obj.Jelf.read enc))
+    [
+      ((".a", 0x2000, 16), (".b", 0x200f, 16));
+      ((".b", 0x200f, 16), (".a", 0x2000, 16));
+      ((".a", 0x2000, 16), (".b", 0x2004, 4));
+    ]
+
+(* Every registry module, library and bloated module, and every module
+   of the C workloads' emitted registries (JASan and JCFI), has disjoint
+   sections and so decodes from its own container. *)
+let test_registry_sections_disjoint () =
+  let emitted =
+    List.concat_map
+      (fun (s : Jt_workloads.Sheet.t) ->
+        if s.s_lang <> Jt_workloads.Sheet.C then []
+        else
+          let w = Jt_workloads.Specgen.build s in
+          List.concat_map
+            (fun tool ->
+              match
+                Jt_emit.Emit.emit_program ~tool ~registry:w.w_registry
+                  ~main:s.s_name ()
+              with
+              | Ok p -> p.Jt_emit.Emit.p_registry
+              | Error (n, r) ->
+                Alcotest.failf "%s: %s refused: %s" s.s_name n
+                  (Jt_emit.Emit.refusal_to_string r))
+            [ Jt_emit.Emit.Asan { elide = true };
+              Jt_emit.Emit.Cfi Jt_jcfi.Jcfi.default_config ])
+      Jt_workloads.Sheet.all
+  in
+  let modules = equivalence_modules () @ emitted in
+  Alcotest.(check bool) "emitted modules among them" true
+    (List.exists
+       (fun m -> Jt_obj.Objfile.find_section m Jt_emit.Emit.text_section_name <> None)
+       modules);
+  List.iter
+    (fun (m : Jt_obj.Objfile.t) ->
+      Alcotest.(check (list string)) (m.name ^ ": overlapping sections") []
+        (overlapping_sections m);
+      ignore (Jt_obj.Jelf.read (Jt_obj.Jelf.write m)))
+    modules
+
 (* Cold through a store, then warm through a fresh handle over the same
    directory (the disk decode path, not the memory LRU): no warm
    [compute], and the warm analysis equals the cold one in its CFG, its
@@ -721,6 +815,13 @@ let () =
           Alcotest.test_case "smallest functions round-trip" `Quick
             test_smallest_fns_roundtrip;
           Alcotest.test_case "bzip2 byte flips" `Quick test_byte_flips;
+        ] );
+      ( "jelf",
+        [
+          Alcotest.test_case "overlapping sections rejected" `Quick
+            test_overlapping_sections;
+          Alcotest.test_case "registry sections disjoint" `Quick
+            test_registry_sections_disjoint;
         ] );
       ( "store-robustness",
         [
