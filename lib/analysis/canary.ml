@@ -19,29 +19,31 @@ let analyze (fn : Cfg.fn) =
   (* Pass 1: find ldcanary destinations, then stores of those registers to
      fp-relative slots, scanning linearly within each block. *)
   let stores = ref [] in
-  List.iter
+  Array.iter
     (fun b ->
-      let canary_regs = Hashtbl.create 2 in
+      (* the registers holding the canary, as a bit mask *)
+      let canary_regs = ref 0 in
       Array.iter
         (fun info ->
           match info.d_insn with
-          | Insn.Load_canary r -> Hashtbl.replace canary_regs (Reg.index r) ()
+          | Insn.Load_canary r ->
+            canary_regs := !canary_regs lor (1 lsl Reg.index r)
           | Insn.Store (Insn.W4, m, Insn.Reg r)
-            when Hashtbl.mem canary_regs (Reg.index r) -> (
+            when !canary_regs land (1 lsl Reg.index r) <> 0 -> (
             match fp_slot m with
             | Some disp ->
               stores := (info.d_addr, info.d_addr + info.d_len, disp) :: !stores
             | None -> ())
-          | i -> List.iter (fun r -> Hashtbl.remove canary_regs (Reg.index r)) (Insn.defs i))
+          | i -> canary_regs := !canary_regs land lnot (Insn.def_mask i))
         b.Cfg.b_insns)
-    (Cfg.fn_blocks fn);
+    fn.Cfg.f_blocks;
   (* Pass 2: loads of a known canary slot anywhere in the function are
      check loads. *)
   let sites =
     List.map
       (fun (store_addr, after, disp) ->
         let checks = ref [] in
-        List.iter
+        Array.iter
           (fun b ->
             Array.iter
               (fun info ->
@@ -50,7 +52,7 @@ let analyze (fn : Cfg.fn) =
                   checks := info.d_addr :: !checks
                 | _ -> ())
               b.Cfg.b_insns)
-          (Cfg.fn_blocks fn);
+          fn.Cfg.f_blocks;
         {
           c_fn = fn.Cfg.f_entry;
           c_store_addr = store_addr;

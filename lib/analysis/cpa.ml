@@ -307,8 +307,8 @@ let analyze ~(m : Jt_obj.Objfile.t) ~(entries : int list)
     List.map
       (fun ((fn : Cfg.fn), vsa) ->
         let sites = ref [] and calls = ref [] in
-        Hashtbl.iter
-          (fun _ (b : Cfg.block) ->
+        Array.iter
+          (fun (b : Cfg.block) ->
             Array.iter
               (fun (info : Jt_disasm.Disasm.insn_info) ->
                 match info.d_insn with
@@ -316,8 +316,7 @@ let analyze ~(m : Jt_obj.Objfile.t) ~(entries : int list)
                 | Insn.Call t when Hashtbl.mem tracked t ->
                   calls := (info.d_addr, t) :: !calls
                 | Insn.Jmp t
-                  when Hashtbl.mem tracked t
-                       && not (Hashtbl.mem fn.Cfg.f_blocks t) ->
+                  when Hashtbl.mem tracked t && Cfg.block_index fn t < 0 ->
                   calls := (info.d_addr, t) :: !calls
                 | _ -> ())
               b.Cfg.b_insns)

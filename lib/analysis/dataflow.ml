@@ -19,146 +19,120 @@ module type LATTICE = sig
 end
 
 module Make (L : LATTICE) = struct
+  (* Everything per block is an array over the function's block indices;
+     [visits.(b) = 0] means the solver never reached [b], and then
+     [r_in.(b)]/[r_out.(b)] hold only the initial filler. *)
   type t = {
     fn : Cfg.fn;
-    mutable block_of_insn : (int, int) Hashtbl.t option;
-    r_in : (int, L.t) Hashtbl.t;
-    r_out : (int, L.t) Hashtbl.t;
+    r_in : L.t array;
+    r_out : L.t array;
+    visits : int array;
     transfer : insn_info -> L.t -> L.t;
     iterations : int;
   }
 
   let solve ?(widen_after = 2) ~entry ~transfer (fn : Cfg.fn) =
     let blocks = fn.Cfg.f_blocks in
-    let r_in = Hashtbl.create 16 in
-    let r_out = Hashtbl.create 16 in
-    let visits = Hashtbl.create 16 in
-    let out_of a st =
-      match Hashtbl.find_opt blocks a with
-      | None -> st
-      | Some b -> Array.fold_left (fun st i -> transfer i st) st b.Cfg.b_insns
-    in
-    (* Worklist seeded with the entry; a block's in-state is the join of
-       its processed predecessors' out-states (plus [entry] for the
-       function entry).  Unprocessed predecessors contribute nothing —
-       the optimistic initial value — and re-queue their successors once
-       they are reached. *)
-    let queue = Queue.create () in
-    let queued = Hashtbl.create 16 in
-    let enqueue a =
-      if (not (Hashtbl.mem queued a)) && Hashtbl.mem blocks a then begin
-        Hashtbl.replace queued a ();
-        Queue.add a queue
+    let n = Array.length blocks in
+    let r_in = Array.make n entry and r_out = Array.make n entry in
+    let visits = Array.make n 0 in
+    (* FIFO worklist seeded with the entry, as a ring over [n] slots: a
+       block is queued at most once at a time.  A block's in-state is
+       the join of its processed predecessors' out-states (plus [entry]
+       for the function entry).  Unprocessed predecessors contribute
+       nothing — the optimistic initial value — and re-queue their
+       successors once they are reached. *)
+    let queue = Array.make n 0 and queued = Array.make n false in
+    let head = ref 0 and len = ref 0 in
+    let enqueue b =
+      if not queued.(b) then begin
+        queued.(b) <- true;
+        queue.((!head + !len) mod n) <- b;
+        incr len
       end
     in
-    enqueue fn.Cfg.f_entry;
+    let root = Cfg.block_index fn fn.Cfg.f_entry in
+    if root >= 0 then enqueue root;
     let iterations = ref 0 in
-    while not (Queue.is_empty queue) do
-      let a = Queue.pop queue in
-      Hashtbl.remove queued a;
+    while !len > 0 do
+      let a = queue.(!head) in
+      head := (!head + 1) mod n;
+      decr len;
+      queued.(a) <- false;
       incr iterations;
-      let b = Hashtbl.find blocks a in
-      let pred_outs =
-        List.filter_map
-          (fun p -> if Hashtbl.mem blocks p then Hashtbl.find_opt r_out p else None)
-          b.Cfg.b_preds
-      in
-      let contrib =
-        match pred_outs with
-        | [] -> None
-        | o :: os -> Some (List.fold_left L.join o os)
-      in
+      let preds = fn.Cfg.f_preds.(a) in
+      let contrib = ref entry and reached = ref false in
+      for j = 0 to Array.length preds - 1 do
+        let p = preds.(j) in
+        if visits.(p) > 0 then
+          if !reached then contrib := L.join !contrib r_out.(p)
+          else begin
+            contrib := r_out.(p);
+            reached := true
+          end
+      done;
       let proposed =
-        if a = fn.Cfg.f_entry then
-          match contrib with None -> entry | Some c -> L.join entry c
-        else match contrib with None -> entry | Some c -> c
+        if not !reached then entry
+        else if a = root then L.join entry !contrib
+        else !contrib
       in
-      let visit_n =
-        let n = 1 + Option.value ~default:0 (Hashtbl.find_opt visits a) in
-        Hashtbl.replace visits a n;
-        n
-      in
+      let first = visits.(a) = 0 in
+      visits.(a) <- visits.(a) + 1;
       let new_in =
-        match Hashtbl.find_opt r_in a with
-        | None -> proposed
-        | Some prev ->
-          if visit_n > widen_after then L.widen prev proposed
-          else L.join prev proposed
+        if first then proposed
+        else if visits.(a) > widen_after then L.widen r_in.(a) proposed
+        else L.join r_in.(a) proposed
       in
-      let in_changed =
-        match Hashtbl.find_opt r_in a with
-        | Some prev -> not (L.equal prev new_in)
-        | None -> true
-      in
-      if in_changed || not (Hashtbl.mem r_out a) then begin
-        Hashtbl.replace r_in a new_in;
-        let out = out_of a new_in in
-        let out_changed =
-          match Hashtbl.find_opt r_out a with
-          | Some prev -> not (L.equal prev out)
-          | None -> true
-        in
-        Hashtbl.replace r_out a out;
-        if out_changed then List.iter enqueue b.Cfg.b_succs
+      if first || not (L.equal r_in.(a) new_in) then begin
+        r_in.(a) <- new_in;
+        let insns = blocks.(a).Cfg.b_insns and out = ref new_in in
+        for k = 0 to Array.length insns - 1 do
+          out := transfer insns.(k) !out
+        done;
+        let out = !out in
+        let out_changed = first || not (L.equal r_out.(a) out) in
+        r_out.(a) <- out;
+        if out_changed then Array.iter enqueue fn.Cfg.f_succs.(a)
       end
     done;
-    { fn; block_of_insn = None; r_in; r_out; transfer;
-      iterations = !iterations }
+    { fn; r_in; r_out; visits; transfer; iterations = !iterations }
 
-  let block_in t a = Hashtbl.find_opt t.r_in a
-  let block_out t a = Hashtbl.find_opt t.r_out a
+  let reached t b = b >= 0 && t.visits.(b) > 0
+
+  let block_in t a =
+    let b = Cfg.block_index t.fn a in
+    if reached t b then Some t.r_in.(b) else None
+
+  let block_out t a =
+    let b = Cfg.block_index t.fn a in
+    if reached t b then Some t.r_out.(b) else None
+
   let iterations t = t.iterations
 
-  (* Instruction -> enclosing block, built by the first [before] or
-     [insn] query: most solves are never queried.  A plain option field
-     rather than a [Lazy.t], which raises when two domains force it at
-     once; a race here only builds the same table twice. *)
-  let block_of_insn t addr =
-    let index =
-      match t.block_of_insn with
-      | Some index -> index
-      | None ->
-        let index = Hashtbl.create 64 in
-        List.iter
-          (fun (b : Cfg.block) ->
-            Array.iter
-              (fun (i : insn_info) -> Hashtbl.replace index i.d_addr b.Cfg.b_addr)
-              b.Cfg.b_insns)
-          (Cfg.fn_blocks t.fn);
-        t.block_of_insn <- Some index;
-        index
-    in
-    Hashtbl.find_opt index addr
-
-  (* Per-instruction state: replay the block's transfer from its in-state
-     (or from [unreached] in a block the solver never reached) up to (but
-     not including) the instruction. *)
+  (* Per-instruction state: replay the holding block's transfer from its
+     in-state (or from [unreached] in a block the solver never reached)
+     up to (but not including) the instruction. *)
   let before ?unreached t addr =
-    match block_of_insn t addr with
-    | None -> None
-    | Some ba -> (
-      let st0 =
-        match Hashtbl.find_opt t.r_in ba with
-        | Some _ as st0 -> st0
-        | None -> unreached
-      in
-      match (Hashtbl.find_opt t.fn.Cfg.f_blocks ba, st0) with
-      | Some b, Some st0 ->
-        let st = ref st0 in
-        let found = ref None in
-        Array.iter
-          (fun (i : insn_info) ->
-            if i.d_addr = addr && !found = None then found := Some !st;
-            if !found = None then st := t.transfer i !st)
-          b.Cfg.b_insns;
-        !found
-      | _ -> None)
+    let b = Cfg.insn_block t.fn addr in
+    if b < 0 then None
+    else
+      let start = if reached t b then Some t.r_in.(b) else unreached in
+      match start with
+      | None -> None
+      | Some st ->
+        let insns = t.fn.Cfg.f_blocks.(b).Cfg.b_insns in
+        let st = ref st and k = ref 0 in
+        while insns.(!k).d_addr <> addr do
+          st := t.transfer insns.(!k) !st;
+          incr k
+        done;
+        Some !st
 
   let insn t addr =
-    match block_of_insn t addr with
-    | None -> None
-    | Some ba ->
+    let b = Cfg.insn_block t.fn addr in
+    if b < 0 then None
+    else
       Array.find_opt
         (fun (i : insn_info) -> i.d_addr = addr)
-        (Hashtbl.find t.fn.Cfg.f_blocks ba).Cfg.b_insns
+        t.fn.Cfg.f_blocks.(b).Cfg.b_insns
 end

@@ -15,7 +15,14 @@
     contribute nothing.  A block's in-state only ever changes by a
     [join] with its previous value, so on a finite-height lattice the
     solver stabilizes even for a transfer that is not monotone
-    ({!Avail.gen} reads the incoming state). *)
+    ({!Avail.gen} reads the incoming state).
+
+    The solver works over the function's dense block indices
+    ({!Jt_cfg.Cfg.fn}): in- and out-states, visit counts and the queued
+    flags are arrays indexed by block, the worklist a FIFO ring of block
+    indices seeded with the entry, successors queued in [b_succs] order
+    and predecessors joined in ascending order.  Addresses are resolved
+    only by the queries below, through the CFG's lookups. *)
 
 module type LATTICE = sig
   type t
@@ -40,9 +47,7 @@ module Make (L : LATTICE) : sig
     t
   (** Run to fixpoint.  [entry] is the state at the function entry;
       [widen_after] (default 2) is the per-block visit count beyond which
-      [L.widen] replaces [L.join].  The instruction-to-block index behind
-      {!before} and {!insn} is built by the first such query, so a solve
-      that is never queried does not pay for it. *)
+      [L.widen] replaces [L.join]. *)
 
   val block_in : t -> int -> L.t option
   (** Fixpoint state at a block's entry ([None] for blocks the solver
@@ -52,9 +57,9 @@ module Make (L : LATTICE) : sig
 
   val before : ?unreached:L.t -> t -> int -> L.t option
   (** State just before an instruction, obtained by replaying the
-      enclosing block's transfer from its in-state.  In a block the
-      solver never reached the replay starts from [unreached], and
-      without it the answer is [None]. *)
+      holding block ({!Jt_cfg.Cfg.insn_block}) from its in-state.  In a
+      block the solver never reached the replay starts from
+      [unreached], and without it the answer is [None]. *)
 
   val insn : t -> int -> Jt_disasm.Disasm.insn_info option
   (** The instruction at this address, if one of the function's blocks

@@ -45,8 +45,8 @@ let summaries ?(resolve = fun _ -> None) (cfg : Cfg.t) =
     List.iter
       (fun fn ->
         let acc = ref (Hashtbl.find summary fn.Cfg.f_entry) in
-        Hashtbl.iter
-          (fun _ (b : Cfg.block) ->
+        Array.iter
+          (fun (b : Cfg.block) ->
             Array.iter
               (fun info ->
                 match info.d_insn with
@@ -69,19 +69,19 @@ let summaries ?(resolve = fun _ -> None) (cfg : Cfg.t) =
                   acc :=
                     join !acc
                       {
-                        ip_clobbers = Liveness.reg_mask (Insn.defs i);
-                        ip_reads = Liveness.reg_mask (Insn.uses i);
+                        ip_clobbers = Insn.def_mask i;
+                        ip_reads = Insn.use_mask i;
                         ip_barrier = true;
                       }
-                | Insn.Jmp t when not (Hashtbl.mem fn.Cfg.f_blocks t) ->
+                | Insn.Jmp t when Cfg.block_index fn t < 0 ->
                   (* tail call *)
                   acc := join !acc (lookup t)
                 | i ->
                   acc :=
                     join !acc
                       {
-                        ip_clobbers = Liveness.reg_mask (Insn.defs i);
-                        ip_reads = Liveness.reg_mask (Insn.uses i);
+                        ip_clobbers = Insn.def_mask i;
+                        ip_reads = Insn.use_mask i;
                         ip_barrier = false;
                       })
               b.b_insns)

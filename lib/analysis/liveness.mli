@@ -16,7 +16,14 @@
 open Jt_isa
 
 type t
-(** Liveness facts for one function. *)
+(** Liveness facts for one function: one word per instruction (register
+    mask and flag bits), in an array aligned with the function's
+    instruction order ({!Jt_cfg.Cfg.fn}'s [f_first]).  {!analyze}
+    computes per-instruction kill/gen masks ({!Jt_isa.Insn.def_mask},
+    {!Jt_isa.Insn.use_mask}), summarizes each block by them, solves the
+    fixpoint over block indices and replays each block once to fill the
+    array; {!import} fills the same array from stored facts.  A query
+    finds the instruction by {!Jt_cfg.Cfg.insn_index}. *)
 
 val analyze :
   ?call_summary:(int -> (int * int) option) ->
@@ -53,6 +60,8 @@ val export : t -> bool * (int * int * int) list
     register mask, live flag bits), sorted by address — the complete
     analysis result, ready for the serializable IR. *)
 
-val import : all_live:bool -> facts:(int * int * int) list -> unit -> t
-(** Inverse of {!export}: every query answers identically to the
-    original analysis. *)
+val import : all_live:bool -> facts:(int * int * int) list -> Jt_cfg.Cfg.fn -> t
+(** Inverse of {!export} over the same function: every query answers
+    identically to the original analysis.  @raise Failure when a fact
+    names no instruction of the function, carries bits beyond the
+    registers, or comes with [all_live]. *)

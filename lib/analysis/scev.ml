@@ -19,8 +19,7 @@ type summary = {
 }
 
 let loop_blocks fn (l : Cfg.loop) =
-  List.filter_map (fun a -> Hashtbl.find_opt fn.Cfg.f_blocks a)
-    (Cfg.Iset.elements l.Cfg.l_body)
+  List.filter_map (Cfg.find_block fn) (Cfg.Iset.elements l.Cfg.l_body)
 
 (* All registers defined anywhere in the loop. *)
 let defined_in_loop blocks =
@@ -36,7 +35,7 @@ let defined_in_loop blocks =
 
 (* The head must start with:  cmp ivar, bound ; jcc {>=,>} exit. *)
 let head_pattern fn (l : Cfg.loop) =
-  match Hashtbl.find_opt fn.Cfg.f_blocks l.Cfg.l_head with
+  match Cfg.find_block fn l.Cfg.l_head with
   | None -> None
   | Some head ->
     if Array.length head.Cfg.b_insns < 2 then None
@@ -68,14 +67,14 @@ let unit_step blocks ri =
   match !defs with [ Insn.Binop (Insn.Add, r, Insn.Imm 1) ] -> Reg.equal r ri | _ -> false
 
 let unique_preheader fn (l : Cfg.loop) =
-  match Hashtbl.find_opt fn.Cfg.f_blocks l.Cfg.l_head with
+  match Cfg.find_block fn l.Cfg.l_head with
   | None -> None
   | Some head ->
     let outside =
       List.filter (fun p -> not (Cfg.Iset.mem p l.Cfg.l_body)) head.Cfg.b_preds
     in
     (match List.sort_uniq compare outside with
-    | [ p ] -> Hashtbl.find_opt fn.Cfg.f_blocks p
+    | [ p ] -> Cfg.find_block fn p
     | _ -> None)
 
 let mem_accesses blocks =

@@ -16,28 +16,25 @@ let kind_name = function
   | Indirect -> "indirect"
 
 let build ?(resolve = fun _ -> None) (cfg : Cfg.t) =
-  let fns = Cfg.functions cfg in
-  let entries = Hashtbl.create 64 in
-  List.iter (fun (fn : Cfg.fn) -> Hashtbl.replace entries fn.Cfg.f_entry ()) fns;
+  let is_entry t = Option.is_some (Cfg.fn_at cfg t) in
   let edges = ref [] in
   let unresolved = ref [] in
-  List.iter
+  Array.iter
     (fun (fn : Cfg.fn) ->
       let caller = fn.Cfg.f_entry in
-      List.iter
+      Array.iter
         (fun (b : Cfg.block) ->
           Array.iter
             (fun (info : Jt_disasm.Disasm.insn_info) ->
               let site = info.d_addr in
               match info.d_insn with
-              | Insn.Call t when Hashtbl.mem entries t ->
+              | Insn.Call t when is_entry t ->
                 edges :=
                   { e_caller = caller; e_site = site; e_callee = t;
                     e_kind = Direct }
                   :: !edges
               | Insn.Jmp t
-                when (not (Hashtbl.mem fn.Cfg.f_blocks t))
-                     && Hashtbl.mem entries t ->
+                when Cfg.block_index fn t < 0 && is_entry t ->
                 (* jump out of the function to a known entry: tail call *)
                 edges :=
                   { e_caller = caller; e_site = site; e_callee = t;
@@ -56,8 +53,8 @@ let build ?(resolve = fun _ -> None) (cfg : Cfg.t) =
                 | None -> unresolved := site :: !unresolved)
               | _ -> ())
             b.Cfg.b_insns)
-        (Cfg.fn_blocks fn))
-    fns;
+        fn.Cfg.f_blocks)
+    cfg.Cfg.c_fns;
   let edges = List.rev !edges in
   let succs = Hashtbl.create 64 in
   List.iter

@@ -15,7 +15,7 @@ type t = {
   sa_disasm : Jt_disasm.Disasm.t;
   sa_cfg : Jt_cfg.Cfg.t;
   sa_fns : fn_analysis list;
-  sa_addr_fn : (int, fn_analysis) Hashtbl.t;
+  sa_fn_array : fn_analysis array;
   sa_reliable_conventions : bool;
   sa_raw_code_ptrs : int list Lazy.t;
   sa_cpa : Jt_analysis.Cpa.t Lazy.t;
@@ -182,24 +182,6 @@ let fn_analysis ~reliable fn ~liveness ~canaries ~scev =
     fa_defuse = lazy (Jt_analysis.Defuse.analyze fn);
   }
 
-let addr_fn_of (disasm : Jt_disasm.Disasm.t) fns =
-  (* Instruction-address -> function, built once so [fn_of_addr] is a
-     hash probe.  [Hashtbl.add] guarded by [mem] keeps the *first*
-     function in [fns] order for an address claimed by several. *)
-  let addr_fn = Hashtbl.create (Hashtbl.length disasm.insns) in
-  List.iter
-    (fun fa ->
-      Hashtbl.iter
-        (fun _ (b : Jt_cfg.Cfg.block) ->
-          Array.iter
-            (fun (i : Jt_disasm.Disasm.insn_info) ->
-              if not (Hashtbl.mem addr_fn i.d_addr) then
-                Hashtbl.add addr_fn i.d_addr fa)
-            b.b_insns)
-        fa.fa_fn.Jt_cfg.Cfg.f_blocks)
-    fns;
-  addr_fn
-
 (* The interprocedural fact base shared by JCFI and JASan: code-pointer
    provenance, the indirect-edge-resolved call graph over it, and
    CPA-refined call summaries.  CPA itself is persisted in the IR
@@ -235,7 +217,7 @@ let compute (m : Jt_obj.Objfile.t) =
           (Hashtbl.find_opt summaries entry)
   in
   let fns =
-    List.map
+    Array.map
       (fun fn ->
         fn_analysis ~reliable fn
           ~liveness:
@@ -245,15 +227,15 @@ let compute (m : Jt_obj.Objfile.t) =
                  ~exit_all_live:true fn)
           ~canaries:(Jt_analysis.Canary.analyze fn)
           ~scev:(Jt_analysis.Scev.analyze fn))
-      (Jt_cfg.Cfg.functions cfg)
+      cfg.Jt_cfg.Cfg.c_fns
   in
   let rec sa =
     {
       sa_mod = m;
       sa_disasm = disasm;
       sa_cfg = cfg;
-      sa_fns = fns;
-      sa_addr_fn = addr_fn_of disasm fns;
+      sa_fns = Array.to_list fns;
+      sa_fn_array = fns;
       sa_reliable_conventions = reliable;
       sa_raw_code_ptrs = lazy (Jt_disasm.Disasm.scan_code_pointers m);
       sa_cpa = lazy (compute_cpa sa);
@@ -275,24 +257,38 @@ let of_ir (m : Jt_obj.Objfile.t) (ir : Ir.t) =
     failwith "Static_analyzer.of_ir: digest mismatch";
   (* Instructions: linear re-decode of the recorded spans from the
      module's own bytes (the digest pins them down); a span whose decode
-     fails or disagrees on length means the entry is corrupt. *)
+     fails or disagrees on length means the entry is corrupt.  Spans are
+     ascending, so the section that held the last one usually holds the
+     next: [Objfile.section_at] only runs when it does not (sections are
+     disjoint, so both answer alike). *)
   let insns = Hashtbl.create (Array.length ir.Ir.ir_insns) in
-  Array.iter
-    (fun (addr, len) ->
+  let last = ref None in
+  let section_of addr =
+    match !last with
+    | Some s when Jt_obj.Section.contains s addr -> s
+    | _ -> (
       match Jt_obj.Objfile.section_at m addr with
       | None -> failwith "Static_analyzer.of_ir: span outside any section"
-      | Some sec -> (
-        let pos = addr - sec.Jt_obj.Section.vaddr in
-        match
-          Jt_isa.Decode.from_string sec.Jt_obj.Section.data ~pos ~at:addr
-        with
-        | Some (insn, len') when len' = len ->
-          Hashtbl.replace insns addr
-            { Jt_disasm.Disasm.d_addr = addr; d_insn = insn; d_len = len }
-        | _ -> failwith "Static_analyzer.of_ir: span does not decode"))
+      | Some s as found ->
+        last := found;
+        s)
+  in
+  Array.iter
+    (fun (addr, len) ->
+      let sec = section_of addr in
+      let pos = addr - sec.Jt_obj.Section.vaddr in
+      match Jt_isa.Decode.from_string sec.Jt_obj.Section.data ~pos ~at:addr with
+      | Some (insn, len') when len' = len ->
+        Hashtbl.replace insns addr
+          { Jt_disasm.Disasm.d_addr = addr; d_insn = insn; d_len = len }
+      | _ -> failwith "Static_analyzer.of_ir: span does not decode")
     ir.Ir.ir_insns;
-  let leaders = Hashtbl.create 256 in
-  List.iter (fun a -> Hashtbl.replace leaders a ()) ir.Ir.ir_leaders;
+  let leaders = Array.of_list ir.Ir.ir_leaders in
+  Array.iteri
+    (fun k a ->
+      if k > 0 && a <= leaders.(k - 1) then
+        failwith "Static_analyzer.of_ir: leaders not ascending")
+    leaders;
   let disasm =
     {
       Jt_disasm.Disasm.dmod = m;
@@ -320,18 +316,19 @@ let of_ir (m : Jt_obj.Objfile.t) (ir : Ir.t) =
         fn_analysis ~reliable:ir.Ir.ir_reliable fn
           ~liveness:
             (Jt_analysis.Liveness.import ~all_live:f.if_live_all
-               ~facts:f.if_live ())
+               ~facts:f.if_live fn)
           ~canaries:(List.map canary_of_ir f.if_canaries)
           ~scev:(List.map scev_of_ir f.if_scev))
       (zip (Jt_cfg.Cfg.functions cfg) ir.Ir.ir_fns)
+    |> Array.of_list
   in
   let rec sa =
     {
       sa_mod = m;
       sa_disasm = disasm;
       sa_cfg = cfg;
-      sa_fns = fns;
-      sa_addr_fn = addr_fn_of disasm fns;
+      sa_fns = Array.to_list fns;
+      sa_fn_array = fns;
       sa_reliable_conventions = ir.Ir.ir_reliable;
       sa_raw_code_ptrs = lazy ir.Ir.ir_code_ptrs;
       sa_cpa = lazy (Jt_analysis.Cpa.import ir.Ir.ir_cpa);
@@ -375,11 +372,16 @@ let analyze ?store (m : Jt_obj.Objfile.t) =
           m.Jt_obj.Objfile.name (Printexc.to_string e);
         compute m))
 
-let fn_of_addr t addr = Hashtbl.find_opt t.sa_addr_fn addr
+let fn_of_addr t addr =
+  let cfg = t.sa_cfg in
+  let b = Jt_cfg.Cfg.module_block_of_insn cfg addr in
+  if b < 0 || cfg.c_block_fn.(b) < 0 then None
+  else Some t.sa_fn_array.(cfg.c_block_fn.(b))
 
 let all_block_addrs t =
-  List.sort compare
-    (Hashtbl.fold (fun a _ acc -> a :: acc) t.sa_cfg.Jt_cfg.Cfg.c_blocks [])
+  Array.fold_right
+    (fun (b : Jt_cfg.Cfg.block) acc -> b.b_addr :: acc)
+    t.sa_cfg.Jt_cfg.Cfg.c_blocks []
 
 let code_pointer_scan t =
   List.filter

@@ -28,9 +28,9 @@ type t = {
   sa_disasm : Jt_disasm.Disasm.t;
   sa_cfg : Jt_cfg.Cfg.t;
   sa_fns : fn_analysis list;
-  sa_addr_fn : (int, fn_analysis) Hashtbl.t;
-      (** instruction address -> containing function, precomputed at
-          {!analyze} time (first function in [sa_fns] order wins) *)
+  sa_fn_array : fn_analysis array;
+      (** [sa_fns] as an array, aligned with [sa_cfg]'s [c_fns]: the
+          function index of the CFG's [c_block_fn] selects here *)
   sa_reliable_conventions : bool;
       (** false when the module breaks the calling convention
           (section 4.1.2): liveness results are replaced by the
@@ -84,8 +84,10 @@ val analyses_performed : unit -> int
     re-analysis" gate. *)
 
 val fn_of_addr : t -> int -> fn_analysis option
-(** The analyzed function whose CFG contains the instruction address.
-    A single hash probe against [sa_addr_fn]. *)
+(** The analyzed function whose CFG contains the instruction address:
+    the CFG's instruction -> block -> function index
+    ({!Jt_cfg.Cfg.module_block_of_insn}, [c_block_fn]), so the first
+    function by entry that holds the instruction's block. *)
 
 val all_block_addrs : t -> int list
 

@@ -6,7 +6,7 @@ type insn_info = { d_addr : int; d_insn : Insn.t; d_len : int }
 type t = {
   dmod : Objfile.t;
   insns : (int, insn_info) Hashtbl.t;
-  leaders : (int, unit) Hashtbl.t;
+  leaders : int array;
   func_entries : int list;
   jump_tables : (int * int list) list;
 }
@@ -23,16 +23,29 @@ let read32_opt m a =
     Some (b0 lor (b1 lsl 8) lor (b2 lsl 16) lor (b3 lsl 24))
   | _ -> None
 
+(* Per-register facts of one decode run: [value.(r)] is meaningful when
+   bit [r] of [known] is set. *)
+type regs = { value : int array; mutable known : int }
+
+let regs () = { value = Array.make Reg.count 0; known = 0 }
+let reg_get t r = if t.known land (1 lsl r) <> 0 then Some t.value.(r) else None
+
+let reg_set t r v =
+  t.value.(r) <- v;
+  t.known <- t.known lor (1 lsl r)
+
+let reg_forget t r = t.known <- t.known land lnot (1 lsl r)
+
 (* Recover the targets of a memory-indirect jump of the shape
      mov/lea rb, <table>; ...; cmp ri, <n>; jugt/jgt <default>; ...
      jmp *[rb + ri*4]
-   by reading n+1 table slots.  [consts] maps registers to known constant
-   values accumulated along the current decode run; [bound] is the latest
-   compare-against-immediate seen for each register. *)
+   by reading n+1 table slots.  [consts] holds the registers' known
+   constant values accumulated along the current decode run; [bounds]
+   the latest compare-against-immediate seen for each register. *)
 let recover_jump_table m ~consts ~bounds (mem : Insn.mem) =
   match (mem.base, mem.index, mem.scale, mem.disp) with
   | Some (Insn.Breg rb), Some ri, 4, 0 -> (
-    match (Hashtbl.find_opt consts (Reg.index rb), Hashtbl.find_opt bounds (Reg.index ri)) with
+    match (reg_get consts (Reg.index rb), reg_get bounds (Reg.index ri)) with
     | Some table, Some n when n >= 0 && n < 4096 ->
       let entries = ref [] in
       (try
@@ -115,10 +128,12 @@ let run (m : Objfile.t) =
     m.imports;
   List.iter (fun (s : Section.t) -> seed_code s.vaddr) (Objfile.code_sections m);
   (* Decode a straight-line run from [start] until a block-ending
-     instruction, an already-decoded address, or a decode failure. *)
+     instruction, an already-decoded address, or a decode failure.  The
+     constant and bound tracking starts empty on every run. *)
+  let consts = regs () and bounds = regs () in
   let decode_run start =
-    let consts = Hashtbl.create 8 in
-    let bounds = Hashtbl.create 8 in
+    consts.known <- 0;
+    bounds.known <- 0;
     let pc = ref start in
     let stop = ref false in
     while not !stop do
@@ -131,15 +146,15 @@ let run (m : Objfile.t) =
           let next = !pc + len in
           (* Track constants for jump-table recovery. *)
           (match i with
-          | Insn.Mov (rd, Insn.Imm v) -> Hashtbl.replace consts (Reg.index rd) v
+          | Insn.Mov (rd, Insn.Imm v) -> reg_set consts (Reg.index rd) v
           | Insn.Lea (rd, { base = Some Insn.Bpc; index = None; disp; _ }) ->
-            Hashtbl.replace consts (Reg.index rd) (Word.add next disp)
-          | Insn.Cmp (r, Insn.Imm v) -> Hashtbl.replace bounds (Reg.index r) v
+            reg_set consts (Reg.index rd) (Word.add next disp)
+          | Insn.Cmp (r, Insn.Imm v) -> reg_set bounds (Reg.index r) v
           | Insn.Mov (rd, _) | Insn.Lea (rd, _) | Insn.Load (_, rd, _)
           | Insn.Binop (_, rd, _) | Insn.Neg rd | Insn.Not rd | Insn.Pop rd
           | Insn.Load_canary rd ->
-            Hashtbl.remove consts (Reg.index rd);
-            Hashtbl.remove bounds (Reg.index rd)
+            reg_forget consts (Reg.index rd);
+            reg_forget bounds (Reg.index rd)
           | _ -> ());
           (match Insn.cti_kind i with
           | None | Some Insn.Cti_syscall -> ()
@@ -174,6 +189,12 @@ let run (m : Objfile.t) =
   while not (Queue.is_empty worklist) do
     decode_run (Queue.pop worklist)
   done;
+  let leaders =
+    let sorted = Array.make (Hashtbl.length leaders) 0 and k = ref 0 in
+    Hashtbl.iter (fun a () -> sorted.(!k) <- a; incr k) leaders;
+    Array.sort Int.compare sorted;
+    sorted
+  in
   {
     dmod = m;
     insns;
@@ -186,8 +207,7 @@ let run (m : Objfile.t) =
 let insn_at t a = Hashtbl.find_opt t.insns a
 let is_insn_boundary t a = Hashtbl.mem t.insns a
 
-let block_starts t =
-  List.sort compare (Hashtbl.fold (fun a () acc -> a :: acc) t.leaders [])
+let block_starts t = Array.to_list t.leaders
 
 let code_stats t =
   let covered = Hashtbl.fold (fun _ i acc -> acc + i.d_len) t.insns 0 in

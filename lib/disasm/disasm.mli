@@ -16,7 +16,9 @@ type insn_info = { d_addr : int; d_insn : Insn.t; d_len : int }
 type t = {
   dmod : Jt_obj.Objfile.t;
   insns : (int, insn_info) Hashtbl.t;  (** by address *)
-  leaders : (int, unit) Hashtbl.t;  (** basic-block leader addresses *)
+  leaders : int array;
+      (** basic-block leader addresses, sorted once by {!run}: the order
+          {!Jt_cfg.Cfg.build} numbers blocks in *)
   func_entries : int list;  (** sorted discovered function entries *)
   jump_tables : (int * int list) list;
       (** (indirect-jump address, recovered targets) *)
@@ -32,7 +34,7 @@ val is_insn_boundary : t -> int -> bool
 (** Did disassembly place an instruction start at this address? *)
 
 val block_starts : t -> int list
-(** Sorted leader addresses. *)
+(** [leaders] as a list. *)
 
 val code_stats : t -> int * int
 (** (bytes covered by decoded instructions, total code-section bytes). *)

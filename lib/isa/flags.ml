@@ -13,6 +13,7 @@ let diff a b = a land lnot b
 let mem f s = s land bit f <> 0
 let is_empty s = s = 0
 let equal = Int.equal
+let of_mask m = m land all
 let of_list fs = List.fold_left (fun acc f -> acc lor bit f) 0 fs
 
 let to_list s =

@@ -19,6 +19,10 @@ val mem : flag -> set -> bool
 val is_empty : set -> bool
 val equal : set -> set -> bool
 val of_list : flag list -> set
+
+val of_mask : int -> set
+(** The flags whose bits are set in the mask (other bits ignored). *)
+
 val to_list : set -> flag list
 
 val flag_name : flag -> string

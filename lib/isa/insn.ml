@@ -128,6 +128,45 @@ let defs = function
   | Ret -> [ Reg.sp ]
   | Syscall _ -> [ Reg.r0 ]
 
+(* [uses]/[defs] as register bit masks ([1 lsl Reg.index r] per
+   register), built without the lists: the dense form liveness and the
+   other per-instruction passes fold over. *)
+let bit r = 1 lsl Reg.index r
+
+let mem_mask m =
+  (match m.base with Some (Breg r) -> bit r | Some Bpc | None -> 0)
+  lor match m.index with Some r -> bit r | None -> 0
+
+let operand_mask = function Reg r -> bit r | Imm _ -> 0
+
+let use_mask = function
+  | Nop | Halt | Jmp _ | Jcc _ | Load_canary _ -> 0
+  | Mov (_, src) -> operand_mask src
+  | Lea (_, m) | Load (_, _, m) -> mem_mask m
+  | Store (_, m, src) -> operand_mask src lor mem_mask m
+  | Binop (_, rd, src) -> bit rd lor operand_mask src
+  | Neg r | Not r -> bit r
+  | Cmp (a, b) | Test (a, b) -> bit a lor operand_mask b
+  | Push src -> bit Reg.sp lor operand_mask src
+  | Pop _ | Call _ | Ret -> bit Reg.sp
+  | Jmp_ind (r, m) ->
+    (match r with Some r -> bit r | None -> 0)
+    lor (match m with Some m -> mem_mask m | None -> 0)
+  | Call_ind (r, m) ->
+    bit Reg.sp
+    lor (match r with Some r -> bit r | None -> 0)
+    lor (match m with Some m -> mem_mask m | None -> 0)
+  | Syscall _ -> bit Reg.r0 lor bit Reg.r1 lor bit Reg.r2
+
+let def_mask = function
+  | Nop | Halt | Jmp _ | Jcc _ | Jmp_ind _ | Store _ | Cmp _ | Test _ -> 0
+  | Mov (rd, _) | Lea (rd, _) | Load (_, rd, _) | Binop (_, rd, _)
+  | Neg rd | Not rd | Load_canary rd ->
+    bit rd
+  | Pop rd -> bit rd lor bit Reg.sp
+  | Push _ | Call _ | Call_ind _ | Ret -> bit Reg.sp
+  | Syscall _ -> bit Reg.r0
+
 let flags_def = function
   | Binop _ | Neg _ | Not _ | Cmp _ | Test _ -> Flags.all
   | Nop | Halt | Mov _ | Lea _ | Load _ | Store _ | Push _ | Pop _ | Jmp _

@@ -104,6 +104,13 @@ val uses : t -> Reg.t list
 val defs : t -> Reg.t list
 (** Registers written. *)
 
+val use_mask : t -> int
+(** {!uses} as a bit mask, bit [Reg.index r] per register, built without
+    the list. *)
+
+val def_mask : t -> int
+(** {!defs} as a bit mask. *)
+
 val flags_def : t -> Flags.set
 (** Flags written by the instruction. *)
 

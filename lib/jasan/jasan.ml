@@ -172,15 +172,16 @@ let plan_elision ~hoist_scev ~skip_frame ~exempt_canary ~elide ~cross
   in
   (* Every memory access, in block/instruction order. *)
   let accesses =
-    List.concat_map
-      (fun (b : Jt_cfg.Cfg.block) ->
-        Array.to_list b.b_insns
-        |> List.filter_map (fun (info : Jt_disasm.Disasm.insn_info) ->
-               match info.d_insn with
-               | Insn.Load (w, _, m) -> Some (info, width_of w, m)
-               | Insn.Store (w, m, _) -> Some (info, width_of w, m)
-               | _ -> None))
-      (Jt_cfg.Cfg.fn_blocks fa.fa_fn)
+    Array.fold_right
+      (fun (b : Jt_cfg.Cfg.block) acc ->
+        Array.fold_right
+          (fun (info : Jt_disasm.Disasm.insn_info) acc ->
+            match info.d_insn with
+            | Insn.Load (w, _, m) -> (info, width_of w, m) :: acc
+            | Insn.Store (w, m, _) -> (info, width_of w, m) :: acc
+            | _ -> acc)
+          b.b_insns acc)
+      fa.fa_fn.Jt_cfg.Cfg.f_blocks []
   in
   let claims : (int, claim) Hashtbl.t = Hashtbl.create 64 in
   let claim addr c =
@@ -342,17 +343,11 @@ let static_pass ~liveness ~hoist_scev ~skip_frame ~exempt_canary ~elide
     ~cross_call (sa : Janitizer.Static_analyzer.t) =
   let rules = ref [] in
   let emit r = rules := r :: !rules in
-  (* Map instruction address -> enclosing block address, for rule bb
-     fields. *)
-  let bb_of = Hashtbl.create (Hashtbl.length sa.sa_disasm.Jt_disasm.Disasm.insns) in
-  Hashtbl.iter
-    (fun a (b : Jt_cfg.Cfg.block) ->
-      Array.iter
-        (fun (i : Jt_disasm.Disasm.insn_info) -> Hashtbl.replace bb_of i.d_addr a)
-        b.b_insns)
-    sa.sa_cfg.Jt_cfg.Cfg.c_blocks;
+  (* Instruction address -> holding block address, for rule bb fields. *)
   let bb_addr insn_addr =
-    Option.value ~default:insn_addr (Hashtbl.find_opt bb_of insn_addr)
+    let cfg = sa.sa_cfg in
+    let b = Jt_cfg.Cfg.module_block_of_insn cfg insn_addr in
+    if b < 0 then insn_addr else cfg.c_blocks.(b).b_addr
   in
   let n_checks = ref 0 and n_dom = ref 0 in
   let cross = cross_lookup ~cross_call ~elide sa in

@@ -184,13 +184,12 @@ let test_fn_of_addr_equivalence () =
   let reference addr =
     List.find_opt
       (fun (fa : Janitizer.Static_analyzer.fn_analysis) ->
-        Hashtbl.fold
-          (fun _ (b : Jt_cfg.Cfg.block) acc ->
-            acc
-            || Array.exists
-                 (fun (i : Jt_disasm.Disasm.insn_info) -> i.d_addr = addr)
-                 b.b_insns)
-          fa.fa_fn.Jt_cfg.Cfg.f_blocks false)
+        Array.exists
+          (fun (b : Jt_cfg.Cfg.block) ->
+            Array.exists
+              (fun (i : Jt_disasm.Disasm.insn_info) -> i.d_addr = addr)
+              b.b_insns)
+          fa.fa_fn.Jt_cfg.Cfg.f_blocks)
       sa.sa_fns
   in
   let entry_of (fa : Janitizer.Static_analyzer.fn_analysis) =
@@ -207,8 +206,8 @@ let test_fn_of_addr_equivalence () =
   (* every instruction address of every function (hits)... *)
   List.iter
     (fun (fa : Janitizer.Static_analyzer.fn_analysis) ->
-      Hashtbl.iter
-        (fun _ (b : Jt_cfg.Cfg.block) ->
+      Array.iter
+        (fun (b : Jt_cfg.Cfg.block) ->
           Array.iter
             (fun (i : Jt_disasm.Disasm.insn_info) -> check_addr i.d_addr)
             b.b_insns)

@@ -394,11 +394,11 @@ module Sa = Janitizer.Static_analyzer
 (* Everything a tool can read off a CFG: each block's instruction
    addresses, terminator and successor/predecessor lists (in order: the
    predecessor order feeds [Dataflow] and SCEV's preheader pick), and
-   each function's name, blocks, idoms and natural loops (in order). *)
+   each function's name, blocks, idoms and natural loops (in order),
+   and its block-index edges and instruction offsets. *)
 let cfg_shape (cfg : Jt_cfg.Cfg.t) =
   let blocks =
-    Hashtbl.fold (fun _ b acc -> b :: acc) cfg.c_blocks []
-    |> List.sort (fun (a : Jt_cfg.Cfg.block) b -> compare a.b_addr b.b_addr)
+    Array.to_list cfg.c_blocks
     |> List.map (fun (b : Jt_cfg.Cfg.block) ->
            ( b.b_addr,
              Array.map (fun (i : Jt_disasm.Disasm.insn_info) -> i.d_addr) b.b_insns,
@@ -418,7 +418,8 @@ let cfg_shape (cfg : Jt_cfg.Cfg.t) =
           List.map
             (fun (l : Jt_cfg.Cfg.loop) ->
               (l.l_head, Jt_cfg.Cfg.Iset.elements l.l_body))
-            fn.f_loops ))
+            fn.f_loops,
+          (fn.f_succs, fn.f_preds, fn.f_first) ))
       (Jt_cfg.Cfg.functions cfg)
   in
   (blocks, fns)
@@ -640,6 +641,32 @@ let test_misaligned_fns () =
             (fun (f : Ir.fn) -> if f.if_entry = fn then { f with if_entry = b } else f)
             ir.ir_fns })
 
+(* Entries [of_ir] must reject while rebuilding: a span no section
+   holds (past the section cursor's fallback), leaders out of order, and
+   a liveness fact naming no instruction of its function. *)
+let test_rejected_entries () =
+  check_misaligned "span outside" (fun _ ir ->
+      let spans = Array.copy ir.Ir.ir_insns in
+      let last = Array.length spans - 1 in
+      spans.(last) <- (0x7fff_0000, snd spans.(last));
+      { ir with Ir.ir_insns = spans });
+  check_misaligned "leaders" (fun _ ir ->
+      match ir.Ir.ir_leaders with
+      | a :: b :: rest -> { ir with Ir.ir_leaders = b :: a :: rest }
+      | _ -> Alcotest.fail "need two leaders");
+  check_misaligned "fact" (fun _ ir ->
+      let moved = ref false in
+      { ir with
+        Ir.ir_fns =
+          List.map
+            (fun (f : Ir.fn) ->
+              match f.if_live with
+              | (_, r, fl) :: rest when not !moved ->
+                moved := true;
+                { f with if_live = (1, r, fl) :: rest }
+              | _ -> f)
+            ir.ir_fns })
+
 (* CPA is a typed IR field: a warm analysis imports the persisted sites
    instead of re-running the pass, and JCFI's per-site policy follows. *)
 let test_cpa_warm_start () =
@@ -835,6 +862,8 @@ let () =
             test_store_every_byte_flipped;
           Alcotest.test_case "functions not matching the CFG" `Quick
             test_misaligned_fns;
+          Alcotest.test_case "spans, leaders and facts the CFG rejects" `Quick
+            test_rejected_entries;
         ] );
       ( "store",
         [

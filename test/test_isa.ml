@@ -144,6 +144,14 @@ let prop_length_positive =
       let l = Encode.length i in
       l >= 1 && l <= 13)
 
+(* The masks liveness folds over name exactly the registers of the lists
+   the other passes read. *)
+let prop_masks =
+  QCheck2.Test.make ~name:"use/def masks match the lists" ~count:2000 gen_insn
+    (fun i ->
+      let mask = List.fold_left (fun m r -> m lor (1 lsl Reg.index r)) 0 in
+      Insn.use_mask i = mask (Insn.uses i) && Insn.def_mask i = mask (Insn.defs i))
+
 let () =
   Alcotest.run "isa"
     [
@@ -159,6 +167,7 @@ let () =
           Alcotest.test_case "invalid" `Quick test_invalid_bytes;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_roundtrip; prop_length_positive ]
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_roundtrip; prop_length_positive; prop_masks ]
       );
     ]
