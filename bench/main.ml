@@ -201,6 +201,11 @@ let sweep =
        else List.map measure Sheet.all
      in
      let name r = r.b_sheet.Sheet.s_name in
+     (* A figure cell in the report: a refused or crashed scheme is null. *)
+     let cells =
+       List.map (fun (k, c) ->
+           (k, match c with Jt_metrics.Metrics.Value x -> Json.Float (6, x) | Fail _ -> Json.Null))
+     in
      write_report
        {
          target = "sweep";
@@ -215,7 +220,20 @@ let sweep =
                           [ ("name", String (name r));
                             ("diverged", List (List.map (fun x -> String x) d));
                             ( "cycles",
-                              Obj (List.map (fun (k, c) -> (k, Int c)) r.b_cycles) ) ])
+                              Obj (List.map (fun (k, c) -> (k, Int c)) r.b_cycles) );
+                            (* Figures 12 and 13 *)
+                            ( "dynamic_air",
+                              Obj
+                                (cells
+                                   (List.map
+                                      (fun e -> (entry_name e, dair r e))
+                                      [ S (Lockdown Strong); S (Lockdown Weak);
+                                        S (Jcfi Dyn); S (Jcfi Hybrid) ])) );
+                            ( "static_air",
+                              Obj
+                                (cells
+                                   [ ("jcfi", value r.b_sair_jcfi);
+                                     ("bincfi", r.b_sair_bincfi) ]) ) ])
                       runs)) ) ];
          failures =
            List.concat_map
