@@ -98,10 +98,9 @@ let client =
 let tool =
   {
     Janitizer.Tool.t_name = "alloc-taint";
-    t_setup = (fun _ -> ());
+    t_setup = (fun _ ~rules_for:_ -> ());
     t_static = static_pass;
     t_client = client;
-    t_on_load = Janitizer.Tool.no_on_load;
   }
 
 let () =

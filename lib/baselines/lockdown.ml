@@ -13,7 +13,7 @@ type site_kind = Kicall | Kijmp of (int * int) option | Kret
 
 type rt = {
   policy : policy;
-  mutable mods : lmod list;
+  mods : lmod Jt_loader.Loader.table;  (** the modules now mapped *)
   mutable data_ptrs : (int, unit) Hashtbl.t;
       (** callback heuristic: code addresses found in loaded data sections *)
   sstack : Jt_jcfi.Shadow_stack.t;
@@ -43,41 +43,44 @@ let build_lmod (l : Jt_loader.Loader.loaded) =
     m.imports;
   { ld = l; exports_by_addr; func_ranges; imports }
 
+let mod_at rt a = Jt_loader.Loader.find rt.mods a
+
 (* Re-scan every loaded module's data sections for words that point into
    some module's code: Lockdown's callback heuristic. *)
 let rescan_data_ptrs rt (vm : Jt_vm.Vm.t) =
   let tbl = Hashtbl.create 256 in
   let in_code a =
-    List.exists (fun lm -> Jt_loader.Loader.in_code lm.ld a) rt.mods
+    match mod_at rt a with
+    | Some lm -> Jt_loader.Loader.in_code lm.ld a
+    | None -> false
   in
   List.iter
-    (fun lm ->
+    (fun (l, _) ->
       List.iter
         (fun (s : Jt_obj.Section.t) ->
           if not s.is_code then begin
-            let base = Jt_loader.Loader.runtime_addr lm.ld s.vaddr in
+            let base = Jt_loader.Loader.runtime_addr l s.vaddr in
             let n = Jt_obj.Section.size s in
             for o = 0 to n - 4 do
               let v = Jt_mem.Memory.read32 vm.mem (base + o) in
               if in_code v then Hashtbl.replace tbl v ()
             done
           end)
-        lm.ld.lmod.sections)
-    rt.mods;
+        l.Jt_loader.Loader.lmod.sections)
+    (Jt_loader.Loader.entries rt.mods);
   rt.data_ptrs <- tbl
-
-let mod_at rt a = List.find_opt (fun lm -> Jt_loader.Loader.contains lm.ld a) rt.mods
 
 let fn_range_of lm a =
   List.find_opt (fun (e, sz) -> a >= e && a < e + sz) lm.func_ranges
 
 let known_entry rt a =
-  List.exists (fun lm -> List.exists (fun (e, _) -> e = a) lm.func_ranges) rt.mods
+  List.exists
+    (fun (_, lm) -> List.exists (fun (e, _) -> e = a) lm.func_ranges)
+    (Jt_loader.Loader.entries rt.mods)
 
 let icall_ok rt ~site target =
   match (mod_at rt site, mod_at rt target) with
-  | Some src, Some dst
-    when src.ld.load_order = dst.ld.load_order ->
+  | Some src, Some dst when src == dst ->
     (* same module: any known function entry *)
     List.exists (fun (e, _) -> e = target) dst.func_ranges
   | Some src, Some dst -> (
@@ -95,7 +98,7 @@ let icall_ok rt ~site target =
 
 let ijmp_ok rt ~site target =
   match (mod_at rt site, mod_at rt target) with
-  | Some src, Some dst when src.ld.load_order = dst.ld.load_order -> (
+  | Some src, Some dst when src == dst -> (
     match fn_range_of src site with
     | Some (e, sz) -> target >= e && target < e + sz || known_entry rt target
     | None -> Jt_loader.Loader.in_code dst.ld target)
@@ -216,6 +219,7 @@ type outcome = {
 }
 
 let dynamic_air rt =
+  let mods = List.map snd (Jt_loader.Loader.entries rt.mods) in
   let total =
     float_of_int
       (List.fold_left
@@ -225,23 +229,23 @@ let dynamic_air rt =
                (fun a (s : Jt_obj.Section.t) ->
                  if s.is_code then a + Jt_obj.Section.size s else a)
                0 lm.ld.lmod.sections)
-         0 rt.mods)
+         0 mods)
   in
   let inter_strong src =
     (* exported-by-dst ∩ imported-by-src, plus the heuristic set *)
     List.fold_left
       (fun acc lm ->
-        if lm.ld.load_order = src.ld.load_order then acc
+        if lm == src then acc
         else
           Hashtbl.fold
             (fun _ name acc ->
               if Hashtbl.mem src.imports name then acc + 1 else acc)
             lm.exports_by_addr acc)
       (Hashtbl.length rt.data_ptrs)
-      rt.mods
+      mods
   in
   let inter_weak () =
-    List.fold_left (fun acc lm -> acc + List.length lm.func_ranges) 0 rt.mods
+    List.fold_left (fun acc lm -> acc + List.length lm.func_ranges) 0 mods
   in
   let site_size (site, kind) =
     match kind with
@@ -255,7 +259,7 @@ let dynamic_air rt =
           + match rt.policy with Strong -> inter_strong src | Weak -> inter_weak ())
       | None -> total)
     | Kijmp (Some (_, sz)) -> float_of_int sz
-    | Kijmp None -> total /. float_of_int (max 1 (List.length rt.mods))
+    | Kijmp None -> total /. float_of_int (max 1 (List.length mods))
   in
   let sizes =
     Hashtbl.fold (fun a k acc -> site_size (a, k) :: acc) rt.sites []
@@ -266,7 +270,7 @@ let run ?(fuel = 200_000_000) ?(policy = Strong) ~registry ~main () =
   let rt =
     {
       policy;
-      mods = [];
+      mods = Jt_loader.Loader.table ();
       data_ptrs = Hashtbl.create 16;
       sstack = Jt_jcfi.Shadow_stack.create ();
       sites = Hashtbl.create 64;
@@ -280,9 +284,9 @@ let run ?(fuel = 200_000_000) ?(policy = Strong) ~registry ~main () =
     Jt_dbt.Dbt.create ~vm ~profile:Jt_dbt.Dbt.lightweight ~ibl:false
       ~trace:false ~client:(client rt) ()
   in
-  Jt_loader.Loader.on_load vm.loader (fun l ->
-      rt.mods <- build_lmod l :: rt.mods;
-      rescan_data_ptrs rt vm);
+  Jt_loader.Loader.track vm.loader rt.mods (fun l -> Some (build_lmod l));
+  (* after the tracker, so the scan sees the new module *)
+  Jt_loader.Loader.on_load vm.loader (fun _ -> rescan_data_ptrs rt vm);
   Jt_vm.Vm.boot vm ~main;
   if vm.status = Jt_vm.Vm.Running then Jt_dbt.Dbt.run ~fuel engine;
   let result = Jt_vm.Vm.result vm in

@@ -16,12 +16,9 @@ type refusal =
   | Needs_pic of string  (** offending module *)
   | Unsupported_feature of string * string  (** module, feature *)
 
-val closure :
-  registry:Jt_obj.Objfile.t list -> main:string -> Jt_obj.Objfile.t list
-(** The static ("ldd") dependency closure, dependencies first. *)
-
 val applicability : registry:Jt_obj.Objfile.t list -> main:string -> refusal option
-(** [None] when the rewriter accepts the whole closure. *)
+(** [None] when the rewriter accepts the whole
+    {!Janitizer.Driver.static_closure}. *)
 
 (** {1 Site plans}
 

@@ -1,16 +1,10 @@
 type t = {
   t_name : string;
-  t_setup : Jt_vm.Vm.t -> unit;
+  t_setup :
+    Jt_vm.Vm.t -> rules_for:(string -> Jt_rules.Rules.file option) -> unit;
   t_static : Static_analyzer.t -> Jt_rules.Rules.file;
   t_client : Jt_dbt.Dbt.client;
-  t_on_load :
-    Jt_vm.Vm.t ->
-    Jt_loader.Loader.loaded ->
-    Jt_rules.Rules.file option ->
-    unit;
 }
-
-let no_on_load _ _ _ = ()
 
 let noop_marks (sa : Static_analyzer.t) rules =
   let marked = Hashtbl.create 256 in

@@ -207,10 +207,9 @@ type t = {
      page its byte span overlaps, so a range invalidation visits only the
      affected pages instead of folding over the whole code cache. *)
   pages : (int, cached list ref) Hashtbl.t;
-  (* Per-module rewrite-rule hash tables (Figure 5), keyed by the owning
-     module's load order and reached through the loader's interval-indexed
-     [module_at] instead of a linear scan. *)
-  tables : (int, Jt_rules.Rules.Table.t) Hashtbl.t;
+  (* Per-module rewrite-rule hash tables (Figure 5), one per mapped
+     module with rules, found by address through the loader. *)
+  tables : Jt_rules.Rules.Table.t Jt_loader.Loader.table;
   mutable n_traces_live : int;
       (* incremental live-trace count; [traces_live_scan] is the full
          recount it must always agree with (asserted after every run) *)
@@ -373,7 +372,7 @@ let create ~vm ?(profile = dynamorio) ?client ?(chain = true) ?(ibl = true)
       (* starts small and grows: a run caches only the blocks it runs *)
       cache = Hashtbl.create 256;
       pages = Hashtbl.create 256;
-      tables = Hashtbl.create 8;
+      tables = Jt_loader.Loader.table ();
       n_traces_live = 0;
       recording = None;
       trace_completed = false;
@@ -397,23 +396,15 @@ let create ~vm ?(profile = dynamorio) ?client ?(chain = true) ?(ibl = true)
   in
   (* (1) in Figure 4: when a module is loaded, read its rewrite rules into
      a fresh hash table, adjusting addresses by the load base for PIC. *)
-  Jt_loader.Loader.on_load vm.Jt_vm.Vm.loader (fun l ->
-      match rules_for l.Jt_loader.Loader.lmod.Jt_obj.Objfile.name with
-      | None -> ()
-      | Some file ->
-        let table =
+  Jt_loader.Loader.track vm.Jt_vm.Vm.loader t.tables (fun l ->
+      Option.map
+        (fun file ->
           Jt_rules.Rules.Table.load file ~base:l.Jt_loader.Loader.base
-            ~pic:(Jt_obj.Objfile.is_pic l.Jt_loader.Loader.lmod)
-        in
-        Hashtbl.replace t.tables l.Jt_loader.Loader.load_order table);
+            ~pic:(Jt_obj.Objfile.is_pic l.Jt_loader.Loader.lmod))
+        (rules_for l.Jt_loader.Loader.lmod.Jt_obj.Objfile.name));
   (* Cache-flush syscalls (JIT regeneration) invalidate affected blocks. *)
   Jt_vm.Vm.on_cache_flush vm (fun start len -> flush_blocks t start len);
   t
-
-let table_for t addr =
-  match Jt_loader.Loader.module_at t.vm.Jt_vm.Vm.loader addr with
-  | Some l -> Hashtbl.find_opt t.tables l.Jt_loader.Loader.load_order
-  | None -> None
 
 let is_indirect_end (b : block) =
   if Array.length b.insns = 0 then false
@@ -577,7 +568,7 @@ let translate t addr =
   t.vm.Jt_vm.Vm.cycles <- t.vm.Jt_vm.Vm.cycles + translate_cycles;
   if t.tracing then
     Jt_trace.Trace.phase_add_cycles Jt_trace.Trace.Rewrite translate_cycles;
-  let table = table_for t addr in
+  let table = Jt_loader.Loader.find t.tables addr in
   let static_hit =
     match table with
     | Some tbl -> Jt_rules.Rules.Table.bb_seen tbl addr

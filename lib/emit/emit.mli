@@ -189,16 +189,17 @@ val attach :
   rules_for:(string -> Jt_rules.Rules.file option) ->
   Jt_vm.Vm.t ->
   runtime
-(** Install the emit runtime on a fresh VM, before [Vm.boot]: a loader
-    callback that, for every loaded module carrying an [.emit.map],
-    validates the rule file digest, interprets the module's rules into
-    per-site meta lists (via [Jasan.static_meta] / [Jcfi.static_meta], in
-    run-time coordinates) and registers its pins; plus the two syscall
-    hooks that give [emit_site] and [emit_pin] their meaning.  Modules
-    without a map get no sites — under a [Cfi] configuration they still
-    receive a runtime-constructed target table, like the hybrid's
-    dynamic fallback.  Unloading a module drops its sites, pins and
-    target table.
+(** Install the emit runtime on a fresh VM, before [Vm.boot]: a
+    per-module table ({!Jt_loader.Loader.track}) whose row, for every
+    loaded module carrying an [.emit.map], validates the rule file
+    digest, interprets the module's rules into per-site meta lists (via
+    [Jasan.static_meta] / [Jcfi.static_meta], in run-time coordinates)
+    and holds its pins; plus the two syscall hooks that give [emit_site]
+    and [emit_pin] their meaning, which find a site's row by address.
+    Modules without a map get no sites — under a [Cfi] configuration
+    they still receive a runtime-constructed target table, like the
+    hybrid's dynamic fallback.  Unloading a module drops its sites, pins
+    and target table with its rows.
 
     A site syscall charges the metas' summed cost in place of its own
     syscall cost; a pin hop charges one direct-jump cost.  Both bump

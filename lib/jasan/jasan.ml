@@ -677,11 +677,10 @@ let create ?(liveness = Live_full) ?(hoist_scev = true)
         (match liveness with
         | Live_full -> "jasan-hybrid"
         | Live_none -> "jasan-hybrid-base");
-      t_setup = (fun vm -> Rt.attach rt vm);
+      t_setup = (fun vm ~rules_for:_ -> Rt.attach rt vm);
       t_static =
         static_pass ~liveness ~hoist_scev ~skip_frame:skip_frame_accesses
           ~exempt_canary ~elide ~cross_call;
       t_client = client;
-      t_on_load = Janitizer.Tool.no_on_load;
     },
     rt )

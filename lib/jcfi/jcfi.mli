@@ -45,29 +45,28 @@ module Rt : sig
       refinement-soundness oracle: every observed pair at a site with a
       resolved set must be inside that set. *)
 
+  val targets : t -> Targets.t Jt_loader.Loader.table
+  (** Each mapped module's valid-target table, which the checks find by
+      address.  Whoever hosts the runtime {!Jt_loader.Loader.track}s
+      it: the DBT tool's [t_setup], or the AOT emitter's runtime. *)
+
   val tables : t -> (Jt_loader.Loader.loaded * Targets.t) list
+  (** [Jt_loader.Loader.entries (targets t)]. *)
 
   val create : config -> t
   (** Bare runtime state, for hosts other than the DBT tool (the AOT
       emitter's runtime).  {!val-create} below wires one of these into a
       [Tool.t]. *)
-
-  val install : t -> Jt_loader.Loader.loaded -> Targets.t -> unit
-  (** Register a loaded module's valid-target table. *)
-
-  val drop_module : t -> Jt_loader.Loader.loaded -> unit
-  (** Forget an unloaded module's table (cheap per-module drop,
-      footnote 2). *)
 end
 
 val create : ?config:config -> unit -> Janitizer.Tool.t * Rt.t
 (** One instance per program run. *)
 
-val targets_of_rules :
-  Jt_loader.Loader.loaded -> Jt_rules.Rules.file -> Targets.t
-(** Build a loaded module's valid-target table from its static target
-    hints ([tgt_*] rules), address-adjusted by the load base for PIC
-    modules. *)
+val module_targets :
+  Jt_loader.Loader.loaded -> Jt_rules.Rules.file option -> Targets.t
+(** A loaded module's valid-target table: from its rule file's static
+    target hints ([tgt_*] rules), address-adjusted by the load base for
+    PIC modules, or without a rule file {!Targets.of_module_runtime}. *)
 
 val static_meta :
   Rt.t ->

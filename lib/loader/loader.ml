@@ -36,6 +36,7 @@ type t = {
   mutable callbacks : (loaded -> unit) list;
   mutable unload_callbacks : (loaded -> unit) list;
   mutable next_pic_base : int;
+  mutable next_order : int;  (* never reused, unlike the module count *)
   mutable main : loaded option;
   mutable pinned : int;  (* load_order below this cannot be dlclosed *)
   (* Interval index over the run-time address spans of every loaded
@@ -63,6 +64,7 @@ let create ~mem ~registry =
     callbacks = [];
     unload_callbacks = [];
     next_pic_base = pic_base0;
+    next_order = 0;
     main = None;
     pinned = 0;
     index = [||];
@@ -87,6 +89,7 @@ let rebuild_index t =
 
 let mem t = t.mem
 let on_load t f = t.callbacks <- f :: t.callbacks
+let on_unload t f = t.unload_callbacks <- f :: t.unload_callbacks
 let loaded_modules t = List.rev t.loaded
 let find_loaded t name =
   List.find_opt (fun l -> String.equal l.lmod.name name) t.loaded
@@ -107,6 +110,29 @@ let module_at t a =
   else
     let b, e, l = arr.(!lo - 1) in
     if a >= b && a < e then Some l else None
+
+(* Per-module state: one row per mapped module its tracker accepted,
+   newest load first.  Rows are found by run-time address through the
+   module index and dropped when their module unloads, so no holder
+   scans for stale state and a reused base never finds the previous
+   module's row (footnote 2 of the paper). *)
+type 'a table = { mutable owner : t option; mutable rows : (loaded * 'a) list }
+
+let table () = { owner = None; rows = [] }
+
+let track t tbl f =
+  tbl.owner <- Some t;
+  on_load t (fun l ->
+      match f l with Some v -> tbl.rows <- (l, v) :: tbl.rows | None -> ());
+  on_unload t (fun l -> tbl.rows <- List.filter (fun (o, _) -> o != l) tbl.rows)
+
+let find tbl a =
+  match tbl.owner with
+  | None -> None
+  | Some t -> (
+    match module_at t a with Some l -> List.assq_opt l tbl.rows | None -> None)
+
+let entries tbl = tbl.rows
 
 let resolve_symbol t name =
   let rec go = function
@@ -174,7 +200,8 @@ let rec load_closure t name acc =
       end
       else 0
     in
-    let l = { lmod = m; base; load_order = List.length t.loaded + List.length acc } in
+    let l = { lmod = m; base; load_order = t.next_order } in
+    t.next_order <- t.next_order + 1;
     acc @ [ l ]
 
 let commit t news =
@@ -205,7 +232,7 @@ let load_main t name =
   in
   if l.lmod.entry = None then err "%s has no entry point" name;
   t.main <- Some l;
-  t.pinned <- List.length t.loaded;
+  t.pinned <- t.next_order;
   l
 
 let dlopen t name =
@@ -216,8 +243,6 @@ let dlopen t name =
     commit t news;
     (match find_loaded t name with Some l -> l | None -> assert false)
 
-let on_unload t f = t.unload_callbacks <- f :: t.unload_callbacks
-
 let dlclose t name =
   match find_loaded t name with
   | Some l when l.load_order >= t.pinned ->
@@ -227,14 +252,14 @@ let dlclose t name =
     let still_needed =
       List.exists
         (fun other ->
-          other.load_order <> l.load_order
+          other != l
           && List.mem name other.lmod.Objfile.deps
           && other.load_order >= t.pinned)
         t.loaded
     in
     if still_needed then false
     else begin
-      t.loaded <- List.filter (fun o -> o.load_order <> l.load_order) t.loaded;
+      t.loaded <- List.filter (fun o -> o != l) t.loaded;
       rebuild_index t;
       if Jt_trace.Trace.is_enabled () then
         Jt_trace.Trace.emit

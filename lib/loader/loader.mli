@@ -7,16 +7,18 @@
     resolved immediately, lazy imports pointed at their PLT lazy stubs),
     and supports run-time {!dlopen}.
 
-    Tools subscribe to module-load events: this is where Janitizer's
-    dynamic modifier loads a module's rewrite rules and adjusts their
-    addresses by the load base (Figure 5a of the paper). *)
+    Tools keep their per-module runtime state in a {!table}: it gains a
+    row when a module loads and loses it when the module unloads, and is
+    searched by run-time address.  This is where Janitizer's dynamic
+    modifier loads a module's rewrite rules and adjusts their addresses
+    by the load base (Figure 5a of the paper). *)
 
 open Jt_obj
 
 type loaded = {
   lmod : Objfile.t;
   base : int;  (** load base; [0] for position-dependent modules *)
-  load_order : int;
+  load_order : int;  (** position in load order, never reused *)
 }
 
 val runtime_addr : loaded -> int -> int
@@ -54,17 +56,15 @@ val dlopen : t -> string -> loaded
 (** Load a module at run time (no-op returning the existing handle if
     already loaded). *)
 
-val on_unload : t -> (loaded -> unit) -> unit
-(** Callbacks fired by {!dlclose}: tools drop the module's rule tables —
-    efficient precisely because the tables are kept per module
-    (footnote 2 of the paper). *)
-
 val dlclose : t -> string -> bool
 (** Unload a run-time-loaded module: its address range is retired and
-    unload callbacks fire.  Returns false (and does nothing) for modules
-    of the startup closure, which stay pinned like ELF [-z nodelete].
-    The address slot is not reused, so stale pointers into the unloaded
-    module fault into unmapped space rather than aliasing new code. *)
+    every {!table}'s row for it is dropped.  Returns false (and does
+    nothing) for modules of the startup closure, which stay pinned like
+    ELF [-z nodelete].  A PIC module's address slot is never reused, so
+    stale pointers into it fault into unmapped space.  A non-PIC module
+    always maps at its link addresses (base [0]), so the next non-PIC
+    module linked at the same addresses reuses its range: a stale
+    pointer then lands in the new module's code. *)
 
 val loaded_modules : t -> loaded list
 (** In load order. *)
@@ -76,6 +76,32 @@ val module_at : t -> int -> loaded option
     to sit on the DBT's block-translation path. *)
 
 val find_loaded : t -> string -> loaded option
+
+(** {1 Per-module state}
+
+    A tool's per-module runtime state (rule tables, CFI target tables,
+    instrumentation-site maps) lives exactly as long as its module is
+    mapped.  Dropping a module's row is all an unload costs, because the
+    state is kept per module (footnote 2 of the paper). *)
+
+type 'a table
+
+val table : unit -> 'a table
+(** An empty table, tracking no loader yet. *)
+
+val track : t -> 'a table -> (loaded -> 'a option) -> unit
+(** [track loader tbl f] calls [f] on every module [loader] loads from
+    now on and keeps the row [f] returns ([None]: no row), until the
+    module is dlclosed.  Track before {!load_main} to see the startup
+    modules; rows are added in the order {!on_load} callbacks run. *)
+
+val find : 'a table -> int -> 'a option
+(** The row of the module mapping this run-time address ({!module_at}
+    plus one lookup); [None] outside every module, for a module without
+    a row, and for a table that tracks no loader. *)
+
+val entries : 'a table -> (loaded * 'a) list
+(** The rows of the modules now mapped, newest load first. *)
 
 val resolve_symbol : t -> string -> (loaded * Symbol.t) option
 (** Flat-namespace lookup of an exported symbol, in load order. *)

@@ -199,9 +199,8 @@ let create () =
   in
   ( {
       Janitizer.Tool.t_name = "jtaint";
-      t_setup = (fun _ -> ());
+      t_setup = (fun _ ~rules_for:_ -> ());
       t_static = static_pass;
       t_client = client;
-      t_on_load = Janitizer.Tool.no_on_load;
     },
     rt )

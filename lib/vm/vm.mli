@@ -96,9 +96,9 @@ val make :
   registry:Jt_obj.Objfile.t list ->
   unit ->
   t
-(** Create a VM with an empty process.  Register loader callbacks (via
-    [Jt_loader.Loader.on_load (loader vm)]) before calling {!boot} to
-    observe startup modules.
+(** Create a VM with an empty process.  Track per-module tables on its
+    loader ([Jt_loader.Loader.track vm.loader]) before calling {!boot}
+    to see the startup modules.
 
     [instrument ~at i len op] is applied once per decode-cache entry,
     when the instruction [i] (of length [len], at [at]) is compiled; the

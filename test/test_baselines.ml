@@ -469,6 +469,66 @@ let test_lockdown_clean_and_detects () =
     "air in range" true
     (r.lk_dynamic_air > 0.0 && r.lk_dynamic_air <= 100.0)
 
+(* Two non-PIC plugins with the same bytes, both mapped at base 0:
+   plga.so exports [f2], plgb.so hides it (no symbol at all).  Main
+   calls [f2]'s address inside plgb, after dlopen/dlclose of plga when
+   [reuse].  A policy that remembered the unloaded plga would allow the
+   call into plgb as plga's [f2]. *)
+let f2_plugin name ~exported =
+  build ~name ~kind:Jt_obj.Objfile.Exec_nonpic
+    ~symtab_level:(if exported then Jt_obj.Objfile.Full else Exported_only)
+    [ func ~exported "f2" [ movi Reg.r0 7; ret ] ]
+
+let test_lockdown_dlclose_reuse () =
+  let plga = f2_plugin "plga.so" ~exported:true
+  and plgb = f2_plugin "plgb.so" ~exported:false in
+  Alcotest.(check (list string))
+    "same bytes"
+    (List.map (fun (s : Jt_obj.Section.t) -> s.data) plga.sections)
+    (List.map (fun (s : Jt_obj.Section.t) -> s.data) plgb.sections);
+  let f2 = (Option.get (Jt_obj.Objfile.find_symbol plga "f2")).vaddr in
+  let registry ~reuse =
+    let open_plugin name = [ addr_of_data ~pic:true Reg.r0 name; syscall Sysno.dlopen ] in
+    [
+      build ~name:"lkreuse" ~kind:Jt_obj.Objfile.Exec_pic ~deps:[ "libc.so" ]
+        ~entry:"main"
+        ~datas:
+          [ data "aname" [ Dbytes "plga.so\x00" ]; data "bname" [ Dbytes "plgb.so\x00" ] ]
+        [
+          func "main"
+            ((if reuse then open_plugin "aname" @ [ syscall Sysno.dlclose ] else [])
+            @ open_plugin "bname"
+            @ [ movi Reg.r4 f2; call_reg Reg.r4; call_import "print_int" ]
+            @ Progs.exit0);
+        ];
+      Progs.libc;
+      plga;
+      plgb;
+    ]
+  in
+  List.iter
+    (fun (policy, label) ->
+      let kinds ~reuse =
+        let o =
+          Jt_baselines.Lockdown.run ~policy ~registry:(registry ~reuse)
+            ~main:"lkreuse" ()
+        in
+        Alcotest.(check string) (label ^ " output") "7\n" o.lk_result.r_output;
+        vkinds o.lk_result
+      in
+      Alcotest.(check (list string))
+        (label ^ " without plga") [ "lockdown-icall" ] (kinds ~reuse:false);
+      Alcotest.(check (list string))
+        (label ^ " after plga") [ "lockdown-icall" ] (kinds ~reuse:true))
+    [ (Jt_baselines.Lockdown.Strong, "strong"); (Weak, "weak") ];
+  let jcfi ~reuse =
+    let tool, _ = Jt_jcfi.Jcfi.create () in
+    vkinds
+      (Janitizer.Driver.run ~tool ~registry:(registry ~reuse) ~main:"lkreuse" ())
+        .o_result
+  in
+  Alcotest.(check (list string)) "jcfi" (jcfi ~reuse:false) (jcfi ~reuse:true)
+
 (* -- BinCFI -- *)
 
 let test_bincfi_clean_and_air () =
@@ -597,6 +657,7 @@ let () =
         [
           Alcotest.test_case "callback fp" `Quick test_lockdown_callback_fp;
           Alcotest.test_case "clean + air" `Quick test_lockdown_clean_and_detects;
+          Alcotest.test_case "dlclose/base reuse" `Quick test_lockdown_dlclose_reuse;
         ] );
       ( "bincfi",
         [

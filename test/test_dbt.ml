@@ -161,7 +161,7 @@ let run_config ~jasan ~trace ?fuel ?(setup = ignore) m =
   let client =
     if jasan then begin
       let tool, _ = Jt_jasan.Jasan.create () in
-      tool.t_setup vm;
+      tool.t_setup vm ~rules_for:(fun _ -> None);
       Some tool.t_client
     end
     else None
@@ -464,7 +464,7 @@ let test_hot_path_allocation () =
     words_per_insn (fun vm ->
         let tool, _ = Jt_jasan.Jasan.create () in
         let engine = Jt_dbt.Dbt.create ~vm ~client:tool.t_client () in
-        tool.t_setup vm;
+        tool.t_setup vm ~rules_for:(fun _ -> None);
         fun () -> Jt_dbt.Dbt.run engine)
   in
   if native > 0.1 then
@@ -508,7 +508,7 @@ let test_per_run_footprint () =
     direct_major (fun vm ->
         let tool, _ = Jt_jasan.Jasan.create () in
         let engine = Jt_dbt.Dbt.create ~vm ~client:tool.t_client () in
-        tool.t_setup vm;
+        tool.t_setup vm ~rules_for:(fun _ -> None);
         fun () -> Jt_dbt.Dbt.run engine)
   in
   let bound = 4096. in

@@ -272,9 +272,7 @@ let run_jasan ?(trace_elide = true) ~registry m =
   let engine =
     Jt_dbt.Dbt.create ~vm ~trace_elide ~client:tool.Janitizer.Tool.t_client ()
   in
-  Jt_loader.Loader.on_load vm.Jt_vm.Vm.loader (fun l ->
-      tool.Janitizer.Tool.t_on_load vm l None);
-  tool.Janitizer.Tool.t_setup vm;
+  tool.Janitizer.Tool.t_setup vm ~rules_for:(fun _ -> None);
   Jt_vm.Vm.boot vm ~main:m.Jt_obj.Objfile.name;
   Jt_dbt.Dbt.run engine;
   let snap = Jt_metrics.Metrics.Counters.snapshot () in

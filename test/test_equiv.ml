@@ -193,7 +193,7 @@ let run_toggled ~jasan (chain, ibl, trace, trace_elide) m =
   let client =
     if jasan then begin
       let tool, _ = Jt_jasan.Jasan.create () in
-      tool.t_setup vm;
+      tool.t_setup vm ~rules_for:(fun _ -> None);
       Some tool.t_client
     end
     else None

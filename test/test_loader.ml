@@ -145,6 +145,102 @@ let test_load_error () =
   | exception Jt_loader.Loader.Load_error _ -> ()
   | _ -> Alcotest.fail "expected Load_error"
 
+(* -- per-module tables -- *)
+
+(* A PIC main, so non-PIC plugins can map at their link addresses. *)
+let table_loader plugins =
+  let mainp =
+    build ~name:"mainp" ~kind:Jt_obj.Objfile.Exec_pic ~deps:[ "libb.so" ]
+      ~entry:"main"
+      [ func "main" [ call_import "bfun"; syscall Sysno.exit_ ] ]
+  in
+  Jt_loader.Loader.create ~mem:(Jt_mem.Memory.create ())
+    ~registry:([ mainp; liba; libb ] @ plugins)
+
+(* Non-PIC plugins all map at base 0: same layout, different names. *)
+let plugin name =
+  build ~name ~kind:Jt_obj.Objfile.Exec_nonpic
+    [ func ~exported:true "pfun" [ movi Reg.r0 9; ret ] ]
+
+(* A table whose row is the module's name. *)
+let names_table loader =
+  let tbl = Jt_loader.Loader.table () in
+  Jt_loader.Loader.track loader tbl (fun l ->
+      Some l.Jt_loader.Loader.lmod.Jt_obj.Objfile.name);
+  tbl
+
+let first_byte (l : Jt_loader.Loader.loaded) =
+  Jt_loader.Loader.runtime_addr l (List.hd l.lmod.Jt_obj.Objfile.sections).vaddr
+
+let test_table_startup () =
+  let loader = table_loader [] in
+  let tbl = names_table loader in
+  let _ = Jt_loader.Loader.load_main loader "mainp" in
+  let loaded = Jt_loader.Loader.loaded_modules loader in
+  Alcotest.(check (list string))
+    "every startup module, newest first"
+    (List.rev_map (fun (l : Jt_loader.Loader.loaded) -> l.lmod.name) loaded)
+    (List.map snd (Jt_loader.Loader.entries tbl));
+  List.iter
+    (fun (l : Jt_loader.Loader.loaded) ->
+      Alcotest.(check (option string))
+        ("find in " ^ l.lmod.name) (Some l.lmod.name)
+        (Jt_loader.Loader.find tbl (first_byte l)))
+    loaded
+
+let test_table_dlclose () =
+  let loader = table_loader [ plugin "pa.so"; plugin "pb.so" ] in
+  let tbl = names_table loader in
+  let _ = Jt_loader.Loader.load_main loader "mainp" in
+  let n = List.length (Jt_loader.Loader.entries tbl) in
+  let pa = Jt_loader.Loader.dlopen loader "pa.so" in
+  Alcotest.(check (option string)) "row after dlopen" (Some "pa.so")
+    (Jt_loader.Loader.find tbl (first_byte pa));
+  Alcotest.(check bool) "dlclose" true (Jt_loader.Loader.dlclose loader "pa.so");
+  Alcotest.(check (option string)) "no row after dlclose" None
+    (Jt_loader.Loader.find tbl (first_byte pa));
+  Alcotest.(check int) "entry dropped" n (List.length (Jt_loader.Loader.entries tbl))
+
+let test_table_reused_base () =
+  let loader = table_loader [ plugin "pa.so"; plugin "pb.so" ] in
+  let tbl = names_table loader in
+  let _ = Jt_loader.Loader.load_main loader "mainp" in
+  let pa = Jt_loader.Loader.dlopen loader "pa.so" in
+  ignore (Jt_loader.Loader.dlclose loader "pa.so");
+  let pb = Jt_loader.Loader.dlopen loader "pb.so" in
+  Alcotest.(check int) "same address" (first_byte pa) (first_byte pb);
+  Alcotest.(check (option string)) "the new module's row" (Some "pb.so")
+    (Jt_loader.Loader.find tbl (first_byte pb))
+
+let test_table_unmapped () =
+  let loader = table_loader [] in
+  let untracked = Jt_loader.Loader.table () in
+  let tbl = names_table loader in
+  let _ = Jt_loader.Loader.load_main loader "mainp" in
+  Alcotest.(check (option string)) "outside every module" None
+    (Jt_loader.Loader.find tbl 0x0666_0000);
+  Alcotest.(check (option string)) "untracked table" None
+    (Jt_loader.Loader.find untracked (Jt_loader.Loader.entry_point loader))
+
+let test_dlclose_only_its_module () =
+  (* Three run-time loads with a dlclose between them: the third takes a
+     fresh load order, so closing it leaves the second loaded. *)
+  let shared name =
+    build ~name ~kind:Jt_obj.Objfile.Shared [ func ~exported:true "f" [ ret ] ]
+  in
+  let loader = table_loader [ shared "sa.so"; shared "sb.so"; shared "sc.so" ] in
+  let tbl = names_table loader in
+  let _ = Jt_loader.Loader.load_main loader "mainp" in
+  List.iter (fun n -> ignore (Jt_loader.Loader.dlopen loader n)) [ "sa.so"; "sb.so" ];
+  ignore (Jt_loader.Loader.dlclose loader "sa.so");
+  ignore (Jt_loader.Loader.dlopen loader "sc.so");
+  ignore (Jt_loader.Loader.dlclose loader "sc.so");
+  Alcotest.(check bool) "sb.so still loaded" true
+    (Jt_loader.Loader.find_loaded loader "sb.so" <> None);
+  let rows = List.map snd (Jt_loader.Loader.entries tbl) in
+  Alcotest.(check (list bool)) "rows of sa, sb, sc" [ false; true; false ]
+    (List.map (fun n -> List.mem n rows) [ "sa.so"; "sb.so"; "sc.so" ])
+
 let () =
   Alcotest.run "loader"
     [
@@ -159,5 +255,14 @@ let () =
           Alcotest.test_case "index tracks dlopen/dlclose" `Quick
             test_index_tracks_dlopen_dlclose;
           Alcotest.test_case "load error" `Quick test_load_error;
+          Alcotest.test_case "dlclose only its module" `Quick
+            test_dlclose_only_its_module;
+        ] );
+      ( "table",
+        [
+          Alcotest.test_case "tracked before boot" `Quick test_table_startup;
+          Alcotest.test_case "dlclose drops the row" `Quick test_table_dlclose;
+          Alcotest.test_case "reused base" `Quick test_table_reused_base;
+          Alcotest.test_case "outside every module" `Quick test_table_unmapped;
         ] );
     ]
