@@ -275,32 +275,6 @@ let snapshot () =
     sn_phases = phase_totals ();
   }
 
-let merge snaps =
-  let zero =
-    List.map
-      (fun p -> { ps_phase = p; ps_spans = 0; ps_host_s = 0.0; ps_cycles = 0 })
-      phases
-  in
-  let add_phases acc ps =
-    List.map2
-      (fun a b ->
-        { a with
-          ps_spans = a.ps_spans + b.ps_spans;
-          ps_host_s = a.ps_host_s +. b.ps_host_s;
-          ps_cycles = a.ps_cycles + b.ps_cycles })
-      acc ps
-  in
-  List.fold_left
-    (fun acc sn ->
-      {
-        sn_events = acc.sn_events @ sn.sn_events;
-        sn_emitted = acc.sn_emitted + sn.sn_emitted;
-        sn_dropped = acc.sn_dropped + sn.sn_dropped;
-        sn_phases = add_phases acc.sn_phases sn.sn_phases;
-      })
-    { sn_events = []; sn_emitted = 0; sn_dropped = 0; sn_phases = zero }
-    snaps
-
 (* ---- JSONL export / import ---- *)
 
 let json_escape s =

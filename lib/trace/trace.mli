@@ -6,7 +6,7 @@
     simulated-cycle attribution.  All state lives in [Domain.DLS]:
     enabling tracing affects only the calling domain, and concurrent
     driver runs on a [Jt_pool] capture disjoint streams (a pool job
-    returns its capture via {!snapshot}; aggregate with {!merge}).
+    returns its capture via {!snapshot}).
 
     The emit contract keeps the disabled path at a DLS load plus one
     branch, never constructing the event:
@@ -173,7 +173,7 @@ val phase_totals : unit -> phase_summary list
 
     A pool job runs on a worker domain, so its capture is invisible to
     the submitting domain.  The job takes a {!snapshot} before
-    returning; the harness combines per-job snapshots with {!merge}. *)
+    returning and ships it out with its result. *)
 
 type snapshot = {
   sn_events : event list;  (** buffered events, oldest first *)
@@ -185,11 +185,6 @@ type snapshot = {
 val snapshot : unit -> snapshot
 (** Capture the calling domain's current events, counts and phase
     totals. *)
-
-val merge : snapshot list -> snapshot
-(** Concatenate events in argument order, sum emit/drop counts and phase
-    totals pointwise.  Snapshots must come from {!snapshot} (canonical
-    phase order). *)
 
 (** {2 JSONL export / import} *)
 

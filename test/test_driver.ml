@@ -1,6 +1,7 @@
-(* Driver hardening: rule-cache corruption must degrade to re-analysis
-   (never crash), [save_rules] must create nested cache directories, and
-   the global metrics counters must be isolated between driver runs. *)
+(* Driver hardening: [save_rules] must create nested directories and
+   publish each file whole, module digests must see everything a tool
+   reads, and the global metrics counters must be isolated between
+   driver runs. *)
 
 (* Unique-enough scratch root: [Filename.temp_file] reserves a fresh
    name for us (the empty file it creates is immediately removed and the
@@ -32,7 +33,12 @@ let sample_file name =
             ~data:[ 2; 1 ] ());
   }
 
-(* -- save/load round trip, now through nested directories -- *)
+(* The rule file [save_rules] wrote for [name]. *)
+let read_rules ~dir name =
+  Jt_rules.Rules.decode_file
+    (Jt_codec.Codec.read_file (Filename.concat dir (name ^ ".jtr")))
+
+(* -- save/read round trip, now through nested directories -- *)
 
 let test_save_load_roundtrip () =
   let dir = tmpdir "roundtrip" in
@@ -41,11 +47,9 @@ let test_save_load_roundtrip () =
     (fun () ->
       let f = sample_file "m" in
       Janitizer.Driver.save_rules ~dir [ ("m", f) ];
-      match Janitizer.Driver.load_rules ~dir "m" with
-      | Some f' ->
-        Alcotest.(check string) "module name" "m" f'.Jt_rules.Rules.rf_module;
-        Alcotest.(check int) "rule count" 5 (List.length f'.rf_rules)
-      | None -> Alcotest.fail "round trip lost the file")
+      let f' = read_rules ~dir "m" in
+      Alcotest.(check string) "module name" "m" f'.Jt_rules.Rules.rf_module;
+      Alcotest.(check int) "rule count" 5 (List.length f'.rf_rules))
 
 let test_save_rules_nested_dir () =
   let root = tmpdir "nested" in
@@ -77,94 +81,25 @@ let test_save_rules_atomic () =
       close_out oc;
       Janitizer.Driver.save_rules ~dir [ ("m", sample_file "m") ];
       Alcotest.(check bool) "torn file replaced" true
-        (Janitizer.Driver.load_rules ~dir "m" = Some (sample_file "m"));
+        (read_rules ~dir "m" = sample_file "m");
       Alcotest.(check (list string)) "no temp file left" [ "m.jtr" ]
         (Array.to_list (Sys.readdir dir)))
-
-(* -- corrupt-cache regressions -- *)
-
-let test_load_rules_truncated () =
-  let dir = tmpdir "trunc" in
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () ->
-      Janitizer.Driver.save_rules ~dir [ ("m", sample_file "m") ];
-      let path = Filename.concat dir "m.jtr" in
-      (* keep the magic, drop the rest: decode_file raises Decode_error *)
-      let ic = open_in_bin path in
-      let head = really_input_string ic 6 in
-      close_in ic;
-      let oc = open_out_bin path in
-      output_string oc head;
-      close_out oc;
-      Alcotest.(check bool) "truncated cache -> None" true
-        (Janitizer.Driver.load_rules ~dir "m" = None))
-
-let test_load_rules_garbage () =
-  let dir = tmpdir "garbage" in
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () ->
-      Janitizer.Driver.save_rules ~dir [];
-      let oc = open_out_bin (Filename.concat dir "m.jtr") in
-      output_string oc "this is not a JTRR file at all";
-      close_out oc;
-      Alcotest.(check bool) "bad magic -> None" true
-        (Janitizer.Driver.load_rules ~dir "m" = None))
-
-let test_load_rules_directory_entry () =
-  let dir = tmpdir "direntry" in
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () ->
-      (* a cache entry that is a *directory*: [open_in_bin] (or the
-         subsequent read) raises [Sys_error], which the pre-fix handler
-         (catching only [Failure]) let escape and crash the run *)
-      Janitizer.Driver.save_rules ~dir [];
-      Sys.mkdir (Filename.concat dir "m.jtr") 0o755;
-      Alcotest.(check bool) "directory entry -> None" true
-        (Janitizer.Driver.load_rules ~dir "m" = None))
-
-(* -- stale-cache digest rejection -- *)
-
-let test_load_rules_stale_digest () =
-  let dir = tmpdir "stale" in
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () ->
-      let build_a = Digest.string "module, build A" in
-      let build_b = Digest.string "module, build B" in
-      let f = { (sample_file "m") with Jt_rules.Rules.rf_digest = build_a } in
-      Janitizer.Driver.save_rules ~dir [ ("m", f) ];
-      (* matching digest: the cache is served *)
-      (match Janitizer.Driver.load_rules ~expect_digest:build_a ~dir "m" with
-      | Some f' ->
-        Alcotest.(check string) "digest survives the cache" build_a
-          f'.Jt_rules.Rules.rf_digest
-      | None -> Alcotest.fail "fresh cache rejected");
-      (* the module was rebuilt: same name, different content digest —
-         pre-fix this applied the stale rules at dead addresses *)
-      Alcotest.(check bool) "stale cache -> None" true
-        (Janitizer.Driver.load_rules ~expect_digest:build_b ~dir "m" = None);
-      (* callers that don't know the digest keep the old behavior *)
-      Alcotest.(check bool) "no expectation -> served" true
-        (Janitizer.Driver.load_rules ~dir "m" <> None))
 
 let test_module_digest_sensitivity () =
   let m = Progs.sum_prog ~n:30 () in
   let m' = Progs.sum_prog ~n:31 () in
   Alcotest.(check bool) "digest is deterministic" true
-    (String.equal (Janitizer.Driver.module_digest m)
-       (Janitizer.Driver.module_digest (Progs.sum_prog ~n:30 ())));
+    (String.equal (Jt_obj.Objfile.digest m)
+       (Jt_obj.Objfile.digest (Progs.sum_prog ~n:30 ())));
   Alcotest.(check bool) "different code, different digest" false
-    (String.equal (Janitizer.Driver.module_digest m)
-       (Janitizer.Driver.module_digest m'));
+    (String.equal (Jt_obj.Objfile.digest m)
+       (Jt_obj.Objfile.digest m'));
   (* same bytes, different metadata a tool reads *)
   List.iter
     (fun (what, (m' : Jt_obj.Objfile.t)) ->
       Alcotest.(check bool) (what ^ ", different digest") false
-        (String.equal (Janitizer.Driver.module_digest m)
-           (Janitizer.Driver.module_digest m')))
+        (String.equal (Jt_obj.Objfile.digest m)
+           (Jt_obj.Objfile.digest m')))
     [
       ("stripped", { m with symtab_level = Jt_obj.Objfile.Stripped });
       ("export-only", { m with symtab_level = Jt_obj.Objfile.Exported_only });
@@ -307,11 +242,6 @@ let () =
             test_save_load_roundtrip;
           Alcotest.test_case "nested cache dir" `Quick test_save_rules_nested_dir;
           Alcotest.test_case "atomic save" `Quick test_save_rules_atomic;
-          Alcotest.test_case "truncated file" `Quick test_load_rules_truncated;
-          Alcotest.test_case "garbage file" `Quick test_load_rules_garbage;
-          Alcotest.test_case "directory entry" `Quick
-            test_load_rules_directory_entry;
-          Alcotest.test_case "stale digest" `Quick test_load_rules_stale_digest;
           Alcotest.test_case "digest sensitivity" `Quick
             test_module_digest_sensitivity;
         ] );
