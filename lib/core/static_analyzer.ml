@@ -26,9 +26,10 @@ type t = {
 
 (* Ground truth for the warm-start invariant: every *real* analysis —
    recursive-traversal disassembly and the per-function fixpoints —
-   passes through [compute], which bumps this counter.  [of_ir] runs
-   [Cfg.build] too, over the stored disassembly, but that is the cheap
-   derivation a warm load is allowed; it is not counted.  It is a
+   passes through [compute_fresh], which bumps this counter; a [compute]
+   answered from its slot does not.  [of_ir] runs [Cfg.build] too, over
+   the stored disassembly, but that is the cheap derivation a warm load
+   is allowed; it is not counted.  It is a
    cross-domain [Atomic] rather than a [Metrics] counter because pool
    workers analyze on their own domains and the bench gate needs one
    total, not per-domain shards. *)
@@ -197,7 +198,7 @@ let compute_cpa sa =
 
 let cpa_resolver sa site = Jt_analysis.Cpa.resolve (Lazy.force sa.sa_cpa) site
 
-let compute (m : Jt_obj.Objfile.t) =
+let compute_fresh (m : Jt_obj.Objfile.t) =
   Atomic.incr analyses;
   let disasm = Jt_disasm.Disasm.run m in
   let cfg = Jt_cfg.Cfg.build disasm in
@@ -247,6 +248,28 @@ let compute (m : Jt_obj.Objfile.t) =
     }
   in
   sa
+
+(* The domain's last request, keyed by the physical identity of the
+   module: the record is immutable, so [==] implies the same bytes and
+   the same analysis.  Only a second consecutive request is kept, so at
+   most one analysis per domain outlives its callers, and never one for
+   a module asked for once (DESIGN §20: keeping every analysis grew the
+   cold-code heap past its bound).  Domain-local, so a kept analysis's
+   lazy passes are only ever forced by the domain that computed it. *)
+type slot = Empty | Seen of Jt_obj.Objfile.t | Kept of Jt_obj.Objfile.t * t
+
+let slot = Domain.DLS.new_key (fun () -> Empty)
+
+let compute (m : Jt_obj.Objfile.t) =
+  match Domain.DLS.get slot with
+  | Kept (m', sa) when m' == m -> sa
+  | Seen m' when m' == m ->
+    let sa = compute_fresh m in
+    Domain.DLS.set slot (Kept (m, sa));
+    sa
+  | Empty | Seen _ | Kept _ ->
+    Domain.DLS.set slot (Seen m);
+    compute_fresh m
 
 (* ---- reconstruction from a stored IR (the warm path) ---- *)
 

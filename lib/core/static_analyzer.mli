@@ -62,7 +62,13 @@ val analyze : ?store:Jt_ir.Store.t -> Jt_obj.Objfile.t -> t
 
 val compute : Jt_obj.Objfile.t -> t
 (** The real analysis: disassembly, CFG recovery and the per-function
-    passes.  Every call increments {!analyses_performed}. *)
+    passes.  Each domain keeps one slot keyed by the module's physical
+    identity ([==]): the first request for a module computes and is not
+    kept, the second consecutive one computes and is kept, and every
+    further consecutive request returns that kept [t] without
+    recomputing.  A request for another module empties the slot before
+    computing.  Each computation, not each call, increments
+    {!analyses_performed}. *)
 
 val of_ir : Jt_obj.Objfile.t -> Jt_ir.Ir.t -> t
 (** Rebuild a full analysis from a stored IR: instruction spans
@@ -79,9 +85,10 @@ val to_ir : t -> Jt_ir.Ir.t
 (** [Lazy.force sa.sa_ir]. *)
 
 val analyses_performed : unit -> int
-(** Process-wide count of {!compute} runs (an [Atomic], aggregated
-    across pool domains) — the counter behind the warm-start "zero
-    re-analysis" gate. *)
+(** Process-wide count of analyses {!compute} actually computed (an
+    [Atomic], aggregated across pool domains); a {!compute} answered
+    from its slot and an {!of_ir} rebuild are not counted.  The counter
+    behind the warm-start "zero re-analysis" gate. *)
 
 val fn_of_addr : t -> int -> fn_analysis option
 (** The analyzed function whose CFG contains the instruction address:

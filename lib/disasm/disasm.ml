@@ -204,7 +204,6 @@ let run (m : Objfile.t) =
     jump_tables = !jump_tables;
   }
 
-let insn_at t a = Hashtbl.find_opt t.insns a
 let is_insn_boundary t a = Hashtbl.mem t.insns a
 
 let block_starts t = Array.to_list t.leaders

@@ -28,8 +28,6 @@ val run : Jt_obj.Objfile.t -> t
 (** Recursive-traversal disassembly over all executable sections
     ([.init], [.plt], [.text], [.fini]). *)
 
-val insn_at : t -> int -> insn_info option
-
 val is_insn_boundary : t -> int -> bool
 (** Did disassembly place an instruction start at this address? *)
 

@@ -258,23 +258,6 @@ let events () =
     let first = r.total - n in
     List.init n (fun i -> r.buf.((first + i) mod r.cap))
 
-(* ---- snapshots: carrying a domain's capture back to an aggregator ---- *)
-
-type snapshot = {
-  sn_events : event list;
-  sn_emitted : int;
-  sn_dropped : int;
-  sn_phases : phase_summary list;
-}
-
-let snapshot () =
-  {
-    sn_events = events ();
-    sn_emitted = emitted ();
-    sn_dropped = dropped ();
-    sn_phases = phase_totals ();
-  }
-
 (* ---- JSONL export / import ---- *)
 
 let json_escape s =

@@ -5,8 +5,7 @@
     span-style phase timers ([Analyze]/[Rewrite]/[Load]/[Run]) with
     simulated-cycle attribution.  All state lives in [Domain.DLS]:
     enabling tracing affects only the calling domain, and concurrent
-    driver runs on a [Jt_pool] capture disjoint streams (a pool job
-    returns its capture via {!snapshot}).
+    driver runs on a [Jt_pool] capture disjoint streams.
 
     The emit contract keeps the disabled path at a DLS load plus one
     branch, never constructing the event:
@@ -168,23 +167,6 @@ type phase_summary = {
 
 val phase_totals : unit -> phase_summary list
 (** One summary per phase, in [Analyze; Rewrite; Load; Run] order. *)
-
-(** {2 Snapshots}
-
-    A pool job runs on a worker domain, so its capture is invisible to
-    the submitting domain.  The job takes a {!snapshot} before
-    returning and ships it out with its result. *)
-
-type snapshot = {
-  sn_events : event list;  (** buffered events, oldest first *)
-  sn_emitted : int;
-  sn_dropped : int;
-  sn_phases : phase_summary list;
-}
-
-val snapshot : unit -> snapshot
-(** Capture the calling domain's current events, counts and phase
-    totals. *)
 
 (** {2 JSONL export / import} *)
 

@@ -594,10 +594,13 @@ let test_warm_load_equivalence () =
 
 (* A sealed entry whose [ir_fns] do not name the rebuilt CFG's
    functions one for one: [of_ir] rejects it, and a warm [analyze] reads
-   it from disk, warns, recomputes and returns the cold rules. *)
+   it from disk, warns, recomputes and returns the cold rules.  Each case
+   analyzes a fresh copy of the module, so [compute]'s slot cannot serve
+   the recompute from an earlier case's analysis. *)
 let check_misaligned name mangle =
   with_dir name (fun dir ->
       let m = bzip2_module "libm.so" in
+      let m = { m with name = m.name } in
       let jasan, _ = Jt_jasan.Jasan.create () in
       let jcfi, _ = Jt_jcfi.Jcfi.create () in
       let rules sa = (rules_bytes jasan sa, rules_bytes jcfi sa) in
