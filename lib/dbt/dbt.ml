@@ -341,8 +341,9 @@ let invalidate t (c : cached) =
 
 (* Invalidate every cached block whose byte span overlaps the flushed
    range; empty (decode-faulting) blocks count as length 1 so a flush
-   that covers their address retires them too. *)
-let flush_blocks t start len =
+   that covers their address retires them too.  [start, start+len) must
+   not wrap. *)
+let flush_span t start len =
   if len > 0 then begin
     for p = start asr page_shift to (start + len - 1) asr page_shift do
       match Hashtbl.find_opt t.pages p with
@@ -357,6 +358,15 @@ let flush_blocks t start len =
         List.iter (invalidate t) doomed
     done
   end
+
+(* A range that wraps past the top of the address space is two spans. *)
+let flush_blocks t start len =
+  let over = start + len - (Word.mask + 1) in
+  if over > 0 then begin
+    flush_span t start (len - over);
+    flush_span t 0 over
+  end
+  else flush_span t start len
 
 let create ~vm ?(profile = dynamorio) ?client ?(chain = true) ?(ibl = true)
     ?(trace = true) ?(trace_elide = true) ?(rules_for = fun _ -> None) () =
@@ -425,23 +435,24 @@ let build_block t addr =
   let pc = ref addr in
   let stop = ref false in
   while not !stop do
-    match Jt_vm.Vm.fetch t.vm !pc with
+    match Jt_vm.Vm.decode t.vm !pc with
     | None -> stop := true
     | Some d ->
-      decoded := (!pc, d) :: !decoded;
+      decoded := d :: !decoded;
       incr n;
       pc := !pc + d.d_len;
       if Insn.ends_block d.d_insn || !n >= max_block_insns then stop := true
   done;
-  let decoded = Array.of_list (List.rev !decoded) in
-  ( {
-      bb_addr = addr;
-      insns =
-        Array.map
-          (fun (at, (d : Jt_vm.Vm.decoded)) -> (at, d.d_insn, d.d_len))
-          decoded;
-    },
-    Array.map (fun (_, (d : Jt_vm.Vm.decoded)) -> d.d_op) decoded )
+  (* [!decoded] is newest first and [!pc] the block's end *)
+  let insns = Array.make !n (addr, Insn.Nop, 0) and ops = Array.make !n ignore in
+  List.iteri
+    (fun j (d : Jt_vm.Vm.decoded) ->
+      let k = !n - 1 - j in
+      pc := !pc - d.d_len;
+      insns.(k) <- (!pc, d.d_insn, d.d_len);
+      ops.(k) <- d.d_op)
+    !decoded;
+  ({ bb_addr = addr; insns }, ops)
 
 (* Static successors of a block, for chaining: a block ending in a direct
    Jmp/Call has one known successor, a Jcc has two (target and

@@ -180,33 +180,42 @@ let flags_sub t a b r =
    the flushed range touches.  (The old heuristic dropped entries with
    [k >= start - 16], which both over-invalidated nearby non-overlapping
    entries and would let an instruction longer than 16 bytes survive with
-   stale bytes.) *)
+   stale bytes.)  [start, start+len) must not wrap. *)
+let flush_span t start len =
+  if len > 0 then begin
+    let doomed = ref [] in
+    for p = start asr page_shift to (start + len - 1) asr page_shift do
+      match Hashtbl.find_opt t.decode_pages p with
+      | None -> ()
+      | Some b ->
+        List.iter
+          (fun k ->
+            match Hashtbl.find_opt t.decode_cache k with
+            | Some d when k < start + len && k + max d.d_len 1 > start ->
+              doomed := (k, d.d_len) :: !doomed
+            | Some _ | None -> ())
+          !b
+    done;
+    List.iter
+      (fun (k, ilen) ->
+        (* an entry spanning two flushed pages appears twice *)
+        if Hashtbl.mem t.decode_cache k then begin
+          Hashtbl.remove t.decode_cache k;
+          unindex t k ilen
+        end)
+      !doomed
+  end
+
+(* A range that wraps past the top of the address space is two spans. *)
 let flush_range t start len =
   if Jt_trace.Trace.is_enabled () then
     Jt_trace.Trace.emit (Jt_trace.Trace.Flush_range { start; len });
-  (if len > 0 then begin
-     let doomed = ref [] in
-     for p = start asr page_shift to (start + len - 1) asr page_shift do
-       match Hashtbl.find_opt t.decode_pages p with
-       | None -> ()
-       | Some b ->
-         List.iter
-           (fun k ->
-             match Hashtbl.find_opt t.decode_cache k with
-             | Some d when k < start + len && k + max d.d_len 1 > start ->
-               doomed := (k, d.d_len) :: !doomed
-             | Some _ | None -> ())
-           !b
-     done;
-     List.iter
-       (fun (k, ilen) ->
-         (* an entry spanning two flushed pages appears twice *)
-         if Hashtbl.mem t.decode_cache k then begin
-           Hashtbl.remove t.decode_cache k;
-           unindex t k ilen
-         end)
-       !doomed
-   end);
+  let over = start + len - (Word.mask + 1) in
+  if over > 0 then begin
+    flush_span t start (len - over);
+    flush_span t 0 over
+  end
+  else flush_span t start len;
   List.iter (fun f -> f start len) t.flush_listeners
 
 let rec do_syscall t n =
@@ -556,16 +565,24 @@ let syscall = do_syscall
 
 (* ---- the decode cache ---- *)
 
+(* The machine's [instrument] wraps the op here, once per decode. *)
+let entry t addr (i, len) =
+  let op = compile ~at:addr i len in
+  let op = match t.instrument with None -> op | Some f -> f ~at:addr i len op in
+  { d_insn = i; d_len = len; d_op = op }
+
+let decode t addr =
+  match Decode.instr ~read:(fun a -> Jt_mem.Memory.read8 t.mem a) ~at:addr with
+  | Some v -> Some (entry t addr v)
+  | None -> None
+
 (* Insert (or replace) the entry at [addr], registering it under every
    page its span overlaps.  A fresh address cannot be in any bucket yet,
    so only a replacement has an old span to unregister (which also
    empties its decode-front slot); a bucket never holds an address
-   twice.  [run] fills the front from the table on the next hit.  The
-   machine's [instrument] wraps the op here, once per decode. *)
-let insert t addr (i, len) =
-  let op = compile ~at:addr i len in
-  let op = match t.instrument with None -> op | Some f -> f ~at:addr i len op in
-  let d = { d_insn = i; d_len = len; d_op = op } in
+   twice.  [run] fills the front from the table on the next hit. *)
+let insert t addr d =
+  let len = d.d_len in
   (match Hashtbl.find t.decode_cache addr with
   | old -> unindex t addr old.d_len
   | exception Not_found -> ());
@@ -574,17 +591,18 @@ let insert t addr (i, len) =
     match Hashtbl.find t.decode_pages p with
     | b -> b := addr :: !b
     | exception Not_found -> Hashtbl.replace t.decode_pages p (ref [ addr ])
-  done;
-  d
+  done
 
-let cache_decoded t addr v = ignore (insert t addr v : decoded)
+let cache_decoded t addr v = insert t addr (entry t addr v)
 
 let fetch t addr =
   match Hashtbl.find_opt t.decode_cache addr with
   | Some _ as hit -> hit
   | None -> (
-    match Decode.instr ~read:(fun a -> Jt_mem.Memory.read8 t.mem a) ~at:addr with
-    | Some v -> Some (insert t addr v)
+    match decode t addr with
+    | Some d as fresh ->
+      insert t addr d;
+      fresh
     | None -> None)
 
 (* ---- execution ---- *)

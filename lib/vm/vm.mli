@@ -7,7 +7,7 @@
     (the "native" baseline), and the interpretive baselines run through
     it too, their checks wrapped around each compiled op at decode time
     by [make]'s [instrument].  A dynamic binary modifier drives
-    execution itself, through {!fetch}, the compiled ops it returns and
+    execution itself, through {!decode}, the compiled ops it returns and
     {!advance_phase}. *)
 
 open Jt_isa
@@ -50,7 +50,7 @@ type t = {
       (** 4KiB-page index over [decode_cache]: each entry is registered
           exactly once under every page its byte span overlaps, so
           {!flush_range} visits only affected pages.  Maintained by
-          {!cache_decoded}. *)
+          {!cache_decoded} and {!fetch}. *)
   front_tags : int array;
   front_ops : op array;
       (** The decode front: a 256-slot direct-mapped cache of compiled
@@ -100,17 +100,17 @@ val make :
     loader ([Jt_loader.Loader.track vm.loader]) before calling {!boot}
     to see the startup modules.
 
-    [instrument ~at i len op] is applied once per decode-cache entry,
-    when the instruction [i] (of length [len], at [at]) is compiled; the
-    op it returns is what the decode cache and {!run}'s decode front
-    hold, so {!run} does no per-instruction work for it.  It runs again
-    only when the entry is re-decoded (after {!flush_range} or
-    {!cache_decoded}).  At wrap time it may fix only what depends on the
-    instruction alone (its kind, width, {!compile_addr},
-    {!compile_target}) and must not read machine state; everything else
-    is read inside the returned op, which should run its checks before
-    calling [op] so they see the pre-instruction PC and registers.  A
-    DBT never sets it: it wraps its own blocks. *)
+    [instrument ~at i len op] is applied once per {!decode}, when the
+    instruction [i] (of length [len], at [at]) is compiled; the op it
+    returns is what the decode cache and {!run}'s decode front hold, so
+    {!run} does no per-instruction work for it.  It runs again only when
+    the entry is re-decoded (after {!flush_range} or {!cache_decoded}).
+    At wrap time it may fix only what depends on the instruction alone
+    (its kind, width, {!compile_addr}, {!compile_target}) and must not
+    read machine state; everything else is read inside the returned op,
+    which should run its checks before calling [op] so they see the
+    pre-instruction PC and registers.  A DBT never sets it: it wraps its
+    own blocks. *)
 
 val boot : t -> main:string -> unit
 (** Load the main module and its dependency closure, set up the stack,
@@ -157,21 +157,27 @@ val compile_target : next_pc:int -> Insn.t -> (t -> int) option
     other instruction.  {!compile} uses it for both transfers, and it is
     the one reader CFI instrumentation checks targets with. *)
 
+val decode : t -> int -> decoded option
+(** Decode and compile the instruction at an address, wrapped by the
+    machine's [instrument], recording nothing.  A DBT builds its blocks
+    through this, so a DBT machine's decode table stays empty. *)
+
 val fetch : t -> int -> decoded option
-(** Decode, compile and cache the instruction at an address (a cache hit
-    returns the cached entry).  The DBT and the emitter read instructions
-    through this; {!run} goes through it only on a decode-table miss. *)
+(** {!decode} through the decode table, inserting on a miss.  {!run}
+    calls it on a table miss, and the emitter to fill an emitted
+    machine's table before {!run} reads it. *)
 
 val cache_decoded : t -> int -> Insn.t * int -> unit
 (** Compile a pre-decoded instruction and insert it into the decode
-    cache, replacing any entry at that address (and emptying its
-    decode-front slot) and registering it in the page index ({!fetch}
-    goes through this; exposed for tools that pre-decode). *)
+    table, replacing any entry at that address (and emptying its
+    decode-front slot) and registering it in the page index.  Only
+    [test_vm] calls it, as its hook for placing an entry. *)
 
 val flush_range : t -> int -> int -> unit
 (** Programmatic icache flush: invalidate every decode-cache entry whose
     byte span overlaps [[start, start+len)] and notify flush listeners.
-    The [cache_flush] syscall is routed through this. *)
+    A range past [0xFFFF_FFFF] wraps to address 0 and covers both
+    pieces.  The [cache_flush] syscall is routed through this. *)
 
 val syscall : t -> int -> unit
 (** Perform system call [n] in the current machine state: its hook if

@@ -117,24 +117,28 @@ let stack_smash_prog ?(name = "smash") ?(bad = true) () =
       func "main" ([ call "victim"; call_import "print_int" ] @ exit0);
     ]
 
+(* Machine code for [insns] placed at [at]. *)
+let encode_at at insns =
+  List.fold_left
+    (fun (acc, a) i -> (acc ^ Encode.encode ~at:a i, a + Encode.length i))
+    ("", at) insns
+  |> fst
+
+(* Guest code that writes [code] at the address held in [r6]. *)
+let store_code code =
+  List.concat
+    (List.mapi
+       (fun i c ->
+         [
+           movi Reg.r2 (Char.code c);
+           I (Jt_asm.Sinsn.Sstore (Insn.W1, mem_b ~disp:i Reg.r6, Jt_asm.Sinsn.Sreg Reg.r2));
+         ])
+       (List.init (String.length code) (String.get code)))
+
 (* JIT: generate "mov r0, 123; ret" at run time and call it. *)
 let jit_prog ?(name = "jitprog") ?(value = 123) () =
-  let code =
-    List.fold_left
-      (fun (acc, a) i -> (acc ^ Encode.encode ~at:a i, a + Encode.length i))
-      ("", 0)
-      [ Insn.Mov (Reg.r0, Insn.Imm value); Insn.Ret ]
-    |> fst
-  in
   let store_code =
-    List.concat
-      (List.mapi
-         (fun i c ->
-           [
-             movi Reg.r2 (Char.code c);
-             I (Jt_asm.Sinsn.Sstore (Insn.W1, mem_b ~disp:i Reg.r6, Jt_asm.Sinsn.Sreg Reg.r2));
-           ])
-         (List.init (String.length code) (String.get code)))
+    store_code (encode_at 0 [ Insn.Mov (Reg.r0, Insn.Imm value); Insn.Ret ])
   in
   build ~name ~kind:Jt_obj.Objfile.Exec_nonpic ~deps:[ "libc.so" ] ~entry:"main"
     [

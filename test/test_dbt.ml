@@ -61,35 +61,19 @@ let test_cache_flush_invalidation () =
   let open Jt_isa in
   let open Jt_asm.Builder in
   let open Jt_asm.Builder.Dsl in
-  let gen value =
-    List.fold_left
-      (fun (acc, a) i -> (acc ^ Encode.encode ~at:a i, a + Encode.length i))
-      ("", 0)
-      [ Insn.Mov (Reg.r0, Insn.Imm value); Insn.Ret ]
-    |> fst
-  in
-  let store_bytes code =
-    List.concat
-      (List.mapi
-         (fun i c ->
-           [
-             movi Reg.r2 (Char.code c);
-             I (Jt_asm.Sinsn.Sstore (Insn.W1, mem_b ~disp:i Reg.r6, Jt_asm.Sinsn.Sreg Reg.r2));
-           ])
-         (List.init (String.length code) (String.get code)))
-  in
+  let gen value = Progs.encode_at 0 [ Insn.Mov (Reg.r0, Insn.Imm value); Insn.Ret ] in
   let m =
     build ~name:"regen" ~kind:Jt_obj.Objfile.Exec_nonpic ~deps:[ "libc.so" ]
       ~entry:"main"
       [
         func "main"
           ([ movi Reg.r0 64; syscall Sysno.mmap_code; mov Reg.r6 Reg.r0 ]
-          @ store_bytes (gen 1)
+          @ Progs.store_code (gen 1)
           @ [
               mov Reg.r0 Reg.r6; movi Reg.r1 64; syscall Sysno.cache_flush;
               call_reg Reg.r6; call_import "print_int";
             ]
-          @ store_bytes (gen 2)
+          @ Progs.store_code (gen 2)
           @ [
               mov Reg.r0 Reg.r6; movi Reg.r1 64; syscall Sysno.cache_flush;
               call_reg Reg.r6; call_import "print_int";
@@ -398,13 +382,7 @@ let test_decode_fault_block_invalidated () =
   Alcotest.(check bool) "first call decode-faults" true
     (vm.status = Jt_vm.Vm.Fault (Jt_vm.Vm.Decode_fault jit));
   (* write real code over the faulting address and flush the range *)
-  let code =
-    List.fold_left
-      (fun (acc, a) i -> (acc ^ Encode.encode ~at:a i, a + Encode.length i))
-      ("", jit)
-      [ Insn.Mov (Reg.r0, Insn.Imm 5); Insn.Ret ]
-    |> fst
-  in
+  let code = Progs.encode_at jit [ Insn.Mov (Reg.r0, Insn.Imm 5); Insn.Ret ] in
   String.iteri
     (fun i c -> Jt_mem.Memory.write8 vm.mem (jit + i) (Char.code c))
     code;
@@ -414,6 +392,259 @@ let test_decode_fault_block_invalidated () =
   Alcotest.(check string) "sees regenerated code" "5\n" (Jt_vm.Vm.output vm);
   Alcotest.(check bool) "exits cleanly after regen" true
     (vm.status = Jt_vm.Vm.Exited 0)
+
+(* The DBT builds its blocks through [Vm.decode]: under every client its
+   machine's decode table and page index stay empty, while [Vm.run] of
+   the same program fills both. *)
+let test_no_decode_table_writes () =
+  let w = Jt_workloads.Specgen.build (Jt_workloads.Sheet.find "bzip2") in
+  let fz =
+    Jt_fuzz.Fuzz.build (List.hd (Jt_fuzz.Fuzz.cases_of ~base_seed:1 ~seeds:1))
+  in
+  let null ~registry:_ ~main:_ vm = Jt_dbt.Dbt.create ~vm () in
+  let jasan_dyn ~registry:_ ~main:_ vm =
+    let tool, _ = Jt_jasan.Jasan.create () in
+    let engine = Jt_dbt.Dbt.create ~vm ~client:tool.t_client () in
+    tool.t_setup vm ~rules_for:(fun _ -> None);
+    engine
+  in
+  let jcfi_hybrid ~registry ~main vm =
+    let tool, _ = Jt_jcfi.Jcfi.create () in
+    let files =
+      Janitizer.Driver.analyze_all ~tool
+        (Janitizer.Driver.static_closure ~registry ~main)
+    in
+    let rules_for name = List.assoc_opt name files in
+    let engine = Jt_dbt.Dbt.create ~vm ~client:tool.t_client ~rules_for () in
+    tool.t_setup vm ~rules_for;
+    engine
+  in
+  List.iter
+    (fun (registry, main) ->
+      let native = Jt_vm.Vm.make ~registry () in
+      Jt_vm.Vm.boot native ~main;
+      Jt_vm.Vm.run native;
+      Alcotest.(check bool) (main ^ ": Vm.run fills both tables") true
+        (Hashtbl.length native.decode_cache > 0
+        && Hashtbl.length native.decode_pages > 0);
+      List.iter
+        (fun (name, engine_for) ->
+          let vm = Jt_vm.Vm.make ~registry () in
+          let engine = engine_for ~registry ~main vm in
+          Jt_vm.Vm.boot vm ~main;
+          Jt_dbt.Dbt.run engine;
+          let name = main ^ ", " ^ name in
+          Alcotest.(check int) (name ^ ": icount") native.icount vm.icount;
+          Alcotest.(check int) (name ^ ": decode_cache") 0
+            (Hashtbl.length vm.decode_cache);
+          Alcotest.(check int) (name ^ ": decode_pages") 0
+            (Hashtbl.length vm.decode_pages))
+        [ ("null", null); ("jasan dyn-only", jasan_dyn);
+          ("jcfi hybrid", jcfi_hybrid) ])
+    [ (w.w_registry, w.w_sheet.s_name); ([ fz; Jt_workloads.Stdlibs.libc ], fz.name) ]
+
+(* JIT code computing [r0 := a + b]; its second instruction, the add,
+   starts [jit_mid] bytes in. *)
+let jit_add a b =
+  let open Jt_isa in
+  Insn.[ Mov (Reg.r0, Imm a); Binop (Add, Reg.r0, Imm b); Ret ]
+
+let jit_mid = Jt_isa.(Encode.length (Insn.Mov (Reg.r0, Insn.Imm 0)))
+
+(* A JIT program: write [jit_add 1 100] into fresh code memory and call
+   it; rewrite it to [jit_add 2 200] ([flush]: with a [cache_flush]) and
+   call it again; then set [r0 := 5] and call the add in the middle of
+   the block translated for the second call. *)
+let jit_rewrite_prog ~name ~flush =
+  let open Jt_isa in
+  let open Jt_asm.Builder in
+  let open Jt_asm.Builder.Dsl in
+  let jit = fst Jt_vm.Vm.jit_region in
+  let call_print = [ call_reg Reg.r6; syscall Sysno.write_int ] in
+  let flushed =
+    if flush then [ mov Reg.r0 Reg.r6; movi Reg.r1 64; syscall Sysno.cache_flush ]
+    else []
+  in
+  build ~name ~kind:Jt_obj.Objfile.Exec_nonpic ~entry:"main"
+    [
+      func "main"
+        ([ movi Reg.r0 64; syscall Sysno.mmap_code; mov Reg.r6 Reg.r0 ]
+        @ Progs.store_code (Progs.encode_at jit (jit_add 1 100))
+        @ call_print
+        @ Progs.store_code (Progs.encode_at jit (jit_add 2 200))
+        @ flushed @ call_print
+        @ [ movi Reg.r0 5; mov Reg.r7 Reg.r6; addi Reg.r7 jit_mid; call_reg Reg.r7;
+            syscall Sysno.write_int ]
+        @ Progs.exit0);
+    ]
+
+(* A loop whose header lies inside main's first block: the back edge
+   builds a second block over instructions the first one already
+   decoded. *)
+let inner_header_prog () =
+  let open Jt_isa in
+  let open Jt_asm.Builder in
+  let open Jt_asm.Builder.Dsl in
+  build ~name:"innerhead" ~kind:Jt_obj.Objfile.Exec_nonpic ~entry:"main"
+    [
+      func "main"
+        ([
+           movi Reg.r5 0;
+           movi Reg.r2 0;
+           label "loop";
+           add Reg.r2 Reg.r5;
+           addi Reg.r5 1;
+           cmpi Reg.r5 20;
+           jcc Insn.Lt "loop";
+           mov Reg.r0 Reg.r2;
+           syscall Sysno.write_int;
+         ]
+        @ Progs.exit0);
+    ]
+
+(* The null DBT with chaining, the IBL and traces off, and a client
+   that records every block it is handed and counts the executions of
+   blocks ending in an indirect transfer.  Its cycles are then the
+   native cycles plus each translation's charge plus one [p_indirect]
+   per such execution. *)
+let run_recorded m =
+  let built = ref [] and indirect_execs = ref 0 in
+  let count = Some (fun _ -> incr indirect_execs) in
+  let on_block _ (b : Jt_dbt.Dbt.block) _ ~rules_at:_ =
+    built := b :: !built;
+    let plan = Jt_dbt.Dbt.no_plan b in
+    let n = Array.length b.insns in
+    (if n > 0 then
+       let _, last, _ = b.insns.(n - 1) in
+       match Jt_isa.Insn.cti_kind last with
+       | Some (Cti_jmp_ind | Cti_call_ind | Cti_ret) ->
+         plan.(0) <- [ { m_cost = 0; m_action = count; m_kind = M_opaque } ]
+       | _ -> ());
+    plan
+  in
+  let vm = Jt_vm.Vm.make ~registry:[ m ] () in
+  let engine =
+    Jt_dbt.Dbt.create ~vm ~chain:false ~ibl:false ~trace:false
+      ~client:{ cl_name = "record"; cl_on_block = on_block } ()
+  in
+  Jt_vm.Vm.boot vm ~main:m.Jt_obj.Objfile.name;
+  Jt_dbt.Dbt.run engine;
+  let p = Jt_dbt.Dbt.dynamorio in
+  let overhead =
+    List.fold_left
+      (fun acc (b : Jt_dbt.Dbt.block) ->
+        acc + p.p_translate_block + (p.p_translate_insn * Array.length b.insns))
+      (p.p_indirect * !indirect_execs)
+      !built
+  in
+  (vm, engine, List.rev !built, overhead)
+
+(* Whether some block starts strictly inside the span of an earlier
+   one: the re-decode a shared decode table used to serve. *)
+let enters_mid_block built =
+  let span (b : Jt_dbt.Dbt.block) =
+    let n = Array.length b.insns in
+    if n = 0 then (b.bb_addr, b.bb_addr)
+    else
+      let a, _, l = b.insns.(n - 1) in
+      (b.bb_addr, a + l)
+  in
+  let rec go seen = function
+    | [] -> false
+    | (b : Jt_dbt.Dbt.block) :: rest ->
+      List.exists (fun (lo, hi) -> lo < b.bb_addr && b.bb_addr < hi) seen
+      || go (span b :: seen) rest
+  in
+  go [] built
+
+let check_entry_accounting name engine =
+  let s = Jt_dbt.Dbt.stats engine in
+  Alcotest.(check int) (name ^ ": entry accounting") s.st_block_execs
+    (s.st_dispatch_entries + s.st_chain_hits + s.st_ibl_hits
+   + s.st_trace_interior)
+
+(* Blocks that re-decode instructions an earlier block decoded: a loop
+   header inside main's first block, and a JIT block rewritten and
+   flushed, then entered in its middle.  Every configuration retires
+   exactly what [Vm.run] retires, and the recorded null DBT's cycles are
+   native plus the modelled translation and dispatch charges. *)
+let test_redecode () =
+  List.iter
+    (fun (m, expected) ->
+      let mname = m.Jt_obj.Objfile.name in
+      let native = run_native m in
+      Alcotest.(check string) (mname ^ ": native output") expected
+        (Jt_vm.Vm.output native);
+      Alcotest.(check bool) (mname ^ ": native exits") true
+        (native.status = Jt_vm.Vm.Exited 0);
+      List.iter
+        (fun (name, jasan, trace) ->
+          let vm, engine = run_config ~jasan ~trace m in
+          let name = mname ^ ", " ^ name in
+          Alcotest.(check string) name (machine_state native) (machine_state vm);
+          check_entry_accounting name engine)
+        configs;
+      let vm, engine, built, overhead = run_recorded m in
+      let name = mname ^ ", recorded" in
+      Alcotest.(check string) name (machine_state native) (machine_state vm);
+      Alcotest.(check bool) (name ^ ": a block starts inside another") true
+        (enters_mid_block built);
+      Alcotest.(check int) (name ^ ": cycles") (native.cycles + overhead)
+        vm.cycles;
+      check_entry_accounting name engine)
+    [
+      (inner_header_prog (), "190\n");
+      (jit_rewrite_prog ~name:"jitmid" ~flush:true, "101\n202\n205\n");
+    ]
+
+(* A store into code without a [cache_flush] keeps running the block
+   already translated there, as [Vm.run] keeps running its decoded
+   entry.  A block built after the store decodes the bytes in memory,
+   where [Vm.run] still serves the entry it decoded before the store:
+   the two part at the third call, which enters the stale code in its
+   middle. *)
+let test_unflushed_store () =
+  let m = jit_rewrite_prog ~name:"jitstale" ~flush:false in
+  let native = run_native m in
+  Alcotest.(check string) "native: stale entries" "101\n101\n105\n"
+    (Jt_vm.Vm.output native);
+  List.iter
+    (fun (name, jasan, trace) ->
+      let vm, _ = run_config ~jasan ~trace m in
+      Alcotest.(check string) (name ^ ": stale block, fresh decode")
+        "101\n101\n205\n" (Jt_vm.Vm.output vm))
+    configs
+
+(* A [cache_flush] whose range runs past 0xFFFF_FFFF wraps to address 0
+   and retires the code there too, under [Vm.run] and the DBT alike. *)
+let test_flush_wraps () =
+  let open Jt_isa in
+  let open Jt_asm.Builder in
+  let open Jt_asm.Builder.Dsl in
+  let low = 0x10 in
+  let m =
+    build ~name:"wrapfl" ~kind:Jt_obj.Objfile.Exec_nonpic ~entry:"main"
+      [
+        func "main"
+          ([ movi Reg.r6 low ]
+          @ Progs.store_code (Progs.encode_at low (jit_add 1 0))
+          @ [ call_reg Reg.r6; syscall Sysno.write_int ]
+          @ Progs.store_code (Progs.encode_at low (jit_add 2 0))
+          @ [
+              movi Reg.r0 0xFFFF_F000; movi Reg.r1 0x2000; syscall Sysno.cache_flush;
+              call_reg Reg.r6; syscall Sysno.write_int;
+            ]
+          @ Progs.exit0);
+      ]
+  in
+  let native = run_native m in
+  Alcotest.(check string) "native sees the rewrite" "1\n2\n"
+    (Jt_vm.Vm.output native);
+  List.iter
+    (fun (name, jasan, trace) ->
+      let vm, _ = run_config ~jasan ~trace m in
+      Alcotest.(check string) name (machine_state native) (machine_state vm))
+    configs
 
 let test_lightweight_profile_cheaper () =
   let m = Progs.sum_prog ~n:100 () in
@@ -540,5 +771,10 @@ let () =
           Alcotest.test_case "hot path allocation" `Quick
             test_hot_path_allocation;
           Alcotest.test_case "per-run footprint" `Quick test_per_run_footprint;
+          Alcotest.test_case "no decode-table writes" `Quick
+            test_no_decode_table_writes;
+          Alcotest.test_case "re-decode" `Quick test_redecode;
+          Alcotest.test_case "unflushed store" `Quick test_unflushed_store;
+          Alcotest.test_case "wrapped flush range" `Quick test_flush_wraps;
         ] );
     ]

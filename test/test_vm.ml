@@ -438,6 +438,21 @@ let test_decode_page_index () =
     | Some b -> !b = []
     | None -> true)
 
+(* A flush whose range runs past 0xFFFF_FFFF wraps to address 0: it
+   drops the entries on both sides of the wrap, and nothing outside. *)
+let test_flush_range_wraps () =
+  let vm = Jt_vm.Vm.make ~registry:[] () in
+  List.iter
+    (fun a -> Jt_vm.Vm.cache_decoded vm a (Insn.Nop, 1))
+    [ 0xFFFF_EFF0; 0xFFFF_FFF0; 0x10; 0x1010 ];
+  Jt_vm.Vm.flush_range vm 0xFFFF_F000 0x2000;
+  List.iter
+    (fun (a, kept) ->
+      Alcotest.(check bool) (Printf.sprintf "0x%x kept" a) kept
+        (Hashtbl.mem vm.decode_cache a))
+    [ (0xFFFF_EFF0, true); (0xFFFF_FFF0, false); (0x10, false); (0x1010, true) ];
+  check_page_index vm
+
 (* -- decode front coherence under plain Vm.run -- *)
 
 let store_bytes code =
@@ -826,6 +841,7 @@ let () =
           Alcotest.test_case "flush-range overlap" `Quick
             test_flush_range_overlap;
           Alcotest.test_case "decode page index" `Quick test_decode_page_index;
+          Alcotest.test_case "flush-range wraps" `Quick test_flush_range_wraps;
         ] );
       ( "decode-front",
         [
