@@ -820,12 +820,14 @@ let parallel_bench () =
 let micro () =
   let open Bechamel in
   let insn_bytes =
-    Jt_isa.Encode.encode ~at:0x400000
-      (Jt_isa.Insn.Load (Jt_isa.Insn.W4, Jt_isa.Reg.r1, Jt_isa.Insn.mem_base ~disp:16 Jt_isa.Reg.r2))
+    Bytes.of_string
+      (Jt_isa.Encode.encode ~at:0x400000
+         (Jt_isa.Insn.Load (Jt_isa.Insn.W4, Jt_isa.Reg.r1, Jt_isa.Insn.mem_base ~disp:16 Jt_isa.Reg.r2)))
   in
+  let lim = Bytes.length insn_bytes in
   let decode_test =
     Test.make ~name:"decode one instruction" (Staged.stage (fun () ->
-        ignore (Jt_isa.Decode.from_string insn_bytes ~pos:0 ~at:0x400000)))
+        ignore (Jt_isa.Decode.instr insn_bytes ~pos:0 ~lim ~at:0x400000)))
   in
   let shadow = Jt_jasan.Shadow.create () in
   Jt_jasan.Shadow.poison shadow 0x5000_0000 ~len:16 Jt_jasan.Shadow.Heap_redzone;

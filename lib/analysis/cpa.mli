@@ -7,7 +7,7 @@
 
         Bot  <=  Entries S  <=  Top
 
-    with S a set of discovered function entries capped at {!max_set}
+    with S a set of discovered function entries capped at 16
     elements (a larger set snaps to Top).  Sets are seeded wherever a
     tracked entry address is materialized (immediate moves,
     pc-relative/absolute leas, 4-byte loads from in-image code-pointer
@@ -24,9 +24,6 @@
     continuously checked by the runtime refinement oracle in the test
     suite: every dynamically observed indirect-call target must be a
     member of its site's resolved set. *)
-
-val max_set : int
-(** Target sets larger than this degrade to Top (16). *)
 
 type site = {
   cs_fn : int;  (** entry of the enclosing function *)

@@ -37,6 +37,4 @@ val summaries :
     or [None] for Top (the default for every site when omitted). *)
 
 val everything : summary
-val syscall_summary : summary
 val join : summary -> summary -> summary
-val all_regs_mask : int

@@ -64,5 +64,4 @@ val transfer_regs :
 (** Pure per-instruction transfer over a 16-entry register file (does not
     mutate its input). *)
 
-val pp_value : Format.formatter -> value -> unit
 val value_to_string : value -> string

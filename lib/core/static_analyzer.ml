@@ -279,7 +279,8 @@ let of_ir (m : Jt_obj.Objfile.t) (ir : Ir.t) =
   if not (String.equal ir.Ir.ir_digest (Jt_obj.Objfile.digest m)) then
     failwith "Static_analyzer.of_ir: digest mismatch";
   (* Instructions: linear re-decode of the recorded spans from the
-     module's own bytes (the digest pins them down); a span whose decode
+     module's own bytes (the digest pins them down), through the decoder
+     [Disasm.run] uses; a span whose decode
      fails or disagrees on length means the entry is corrupt.  Spans are
      ascending, so the section that held the last one usually holds the
      next: [Objfile.section_at] only runs when it does not (sections are
@@ -298,9 +299,7 @@ let of_ir (m : Jt_obj.Objfile.t) (ir : Ir.t) =
   in
   Array.iter
     (fun (addr, len) ->
-      let sec = section_of addr in
-      let pos = addr - sec.Jt_obj.Section.vaddr in
-      match Jt_isa.Decode.from_string sec.Jt_obj.Section.data ~pos ~at:addr with
+      match Jt_disasm.Disasm.decode_in m (section_of addr) addr with
       | Some (insn, len') when len' = len ->
         Hashtbl.replace insns addr
           { Jt_disasm.Disasm.d_addr = addr; d_insn = insn; d_len = len }

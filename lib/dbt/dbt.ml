@@ -141,7 +141,7 @@ type overlay = {
 (* A code-cache entry.  Blocks ending in a direct transfer record their
    static successor address(es); once a successor is itself translated,
    the dispatcher installs a chain link so the next execution follows the
-   pointer instead of re-probing the hash table.  [cb_valid] is the chain
+   pointer instead of re-probing the block table.  [cb_valid] is the chain
    severing mechanism: invalidation flips it and every link into a dead
    block is dropped lazily the first time it is followed. *)
 type cached = {
@@ -161,8 +161,9 @@ type cached = {
   mutable cb_valid : bool;
   (* Per-site indirect-branch inline cache: for a block ending in an
      indirect transfer, the last resolved target plus a small
-     associative table of recent targets, probed before the dispatcher.
-     Entries are severed lazily through [cb_valid], like chain links. *)
+     associative table of recent targets, probed before the dispatcher
+     (empty for any other block).  Entries are severed lazily through
+     [cb_valid], like chain links. *)
   mutable cb_ibl_last : cached option;
   cb_ibl : cached option array;
   mutable cb_ibl_rr : int;  (* round-robin victim when all ways are live *)
@@ -181,8 +182,8 @@ type cached = {
 (* A NET-style superblock trace: the tail of blocks that actually
    executed after a hot head, stitched so the common path re-enters the
    dispatcher once per trip instead of once per block.  Constituents are
-   ordinary code-cache entries, so PR 1's page-bucketed range
-   invalidation reaches them without knowing about traces: a trace is
+   ordinary code-cache entries, so range invalidation of the block
+   table reaches them without knowing about traces: a trace is
    alive only while every constituent still is: invalidating any
    constituent eagerly drops the trace through the block's [cb_traces]
    back-pointers, and execution still re-checks each constituent before
@@ -202,11 +203,9 @@ type t = {
   ibl : bool;
   trace : bool;
   trace_elide : bool;
-  cache : (int, cached) Hashtbl.t;
-  (* 4KiB-page index over [cache]: every block is registered under each
-     page its byte span overlaps, so a range invalidation visits only the
-     affected pages instead of folding over the whole code cache. *)
-  pages : (int, cached list ref) Hashtbl.t;
+  blocks : cached Jt_vm.Addr_table.t;
+      (* the code cache: every valid block by start address; a range
+         flush drops the blocks whose byte span overlaps it *)
   (* Per-module rewrite-rule hash tables (Figure 5), one per mapped
      module with rules, found by address through the loader. *)
   tables : Jt_rules.Rules.Table.t Jt_loader.Loader.table;
@@ -256,9 +255,12 @@ let no_block =
     cb_head_trace = no_trace;
   }
 
-let max_block_insns = 256
+(* The block table's "no entry" is [no_block]; a block spans its
+   bytes, an empty one its first address. *)
+let block_kind =
+  Jt_vm.Addr_table.kind ~none:no_block ~span:(fun c -> c.cb_end - c.cb.bb_addr)
 
-let page_shift = 12
+let max_block_insns = 256
 
 (* Trace-formation constants (NET: "next-executing tail").  A head is a
    block entered [hot_threshold] times through the dispatcher-level
@@ -269,26 +271,6 @@ let hot_threshold = 32
 let max_trace_len = 16
 
 let ibl_ways = 4
-
-let index_add t (c : cached) =
-  for p = c.cb.bb_addr asr page_shift to (c.cb_end - 1) asr page_shift do
-    let b =
-      match Hashtbl.find_opt t.pages p with
-      | Some b -> b
-      | None ->
-        let b = ref [] in
-        Hashtbl.replace t.pages p b;
-        b
-    in
-    b := c :: !b
-  done
-
-let index_remove t (c : cached) =
-  for p = c.cb.bb_addr asr page_shift to (c.cb_end - 1) asr page_shift do
-    match Hashtbl.find_opt t.pages p with
-    | Some b -> b := List.filter (fun o -> o != c) !b
-    | None -> ()
-  done
 
 (* Tear a trace down: mark it dead, keep the live count in step, unhook
    it from its constituents' back-pointer lists and from its head block.
@@ -333,40 +315,13 @@ let invalidate t (c : cached) =
      probe's [cb_valid] check; the dead block's own site cache is cleared
      eagerly so it stops pinning other blocks. *)
   c.cb_ibl_last <- None;
-  Array.fill c.cb_ibl 0 (Array.length c.cb_ibl) None;
-  (match Hashtbl.find_opt t.cache c.cb.bb_addr with
-  | Some cur when cur == c -> Hashtbl.remove t.cache c.cb.bb_addr
-  | Some _ | None -> ());
-  index_remove t c
+  Array.fill c.cb_ibl 0 (Array.length c.cb_ibl) None
 
-(* Invalidate every cached block whose byte span overlaps the flushed
-   range; empty (decode-faulting) blocks count as length 1 so a flush
-   that covers their address retires them too.  [start, start+len) must
-   not wrap. *)
-let flush_span t start len =
-  if len > 0 then begin
-    for p = start asr page_shift to (start + len - 1) asr page_shift do
-      match Hashtbl.find_opt t.pages p with
-      | None -> ()
-      | Some b ->
-        let doomed =
-          List.filter
-            (fun (c : cached) ->
-              c.cb_valid && c.cb_end > start && c.cb.bb_addr < start + len)
-            !b
-        in
-        List.iter (invalidate t) doomed
-    done
-  end
-
-(* A range that wraps past the top of the address space is two spans. *)
+(* Drop every cached block whose byte span overlaps the flushed range
+   (wrapping past the top of the address space); an empty
+   (decode-faulting) block spans its one address. *)
 let flush_blocks t start len =
-  let over = start + len - (Word.mask + 1) in
-  if over > 0 then begin
-    flush_span t start (len - over);
-    flush_span t 0 over
-  end
-  else flush_span t start len
+  Jt_vm.Addr_table.flush t.blocks start len (fun _ c -> invalidate t c)
 
 let create ~vm ?(profile = dynamorio) ?client ?(chain = true) ?(ibl = true)
     ?(trace = true) ?(trace_elide = true) ?(rules_for = fun _ -> None) () =
@@ -379,9 +334,8 @@ let create ~vm ?(profile = dynamorio) ?client ?(chain = true) ?(ibl = true)
       ibl;
       trace;
       trace_elide;
-      (* starts small and grows: a run caches only the blocks it runs *)
-      cache = Hashtbl.create 256;
-      pages = Hashtbl.create 256;
+      (* one 256-word array until a block is translated *)
+      blocks = Jt_vm.Addr_table.create block_kind;
       tables = Jt_loader.Loader.table ();
       n_traces_live = 0;
       recording = None;
@@ -607,6 +561,7 @@ let translate t addr =
       la + ll
   in
   let succ_taken, succ_fall = successors b in
+  let indirect_end = is_indirect_end b in
   let cached =
     {
       cb = b;
@@ -614,7 +569,7 @@ let translate t addr =
       cb_plan = plan;
       cb_run = unfused;
       cb_warm = false;
-      cb_indirect_end = is_indirect_end b;
+      cb_indirect_end = indirect_end;
       cb_end;
       cb_succ_taken = succ_taken;
       cb_succ_fall = succ_fall;
@@ -622,7 +577,7 @@ let translate t addr =
       cb_link_fall = None;
       cb_valid = true;
       cb_ibl_last = None;
-      cb_ibl = Array.make ibl_ways None;
+      cb_ibl = (if indirect_end then Array.make ibl_ways None else [||]);
       cb_ibl_rr = 0;
       cb_hot = 0;
       cb_origin =
@@ -635,11 +590,7 @@ let translate t addr =
     Jt_trace.Trace.emit
       (Jt_trace.Trace.Block_translate
          { pc = addr; insns = Array.length b.insns; origin = cached.cb_origin });
-  (match Hashtbl.find_opt t.cache addr with
-  | Some old -> invalidate t old
-  | None -> ());
-  Hashtbl.replace t.cache addr cached;
-  index_add t cached;
+  Jt_vm.Addr_table.set t.blocks addr cached;
   cached
 
 (* ---- per-site indirect-branch inline caches ---- *)
@@ -751,13 +702,13 @@ let traces_live t = t.n_traces_live
    Every live trace hangs off its head block, and a valid block is in the
    code cache, so walking the cache's head fields finds them all. *)
 let traces_live_scan t =
-  Hashtbl.fold
+  Jt_vm.Addr_table.fold
     (fun _ (c : cached) n ->
       let tr = c.cb_head_trace in
       if tr.tr_valid && Array.for_all (fun c -> c.cb_valid) tr.tr_blocks then
         n + 1
       else n)
-    t.cache 0
+    t.blocks 0
 
 (* Run the endpoint checks that justify a trace's "trace-ind" drops.
    The remaining trip range is read off the live register file: [i0] is
@@ -1283,11 +1234,8 @@ let ibl_resolve t (p : cached) pc =
    cache was just probed ([probed]), into that cache. *)
 let dispatch t (p : cached) ~probed pc =
   t.stats.st_dispatch_entries <- t.stats.st_dispatch_entries + 1;
-  let c =
-    match Hashtbl.find t.cache pc with
-    | c -> c
-    | exception Not_found -> translate t pc
-  in
+  let c = Jt_vm.Addr_table.find t.blocks pc in
+  let c = if c != no_block then c else translate t pc in
   if t.chain && p.cb_valid && (p.cb_succ_taken = pc || p.cb_succ_fall = pc)
   then begin
     if p.cb_succ_taken = pc then p.cb_link_taken <- Some c
@@ -1302,7 +1250,7 @@ let dispatch t (p : cached) ~probed pc =
 (* The dispatch loop.  After a block whose last instruction is a direct
    transfer, the next PC is compared against the block's static
    successors: a previously installed chain link is followed without
-   touching the code-cache hash table (a chain hit).  After an indirect
+   touching the code cache (a chain hit).  After an indirect
    transfer, the exiting block's per-site inline cache is probed: a hit
    costs [p_ibl_hit] and skips the dispatcher, a miss pays the full
    [p_indirect] lookup and installs the resolved target for next time.
@@ -1416,6 +1364,12 @@ let run ?(fuel = 200_000_000) t =
 
 let stats t = t.stats
 
+let block_spans t =
+  List.rev
+    (Jt_vm.Addr_table.fold
+       (fun a (c : cached) acc -> (a, c.cb_end - a) :: acc)
+       t.blocks [])
+
 (* Zero the per-engine counters so an engine reused across workloads (or
    across repeated runs of one workload) reports per-run numbers.  The
    code cache, traces and inline caches are left intact: resetting stats
@@ -1439,14 +1393,14 @@ let reset_stats t =
    [analyze --facts] dump; reasons are ["trace-dom"], ["trace-streak"]
    and ["trace-ind"]. *)
 let trace_elisions t =
-  Hashtbl.fold
+  Jt_vm.Addr_table.fold
     (fun head (c : cached) acc ->
       let tr = c.cb_head_trace in
       match tr.tr_overlay with
       | Some ov when tr.tr_valid -> (head, ov.ov_decisions) :: acc
       | Some _ | None -> acc)
-    t.cache []
-  |> List.sort compare
+    t.blocks []
+  |> List.rev
 
 let dynamic_block_fraction t =
   let s = t.stats in

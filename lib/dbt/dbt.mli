@@ -11,7 +11,14 @@
     load time (with load-base adjustment for PIC modules), block
     classification into statically-seen versus dynamically-discovered
     code, and dispatch of each block to the client with its applicable
-    rules. *)
+    rules.
+
+    The code cache is a {!Jt_vm.Addr_table} of blocks by start address.
+    A block is decoded with {!Jt_vm.Vm.decode}, so the VM's own decode
+    table stays empty.  A [cache_flush] (or a dlclose) drops every block
+    whose byte span overlaps the flushed range, including one that
+    starts before it; the flush visits only the table's allocated
+    levels, so its cost does not grow with the range's length. *)
 
 open Jt_isa
 
@@ -91,7 +98,7 @@ type stats = {
       (** block transfers that followed a direct chain link, skipping the
           dispatcher entirely *)
   mutable st_dispatch_entries : int;
-      (** dispatcher entries: code-cache hash probes (and translations) *)
+      (** dispatcher entries: code-cache probes (and translations) *)
   mutable st_ibl_hits : int;
       (** indirect transfers resolved by a per-site inline cache *)
   mutable st_ibl_misses : int;
@@ -126,7 +133,7 @@ val create :
     [chain] (default true) enables direct block chaining: blocks ending
     in a direct [Jmp]/[Jcc]/[Call] are linked to their translated
     successors, so chains of hot blocks execute without re-entering the
-    dispatcher or re-probing the code-cache hash table.  Links are
+    dispatcher or re-probing the code cache.  Links are
     severed on invalidation.  Chaining changes only host-level dispatch
     work ({!stats}); simulated cycles, outputs
     and violations are bit-identical with it off.
@@ -188,6 +195,12 @@ val run : ?fuel:int -> t -> unit
 
 val stats : t -> stats
 
+val block_spans : t -> (int * int) list
+(** The start address and byte length of every block in the code cache,
+    ascending (an empty, decode-faulting block spans 1 byte).  Nothing
+    in the program reads it: it is the oracle hook through which
+    [test_dbt] ("flush cost") sees what the code cache holds. *)
+
 val reset_stats : t -> unit
 (** Zero every {!stats} counter without touching the code cache, chain
     links, inline caches or traces, so an engine reused across workloads
@@ -203,8 +216,8 @@ val traces_live : t -> int
     down. *)
 
 val traces_live_scan : t -> int
-(** The full-recount oracle for {!traces_live} — walks every trace and
-    validates every constituent.  O(traces · length); for debug
+(** The full-recount oracle for {!traces_live} — walks every cached
+    block's head trace and validates every constituent.  O(traces · length); for debug
     assertions and tests only.  {!run} asserts the two agree on exit. *)
 
 val trace_elisions : t -> (int * (int * string * int) list) list

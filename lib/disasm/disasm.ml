@@ -11,6 +11,28 @@ type t = {
   jump_tables : (int * int list) list;
 }
 
+(* Instructions are decoded straight from their section's bytes.  One
+   that starts within [Decode.max_len] bytes of the section's end is
+   decoded from a copy of the bytes that follow, read through
+   [Objfile.byte_at], so it may run on into an abutting section. *)
+let decode_in m (s : Section.t) a =
+  let pos = a - s.vaddr and n = String.length s.data in
+  if pos + Decode.max_len <= n then
+    Decode.instr (Bytes.unsafe_of_string s.data) ~pos ~lim:n ~at:a
+  else begin
+    let b = Bytes.create Decode.max_len in
+    let rec fill k =
+      if k = Decode.max_len then k
+      else
+        match Objfile.byte_at m (a + k) with
+        | Some v ->
+          Bytes.set b k (Char.chr v);
+          fill (k + 1)
+        | None -> k
+    in
+    Decode.instr b ~pos:0 ~lim:(fill 0) ~at:a
+  end
+
 let in_code_section m a =
   match Objfile.section_at m a with Some s -> s.Section.is_code | None -> false
 
@@ -76,10 +98,8 @@ let run (m : Objfile.t) =
   let in_code a =
     match section_of a with Some s -> s.Section.is_code | None -> false
   in
-  let read a =
-    match section_of a with
-    | Some s -> Section.byte s a
-    | None -> raise (Decode.Bad_read a)
+  let decode a =
+    match section_of a with Some s -> decode_in m s a | None -> None
   in
   (* One bucket per eight code bytes: a table holds two bindings per
      bucket before it grows and instructions average four to five and a
@@ -121,7 +141,7 @@ let run (m : Objfile.t) =
            follows the stub's one-instruction indirect jump, and is only
            ever reached through the GOT — seed it explicitly so stripped
            modules (no @plt.lazy symbols) still cover it. *)
-        (match Decode.instr ~read ~at:p with
+        (match decode p with
         | Some (_, len) -> seed_func (p + len)
         | None -> ())
       | None -> ())
@@ -139,7 +159,7 @@ let run (m : Objfile.t) =
     while not !stop do
       if Hashtbl.mem insns !pc || not (in_code !pc) then stop := true
       else
-        match Decode.instr ~read ~at:!pc with
+        match decode !pc with
         | None -> stop := true
         | Some (i, len) ->
           Hashtbl.replace insns !pc { d_addr = !pc; d_insn = i; d_len = len };
@@ -258,15 +278,14 @@ let pp_listing ppf (t : t) =
     m.sections
 
 let speculative_insn_boundary (m : Objfile.t) addr =
-  let read a =
-    match Objfile.byte_at m a with
-    | Some b -> b
-    | None -> raise (Decode.Bad_read a)
-  in
   let rec go a k =
     k = 0
     ||
-    match Decode.instr ~read ~at:a with
+    match
+      match Objfile.section_at m a with
+      | Some s -> decode_in m s a
+      | None -> None
+    with
     | Some (i, len) -> Insn.ends_block i || go (a + len) (k - 1)
     | None -> false
   in

@@ -24,6 +24,15 @@ type t = {
       (** (indirect-jump address, recovered targets) *)
 }
 
+val decode_in :
+  Jt_obj.Objfile.t -> Jt_obj.Section.t -> int -> (Insn.t * int) option
+(** [decode_in m s a] decodes the instruction at link-time address [a]
+    of section [s] of [m], which holds [a], straight from the section's
+    bytes.  One that starts within {!Jt_isa.Decode.max_len} bytes of the
+    section's end is decoded from a copy of the bytes that follow, so an
+    instruction that runs on into an abutting section decodes as the
+    loaded module's memory would. *)
+
 val run : Jt_obj.Objfile.t -> t
 (** Recursive-traversal disassembly over all executable sections
     ([.init], [.plt], [.text], [.fini]). *)

@@ -1,8 +1,8 @@
 open Insn
 
-exception Bad_read of int
-
 exception Invalid
+
+let max_len = 16
 
 let binop_of_index = function
   | 0 -> Add | 1 -> Sub | 2 -> And | 3 -> Or | 4 -> Xor
@@ -14,15 +14,16 @@ let cond_of_index = function
   | 6 -> Ult | 7 -> Ule | 8 -> Ugt | 9 -> Uge
   | _ -> raise Invalid
 
-(* A cursor over the byte-fetch callback, tracking how many bytes were
-   consumed so the caller learns the instruction length. *)
-type cursor = { read : int -> int; at : int; mutable off : int }
+(* A cursor over a byte buffer: [base] is the instruction's first byte
+   in [b], [off] counts the bytes consumed so far (the caller learns the
+   instruction length from it), and bytes from [lim] on are unreadable. *)
+type cursor = { b : Bytes.t; base : int; lim : int; at : int; mutable off : int }
 
 let byte c =
-  let v = c.read (c.at + c.off) in
-  if v < 0 || v > 255 then raise Invalid;
+  let p = c.base + c.off in
+  if p >= c.lim then raise Invalid;
   c.off <- c.off + 1;
-  v
+  Char.code (Bytes.unsafe_get c.b p)
 
 let reg c =
   let v = byte c in
@@ -30,11 +31,10 @@ let reg c =
   Reg.of_index v
 
 let u32 c =
-  let b0 = byte c in
-  let b1 = byte c in
-  let b2 = byte c in
-  let b3 = byte c in
-  b0 lor (b1 lsl 8) lor (b2 lsl 16) lor (b3 lsl 24)
+  let p = c.base + c.off in
+  if p + 4 > c.lim then raise Invalid;
+  c.off <- c.off + 4;
+  Int32.to_int (Bytes.get_int32_le c.b p) land 0xFFFF_FFFF
 
 let width c =
   match byte c with
@@ -128,16 +128,9 @@ let decode c =
   | 0x4F -> call_ind_mem (mem c)
   | _ -> raise Invalid
 
-let instr ~read ~at =
-  let c = { read; at; off = 0 } in
+let instr b ~pos ~lim ~at =
+  if pos < 0 || lim > Bytes.length b then invalid_arg "Decode.instr";
+  let c = { b; base = pos; lim; at; off = 0 } in
   match decode c with
   | i -> Some (i, c.off)
-  | exception (Invalid | Bad_read _) -> None
-
-let from_string s ~pos ~at =
-  let read a =
-    let off = pos + (a - at) in
-    if off < 0 || off >= String.length s then raise (Bad_read a)
-    else Char.code s.[off]
-  in
-  instr ~read ~at
+  | exception Invalid -> None

@@ -1,6 +1,6 @@
 (** Byte-level instruction encoding.
 
-    Instructions encode to between 1 and 11 bytes.  Direct control
+    Instructions encode to between 1 and 13 bytes.  Direct control
     transfers store a PC-relative 32-bit displacement (relative to the end
     of the instruction), so encoding needs the instruction's own address.
     All multi-byte fields are little-endian. *)

@@ -25,7 +25,6 @@ val of_mask : int -> set
 
 val to_list : set -> flag list
 
-val flag_name : flag -> string
 val pp : Format.formatter -> set -> unit
 
 (** Mutable flag state of a running machine. *)

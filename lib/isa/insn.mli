@@ -117,7 +117,5 @@ val flags_def : t -> Flags.set
 val flags_use : t -> Flags.set
 (** Flags read (conditional branches). *)
 
-val pp_mem : Format.formatter -> mem -> unit
-val pp_operand : Format.formatter -> operand -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

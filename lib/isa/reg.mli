@@ -30,7 +30,6 @@ val r9 : t
 val r10 : t
 val r11 : t
 val r12 : t
-val r13 : t
 val fp : t
 val sp : t
 

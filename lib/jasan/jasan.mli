@@ -152,10 +152,6 @@ val create :
     Only applies to modules with reliable calling conventions; the DBT
     trace layer stays conservative either way. *)
 
-val mem_operand :
-  Jt_isa.Insn.t -> (int * Jt_isa.Insn.mem * bool) option
-(** [(width_bytes, operand, is_store)] of a load or store. *)
-
 val static_meta :
   Rt.t ->
   elide:bool ->

@@ -21,7 +21,6 @@ type t = {
   precise : bool;  (** built from static hints *)
 }
 
-val in_function_of : t -> entry:int -> int -> bool
 val inter_module_ok : t -> int -> bool
 (** Allowed as the destination of a transfer coming from another module:
     exported or address-taken (the callback refinement of 4.2.3). *)

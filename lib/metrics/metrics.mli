@@ -60,13 +60,6 @@ type table = {
   t_rows : (string * cell list) list;  (** benchmark name, one cell per column *)
 }
 
-val geomean_row : table -> float option list
-(** Per-column geomean over the benchmarks where that column has a value. *)
-
-val geomean_x_row : table -> float option list
-(** Per-column geomean restricted to benchmarks where *every* column has
-    a value (the paper's "geomean-x"). *)
-
 val failure_reasons : table -> string list
 (** One ["row/column: reason"] line per failed cell, in row then column
     order; cells failed with the placeholder ["-"] (no measurement, not

@@ -30,7 +30,6 @@ type origin = Static | Dynamic
 type phase = Analyze | Rewrite | Load | Run
 
 val phase_name : phase -> string
-val origin_name : origin -> string
 
 type event =
   | Block_translate of { pc : int; insns : int; origin : origin }
@@ -146,7 +145,6 @@ val exec_origin : unit -> origin
 
 (** {2 Phase spans} *)
 
-val phase_begin : phase -> unit
 val phase_end : phase -> unit
 
 val phase_add_cycles : phase -> int -> unit

@@ -27,9 +27,6 @@ type event =
 
 type t
 
-val default_base : int
-val default_quarantine_capacity : int
-
 val create :
   ?base:int -> ?reuse:bool -> ?quarantine_capacity:int -> unit -> t
 (** [base] defaults to the conventional heap start, [0x5000_0000].

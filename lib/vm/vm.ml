@@ -25,8 +25,7 @@ type t = {
   mutable violations : violation list;
   mutable phases : int list;
   mutable jit_next : int;
-  decode_cache : (int, decoded) Hashtbl.t;
-  decode_pages : (int, int list ref) Hashtbl.t;
+  decode_table : decoded Addr_table.t;
   front_tags : int array;
   front_ops : op array;
   mutable flush_listeners : (int -> int -> unit) list;
@@ -53,6 +52,10 @@ let front_size = 256
 let front_mask = front_size - 1
 let no_op (_ : t) = ()
 
+(* The decode table's "no entry". *)
+let no_decoded = { d_insn = Insn.Nop; d_len = 0; d_op = no_op }
+let decoded_kind = Addr_table.kind ~none:no_decoded ~span:(fun d -> d.d_len)
+
 let make ?instrument ~registry () =
   let mem = Jt_mem.Memory.create () in
   let loader = Jt_loader.Loader.create ~mem ~registry in
@@ -71,10 +74,9 @@ let make ?instrument ~registry () =
     violations = [];
     phases = [];
     jit_next = jit_base;
-    (* small to start and grown on demand: with thousands of tiny
-       programs each booting a VM, the fixed cost per VM shows *)
-    decode_cache = Hashtbl.create 256;
-    decode_pages = Hashtbl.create 256;
+    (* one 256-word array until something is decoded: with thousands
+       of tiny programs each booting a VM, the fixed cost per VM shows *)
+    decode_table = Addr_table.create decoded_kind;
     front_tags = Array.make front_size (-1);
     front_ops = Array.make front_size no_op;
     flush_listeners = [];
@@ -123,20 +125,8 @@ let advance_phase t =
     t.pc <- next
   | [] -> t.status <- Exited (get t Reg.r0)
 
-(* The decode cache is bucketed by 4KiB page: every entry is registered
-   under each page its byte span [addr, addr+len) overlaps, so a range
-   invalidation only visits the affected pages instead of folding over
-   the whole table. *)
-let page_shift = 12
-
-(* Drop [addr] from the page buckets of its [len]-byte span and from the
-   decode front. *)
-let unindex t addr len =
-  for q = addr asr page_shift to (addr + max len 1 - 1) asr page_shift do
-    match Hashtbl.find_opt t.decode_pages q with
-    | Some b -> b := List.filter (fun a -> a <> addr) !b
-    | None -> ()
-  done;
+(* Empty the decode-front slot of [addr] if it holds that address. *)
+let unfront t addr =
   let s = addr land front_mask in
   if t.front_tags.(s) = addr then t.front_tags.(s) <- -1
 
@@ -175,47 +165,12 @@ let flags_sub t a b r =
 
 (* ---- syscalls ---- *)
 
-(* Invalidate every cached instruction whose byte span [k, k+len)
-   actually overlaps [start, start+len), visiting only the page buckets
-   the flushed range touches.  (The old heuristic dropped entries with
-   [k >= start - 16], which both over-invalidated nearby non-overlapping
-   entries and would let an instruction longer than 16 bytes survive with
-   stale bytes.)  [start, start+len) must not wrap. *)
-let flush_span t start len =
-  if len > 0 then begin
-    let doomed = ref [] in
-    for p = start asr page_shift to (start + len - 1) asr page_shift do
-      match Hashtbl.find_opt t.decode_pages p with
-      | None -> ()
-      | Some b ->
-        List.iter
-          (fun k ->
-            match Hashtbl.find_opt t.decode_cache k with
-            | Some d when k < start + len && k + max d.d_len 1 > start ->
-              doomed := (k, d.d_len) :: !doomed
-            | Some _ | None -> ())
-          !b
-    done;
-    List.iter
-      (fun (k, ilen) ->
-        (* an entry spanning two flushed pages appears twice *)
-        if Hashtbl.mem t.decode_cache k then begin
-          Hashtbl.remove t.decode_cache k;
-          unindex t k ilen
-        end)
-      !doomed
-  end
-
-(* A range that wraps past the top of the address space is two spans. *)
+(* Drop every decoded instruction whose byte span overlaps the range,
+   one that wraps past the top of the address space included. *)
 let flush_range t start len =
   if Jt_trace.Trace.is_enabled () then
     Jt_trace.Trace.emit (Jt_trace.Trace.Flush_range { start; len });
-  let over = start + len - (Word.mask + 1) in
-  if over > 0 then begin
-    flush_span t start (len - over);
-    flush_span t 0 over
-  end
-  else flush_span t start len;
+  Addr_table.flush t.decode_table start len (fun addr _ -> unfront t addr);
   List.iter (fun f -> f start len) t.flush_listeners
 
 let rec do_syscall t n =
@@ -563,7 +518,7 @@ let compile ~at (i : Insn.t) len : op =
 
 let syscall = do_syscall
 
-(* ---- the decode cache ---- *)
+(* ---- the decode table ---- *)
 
 (* The machine's [instrument] wraps the op here, once per decode. *)
 let entry t addr (i, len) =
@@ -571,39 +526,49 @@ let entry t addr (i, len) =
   let op = match t.instrument with None -> op | Some f -> f ~at:addr i len op in
   { d_insn = i; d_len = len; d_op = op }
 
+(* An instruction is decoded straight from its page's bytes, unless it
+   starts within [Decode.max_len] bytes of the page's end: then from a
+   copy of the bytes that follow, read across the page (or the top of
+   the address space) as every other access reads them. *)
 let decode t addr =
-  match Decode.instr ~read:(fun a -> Jt_mem.Memory.read8 t.mem a) ~at:addr with
-  | Some v -> Some (entry t addr v)
-  | None -> None
+  let a = addr land Word.mask in
+  let off = a land (Mem.page_size - 1) in
+  let v =
+    if off <= Mem.page_size - Decode.max_len then
+      Decode.instr (Mem.page t.mem a) ~pos:off ~lim:Mem.page_size ~at:addr
+    else begin
+      let b = Bytes.create Decode.max_len in
+      for k = 0 to Decode.max_len - 1 do
+        Bytes.unsafe_set b k (Char.unsafe_chr (Mem.read8 t.mem (a + k)))
+      done;
+      Decode.instr b ~pos:0 ~lim:Decode.max_len ~at:addr
+    end
+  in
+  match v with Some v -> Some (entry t addr v) | None -> None
 
-(* Insert (or replace) the entry at [addr], registering it under every
-   page its span overlaps.  A fresh address cannot be in any bucket yet,
-   so only a replacement has an old span to unregister (which also
-   empties its decode-front slot); a bucket never holds an address
-   twice.  [run] fills the front from the table on the next hit. *)
+(* Insert (or replace) the entry at [addr] and empty its decode-front
+   slot; [run] fills the slot from the table on the next hit. *)
 let insert t addr d =
-  let len = d.d_len in
-  (match Hashtbl.find t.decode_cache addr with
-  | old -> unindex t addr old.d_len
-  | exception Not_found -> ());
-  Hashtbl.replace t.decode_cache addr d;
-  for p = addr asr page_shift to (addr + max len 1 - 1) asr page_shift do
-    match Hashtbl.find t.decode_pages p with
-    | b -> b := addr :: !b
-    | exception Not_found -> Hashtbl.replace t.decode_pages p (ref [ addr ])
-  done
+  Addr_table.set t.decode_table addr d;
+  unfront t addr
 
 let cache_decoded t addr v = insert t addr (entry t addr v)
 
+(* A table miss: decode and insert. *)
+let fill t addr =
+  match decode t addr with
+  | Some d as fresh ->
+    insert t addr d;
+    fresh
+  | None -> None
+
 let fetch t addr =
-  match Hashtbl.find_opt t.decode_cache addr with
-  | Some _ as hit -> hit
-  | None -> (
-    match decode t addr with
-    | Some d as fresh ->
-      insert t addr d;
-      fresh
-    | None -> None)
+  let d = Addr_table.find t.decode_table addr in
+  if d != no_decoded then Some d else fill t addr
+
+let decoded_spans t =
+  List.rev
+    (Addr_table.fold (fun a d acc -> (a, d.d_len) :: acc) t.decode_table [])
 
 (* ---- execution ---- *)
 
@@ -613,12 +578,12 @@ let is_running t =
   match t.status with Running -> true | Exited _ | Fault _ | Aborted _ -> false
 
 (* A retired instruction costs a front probe (two array loads and a
-   compare) and a call to its compiled op.  A front miss falls back to
-   the decode table and refills the slot; only a decode miss goes
-   through [fetch] and its option. *)
+   compare) and a call to its compiled op.  A front miss probes the
+   decode table once and refills the slot; a table miss decodes and
+   inserts. *)
 let run ?(fuel = default_fuel) t =
   let budget = t.icount + fuel in
-  let tags = t.front_tags and ops = t.front_ops in
+  let tags = t.front_tags and ops = t.front_ops and table = t.decode_table in
   while is_running t do
     if t.icount >= budget then t.status <- Fault Out_of_fuel
     else if t.pc = sentinel then advance_phase t
@@ -627,15 +592,16 @@ let run ?(fuel = default_fuel) t =
       let s = pc land front_mask in
       if Array.unsafe_get tags s = pc then (Array.unsafe_get ops s) t
       else
-        match Hashtbl.find t.decode_cache pc with
-        | d ->
+        let d = Addr_table.find table pc in
+        if d != no_decoded then begin
           Array.unsafe_set tags s pc;
           Array.unsafe_set ops s d.d_op;
           d.d_op t
-        | exception Not_found -> (
-          match fetch t pc with
+        end
+        else
+          match fill t pc with
           | Some d -> d.d_op t
-          | None -> t.status <- Fault (Decode_fault pc))
+          | None -> t.status <- Fault (Decode_fault pc)
   done
 
 let output t = Buffer.contents t.out

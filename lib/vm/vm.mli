@@ -45,20 +45,18 @@ type t = {
   mutable violations : violation list;  (** newest first *)
   mutable phases : int list;
   mutable jit_next : int;
-  decode_cache : (int, decoded) Hashtbl.t;
-  decode_pages : (int, int list ref) Hashtbl.t;
-      (** 4KiB-page index over [decode_cache]: each entry is registered
-          exactly once under every page its byte span overlaps, so
-          {!flush_range} visits only affected pages.  Maintained by
-          {!cache_decoded} and {!fetch}. *)
+  decode_table : decoded Addr_table.t;
+      (** The decode table: every instruction {!fetch} and {!run} have
+          decoded, by address.  {!flush_range} drops the entries whose
+          byte span overlaps its range. *)
   front_tags : int array;
   front_ops : op array;
       (** The decode front: a 256-slot direct-mapped cache of compiled
           ops, indexed by the low PC bits and read by {!run} before
-          [decode_cache].  Slot [s] holds the op of address
+          [decode_table].  Slot [s] holds the op of address
           [front_tags.(s)], or is empty when that tag is [-1];
           {!cache_decoded} and {!flush_range} keep it coherent with
-          [decode_cache]. *)
+          [decode_table]. *)
   mutable flush_listeners : (int -> int -> unit) list;
   handles : (int, Jt_loader.Loader.loaded) Hashtbl.t;
   mutable next_handle : int;  (** monotonic dlopen handle allocator *)
@@ -75,7 +73,7 @@ and op = t -> unit
     instruction in the given machine. *)
 
 and decoded = { d_insn : Insn.t; d_len : int; d_op : op }
-(** A decode-cache entry: the instruction, its length and its op. *)
+(** A decode-table entry: the instruction, its length and its op. *)
 
 val set_input : t -> int list -> unit
 (** Provide the program's external input stream, consumed by the
@@ -102,7 +100,7 @@ val make :
 
     [instrument ~at i len op] is applied once per {!decode}, when the
     instruction [i] (of length [len], at [at]) is compiled; the op it
-    returns is what the decode cache and {!run}'s decode front hold, so
+    returns is what the decode table and {!run}'s decode front hold, so
     {!run} does no per-instruction work for it.  It runs again only when
     the entry is re-decoded (after {!flush_range} or {!cache_decoded}).
     At wrap time it may fix only what depends on the instruction alone
@@ -159,25 +157,37 @@ val compile_target : next_pc:int -> Insn.t -> (t -> int) option
 
 val decode : t -> int -> decoded option
 (** Decode and compile the instruction at an address, wrapped by the
-    machine's [instrument], recording nothing.  A DBT builds its blocks
-    through this, so a DBT machine's decode table stays empty. *)
+    machine's [instrument], recording nothing.  The bytes are read from
+    the address's memory page, or, for an instruction that starts
+    within {!Jt_isa.Decode.max_len} bytes of the page's end, from a copy
+    of the bytes that follow it across the page boundary or the top of
+    the address space.  A DBT builds its blocks through this, so a DBT
+    machine's decode table stays empty. *)
 
 val fetch : t -> int -> decoded option
-(** {!decode} through the decode table, inserting on a miss.  {!run}
-    calls it on a table miss, and the emitter to fill an emitted
-    machine's table before {!run} reads it. *)
+(** {!decode} through the decode table, inserting on a miss.  The
+    emitter calls it to fill an emitted machine's table before {!run}
+    reads it. *)
 
 val cache_decoded : t -> int -> Insn.t * int -> unit
 (** Compile a pre-decoded instruction and insert it into the decode
-    table, replacing any entry at that address (and emptying its
-    decode-front slot) and registering it in the page index.  Only
-    [test_vm] calls it, as its hook for placing an entry. *)
+    table, replacing any entry at that address and emptying its
+    decode-front slot.  Only [test_vm] calls it, as its hook for placing
+    an entry. *)
+
+val decoded_spans : t -> (int * int) list
+(** The address and length of every decode-table entry, ascending.
+    Nothing in the program reads it: it is the oracle hook through which
+    [test_vm] (the flush-range, decode-table and flush-cost cases) and
+    [test_dbt] ("no decode-table writes") see what the table holds. *)
 
 val flush_range : t -> int -> int -> unit
-(** Programmatic icache flush: invalidate every decode-cache entry whose
-    byte span overlaps [[start, start+len)] and notify flush listeners.
-    A range past [0xFFFF_FFFF] wraps to address 0 and covers both
-    pieces.  The [cache_flush] syscall is routed through this. *)
+(** Programmatic icache flush: drop every decode-table entry whose byte
+    span overlaps [[start, start+len)] and notify flush listeners.
+    Addresses wrap modulo 2{^32}: a range past [0xFFFF_FFFF] continues
+    at address 0, and an entry whose span does is dropped by a flush of
+    either piece.  Its cost grows with the table's allocated leaves, not
+    with [len].  The [cache_flush] syscall is routed through this. *)
 
 val syscall : t -> int -> unit
 (** Perform system call [n] in the current machine state: its hook if

@@ -656,35 +656,3 @@ let build ?(kind = Jt_obj.Objfile.Exec_nonpic) (s : Sheet.t) =
 
 let run_native (w : t) =
   Jt_vm.Vm.run_native ~registry:w.w_registry ~main:w.w_sheet.s_name ()
-
-(* The memo is process-global shared state; pool jobs may call
-   [expected_output] concurrently, and an unsynchronized [Hashtbl] can
-   corrupt itself under parallel resize.  The native run itself happens
-   outside the lock — worst case two domains race to compute the same
-   (deterministic) entry and one write wins. *)
-let memo : (string, string) Hashtbl.t = Hashtbl.create 32
-
-let memo_lock = Mutex.create ()
-
-let expected_output (w : t) =
-  let key =
-    w.w_sheet.s_name
-    ^ match w.w_main.kind with Jt_obj.Objfile.Exec_nonpic -> "/np" | _ -> "/pic"
-  in
-  let cached =
-    Mutex.lock memo_lock;
-    let v = Hashtbl.find_opt memo key in
-    Mutex.unlock memo_lock;
-    v
-  in
-  match cached with
-  | Some s -> Some s
-  | None -> (
-    let r = run_native w in
-    match r.r_status with
-    | Jt_vm.Vm.Exited 0 ->
-      Mutex.lock memo_lock;
-      Hashtbl.replace memo key r.r_output;
-      Mutex.unlock memo_lock;
-      Some r.r_output
-    | _ -> None)

@@ -16,9 +16,5 @@ type t = {
 val build : ?kind:Jt_obj.Objfile.kind -> Sheet.t -> t
 (** @param kind default [Exec_nonpic]. *)
 
-val expected_output : t -> string option
-(** Filled in lazily by running natively once (memoized per workload
-    name/kind); used by the harness to assert instrumented runs stay
-    sound. *)
 
 val run_native : t -> Jt_vm.Vm.result

@@ -306,3 +306,65 @@ let sweep ~format ?(bits_of = fun _ -> [ 0; 1; 2; 3; 4; 5; 6; 7 ]) ~check
 let sealed_sweep ~format ?bits_of decode enc =
   sweep ~format ?bits_of decode enc ~check:(fun what _ _ ->
       Alcotest.failf "%s: flipped %s artifact accepted" what format)
+
+(* -- flush cost: the decode table and the DBT's block table -- *)
+
+(* Whether a flush of [start, start + len) covers a byte of the span
+   [(a, l)], byte by byte on the circle of 2^32 addresses. *)
+let overlaps ~start ~len (a, l) =
+  let rec any j =
+    j < len && ((start + j - a) land Word.mask < max l 1 || any (j + 1))
+  in
+  any 0
+
+(* A table filled by running [jit_prog] (code cached in the main module,
+   the PIC libc and the JIT region), seen through [spans] and flushed
+   through [Vm.flush_range].  A few partial flushes each drop exactly
+   the spans they overlap; then 1,000 flushes of the whole address space
+   empty the table, in well under a second, where a flush that walked
+   every 4 KiB page of its range took 20–40 ms each. *)
+let check_flush_cost (vm : Jt_vm.Vm.t) ~spans =
+  let before = spans () in
+  let jit_lo, jit_hi = Jt_vm.Vm.jit_region in
+  let region a =
+    if a >= jit_lo && a < jit_hi then "jit"
+    else
+      match Jt_loader.Loader.module_at vm.loader a with
+      | Some l -> l.lmod.Jt_obj.Objfile.name
+      | None -> "?"
+  in
+  (* the first span of at least 2 bytes in a region: a flush of its last
+     byte must find it although it starts before the range *)
+  let first r =
+    match List.filter (fun (a, l) -> region a = r && l >= 2) before with
+    | s :: _ -> s
+    | [] -> Alcotest.failf "nothing cached in %s" r
+  in
+  let main_a, main_l = first "jitprog" and libc_a, libc_l = first "libc.so" in
+  let jit_a, _ = first "jit" in
+  List.iter
+    (fun (start, len) ->
+      let expected =
+        List.filter (fun s -> not (overlaps ~start ~len s)) (spans ())
+      in
+      Jt_vm.Vm.flush_range vm start len;
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "flush [%#x, +%d)" start len)
+        expected (spans ()))
+    [
+      (libc_a + libc_l - 1, 1);
+      (main_a + main_l - 1, 2);
+      (jit_a land lnot 0xFFF, 4096);
+      (0xFFFF_FFF0, 0x20);
+    ];
+  Alcotest.(check bool) "the partial flushes left code cached" true
+    (spans () <> []);
+  let t0 = Sys.time () in
+  for _ = 1 to 1000 do
+    Jt_vm.Vm.flush_range vm 0 (1 lsl 32)
+  done;
+  let dt = Sys.time () -. t0 in
+  Alcotest.(check (list (pair int int))) "whole-range flush empties" []
+    (spans ());
+  if dt >= 0.5 then
+    Alcotest.failf "1,000 whole-range flushes took %.2f s" dt

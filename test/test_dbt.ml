@@ -393,54 +393,63 @@ let test_decode_fault_block_invalidated () =
   Alcotest.(check bool) "exits cleanly after regen" true
     (vm.status = Jt_vm.Vm.Exited 0)
 
+(* The engines compared with [Vm.run] by the decode-path tests: the null
+   DBT, JASan dyn-only and JCFI hybrid (its rules from a static analysis
+   of the program's closure). *)
+let null_engine ~registry:_ ~main:_ vm = Jt_dbt.Dbt.create ~vm ()
+
+let jasan_dyn_engine ~registry:_ ~main:_ vm =
+  let tool, _ = Jt_jasan.Jasan.create () in
+  let engine = Jt_dbt.Dbt.create ~vm ~client:tool.t_client () in
+  tool.t_setup vm ~rules_for:(fun _ -> None);
+  engine
+
+let jcfi_hybrid_engine ~registry ~main vm =
+  let tool, _ = Jt_jcfi.Jcfi.create () in
+  let files =
+    Janitizer.Driver.analyze_all ~tool
+      (Janitizer.Driver.static_closure ~registry ~main)
+  in
+  let rules_for name = List.assoc_opt name files in
+  let engine = Jt_dbt.Dbt.create ~vm ~client:tool.t_client ~rules_for () in
+  tool.t_setup vm ~rules_for;
+  engine
+
+let decode_engines =
+  [ ("null", null_engine); ("jasan dyn-only", jasan_dyn_engine);
+    ("jcfi hybrid", jcfi_hybrid_engine) ]
+
+(* Boot [main] under [engine_for] and run it. *)
+let run_engine engine_for ~registry ~main =
+  let vm = Jt_vm.Vm.make ~registry () in
+  let engine = engine_for ~registry ~main vm in
+  Jt_vm.Vm.boot vm ~main;
+  Jt_dbt.Dbt.run engine;
+  vm
+
 (* The DBT builds its blocks through [Vm.decode]: under every client its
-   machine's decode table and page index stay empty, while [Vm.run] of
-   the same program fills both. *)
+   machine's decode table stays empty, while [Vm.run] of the same
+   program fills it. *)
 let test_no_decode_table_writes () =
   let w = Jt_workloads.Specgen.build (Jt_workloads.Sheet.find "bzip2") in
   let fz =
     Jt_fuzz.Fuzz.build (List.hd (Jt_fuzz.Fuzz.cases_of ~base_seed:1 ~seeds:1))
-  in
-  let null ~registry:_ ~main:_ vm = Jt_dbt.Dbt.create ~vm () in
-  let jasan_dyn ~registry:_ ~main:_ vm =
-    let tool, _ = Jt_jasan.Jasan.create () in
-    let engine = Jt_dbt.Dbt.create ~vm ~client:tool.t_client () in
-    tool.t_setup vm ~rules_for:(fun _ -> None);
-    engine
-  in
-  let jcfi_hybrid ~registry ~main vm =
-    let tool, _ = Jt_jcfi.Jcfi.create () in
-    let files =
-      Janitizer.Driver.analyze_all ~tool
-        (Janitizer.Driver.static_closure ~registry ~main)
-    in
-    let rules_for name = List.assoc_opt name files in
-    let engine = Jt_dbt.Dbt.create ~vm ~client:tool.t_client ~rules_for () in
-    tool.t_setup vm ~rules_for;
-    engine
   in
   List.iter
     (fun (registry, main) ->
       let native = Jt_vm.Vm.make ~registry () in
       Jt_vm.Vm.boot native ~main;
       Jt_vm.Vm.run native;
-      Alcotest.(check bool) (main ^ ": Vm.run fills both tables") true
-        (Hashtbl.length native.decode_cache > 0
-        && Hashtbl.length native.decode_pages > 0);
+      Alcotest.(check bool) (main ^ ": Vm.run fills the table") true
+        (Jt_vm.Vm.decoded_spans native <> []);
       List.iter
         (fun (name, engine_for) ->
-          let vm = Jt_vm.Vm.make ~registry () in
-          let engine = engine_for ~registry ~main vm in
-          Jt_vm.Vm.boot vm ~main;
-          Jt_dbt.Dbt.run engine;
+          let vm = run_engine engine_for ~registry ~main in
           let name = main ^ ", " ^ name in
           Alcotest.(check int) (name ^ ": icount") native.icount vm.icount;
-          Alcotest.(check int) (name ^ ": decode_cache") 0
-            (Hashtbl.length vm.decode_cache);
-          Alcotest.(check int) (name ^ ": decode_pages") 0
-            (Hashtbl.length vm.decode_pages))
-        [ ("null", null); ("jasan dyn-only", jasan_dyn);
-          ("jcfi hybrid", jcfi_hybrid) ])
+          Alcotest.(check int) (name ^ ": decode table") 0
+            (List.length (Jt_vm.Vm.decoded_spans vm)))
+        decode_engines)
     [ (w.w_registry, w.w_sheet.s_name); ([ fz; Jt_workloads.Stdlibs.libc ], fz.name) ]
 
 (* JIT code computing [r0 := a + b]; its second instruction, the add,
@@ -646,6 +655,189 @@ let test_flush_wraps () =
       Alcotest.(check string) name (machine_state native) (machine_state vm))
     configs
 
+let test_flush_cost () =
+  let m = Progs.jit_prog () in
+  let vm = Jt_vm.Vm.make ~registry:(Progs.registry_for m) () in
+  let engine = Jt_dbt.Dbt.create ~vm () in
+  Jt_vm.Vm.boot vm ~main:m.name;
+  Jt_dbt.Dbt.run engine;
+  Alcotest.(check bool) "exits" true (vm.status = Jt_vm.Vm.Exited 0);
+  Progs.check_flush_cost vm ~spans:(fun () -> Jt_dbt.Dbt.block_spans engine)
+
+(* -- straddling instructions -- *)
+
+(* 37 bytes of position-independent code computing
+   [r0 := 7 + 0x100 + 0x55 = 348] through a stack slot, with instructions of
+   6, 6, 12, 9, 3 and 1 bytes. *)
+let straddle_code =
+  let open Jt_isa in
+  let slot = Insn.mem_base ~disp:(-64) Reg.sp in
+  Insn.
+    [
+      Mov (Reg.r0, Imm 7);
+      Binop (Add, Reg.r0, Imm 0x100);
+      Store (W4, slot, Imm 0x55);
+      Load (W4, Reg.r1, slot);
+      Binop (Add, Reg.r0, Reg Reg.r1);
+      Ret;
+    ]
+
+let straddle_len =
+  List.fold_left (fun n i -> n + Jt_isa.Encode.length i) 0 straddle_code
+
+(* A program that copies [straddle_code] to each address of [places]
+   (flushing the copy's range, which may wrap), calls it and prints
+   [r0]. *)
+let straddle_prog ~name ~mmap places =
+  let open Jt_isa in
+  let open Jt_asm.Builder in
+  let open Jt_asm.Builder.Dsl in
+  build ~name ~kind:Jt_obj.Objfile.Exec_nonpic ~entry:"main"
+    [
+      func "main"
+        ([ movi Reg.r0 mmap; syscall Sysno.mmap_code ]
+        @ List.concat_map
+            (fun a ->
+              [ movi Reg.r6 a ]
+              @ Progs.store_code (Progs.encode_at a straddle_code)
+              @ [
+                  mov Reg.r0 Reg.r6; movi Reg.r1 straddle_len;
+                  syscall Sysno.cache_flush; call_reg Reg.r6;
+                  syscall Sysno.write_int;
+                ])
+            places
+        @ Progs.exit0);
+    ]
+
+let straddle_out places =
+  String.concat "" (List.map (fun _ -> "348\n") places)
+
+(* [Vm.run] and every decode engine end [main] in the same state, but for
+   the [cfi_flags] violations JCFI reports. *)
+let check_straddle_runs ?(cfi_flags = 0) ~registry ~main expected =
+  let native = Jt_vm.Vm.make ~registry () in
+  Jt_vm.Vm.boot native ~main;
+  Jt_vm.Vm.run native;
+  Alcotest.(check string) (main ^ ": native output") expected
+    (Jt_vm.Vm.output native);
+  Alcotest.(check bool) (main ^ ": native exits") true
+    (native.status = Jt_vm.Vm.Exited 0);
+  List.iter
+    (fun (engine, engine_for) ->
+      let vm = run_engine engine_for ~registry ~main in
+      let name = main ^ ", " ^ engine in
+      Alcotest.(check int) (name ^ ": violations")
+        (if String.equal engine "jcfi hybrid" then cfi_flags else 0)
+        (List.length vm.violations);
+      vm.violations <- [];
+      Alcotest.(check string) name (machine_state native) (machine_state vm))
+    decode_engines
+
+(* The copy at [page_end - k], for every [k] from 1 to the code's length:
+   each instruction boundary, and each byte inside an instruction, meets
+   a 4 KiB page boundary once. *)
+let test_straddle_page () =
+  let base = fst Jt_vm.Vm.jit_region in
+  let places =
+    List.init straddle_len (fun k -> base + ((k + 1) * 0x1000) - (k + 1))
+  in
+  let m =
+    straddle_prog ~name:"strpage" ~mmap:((straddle_len + 1) * 0x1000) places
+  in
+  check_straddle_runs ~registry:[ m ] ~main:"strpage" (straddle_out places)
+
+(* The copy at [2^32 - k]: it wraps to address 0, and the PC after the
+   straddling instruction runs past 0xFFFF_FFFF, under every engine
+   alike.  The code lies outside every module and the JIT region, so
+   JCFI flags each call to it. *)
+let test_straddle_top () =
+  let places = List.init straddle_len (fun k -> (1 lsl 32) - (k + 1)) in
+  let m = straddle_prog ~name:"strtop" ~mmap:64 places in
+  check_straddle_runs ~cfi_flags:straddle_len ~registry:[ m ] ~main:"strtop"
+    (straddle_out places)
+
+(* [m] with its code section cut in two abutting sections, inside the
+   first instruction of at least 6 bytes from the entry on. *)
+let split_code m =
+  let d = Jt_disasm.Disasm.run m in
+  let entry = Option.get m.Jt_obj.Objfile.entry in
+  let a =
+    Hashtbl.fold
+      (fun a (i : Jt_disasm.Disasm.insn_info) acc ->
+        if a >= entry && i.d_len >= 6 then min a acc else acc)
+      d.insns max_int
+  in
+  let straddler = (a, Hashtbl.find d.insns a) in
+  let cut = a + 3 in
+  let split (s : Jt_obj.Section.t) =
+    if Jt_obj.Section.contains s cut then
+      let clip lo hi =
+        List.filter_map
+          (fun (v, n) ->
+            let v' = max v lo and e = min (v + n) hi in
+            if v' < e then Some (v', e - v') else None)
+          s.truth_code_ranges
+      in
+      let k = cut - s.vaddr in
+      [
+        Jt_obj.Section.make ~truth_code_ranges:(clip s.vaddr cut) ~name:s.name
+          ~vaddr:s.vaddr ~is_code:true (String.sub s.data 0 k);
+        Jt_obj.Section.make
+          ~truth_code_ranges:(clip cut (Jt_obj.Section.end_vaddr s))
+          ~name:(s.name ^ ".2") ~vaddr:cut ~is_code:true
+          (String.sub s.data k (String.length s.data - k));
+      ]
+    else [ s ]
+  in
+  ({ m with sections = List.concat_map split m.sections }, straddler)
+
+let insn_list (d : Jt_disasm.Disasm.t) =
+  Hashtbl.fold (fun a (i : Jt_disasm.Disasm.insn_info) acc -> (a, i) :: acc) d.insns []
+  |> List.sort compare
+
+(* An instruction across two abutting code sections decodes as one
+   instruction statically and at run time: [Disasm.run] finds every
+   instruction of the uncut module with the same decode (the second
+   section's start is one more seed), and the cut module runs exactly
+   as the uncut one under every engine. *)
+let test_straddle_sections () =
+  let whole = inner_header_prog () in
+  let m, (a, insn) = split_code whole in
+  Alcotest.(check int) "one code section more"
+    (List.length (Jt_obj.Objfile.code_sections whole) + 1)
+    (List.length (Jt_obj.Objfile.code_sections m));
+  let cut_d = Jt_disasm.Disasm.run m in
+  (match Hashtbl.find_opt cut_d.insns a with
+  | Some i ->
+    Alcotest.(check bool) "straddler decodes whole" true
+      (i.d_insn = insn.d_insn && i.d_len = insn.d_len)
+  | None -> Alcotest.failf "no instruction at 0x%x" a);
+  let cut = insn_list cut_d in
+  List.iter
+    (fun (a, i) ->
+      if not (List.mem (a, i) cut) then Alcotest.failf "0x%x lost by the cut" a)
+    (insn_list (Jt_disasm.Disasm.run whole));
+  check_straddle_runs ~registry:[ m ] ~main:"innerhead" "190\n"
+
+(* Any instruction, encoded so that it starts in the last 16 bytes of a
+   page (or of the address space), decodes from memory as encoded. *)
+let prop_straddle_decode =
+  QCheck2.Test.make ~name:"decode at a page's last 16 bytes" ~count:300
+    Gen_isa.gen_insn (fun i ->
+      let vm = Jt_vm.Vm.make ~registry:[] () in
+      List.for_all
+        (fun page_end ->
+          List.for_all
+            (fun k ->
+              let at = page_end - k in
+              let code = Jt_isa.Encode.encode ~at i in
+              Jt_mem.Memory.write_string vm.mem at code;
+              match Jt_vm.Vm.decode vm at with
+              | Some d -> d.d_insn = i && d.d_len = String.length code
+              | None -> false)
+            (List.init 16 (fun k -> k + 1)))
+        [ 0x0040_1000; 1 lsl 32 ])
+
 let test_lightweight_profile_cheaper () =
   let m = Progs.sum_prog ~n:100 () in
   let run profile =
@@ -776,5 +968,13 @@ let () =
           Alcotest.test_case "re-decode" `Quick test_redecode;
           Alcotest.test_case "unflushed store" `Quick test_unflushed_store;
           Alcotest.test_case "wrapped flush range" `Quick test_flush_wraps;
+          Alcotest.test_case "flush cost" `Quick test_flush_cost;
+        ] );
+      ( "straddle",
+        [
+          Alcotest.test_case "page boundary" `Quick test_straddle_page;
+          Alcotest.test_case "top of the address space" `Quick test_straddle_top;
+          Alcotest.test_case "abutting sections" `Quick test_straddle_sections;
+          QCheck_alcotest.to_alcotest prop_straddle_decode;
         ] );
     ]

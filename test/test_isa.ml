@@ -2,6 +2,10 @@
 
 open Jt_isa
 
+(* Decode from the start of a byte string, as if loaded at [at]. *)
+let decode_string s ~at =
+  Decode.instr (Bytes.of_string s) ~pos:0 ~lim:(String.length s) ~at
+
 let test_word_wrap () =
   Alcotest.(check int) "add wraps" 0 (Word.add 0xFFFF_FFFF 1);
   Alcotest.(check int) "sub wraps" 0xFFFF_FFFF (Word.sub 0 1);
@@ -86,7 +90,7 @@ let test_roundtrip () =
       Alcotest.(check int)
         (Insn.to_string i ^ " length")
         (String.length s) (Encode.length i);
-      match Decode.from_string s ~pos:0 ~at with
+      match decode_string s ~at with
       | None -> Alcotest.failf "decode failed for %s" (Insn.to_string i)
       | Some (i', len) ->
         Alcotest.(check int) "len" (String.length s) len;
@@ -102,10 +106,10 @@ let test_pcrel_is_position_independent () =
   let s1 = Encode.encode ~at:0x400000 i in
   let s2 = Encode.encode ~at:0x400100 i in
   Alcotest.(check bool) "bytes differ" true (s1 <> s2);
-  (match Decode.from_string s1 ~pos:0 ~at:0x400000 with
+  (match decode_string s1 ~at:0x400000 with
   | Some (Insn.Jmp t, _) -> Alcotest.(check int) "t1" 0x400500 t
   | _ -> Alcotest.fail "decode 1");
-  match Decode.from_string s2 ~pos:0 ~at:0x400100 with
+  match decode_string s2 ~at:0x400100 with
   | Some (Insn.Jmp t, _) -> Alcotest.(check int) "t2" 0x400500 t
   | _ -> Alcotest.fail "decode 2"
 
@@ -113,18 +117,36 @@ let test_invalid_bytes () =
   (* Opcode 0 and high opcodes are invalid. *)
   Alcotest.(check bool)
     "zero" true
-    (Decode.from_string "\x00\x00\x00" ~pos:0 ~at:0 = None);
+    (decode_string "\x00\x00\x00" ~at:0 = None);
   Alcotest.(check bool)
     "high" true
-    (Decode.from_string "\xF0\x00\x00" ~pos:0 ~at:0 = None);
+    (decode_string "\xF0\x00\x00" ~at:0 = None);
   (* Truncated instruction. *)
   Alcotest.(check bool)
     "trunc" true
-    (Decode.from_string "\x07\x01" ~pos:0 ~at:0 = None);
+    (decode_string "\x07\x01" ~at:0 = None);
   (* Bad register index. *)
   Alcotest.(check bool)
     "badreg" true
-    (Decode.from_string "\x06\x20\x01" ~pos:0 ~at:0 = None)
+    (decode_string "\x06\x20\x01" ~at:0 = None)
+
+(* [pos] and [lim] bound what the decoder reads: an instruction that
+   needs a byte at or past [lim] does not decode, whatever follows. *)
+let test_buffer_bounds () =
+  let i = Insn.Mov (Reg.r1, Insn.Imm 0x1234_5678) in
+  let s = Encode.encode ~at:0x1000 i in
+  let n = String.length s in
+  let b = Bytes.of_string ("\x01\x01" ^ s ^ "\x01") in
+  let dec ~pos ~lim = Decode.instr b ~pos ~lim ~at:0x1000 in
+  Alcotest.(check bool) "at an offset" true (dec ~pos:2 ~lim:(Bytes.length b) = Some (i, n));
+  Alcotest.(check bool) "exact limit" true (dec ~pos:2 ~lim:(2 + n) = Some (i, n));
+  Alcotest.(check bool) "one byte short" true (dec ~pos:2 ~lim:(1 + n) = None);
+  Alcotest.(check bool) "start at the limit" true (dec ~pos:2 ~lim:2 = None);
+  Alcotest.(check bool) "u32 cut by the limit" true (dec ~pos:2 ~lim:4 = None);
+  Alcotest.check_raises "limit past the buffer" (Invalid_argument "Decode.instr")
+    (fun () -> ignore (dec ~pos:0 ~lim:(Bytes.length b + 1)));
+  Alcotest.check_raises "negative position" (Invalid_argument "Decode.instr")
+    (fun () -> ignore (dec ~pos:(-1) ~lim:2))
 
 (* -- qcheck: random instructions roundtrip -- *)
 
@@ -135,7 +157,7 @@ let prop_roundtrip =
     (fun i ->
       let at = 0x10000 in
       let s = Encode.encode ~at i in
-      match Decode.from_string s ~pos:0 ~at with
+      match decode_string s ~at with
       | Some (i', len) -> i = i' && len = String.length s
       | None -> false)
 
@@ -165,6 +187,7 @@ let () =
           Alcotest.test_case "roundtrip samples" `Quick test_roundtrip;
           Alcotest.test_case "pcrel" `Quick test_pcrel_is_position_independent;
           Alcotest.test_case "invalid" `Quick test_invalid_bytes;
+          Alcotest.test_case "buffer bounds" `Quick test_buffer_bounds;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

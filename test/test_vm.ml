@@ -353,6 +353,9 @@ let test_dlopen_handle_no_reuse () =
   check_exit r;
   Alcotest.(check string) "live handles stay distinct" "222\n333\n" r.r_output
 
+(* Whether the decode table holds an entry at [a]. *)
+let cached vm a = List.mem_assoc a (Jt_vm.Vm.decoded_spans vm)
+
 (* flush_range must invalidate by actual [addr, addr+len) byte overlap.
    The old heuristic dropped every entry within 16 bytes before the
    flushed start (over-invalidation) and would have let an instruction
@@ -372,71 +375,63 @@ let test_flush_range_overlap () =
      overlap, so the entry must survive (the heuristic dropped it) *)
   Jt_vm.Vm.flush_range vm (entry + 8) 8;
   Alcotest.(check bool) "non-overlapping entry survives" true
-    (Hashtbl.mem vm.decode_cache entry);
+    (cached vm entry);
   (* an entry whose span overlaps the flushed range is dropped no matter
      how far before the start it begins *)
   Jt_vm.Vm.cache_decoded vm 0x0070_0000 (Insn.Nop, 20);
   Jt_vm.Vm.flush_range vm (0x0070_0000 + 17) 4;
   Alcotest.(check bool) "overlapping long entry dropped" false
-    (Hashtbl.mem vm.decode_cache 0x0070_0000);
+    (cached vm 0x0070_0000);
   (* and a flush covering the entry start drops it *)
   Jt_vm.Vm.flush_range vm entry 4;
   Alcotest.(check bool) "covered entry dropped" false
-    (Hashtbl.mem vm.decode_cache entry)
+    (cached vm entry)
 
-(* Every address in the decode cache sits exactly once in the bucket of
-   each page its span overlaps, and in no other bucket. *)
-let check_page_index (vm : Jt_vm.Vm.t) =
-  let span_pages addr len = (addr asr 12, (addr + max len 1 - 1) asr 12) in
-  Hashtbl.iter
-    (fun addr (d : Jt_vm.Vm.decoded) ->
-      let lo, hi = span_pages addr d.d_len in
-      for p = lo to hi do
-        let b =
-          match Hashtbl.find_opt vm.decode_pages p with Some b -> !b | None -> []
-        in
-        match List.length (List.filter (Int.equal addr) b) with
-        | 1 -> ()
-        | n -> Alcotest.failf "0x%x is %d times in page 0x%x" addr n p
-      done)
-    vm.decode_cache;
-  Hashtbl.iter
-    (fun p b ->
-      List.iter
-        (fun addr ->
-          match Hashtbl.find_opt vm.decode_cache addr with
-          | None -> Alcotest.failf "page 0x%x holds uncached 0x%x" p addr
-          | Some d ->
-            let lo, hi = span_pages addr d.d_len in
-            if p < lo || p > hi then
-              Alcotest.failf "page 0x%x holds 0x%x outside its span" p addr)
-        !b)
-    vm.decode_pages
+(* The decode table holds each address once, ascending, and [fetch]
+   serves the entry it lists. *)
+let check_table (vm : Jt_vm.Vm.t) =
+  let spans = Jt_vm.Vm.decoded_spans vm in
+  let addrs = List.map fst spans in
+  Alcotest.(check (list int)) "ascending, each address once"
+    (List.sort_uniq Int.compare addrs) addrs;
+  List.iter
+    (fun (a, len) ->
+      match Jt_vm.Vm.fetch vm a with
+      | Some d when d.d_len = len -> ()
+      | Some d -> Alcotest.failf "0x%x: fetch length %d, table %d" a d.d_len len
+      | None -> Alcotest.failf "0x%x listed but not fetched" a)
+    spans
 
-let test_decode_page_index () =
+(* A replaced entry takes its new span with it: while the entry just
+   below a page boundary is 20 bytes long a flush of the next page drops
+   it, once it is replaced by a 1-byte one the same flush spares it. *)
+let test_decode_table_replace () =
   let m = Progs.sum_prog ~n:20 () in
   let vm = Jt_vm.Vm.make ~registry:(Progs.registry_for m) () in
   Jt_vm.Vm.boot vm ~main:"sum";
   Jt_vm.Vm.run vm;
   check_exit (Jt_vm.Vm.result vm);
   Alcotest.(check bool) "decoded something" true
-    (Hashtbl.length vm.decode_cache > 10);
-  check_page_index vm;
-  (* replace an entry with a longer span that reaches the next page, then
-     with a shorter one again *)
-  let a = 0x0070_0FFE in
+    (List.length (Jt_vm.Vm.decoded_spans vm) > 10);
+  check_table vm;
+  let a = 0x0070_0FFE and next_page = 0x0070_1000 in
+  let span () = List.assoc_opt a (Jt_vm.Vm.decoded_spans vm) in
   Jt_vm.Vm.cache_decoded vm a (Insn.Nop, 1);
-  check_page_index vm;
+  check_table vm;
   Jt_vm.Vm.cache_decoded vm a (Insn.Nop, 20);
-  check_page_index vm;
+  check_table vm;
+  Alcotest.(check (option int)) "replaced span" (Some 20) (span ());
+  Jt_vm.Vm.flush_range vm next_page 4;
+  Alcotest.(check (option int)) "long entry dropped by the next page's flush"
+    None (span ());
   Jt_vm.Vm.cache_decoded vm a (Insn.Nop, 20);
-  check_page_index vm;
+  Jt_vm.Vm.cache_decoded vm a (Insn.Nop, 20);
+  check_table vm;
   Jt_vm.Vm.cache_decoded vm a (Insn.Nop, 1);
-  check_page_index vm;
-  Alcotest.(check bool) "next page bucket emptied" true
-    (match Hashtbl.find_opt vm.decode_pages 0x701 with
-    | Some b -> !b = []
-    | None -> true)
+  check_table vm;
+  Jt_vm.Vm.flush_range vm next_page 4;
+  Alcotest.(check (option int)) "short entry spared by the next page's flush"
+    (Some 1) (span ())
 
 (* A flush whose range runs past 0xFFFF_FFFF wraps to address 0: it
    drops the entries on both sides of the wrap, and nothing outside. *)
@@ -448,10 +443,17 @@ let test_flush_range_wraps () =
   Jt_vm.Vm.flush_range vm 0xFFFF_F000 0x2000;
   List.iter
     (fun (a, kept) ->
-      Alcotest.(check bool) (Printf.sprintf "0x%x kept" a) kept
-        (Hashtbl.mem vm.decode_cache a))
+      Alcotest.(check bool) (Printf.sprintf "0x%x kept" a) kept (cached vm a))
     [ (0xFFFF_EFF0, true); (0xFFFF_FFF0, false); (0x10, false); (0x1010, true) ];
-  check_page_index vm
+  check_table vm
+
+let test_flush_cost () =
+  let m = Progs.jit_prog () in
+  let vm = Jt_vm.Vm.make ~registry:(Progs.registry_for m) () in
+  Jt_vm.Vm.boot vm ~main:m.name;
+  Jt_vm.Vm.run vm;
+  check_exit (Jt_vm.Vm.result vm);
+  Progs.check_flush_cost vm ~spans:(fun () -> Jt_vm.Vm.decoded_spans vm)
 
 (* -- decode front coherence under plain Vm.run -- *)
 
@@ -840,8 +842,9 @@ let () =
             test_dlopen_handle_no_reuse;
           Alcotest.test_case "flush-range overlap" `Quick
             test_flush_range_overlap;
-          Alcotest.test_case "decode page index" `Quick test_decode_page_index;
+          Alcotest.test_case "decode table replace" `Quick test_decode_table_replace;
           Alcotest.test_case "flush-range wraps" `Quick test_flush_range_wraps;
+          Alcotest.test_case "flush cost" `Quick test_flush_cost;
         ] );
       ( "decode-front",
         [
