@@ -835,24 +835,34 @@ let micro () =
     Test.make ~name:"shadow check (4 bytes)" (Staged.stage (fun () ->
         ignore (Jt_jasan.Shadow.first_poisoned shadow 0x5100_0000 ~len:4)))
   in
-  let file =
+  let rule_file n =
     {
       Jt_rules.Rules.rf_module = "m";
       rf_digest = "";
       rf_stats = [];
       rf_rules =
-        List.init 512 (fun i ->
+        List.init n (fun i ->
             Jt_rules.Rules.make ~id:0x101 ~bb:(0x400000 + (i * 16))
               ~insn:(0x400000 + (i * 16))
               ~data:[ 2; 1 ] ());
     }
   in
-  let table = Jt_rules.Rules.Table.load file ~base:0 ~pic:false in
+  let index = Jt_rules.Rules.index (rule_file 512) in
   let table_test =
     Test.make ~name:"rule-table lookup" (Staged.stage (fun () ->
-        ignore (Jt_rules.Rules.Table.at_insn table 0x400800)))
+        ignore (Jt_rules.Rules.Index.at_insn index 0x400800)))
   in
-  let tests = [ decode_test; shadow_test; table_test ] in
+  (* The load layer: indexing a file the size of a cold-code module's
+     (about 4K rules).  A file is indexed once, so each build indexes a
+     new copy. *)
+  let cold_file = rule_file 4096 in
+  let index_test =
+    Test.make ~name:"rule index build (4096 rules)" (Staged.stage (fun () ->
+        ignore
+          (Jt_rules.Rules.index
+             { cold_file with Jt_rules.Rules.rf_module = "m" })))
+  in
+  let tests = [ decode_test; shadow_test; table_test; index_test ] in
   let benchmark test =
     let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) () in
     let raw =

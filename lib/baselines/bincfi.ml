@@ -10,25 +10,44 @@ type refusal = Broken_rewrite of string
    instruction does.  Past the threshold, the rewriter produces a broken
    binary. *)
 let data_in_code_fraction (m : Jt_obj.Objfile.t) (d : Jt_disasm.Disasm.t) =
-  (* one binding per decoded byte; a table holds two per bucket *)
-  let covered = Hashtbl.create (fst (Jt_disasm.Disasm.code_stats d) / 2) in
+  (* one map byte per code byte of each code section, set where a
+     decoded instruction covers it *)
+  let secs =
+    Array.of_list
+      (List.map
+         (fun (s : Jt_obj.Section.t) ->
+           (s, Bytes.make (String.length s.data) '\000'))
+         (Jt_obj.Objfile.code_sections m))
+  in
+  let section_of a =
+    Array.find_opt
+      (fun ((s : Jt_obj.Section.t), _) -> Jt_obj.Section.contains s a)
+      secs
+  in
+  let rec cover a len =
+    if len > 0 then
+      match section_of a with
+      | None -> cover (a + 1) (len - 1)
+      | Some (s, map) ->
+        let o = a - s.vaddr in
+        let n = min len (Bytes.length map - o) in
+        Bytes.fill map o n '\001';
+        cover (a + n) (len - n)
+  in
   Hashtbl.iter
-    (fun a (i : Jt_disasm.Disasm.insn_info) ->
-      for k = 0 to i.d_len - 1 do
-        Hashtbl.replace covered (a + k) ()
-      done)
+    (fun a (i : Jt_disasm.Disasm.insn_info) -> cover a i.d_len)
     d.insns;
   let uncovered = ref 0 and total = ref 0 in
-  List.iter
-    (fun (s : Jt_obj.Section.t) ->
+  Array.iter
+    (fun ((s : Jt_obj.Section.t), map) ->
       String.iteri
         (fun o c ->
           if c <> '\x00' then begin
             incr total;
-            if not (Hashtbl.mem covered (s.vaddr + o)) then incr uncovered
+            if Bytes.get map o = '\000' then incr uncovered
           end)
         s.data)
-    (Jt_obj.Objfile.code_sections m);
+    secs;
   if !total = 0 then 0.0 else float_of_int !uncovered /. float_of_int !total
 
 type prep = {

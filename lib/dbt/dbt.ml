@@ -206,9 +206,11 @@ type t = {
   blocks : cached Jt_vm.Addr_table.t;
       (* the code cache: every valid block by start address; a range
          flush drops the blocks whose byte span overlaps it *)
-  (* Per-module rewrite-rule hash tables (Figure 5), one per mapped
-     module with rules, found by address through the loader. *)
-  tables : Jt_rules.Rules.Table.t Jt_loader.Loader.table;
+  (* Per-module rule indexes (Figure 5) with the module's PIC shift
+     (run-time minus link address, 0 for position-dependent code), one
+     per mapped module with rules, found by address through the
+     loader. *)
+  tables : (Jt_rules.Rules.index * int) Jt_loader.Loader.table;
   mutable n_traces_live : int;
       (* incremental live-trace count; [traces_live_scan] is the full
          recount it must always agree with (asserted after every run) *)
@@ -358,13 +360,16 @@ let create ~vm ?(profile = dynamorio) ?client ?(chain = true) ?(ibl = true)
         };
     }
   in
-  (* (1) in Figure 4: when a module is loaded, read its rewrite rules into
-     a fresh hash table, adjusting addresses by the load base for PIC. *)
+  (* (1) in Figure 4: when a module is loaded, bind its rule file's
+     index (built once per file, in link coordinates) and the load base
+     a PIC module's addresses are shifted by. *)
   Jt_loader.Loader.track vm.Jt_vm.Vm.loader t.tables (fun l ->
       Option.map
         (fun file ->
-          Jt_rules.Rules.Table.load file ~base:l.Jt_loader.Loader.base
-            ~pic:(Jt_obj.Objfile.is_pic l.Jt_loader.Loader.lmod))
+          ( Jt_rules.Rules.index file,
+            if Jt_obj.Objfile.is_pic l.Jt_loader.Loader.lmod then
+              l.Jt_loader.Loader.base
+            else 0 ))
         (rules_for l.Jt_loader.Loader.lmod.Jt_obj.Objfile.name));
   (* Cache-flush syscalls (JIT regeneration) invalidate affected blocks. *)
   Jt_vm.Vm.on_cache_flush vm (fun start len -> flush_blocks t start len);
@@ -536,7 +541,7 @@ let translate t addr =
   let table = Jt_loader.Loader.find t.tables addr in
   let static_hit =
     match table with
-    | Some tbl -> Jt_rules.Rules.Table.bb_seen tbl addr
+    | Some (ix, base) -> Jt_rules.Rules.Index.bb_seen ix (addr - base)
     | None -> false
   in
   if static_hit then t.stats.st_blocks_static <- t.stats.st_blocks_static + 1
@@ -547,7 +552,10 @@ let translate t addr =
     | Some cl ->
       let rules_at =
         match (static_hit, table) with
-        | true, Some tbl -> Jt_rules.Rules.Table.at_insn tbl
+        | true, Some (ix, base) ->
+          fun a ->
+            Jt_rules.Rules.shift ~base
+              (Jt_rules.Rules.Index.at_insn ix (a - base))
         | _ -> fun _ -> []
       in
       cl.cl_on_block t.vm b

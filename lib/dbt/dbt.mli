@@ -7,8 +7,9 @@
     pay a target lookup on every execution.
 
     The engine implements the Janitizer-specific machinery of sections
-    3.4.1–3.4.2: per-module rewrite-rule hash tables populated at module
-    load time (with load-base adjustment for PIC modules), block
+    3.4.1–3.4.2: each module's rule file bound at module load time to
+    its index ({!Jt_rules.Rules.index}, built once per file and keyed by
+    link address; a PIC module is looked up at [addr - base]), block
     classification into statically-seen versus dynamically-discovered
     code, and dispatch of each block to the client with its applicable
     rules.
@@ -68,6 +69,8 @@ type client = {
   cl_name : string;
   cl_on_block :
     Jt_vm.Vm.t -> block -> provenance -> rules_at:(int -> Jt_rules.Rules.t list) -> plan;
+      (** [rules_at a]: the rules anchored at run-time address [a], in
+          file order and in run-time coordinates *)
 }
 
 (** Engine cost profile, so baseline translators (Lockdown's lightweight

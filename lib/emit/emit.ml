@@ -89,10 +89,15 @@ let decode_map =
       in
       { em_digest; em_tool; em_text; em_insns; em_pins })
 
+(* Each module object's decoded map: decoded (and its seal checked) on
+   the first request, or handed over by the emitter that encoded it. *)
+let maps : emap option Jt_obj.Objfile.Memo.t = Jt_obj.Objfile.Memo.create ()
+
 let read_map (m : Jt_obj.Objfile.t) =
-  match Jt_obj.Objfile.find_section m map_section_name with
-  | None -> None
-  | Some s -> Some (decode_map s.Jt_obj.Section.data)
+  Jt_obj.Objfile.Memo.find_or_add maps m (fun m ->
+      match Jt_obj.Objfile.find_section m map_section_name with
+      | None -> None
+      | Some s -> Some (decode_map s.Jt_obj.Section.data))
 
 (* ------------------------------------------------------------------ *)
 (* Emission                                                           *)
@@ -133,18 +138,6 @@ let wants_site ~tool ~scratch_asan ~scratch_cfi (r : Jt_rules.Rules.t) ~at
 
 let align_up a n = (a + n - 1) land lnot (n - 1)
 
-(* Index a rule file by anchor instruction address, preserving file
-   order within each bucket (the order [plan_static] applies metas). *)
-let rules_by_insn (rules : Jt_rules.Rules.file) =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun (r : Jt_rules.Rules.t) ->
-      if r.rule_id <> Jt_rules.Rules.no_op then
-        Hashtbl.replace tbl r.insn
-          (r :: Option.value ~default:[] (Hashtbl.find_opt tbl r.insn)))
-    rules.rf_rules;
-  fun addr -> List.rev (Option.value ~default:[] (Hashtbl.find_opt tbl addr))
-
 let emit_module_exn ~tool ~(rules : Jt_rules.Rules.file)
     (sa : Janitizer.Static_analyzer.t) =
   let m = sa.Janitizer.Static_analyzer.sa_mod in
@@ -173,7 +166,7 @@ let emit_module_exn ~tool ~(rules : Jt_rules.Rules.file)
   (* First pass: layout.  [new_entry_of] maps each old instruction to
      the address control flow should enter — the site prefix when the
      instruction carries materialized checks. *)
-  let rules_at = rules_by_insn rules in
+  let rules_at = Jt_rules.Rules.Index.at_insn (Jt_rules.Rules.index rules) in
   let scratch_asan = Jt_jasan.Jasan.Rt.create () in
   let scratch_cfi =
     Jt_jcfi.Jcfi.Rt.create
@@ -389,7 +382,9 @@ let emit_module_exn ~tool ~(rules : Jt_rules.Rules.file)
     Jt_obj.Section.make ~name:map_section_name ~vaddr:map_vaddr ~is_code:false
       map_data
   in
-  { m with Jt_obj.Objfile.sections = patched @ [ text_sec; map_sec ] }
+  let m' = { m with Jt_obj.Objfile.sections = patched @ [ text_sec; map_sec ] } in
+  Jt_obj.Objfile.Memo.add maps m' (Some em);
+  m'
 
 let emit_module ~tool ~rules (sa : Janitizer.Static_analyzer.t) =
   let m = sa.Janitizer.Static_analyzer.sa_mod in
@@ -470,7 +465,9 @@ let attach ~tool ~rules_for (vm : Jt_vm.Vm.t) =
             rules.Jt_rules.Rules.rf_digest <> ""
             && not (String.equal rules.rf_digest em.em_digest)
           then failwith ("Jt_emit: rule/map digest mismatch for " ^ m.name);
-          let rules_at = rules_by_insn rules in
+          let rules_at =
+            Jt_rules.Rules.Index.at_insn (Jt_rules.Rules.index rules)
+          in
           let pic_base = if Jt_obj.Objfile.is_pic m then l.base else 0 in
           let sites = Hashtbl.create 64 and pins = Hashtbl.create 64 in
           Array.iter

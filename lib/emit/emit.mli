@@ -110,7 +110,12 @@ val decode_map : string -> emap
 
 val read_map : Jt_obj.Objfile.t -> emap option
 (** The decoded [.emit.map] of an emitted object, [None] for ordinary
-    modules.  @raise Jt_codec.Codec.Decode_error as {!decode_map}. *)
+    modules.  Decoded once per module object ({!Jt_obj.Objfile.Memo}):
+    {!emit_module} hands over the map it has just encoded, and an object
+    read from bytes, or a [{ m with ... }] copy, is decoded and its seal
+    checked on its first request.
+    @raise Jt_codec.Codec.Decode_error as {!decode_map} (and again on
+    every later request: a failed decode is not kept). *)
 
 (** {1 Emission} *)
 
@@ -191,8 +196,10 @@ val attach :
   runtime
 (** Install the emit runtime on a fresh VM, before [Vm.boot]: a
     per-module table ({!Jt_loader.Loader.track}) whose row, for every
-    loaded module carrying an [.emit.map], validates the rule file
-    digest, interprets the module's rules into per-site meta lists (via
+    loaded module carrying an [.emit.map] (read through {!read_map}, so
+    once per module object), validates the rule file digest, interprets
+    the module's rules (read through the file's index,
+    {!Jt_rules.Rules.index}) into per-site meta lists (via
     [Jasan.static_meta] / [Jcfi.static_meta], in run-time coordinates)
     and holds its pins; plus the two syscall hooks that give [emit_site]
     and [emit_pin] their meaning, which find a site's row by address.

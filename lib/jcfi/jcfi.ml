@@ -10,12 +10,12 @@ module Ids = struct
   let shadow_push = 0x203
   let ret_check = 0x204
   let resolver_ret = 0x205
-  let tgt_func = 0x210
-  let tgt_export = 0x211
-  let tgt_addr_taken = 0x212
-  let tgt_jump = 0x213
+  let tgt_func = Targets.tgt_func
+  let tgt_export = Targets.tgt_export
+  let tgt_addr_taken = Targets.tgt_addr_taken
+  let tgt_jump = Targets.tgt_jump
 
-  let site_targets = 0x214
+  let site_targets = Targets.site_targets
   (** per-call-site resolved target set from the provenance analysis;
       [insn] is the call site, [data] one chunk (≤ 4) of its targets —
       a large set spans several rules anchored at the same site *)
@@ -29,6 +29,10 @@ module Rt = struct
     sstack : Shadow_stack.t;
     config : config;
     sites : (int, site_kind) Hashtbl.t;
+    sym_ranges : (int, Targets.t * (int * int) option) Hashtbl.t;
+        (* the dynamic fallback's function range per ijmp site, with the
+           table it was read from: a module mapped later at the same
+           address has a table of its own *)
     observed : (int * int, unit) Hashtbl.t;
         (* executed (indirect-call site, target) pairs — the dynamic side
            of the CPA refinement-soundness oracle *)
@@ -40,6 +44,7 @@ module Rt = struct
       sstack = Shadow_stack.create ();
       config;
       sites = Hashtbl.create 64;
+      sym_ranges = Hashtbl.create 16;
       observed = Hashtbl.create 64;
     }
 
@@ -71,18 +76,22 @@ module Rt = struct
       (* call out of JIT code into a module *)
       Targets.inter_module_ok dst target || Targets.intra_call_ok dst target
 
-  (* Nearest-symbol function range of an address, for the dynamic
-     fallback's byte-granularity jump policy (footnote 15). *)
-  let sym_range_of t addr =
-    match Jt_loader.Loader.find t.tbl addr with
+  (* Nearest-symbol function range of a site, for the dynamic fallback's
+     byte-granularity jump policy (footnote 15).  A walk over the
+     module's table, so it is resolved once per site and table. *)
+  let sym_range_of t site =
+    match Jt_loader.Loader.find t.tbl site with
     | None -> None
-    | Some tbl ->
-      Hashtbl.fold
-        (fun e sz acc ->
-          if addr >= e && addr < e + max sz 1 then Some (e, sz) else acc)
-        tbl.Targets.funcs None
+    | Some tbl -> (
+      match Hashtbl.find_opt t.sym_ranges site with
+      | Some (tbl', range) when tbl' == tbl -> range
+      | Some _ | None ->
+        let range = Targets.func_range tbl site in
+        Hashtbl.replace t.sym_ranges site (tbl, range);
+        range)
 
-  let ijmp_ok t ~site ~fn_entry target =
+  (* [range] is the site's [sym_range_of] when [fn_entry] is [None]. *)
+  let ijmp_ok t ~site ~fn_entry ~range target =
     match
       (Jt_loader.Loader.find t.tbl site, Jt_loader.Loader.find t.tbl target)
     with
@@ -96,7 +105,7 @@ module Rt = struct
              policy behind the hybrid/dynamic AIR gap of footnote 15. *)
           Targets.jump_ok dst ~fn_entry target
           ||
-          (match sym_range_of t site with
+          (match range with
           | Some (e, sz) -> target >= e && target < e + max sz 1
           | None -> Jt_loader.Loader.in_code dst.Targets.tg_module target))
       else Targets.inter_module_ok dst target
@@ -114,11 +123,20 @@ module Rt = struct
     end
 
   let check_ijmp t vm ~site ~fn_entry target =
-    (match fn_entry with
-    | Some _ -> record t site (Sijmp fn_entry)
-    | None -> record t site (Sijmp_sym (sym_range_of t site)));
-    if target <> Jt_vm.Vm.sentinel && not (ijmp_ok t ~site ~fn_entry target) then
-      Jt_vm.Vm.report_violation vm ~kind:"cfi-ijmp" ~addr:target
+    let range =
+      match fn_entry with
+      | Some _ ->
+        record t site (Sijmp fn_entry);
+        None
+      | None ->
+        let range = sym_range_of t site in
+        record t site (Sijmp_sym range);
+        range
+    in
+    if
+      target <> Jt_vm.Vm.sentinel
+      && not (ijmp_ok t ~site ~fn_entry ~range target)
+    then Jt_vm.Vm.report_violation vm ~kind:"cfi-ijmp" ~addr:target
 
   let push_shadow t (vm : Jt_vm.Vm.t) ret_addr =
     ignore vm;
@@ -244,7 +262,7 @@ let static_pass ~config (sa : Janitizer.Static_analyzer.t) =
     sa.sa_disasm.Jt_disasm.Disasm.jump_tables;
   (* Per-site provenance target sets.  Rules carry at most four data
      words, so a site's set is chunked across several rules anchored at
-     the same call site; [targets_of_rules] unions them back.  Sites the
+     the same call site; [Targets.site_set] unions them back.  Sites the
      provenance analysis left at Top emit nothing and degrade to the
      any-entry policy. *)
   if config.cf_forward then
@@ -271,50 +289,10 @@ let static_pass ~config (sa : Janitizer.Static_analyzer.t) =
   { Jt_rules.Rules.rf_module = m.Jt_obj.Objfile.name;
     rf_digest = Jt_obj.Objfile.digest m; rf_stats = []; rf_rules = rules }
 
-(* ---- runtime table construction from static hints ---- *)
-
-let targets_of_rules (l : Jt_loader.Loader.loaded) (f : Jt_rules.Rules.file) =
-  let pic = Jt_obj.Objfile.is_pic l.lmod in
-  let adj a = if pic then a + l.base else a in
-  let funcs = Hashtbl.create 64 in
-  let exports = Hashtbl.create 32 in
-  let addr_taken = Hashtbl.create 32 in
-  let jump_targets = Hashtbl.create 16 in
-  let site_sets = Hashtbl.create 16 in
-  List.iter
-    (fun (r : Jt_rules.Rules.t) ->
-      if r.rule_id = Ids.tgt_func then
-        Hashtbl.replace funcs (adj r.insn)
-          (if Array.length r.data > 0 then r.data.(0) else 0)
-      else if r.rule_id = Ids.tgt_export then Hashtbl.replace exports (adj r.insn) ()
-      else if r.rule_id = Ids.tgt_addr_taken then
-        Hashtbl.replace addr_taken (adj r.insn) ()
-      else if r.rule_id = Ids.tgt_jump then
-        Hashtbl.replace jump_targets (adj r.insn) ()
-      else if r.rule_id = Ids.site_targets then begin
-        (* one chunk of the site's set; targets are link addresses and
-           need the same PIC adjustment as the site itself *)
-        let site = adj r.insn in
-        let prev = Option.value ~default:[] (Hashtbl.find_opt site_sets site) in
-        let chunk = List.map adj (Array.to_list r.data) in
-        Hashtbl.replace site_sets site (prev @ chunk)
-      end)
-    f.rf_rules;
-  Hashtbl.filter_map_inplace
-    (fun _ ts -> Some (List.sort_uniq compare ts))
-    site_sets;
-  {
-    Targets.tg_module = l;
-    funcs;
-    exports;
-    addr_taken;
-    jump_targets;
-    site_sets;
-    precise = true;
-  }
+(* ---- runtime tables ---- *)
 
 let module_targets l = function
-  | Some f -> targets_of_rules l f
+  | Some f -> Targets.of_hints l f
   | None -> Targets.of_module_runtime l
 
 (* ---- instrumentation plans ---- *)
@@ -380,8 +358,10 @@ let static_meta rt (r : Jt_rules.Rules.t) ~at ~insn ~len ~pic_base =
 
 let plan_static rt (b : Jt_dbt.Dbt.block) ~rules_at vm0 =
   let plan = Jt_dbt.Dbt.no_plan b in
-  let pic_base at =
-    match Jt_loader.Loader.module_at vm0.Jt_vm.Vm.loader at with
+  (* the block's rules all come from the index of the module holding
+     its start *)
+  let pic_base =
+    match Jt_loader.Loader.module_at vm0.Jt_vm.Vm.loader b.bb_addr with
     | Some l when Jt_obj.Objfile.is_pic l.lmod -> l.base
     | Some _ | None -> 0
   in
@@ -389,7 +369,7 @@ let plan_static rt (b : Jt_dbt.Dbt.block) ~rules_at vm0 =
     (fun k (at, insn, len) ->
       let metas =
         List.filter_map
-          (fun r -> static_meta rt r ~at ~insn ~len ~pic_base:(pic_base at))
+          (fun r -> static_meta rt r ~at ~insn ~len ~pic_base)
           (rules_at at)
       in
       plan.(k) <- metas)
@@ -494,11 +474,7 @@ let create ?(config = default_config) () =
                   (Jt_trace.Trace.Cfi_table
                      {
                        name;
-                       entries =
-                         Hashtbl.length targets.Targets.funcs
-                         + Hashtbl.length targets.Targets.exports
-                         + Hashtbl.length targets.Targets.addr_taken
-                         + Hashtbl.length targets.Targets.jump_targets;
+                       entries = Targets.n_entries targets;
                      });
               Some targets));
       t_static = static_pass ~config;

@@ -1,25 +1,43 @@
 (** Per-module valid-target tables for forward-edge CFI (section 4.2.1).
 
-    For statically analyzed modules the tables come from the static
-    analyzer's hints: function entries (with extents), exported entries,
-    address-taken functions (sliding-window scan refined to function
-    boundaries) and jump-table targets.  For modules first seen at run
-    time, {!of_module_runtime} rebuilds what it can on the spot: symbol
-    tables when present, otherwise exported symbols plus the raw scan —
-    the weaker Lockdown-style fallback. *)
+    For statically analyzed modules the tables are the static analyzer's
+    hints, read through the rule file's load-time index
+    ({!Jt_rules.Rules.index}, shared with the DBT): function entries
+    (with extents), exported entries, address-taken functions
+    (sliding-window scan refined to function boundaries), jump-table
+    targets and per-site target sets.  For modules first seen at run
+    time, {!of_module_runtime} writes what it can find on the spot as
+    the same hints — symbol tables when present, otherwise exported
+    symbols plus the raw scan, the weaker Lockdown-style fallback — and
+    indexes them.  Every query takes run-time addresses. *)
 
-type t = {
+(** Rule ids of the target hints ([Jcfi.Ids] re-exports them). *)
+
+val tgt_func : int
+(** a function entry; [data.(0)] its byte size *)
+
+val tgt_export : int
+val tgt_addr_taken : int
+val tgt_jump : int
+
+val site_targets : int
+(** one chunk (≤ 4 link addresses) of a call site's resolved target set *)
+
+type counts
+
+type t = private {
   tg_module : Jt_loader.Loader.loaded;
-  funcs : (int, int) Hashtbl.t;  (** run-time entry -> byte size *)
-  exports : (int, unit) Hashtbl.t;
-  addr_taken : (int, unit) Hashtbl.t;
-  jump_targets : (int, unit) Hashtbl.t;
-  site_sets : (int, int list) Hashtbl.t;
-      (** run-time call-site address -> resolved run-time target entries
-          (sorted), from the code-pointer provenance analysis; a site
-          with no entry resolved to Top *)
+  tg_hints : Jt_rules.Rules.index;
+  tg_base : int;  (** run-time minus link address *)
   precise : bool;  (** built from static hints *)
+  tg_counts : counts Lazy.t;
+  tg_funcs : (int, int) Hashtbl.t Lazy.t;
+      (** run-time entry -> size, built on the first {!func_range} *)
 }
+
+val of_hints : Jt_loader.Loader.loaded -> Jt_rules.Rules.file -> t
+(** The precise table of a module with a rule file, answering from the
+    file's index. *)
 
 val inter_module_ok : t -> int -> bool
 (** Allowed as the destination of a transfer coming from another module:
@@ -40,6 +58,7 @@ val site_set : t -> site:int -> int list option
     path.  Imprecise tables never expose one. *)
 
 val n_site_sets : t -> int
+(** Call sites with a resolved set. *)
 
 val jump_ok : t -> fn_entry:int option -> int -> bool
 (** JCFI's indirect-jump policy: within the same function, a recorded
@@ -47,7 +66,17 @@ val jump_ok : t -> fn_entry:int option -> int -> bool
     With [fn_entry = None] (no static information) this degrades to "any
     known function entry or jump target". *)
 
+val func_range : t -> int -> (int * int) option
+(** A function whose byte extent holds this address, as [(entry, size)]
+    (an extent is at least one byte).  Where extents overlap, the one
+    the walk over the function table meets last.  For the dynamic
+    fallback's jump policy, which resolves it once per site. *)
+
 (** {1 Target-set sizes, for AIR} *)
+
+val n_entries : t -> int
+(** Function entries + exported + address-taken + jump targets, each
+    set counted on its own (the [Cfi_table] trace event). *)
 
 val n_intra_call : t -> int
 val n_inter : t -> int

@@ -63,6 +63,12 @@ let code_bounds m =
 
 let has_feature m f = List.mem f m.features
 
+module Memo = Jt_derived.Derived.Make (struct
+  type nonrec t = t
+
+  let hash m = Hashtbl.hash m.name
+end)
+
 (* Content digest that keys every derived artifact (JTIR, rule files,
    the shared-object rewrite cache).  It covers every field a tool
    reads: the disassembler, analyzer, emitter and baselines read
@@ -72,8 +78,8 @@ let has_feature m f = List.mem f m.features
    the same name.  Only the sections' ground-truth code ranges are left
    out: they exist for evaluation, and no tool reads them.  Integers go
    in as fixed-width binary and strings with a length prefix, so the
-   encoding is unambiguous. *)
-let digest m =
+   encoding is unambiguous.  Computed once per module object. *)
+let compute_digest m =
   let b = Buffer.create 4096 in
   let int i = Buffer.add_int64_le b (Int64.of_int i) in
   let str s =
@@ -131,6 +137,9 @@ let digest m =
         | Breaks_calling_convention -> 'B'))
     m.features;
   Digest.string (Buffer.contents b)
+
+let digests = Memo.create ()
+let digest m = Memo.find_or_add digests m compute_digest
 
 let pp ppf m =
   let kind_s =

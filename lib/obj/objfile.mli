@@ -78,6 +78,20 @@ val digest : t -> string
     sections' ground-truth code ranges, which only evaluation reads).  Keys derived artifacts
     (the IR store, rule files, the shared-object rewrite cache): two
     modules that differ in anything a tool reads digest differently, so
-    a stale or foreign artifact is detected instead of applied. *)
+    a stale or foreign artifact is detected instead of applied.
+    Computed once per module object ({!Memo}); a [{ m with ... }] copy
+    digests afresh. *)
+
+(** Values derived from a module object, kept beside it
+    ({!Jt_derived.Derived}): keyed by the object's identity, dropped
+    with it, one table per domain. *)
+module Memo : sig
+  type module_ := t
+  type 'a t
+
+  val create : unit -> 'a t
+  val find_or_add : 'a t -> module_ -> (module_ -> 'a) -> 'a
+  val add : 'a t -> module_ -> 'a -> unit
+end
 
 val pp : Format.formatter -> t -> unit

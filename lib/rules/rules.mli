@@ -54,25 +54,59 @@ val decode_file : string -> file
     degrade to re-analysis), and a declared count that exceeds what the
     remaining bytes could hold is rejected before the decode loop. *)
 
-(** Run-time rule table for one loaded module: addresses adjusted by the
-    load base (for PIC modules) and hashed for block- and
-    instruction-level lookup. *)
-module Table : sig
+(** {1 The load-time index}
+
+    A run binds a module's rules when the module loads (Figure 4 step
+    1).  The index that binding reads is built once per [file] object,
+    on the first {!index} call (by a DBT tracker, a CFI target table or
+    the emitter, never by a static pass or {!encode_file}), and kept
+    beside the file ({!Jt_derived.Derived}): it dies with the file, so a
+    per-operation file takes its index with it.  It is keyed by link
+    address and holds the file's own records: a PIC module loaded at
+    [base] looks up [addr - base] and {!shift}s what it hands on.  A
+    [{ f with ... }] copy never answers from [f]'s index: it is a new
+    object and builds its own.  Each domain keeps its own indexes, so
+    two domains may each build one file's index once. *)
+
+type index
+
+val index : file -> index
+(** The file's index, built on the first call for this object. *)
+
+val indexed : file -> bool
+(** Whether {!index} has built this object's index on the calling
+    domain. *)
+
+module Index : sig
   type rule = t
-
-  type t
-
-  val load : file -> base:int -> pic:bool -> t
+  type t = index
 
   val bb_seen : t -> int -> bool
-  (** Was this (run-time) address a basic-block the static analyzer
-      inspected?  True for blocks with transformation rules *and* for
+  (** Was this link address a basic block the static analyzer
+      inspected?  True for blocks with transformation rules {e and} for
       blocks carrying only a no-op mark. *)
 
   val at_insn : t -> int -> rule list
-  (** All rules anchored at this (run-time) instruction address, with
-      their [bb]/[insn] fields already adjusted.  No-op marks are
+  (** The rules anchored at this link address, in file order, as the
+      file holds them, in a list made for the call.  No-op marks are
       filtered out. *)
 
+  val exists_at : t -> int -> (rule -> bool) -> bool
+  (** Whether a rule {!at_insn} would return satisfies the predicate;
+      allocates no list. *)
+
+  val fold_at : (rule -> 'a -> 'a) -> t -> int -> 'a -> 'a
+  (** Over the rules {!at_insn} would return, in file order; allocates
+      no list. *)
+
   val size : t -> int
+  (** Rules in the file, no-op marks included. *)
+
+  val fold : (int -> rule list -> 'a -> 'a) -> t -> 'a -> 'a
+  (** Over every address with a rule anchored at it ({!at_insn} not
+      empty), in no particular order. *)
 end
+
+val shift : base:int -> t list -> t list
+(** The rules with [bb] and [insn] moved by [base] (link to run-time
+    coordinates); the list itself when [base] is 0. *)

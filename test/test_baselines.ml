@@ -547,6 +547,40 @@ let test_bincfi_clean_and_air () =
   Alcotest.(check bool) "bincfi air in range" true (air_bincfi > 0.0 && air_bincfi < 100.0);
   Alcotest.(check bool) "jcfi air in range" true (air_jcfi > 0.0 && air_jcfi < 100.0)
 
+(* The data-in-code fraction as BinCFI computed it with one table
+   binding per decoded byte: the reference for its code-section byte
+   maps. *)
+let data_in_code_ref (m : Jt_obj.Objfile.t) =
+  let d = Jt_disasm.Disasm.run m in
+  let covered = Hashtbl.create 1024 in
+  Hashtbl.iter
+    (fun a (i : Jt_disasm.Disasm.insn_info) ->
+      for k = 0 to i.d_len - 1 do
+        Hashtbl.replace covered (a + k) ()
+      done)
+    d.insns;
+  let uncovered = ref 0 and total = ref 0 in
+  List.iter
+    (fun (s : Jt_obj.Section.t) ->
+      String.iteri
+        (fun o c ->
+          if c <> '\x00' then begin
+            incr total;
+            if not (Hashtbl.mem covered (s.vaddr + o)) then incr uncovered
+          end)
+        s.data)
+    (Jt_obj.Objfile.code_sections m);
+  if !total = 0 then 0.0 else float_of_int !uncovered /. float_of_int !total
+
+let test_bincfi_data_in_code_reference () =
+  List.iter
+    (fun (m : Jt_obj.Objfile.t) ->
+      let got = (Jt_baselines.Bincfi.prepare_module m).bc_data_in_code in
+      let want = data_in_code_ref m in
+      if Int64.bits_of_float got <> Int64.bits_of_float want then
+        Alcotest.failf "%s: data in code %h, reference %h" m.name got want)
+    (Corpus.registry_modules () @ Corpus.cold_modules () @ Corpus.fuzz_modules ())
+
 let test_bincfi_breaks_on_data_in_code () =
   (* A module drowning in embedded data defeats static rewriting. *)
   let blob = String.make 600 '\xF7' in
@@ -663,6 +697,8 @@ let () =
         [
           Alcotest.test_case "clean + air" `Quick test_bincfi_clean_and_air;
           Alcotest.test_case "data in code" `Quick test_bincfi_breaks_on_data_in_code;
+          Alcotest.test_case "data in code reference" `Quick
+            test_bincfi_data_in_code_reference;
         ] );
       ( "interpreter loop",
         [ Alcotest.test_case "fuel boundary sweep" `Quick test_fuel_boundary_sweep ] );

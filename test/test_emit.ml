@@ -374,6 +374,45 @@ let test_emitted_object_shape () =
     "entry pinned" true
     (Array.exists (fun (old, _) -> old = entry) em.em_pins)
 
+(* The emitter hands each object it emits the map it has just encoded;
+   a new object with flipped map bytes is still decoded afresh, and its
+   seal rejects it, both when read and when a run attaches to it. *)
+let test_flipped_map_copy () =
+  let m = Progs.sum_prog () in
+  let registry = Progs.registry_for m in
+  let main = m.Jt_obj.Objfile.name in
+  let p = emit_asan ~registry ~main () in
+  let m' =
+    List.find (fun (r : Jt_obj.Objfile.t) -> String.equal r.name main) p.p_registry
+  in
+  ignore (Option.get (Emit.read_map m'));
+  let flip (s : Jt_obj.Section.t) =
+    if String.equal s.name Emit.map_section_name then begin
+      let b = Bytes.of_string s.data in
+      let i = Bytes.length b - 17 in
+      Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor 1);
+      { s with data = Bytes.to_string b }
+    end
+    else s
+  in
+  let bad = { m' with sections = List.map flip m'.sections } in
+  let rejected label f =
+    Progs.expect_decode_error ~format:"JEM1" ~reason:"checksum mismatch" label f
+  in
+  rejected "read_map" (fun () -> Emit.read_map bad);
+  rejected "read_map again" (fun () -> Emit.read_map bad);
+  rejected "run" (fun () ->
+      Emit.run
+        {
+          p with
+          p_registry =
+            List.map
+              (fun (r : Jt_obj.Objfile.t) -> if r == m' then bad else r)
+              p.p_registry;
+        });
+  Alcotest.(check bool) "the emitted object still reads" true
+    (Option.is_some (Emit.read_map m'))
+
 (* -- qcheck: emitted JELF round-trips and re-analyzes -- *)
 
 let corpus =
@@ -482,6 +521,7 @@ let () =
           Alcotest.test_case "garbage" `Quick test_map_rejects_garbage;
           QCheck_alcotest.to_alcotest prop_map_roundtrip;
           Alcotest.test_case "bzip2 byte flips" `Quick test_map_byte_flips;
+          Alcotest.test_case "flipped copy rejected" `Quick test_flipped_map_copy;
         ] );
       ( "object",
         [

@@ -99,6 +99,30 @@ let test_save_nested_and_atomic () =
   Sys.rmdir (Filename.concat root "deep");
   Sys.rmdir root
 
+(* The digest is computed once per module object: the kept digest
+   equals a fresh computation (a copy is a new object), and a copy with
+   one field changed digests differently instead of answering from the
+   original's entry. *)
+let test_digest_once () =
+  List.iter
+    (fun (m : Jt_obj.Objfile.t) ->
+      let d = Jt_obj.Objfile.digest m in
+      let label what = m.name ^ ": " ^ what in
+      Alcotest.(check bool) (label "kept") true (Jt_obj.Objfile.digest m == d);
+      Alcotest.(check string) (label "kept = fresh")
+        (Jt_obj.Objfile.digest { m with name = m.name }) d;
+      List.iter
+        (fun (what, m') ->
+          if String.equal (Jt_obj.Objfile.digest m') d then
+            Alcotest.failf "%s: a copy with another %s digests the same" m.name what)
+        [
+          ("name", { m with name = m.name ^ "'" });
+          ("dependency list", { m with deps = "x.so" :: m.deps });
+          ("entry", { m with entry = Some (Option.value ~default:0 m.entry + 1) });
+          ("section list", { m with sections = List.tl m.sections });
+        ])
+    (Corpus.registry_modules () @ Corpus.fuzz_modules ())
+
 let () =
   Alcotest.run "jelf"
     [
@@ -111,5 +135,6 @@ let () =
           Alcotest.test_case "absurd count" `Quick test_absurd_count_rejected;
           Alcotest.test_case "atomic nested save" `Quick test_save_nested_and_atomic;
           Alcotest.test_case "bzip2 byte flips" `Quick test_byte_flips;
+          Alcotest.test_case "digest once" `Quick test_digest_once;
         ] );
     ]
