@@ -11,8 +11,8 @@
    and are calibrated for shape, not for matching the authors' hardware;
    EXPERIMENTS.md records paper-vs-measured for each figure.
 
-   `--jobs N` runs per-workload measurements as independent jobs on a
-   [Jt_pool] domain pool.  Parallelism is wall-clock only: the counters
+   `--jobs N` runs per-workload measurements as independent jobs on
+   [Jt_pool] worker domains.  Parallelism is wall-clock only: the counters
    and trace sinks are domain-local, every job builds its own workload,
    VM and tool instances, and the `parallel` target asserts that the
    parallel sweep's per-workload results are bit-identical to the

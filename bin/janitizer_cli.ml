@@ -453,7 +453,7 @@ let batch_cmd =
     (* Each job is self-contained: it builds the workload, instantiates a
        fresh tool and runs on whatever worker domain picks it up —
        metrics/trace state is domain-local, so jobs cannot corrupt each
-       other.  [Pool.map] returns results in submission order, so the
+       other.  [Pool.run] returns results in input order, so the
        report is byte-stable regardless of completion order. *)
     let eval (name, tool) =
       match Sheet.find name with

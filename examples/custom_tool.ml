@@ -53,8 +53,7 @@ let tainted_executions = ref 0
 
 let client =
   {
-    Jt_dbt.Dbt.cl_name = "alloc-taint";
-    cl_on_block =
+    Jt_dbt.Dbt.cl_on_block =
       (fun _vm b prov ~rules_at ->
         let plan = Jt_dbt.Dbt.no_plan b in
         (match prov with
@@ -97,8 +96,7 @@ let client =
 
 let tool =
   {
-    Janitizer.Tool.t_name = "alloc-taint";
-    t_setup = (fun _ ~rules_for:_ -> ());
+    Janitizer.Tool.t_setup = (fun _ ~rules_for:_ -> ());
     t_static = static_pass;
     t_client = client;
   }

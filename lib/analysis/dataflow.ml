@@ -18,6 +18,8 @@ module type LATTICE = sig
   val widen : t -> t -> t
 end
 
+let widen_after = 2
+
 module Make (L : LATTICE) = struct
   (* Everything per block is an array over the function's block indices;
      [visits.(b) = 0] means the solver never reached [b], and then
@@ -31,7 +33,7 @@ module Make (L : LATTICE) = struct
     iterations : int;
   }
 
-  let solve ?(widen_after = 2) ~entry ~transfer (fn : Cfg.fn) =
+  let solve ~entry ~transfer (fn : Cfg.fn) =
     let blocks = fn.Cfg.f_blocks in
     let n = Array.length blocks in
     let r_in = Array.make n entry and r_out = Array.make n entry in

@@ -32,28 +32,27 @@ module type LATTICE = sig
 
   val widen : t -> t -> t
   (** [widen previous proposed]: applied in place of [join] for a block
-      visited more than [widen_after] times.  Finite lattices can use
-      [join]. *)
+      visited more than twice.  Finite lattices can use [join]. *)
 end
 
 module Make (L : LATTICE) : sig
   type t
 
   val solve :
-    ?widen_after:int ->
     entry:L.t ->
     transfer:(Jt_disasm.Disasm.insn_info -> L.t -> L.t) ->
     Jt_cfg.Cfg.fn ->
     t
-  (** Run to fixpoint.  [entry] is the state at the function entry;
-      [widen_after] (default 2) is the per-block visit count beyond which
-      [L.widen] replaces [L.join]. *)
+  (** Run to fixpoint.  [entry] is the state at the function entry.
+      [L.widen] replaces [L.join] for a block visited more than twice. *)
 
   val block_in : t -> int -> L.t option
   (** Fixpoint state at a block's entry ([None] for blocks the solver
       never reached — unknown addresses). *)
 
   val block_out : t -> int -> L.t option
+  (** Fixpoint state at a block's exit.  Read only by test_analysis
+      "dataflow" "may vs must". *)
 
   val before : ?unreached:L.t -> t -> int -> L.t option
   (** State just before an instruction, obtained by replaying the

@@ -40,7 +40,7 @@ val analyze :
 val live_before : t -> int -> int * Flags.set
 (** [live_before t addr] = (register bit mask, flag set) live immediately
     before the instruction at [addr].  Unknown addresses report everything
-    live. *)
+    live.  Read only by test_cfg "reference", against test/live_ref.ml. *)
 
 val dead_regs_before : t -> int -> Reg.t list
 (** Registers (excluding [sp] and [fp], which instrumentation never

@@ -48,6 +48,8 @@ val iterations : t -> int
 val join_value : value -> value -> value
 val widen_value : value -> value -> value
 val leq_value : value -> value -> bool
+(** Lattice order.  Read only by test_props "vsa". *)
+
 val equal_value : value -> value -> bool
 
 val contains : sp0:Word.t -> value -> Word.t -> bool

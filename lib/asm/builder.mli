@@ -127,7 +127,8 @@ module Dsl : sig
 
   val mem_bi : ?disp:int -> ?scale:int -> Reg.t -> Reg.t -> smem
   val mem_pc_data : string -> smem
-  (** PC-relative reference to a data object (PIC-safe). *)
+  (** PC-relative reference to a data object (PIC-safe).  Read only by
+      test_vm "end-to-end" "pic-data". *)
 
   val mem_got : string -> smem
   (** PC-relative reference to an import's GOT slot. *)

@@ -110,8 +110,7 @@ let ijmp_ok rt ~site target =
 
 let client rt =
   {
-    Jt_dbt.Dbt.cl_name = "lockdown";
-    cl_on_block =
+    Jt_dbt.Dbt.cl_on_block =
       (fun vm0 b _prov ~rules_at:_ ->
         let in_ld_so at =
           match Jt_loader.Loader.module_at vm0.Jt_vm.Vm.loader at with

@@ -32,6 +32,7 @@ val succs : t -> int -> (int * edge_kind) list
 (** Distinct callees of one function, in first-seen order. *)
 
 val unresolved_sites : t -> int list
-(** Indirect call sites with no target set (Top). *)
+(** Indirect call sites with no target set (Top).  Read only by
+    test_cpa "analysis" "callgraph". *)
 
 val kind_name : edge_kind -> string

@@ -115,3 +115,5 @@ val module_block_of_insn : t -> int -> int
 
 val block_count : t -> int
 val insn_count : t -> int
+(** Read only by test_cfg "structure" "counts" and test_taint "hybrid"
+    "rule selectivity". *)

@@ -42,6 +42,8 @@ val dominates : t -> int -> int -> bool
     preorder number lies in [a]'s subtree interval. *)
 
 val strictly_dominates : t -> int -> int -> bool
+(** Read only by test_analysis "domtree", against its round-robin
+    dominator oracle. *)
 
 val dominates_index : t -> int -> int -> bool
 (** {!dominates} by block index. *)

@@ -81,8 +81,8 @@ let static_closure ~registry ~main =
   go main;
   List.rev !order
 
-let run ?fuel ?(hybrid = true) ?profile ?ibl ?trace ?trace_elide
-    ?(precomputed = []) ?store ~tool ~registry ~main () =
+let run ?fuel ?(hybrid = true) ?trace_elide ?(precomputed = []) ?store ~tool
+    ~registry ~main () =
   (* Each driver run reports its own (domain-local) counters; without
      this, numbers from a previous run on the same domain leak into the
      next one's snapshot. *)
@@ -101,8 +101,7 @@ let run ?fuel ?(hybrid = true) ?profile ?ibl ?trace ?trace_elide
   let rules_for name = List.assoc_opt name rule_files in
   let vm = Jt_vm.Vm.make ~registry () in
   let engine =
-    Jt_dbt.Dbt.create ~vm ?profile ?ibl ?trace ?trace_elide
-      ~client:tool.Tool.t_client ~rules_for ()
+    Jt_dbt.Dbt.create ~vm ?trace_elide ~client:tool.Tool.t_client ~rules_for ()
   in
   Jt_trace.Trace.in_phase Jt_trace.Trace.Load (fun () ->
       let c0 = vm.Jt_vm.Vm.cycles in
@@ -129,10 +128,10 @@ let run ?fuel ?(hybrid = true) ?profile ?ibl ?trace ?trace_elide
     o_trace_elisions = Jt_dbt.Dbt.trace_elisions engine;
   }
 
-let run_null ?fuel ?profile ?ibl ?trace ~registry ~main () =
+let run_null ?fuel ~registry ~main () =
   Jt_metrics.Metrics.Counters.reset ();
   let vm = Jt_vm.Vm.make ~registry () in
-  let engine = Jt_dbt.Dbt.create ~vm ?profile ?ibl ?trace () in
+  let engine = Jt_dbt.Dbt.create ~vm () in
   Jt_vm.Vm.boot vm ~main;
   if vm.Jt_vm.Vm.status = Jt_vm.Vm.Running then Jt_dbt.Dbt.run ?fuel engine;
   {

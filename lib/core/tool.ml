@@ -1,5 +1,4 @@
 type t = {
-  t_name : string;
   t_setup :
     Jt_vm.Vm.t -> rules_for:(string -> Jt_rules.Rules.file option) -> unit;
   t_static : Static_analyzer.t -> Jt_rules.Rules.file;

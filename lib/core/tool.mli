@@ -13,7 +13,6 @@
     (claims, per-site sets) from the same facts. *)
 
 type t = {
-  t_name : string;
   t_setup :
     Jt_vm.Vm.t -> rules_for:(string -> Jt_rules.Rules.file option) -> unit;
       (** Runs before {!Jt_vm.Vm.boot}.  [rules_for] names the run's

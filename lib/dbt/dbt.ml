@@ -39,13 +39,11 @@ let no_plan b = Array.make (Array.length b.insns) []
 type provenance = Static_rules | Dynamic_only
 
 type client = {
-  cl_name : string;
   cl_on_block :
     Jt_vm.Vm.t -> block -> provenance -> rules_at:(int -> Jt_rules.Rules.t list) -> plan;
 }
 
 type profile = {
-  p_name : string;
   p_translate_block : int;
   p_translate_insn : int;
   p_indirect : int;
@@ -55,7 +53,6 @@ type profile = {
 
 let dynamorio =
   {
-    p_name = "dynamorio";
     p_translate_block = Jt_vm.Cost.dbt_translate_block;
     p_translate_insn = Jt_vm.Cost.dbt_translate_insn;
     p_indirect = Jt_vm.Cost.dbt_indirect_lookup;
@@ -68,7 +65,6 @@ let dynamorio =
    change nothing even if the baseline didn't opt out. *)
 let lightweight =
   {
-    p_name = "lightweight";
     p_translate_block = 30;
     p_translate_insn = 6;
     p_indirect = Jt_vm.Cost.lockdown_indirect;

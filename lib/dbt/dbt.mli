@@ -66,7 +66,6 @@ val no_plan : block -> plan
 type provenance = Static_rules | Dynamic_only
 
 type client = {
-  cl_name : string;
   cl_on_block :
     Jt_vm.Vm.t -> block -> provenance -> rules_at:(int -> Jt_rules.Rules.t list) -> plan;
       (** [rules_at a]: the rules anchored at run-time address [a], in
@@ -76,7 +75,6 @@ type client = {
 (** Engine cost profile, so baseline translators (Lockdown's lightweight
     libdetox) can share the machinery with different constants. *)
 type profile = {
-  p_name : string;
   p_translate_block : int;
   p_translate_insn : int;
   p_indirect : int;
@@ -216,7 +214,7 @@ val traces_live : t -> int
     (i.e. would still execute if their head is reached).  O(1): the count
     is maintained incrementally by trace build and teardown, which is
     exact because invalidating any constituent eagerly tears its traces
-    down. *)
+    down.  Read only by test_dbt_traces "fastpaths" and "trace-elide". *)
 
 val traces_live_scan : t -> int
 (** The full-recount oracle for {!traces_live} — walks every cached

@@ -15,6 +15,9 @@ val singleton : flag -> set
 val union : set -> set -> set
 val inter : set -> set -> set
 val diff : set -> set -> set
+(** Read only by the liveness oracle test/live_ref.ml (test_cfg
+    "reference"). *)
+
 val mem : flag -> set -> bool
 val is_empty : set -> bool
 val equal : set -> set -> bool
@@ -43,6 +46,8 @@ val set_logic : state -> result:Word.t -> unit
     the result. *)
 
 val pack : state -> int
-(** Encode the state in 4 bits (for push-flags / pop-flags). *)
+(** Encode the state in 4 bits.  With {!unpack}, read only by test_isa
+    "word-flags" "flags" and the reference machine of test_vm
+    "compiled-ops". *)
 
 val unpack : state -> int -> unit

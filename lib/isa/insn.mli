@@ -66,7 +66,8 @@ val call_ind_reg : Reg.t -> t
 val call_ind_mem : mem -> t
 
 val mem_abs : Word.t -> mem
-(** Absolute-address memory operand (disp only). *)
+(** Absolute-address memory operand (disp only).  With {!mem_pcrel},
+    read only by test_isa's encoder samples. *)
 
 val mem_base : ?disp:Word.t -> Reg.t -> mem
 val mem_base_index : ?disp:Word.t -> ?scale:int -> Reg.t -> Reg.t -> mem

@@ -664,8 +664,7 @@ let create ?(liveness = Live_full) ?(hoist_scev = true)
   in
   let client =
     {
-      Jt_dbt.Dbt.cl_name = "jasan";
-      cl_on_block =
+      Jt_dbt.Dbt.cl_on_block =
         (fun _vm b prov ~rules_at ->
           match prov with
           | Jt_dbt.Dbt.Static_rules -> costing (plan_static rt ~elide b ~rules_at)
@@ -673,11 +672,7 @@ let create ?(liveness = Live_full) ?(hoist_scev = true)
     }
   in
   ( {
-      Janitizer.Tool.t_name =
-        (match liveness with
-        | Live_full -> "jasan-hybrid"
-        | Live_none -> "jasan-hybrid-base");
-      t_setup = (fun vm ~rules_for:_ -> Rt.attach rt vm);
+      Janitizer.Tool.t_setup = (fun vm ~rules_for:_ -> Rt.attach rt vm);
       t_static =
         static_pass ~liveness ~hoist_scev ~skip_frame:skip_frame_accesses
           ~exempt_canary ~elide ~cross_call;

@@ -23,7 +23,8 @@ val dynamic_breakdown : ?per_site:bool -> Jcfi.Rt.t -> float * float
 (** [(forward, backward)] AIR computed separately over the executed
     indirect calls/jumps and the executed returns.  The backward figure
     is essentially 100% for any shadow-stack scheme (|T| = 1), matching
-    the paper's remark that JCFI and Lockdown tie on backward edges. *)
+    the paper's remark that JCFI and Lockdown tie on backward edges.
+    Read only by test_props "air" "breakdown identity". *)
 
 val static_jcfi : Jt_obj.Objfile.t list -> float
 (** Static AIR of JCFI's any-entry policy over every indirect CTI of the

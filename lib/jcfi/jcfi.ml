@@ -454,8 +454,7 @@ let create ?(config = default_config) () =
   let rt = Rt.create config in
   let client =
     {
-      Jt_dbt.Dbt.cl_name = "jcfi";
-      cl_on_block =
+      Jt_dbt.Dbt.cl_on_block =
         (fun vm b prov ~rules_at ->
           match prov with
           | Jt_dbt.Dbt.Static_rules -> plan_static rt b ~rules_at vm
@@ -463,8 +462,7 @@ let create ?(config = default_config) () =
     }
   in
   ( {
-      Janitizer.Tool.t_name = "jcfi";
-      t_setup =
+      Janitizer.Tool.t_setup =
         (fun vm ~rules_for ->
           Jt_loader.Loader.track vm.Jt_vm.Vm.loader (Rt.targets rt) (fun l ->
               let name = l.Jt_loader.Loader.lmod.Jt_obj.Objfile.name in

@@ -58,7 +58,8 @@ val site_set : t -> site:int -> int list option
     path.  Imprecise tables never expose one. *)
 
 val n_site_sets : t -> int
-(** Call sites with a resolved set. *)
+(** Call sites with a resolved set.  Read only by test_cpa "analysis"
+    "top degradation" and test_rules "index". *)
 
 val jump_ok : t -> fn_entry:int option -> int -> bool
 (** JCFI's indirect-jump policy: within the same function, a recorded

@@ -1,147 +1,34 @@
-(* A classic bounded-queue domain pool.  One mutex per pool guards the
-   queue and lifecycle flags; two conditions provide the producer
-   ([not_full], awaited by [submit]) and consumer ([not_empty], awaited
-   by idle workers) directions.  Each future carries its own mutex and
-   condition so awaiting one job never contends with the pool's queue
-   traffic.
+(* One call, one batch: [min jobs n] domains each take the next input
+   index from a shared atomic counter until none is left, storing the
+   job's outcome — normal or exceptional, with the backtrace captured on
+   the worker — in that index's slot.  Joining every domain publishes
+   the slots to the caller, which then returns them in input order or
+   re-raises the leftmost failure. *)
 
-   Exceptions never kill a worker: the job's outcome — normal or
-   exceptional, with the backtrace captured on the worker — is stored in
-   the future and re-raised by [await] on the awaiting domain. *)
-
-type 'a outcome =
-  | Pending
-  | Done of 'a
-  | Raised of exn * Printexc.raw_backtrace
-
-type 'a future = {
-  f_lock : Mutex.t;
-  f_cond : Condition.t;
-  mutable f_outcome : 'a outcome;
-}
-
-type t = {
-  lock : Mutex.t;
-  not_empty : Condition.t;  (** signalled when a job is queued / on close *)
-  not_full : Condition.t;  (** signalled when a job is dequeued *)
-  queue : (unit -> unit) Queue.t;
-  capacity : int;
-  jobs : int;
-  mutable closed : bool;  (** no new submissions; workers drain and exit *)
-  mutable joined : bool;  (** shutdown already completed *)
-  mutable workers : unit Domain.t list;
-}
-
-let size t = t.jobs
-
-let fulfill fut outcome =
-  Mutex.lock fut.f_lock;
-  fut.f_outcome <- outcome;
-  Condition.broadcast fut.f_cond;
-  Mutex.unlock fut.f_lock
-
-let worker_loop t =
-  let rec next () =
-    Mutex.lock t.lock;
-    while Queue.is_empty t.queue && not t.closed do
-      Condition.wait t.not_empty t.lock
-    done;
-    match Queue.take_opt t.queue with
-    | None ->
-      (* empty and closed: drain complete *)
-      Mutex.unlock t.lock;
-      ()
-    | Some job ->
-      Condition.signal t.not_full;
-      Mutex.unlock t.lock;
-      job ();
-      next ()
+let run ~jobs f xs =
+  if jobs < 1 then invalid_arg "Pool.run: jobs must be >= 1";
+  let inputs = Array.of_list xs in
+  let n = Array.length inputs in
+  let slots = Array.make n None in
+  let next = Atomic.make 0 in
+  let rec work () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then begin
+      slots.(i) <-
+        Some
+          (match f inputs.(i) with
+          | v -> Ok v
+          | exception e -> Error (e, Printexc.get_raw_backtrace ()));
+      work ()
+    end
   in
-  next ()
-
-let create ?queue_capacity ~jobs () =
-  if jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
-  let capacity = Option.value ~default:(4 * jobs) queue_capacity in
-  if capacity < 1 then invalid_arg "Pool.create: queue_capacity must be >= 1";
-  let t =
-    {
-      lock = Mutex.create ();
-      not_empty = Condition.create ();
-      not_full = Condition.create ();
-      queue = Queue.create ();
-      capacity;
-      jobs;
-      closed = false;
-      joined = false;
-      workers = [];
-    }
-  in
-  t.workers <- List.init jobs (fun _ -> Domain.spawn (fun () -> worker_loop t));
-  t
-
-let submit t f =
-  let fut =
-    { f_lock = Mutex.create (); f_cond = Condition.create (); f_outcome = Pending }
-  in
-  let job () =
-    match f () with
-    | v -> fulfill fut (Done v)
-    | exception e -> fulfill fut (Raised (e, Printexc.get_raw_backtrace ()))
-  in
-  Mutex.lock t.lock;
-  while (not t.closed) && Queue.length t.queue >= t.capacity do
-    Condition.wait t.not_full t.lock
-  done;
-  if t.closed then begin
-    Mutex.unlock t.lock;
-    invalid_arg "Pool.submit: pool is shut down"
-  end;
-  Queue.add job t.queue;
-  Condition.signal t.not_empty;
-  Mutex.unlock t.lock;
-  fut
-
-let await fut =
-  Mutex.lock fut.f_lock;
-  while fut.f_outcome = Pending do
-    Condition.wait fut.f_cond fut.f_lock
-  done;
-  let outcome = fut.f_outcome in
-  Mutex.unlock fut.f_lock;
-  match outcome with
-  | Pending -> assert false
-  | Done v -> v
-  | Raised (e, bt) -> Printexc.raise_with_backtrace e bt
-
-let map t f xs =
-  let futs = List.map (fun x -> submit t (fun () -> f x)) xs in
-  (* Wait for everything before re-raising the leftmost failure, so a
-     crashing job never leaves siblings running unobserved. *)
-  let results =
-    List.map
-      (fun fut ->
-        match await fut with
-        | v -> Ok v
-        | exception e -> Error (e, Printexc.get_raw_backtrace ()))
-      futs
-  in
-  List.map
-    (function Ok v -> v | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
-    results
-
-let shutdown t =
-  Mutex.lock t.lock;
-  t.closed <- true;
-  Condition.broadcast t.not_empty;
-  Condition.broadcast t.not_full;
-  let joined = t.joined in
-  t.joined <- true;
-  Mutex.unlock t.lock;
-  if not joined then List.iter Domain.join t.workers
-
-let with_pool ?queue_capacity ~jobs f =
-  let t = create ?queue_capacity ~jobs () in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
-
-let run ?queue_capacity ~jobs f xs =
-  with_pool ?queue_capacity ~jobs (fun t -> map t f xs)
+  List.iter Domain.join (List.init (min jobs n) (fun _ -> Domain.spawn work));
+  (* [Array.map] visits the slots left to right, so the leftmost failure
+     is the one re-raised. *)
+  Array.to_list
+    (Array.map
+       (function
+         | Some (Ok v) -> v
+         | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
+         | None -> assert false)
+       slots)

@@ -1,9 +1,8 @@
-(** A fixed-size pool of worker domains with a bounded work queue and
-    future-style results (DESIGN.md §10).
+(** Run independent jobs on worker domains (DESIGN.md §10).
 
-    The pool exists so the evaluation harness can run *independent*
-    simulator jobs (one workload, one configuration) concurrently: each
-    worker is a real [Domain], and the framework's per-run sinks
+    The evaluation harness uses it to run *independent* simulator jobs
+    (one workload, one configuration) concurrently: each worker is a
+    real [Domain], and the framework's per-run sinks
     ([Jt_metrics.Metrics.Counters], [Jt_trace.Trace]) are domain-local,
     so jobs never observe each other's counters or events.  Parallelism
     is a wall-clock optimization only — a job computes exactly what it
@@ -13,41 +12,10 @@
     synchronize it themselves; everything the simulator touches per run
     (VM, engine, tool instances) is created inside the job. *)
 
-type t
-
-type 'a future
-
-val create : ?queue_capacity:int -> jobs:int -> unit -> t
-(** Spawn [jobs] worker domains (>= 1, [Invalid_argument] otherwise).
-    [queue_capacity] (default [4 * jobs]) bounds the number of submitted
-    but not yet started jobs; {!submit} blocks when the queue is full,
-    providing backpressure instead of unbounded buffering. *)
-
-val size : t -> int
-(** Number of worker domains. *)
-
-val submit : t -> (unit -> 'a) -> 'a future
-(** Enqueue a job and return its future.  Blocks while the queue is
-    full.  Raises [Invalid_argument] on a pool that has been
-    {!shutdown}. *)
-
-val await : 'a future -> 'a
-(** Block until the job completes.  A job that raised re-raises the same
-    exception (with its original backtrace) here, on the awaiting
-    domain; the worker survives and keeps serving jobs. *)
-
-val map : t -> ('a -> 'b) -> 'a list -> 'b list
-(** [map p f xs] runs [f x] for every element as pool jobs and returns
-    the results in input order (submission order, not completion order).
-    If any job raised, the first (leftmost) failure is re-raised — after
-    every job has finished, so no work is silently abandoned mid-flight. *)
-
-val shutdown : t -> unit
-(** Finish every queued job, then join all workers.  Idempotent.
-    Subsequent {!submit}s raise. *)
-
-val with_pool : ?queue_capacity:int -> jobs:int -> (t -> 'a) -> 'a
-(** [create], run the scope, and {!shutdown} (also on exception). *)
-
-val run : ?queue_capacity:int -> jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** One-shot convenience: [with_pool ~jobs (fun p -> map p f xs)]. *)
+val run : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
+(** [run ~jobs f xs] applies [f] to every element on
+    [min jobs (List.length xs)] fresh worker domains, never on the
+    caller's, and returns the results in input order.  If any job
+    raised, the leftmost failure is re-raised with its backtrace — after
+    every job has finished, so no work is abandoned mid-flight.  Raises
+    [Invalid_argument] when [jobs < 1]. *)

@@ -173,8 +173,7 @@ let create () =
   let rt = Rt.create () in
   let client =
     {
-      Jt_dbt.Dbt.cl_name = "jtaint";
-      cl_on_block =
+      Jt_dbt.Dbt.cl_on_block =
         (fun _vm b prov ~rules_at ->
           let plan = Jt_dbt.Dbt.no_plan b in
           Array.iteri
@@ -198,8 +197,7 @@ let create () =
     }
   in
   ( {
-      Janitizer.Tool.t_name = "jtaint";
-      t_setup = (fun _ ~rules_for:_ -> ());
+      Janitizer.Tool.t_setup = (fun _ ~rules_for:_ -> ());
       t_static = static_pass;
       t_client = client;
     },

@@ -18,6 +18,8 @@ module Rt : sig
   type t
 
   val tainted_bytes : t -> int
+  (** Read only by test_taint "policy" "through memory". *)
+
   val alerts : t -> int
   (** Number of tainted-target transfers flagged (also reported as
       ["tainted-target"] VM violations). *)

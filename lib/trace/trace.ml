@@ -258,7 +258,7 @@ let events () =
     let first = r.total - n in
     List.init n (fun i -> r.buf.((first + i) mod r.cap))
 
-(* ---- JSONL export / import ---- *)
+(* ---- JSONL export ---- *)
 
 let json_escape s =
   let b = Buffer.create (String.length s + 2) in
@@ -330,243 +330,6 @@ let event_to_json ev =
     obj
       [ ("ev", s "phase_end"); ("phase", s (phase_name phase));
         ("host_s", Printf.sprintf "%.6f" host_s); ("cycles", i cycles) ]
-
-(* A deliberately small parser for the flat one-line objects emitted
-   above — enough for round-trip tests and offline tooling, not a general
-   JSON reader. *)
-
-type jval = Jint of int | Jfloat of float | Jstr of string | Jbool of bool
-
-let parse_line line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let fail why = failwith (Printf.sprintf "Trace.event_of_json: %s at %d" why !pos) in
-  let skip_ws () =
-    while !pos < n && (line.[!pos] = ' ' || line.[!pos] = '\t') do incr pos done
-  in
-  let expect c =
-    skip_ws ();
-    if !pos >= n || line.[!pos] <> c then fail (Printf.sprintf "expected %c" c);
-    incr pos
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string"
-      else
-        match line.[!pos] with
-        | '"' -> incr pos
-        | '\\' ->
-          incr pos;
-          if !pos >= n then fail "bad escape";
-          (match line.[!pos] with
-          | '"' -> Buffer.add_char b '"'
-          | '\\' -> Buffer.add_char b '\\'
-          | 'n' -> Buffer.add_char b '\n'
-          | 'u' ->
-            if !pos + 4 >= n then fail "bad \\u escape";
-            let code = int_of_string ("0x" ^ String.sub line (!pos + 1) 4) in
-            Buffer.add_char b (Char.chr (code land 0xFF));
-            pos := !pos + 4
-          | c -> Buffer.add_char b c);
-          incr pos;
-          go ()
-        | c ->
-          Buffer.add_char b c;
-          incr pos;
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_value () =
-    skip_ws ();
-    if !pos >= n then fail "missing value"
-    else if line.[!pos] = '"' then Jstr (parse_string ())
-    else if n - !pos >= 4 && String.sub line !pos 4 = "true" then begin
-      pos := !pos + 4;
-      Jbool true
-    end
-    else if n - !pos >= 5 && String.sub line !pos 5 = "false" then begin
-      pos := !pos + 5;
-      Jbool false
-    end
-    else begin
-      let start = !pos in
-      while
-        !pos < n
-        && (match line.[!pos] with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false)
-      do
-        incr pos
-      done;
-      if !pos = start then fail "bad literal";
-      let tok = String.sub line start (!pos - start) in
-      match int_of_string_opt tok with
-      | Some v -> Jint v
-      | None -> (
-        match float_of_string_opt tok with
-        | Some v -> Jfloat v
-        | None -> fail "bad number")
-    end
-  in
-  expect '{';
-  let fields = ref [] in
-  skip_ws ();
-  if !pos < n && line.[!pos] = '}' then incr pos
-  else begin
-    let rec members () =
-      let k = (skip_ws (); parse_string ()) in
-      expect ':';
-      let v = parse_value () in
-      fields := (k, v) :: !fields;
-      skip_ws ();
-      if !pos < n && line.[!pos] = ',' then begin
-        incr pos;
-        members ()
-      end
-      else expect '}'
-    in
-    members ()
-  end;
-  List.rev !fields
-
-let event_of_json line =
-  match parse_line line with
-  | exception Failure _ -> None
-  | fields ->
-    let str k = match List.assoc_opt k fields with Some (Jstr v) -> Some v | _ -> None in
-    let num k = match List.assoc_opt k fields with Some (Jint v) -> Some v | _ -> None in
-    let flt k =
-      match List.assoc_opt k fields with
-      | Some (Jfloat v) -> Some v
-      | Some (Jint v) -> Some (float_of_int v)
-      | _ -> None
-    in
-    let boolean k = match List.assoc_opt k fields with Some (Jbool v) -> Some v | _ -> None in
-    let origin k =
-      match str k with Some "static" -> Some Static | Some "dynamic" -> Some Dynamic | _ -> None
-    in
-    let phase k =
-      match str k with
-      | Some "analyze" -> Some Analyze
-      | Some "rewrite" -> Some Rewrite
-      | Some "load" -> Some Load
-      | Some "run" -> Some Run
-      | _ -> None
-    in
-    let ( let* ) = Option.bind in
-    let* tag = str "ev" in
-    (match tag with
-    | "block_translate" ->
-      let* pc = num "pc" in
-      let* insns = num "insns" in
-      let* origin = origin "origin" in
-      Some (Block_translate { pc; insns; origin })
-    | "block_exec" ->
-      let* pc = num "pc" in
-      Some (Block_exec { pc })
-    | "chain_link" ->
-      let* from_pc = num "from" in
-      let* to_pc = num "to" in
-      Some (Chain_link { from_pc; to_pc })
-    | "chain_sever" ->
-      let* from_pc = num "from" in
-      let* to_pc = num "to" in
-      Some (Chain_sever { from_pc; to_pc })
-    | "ibl_hit" ->
-      let* site = num "site" in
-      let* target = num "target" in
-      Some (Ibl_hit { site; target })
-    | "ibl_miss" ->
-      let* site = num "site" in
-      let* target = num "target" in
-      Some (Ibl_miss { site; target })
-    | "trace_build" ->
-      let* head = num "head" in
-      let* blocks = num "blocks" in
-      Some (Trace_build { head; blocks })
-    | "trace_teardown" ->
-      let* head = num "head" in
-      Some (Trace_teardown { head })
-    | "trace_elide" ->
-      let* head = num "head" in
-      let* insn = num "insn" in
-      let* reason = str "reason" in
-      let* witness = num "witness" in
-      Some (Trace_elide { head; insn; reason; witness })
-    | "flush_range" ->
-      let* start = num "start" in
-      let* len = num "len" in
-      Some (Flush_range { start; len })
-    | "module_load" ->
-      let* name = str "name" in
-      let* base = num "base" in
-      Some (Module_load { name; base })
-    | "module_unload" ->
-      let* name = str "name" in
-      Some (Module_unload { name })
-    | "dlopen" ->
-      let* name = str "name" in
-      let* handle = num "handle" in
-      Some (Dlopen { name; handle })
-    | "dlclose" ->
-      let* name = str "name" in
-      let* ok = boolean "ok" in
-      Some (Dlclose { name; ok })
-    | "plt_resolve" ->
-      let* caller = num "caller" in
-      let* target = num "target" in
-      Some (Plt_resolve { caller; target })
-    | "shadow_poison" ->
-      let* addr = num "addr" in
-      let* len = num "len" in
-      let* state = num "state" in
-      Some (Shadow_poison { addr; len; state })
-    | "shadow_unpoison" ->
-      let* addr = num "addr" in
-      let* len = num "len" in
-      Some (Shadow_unpoison { addr; len })
-    | "check_elide" ->
-      let* insn = num "insn" in
-      let* fn = num "fn" in
-      let* reason = str "reason" in
-      let* witness = num "witness" in
-      Some (Check_elide { insn; fn; reason; witness })
-    | "violation" ->
-      let* kind = str "kind" in
-      let* addr = num "addr" in
-      let* pc = num "pc" in
-      let* vmodule = str "module" in
-      let* origin = origin "origin" in
-      Some (Violation { kind; addr; pc; vmodule; origin })
-    | "cfi_table" ->
-      let* name = str "name" in
-      let* entries = num "entries" in
-      Some (Cfi_table { name; entries })
-    | "store_hit" ->
-      let* name = str "name" in
-      let* source = str "source" in
-      Some (Store_hit { name; source })
-    | "store_miss" ->
-      let* name = str "name" in
-      Some (Store_miss { name })
-    | "store_evict" ->
-      let* name = str "name" in
-      Some (Store_evict { name })
-    | "store_corrupt" ->
-      let* name = str "name" in
-      let* why = str "why" in
-      Some (Store_corrupt { name; why })
-    | "phase_begin" ->
-      let* phase = phase "phase" in
-      Some (Phase_begin { phase })
-    | "phase_end" ->
-      let* phase = phase "phase" in
-      let* host_s = flt "host_s" in
-      let* cycles = num "cycles" in
-      Some (Phase_end { phase; host_s; cycles })
-    | _ -> None)
 
 let export oc =
   List.iter

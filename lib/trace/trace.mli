@@ -166,14 +166,12 @@ type phase_summary = {
 val phase_totals : unit -> phase_summary list
 (** One summary per phase, in [Analyze; Rewrite; Load; Run] order. *)
 
-(** {2 JSONL export / import} *)
+(** {2 JSONL export}
+
+    The format is export-only: nothing in the program reads it back. *)
 
 val event_to_json : event -> string
 (** One flat JSON object, no trailing newline. *)
-
-val event_of_json : string -> event option
-(** Parse a line produced by {!event_to_json}; [None] on malformed input
-    or an unknown event tag. *)
 
 val export : out_channel -> unit
 (** Write every buffered event as one JSON line each. *)

@@ -39,6 +39,7 @@ val set_redzone : t -> int -> unit
 (** Padding placed before and after every subsequent block. *)
 
 val quarantined_bytes : t -> int
+(** Read only by test_jasan "alloc-lifecycle" "drain and reuse". *)
 
 val subscribe : t -> (event -> unit) -> unit
 

@@ -77,7 +77,8 @@ and decoded = { d_insn : Insn.t; d_len : int; d_op : op }
 
 val set_input : t -> int list -> unit
 (** Provide the program's external input stream, consumed by the
-    [read_int] syscall. *)
+    [read_int] syscall.  Read only by test_lifecycle "input" "read_int"
+    and test_taint. *)
 
 val set_syscall_hook : t -> int -> (t -> unit) -> unit
 (** Install (or replace) the handler for syscall number [n].  Hooks are

@@ -534,7 +534,7 @@ let run_recorded m =
   let vm = Jt_vm.Vm.make ~registry:[ m ] () in
   let engine =
     Jt_dbt.Dbt.create ~vm ~chain:false ~ibl:false ~trace:false
-      ~client:{ cl_name = "record"; cl_on_block = on_block } ()
+      ~client:{ cl_on_block = on_block } ()
   in
   Jt_vm.Vm.boot vm ~main:m.Jt_obj.Objfile.name;
   Jt_dbt.Dbt.run engine;

@@ -513,8 +513,7 @@ let recheck_client ~unpoison checks =
     { Jt_dbt.Dbt.m_cost = 5; m_action = Some ignore; m_kind = Jt_dbt.Dbt.M_unpoison }
   in
   {
-    Jt_dbt.Dbt.cl_name = "recheck";
-    cl_on_block =
+    Jt_dbt.Dbt.cl_on_block =
       (fun _ b _ ~rules_at:_ ->
         Array.map
           (fun (_, i, _) ->

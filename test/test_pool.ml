@@ -1,19 +1,17 @@
-(* Jt_pool: result ordering, exception propagation through futures,
-   pool reuse across batches, shutdown semantics, queue backpressure. *)
+(* Jt_pool: result ordering, the leftmost failure re-raised after every
+   job has run, empty and short inputs, and argument validation. *)
 
 exception Boom of int
 
 let test_map_ordering () =
-  Jt_pool.Pool.with_pool ~jobs:4 (fun p ->
-      let xs = List.init 50 Fun.id in
-      let ys = Jt_pool.Pool.map p (fun x -> x * x) xs in
-      Alcotest.(check (list int)) "results in input order"
-        (List.map (fun x -> x * x) xs)
-        ys)
+  let xs = List.init 50 Fun.id in
+  Alcotest.(check (list int)) "results in input order"
+    (List.map (fun x -> x * x) xs)
+    (Jt_pool.Pool.run ~jobs:3 (fun x -> x * x) xs)
 
 let test_run_ordering_uneven_work () =
-  (* Completion order differs from submission order when early jobs are
-     the heavy ones; [map]'s contract is input order regardless. *)
+  (* Completion order differs from input order when early jobs are the
+     heavy ones; [run]'s contract is input order regardless. *)
   let work x =
     let n = if x mod 2 = 0 then 200_000 else 10 in
     let acc = ref 0 in
@@ -23,68 +21,39 @@ let test_run_ordering_uneven_work () =
     (x, !acc land 0)
   in
   let xs = List.init 16 Fun.id in
-  let ys = Jt_pool.Pool.run ~jobs:4 work xs in
+  let ys = Jt_pool.Pool.run ~jobs:3 work xs in
   Alcotest.(check (list int)) "uneven work, stable order" xs (List.map fst ys)
 
-let test_await_reraises () =
-  Jt_pool.Pool.with_pool ~jobs:2 (fun p ->
-      let ok = Jt_pool.Pool.submit p (fun () -> 41 + 1) in
-      let bad = Jt_pool.Pool.submit p (fun () -> raise (Boom 7)) in
-      Alcotest.(check int) "healthy future" 42 (Jt_pool.Pool.await ok);
-      (match Jt_pool.Pool.await bad with
-      | _ -> Alcotest.fail "expected Boom"
-      | exception Boom 7 -> ()
-      | exception e ->
-        Alcotest.failf "wrong exception: %s" (Printexc.to_string e));
-      (* awaiting the same failed future again re-raises again *)
-      (match Jt_pool.Pool.await bad with
-      | _ -> Alcotest.fail "expected Boom on re-await"
-      | exception Boom 7 -> ());
-      (* the worker that ran the failing job is still alive *)
-      Alcotest.(check int) "worker survived the raise" 99
-        (Jt_pool.Pool.await (Jt_pool.Pool.submit p (fun () -> 99))))
+let test_leftmost_failure () =
+  (* Every job runs even though the second one raises: the counter sees
+     all six side effects before the leftmost [Boom] reaches the caller. *)
+  let ran = Atomic.make 0 in
+  let job x =
+    Atomic.incr ran;
+    if x mod 2 = 0 then raise (Boom x) else x
+  in
+  (match Jt_pool.Pool.run ~jobs:2 job [ 1; 2; 3; 4; 5; 6 ] with
+  | _ -> Alcotest.fail "expected Boom"
+  | exception Boom x -> Alcotest.(check int) "leftmost failing job wins" 2 x);
+  Alcotest.(check int) "every job ran" 6 (Atomic.get ran)
 
-let test_map_leftmost_failure () =
-  Jt_pool.Pool.with_pool ~jobs:3 (fun p ->
-      match
-        Jt_pool.Pool.map p
-          (fun x -> if x mod 2 = 0 then raise (Boom x) else x)
-          [ 1; 2; 3; 4; 5; 6 ]
-      with
-      | _ -> Alcotest.fail "expected Boom"
-      | exception Boom x ->
-        Alcotest.(check int) "leftmost failing job wins" 2 x)
+let test_empty () =
+  Alcotest.(check (list int)) "no jobs, no results" []
+    (Jt_pool.Pool.run ~jobs:2 (fun _ -> Alcotest.fail "no job to run") [])
 
-let test_pool_reuse () =
-  Jt_pool.Pool.with_pool ~jobs:2 (fun p ->
-      let a = Jt_pool.Pool.map p succ [ 1; 2; 3 ] in
-      let b = Jt_pool.Pool.map p succ [ 10; 20; 30 ] in
-      Alcotest.(check (list int)) "first batch" [ 2; 3; 4 ] a;
-      Alcotest.(check (list int)) "second batch on same pool" [ 11; 21; 31 ] b)
+let test_more_jobs_than_items () =
+  (* Three domains at most for three items, and none of them is the
+     caller's. *)
+  let self = Domain.self () in
+  let on_worker =
+    Jt_pool.Pool.run ~jobs:8 (fun x -> (x, Domain.self () <> self)) [ 7; 8; 9 ]
+  in
+  Alcotest.(check (list int)) "results" [ 7; 8; 9 ] (List.map fst on_worker);
+  Alcotest.(check bool) "jobs ran off the caller's domain" true
+    (List.for_all snd on_worker)
 
-let test_shutdown () =
-  let p = Jt_pool.Pool.create ~jobs:2 () in
-  Alcotest.(check int) "size" 2 (Jt_pool.Pool.size p);
-  let f = Jt_pool.Pool.submit p (fun () -> 5) in
-  Jt_pool.Pool.shutdown p;
-  Alcotest.(check int) "queued job finished before join" 5
-    (Jt_pool.Pool.await f);
-  Jt_pool.Pool.shutdown p;
-  (* idempotent *)
-  match Jt_pool.Pool.submit p (fun () -> 0) with
-  | _ -> Alcotest.fail "submit after shutdown must raise"
-  | exception Invalid_argument _ -> ()
-
-let test_bounded_queue () =
-  (* capacity 1 with a single worker: submits block for a free slot
-     rather than buffering without bound, and every job still runs. *)
-  Jt_pool.Pool.with_pool ~queue_capacity:1 ~jobs:1 (fun p ->
-      let xs = List.init 32 Fun.id in
-      Alcotest.(check (list int)) "all jobs ran, in order" xs
-        (Jt_pool.Pool.map p Fun.id xs))
-
-let test_create_validation () =
-  match Jt_pool.Pool.create ~jobs:0 () with
+let test_validation () =
+  match Jt_pool.Pool.run ~jobs:0 Fun.id [ 1 ] with
   | _ -> Alcotest.fail "jobs:0 must raise"
   | exception Invalid_argument _ -> ()
 
@@ -98,15 +67,14 @@ let () =
         ] );
       ( "exceptions",
         [
-          Alcotest.test_case "await re-raises" `Quick test_await_reraises;
           Alcotest.test_case "map leftmost failure" `Quick
-            test_map_leftmost_failure;
+            test_leftmost_failure;
         ] );
       ( "lifecycle",
         [
-          Alcotest.test_case "pool reuse" `Quick test_pool_reuse;
-          Alcotest.test_case "shutdown" `Quick test_shutdown;
-          Alcotest.test_case "bounded queue" `Quick test_bounded_queue;
-          Alcotest.test_case "create validation" `Quick test_create_validation;
+          Alcotest.test_case "empty list" `Quick test_empty;
+          Alcotest.test_case "more jobs than items" `Quick
+            test_more_jobs_than_items;
+          Alcotest.test_case "create validation" `Quick test_validation;
         ] );
     ]

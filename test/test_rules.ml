@@ -363,8 +363,7 @@ let test_reused_base () =
   let seen = ref [] in
   let client =
     {
-      Jt_dbt.Dbt.cl_name = "rebind";
-      cl_on_block =
+      Jt_dbt.Dbt.cl_on_block =
         (fun _ b _ ~rules_at ->
           if b.bb_addr = poke then
             seen :=
