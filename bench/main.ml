@@ -915,9 +915,20 @@ let same_elided a b =
 let elide_bench () =
   let run_once ~elide registry main =
     let tool, _ = Jt_jasan.Jasan.create ~elide () in
-    let o = Janitizer.Driver.run ~tool ~registry ~main () in
+    (* static elisions are counted in the rule files the run is handed *)
+    let files =
+      Janitizer.Driver.analyze_all ~tool
+        (Janitizer.Driver.static_closure ~registry ~main)
+    in
+    let dom =
+      List.fold_left
+        (fun acc (_, (f : Jt_rules.Rules.file)) ->
+          acc + Option.value ~default:0 (List.assoc_opt "elide_dom" f.rf_stats))
+        0 files
+    in
+    let o = Janitizer.Driver.run ~tool ~precomputed:files ~registry ~main () in
     let c = Jt_metrics.Metrics.Counters.current () in
-    ( o.o_result, c.c_san_checks, c.c_san_elide_dom,
+    ( o.o_result, c.c_san_checks, dom,
       c.c_san_trace_elide_dom + c.c_san_trace_elide_streak + c.c_san_trace_elide_ind )
   in
   let rows =
@@ -1136,8 +1147,8 @@ let warmstart_eval ~store (s : Sheet.t) =
      observables depend only on those rule bytes. *)
   let run_tool, _ = Jt_jasan.Jasan.create () in
   let o =
-    Janitizer.Driver.run ~store ~precomputed:jasan_files ~tool:run_tool
-      ~registry ~main:name ()
+    Janitizer.Driver.run ~precomputed:jasan_files ~tool:run_tool ~registry
+      ~main:name ()
   in
   let r = o.Janitizer.Driver.o_result in
   {

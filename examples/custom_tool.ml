@@ -98,6 +98,7 @@ let tool =
   {
     Janitizer.Tool.t_setup = (fun _ ~rules_for:_ -> ());
     t_static = static_pass;
+    t_tag = "alloc-taint";
     t_client = client;
   }
 

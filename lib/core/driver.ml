@@ -6,41 +6,18 @@ type outcome = {
   o_trace_elisions : (int * (int * string * int) list) list;
 }
 
-(* The result list always matches the input registry order, with
-   [precomputed] entries spliced in at their module's position — callers
-   zip it against the registry. *)
-let analyze_all ?store ?(precomputed = []) ~tool registry =
-  let todo =
-    List.filter
-      (fun (m : Jt_obj.Objfile.t) -> not (List.mem_assoc m.name precomputed))
-      registry
-  in
-  let analyses = List.map (Static_analyzer.analyze ?store) todo in
-  let generated =
-    List.map2
-      (fun (m : Jt_obj.Objfile.t) sa -> (m.name, tool.Tool.t_static sa))
-      todo analyses
-  in
-  let in_registry_order =
-    List.map
-      (fun (m : Jt_obj.Objfile.t) ->
-        match List.assoc_opt m.name precomputed with
-        | Some f -> (m.name, f)
-        | None -> (m.name, List.assoc m.name generated))
-      registry
-  in
-  (* Precomputed rules for modules outside this registry are kept (the
-     engine simply never asks for them) so callers can pass a superset. *)
-  let leftovers =
-    List.filter
-      (fun (name, _) ->
-        not
-          (List.exists
-             (fun (m : Jt_obj.Objfile.t) -> String.equal m.name name)
-             registry))
-      precomputed
-  in
-  in_registry_order @ leftovers
+(* A shared object's rule file, per tool tag: one static pass per
+   library and configuration in the process (section 3.3.1). *)
+let shared_rules : Jt_rules.Rules.file Jt_ir.Rewrite_cache.kind =
+  Jt_ir.Rewrite_cache.kind "rules"
+
+let analyze_all ?store ~tool registry =
+  List.map
+    (fun (m : Jt_obj.Objfile.t) ->
+      ( m.name,
+        Jt_ir.Rewrite_cache.find_or_compute shared_rules ~tool:tool.Tool.t_tag m
+          (fun () -> tool.Tool.t_static (Static_analyzer.analyze ?store m)) ))
+    registry
 
 let rules_path ~dir name = Filename.concat dir (name ^ ".jtr")
 
@@ -90,8 +67,14 @@ let run ?fuel ?(hybrid = true) ?trace_elide ?(precomputed = []) ?store ~tool
   let modules = static_closure ~registry ~main in
   let rule_files =
     Jt_trace.Trace.in_phase Jt_trace.Trace.Analyze (fun () ->
-        if hybrid then analyze_all ?store ~precomputed ~tool modules
-        else [])
+        if not hybrid then []
+        else
+          precomputed
+          @ analyze_all ?store ~tool
+              (List.filter
+                 (fun (m : Jt_obj.Objfile.t) ->
+                   not (List.mem_assoc m.name precomputed))
+                 modules))
   in
   let rule_count =
     List.fold_left

@@ -2,6 +2,7 @@ type t = {
   t_setup :
     Jt_vm.Vm.t -> rules_for:(string -> Jt_rules.Rules.file option) -> unit;
   t_static : Static_analyzer.t -> Jt_rules.Rules.file;
+  t_tag : string;
   t_client : Jt_dbt.Dbt.client;
 }
 

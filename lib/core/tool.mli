@@ -22,6 +22,10 @@ type t = {
           load-time analysis for modules without static hints
           (section 4.2.2). *)
   t_static : Static_analyzer.t -> Jt_rules.Rules.file;
+  t_tag : string;
+      (** Names [t_static]'s configuration: equal tags give equal rule
+          files.  {!Driver.analyze_all} reuses a shared object's rule
+          file per digest and tag. *)
   t_client : Jt_dbt.Dbt.client;
 }
 

@@ -4,11 +4,8 @@ module Codec = Jt_codec.Codec
 type tool = Asan of { elide : bool } | Cfi of Jt_jcfi.Jcfi.config
 
 let tool_tag = function
-  | Asan { elide } -> if elide then "jasan+elide" else "jasan"
-  | Cfi { cf_forward = true; cf_backward = true } -> "jcfi"
-  | Cfi { cf_forward = true; cf_backward = false } -> "jcfi-fwd"
-  | Cfi { cf_forward = false; cf_backward = true } -> "jcfi-bwd"
-  | Cfi { cf_forward = false; cf_backward = false } -> "jcfi-none"
+  | Asan { elide } -> Jt_jasan.Jasan.tag ~elide ()
+  | Cfi config -> Jt_jcfi.Jcfi.tag config
 
 type refusal =
   | Unsupported_feature of string * string

@@ -39,9 +39,10 @@
 type tool = Asan of { elide : bool } | Cfi of Jt_jcfi.Jcfi.config
 
 val tool_tag : tool -> string
-(** Short configuration tag stamped into the emitted map section.
-    Distinct configurations get distinct tags, so the tag also keys the
-    shared-object cache ({!emit_program}). *)
+(** Short configuration tag stamped into the emitted map section: the
+    static pass's {!Janitizer.Tool.t_tag}.  Distinct configurations get
+    distinct tags, so the tag also keys the shared-object cache
+    ({!emit_program}). *)
 
 (** Why a module cannot be soundly emitted.  The first payload is always
     the module name. *)

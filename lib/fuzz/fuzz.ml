@@ -190,11 +190,8 @@ type detection =
 let registry_for m = [ m; Jt_workloads.Stdlibs.libc ]
 
 let run_scheme scheme m =
-  let precomputed =
-    if scheme = Hybrid then Lazy.force Jt_workloads.Stdlibs.jasan_rules else []
-  in
   match
-    Jt_schemes.Scheme.run ~precomputed (to_scheme scheme) ~registry:(registry_for m)
+    Jt_schemes.Scheme.run (to_scheme scheme) ~registry:(registry_for m)
       ~main:m.Jt_obj.Objfile.name
   with
   | Ok o -> Ran (o.so_run.o_result, o.so_sites_pins)

@@ -2,10 +2,11 @@
     products (DESIGN.md §14).
 
     Section 3.3.1 of the paper analyzes a shared library once and reuses
-    its rules in every program that loads it.  The static rewriters do
-    the same through this table: the emitter caches a shared object's
-    rule file and emitted JELF, the BinCFI-like baseline what it derives
-    from its disassembly, the RetroWrite-like baseline its site plan.
+    its rules in every program that loads it.  So does every consumer of
+    this table: the hybrid driver keeps a shared object's rule file, the
+    emitter its rule file and emitted JELF, the BinCFI-like baseline
+    what it derives from its disassembly, the RetroWrite-like baseline
+    its site plan.
 
     - {b Key}: the module's content digest ({!Jt_obj.Objfile.digest},
       which covers every field a tool reads), the artifact kind and the

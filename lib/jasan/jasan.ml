@@ -388,8 +388,6 @@ let static_pass ~liveness ~hoist_scev ~skip_frame ~exempt_canary ~elide
           | Scev_covered -> Hashtbl.replace scev_claimed addr ()
           | Dom_elided w ->
             incr n_dom;
-            let c = Jt_metrics.Metrics.Counters.current () in
-            c.c_san_elide_dom <- c.c_san_elide_dom + 1;
             if Jt_trace.Trace.is_enabled () then
               Jt_trace.Trace.emit
                 (Jt_trace.Trace.Check_elide
@@ -648,6 +646,18 @@ let plan_dynamic rt ~elide (b : Jt_dbt.Dbt.block) =
     b.insns;
   plan
 
+(* The emitter stamps its two configurations' tags, "jasan+elide" and
+   "jasan", into its maps. *)
+let tag ?(liveness = Live_full) ?(hoist_scev = true)
+    ?(skip_frame_accesses = true) ?(exempt_canary = true) ?(elide = true)
+    ?(cross_call = true) () =
+  let off on suffix = if on then "" else suffix in
+  String.concat ""
+    [ (if elide then "jasan+elide" else "jasan");
+      off (liveness = Live_full) "-live-none"; off hoist_scev "-no-scev";
+      off skip_frame_accesses "-no-frame-skip";
+      off exempt_canary "-no-canary-exempt"; off cross_call "-no-cross-call" ]
+
 let create ?(liveness = Live_full) ?(hoist_scev = true)
     ?(skip_frame_accesses = true) ?(exempt_canary = true)
     ?(clean_calls = false) ?(elide = true) ?(cross_call = true) () =
@@ -676,6 +686,9 @@ let create ?(liveness = Live_full) ?(hoist_scev = true)
       t_static =
         static_pass ~liveness ~hoist_scev ~skip_frame:skip_frame_accesses
           ~exempt_canary ~elide ~cross_call;
+      t_tag =
+        tag ~liveness ~hoist_scev ~skip_frame_accesses ~exempt_canary ~elide
+          ~cross_call ();
       t_client = client;
     },
     rt )

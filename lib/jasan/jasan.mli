@@ -152,6 +152,19 @@ val create :
     Only applies to modules with reliable calling conventions; the DBT
     trace layer stays conservative either way. *)
 
+val tag :
+  ?liveness:liveness_mode ->
+  ?hoist_scev:bool ->
+  ?skip_frame_accesses:bool ->
+  ?exempt_canary:bool ->
+  ?elide:bool ->
+  ?cross_call:bool ->
+  unit ->
+  string
+(** The {!Janitizer.Tool.t_tag} of {!create} with these options:
+    ["jasan+elide"] by default, ["jasan"] with only [elide] off.  It
+    leaves out [clean_calls], which changes no rule. *)
+
 val static_meta :
   Rt.t ->
   elide:bool ->

@@ -4,6 +4,13 @@ type config = { cf_forward : bool; cf_backward : bool }
 
 let default_config = { cf_forward = true; cf_backward = true }
 
+let tag c =
+  match (c.cf_forward, c.cf_backward) with
+  | true, true -> "jcfi"
+  | true, false -> "jcfi-fwd"
+  | false, true -> "jcfi-bwd"
+  | false, false -> "jcfi-none"
+
 module Ids = struct
   let icall = 0x201
   let ijmp = 0x202
@@ -476,6 +483,7 @@ let create ?(config = default_config) () =
                      });
               Some targets));
       t_static = static_pass ~config;
+      t_tag = tag config;
       t_client = client;
     },
     rt )

@@ -22,6 +22,9 @@ type config = {
 
 val default_config : config
 
+val tag : config -> string
+(** The {!Janitizer.Tool.t_tag} of {!create} with this configuration. *)
+
 (** Runtime state, exposed for metrics and tests. *)
 module Rt : sig
   type t

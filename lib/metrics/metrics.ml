@@ -15,7 +15,6 @@ let geomean xs =
 module Counters = struct
   type t = {
     mutable c_san_checks : int;
-    mutable c_san_elide_dom : int;
     mutable c_san_trace_elide_dom : int;
     mutable c_san_trace_elide_canary : int;
     mutable c_san_trace_elide_streak : int;
@@ -25,7 +24,6 @@ module Counters = struct
   let fresh () =
     {
       c_san_checks = 0;
-      c_san_elide_dom = 0;
       c_san_trace_elide_dom = 0;
       c_san_trace_elide_canary = 0;
       c_san_trace_elide_streak = 0;
@@ -42,7 +40,6 @@ module Counters = struct
   let reset () =
     let c = current () in
     c.c_san_checks <- 0;
-    c.c_san_elide_dom <- 0;
     c.c_san_trace_elide_dom <- 0;
     c.c_san_trace_elide_canary <- 0;
     c.c_san_trace_elide_streak <- 0;
@@ -52,7 +49,6 @@ module Counters = struct
     let c = current () in
     [
       ("san_checks", c.c_san_checks);
-      ("san_elide_dom", c.c_san_elide_dom);
       ("san_trace_elide_dom", c.c_san_trace_elide_dom);
       ("san_trace_elide_canary", c.c_san_trace_elide_canary);
       ("san_trace_elide_streak", c.c_san_trace_elide_streak);

@@ -5,9 +5,10 @@ val geomean : float list -> float
     poison the mean through [log], so they are skipped (with a warning on
     stderr); 0 if nothing positive remains. *)
 
-(** JASan's check and elision counts, the events no engine record
-    already counts.  Dispatch work is counted once, in
-    [Jt_dbt.Dbt.stats]; IR-store traffic once, in [Jt_ir.Store.stats].
+(** JASan's run-time check and elision counts, the events no engine
+    record already counts.  Dispatch work is counted once, in
+    [Jt_dbt.Dbt.stats]; IR-store traffic once, in [Jt_ir.Store.stats];
+    static elisions once, in each rule file's [elide_dom] stat.
     They measure what a run did, not simulated cycles, so resetting or
     reading them never perturbs an experiment.
 
@@ -19,8 +20,6 @@ module Counters : sig
   type t = {
     mutable c_san_checks : int;
         (** JASan shadow-memory checks actually executed at run time *)
-    mutable c_san_elide_dom : int;
-        (** accesses statically elided by the dominating-check pass *)
     mutable c_san_trace_elide_dom : int;
         (** dynamic check instances elided by the trace-spine
             dominating-check pass *)

@@ -63,19 +63,19 @@ let plain ?figure r =
     { o_result = r; o_dbt = None; o_dynamic_fraction = 0.0; o_rule_count = 0;
       o_trace_elisions = [] }
 
-let run ?fuel ?store ?precomputed scheme ~registry ~main =
+let run ?fuel ?store scheme ~registry ~main =
   (* [figure] reads the tool's runtime once the run is over *)
-  let drive ?precomputed ?(figure = fun () -> No_figure) mode tool =
+  let drive ?(figure = fun () -> No_figure) mode tool =
     let o =
-      Janitizer.Driver.run ?fuel ?store ?precomputed ~hybrid:(mode = Hybrid) ~tool
-        ~registry ~main ()
+      Janitizer.Driver.run ?fuel ?store ~hybrid:(mode = Hybrid) ~tool ~registry
+        ~main ()
     in
     Ok (of_driver ~figure:(figure ()) o)
   in
   match scheme with
   | Native -> Ok (of_driver (Janitizer.Driver.run_native ?fuel ~registry ~main ()))
   | Null -> Ok (of_driver (Janitizer.Driver.run_null ?fuel ~registry ~main ()))
-  | Jasan mode -> drive ?precomputed mode (fst (Jt_jasan.Jasan.create ()))
+  | Jasan mode -> drive mode (fst (Jt_jasan.Jasan.create ()))
   | Jcfi mode ->
     let tool, rt = Jt_jcfi.Jcfi.create () in
     drive mode tool ~figure:(fun () -> Dynamic_air (Jt_jcfi.Air.dynamic rt))

@@ -56,13 +56,10 @@ val refusal_to_string : refusal -> string
 val run :
   ?fuel:int ->
   ?store:Jt_ir.Store.t ->
-  ?precomputed:(string * Jt_rules.Rules.file) list ->
   t ->
   registry:Jt_obj.Objfile.t list ->
   main:string ->
   (outcome, refusal) result
 (** Run [main] under the scheme, with a fresh tool instance.  [fuel]
     goes to every runner; [store] to the framework tools' static pass
-    and to the emitter.  [precomputed] holds default-JASan rule files
-    for modules whose static pass is skipped: only the [Jasan] schemes
-    read it ({!Janitizer.Driver.run}). *)
+    and to the emitter. *)

@@ -199,6 +199,7 @@ let create () =
   ( {
       Janitizer.Tool.t_setup = (fun _ ~rules_for:_ -> ());
       t_static = static_pass;
+      t_tag = "taint";
       t_client = client;
     },
     rt )

@@ -190,9 +190,8 @@ let distinct_sites (r : Jt_vm.Vm.result) =
     (List.sort_uniq compare (List.map (fun v -> v.Jt_vm.Vm.v_pc) r.r_violations))
 
 let run_scheme scheme m =
-  let precomputed = Lazy.force Stdlibs.jasan_rules in
   match
-    Jt_schemes.Scheme.run ~precomputed scheme ~registry:(registry_for m)
+    Jt_schemes.Scheme.run scheme ~registry:(registry_for m)
       ~main:m.Jt_obj.Objfile.name
   with
   | Ok o -> o.so_run.o_result

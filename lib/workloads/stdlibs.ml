@@ -295,8 +295,3 @@ let libgfortran =
     ]
 
 let all = [ libc; libm; libcxx; libgfortran ]
-
-let jasan_rules =
-  lazy
-    (let tool, _ = Jt_jasan.Jasan.create () in
-     Janitizer.Driver.analyze_all ~tool [ libc; Jt_loader.Loader.ld_so ])

@@ -16,9 +16,3 @@ val libcxx : Jt_obj.Objfile.t
 val libgfortran : Jt_obj.Objfile.t
 
 val all : Jt_obj.Objfile.t list
-
-val jasan_rules : (string * Jt_rules.Rules.file) list Lazy.t
-(** The default JASan static pass's rules for [libc.so] and [ld.so], the
-    two shared objects every Juliet and Fuzz program links: analyzed
-    once, passed as [~precomputed].  A process-global lazy: force it
-    before handing work to other domains. *)

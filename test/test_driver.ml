@@ -185,6 +185,41 @@ let test_counters_isolated_between_runs () =
       Alcotest.(check int) (name ^ " identical across tool runs") v3 v4)
     s3 s4
 
+(* -- precomputed rule files: a by-name lookup before analysis -- *)
+
+(* cactusADM dlopens its solver, a shared object outside the static
+   closure: a file precomputed for it is still served when it loads. *)
+let test_precomputed_by_name () =
+  let w = Jt_workloads.Specgen.build (Jt_workloads.Sheet.find "cactusADM") in
+  let registry = w.w_registry and main = "cactusADM" in
+  let tool () = fst (Jt_jasan.Jasan.create ()) in
+  let closure = Janitizer.Driver.static_closure ~registry ~main in
+  let solver =
+    List.find (fun (m : Jt_obj.Objfile.t) -> not (List.memq m closure)) registry
+  in
+  let files = Janitizer.Driver.analyze_all ~tool:(tool ()) (closure @ [ solver ]) in
+  let rules fs =
+    List.fold_left
+      (fun acc (_, (f : Jt_rules.Rules.file)) -> acc + List.length f.rf_rules)
+      0 fs
+  in
+  let a0 = Janitizer.Static_analyzer.analyses_performed () in
+  let o = Janitizer.Driver.run ~tool:(tool ()) ~precomputed:files ~registry ~main () in
+  Alcotest.(check int) "no module analyzed" 0
+    (Janitizer.Static_analyzer.analyses_performed () - a0);
+  Alcotest.(check int) "every file counted, the solver's too" (rules files)
+    o.o_rule_count;
+  let without =
+    Janitizer.Driver.run ~tool:(tool ())
+      ~precomputed:(List.remove_assoc solver.name files)
+      ~registry ~main ()
+  in
+  Alcotest.(check bool) "the solver runs on its static rules" true
+    (o.o_dynamic_fraction < without.o_dynamic_fraction);
+  Alcotest.(check (pair string int)) "same output and icount"
+    (without.o_result.r_output, without.o_result.r_icount)
+    (o.o_result.r_output, o.o_result.r_icount)
+
 (* -- domain-parallel determinism -- *)
 
 (* Two [Driver.run]s on different domains must produce exactly what two
@@ -250,6 +285,8 @@ let () =
           Alcotest.test_case "fn_of_addr equivalence" `Quick
             test_fn_of_addr_equivalence;
         ] );
+      ( "precomputed",
+        [ Alcotest.test_case "by name" `Quick test_precomputed_by_name ] );
       ( "counters",
         [
           Alcotest.test_case "isolated between runs" `Quick

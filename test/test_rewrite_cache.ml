@@ -1,6 +1,7 @@
-(* The shared-object rewrite cache (Jt_ir.Rewrite_cache): the emitter,
-   BinCFI and RetroWrite rewrite each shared object once per process,
-   across pool domains, and a cache hit equals a fresh computation. *)
+(* The shared-object rewrite cache (Jt_ir.Rewrite_cache): the hybrid
+   driver's rule files, the emitter, BinCFI and RetroWrite rewrite each
+   shared object once per process and tool tag, across pool domains, and
+   a cache hit equals a fresh computation. *)
 
 module Sa = Janitizer.Static_analyzer
 module Emit = Jt_emit.Emit
@@ -75,6 +76,169 @@ let test_pool () =
   Alcotest.(check bool) "retrowrite rerun" true
     (Retrowrite.run ~registry ~main () = List.hd rw);
   Alcotest.(check bool) "bincfi rerun" true (Bincfi.run ~registry ~main () = List.hd bc)
+
+(* -- hybrid runs: one library rule file per tool tag -- *)
+
+let closure_libs registry main =
+  List.filter is_shared (Janitizer.Driver.static_closure ~registry ~main)
+
+(* Runs right after "pool", which rewrites through the emitter's kind
+   only: no library has a rule file under these tags yet. *)
+let test_hybrid_once_per_tag () =
+  let tools =
+    [
+      ("jasan", fun () -> fst (Jt_jasan.Jasan.create ()));
+      ("jcfi", fun () -> fst (Jt_jcfi.Jcfi.create ()));
+      ("taint", fun () -> fst (Jt_taint.Taint.create ()));
+    ]
+  in
+  List.iter
+    (fun (label, make) ->
+      let seen = Hashtbl.create 8 in
+      let libc_files =
+        List.map
+          (fun name ->
+            (* a fresh main, and a slot holding another module *)
+            let w = Jt_workloads.Specgen.build (Jt_workloads.Sheet.find name) in
+            ignore (Sa.compute (Progs.sum_prog ~name:"slot" ()));
+            let registry = w.w_registry in
+            let libs = closure_libs registry name in
+            let fresh_libs =
+              List.filter (fun (m : Jt_obj.Objfile.t) -> not (Hashtbl.mem seen m.name)) libs
+            in
+            List.iter (fun (m : Jt_obj.Objfile.t) -> Hashtbl.replace seen m.name ()) libs;
+            let tool : Janitizer.Tool.t = make () in
+            let libc = ref None in
+            let tool =
+              { tool with
+                Janitizer.Tool.t_setup =
+                  (fun vm ~rules_for ->
+                    libc := rules_for "libc.so";
+                    tool.t_setup vm ~rules_for) }
+            in
+            let o, n =
+              analyses (fun () -> Janitizer.Driver.run ~tool ~registry ~main:name ())
+            in
+            Alcotest.(check string)
+              (Printf.sprintf "%s %s: exits" label name)
+              "exited(0)"
+              (Format.asprintf "%a" Jt_vm.Vm.pp_status o.o_result.r_status);
+            Alcotest.(check int)
+              (Printf.sprintf "%s %s: main plus the libraries not seen yet" label name)
+              (1 + List.length fresh_libs) n;
+            Option.get !libc)
+          [ "bzip2"; "mcf" ]
+      in
+      match libc_files with
+      | [ first; second ] ->
+        Alcotest.(check bool) (label ^ ": second program reuses libc's file") true
+          (first == second)
+      | _ -> assert false)
+    tools
+
+(* Each static option and JCFI configuration has its own tag, so a file
+   cached for one configuration is never served to another.  Per option,
+   a base configuration and the same with the option flipped: the
+   canary accesses are frame slots, which frame skipping already leaves
+   unchecked, so [exempt_canary] matters only with frame skipping off. *)
+let jasan_variants =
+  let open Jt_jasan.Jasan in
+  let pair ?(base = fun () -> create ()) label variant =
+    (label, (fun () -> fst (base ())), fun () -> fst (variant ()))
+  in
+  [
+    pair "liveness" (fun () -> create ~liveness:Live_none ());
+    pair "hoist_scev" (fun () -> create ~hoist_scev:false ());
+    pair "skip_frame_accesses" (fun () -> create ~skip_frame_accesses:false ());
+    pair "exempt_canary"
+      ~base:(fun () -> create ~skip_frame_accesses:false ())
+      (fun () -> create ~skip_frame_accesses:false ~exempt_canary:false ());
+    pair "elide" (fun () -> create ~elide:false ());
+    pair "cross_call" (fun () -> create ~cross_call:false ());
+  ]
+
+let jcfi_variants =
+  List.map
+    (fun (label, cf_forward, cf_backward) ->
+      ( label,
+        (fun () -> fst (Jt_jcfi.Jcfi.create ())),
+        fun () -> fst (Jt_jcfi.Jcfi.create ~config:{ cf_forward; cf_backward } ()) ))
+    [ ("jcfi-fwd", true, false); ("jcfi-bwd", false, true); ("jcfi-none", false, false) ]
+
+(* A shared object whose second heap load is covered across a call to a
+   barrier-free leaf: the one module here where [cross_call] matters. *)
+let libcross =
+  let open Jt_isa in
+  let open Jt_asm.Builder in
+  let open Jt_asm.Builder.Dsl in
+  build ~name:"libcross.so" ~kind:Jt_obj.Objfile.Shared ~deps:[ "libc.so" ]
+    [
+      func "leaf" [ movi Reg.r1 1; ret ];
+      func ~exported:true "work"
+        [
+          movi Reg.r0 32;
+          call_import "malloc";
+          mov Reg.r6 Reg.r0;
+          ld Reg.r2 (mem_b ~disp:0 Reg.r6);
+          call "leaf";
+          ld Reg.r3 (mem_b ~disp:0 Reg.r6);
+          ret;
+        ];
+    ]
+
+let test_configurations_apart () =
+  (* bzip2 built as a shared object has the loops and frame accesses the
+     libraries lack *)
+  let bzip2_so =
+    List.find
+      (fun (m : Jt_obj.Objfile.t) -> m.name = "bzip2")
+      (Jt_workloads.Specgen.build ~kind:Jt_obj.Objfile.Shared
+         (Jt_workloads.Sheet.find "bzip2"))
+        .w_registry
+  in
+  let modules =
+    Jt_workloads.Stdlibs.all @ [ Jt_loader.Loader.ld_so; bzip2_so; libcross ]
+  in
+  let served (tool : Janitizer.Tool.t) =
+    List.map
+      (fun (_, f) -> Jt_rules.Rules.encode_file f)
+      (Janitizer.Driver.analyze_all ~tool modules)
+  in
+  ignore (served (fst (Jt_jasan.Jasan.create ())));
+  ignore (served (fst (Jt_jcfi.Jcfi.create ())));
+  List.iter
+    (fun (label, base, variant) ->
+      let base_bytes = served (base ()) in
+      let tool : Janitizer.Tool.t = variant () in
+      let bytes = served tool in
+      List.iter2
+        (fun (m : Jt_obj.Objfile.t) b ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s: served = fresh" label m.name)
+            true
+            (b = Jt_rules.Rules.encode_file (tool.t_static (Sa.compute m))))
+        modules bytes;
+      (* so the check above can tell a shared tag from a distinct one *)
+      Alcotest.(check bool) (label ^ " changes some module's rules") true
+        (bytes <> base_bytes))
+    (jasan_variants @ jcfi_variants);
+  Alcotest.(check string) "clean calls change only run-time costs"
+    (fst (Jt_jasan.Jasan.create ())).t_tag
+    (fst (Jt_jasan.Jasan.create ~clean_calls:true ())).t_tag
+
+(* The emitter stamps these strings into its JEM1 maps. *)
+let test_emitter_tags () =
+  Alcotest.(check (list string)) "emitter tags"
+    [ "jasan+elide"; "jasan"; "jcfi"; "jcfi-fwd"; "jcfi-bwd"; "jcfi-none" ]
+    (List.map Emit.tool_tag
+       [
+         Emit.Asan { elide = true };
+         Emit.Asan { elide = false };
+         Emit.Cfi { cf_forward = true; cf_backward = true };
+         Emit.Cfi { cf_forward = true; cf_backward = false };
+         Emit.Cfi { cf_forward = false; cf_backward = true };
+         Emit.Cfi { cf_forward = false; cf_backward = false };
+       ])
 
 (* -- a cache hit equals a fresh computation -- *)
 
@@ -196,6 +360,14 @@ let () =
   Alcotest.run "rewrite-cache"
     [
       ("pool", [ Alcotest.test_case "four domains, one registry" `Quick test_pool ]);
+      ( "hybrid",
+        [
+          Alcotest.test_case "each library once per tag" `Quick
+            test_hybrid_once_per_tag;
+          Alcotest.test_case "configurations kept apart" `Quick
+            test_configurations_apart;
+          Alcotest.test_case "emitter tags" `Quick test_emitter_tags;
+        ] );
       ( "hit equals fresh",
         [
           Alcotest.test_case "emitter" `Quick test_emit_hits;
