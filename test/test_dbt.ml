@@ -858,9 +858,10 @@ let test_lightweight_profile_cheaper () =
    an instruction is decoded, never when it retires.  Minor-heap words
    over one loop-heavy registry workload are a deterministic count, so a
    boxed value that creeps back onto the hot path fails here.  What
-   remains is per-run and per-block set-up (tool set-up and boot are
-   outside the window; first-touch pages, decoding, compilation and
-   translation are inside). *)
+   remains is per-run and per-block set-up (tool set-up, the static pass
+   and boot are outside the window; first-touch pages, decoding,
+   compilation and translation are inside).  The hybrid runs cover the
+   static-rule path. *)
 let test_hot_path_allocation () =
   let w = Jt_workloads.Specgen.build (Jt_workloads.Sheet.find "bzip2") in
   let registry = w.w_registry and main = w.w_sheet.s_name in
@@ -882,20 +883,34 @@ let test_hot_path_allocation () =
         let engine = Jt_dbt.Dbt.create ~vm () in
         fun () -> Jt_dbt.Dbt.run engine)
   in
+  let under (tool : Janitizer.Tool.t) ~hybrid vm =
+    let files =
+      if hybrid then
+        Janitizer.Driver.analyze_all ~tool
+          (Janitizer.Driver.static_closure ~registry ~main)
+      else []
+    in
+    let rules_for name = List.assoc_opt name files in
+    let engine = Jt_dbt.Dbt.create ~vm ~client:tool.t_client ~rules_for () in
+    tool.t_setup vm ~rules_for;
+    fun () -> Jt_dbt.Dbt.run engine
+  in
   (* JASan dyn-only: every load and store carries a shadow check *)
   let jasan =
-    words_per_insn (fun vm ->
-        let tool, _ = Jt_jasan.Jasan.create () in
-        let engine = Jt_dbt.Dbt.create ~vm ~client:tool.t_client () in
-        tool.t_setup vm ~rules_for:(fun _ -> None);
-        fun () -> Jt_dbt.Dbt.run engine)
+    words_per_insn (under (fst (Jt_jasan.Jasan.create ())) ~hybrid:false)
   in
-  if native > 0.1 then
-    Alcotest.failf "Vm.run: %.3f minor words/insn > 0.1" native;
-  if null > 0.1 then
-    Alcotest.failf "null DBT: %.3f minor words/insn > 0.1" null;
-  if jasan > 0.1 then
-    Alcotest.failf "JASan dyn-only DBT: %.3f minor words/insn > 0.1" jasan
+  let jasan_hybrid =
+    words_per_insn (under (fst (Jt_jasan.Jasan.create ())) ~hybrid:true)
+  in
+  let jcfi_hybrid =
+    words_per_insn (under (fst (Jt_jcfi.Jcfi.create ())) ~hybrid:true)
+  in
+  List.iter
+    (fun (name, words) ->
+      if words > 0.1 then
+        Alcotest.failf "%s: %.3f minor words/insn > 0.1" name words)
+    [ ("Vm.run", native); ("null DBT", null); ("JASan dyn-only DBT", jasan);
+      ("JASan hybrid DBT", jasan_hybrid); ("JCFI hybrid DBT", jcfi_hybrid) ]
 
 (* Per-run footprint: what one small program costs the major heap
    directly, from [Vm.make] through boot and the run.  Words allocated

@@ -31,7 +31,22 @@ let test_pool () =
   let registry = w.w_registry and main = "bzip2" in
   let tool = Emit.Cfi { cf_forward = true; cf_backward = false } in
   let jobs = 4 in
-  let on_pool f = Jt_pool.Pool.run ~jobs f (List.init jobs (fun _ -> ())) in
+  (* Each job waits until all [jobs] have started, so [jobs] distinct
+     domains run one job each: a domain that ran two would answer bzip2
+     from its analysis slot (DESIGN §20) and the counts below assume
+     one bzip2 analysis per domain. *)
+  let started = Atomic.make 0 in
+  let on_pool f =
+    Atomic.set started 0;
+    Jt_pool.Pool.run ~jobs
+      (fun () ->
+        Atomic.incr started;
+        while Atomic.get started < jobs do
+          Domain.cpu_relax ()
+        done;
+        f ())
+      (List.init jobs (fun _ -> ()))
+  in
   let same what = function
     | [] -> ()
     | first :: rest ->
