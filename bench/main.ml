@@ -1654,6 +1654,96 @@ let air_bench () =
         else [];
     }
 
+(* ---- retention: what the engines keep of code that runs once ----
+
+   perfbench's cold-code module at its top rung (perlbench with
+   [s_code_bloat] 800 and one unit, named as at seed 1, round 0), run
+   under [Vm.run] and under the null DBT: per guest instruction, the
+   words each run allocates on the minor heap and the words that
+   survive into the major heap.  Each engine runs once first, and
+   [Gc.compact] settles the heap before the measured run ([Gc.minor]
+   empties the minor heap after it), so a build gives the same counts
+   whichever targets ran before.  Most of this code runs once: what an
+   engine builds for it and keeps past the next minor collection is
+   promoted, then collected by the major GC.  The gate bounds the promoted words per instruction at
+   60% of what the engines promoted when they kept every decode and
+   translation (7.32 under [Vm.run], 12.15 under the null DBT).
+   Recorded in BENCH_retention.json. *)
+
+let retention () =
+  let sheet =
+    {
+      (Sheet.find "perlbench") with
+      Sheet.s_name = "perlbench_cold_1_0_4";
+      s_code_bloat = 800;
+      s_units = 1;
+    }
+  in
+  let w = Specgen.build sheet in
+  let registry = w.Specgen.w_registry and main = sheet.s_name in
+  let gc_of (name, bound, run) =
+    Gc.compact ();
+    let m0 = Gc.minor_words () and p0 = (Gc.quick_stat ()).promoted_words in
+    let o : Janitizer.Driver.outcome = run () in
+    let m1 = Gc.minor_words () in
+    Gc.minor ();
+    (name, bound, o.o_result, m1 -. m0, (Gc.quick_stat ()).promoted_words -. p0)
+  in
+  let engines =
+    [ ("vm_run", 4.39, fun () -> Janitizer.Driver.run_native ~registry ~main ());
+      ("null_dbt", 7.29, fun () -> Janitizer.Driver.run_null ~registry ~main ()) ]
+  in
+  (* a first run of each fills what the process keeps across runs (the
+     libraries' digests and memos), so the counts do not depend on which
+     targets ran before *)
+  List.iter (fun (_, _, run) -> ignore (run () : Janitizer.Driver.outcome)) engines;
+  let runs = List.map gc_of engines in
+  let _, _, (native : Jt_vm.Vm.result), _, _ = List.hd runs in
+  let per_insn x = x /. float_of_int (max native.r_icount 1) in
+  open_table "Retention on cold code (perlbench, code bloat 800)" "words / insn"
+    [ "minor"; "promoted"; "promoted %" ]
+    (List.map
+       (fun (name, _, _, minor, promoted) ->
+         ( name,
+           [ value (per_insn minor); value (per_insn promoted);
+             value (100.0 *. promoted /. minor) ] ))
+       runs);
+  write_report
+    {
+      target = "retention";
+      gate =
+        "the null DBT's status, output and icount equal Vm.run's; promoted \
+         words per guest instruction within each engine's bound";
+      fields =
+        Json.
+          [ ("module", String main); ("icount", Int native.r_icount);
+            ( "runs",
+              List
+                (List.map
+                   (fun (name, bound, _, minor, promoted) ->
+                     Obj
+                       [ ("engine", String name);
+                         ("minor_words_per_insn", Float (4, per_insn minor));
+                         ("promoted_words_per_insn", Float (4, per_insn promoted));
+                         ("promoted_bound", Float (2, bound));
+                         ("promoted_share", Float (4, promoted /. minor)) ])
+                   runs) ) ];
+      failures =
+        List.concat_map
+          (fun (name, bound, (r : Jt_vm.Vm.result), _, promoted) ->
+            (if
+               r.r_status = native.r_status && r.r_output = native.r_output
+               && r.r_icount = native.r_icount
+             then []
+             else [ name ^ " diverged from Vm.run" ])
+            @
+            if per_insn promoted <= bound then []
+            else
+              [ Printf.sprintf "%s: %.4f promoted words per instruction, over %g"
+                  name (per_insn promoted) bound ])
+          runs;
+    }
+
 (* ---- driver ---- *)
 
 let targets =
@@ -1678,6 +1768,7 @@ let targets =
     ("emit", emit_bench);
     ("fuzz", fuzz_bench);
     ("air", air_bench);
+    ("retention", retention);
   ]
 
 (* Strip `--jobs N` (or `--jobs=N`) anywhere in the argument list; the

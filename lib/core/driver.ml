@@ -130,9 +130,9 @@ let run_null ?fuel ~registry ~main () =
    their own instructions — no DBT, no translation, just [Vm.run].
    [setup] installs the emit runtime (syscall hooks, load callbacks,
    allocator interposition) on the fresh VM before boot. *)
-let run_plain ?fuel ?(setup = fun _ -> ()) ~registry ~main () =
+let run_plain ?fuel ?instrument ?(setup = fun _ -> ()) ~registry ~main () =
   Jt_metrics.Metrics.Counters.reset ();
-  let vm = Jt_vm.Vm.make ~registry () in
+  let vm = Jt_vm.Vm.make ?instrument ~registry () in
   setup vm;
   Jt_vm.Vm.boot vm ~main;
   if vm.Jt_vm.Vm.status = Jt_vm.Vm.Running then Jt_vm.Vm.run ?fuel vm;

@@ -408,25 +408,137 @@ type stats = {
   mutable st_check_cost : int;
 }
 
+(* Each emitted module's sites and pins in link coordinates, kept beside
+   the module object like its map: a site's syscall address -> the
+   original address its rules are anchored at, a pin's old address -> its
+   relocated target. *)
+type sites = { s_sites : (int, int) Hashtbl.t; s_pins : (int, int) Hashtbl.t }
+
+let site_tables : sites Jt_obj.Objfile.Memo.t = Jt_obj.Objfile.Memo.create ()
+
+let sites_of m (em : emap) =
+  Jt_obj.Objfile.Memo.find_or_add site_tables m (fun _ ->
+      let s_sites = Hashtbl.create 64 and s_pins = Hashtbl.create 64 in
+      Array.iter
+        (fun mi -> if mi.mi_site then Hashtbl.replace s_sites mi.mi_new mi.mi_old)
+        em.em_insns;
+      Array.iter (fun (old, tgt) -> Hashtbl.replace s_pins old tgt) em.em_pins;
+      { s_sites; s_pins })
+
+(* A loaded emitted module: its site tables, its emitted text and the
+   index of its rule file. *)
+type row = {
+  rw_loaded : Jt_loader.Loader.loaded;
+  rw_sites : sites;
+  rw_text : Jt_obj.Section.t;
+  rw_rules : Jt_rules.Rules.index;
+}
+
 type runtime = {
+  r_tool : tool;
   r_stats : stats;
   r_asan : Jt_jasan.Jasan.Rt.t option;
   r_cfi : Jt_jcfi.Jcfi.Rt.t option;
+  r_modules : row Jt_loader.Loader.table;
 }
 
-let attach ~tool ~rules_for (vm : Jt_vm.Vm.t) =
-  let stats = { st_sites = 0; st_pins = 0; st_check_cost = 0 } in
-  let asan_rt =
-    match tool with
-    | Asan _ -> Some (Jt_jasan.Jasan.Rt.create ())
-    | Cfi _ -> None
+let runtime tool =
+  {
+    r_tool = tool;
+    r_stats = { st_sites = 0; st_pins = 0; st_check_cost = 0 };
+    r_asan =
+      (match tool with Asan _ -> Some (Jt_jasan.Jasan.Rt.create ()) | Cfi _ -> None);
+    r_cfi = (match tool with Cfi c -> Some (Jt_jcfi.Jcfi.Rt.create c) | Asan _ -> None);
+    r_modules = Jt_loader.Loader.table ();
+  }
+
+let syscall_cost = Jt_vm.Cost.insn (Insn.Syscall 0)
+let jmp_cost = Jt_vm.Cost.insn (Insn.Jmp 0)
+
+(* The metas of the site whose syscall is at run-time address [at]: its
+   rules, read at the original address, interpreted at the anchor
+   instruction that follows the 2-byte syscall. *)
+let site_metas rt (r : row) ~at ~old =
+  let l = r.rw_loaded in
+  let m = l.Jt_loader.Loader.lmod in
+  let anchor = at + 2 in
+  match Jt_disasm.Disasm.decode_in m r.rw_text (Jt_loader.Loader.link_addr l anchor) with
+  | None -> failwith "Jt_emit: undecodable instruction at emitted site"
+  | Some (insn, len) -> (
+    let pic_base = if Jt_obj.Objfile.is_pic m then l.base else 0 in
+    let metas =
+      List.filter_map
+        (fun rule ->
+          match rt.r_tool with
+          | Asan { elide } ->
+            Jt_jasan.Jasan.static_meta (Option.get rt.r_asan) ~elide rule
+              ~at:anchor ~insn ~len
+          | Cfi _ ->
+            Jt_jcfi.Jcfi.static_meta (Option.get rt.r_cfi) rule ~at:anchor
+              ~insn ~len ~pic_base)
+        (Jt_rules.Rules.Index.at_insn r.rw_rules old)
+    in
+    match metas with
+    | [] -> failwith "Jt_emit: materialized site with no checks"
+    | _ -> metas)
+
+(* The VM's decode-time wrapper: it binds an [emit_site] or [emit_pin]
+   syscall to its module's tables when the syscall is decoded.  The
+   wrapped op retires the syscall (its hook does nothing), then a site
+   replaces the syscall's charge with its metas' exact hybrid-DBT cost
+   and runs their actions, falling through into the anchor instruction,
+   and a pin charges one direct jump and jumps to its target. *)
+let instrument rt ~at (i : Insn.t) _ (op : Jt_vm.Vm.op) : Jt_vm.Vm.op =
+  let abort why vm =
+    op vm;
+    vm.Jt_vm.Vm.status <- Jt_vm.Vm.Aborted why
   in
-  let cfi_rt =
-    match tool with
-    | Cfi c -> Some (Jt_jcfi.Jcfi.Rt.create c)
-    | Asan _ -> None
+  let find part =
+    match Jt_loader.Loader.find rt.r_modules at with
+    | Some r -> (
+      match
+        Hashtbl.find_opt (part r.rw_sites) (Jt_loader.Loader.link_addr r.rw_loaded at)
+      with
+      | Some v -> Some (r, v)
+      | None -> None)
+    | None -> None
   in
-  Option.iter (fun rt -> Jt_jasan.Jasan.Rt.attach rt vm) asan_rt;
+  let stats = rt.r_stats in
+  match i with
+  | Insn.Syscall n when n = Sysno.emit_site -> (
+    match find (fun s -> s.s_sites) with
+    | None -> abort "emit: unmapped instrumentation site"
+    | Some (r, old) ->
+      let metas = site_metas rt r ~at ~old in
+      let cost =
+        List.fold_left (fun acc (mt : Jt_dbt.Dbt.meta) -> acc + mt.m_cost) 0 metas
+      in
+      let actions = List.filter_map (fun (mt : Jt_dbt.Dbt.meta) -> mt.m_action) metas in
+      fun vm ->
+        op vm;
+        stats.st_sites <- stats.st_sites + 1;
+        stats.st_check_cost <- stats.st_check_cost + cost;
+        Jt_vm.Vm.charge vm (cost - syscall_cost);
+        List.iter (fun f -> f vm) actions)
+  | Syscall n when n = Sysno.emit_pin -> (
+    match find (fun s -> s.s_pins) with
+    | None -> abort "emit: unmapped pin"
+    | Some (r, tgt) ->
+      let tgt = Jt_loader.Loader.runtime_addr r.rw_loaded tgt in
+      fun vm ->
+        op vm;
+        stats.st_pins <- stats.st_pins + 1;
+        (* A pinned entry is morally a direct jump to the relocated
+           code; charge it as one. *)
+        Jt_vm.Vm.charge vm (jmp_cost - syscall_cost);
+        vm.Jt_vm.Vm.pc <- tgt)
+  | _ -> op
+
+(* Install the runtime on a fresh VM, before [Vm.boot]: the rows of the
+   emitted modules, the CFI target tables, and the two no-op hooks the
+   bound syscalls retire through. *)
+let attach rt ~rules_for (vm : Jt_vm.Vm.t) =
+  Option.iter (fun art -> Jt_jasan.Jasan.Rt.attach art vm) rt.r_asan;
   let loader = vm.Jt_vm.Vm.loader in
   let rules_of (m : Jt_obj.Objfile.t) =
     match rules_for m.name with
@@ -438,19 +550,16 @@ let attach ~tool ~rules_for (vm : Jt_vm.Vm.t) =
      runtime-constructed fallback the hybrid uses for modules without
      static rules. *)
   Option.iter
-    (fun rt ->
-      Jt_loader.Loader.track loader (Jt_jcfi.Jcfi.Rt.targets rt) (fun l ->
+    (fun crt ->
+      Jt_loader.Loader.track loader (Jt_jcfi.Jcfi.Rt.targets crt) (fun l ->
           let m = l.Jt_loader.Loader.lmod in
           Some
             (Jt_jcfi.Jcfi.module_targets l
                (Option.map
                   (fun _ -> rules_of m)
                   (Jt_obj.Objfile.find_section m map_section_name)))))
-    cfi_rt;
-  (* Each emitted module's sites (run-time site address -> metas) and
-     pins (run-time old address -> run-time relocated target). *)
-  let modules = Jt_loader.Loader.table () in
-  Jt_loader.Loader.track loader modules (fun l ->
+    rt.r_cfi;
+  Jt_loader.Loader.track loader rt.r_modules (fun l ->
       let m = l.lmod in
       Option.map
         (fun em ->
@@ -462,85 +571,15 @@ let attach ~tool ~rules_for (vm : Jt_vm.Vm.t) =
             rules.Jt_rules.Rules.rf_digest <> ""
             && not (String.equal rules.rf_digest em.em_digest)
           then failwith ("Jt_emit: rule/map digest mismatch for " ^ m.name);
-          let rules_at =
-            Jt_rules.Rules.Index.at_insn (Jt_rules.Rules.index rules)
-          in
-          let pic_base = if Jt_obj.Objfile.is_pic m then l.base else 0 in
-          let sites = Hashtbl.create 64 and pins = Hashtbl.create 64 in
-          Array.iter
-            (fun mi ->
-              if mi.mi_site then begin
-                let site_rt = Jt_loader.Loader.runtime_addr l mi.mi_new in
-                let insn_rt = site_rt + 2 in
-                match Jt_vm.Vm.fetch vm insn_rt with
-                | None ->
-                  failwith "Jt_emit: undecodable instruction at emitted site"
-                | Some { d_insn = insn; d_len = len; d_op = _ } ->
-                  let metas =
-                    List.filter_map
-                      (fun r ->
-                        match tool with
-                        | Asan { elide } ->
-                          Jt_jasan.Jasan.static_meta (Option.get asan_rt)
-                            ~elide r ~at:insn_rt ~insn ~len
-                        | Cfi _ ->
-                          Jt_jcfi.Jcfi.static_meta (Option.get cfi_rt) r
-                            ~at:insn_rt ~insn ~len ~pic_base)
-                      (rules_at mi.mi_old)
-                  in
-                  (match metas with
-                  | [] -> failwith "Jt_emit: materialized site with no checks"
-                  | _ -> ());
-                  Hashtbl.replace sites site_rt metas
-              end)
-            em.em_insns;
-          Array.iter
-            (fun (old, tgt) ->
-              Hashtbl.replace pins
-                (Jt_loader.Loader.runtime_addr l old)
-                (Jt_loader.Loader.runtime_addr l tgt))
-            em.em_pins;
-          (sites, pins))
+          {
+            rw_loaded = l;
+            rw_sites = sites_of m em;
+            rw_text = Option.get (Jt_obj.Objfile.find_section m text_section_name);
+            rw_rules = Jt_rules.Rules.index rules;
+          })
         (read_map m));
-  let lookup part a =
-    match Jt_loader.Loader.find modules a with
-    | Some row -> Hashtbl.find_opt (part row) a
-    | None -> None
-  in
-  let syscall_cost = Jt_vm.Cost.insn (Insn.Syscall 0) in
-  let jmp_cost = Jt_vm.Cost.insn (Insn.Jmp 0) in
-  Jt_vm.Vm.set_syscall_hook vm Sysno.emit_site (fun vm ->
-      (* Handler time: the PC is past the 2-byte site prefix and its
-         syscall cost is charged; replace that charge with the metas'
-         exact hybrid-DBT cost and run their actions, then fall through
-         into the anchor instruction. *)
-      match lookup fst (vm.Jt_vm.Vm.pc - 2) with
-      | None ->
-        vm.Jt_vm.Vm.status <-
-          Jt_vm.Vm.Aborted "emit: unmapped instrumentation site"
-      | Some metas ->
-        stats.st_sites <- stats.st_sites + 1;
-        let cost =
-          List.fold_left
-            (fun acc (mt : Jt_dbt.Dbt.meta) -> acc + mt.m_cost)
-            0 metas
-        in
-        stats.st_check_cost <- stats.st_check_cost + cost;
-        Jt_vm.Vm.charge vm (cost - syscall_cost);
-        List.iter
-          (fun (mt : Jt_dbt.Dbt.meta) ->
-            Option.iter (fun f -> f vm) mt.m_action)
-          metas);
-  Jt_vm.Vm.set_syscall_hook vm Sysno.emit_pin (fun vm ->
-      match lookup snd (vm.Jt_vm.Vm.pc - 2) with
-      | None -> vm.Jt_vm.Vm.status <- Jt_vm.Vm.Aborted "emit: unmapped pin"
-      | Some tgt ->
-        stats.st_pins <- stats.st_pins + 1;
-        (* A pinned entry is morally a direct jump to the relocated
-           code; charge it as one. *)
-        Jt_vm.Vm.charge vm (jmp_cost - syscall_cost);
-        vm.Jt_vm.Vm.pc <- tgt);
-  { r_stats = stats; r_asan = asan_rt; r_cfi = cfi_rt }
+  Jt_vm.Vm.set_syscall_hook vm Sysno.emit_site ignore;
+  Jt_vm.Vm.set_syscall_hook vm Sysno.emit_pin ignore
 
 (* ------------------------------------------------------------------ *)
 (* Whole programs                                                     *)
@@ -654,19 +693,12 @@ type run_outcome = {
 }
 
 let run ?fuel (p : program) =
-  let rt_box = ref None in
-  let setup vm =
-    rt_box :=
-      Some
-        (attach ~tool:p.p_tool
-           ~rules_for:(fun n -> List.assoc_opt n p.p_rules)
-           vm)
-  in
+  let rt = runtime p.p_tool in
   let o =
-    Janitizer.Driver.run_plain ?fuel ~setup ~registry:p.p_registry
-      ~main:p.p_main ()
+    Janitizer.Driver.run_plain ?fuel ~instrument:(instrument rt)
+      ~setup:(attach rt ~rules_for:(fun n -> List.assoc_opt n p.p_rules))
+      ~registry:p.p_registry ~main:p.p_main ()
   in
-  let rt = Option.get !rt_box in
   {
     ro_outcome = o;
     ro_sites = rt.r_stats.st_sites;

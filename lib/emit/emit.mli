@@ -175,48 +175,6 @@ val emit_program :
 
 (** {1 The emit runtime} *)
 
-type stats = {
-  mutable st_sites : int;  (** instrumentation sites executed *)
-  mutable st_pins : int;  (** pin hops executed *)
-  mutable st_check_cost : int;
-      (** cycles charged for materialized checks (the sum of the
-          executed metas' costs — identical to what the hybrid DBT
-          charges for the same executions) *)
-}
-
-type runtime = {
-  r_stats : stats;
-  r_asan : Jt_jasan.Jasan.Rt.t option;  (** for [Asan] configurations *)
-  r_cfi : Jt_jcfi.Jcfi.Rt.t option;  (** for [Cfi] configurations *)
-}
-
-val attach :
-  tool:tool ->
-  rules_for:(string -> Jt_rules.Rules.file option) ->
-  Jt_vm.Vm.t ->
-  runtime
-(** Install the emit runtime on a fresh VM, before [Vm.boot]: a
-    per-module table ({!Jt_loader.Loader.track}) whose row, for every
-    loaded module carrying an [.emit.map] (read through {!read_map}, so
-    once per module object), validates the rule file digest, interprets
-    the module's rules (read through the file's index,
-    {!Jt_rules.Rules.index}) into per-site meta lists (via
-    [Jasan.static_meta] / [Jcfi.static_meta], in run-time coordinates)
-    and holds its pins; plus the two syscall hooks that give [emit_site]
-    and [emit_pin] their meaning, which find a site's row by address.
-    Modules without a map get no sites — under a [Cfi] configuration
-    they still receive a runtime-constructed target table, like the
-    hybrid's dynamic fallback.  Unloading a module drops its sites, pins
-    and target table with its rows.
-
-    A site syscall charges the metas' summed cost in place of its own
-    syscall cost; a pin hop charges one direct-jump cost.  Both bump
-    {!stats}, so a caller can reconstruct the exact uninstrumented
-    instruction and cycle counts from an emitted run.
-    @raise Failure if an emitted module's rule file is missing or its
-    digest does not match the map, and {!Jt_codec.Codec.Decode_error} if
-    its map is corrupt. *)
-
 type run_outcome = {
   ro_outcome : Janitizer.Driver.outcome;
   ro_sites : int;
@@ -225,8 +183,30 @@ type run_outcome = {
 }
 
 val run : ?fuel:int -> program -> run_outcome
-(** Execute an emitted program on the plain VM — no DBT anywhere.  The
-    observable identities against other arms, asserted by [bench emit]:
+(** Execute an emitted program on the plain VM — no DBT anywhere.
+
+    The emit runtime keeps a per-module table
+    ({!Jt_loader.Loader.track}) whose row, for every loaded module
+    carrying an [.emit.map] (read through {!read_map}, so once per module
+    object), validates the rule file's digest and holds the module's
+    site and pin tables, built once per module object.  Each [emit_site]
+    and [emit_pin] syscall is bound when the VM decodes it, through
+    [Vm.make ~instrument]: a site's rules (read through the file's
+    index, {!Jt_rules.Rules.index}) become its meta list
+    ([Jasan.static_meta] / [Jcfi.static_meta], in run-time coordinates)
+    and a pin's target is resolved, so an executed site does no lookup.
+    Modules without a map get no sites — under a [Cfi] configuration
+    they still receive a runtime-constructed target table, like the
+    hybrid's dynamic fallback.  Unloading a module drops its row and its
+    target table.  A site syscall charges the metas' summed cost in
+    place of its own syscall cost; a pin hop charges one direct-jump
+    cost.  Both are counted in the outcome.
+    @raise Failure if an emitted module's rule file is missing or its
+    digest does not match the map (at load), or if an executed site's
+    anchor does not decode or has no check (when the site is decoded);
+    {!Jt_codec.Codec.Decode_error} if a map is corrupt.
+
+    The observable identities against other arms, asserted by [bench emit]:
 
     - [ro_outcome.o_result.r_icount - ro_sites - ro_pins] equals the
       hybrid DBT's (and the native baseline's) instruction count;

@@ -589,6 +589,10 @@ let plan_static rt ~elide (b : Jt_dbt.Dbt.block) ~rules_at =
     b.insns;
   plan
 
+(* The canary-slot table of a block without a canary load: never
+   written. *)
+let no_slots : (int, int) Hashtbl.t = Hashtbl.create 1
+
 (* Dynamic fallback: per-block only — check every load/store with
    conservative save/restore; recognize the canary idiom locally. *)
 let plan_dynamic rt ~elide (b : Jt_dbt.Dbt.block) =
@@ -597,13 +601,14 @@ let plan_dynamic rt ~elide (b : Jt_dbt.Dbt.block) =
      4-byte stores of the canary register canary-stores, and fp-relative
      4-byte loads canary-checks. *)
   let canary_reg = ref None in
-  let canary_stores = Hashtbl.create 2 in
-  let canary_checks = Hashtbl.create 2 in
   let block_has_canary =
     Array.exists
       (fun (_, i, _) -> match i with Insn.Load_canary _ -> true | _ -> false)
       b.insns
   in
+  (* most blocks hold no canary load: they share one empty table *)
+  let canary_stores = if block_has_canary then Hashtbl.create 2 else no_slots in
+  let canary_checks = if block_has_canary then Hashtbl.create 2 else no_slots in
   if block_has_canary then
     Array.iteri
       (fun k (_, i, _) ->

@@ -1,7 +1,16 @@
 let page_bits = 12
 let page_size = 1 lsl page_bits
 let page_mask = page_size - 1
-let page_tail = 2
+(* Page tail: [owner_tail] bytes for the owner, then the code marks: one
+   bit per [chunk_size]-byte chunk of the page ([chunk_bytes] bytes),
+   then one pad byte so a 16-bit read of the marks never leaves the
+   page. *)
+let owner_tail = 2
+let chunk_bits = 6
+let chunk_size = 1 lsl chunk_bits
+let marks_at = page_size + owner_tail
+let chunk_bytes = page_size / chunk_size / 8
+let page_tail = owner_tail + chunk_bytes + 1
 
 (* A three-level page table over the 32-bit address space: [a lsr 24]
    picks one of 256 top-level slots, [(a lsr 18) land 63] one of 64 in
@@ -14,10 +23,13 @@ let page_tail = 2
    test and no allocation; only the write path compares against the
    sentinels, and it never writes through them.
 
-   Each page carries [page_tail] bytes past its [page_size] data bytes
+   Each page carries [owner_tail] bytes past its [page_size] data bytes
    that the memory never reads or writes: the JASan shadow, built on
-   this same table, keeps its per-page count of poisoned bytes there.  A
-   4096-byte and a 4098-byte [Bytes.t] take the same number of words. *)
+   this same table, keeps its per-page count of poisoned bytes there.
+   Then come the page's code marks, a 64-bit map of its 64-byte chunks
+   that [mark_code] sets, and that every [store*] tests on the page it
+   has already looked up.  A page is 4,107 bytes, 514 words, where a
+   bare 4,096-byte one takes 513. *)
 let top_bits = 8
 let mid_bits = 6
 let leaf_bits = 6
@@ -82,10 +94,20 @@ let read8 t a =
   let a = a land Jt_isa.Word.mask in
   Char.code (Bytes.unsafe_get (read_page t a) (a land page_mask))
 
-let write8 t a v =
+(* Whether the chunks of [\[off, off + w)], [w <= chunk_size], hold a
+   code mark: one 16-bit load covers both chunks a write can span. *)
+let[@inline] marked p off w =
+  let c0 = off lsr chunk_bits in
+  let span = ((off + w - 1) lsr chunk_bits) - c0 in
+  Bytes.get_uint16_le p (marks_at + (c0 lsr 3))
+  land (((2 lsl span) - 1) lsl (c0 land 7))
+  <> 0
+
+let store8 t a v =
   let a = a land Jt_isa.Word.mask in
-  Bytes.unsafe_set (write_page t a) (a land page_mask)
-    (Char.unsafe_chr (v land 0xFF))
+  let p = write_page t a and off = a land page_mask in
+  Bytes.unsafe_set p off (Char.unsafe_chr (v land 0xFF));
+  marked p off 1
 
 (* Word-wide accesses take one page lookup when they stay inside a page;
    one that crosses a page (the top page included, so the address wraps
@@ -107,26 +129,50 @@ let read32 t a =
     lor (read8 t (a + 2) lsl 16)
     lor (read8 t (a + 3) lsl 24)
 
-let write16 t a v =
+let store16 t a v =
   let a = a land Jt_isa.Word.mask in
   let off = a land page_mask in
-  if off <= page_size - 2 then
-    Bytes.set_uint16_le (write_page t a) off (v land 0xFFFF)
-  else begin
-    write8 t a v;
-    write8 t (a + 1) (v lsr 8)
+  if off <= page_size - 2 then begin
+    let p = write_page t a in
+    Bytes.set_uint16_le p off (v land 0xFFFF);
+    marked p off 2
   end
+  else
+    let h0 = store8 t a v in
+    store8 t (a + 1) (v lsr 8) || h0
 
-let write32 t a v =
+let store32 t a v =
   let a = a land Jt_isa.Word.mask in
   let off = a land page_mask in
-  if off <= page_size - 4 then
-    Bytes.set_int32_le (write_page t a) off (Int32.of_int v)
-  else begin
-    write8 t a v;
-    write8 t (a + 1) (v lsr 8);
-    write8 t (a + 2) (v lsr 16);
-    write8 t (a + 3) (v lsr 24)
+  if off <= page_size - 4 then begin
+    let p = write_page t a in
+    Bytes.set_int32_le p off (Int32.of_int v);
+    marked p off 4
+  end
+  else
+    let h0 = store8 t a v in
+    let h1 = store8 t (a + 1) (v lsr 8) in
+    let h2 = store8 t (a + 2) (v lsr 16) in
+    store8 t (a + 3) (v lsr 24) || h0 || h1 || h2
+
+let write8 t a v = ignore (store8 t a v : bool)
+let write16 t a v = ignore (store16 t a v : bool)
+let write32 t a v = ignore (store32 t a v : bool)
+
+(* Set the mark of every chunk [\[a, a + len)] touches, page by page,
+   wrapping at the top of the address space. *)
+let rec mark_code t a len =
+  if len > 0 then begin
+    let a = a land Jt_isa.Word.mask in
+    let off = a land page_mask in
+    let k = min len (page_size - off) in
+    let p = write_page t a in
+    for c = off lsr chunk_bits to (off + k - 1) lsr chunk_bits do
+      let i = marks_at + (c lsr 3) in
+      Bytes.unsafe_set p i
+        (Char.unsafe_chr (Char.code (Bytes.unsafe_get p i) lor (1 lsl (c land 7))))
+    done;
+    mark_code t (a + k) (len - k)
   end
 
 let read t a ~width =

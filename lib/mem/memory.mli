@@ -26,6 +26,26 @@ val read : t -> int -> width:int -> int
 
 val write : t -> int -> width:int -> int -> unit
 
+(** {1 Code marks}
+
+    Each page keeps one mark per 64-byte chunk, set by {!mark_code}
+    when an instruction is decoded from the chunk and never cleared.
+    The [store*] writes return whether the bytes written lie in a
+    marked chunk, so a caller that caches decoded code can drop what
+    the write overwrote; the plain writes do the same test and ignore
+    it. *)
+
+val mark_code : t -> int -> int -> unit
+(** [mark_code t a len] marks every chunk that [\[a, a + len)] touches,
+    wrapping at the top of the address space, allocating any page it
+    marks. *)
+
+val store8 : t -> int -> int -> bool
+val store16 : t -> int -> int -> bool
+val store32 : t -> int -> int -> bool
+(** Like [write8]/[write16]/[write32]; [true] when a written byte lies in
+    a marked chunk. *)
+
 val write_string : t -> int -> string -> unit
 val read_cstring : t -> int -> string
 (** Read a NUL-terminated string (at most 4096 bytes). *)
@@ -36,7 +56,8 @@ val page_size : int
 val page : t -> int -> Bytes.t
 (** The page holding address [a] (masked to the word): [page_size] data
     bytes, the byte at [a] at offset [a land (page_size - 1)], then two
-    bytes that the memory itself never reads or writes, for its owner.
+    bytes that the memory itself never reads or writes, for its owner,
+    then the page's code marks.
     A page never written is a shared all-zero sentinel; do not write
     it. *)
 

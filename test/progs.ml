@@ -135,8 +135,9 @@ let store_code code =
          ])
        (List.init (String.length code) (String.get code)))
 
-(* JIT: generate "mov r0, 123; ret" at run time and call it. *)
-let jit_prog ?(name = "jitprog") ?(value = 123) () =
+(* JIT: generate "mov r0, 123; ret" at run time and call it [calls]
+   times, printing each result. *)
+let jit_prog ?(name = "jitprog") ?(value = 123) ?(calls = 1) () =
   let store_code =
     store_code (encode_at 0 [ Insn.Mov (Reg.r0, Insn.Imm value); Insn.Ret ])
   in
@@ -149,9 +150,18 @@ let jit_prog ?(name = "jitprog") ?(value = 123) () =
             mov Reg.r0 Reg.r6;
             movi Reg.r1 64;
             syscall Sysno.cache_flush;
-            call_reg Reg.r6;
-            call_import "print_int";
           ]
+        @ (if calls = 1 then [ call_reg Reg.r6; call_import "print_int" ]
+           else
+             [
+               movi Reg.r7 calls;
+               label "again";
+               call_reg Reg.r6;
+               call_import "print_int";
+               addi Reg.r7 (-1);
+               cmpi Reg.r7 0;
+               jcc Insn.Gt "again";
+             ])
         @ exit0);
     ]
 

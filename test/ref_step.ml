@@ -148,3 +148,25 @@ let step_decoded (t : Vm.t) ~at (i : Insn.t) len =
   | Load_canary rd -> set t rd t.canary
   | Syscall n -> do_syscall t n
 
+
+(* The reference loop: the bytes at the PC are decoded afresh at every
+   step, so a store into code is seen by the next instruction that
+   reaches it.  [on_step pc] runs before each instruction. *)
+let run ?(on_step = ignore) ?(fuel = 200_000_000) (t : Vm.t) =
+  let budget = t.icount + fuel in
+  while Vm.is_running t do
+    if t.icount >= budget then t.status <- Fault Out_of_fuel
+    else if t.pc = Vm.sentinel then Vm.advance_phase t
+    else begin
+      let at = t.pc in
+      let b =
+        Bytes.init Decode.max_len (fun k ->
+            Char.chr (Jt_mem.Memory.read8 t.mem (at + k)))
+      in
+      match Decode.instr b ~pos:0 ~lim:Decode.max_len ~at with
+      | Some (i, len) ->
+        on_step at;
+        step_decoded t ~at i len
+      | None -> t.status <- Fault (Decode_fault at)
+    end
+  done
